@@ -18,6 +18,7 @@ import random
 import sys
 
 from . import coverage as coverage_mod
+from .compiled import compile_formula
 from .errors import (
     BoxsamplerError,
     NotAModel,
@@ -205,9 +206,7 @@ def _stats_to_json(stats: RunStats) -> dict:
 def _cmd_verify(args) -> int:
     with open(args.problem, "r", encoding="utf-8") as fh:
         problem = parse_problem(fh.read())
-    from .terms import eval_formula
-
-    formula = preprocess(problem.assertion)
+    check = compile_formula(preprocess(problem.assertion))
     violations = 0
     duplicates = 0
     total = 0
@@ -219,7 +218,7 @@ def _cmd_verify(args) -> int:
                 continue
             total += 1
             sample = model_from_json(json.loads(line), problem)
-            if not eval_formula(formula, sample):
+            if not check(sample):
                 violations += 1
                 print(f"violation at line {line_no}", file=sys.stderr)
             key = canonical_assignment(sample)

@@ -1,0 +1,334 @@
+"""Formulas compiled to Python functions: the evaluator of the hot loops.
+
+- :func:`compile_formula` turns a formula into ``check(model)``, the
+  per-draw soundness check of the sampler and the check of ``verify``.
+- :func:`compile_predicate` turns a conjunction over integer and Boolean
+  variables into ``pred(*values)`` over positional values, for the fallback
+  solver's box scans.
+- :func:`compile_node_values` turns a formula into a function that computes
+  the value of every pre-order node once, for coverage bitmaps.
+
+Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
+variables, ``+``, ``-``, ``*``, term-level ite, select, store, unary function
+application and array variables; relational atoms (array equality
+included), not/and/or, Boolean variables and constants, implication, iff,
+xor and distinct.  Array and function values are :class:`FuncValue` objects,
+read with ``FuncValue.apply`` and updated with ``FuncValue.with_store``,
+both bound in the generated function's globals.  Values and truth values
+equal those of :func:`terms.eval_formula` / :func:`terms.eval_term`, which
+stay the reference, with the same evaluation order and short-circuiting.
+One difference: a compiled function reads every symbol of its (sub)formula
+when it starts, so a symbol missing from the model raises
+:class:`UnassignedSymbol` even where the interpreter would not reach it.
+
+Hoisting.  CPython's parser fails at about 200 nested parentheses and its
+compiler at a few thousand nested operators.  A subexpression that would
+nest deeper than ``_MAX_DEPTH`` moves into a generated helper function,
+called in its place; sums and products split into parenthesised groups of
+``_CHAIN`` operands.  So every formula the interpreter evaluates compiles.
+
+Security.  Generated source is built only from this module's templates, the
+shape of our own AST and ``repr`` of int and bool constants.  Symbol names
+never enter the text: a symbol's name is bound to a global of the generated
+code (``_k0``, ``_k1``, ...) and its value read into a local (``s0``, ...);
+constants of any other type are bound as globals too.  The code runs under
+empty ``__builtins__``, so it reaches only the names bound here.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .errors import UnassignedSymbol
+from .terms import (
+    Add,
+    And,
+    ArrayVar,
+    Atom,
+    BoolConst,
+    BoolVar,
+    DistinctF,
+    Formula,
+    FunApp,
+    FuncValue,
+    Iff,
+    Implies,
+    IntConst,
+    IntVar,
+    Ite,
+    Mul,
+    Not,
+    Or,
+    Rel,
+    Select,
+    Sort,
+    Store,
+    Sub,
+    Xor,
+    sort_of,
+)
+
+_MAX_DEPTH = 40  # operator nesting of one generated expression
+_CHAIN = 16  # operands of one + or * chain
+
+_PY_REL = {Rel.LT: "<", Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=", Rel.EQ: "==", Rel.NE: "!="}
+
+_FORMULA_TYPES = (Atom, Not, And, Or, BoolVar, BoolConst, Implies, Iff, Xor, DistinctF)
+
+
+def _distinct(*values) -> bool:
+    return len(set(values)) == len(values)
+
+
+def _pair(node) -> tuple:
+    return (node.lhs, node.rhs)
+
+
+def _args(node) -> tuple:
+    return node.args
+
+
+# Child nodes of each inner node type, in the order of `terms.iter_nodes`.
+_CHILDREN = {
+    Atom: _pair,
+    Implies: _pair,
+    Iff: _pair,
+    Xor: _pair,
+    Sub: _pair,
+    And: _args,
+    Or: _args,
+    DistinctF: _args,
+    Add: _args,
+    Mul: _args,
+    Not: lambda n: (n.arg,),
+    FunApp: lambda n: (n.arg,),
+    Ite: lambda n: (n.cond, n.then, n.orelse),
+    Select: lambda n: (n.array, n.index),
+    Store: lambda n: (n.array, n.index, n.value),
+}
+
+# Python text of each inner node type, except + and *, over its children's
+# texts; a function application's first text is the function symbol.
+_TEMPLATES = {
+    Atom: lambda n, c: f"({c[0]} {_PY_REL[n.rel]} {c[1]})",
+    Not: lambda n, c: f"(not {c[0]})",
+    And: lambda n, c: "(" + " and ".join(c) + ")" if c else "True",
+    Or: lambda n, c: "(" + " or ".join(c) + ")" if c else "False",
+    Implies: lambda n, c: f"((not {c[0]}) or {c[1]})",
+    Iff: lambda n, c: f"({c[0]} == {c[1]})",
+    Xor: lambda n, c: f"({c[0]} != {c[1]})",
+    DistinctF: lambda n, c: f"_distinct({', '.join(c)})",
+    Sub: lambda n, c: f"({c[0]} - {c[1]})",
+    Ite: lambda n, c: f"({c[1]} if {c[0]} else {c[2]})",
+    Select: lambda n, c: f"_apply({c[0]}, {c[1]})",
+    FunApp: lambda n, c: f"_apply({c[0]}, {c[1]})",
+    Store: lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})",
+}
+
+_SYMBOL_FIELD = {IntVar: "ints", BoolVar: "bools", ArrayVar: "funcs"}  # Model field of each symbol type
+
+
+def _children(node) -> tuple:
+    try:
+        return _CHILDREN[type(node)](node)
+    except KeyError:
+        raise TypeError(f"not a term or formula: {node!r}") from None
+
+
+# A piece of generated code: (text, operator nesting depth, symbols read
+# as a bit set with bit j for symbol j).
+_Piece = tuple
+
+
+def _reads(pieces) -> int:
+    reads = 0
+    for p in pieces:
+        reads |= p[2]
+    return reads
+
+
+class _Codegen:
+    """Source and globals of one compiled function and its helpers.
+
+    With `params` (variable names), symbols are positional parameters
+    ``v0, v1, ...``; otherwise the functions take one :class:`Model` ``m``."""
+
+    def __init__(self, params: list[str] | None = None):
+        self.params = None if params is None else {name: f"v{i}" for i, name in enumerate(params)}
+        self.signature = "m" if params is None else ", ".join(f"v{i}" for i in range(len(params)))
+        self.env: dict = {
+            "__builtins__": {},
+            "_apply": FuncValue.apply,
+            "_store": FuncValue.with_store,
+            "_distinct": _distinct,
+            "_KeyError": KeyError,
+            "_Unassigned": UnassignedSymbol,
+        }
+        self.symbols: list[tuple[str, str]] = []  # (Model field, name) by index
+        self._symbol_ids: dict[tuple[str, str], int] = {}
+        self.functions: list[str] = []
+
+    # -- leaves ------------------------------------------------------------
+
+    def _symbol(self, field_name: str, name: str) -> _Piece:
+        if self.params is not None:
+            if field_name == "funcs" or name not in self.params:
+                raise UnassignedSymbol(name)
+            return (self.params[name], 0, 0)
+        key = (field_name, name)
+        j = self._symbol_ids.get(key)
+        if j is None:
+            j = self._symbol_ids[key] = len(self.symbols)
+            self.symbols.append(key)
+            self.env[f"_k{j}"] = name
+        return (f"s{j}", 0, 1 << j)
+
+    def _const(self, value) -> _Piece:
+        if type(value) in (int, bool):
+            return (repr(value), 0, 0)
+        name = f"_c{len(self.env)}"
+        self.env[name] = value
+        return (name, 0, 0)
+
+    def _leaf(self, node) -> _Piece | None:
+        kind = type(node)
+        if kind is IntConst or kind is BoolConst:
+            return self._const(node.value)
+        field_name = _SYMBOL_FIELD.get(kind)
+        return None if field_name is None else self._symbol(field_name, node.name)
+
+    # -- inner nodes ---------------------------------------------------------
+
+    def _combine(self, node, kids: list[_Piece]) -> _Piece:
+        """The expression of an inner node over its children's pieces."""
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            if not kids:
+                return ("0" if kind is Add else "1", 0, 0)
+            op = " + " if kind is Add else " * "
+            while len(kids) > _CHAIN:
+                kids = [_join(op, kids[i : i + _CHAIN]) for i in range(0, len(kids), _CHAIN)]
+            return _join(op, kids)
+        if kind is FunApp:
+            kids = [self._symbol("funcs", node.fname), *kids]
+        try:
+            template = _TEMPLATES[kind]
+        except KeyError:
+            raise TypeError(f"not a term or formula: {node!r}") from None
+        text = template(node, [k[0] for k in kids])
+        return (text, 1 + max((k[1] for k in kids), default=0), _reads(kids))
+
+    # -- expressions with hoisting -----------------------------------------
+
+    def expression(self, node) -> _Piece:
+        leaf = self._leaf(node)
+        if leaf is not None:
+            return leaf
+        kids = [self.expression(k) for k in _children(node)]
+        piece = self._combine(node, kids)
+        while piece[1] > _MAX_DEPTH:
+            deepest = max(range(len(kids)), key=lambda i: kids[i][1])
+            if kids[deepest][1] <= 1:
+                break  # only a long chain of leaves, which grouping keeps shallow
+            kids[deepest] = self._hoist(kids[deepest])
+            piece = self._combine(node, kids)
+        return piece
+
+    def _hoist(self, piece: _Piece) -> _Piece:
+        name = f"_h{len(self.functions)}"
+        self.function(name, piece[2], [f"return {piece[0]}"])
+        args = "m" if self.params is None else self.signature
+        return (f"{name}({args})", 1, 0)
+
+    # -- functions -----------------------------------------------------------
+
+    def function(self, name: str, reads: int, body: list[str]) -> None:
+        """Add `def name(signature)` that loads the symbols in `reads` and
+        runs `body`."""
+        lines = [f"def {name}({self.signature}):"]
+        used = [j for j in range(len(self.symbols)) if reads >> j & 1]
+        fields = sorted({self.symbols[j][0] for j in used})
+        for field_name in fields:
+            lines.append(f"    _{field_name} = m.{field_name}")
+        if used:
+            lines.append("    try:")
+            lines += [f"        s{j} = _{self.symbols[j][0]}[_k{j}]" for j in used]
+            lines.append("    except _KeyError as _e:")
+            lines.append("        raise _Unassigned(_e.args[0]) from None")
+        lines += [f"    {line}" for line in body]
+        self.functions.append("\n".join(lines) + "\n")
+
+    def build(self, name: str):
+        """Execute the functions; return `name`, its source kept readable as
+        its `source` attribute."""
+        source = "\n".join(self.functions)
+        exec(compile(source, "<compiled formula>", "exec"), self.env)  # source from our AST only
+        fn = self.env[name]
+        fn.source = source
+        return fn
+
+
+def _join(op: str, kids: list[_Piece]) -> _Piece:
+    text = "(" + op.join(k[0] for k in kids) + ")"
+    return (text, len(kids) + max(k[1] for k in kids), _reads(kids))
+
+
+def compile_formula(f: Formula):
+    """`check(model)`: the truth value of `f` under a :class:`Model`, as
+    :func:`terms.eval_formula` computes it."""
+    gen = _Codegen()
+    text, _, reads = gen.expression(f)
+    gen.function("_check", reads, [f"return {text}"])
+    return gen.build("_check")
+
+
+def compile_predicate(formulas: list[Formula], var_names: list[str]):
+    """`pred(*values)`: the conjunction of `formulas` with the variables
+    `var_names` (integer and Boolean only) bound positionally, in order.
+    Raises :class:`UnassignedSymbol` for any other symbol."""
+    gen = _Codegen(var_names)
+    text, _, _ = gen.expression(And(tuple(formulas)))
+    gen.function("_predicate", 0, [f"return {text}"])
+    return gen.build("_predicate")
+
+
+def compile_node_values(f: Formula):
+    """`(values, int_nodes, bool_nodes)`.  `values(model)` returns the pair
+    (values of the integer-sorted nodes, values of the Boolean-sorted
+    nodes), each node computed once from its children; `int_nodes` and
+    `bool_nodes` hold those nodes' pre-order indices (numbered as
+    :func:`terms.iter_nodes` yields them).  Array-sorted nodes are computed
+    but not returned."""
+    gen = _Codegen()
+    body: list[str] = []
+    ints: list[tuple[int, str]] = []
+    bools: list[tuple[int, str]] = []
+    reads = 0
+    preorder = itertools.count()
+
+    def visit(node) -> _Piece:
+        nonlocal reads
+        index = next(preorder)
+        piece = gen._leaf(node)
+        if piece is None:
+            expr, _, expr_reads = gen._combine(node, [visit(k) for k in _children(node)])
+            body.append(f"n{index} = {expr}")
+            piece = (f"n{index}", 0, expr_reads)
+        reads |= piece[2]
+        if isinstance(node, _FORMULA_TYPES):
+            bools.append((index, piece[0]))
+        elif sort_of(node) == Sort.INT:
+            ints.append((index, piece[0]))
+        return piece
+
+    visit(f)
+    ints.sort()
+    bools.sort()
+    body.append(f"return {_tuple(t for _, t in ints)}, {_tuple(t for _, t in bools)}")
+    gen.function("_values", reads, body)
+    return gen.build("_values"), [i for i, _ in ints], [i for i, _ in bools]
+
+
+def _tuple(texts) -> str:
+    texts = list(texts)
+    return "(" + ", ".join(texts) + ("," if len(texts) == 1 else "") + ")"

@@ -13,16 +13,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from .compiled import compile_node_values
 from .errors import BitmapMismatch
-from .terms import (
-    Formula,
-    Model,
-    Sort,
-    eval_formula,
-    eval_term,
-    iter_nodes,
-    sort_of,
-)
+from .terms import Formula, Model, Sort, iter_nodes, sort_of
 
 _WORD = (1 << 64) - 1
 
@@ -39,11 +32,15 @@ def _node_width(node) -> int:
 
 @dataclass
 class CoverageBitmap:
-    """Per-node seen-zero / seen-one masks; masks only ever gain bits."""
+    """Per-node seen-zero / seen-one masks; masks only ever gain bits.
+
+    `record_sample` compiles its formula on first use and keeps the result
+    here, keyed by the formula object, for the bitmap's lifetime."""
 
     widths: list[int]
     seen_zero: list[int] = field(default_factory=list)
     seen_one: list[int] = field(default_factory=list)
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.seen_zero:
@@ -79,22 +76,22 @@ def _check_compatible(a: CoverageBitmap, b: CoverageBitmap) -> None:
 
 
 def record_sample(bm: CoverageBitmap, f: Formula, sample: Model) -> CoverageBitmap:
-    """Fold one sample into the bitmap: every AST node is evaluated and its
-    value bits accumulated."""
-    from .terms import _TERM_TYPES
-
-    for i, node in enumerate(iter_nodes(f)):
-        width = bm.widths[i]
-        if width == 0:
-            continue
-        if width == 1:
-            bits = 1 if eval_formula(node, sample) else 0
-            mask = 1
+    """Fold one sample into the bitmap: every AST node's value is computed
+    once, by `f` compiled with :func:`compiled.compile_node_values`, and its
+    bits accumulated."""
+    if bm._compiled is None or bm._compiled[0] is not f:
+        bm._compiled = (f, *compile_node_values(f))
+    _, values, int_nodes, bool_nodes = bm._compiled
+    ints, bools = values(sample)
+    zero, one = bm.seen_zero, bm.seen_one
+    for i, v in zip(int_nodes, ints):
+        one[i] |= v & _WORD  # two's complement low bits
+        zero[i] |= ~v & _WORD
+    for i, v in zip(bool_nodes, bools):
+        if v:
+            one[i] |= 1
         else:
-            bits = eval_term(node, sample) & _WORD  # two's complement low bits
-            mask = _WORD
-        bm.seen_one[i] |= bits
-        bm.seen_zero[i] |= ~bits & mask
+            zero[i] |= 1
     return bm
 
 

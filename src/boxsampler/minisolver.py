@@ -8,6 +8,13 @@ scans over growing integer boxes; unsat is only claimed when the feasible
 box was provably finite and fully scanned.  MAX-Solve scans the same region
 and keeps the best soft-constraint score.  Everything is deterministic.
 
+Every scan checks points with compiled predicates (:mod:`.compiled`).
+Queries over integers and Booleans only use
+:func:`compiled.compile_predicate`, which takes a point's values
+positionally.  Queries with arrays or functions build a candidate
+:class:`Model` per point and slot assignment and check it with
+:func:`compiled.compile_formula`.
+
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
 scripts.
 """
@@ -18,6 +25,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 
+from .compiled import compile_formula, compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .smtlib import Declaration, _Parser, _read_sexprs, print_formula
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
@@ -34,7 +42,6 @@ from .terms import (
     Rel,
     Select,
     Sort,
-    eval_formula,
     eval_term,
     iter_nodes,
     iter_subterms,
@@ -51,101 +58,6 @@ _MAX_ARRAY_CANDIDATES = 9
 class EngineResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: Model | None = None
-
-
-# ---------------------------------------------------------------------------
-# Formula compilation: pure integer/boolean formulas become Python closures
-# over positional arguments, making box scans dozens of times faster than
-# interpreted evaluation.  Array or function terms make a formula
-# uncompilable; the caller falls back to the interpreted path.
-
-
-class _Uncompilable(Exception):
-    pass
-
-
-def _py_term(t, names: dict[str, str]) -> str:
-    if isinstance(t, IntConst):
-        return repr(t.value)
-    if isinstance(t, IntVar):
-        if t.name not in names:
-            raise _Uncompilable(t.name)
-        return names[t.name]
-    from .terms import Add, Ite, Mul, Sub
-
-    if isinstance(t, Add):
-        return "(" + " + ".join(_py_term(a, names) for a in t.args) + ")"
-    if isinstance(t, Sub):
-        return f"({_py_term(t.lhs, names)} - {_py_term(t.rhs, names)})"
-    if isinstance(t, Mul):
-        return "(" + " * ".join(_py_term(a, names) for a in t.args) + ")"
-    if isinstance(t, Ite):
-        return f"({_py_term(t.then, names)} if {_py_formula(t.cond, names)} else {_py_term(t.orelse, names)})"
-    raise _Uncompilable(type(t).__name__)
-
-
-_PY_REL = {
-    Rel.LT: "<",
-    Rel.LE: "<=",
-    Rel.GT: ">",
-    Rel.GE: ">=",
-    Rel.EQ: "==",
-    Rel.NE: "!=",
-}
-
-
-def _py_formula(f, names: dict[str, str]) -> str:
-    from .terms import And as FAnd
-    from .terms import BoolConst, BoolVar, DistinctF, Iff, Implies, Not, Or as FOr, Xor
-
-    if isinstance(f, Atom):
-        return f"({_py_term(f.lhs, names)} {_PY_REL[f.rel]} {_py_term(f.rhs, names)})"
-    if isinstance(f, Not):
-        return f"(not {_py_formula(f.arg, names)})"
-    if isinstance(f, FAnd):
-        if not f.args:
-            return "True"
-        return "(" + " and ".join(_py_formula(a, names) for a in f.args) + ")"
-    if isinstance(f, FOr):
-        if not f.args:
-            return "False"
-        return "(" + " or ".join(_py_formula(a, names) for a in f.args) + ")"
-    if isinstance(f, BoolVar):
-        if f.name not in names:
-            raise _Uncompilable(f.name)
-        return names[f.name]
-    if isinstance(f, BoolConst):
-        return repr(f.value)
-    if isinstance(f, Implies):
-        return f"((not {_py_formula(f.lhs, names)}) or {_py_formula(f.rhs, names)})"
-    if isinstance(f, Iff):
-        return f"({_py_formula(f.lhs, names)} == {_py_formula(f.rhs, names)})"
-    if isinstance(f, Xor):
-        return f"({_py_formula(f.lhs, names)} != {_py_formula(f.rhs, names)})"
-    if isinstance(f, DistinctF):
-        terms = [_py_term(a, names) for a in f.args]
-        pairs = [
-            f"({terms[i]} != {terms[j]})"
-            for i in range(len(terms))
-            for j in range(i + 1, len(terms))
-        ]
-        return "(" + " and ".join(pairs) + ")" if pairs else "True"
-    raise _Uncompilable(type(f).__name__)
-
-
-def compile_predicate(formulas: list[Formula], var_names: list[str]):
-    """Compile a conjunction into `f(*values) -> bool`, or None when the
-    formulas fall outside the pure integer/boolean fragment."""
-    names = {name: f"v{i}" for i, name in enumerate(var_names)}
-    try:
-        body = " and ".join(_py_formula(f, names) for f in formulas) or "True"
-    except _Uncompilable:
-        return None
-    params = ", ".join(names[n] for n in var_names)
-    source = f"def _predicate({params}):\n    return {body}\n"
-    scope: dict = {}
-    exec(source, {"__builtins__": {}}, scope)  # generated only from our AST
-    return scope["_predicate"]
 
 
 def _unit_bounds(formulas: list[Formula]) -> dict[str, tuple[int | None, int | None]]:
@@ -278,21 +190,20 @@ class BruteForceEngine:
         soft = soft or []
         bounds = _unit_bounds(hard)
         formulas = hard + [f for f, _ in soft]
-        has_funcs = any(isinstance(t, (Select, FunApp)) for f in formulas for t in iter_subterms(f))
+        has_funcs = any(isinstance(t, (ArrayVar, FunApp)) for f in formulas for t in iter_subterms(f))
         if any(
             lo is not None and hi is not None and lo > hi
             for lo, hi in (bounds.get(v, (None, None)) for v in self.int_vars)
         ):
             return EngineResult("unsat")
 
-        pred = None
-        if not has_funcs:
-            pred = compile_predicate(hard, self.int_vars + self.bool_vars)
-        soft_preds = None
-        if pred is not None and soft:
-            soft_preds = [compile_predicate([f], self.int_vars + self.bool_vars) for f, _ in soft]
-            if any(sp is None for sp in soft_preds):
-                soft_preds = None
+        if has_funcs:
+            pred = compile_formula(And(tuple(hard)))
+            soft_preds = [compile_formula(f) for f, _ in soft]
+        else:
+            names = self.int_vars + self.bool_vars
+            pred = compile_predicate(hard, names)
+            soft_preds = [compile_predicate([f], names) for f, _ in soft]
 
         box_points = self._box_size(bounds)
         small_finite = box_points is not None and box_points <= _MAX_POINTS_PER_SCAN
@@ -301,7 +212,7 @@ class BruteForceEngine:
             return self._finite_scan(bounds, hard, soft, pred, soft_preds, has_funcs)
 
         targets = _soft_targets(soft, self.int_vars)
-        if pred is not None and targets is not None:
+        if not has_funcs and targets is not None:
             model = self._shell_search(pred, targets, bounds)
             if model is not None:
                 return EngineResult("sat", model)
@@ -325,7 +236,7 @@ class BruteForceEngine:
 
     def _finite_scan(self, bounds, hard, soft, pred, soft_preds, has_funcs) -> EngineResult:
         ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in self.int_vars]
-        result = self._scan(ranges, hard, soft, -1, sum(w for _, w in soft), pred, soft_preds)
+        result = self._scan(ranges, hard, soft, -1, sum(w for _, w in soft), pred, soft_preds, has_funcs)
         if result is not None:
             return EngineResult("sat", result[1])
         return EngineResult("unknown" if has_funcs else "unsat")
@@ -354,7 +265,7 @@ class BruteForceEngine:
                 total *= len(r)
             if total > _MAX_POINTS_PER_SCAN:
                 break
-            result = self._scan(ranges, hard, soft, best_score, perfect, pred, soft_preds)
+            result = self._scan(ranges, hard, soft, best_score, perfect, pred, soft_preds, has_funcs)
             if result is not None:
                 score, model = result
                 if not soft or score >= perfect:
@@ -365,15 +276,17 @@ class BruteForceEngine:
             return EngineResult("sat", best_model)
         return EngineResult("unknown")
 
-    def _scan(self, ranges, hard, soft, floor: int, perfect: int, pred=None, soft_preds=None):
+    def _scan(self, ranges, hard, soft, floor: int, perfect: int, pred, soft_preds, has_funcs: bool):
         """Scan the box; return (score, model) for the best point above
         `floor`, or the first satisfying point when there are no softs.
-        Stops at the first point satisfying every soft constraint."""
+        Stops at the first point satisfying every soft constraint.  The
+        predicates take a point's values positionally, or a candidate Model
+        when the formulas have arrays or functions (`has_funcs`)."""
         best = None
         best_score = floor
         bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
         weights = [w for _, w in soft]
-        if pred is not None:
+        if not has_funcs:
             for point in itertools.product(*ranges):
                 for bools_point in bool_space:
                     if not pred(*point, *bools_point):
@@ -399,13 +312,13 @@ class BruteForceEngine:
                     model = Model(ints=dict(ints), bools=dict(bools), funcs=funcs)
                     self._fill_funcs(model)
                     try:
-                        if not all(eval_formula(f, model) for f in hard):
+                        if not pred(model):
                             continue
                     except Exception:
                         continue
                     if not soft:
                         return (0, model)
-                    score = sum(w for f, w in soft if eval_formula(f, model))
+                    score = sum(w for sp, w in zip(soft_preds, weights) if sp(model))
                     if score > best_score:
                         best, best_score = model, score
                         if best_score >= perfect:

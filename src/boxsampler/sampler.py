@@ -14,9 +14,11 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
+from .compiled import compile_formula
 from .errors import NotAModel, SolverFailure, SoundnessViolation, UnsatFormula
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
@@ -35,7 +37,7 @@ from .terms import (
     Select,
     Sort,
     Term,
-    eval_formula,
+    eval_formula,  # noqa: F401 -- not called here; bench/tracer.py wraps sampler.eval_formula
     eval_term,
     free_symbols,
     fun_names,
@@ -149,7 +151,7 @@ def _request_declarations(problem: ParsedProblem, extra_formulas: list[Formula])
         for name, sort in free_symbols(f).items():
             if name not in known:
                 known.add(name)
-                decls.append(Declaration(name, sort if sort != Sort.ARRAY else Sort.ARRAY))
+                decls.append(Declaration(name, sort))
         for name in fun_names(f):
             if name not in known:
                 known.add(name)
@@ -348,7 +350,7 @@ def exploit_epoch(
     iv: IntervalMap,
     aliasing: arrays_mod.AliasingLiterals,
     seed: Model,
-    formula: Formula,
+    check: Callable[[Model], bool],
     problem: ParsedProblem,
     cfg: SamplerConfig,
     rng: random.Random,
@@ -361,7 +363,8 @@ def exploit_epoch(
 ) -> EpochResult:
     """Run up to n sampling rounds of k draws, stopping early when the rate
     of new unique samples in a round drops below the threshold.  Every
-    emitted sample is verified against the input formula."""
+    emitted sample is verified with `check`, the input formula compiled by
+    :func:`compiled.compile_formula`."""
     fresh: list[Model] = []
     stats = EpochStats()
     epoch_deadline = time.monotonic() + cfg.epoch_time_limit
@@ -382,7 +385,7 @@ def exploit_epoch(
             else:
                 drawn = sample_intervals(iv, seed, cfg, rng)
             sample = restrict_to_problem(drawn, problem)
-            if not eval_formula(formula, sample):
+            if not check(sample):
                 raise SoundnessViolation(
                     f"sample violates the formula: {canonical_assignment(sample)!r}"
                 )
@@ -418,14 +421,17 @@ def sample_formula(
     """Sample distinct models of `problem` until a limit is hit.
 
     `on_sample(model)` fires for every fresh verified sample; `on_epoch`
-    receives each EpochResult.  Returns aggregate statistics."""
+    receives each EpochResult.  Returns aggregate statistics, whose
+    `wall_time` holds the seconds of each phase (solve, implicant,
+    strengthen, sample, and emit: the two callbacks) and the "total"."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
-    phase = {"solve": 0.0, "implicant": 0.0, "strengthen": 0.0, "sample": 0.0}
+    phase = {"solve": 0.0, "implicant": 0.0, "strengthen": 0.0, "sample": 0.0, "emit": 0.0}
     t_start = time.monotonic()
     deadline = t_start + cfg.total_time_limit
 
     formula = to_nnf(preprocess(problem.assertion))
+    check = compile_formula(formula)
     use_arrays = _uses_arrays(problem)
     dedup = DedupSet(cfg.dedup_cap)
     accumulated: list[IntervalMap] = []
@@ -443,7 +449,7 @@ def sample_formula(
         if injected is not None:
             seed = injected
             injected = None
-            if not eval_formula(formula, seed):
+            if not check(seed):
                 raise NotAModel("injected seed does not satisfy the formula")
         elif client is None:
             stats.stop_reason = "no solver configured"
@@ -484,7 +490,7 @@ def sample_formula(
             iv,
             aliasing,
             seed,
-            formula,
+            check,
             problem,
             cfg,
             rng,
@@ -500,11 +506,14 @@ def sample_formula(
         stats.unique_samples += len(epoch.fresh_samples)
         stats.clashes += epoch.stats.clashes
         accumulated.append(iv)
+
+        t0 = time.monotonic()
         if on_sample is not None:
             for sample in epoch.fresh_samples:
                 on_sample(sample)
         if on_epoch is not None:
             on_epoch(epoch)
+        phase["emit"] += time.monotonic() - t0
 
     stats.probabilistic_dedup = dedup.probabilistic
     phase["total"] = time.monotonic() - t_start

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
 
-from .errors import NotAModel, UnassignedSymbol, UnsupportedFeature
+from .errors import UnassignedSymbol, UnsupportedFeature
 
 
 class Sort(Enum):
@@ -214,10 +214,6 @@ def disj(args) -> Formula:
 
 TRUE = And(())
 FALSE = Or(())
-
-
-def neg_term(t: Term) -> Term:
-    return Mul((IntConst(-1), t))
 
 
 def is_literal(f: Formula) -> bool:
@@ -597,8 +593,3 @@ def free_symbols(f: Formula) -> dict[str, Sort]:
 
 def fun_names(f: Formula) -> set[str]:
     return {n.fname for n in iter_nodes(f) if isinstance(n, FunApp)}
-
-
-def check_model(f: Formula, m: Model) -> None:
-    if not eval_formula(f, m):
-        raise NotAModel("model does not satisfy the formula")

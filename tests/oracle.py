@@ -278,3 +278,13 @@ def random_array_model(rng: random.Random, int_names, arr_names, fun_names) -> M
         exceptions = {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
         m.funcs[n] = FuncValue(rng.randint(-3, 3), exceptions)
     return m
+
+
+def deep_and_or(depth: int, var: str = "x"):
+    """An or/and chain `depth` connectives deep, alternating so that nothing
+    flattens; true exactly for var >= 0."""
+    x = IntVar(var)
+    f = Atom(Rel.GE, x, IntConst(0))
+    for i in range(depth):
+        f = (And if i % 2 else Or)((Atom(Rel.LE, x, IntConst(i + 5)), f))
+    return f

@@ -2,10 +2,12 @@
 
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
 
+from boxsampler.compiled import compile_formula
 from boxsampler.errors import NotAModel, SoundnessViolation, UnsatFormula
 from boxsampler.intervals import Interval, IntervalMap, contains
 from boxsampler.minisolver import LocalSolverClient
@@ -20,7 +22,7 @@ from boxsampler.sampler import (
     sample_intervals,
     sample_intervals_arrays,
 )
-from boxsampler.smtlib import parse_problem
+from boxsampler.smtlib import Declaration, ParsedProblem, parse_problem
 from boxsampler.solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind
 from boxsampler.terms import (
     ArrayVar,
@@ -31,11 +33,13 @@ from boxsampler.terms import (
     Model,
     Rel,
     Select,
+    Sort,
     eval_formula,
     preprocess,
     to_nnf,
 )
 from boxsampler import arrays as arrays_mod
+from oracle import deep_and_or
 
 X, Y = IntVar("x"), IntVar("y")
 A = ArrayVar("a")
@@ -228,7 +232,7 @@ class TestExploitEpoch:
         iv = IntervalMap({X: Interval(12, 12), Y: Interval(2, 2)})
         seed = Model(ints={"x": 12, "y": 2})
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, f, p, cfg_of(), random.Random(0),
+            iv, arrays_mod.AliasingLiterals(), seed, compile_formula(f), p, cfg_of(), random.Random(0),
             DedupSet(10_000), use_arrays=False,
         )
         assert len(epoch.fresh_samples) == 1
@@ -240,7 +244,7 @@ class TestExploitEpoch:
         seed = Model(ints={"x": 12, "y": 2})
         cfg = cfg_of(rounds_per_epoch=5, samples_per_round=100, unique_rate_threshold=0.05)
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, f, p, cfg, random.Random(0),
+            iv, arrays_mod.AliasingLiterals(), seed, compile_formula(f), p, cfg, random.Random(0),
             DedupSet(10_000), use_arrays=False,
         )
         assert epoch.stats.rounds_run == 5
@@ -252,7 +256,7 @@ class TestExploitEpoch:
         dedup = DedupSet(10_000)
         cfg = cfg_of(rounds_per_epoch=3, samples_per_round=200)
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, f, p, cfg, random.Random(5),
+            iv, arrays_mod.AliasingLiterals(), seed, compile_formula(f), p, cfg, random.Random(5),
             dedup, use_arrays=False,
         )
         keys = [canonical_assignment(s) for s in epoch.fresh_samples]
@@ -367,6 +371,27 @@ class TestSampleFormula:
         assert stats.unique_samples == len(out) == 60
         for s in out:
             assert eval_formula(p.assertion, s)
+
+    def test_deeply_nested_formula(self):
+        f = deep_and_or(300)
+        p = ParsedProblem(None, [Declaration("x", Sort.INT)], f)
+        out = []
+        cfg = cfg_of(max_samples=40, samples_per_round=50)
+        stats = sample_formula(p, cfg, LocalSolverClient(), on_sample=out.append)
+        assert stats.unique_samples == len(out) == 40
+        assert all(eval_formula(f, s) for s in out)
+
+    def test_phases_sum_to_total_with_slow_callbacks(self):
+        p, _ = _intro_parts()
+        cfg = cfg_of(max_samples=30, samples_per_round=10, rounds_per_epoch=1)
+        stats = sample_formula(
+            p, cfg, LocalSolverClient(), on_sample=lambda s: time.sleep(0.002),
+            on_epoch=lambda e: time.sleep(0.005),
+        )
+        wall = dict(stats.wall_time)
+        total = wall.pop("total")
+        assert wall["emit"] > 0.5 * total
+        assert sum(wall.values()) == pytest.approx(total, rel=0.05)
 
     def test_seed_containment_every_epoch(self):
         p = parse_problem(

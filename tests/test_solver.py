@@ -17,6 +17,8 @@ from boxsampler.solver import (
 )
 from boxsampler.terms import Atom, FuncValue, IntConst, IntVar, Rel, Sort, eval_formula
 
+from oracle import deep_and_or
+
 MODELS_DIR = Path(__file__).parent / "data" / "models"
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
 
@@ -164,6 +166,18 @@ class TestLocalClient:
         ]
         v = LocalSolverClient().max_solve(SolverRequest(p.declarations, [p.assertion], softs))
         assert v.is_sat and v.model.ints["x"] in (1, 2)
+
+    def test_array_equality_without_selects(self):
+        p = parse_problem(
+            "(declare-const a (Array Int Int))(declare-const b (Array Int Int))(assert (not (= a b)))"
+        )
+        v = LocalSolverClient().solve(SolverRequest(p.declarations, [p.assertion]))
+        assert v.is_sat and v.model.funcs["a"] != v.model.funcs["b"]
+
+    def test_deeply_nested_formula(self):
+        f = deep_and_or(300)
+        v = LocalSolverClient().solve(SolverRequest([D("x")], [f]))
+        assert v.is_sat and eval_formula(f, v.model)
 
 
 @pytest.fixture(scope="module")
