@@ -1,10 +1,12 @@
 """Formulas compiled to Python functions: the evaluator of the hot loops.
 
 - :func:`compile_formula` turns a formula into ``check(model)``, the
-  per-draw soundness check of the sampler and the check of ``verify``.
-- :func:`compile_predicate` turns a conjunction over integer and Boolean
-  variables into ``pred(*values)`` over positional values, for the fallback
-  solver's box scans.
+  check of ``verify``, of an injected seed and of the fallback solver's
+  array scans.
+- :func:`compile_predicate` turns a conjunction into ``pred(*values)``
+  over positional values, one per symbol (integer, Boolean, array or
+  function), for the sampler's per-draw check and the fallback solver's
+  box scans.
 - :func:`compile_node_values` turns a formula into a function that computes
   the value of every pre-order node once, for coverage bitmaps.
 
@@ -172,7 +174,7 @@ class _Codegen:
 
     def _symbol(self, field_name: str, name: str) -> _Piece:
         if self.params is not None:
-            if field_name == "funcs" or name not in self.params:
+            if name not in self.params:
                 raise UnassignedSymbol(name)
             return (self.params[name], 0, 0)
         key = (field_name, name)
@@ -283,9 +285,11 @@ def compile_formula(f: Formula):
 
 
 def compile_predicate(formulas: list[Formula], var_names: list[str]):
-    """`pred(*values)`: the conjunction of `formulas` with the variables
-    `var_names` (integer and Boolean only) bound positionally, in order.
-    Raises :class:`UnassignedSymbol` for any other symbol."""
+    """`pred(*values)`: the conjunction of `formulas` with the symbols
+    `var_names` bound positionally, in order: ints and bools for integer and
+    Boolean variables, :class:`FuncValue` objects for array variables and
+    function symbols.  Raises :class:`UnassignedSymbol` for any other
+    symbol."""
     gen = _Codegen(var_names)
     text, _, _ = gen.expression(And(tuple(formulas)))
     gen.function("_predicate", 0, [f"return {text}"])

@@ -199,17 +199,20 @@ class BruteForceEngine:
 
         if has_funcs:
             pred = compile_formula(And(tuple(hard)))
-            soft_preds = [compile_formula(f) for f, _ in soft]
         else:
             names = self.int_vars + self.bool_vars
             pred = compile_predicate(hard, names)
-            soft_preds = [compile_predicate([f], names) for f, _ in soft]
+
+        def soft_preds():  # compiled only for the scans that read them
+            if has_funcs:
+                return [compile_formula(f) for f, _ in soft]
+            return [compile_predicate([f], names) for f, _ in soft]
 
         box_points = self._box_size(bounds)
         small_finite = box_points is not None and box_points <= _MAX_POINTS_PER_SCAN
 
         if small_finite:
-            return self._finite_scan(bounds, hard, soft, pred, soft_preds, has_funcs)
+            return self._finite_scan(bounds, hard, soft, pred, soft_preds(), has_funcs)
 
         targets = _soft_targets(soft, self.int_vars)
         if not has_funcs and targets is not None:
@@ -217,7 +220,7 @@ class BruteForceEngine:
             if model is not None:
                 return EngineResult("sat", model)
             return EngineResult("unknown")
-        return self._radius_scan(bounds, hard, soft, pred, soft_preds, has_funcs)
+        return self._radius_scan(bounds, hard, soft, pred, soft_preds(), has_funcs)
 
     # -- sizing -------------------------------------------------------------
 

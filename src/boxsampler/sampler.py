@@ -6,6 +6,17 @@ to interval bounds, and then draws many cheap samples from the box.  Every
 emitted sample is re-verified against the input formula and deduplicated
 run-wide.  Interval formulas accumulate so the blocking strategy can steer
 later seeds away from already-covered regions.
+
+Draws are flat tuples of values, one per declaration in declaration order
+(:class:`SampleLayout`).  Per epoch, :func:`epoch_drawer` turns an integer
+box into a plan of ``(slot, lo, width)`` entries; an array box still draws
+through :func:`sample_intervals_arrays` and is projected onto the tuple.
+Each tuple is checked by one positional predicate compiled once per run and
+is its own dedup key (function values written as their default and sorted
+exceptions); only a fresh sample becomes a :class:`Model`.  The random
+stream and the samples equal those of the reference chain
+:func:`sample_intervals` -> :func:`restrict_to_problem` ->
+:func:`canonical_assignment`, which stays for tests and ``cli verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from typing import Callable
 
 from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
-from .compiled import compile_formula
+from .compiled import compile_formula, compile_predicate
 from .errors import NotAModel, SolverFailure, SoundnessViolation, UnsatFormula
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
@@ -218,7 +229,8 @@ def _draw(interval, seed_value: int, width: int, rng: random.Random) -> int:
 def sample_intervals(iv: IntervalMap, seed: Model, cfg: SamplerConfig, rng: random.Random) -> Model:
     """Draw one assignment from an integer-only interval map.  Unbounded
     endpoints are clamped to the seed value plus/minus the configured width;
-    variables without an interval keep their seed value."""
+    variables without an interval keep their seed value.  The reference for
+    the integer draws of :func:`epoch_drawer`."""
     ints = dict(seed.ints)
     for key, interval in iv.entries.items():
         assert isinstance(key, IntVar), "integer-only sampling requires variable keys"
@@ -346,11 +358,117 @@ def restrict_to_problem(sample: Model, problem: ParsedProblem) -> Model:
     return out
 
 
+class SampleLayout:
+    """A sample of a problem as a flat tuple of values, one per declaration
+    in declaration order: ints, bools, and :class:`FuncValue` objects for
+    arrays and functions."""
+
+    def __init__(self, declarations: list[Declaration]):
+        self.names = [d.name for d in declarations]
+        self.slot = {name: i for i, name in enumerate(self.names)}
+        self.ints: list[tuple[str, int]] = []
+        self.bools: list[tuple[str, int]] = []
+        self.funcs: list[tuple[str, int]] = []
+        for i, d in enumerate(declarations):
+            if d.is_function or d.sort == Sort.ARRAY:
+                self.funcs.append((d.name, i))
+            elif d.sort == Sort.INT:
+                self.ints.append((d.name, i))
+            else:
+                self.bools.append((d.name, i))
+
+    def predicate(self, formula: Formula):
+        """`pred(*values)`: the truth value of `formula` under a vector."""
+        return compile_predicate([formula], self.names)
+
+    def vector(self, sample: Model) -> tuple:
+        """The values of the declared symbols in `sample`; a missing one is
+        0, false or the constant-0 function, as in :func:`restrict_to_problem`."""
+        values: list = [None] * len(self.names)
+        for name, i in self.ints:
+            values[i] = sample.ints.get(name, 0)
+        for name, i in self.bools:
+            values[i] = sample.bools.get(name, False)
+        for name, i in self.funcs:
+            values[i] = sample.funcs.get(name, FuncValue(0))
+        return tuple(values)
+
+    def key(self, values: tuple) -> tuple:
+        """Dedup key of a vector: itself, with each function value written
+        as (default, sorted exceptions)."""
+        key = list(values)
+        for _, i in self.funcs:
+            fv = key[i]
+            key[i] = (fv.default, tuple(sorted(fv.exceptions.items())))
+        return tuple(key)
+
+    def model(self, values: tuple) -> Model:
+        """The :class:`Model` of a vector, its dicts in declaration order."""
+        return Model(
+            ints={name: values[i] for name, i in self.ints},
+            bools={name: values[i] for name, i in self.bools},
+            funcs={name: values[i] for name, i in self.funcs},
+        )
+
+
+def epoch_drawer(
+    iv: IntervalMap,
+    seed: Model,
+    layout: SampleLayout,
+    cfg: SamplerConfig,
+    rng: random.Random,
+    *,
+    use_arrays: bool,
+    reconstructions: list[tuple[str, Term]] | None = None,
+) -> Callable[[], tuple | None]:
+    """`draw()`: one vector drawn from the box `iv`, or None on a clash.
+
+    Each draw equals ``layout.vector(restrict_to_problem(d, problem))`` of
+    the draw ``d`` of :func:`sample_intervals` (integer keys) or
+    :func:`sample_intervals_arrays`, and consumes the same random numbers.
+    For integer keys the draw is planned once: ``(slot, lo, width)`` per
+    key, open sides clamped as in :func:`sample_intervals`, and each value
+    is ``lo + rng._randbelow(width)``, which is what ``rng.randint(lo, hi)``
+    computes.  Keys that are not declared draw into a throw-away slot."""
+    if use_arrays:
+        vector = layout.vector
+
+        def draw_arrays():
+            drawn = sample_intervals_arrays(iv, seed, cfg, rng, reconstructions)
+            return None if drawn is None else vector(drawn)
+
+        return draw_arrays
+
+    n = len(layout.names)
+    width = cfg.unbounded_width
+    plan = []
+    for key, interval in iv.entries.items():
+        assert isinstance(key, IntVar), "integer-only sampling requires variable keys"
+        at = seed.int_value(key.name)
+        lo = interval.lo if interval.lo is not None else at - width
+        hi = interval.hi if interval.hi is not None else at + width
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}] for {key.name}")
+        plan.append((layout.slot.get(key.name, n), lo, hi - lo + 1))
+    values = list(layout.vector(seed))
+    exact = all(slot < n for slot, _, _ in plan)
+    if not exact:
+        values.append(0)
+    randbelow = rng._randbelow
+
+    def draw_ints():
+        for slot, lo, span in plan:
+            values[slot] = lo + randbelow(span)
+        return tuple(values) if exact else tuple(values[:n])
+
+    return draw_ints
+
+
 def exploit_epoch(
     iv: IntervalMap,
     aliasing: arrays_mod.AliasingLiterals,
     seed: Model,
-    check: Callable[[Model], bool],
+    pred: Callable[..., bool],
     problem: ParsedProblem,
     cfg: SamplerConfig,
     rng: random.Random,
@@ -362,9 +480,15 @@ def exploit_epoch(
     remaining_budget: int | None = None,
 ) -> EpochResult:
     """Run up to n sampling rounds of k draws, stopping early when the rate
-    of new unique samples in a round drops below the threshold.  Every
-    emitted sample is verified with `check`, the input formula compiled by
-    :func:`compiled.compile_formula`."""
+    of new unique samples in a round drops below the threshold.  Each draw
+    is a vector of the problem's :class:`SampleLayout`, checked with
+    `pred`, the input formula compiled by :meth:`SampleLayout.predicate`,
+    and deduplicated by its key; only fresh samples become Models."""
+    layout = SampleLayout(problem.declarations)
+    draw = epoch_drawer(iv, seed, layout, cfg, rng, use_arrays=use_arrays, reconstructions=reconstructions)
+    key_of = layout.key if layout.funcs else None
+    model_of = layout.model
+    add = dedup.add
     fresh: list[Model] = []
     stats = EpochStats()
     epoch_deadline = time.monotonic() + cfg.epoch_time_limit
@@ -377,20 +501,16 @@ def exploit_epoch(
             if i % 64 == 0 and time.monotonic() > epoch_deadline:
                 done = True
                 break
-            if use_arrays:
-                drawn = sample_intervals_arrays(iv, seed, cfg, rng, reconstructions)
-                if drawn is None:
-                    stats.clashes += 1
-                    continue
-            else:
-                drawn = sample_intervals(iv, seed, cfg, rng)
-            sample = restrict_to_problem(drawn, problem)
-            if not check(sample):
+            values = draw()
+            if values is None:
+                stats.clashes += 1
+                continue
+            if not pred(*values):
                 raise SoundnessViolation(
-                    f"sample violates the formula: {canonical_assignment(sample)!r}"
+                    f"sample violates the formula: {canonical_assignment(model_of(values))!r}"
                 )
-            if dedup.add(canonical_assignment(sample)):
-                fresh.append(sample)
+            if add(values if key_of is None else key_of(values)):
+                fresh.append(model_of(values))
                 new_in_round += 1
                 if remaining_budget is not None and len(fresh) >= remaining_budget:
                     done = True
@@ -431,7 +551,7 @@ def sample_formula(
     deadline = t_start + cfg.total_time_limit
 
     formula = to_nnf(preprocess(problem.assertion))
-    check = compile_formula(formula)
+    pred = SampleLayout(problem.declarations).predicate(formula)
     use_arrays = _uses_arrays(problem)
     dedup = DedupSet(cfg.dedup_cap)
     accumulated: list[IntervalMap] = []
@@ -449,7 +569,7 @@ def sample_formula(
         if injected is not None:
             seed = injected
             injected = None
-            if not check(seed):
+            if not compile_formula(formula)(seed):
                 raise NotAModel("injected seed does not satisfy the formula")
         elif client is None:
             stats.stop_reason = "no solver configured"
@@ -490,7 +610,7 @@ def sample_formula(
             iv,
             aliasing,
             seed,
-            check,
+            pred,
             problem,
             cfg,
             rng,

@@ -132,6 +132,24 @@ class TestAgreement:
             assert eval_formula(f, m) == expected
             assert bool(check(m)) == expected
 
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_positional_array_predicate_matches_model_check(self, seed):
+        rng = random.Random(seed)
+        f = random_array_formula(rng, INTS, ARRAYS, FUNS, 3)
+        if rng.random() < 0.5:
+            f = _full_grammar_formula(rng, 3)
+        names = INTS + ARRAYS + FUNS + ["p", "q"]
+        order = rng.sample(names, len(names))  # positions follow the given names, not a fixed grouping
+        pred = compile_predicate([f], order)
+        check = compile_formula(f)
+        for _ in range(5):
+            m = _array_model(rng)
+            env = {**m.ints, **m.bools, **m.funcs}
+            expected = eval_formula(f, m)
+            assert bool(check(m)) == expected
+            assert bool(pred(*(env[n] for n in order))) == expected
+
     def test_conjunction_of_several_formulas(self):
         rng = random.Random(4)
         fs = [random_formula(rng, INTS, 2) for _ in range(4)]

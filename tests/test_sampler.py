@@ -1,23 +1,28 @@
 """Sampling loop: seeds, interval draws, epochs, and the full run."""
 
+import ast
 import math
 import random
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxsampler.compiled import compile_formula
 from boxsampler.errors import NotAModel, SoundnessViolation, UnsatFormula
 from boxsampler.intervals import Interval, IntervalMap, contains
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import (
     DedupSet,
+    SampleLayout,
     SamplerConfig,
     canonical_assignment,
+    epoch_drawer,
     exploit_epoch,
     get_seed_blocking,
     get_seed_random,
+    restrict_to_problem,
     sample_formula,
     sample_intervals,
     sample_intervals_arrays,
@@ -27,6 +32,7 @@ from boxsampler.solver import SolverClient, SolverRequest, SolverVerdict, Verdic
 from boxsampler.terms import (
     ArrayVar,
     Atom,
+    FunApp,
     FuncValue,
     IntConst,
     IntVar,
@@ -35,10 +41,12 @@ from boxsampler.terms import (
     Select,
     Sort,
     eval_formula,
+    eval_term,
     preprocess,
     to_nnf,
 )
 from boxsampler import arrays as arrays_mod
+from boxsampler import strengthen as strengthen_mod
 from oracle import deep_and_or
 
 X, Y = IntVar("x"), IntVar("y")
@@ -218,6 +226,133 @@ class TestSampleIntervalsArrays:
         assert s.funcs["a"].default == 6
 
 
+def _random_int_box(rng: random.Random):
+    """A problem over Int and Bool declarations and a box around a seed:
+    open sides, pinned keys, keys that are not declared, declared symbols
+    missing from the seed."""
+    decls = [Declaration(f"v{k}", Sort.INT) for k in range(rng.randint(0, 5))]
+    decls += [Declaration(f"p{k}", Sort.BOOL) for k in range(rng.randint(0, 2))]
+    rng.shuffle(decls)
+    problem = ParsedProblem("QF_LIA", decls, Atom(Rel.EQ, IntConst(0), IntConst(0)))
+    seed = Model()
+    for d in decls:
+        if rng.random() < 0.8:
+            if d.sort == Sort.INT:
+                seed.ints[d.name] = rng.randint(-50, 50)
+            else:
+                seed.bools[d.name] = rng.random() < 0.5
+    names = list(seed.ints) + [f"w{k}" for k in range(rng.randint(0, 2))]
+    iv = IntervalMap()
+    for name in rng.sample(names, len(names)):
+        at = seed.ints.setdefault(name, rng.randint(-50, 50))
+        roll = rng.random()
+        if roll < 0.25:
+            interval = Interval(at, at)
+        else:
+            lo = None if rng.random() < 0.3 else at - rng.randint(0, 20)
+            hi = None if rng.random() < 0.3 else at + rng.randint(0, 10**rng.randint(1, 15))
+            interval = Interval(lo, hi)
+        iv.entries[IntVar(name)] = interval
+    return problem, seed, iv
+
+
+def _random_array_box(rng: random.Random):
+    """A problem with an array and a function, and a box over select and
+    application keys whose indices may alias, so that draws can clash."""
+    decls = [
+        Declaration("i", Sort.INT), Declaration("j", Sort.INT), Declaration("p", Sort.BOOL),
+        Declaration("a", Sort.ARRAY), Declaration("g", Sort.INT, is_function=True),
+    ]
+    rng.shuffle(decls)
+    problem = ParsedProblem("QF_ALIA", decls, Atom(Rel.EQ, IntConst(0), IntConst(0)))
+    a = FuncValue(rng.randint(-3, 3), {rng.randint(0, 3): rng.randint(-3, 3) for _ in range(2)})
+    seed = Model(ints={"i": rng.randint(0, 3), "j": rng.randint(0, 3)}, bools={"p": True},
+                 funcs={"a": a, "g": FuncValue(rng.randint(-3, 3))})
+    iv = IntervalMap()
+    keys = [I, J, Select(A, I), Select(A, J), FunApp("g", I), FunApp("g", Select(A, J))]
+    for key in rng.sample(keys, rng.randint(1, len(keys))):
+        at = eval_term(key, seed)
+        if isinstance(key, IntVar) and rng.random() < 0.5:
+            iv.entries[key] = Interval(at, at)
+        else:
+            lo = None if rng.random() < 0.3 else at - rng.randint(0, 3)
+            hi = None if rng.random() < 0.3 else at + rng.randint(0, 3)
+            iv.entries[key] = Interval(lo, hi)
+    return problem, seed, iv
+
+
+class TestEpochDrawer:
+    """Each vector the epoch drawer returns equals the reference draw,
+    restricted to the problem and projected onto the layout, and consumes
+    the same random numbers."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_int_draws_equal_reference(self, s):
+        rng = random.Random(s)
+        problem, seed, iv = _random_int_box(rng)
+        cfg = cfg_of(unbounded_width=rng.choice([0, 5, 10**6]))
+        layout = SampleLayout(problem.declarations)
+        kernel_rng, reference_rng = random.Random(s), random.Random(s)
+        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng, use_arrays=False)
+        for _ in range(30):
+            reference = restrict_to_problem(sample_intervals(iv, seed, cfg, reference_rng), problem)
+            values = draw()
+            assert values == layout.vector(reference)
+            assert layout.model(values) == reference
+        assert kernel_rng.getstate() == reference_rng.getstate()
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_array_draws_equal_reference(self, s):
+        rng = random.Random(s)
+        problem, seed, iv = _random_array_box(rng)
+        cfg = cfg_of(unbounded_width=rng.choice([1, 4]))
+        layout = SampleLayout(problem.declarations)
+        kernel_rng, reference_rng = random.Random(s), random.Random(s)
+        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng, use_arrays=True)
+        for _ in range(30):
+            drawn = sample_intervals_arrays(iv, seed, cfg, reference_rng)
+            values = draw()
+            if drawn is None:
+                assert values is None
+                continue
+            reference = restrict_to_problem(drawn, problem)
+            assert values == layout.vector(reference)
+            assert layout.model(values) == reference
+            assert layout.key(values) == layout.key(layout.vector(reference))
+        assert kernel_rng.getstate() == reference_rng.getstate()
+
+    def test_array_boxes_do_clash(self):
+        clashes = 0
+        for s in range(200):
+            problem, seed, iv = _random_array_box(random.Random(s))
+            draw = epoch_drawer(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s),
+                                use_arrays=True)
+            clashes += sum(draw() is None for _ in range(10))
+        assert clashes > 0  # the property above covers the clash branch
+
+    def test_randbelow_reproduces_randint(self):
+        spans = [(0, 0), (-5, 5), (3, 10**6), (-(10**12), 10**12), (7, 8), (-1, 0)]
+        gen = random.Random(3)
+        spans += [(lo, lo + gen.randint(0, 2**gen.randint(0, 70))) for lo in range(-100, 100)]
+        a, b = random.Random(9), random.Random(9)
+        for lo, hi in spans * 5:
+            assert lo + a._randbelow(hi - lo + 1) == b.randint(lo, hi)
+        assert a.getstate() == b.getstate()
+
+    def test_key_is_the_vector_with_canonical_functions(self):
+        p = parse_problem(
+            "(declare-const x Int)(declare-const a (Array Int Int))(declare-const q Bool)(assert q)"
+        )
+        layout = SampleLayout(p.declarations)
+        values = (4, FuncValue(1, {3: 0, -2: 5}), True)
+        assert layout.key(values) == (4, (1, ((-2, 5), (3, 0))), True)
+        model = layout.model(values)
+        assert model == Model(ints={"x": 4}, bools={"q": True}, funcs={"a": FuncValue(1, {3: 0, -2: 5})})
+        assert layout.vector(model) == values
+
+
 def _intro_parts():
     p = parse_problem(
         "(declare-const x Int)(declare-const y Int)"
@@ -232,7 +367,7 @@ class TestExploitEpoch:
         iv = IntervalMap({X: Interval(12, 12), Y: Interval(2, 2)})
         seed = Model(ints={"x": 12, "y": 2})
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, compile_formula(f), p, cfg_of(), random.Random(0),
+            iv, arrays_mod.AliasingLiterals(), seed, SampleLayout(p.declarations).predicate(f), p, cfg_of(), random.Random(0),
             DedupSet(10_000), use_arrays=False,
         )
         assert len(epoch.fresh_samples) == 1
@@ -244,7 +379,7 @@ class TestExploitEpoch:
         seed = Model(ints={"x": 12, "y": 2})
         cfg = cfg_of(rounds_per_epoch=5, samples_per_round=100, unique_rate_threshold=0.05)
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, compile_formula(f), p, cfg, random.Random(0),
+            iv, arrays_mod.AliasingLiterals(), seed, SampleLayout(p.declarations).predicate(f), p, cfg, random.Random(0),
             DedupSet(10_000), use_arrays=False,
         )
         assert epoch.stats.rounds_run == 5
@@ -256,7 +391,7 @@ class TestExploitEpoch:
         dedup = DedupSet(10_000)
         cfg = cfg_of(rounds_per_epoch=3, samples_per_round=200)
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, compile_formula(f), p, cfg, random.Random(5),
+            iv, arrays_mod.AliasingLiterals(), seed, SampleLayout(p.declarations).predicate(f), p, cfg, random.Random(5),
             dedup, use_arrays=False,
         )
         keys = [canonical_assignment(s) for s in epoch.fresh_samples]
@@ -302,6 +437,30 @@ class TestSampleFormula:
         cfg = cfg_of(inject_seed=Model(ints={"x": -1, "y": 0}))
         with pytest.raises(NotAModel):
             sample_formula(p, cfg, None)
+
+    def test_box_wider_than_the_formula_raises_soundness_violation(self, monkeypatch):
+        # intro's box for the seed (12, 2) is x in [0, 15]; x up to 10^6
+        # breaks x - 5y <= 7 for small y, and every draw is checked
+        p, _ = _intro_parts()
+        product_to_intervals = strengthen_mod.product_to_intervals
+
+        def widened(product, seed):
+            iv = product_to_intervals(product, seed)
+            assert iv.get(X) == Interval(0, 15)
+            iv.entries[X] = Interval(0, 10**6)
+            return iv
+
+        monkeypatch.setattr(strengthen_mod, "product_to_intervals", widened)
+        cfg = cfg_of(max_samples=10_000, inject_seed=Model(ints={"x": 12, "y": 2}), unbounded_width=1000)
+        with pytest.raises(SoundnessViolation) as excinfo:
+            sample_formula(p, cfg, None)
+        message = str(excinfo.value)
+        assert message.startswith("sample violates the formula: ")
+        ints, bools, funcs = ast.literal_eval(message.split(": ", 1)[1])
+        offending = Model(ints=dict(ints), bools=dict(bools), funcs=dict(funcs))
+        assert set(offending.ints) == {"x", "y"} and not bools and not funcs
+        assert 15 < offending.ints["x"] <= 10**6
+        assert not eval_formula(p.assertion, offending)
 
     def test_no_duplicates_across_epochs(self):
         p = parse_problem(

@@ -1,0 +1,66 @@
+"""Seeded `cli run` output pinned to fixed bytes.
+
+`test_byte_identical_reruns` compares two runs of the same code; these
+digests compare against the files the sampler wrote before its per-draw
+loop was rewritten, so a change to the random stream, the draw order, the
+dedup or the sample encoding shows up here.  A change that alters the
+stream on purpose must say why and update the digests."""
+
+import hashlib
+import sys
+
+import pytest
+
+from boxsampler.cli import EXIT_OK, main
+
+MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
+
+RUNS = {
+    "intro-random": (
+        "intro.smt2",
+        ["--strategy", "random", "--rng-seed", "17", "--max-samples", "400",
+         "--samples-per-round", "60", "--rounds", "3"],
+    ),
+    "toy_branch-blocking": (
+        "toy_branch.smt2",
+        ["--strategy", "blocking", "--rng-seed", "23", "--max-samples", "600",
+         "--samples-per-round", "80", "--rounds", "2"],
+    ),
+    "toy_array-random": (
+        "toy_array.smt2",
+        ["--strategy", "random", "--rng-seed", "31", "--max-samples", "150",
+         "--samples-per-round", "40", "--rounds", "2"],
+    ),
+}
+
+# SHA-256 of (samples file, intervals file) for each run.
+DIGESTS = {
+    "intro-random": (
+        "7016cfb25a95d79a50153dd679f45f491de9b0862db244f8d6ceff57228e9682",
+        "4ced7b7442794045ab8ced24aca63b68c01a60f76524a4291918ea4f0241bcac",
+    ),
+    "toy_branch-blocking": (
+        "24aae9f97803d2032d755d9fb2b9899cf527af2ca02f4389c9fc48e2c4d9ebd3",
+        "17237bbbbeef2d649573ce159dbecad23821ac54bb1f6c8a4708e26e0bfe7a22",
+    ),
+    "toy_array-random": (
+        "652c8a9e6607a5516c599c074300c50d886e9fbb7ad162f850475a32c620138a",
+        "bb175c5fbb1ab59b178b736bb1a941638b8cc69419d66e5223f2568ed4ebd0a0",
+    ),
+}
+
+
+def run_digests(data_dir, tmp_path, name):
+    problem, extra = RUNS[name]
+    samples, intervals = tmp_path / f"{name}.samples", tmp_path / f"{name}.intervals"
+    code = main([
+        "run", str(data_dir / problem), "--solver-cmd", MINISOLVER_CMD, *extra,
+        "--samples-out", str(samples), "--intervals-out", str(intervals),
+    ])
+    assert code == EXIT_OK
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (samples, intervals))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_seeded_streams_match_pinned_bytes(data_dir, tmp_path, name):
+    assert run_digests(data_dir, tmp_path, name) == DIGESTS[name]
