@@ -18,6 +18,7 @@ from .implicant import ProductTerm, compute_implicant
 from .intervals import IntervalMap
 from .strengthen import product_to_intervals as _int_product_to_intervals
 from .terms import (
+    Add,
     And,
     ArrayVar,
     Atom,
@@ -28,17 +29,20 @@ from .terms import (
     IntConst,
     IntVar,
     Model,
+    Mul,
     Not,
     Or,
     Rel,
     Select,
     Sort,
     Store,
+    Sub,
     Term,
     eval_term,
     free_symbols,
     fun_names,
     iter_subterms,
+    iter_term_nodes,
     replace_in_formula,
     replace_term,
     sort_of,
@@ -91,11 +95,13 @@ def is_select_like(t: Term) -> bool:
     return (isinstance(t, Select) and isinstance(t.array, ArrayVar)) or isinstance(t, FunApp)
 
 
-def _select_symbol(t: Term) -> str:
+def select_symbol(t: Term) -> str:
+    """The array or function a select-like term reads."""
     return t.array.name if isinstance(t, Select) else t.fname
 
 
-def _select_index(t: Term) -> Term:
+def select_index(t: Term) -> Term:
+    """The index term of a select-like term."""
     return t.index if isinstance(t, Select) else t.arg
 
 
@@ -104,18 +110,10 @@ def _select_index(t: Term) -> Term:
 
 
 def _find_select_store(t) -> Select | None:
-    for sub in _term_subterms(t):
+    for sub in iter_term_nodes(t):
         if isinstance(sub, Select) and isinstance(sub.array, Store):
             return sub
     return None
-
-
-def _term_subterms(t: Term):
-    from .terms import term_children
-
-    yield t
-    for c in term_children(t):
-        yield from _term_subterms(c)
 
 
 def _literal_select_store(lit: Formula) -> Select | None:
@@ -317,9 +315,9 @@ def build_aliasing(product: ProductTerm, m: Model) -> AliasingLiterals:
     pairs get index and value equalities, the rest index disequalities."""
     groups: dict[str, list[Term]] = {}
     for lit in product:
-        for sub in _literal_subterms(lit):
+        for sub in iter_subterms(lit):
             if is_select_like(sub):
-                group = groups.setdefault(_select_symbol(sub), [])
+                group = groups.setdefault(select_symbol(sub), [])
                 if sub not in group:
                     group.append(sub)
     out = AliasingLiterals()
@@ -327,16 +325,12 @@ def build_aliasing(product: ProductTerm, m: Model) -> AliasingLiterals:
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
                 t1, t2 = terms[i], terms[j]
-                i1, i2 = _select_index(t1), _select_index(t2)
+                i1, i2 = select_index(t1), select_index(t2)
                 if eval_term(i1, m) == eval_term(i2, m):
                     out.equalities.append(((i1, i2), (t1, t2)))
                 else:
                     out.disequalities.append((i1, i2))
     return out
-
-
-def _literal_subterms(lit: Formula):
-    yield from iter_subterms(lit)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +342,6 @@ def ground_term(t: Term, table: GroundingTable) -> Term:
     if is_select_like(t):
         _register(t, table)
         return IntVar(table.var_for(t))
-    from .terms import Add, Mul, Sub
-
     if isinstance(t, (IntConst, IntVar)):
         return t
     if isinstance(t, Add):
@@ -365,7 +357,7 @@ def _register(t: Term, table: GroundingTable) -> None:
     # nested select-like terms are registered too: the grounded model must
     # assign every member of the grounded-term set
     table.var_for(t)
-    for sub in _term_subterms(_select_index(t)):
+    for sub in iter_term_nodes(select_index(t)):
         if is_select_like(sub):
             _register(sub, table)
 
@@ -418,7 +410,6 @@ def unground(iv: IntervalMap, table: GroundingTable) -> IntervalMap:
 @dataclass
 class ArrayPipelineResult:
     intervals: IntervalMap
-    aliasing: AliasingLiterals
     seed: Model  # extended with fresh symbols from equality rewriting
     reconstructions: list[tuple[str, Term]]
 
@@ -426,8 +417,7 @@ class ArrayPipelineResult:
 def product_to_intervals(product: ProductTerm, m: Model, rng: random.Random) -> ArrayPipelineResult:
     """Interval bounds for a product term with arrays and functions.
 
-    Keys of the resulting map are integer variables and select-like terms;
-    the aliasing literals frozen into the product are reported alongside,
+    Keys of the resulting map are integer variables and select-like terms,
     and the returned seed model covers any fresh symbols introduced by
     equality rewriting."""
     product, m, recipes = rewrite_array_equality(product, m)
@@ -436,4 +426,4 @@ def product_to_intervals(product: ProductTerm, m: Model, rng: random.Random) -> 
     full = product + [lit for lit in aliasing.literals() if lit not in set(product)]
     grounded, grounded_model, table = ground(full, m)
     iv = _int_product_to_intervals(grounded, grounded_model)
-    return ArrayPipelineResult(unground(iv, table), aliasing, m, recipes)
+    return ArrayPipelineResult(unground(iv, table), m, recipes)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 unsatisfiable input, 3 unsupported input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -29,7 +30,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .intervals import to_json_obj
-from .sampler import RunStats, SamplerConfig, canonical_assignment, sample_formula
+from .sampler import SamplerConfig, canonical_assignment, sample_formula
 from .smtlib import ParsedProblem, parse_problem
 from .solver import ProcessSolverClient
 from .terms import FuncValue, Model, Sort, preprocess, to_nnf
@@ -179,28 +180,13 @@ def _cmd_run(args) -> int:
         stats.raw_coverage = coverage_mod.raw_coverage(bitmap)
     if args.stats_out:
         with open(args.stats_out, "w", encoding="utf-8") as fh:
-            json.dump(_stats_to_json(stats), fh, indent=2)
+            json.dump(dataclasses.asdict(stats), fh, indent=2)
             fh.write("\n")
     print(
         f"{stats.unique_samples} unique samples in {stats.epochs} epochs "
         f"({stats.solver_calls} solver calls); stopped: {stats.stop_reason}"
     )
     return EXIT_OK
-
-
-def _stats_to_json(stats: RunStats) -> dict:
-    return {
-        "epochs": stats.epochs,
-        "solver_calls": stats.solver_calls,
-        "maxsmt_degradations": stats.maxsmt_degradations,
-        "unique_samples": stats.unique_samples,
-        "clashes": stats.clashes,
-        "blocking_resets": stats.blocking_resets,
-        "raw_coverage": stats.raw_coverage,
-        "probabilistic_dedup": stats.probabilistic_dedup,
-        "stop_reason": stats.stop_reason,
-        "wall_time": stats.wall_time,
-    }
 
 
 def _cmd_verify(args) -> int:

@@ -8,12 +8,11 @@ scans over growing integer boxes; unsat is only claimed when the feasible
 box was provably finite and fully scanned.  MAX-Solve scans the same region
 and keeps the best soft-constraint score.  Everything is deterministic.
 
-Every scan checks points with compiled predicates (:mod:`.compiled`).
-Queries over integers and Booleans only use
-:func:`compiled.compile_predicate`, which takes a point's values
-positionally.  Queries with arrays or functions build a candidate
-:class:`Model` per point and slot assignment and check it with
-:func:`compiled.compile_formula`.
+Every scan checks points with one predicate per query,
+:func:`compiled.compile_predicate` over the declared symbols, which takes a
+point's values positionally.  For a query over arrays or functions, the
+candidate function values of each point are enumerated after its Booleans,
+in the same loop.
 
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
 scripts.
@@ -25,9 +24,10 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .compiled import compile_formula, compile_predicate
+from .arrays import is_select_like, select_index, select_symbol
+from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
-from .smtlib import Declaration, _Parser, _read_sexprs, print_formula
+from .smtlib import Declaration, _Parser, _read_sexprs, print_formula, sexpr_end
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
 from .terms import (
     And,
@@ -40,8 +40,8 @@ from .terms import (
     IntVar,
     Model,
     Rel,
-    Select,
     Sort,
+    Term,
     eval_term,
     iter_nodes,
     iter_subterms,
@@ -176,7 +176,12 @@ def _within(v: int, clip_pair) -> bool:
 
 
 class BruteForceEngine:
-    """Deterministic bounded search for models of the supported fragment."""
+    """Deterministic bounded search for models of the supported fragment.
+
+    Every scan checks points with one predicate over the declared symbols,
+    ints, then bools, then arrays and functions; after a point's ints come
+    the values of its *tail*, the bools and then one :class:`FuncValue`
+    per array or function symbol."""
 
     def __init__(self, declarations: list[Declaration]):
         self.declarations = declarations
@@ -185,6 +190,11 @@ class BruteForceEngine:
         self.func_syms = sorted(
             d.name for d in declarations if d.is_function or d.sort == Sort.ARRAY
         )
+        self.names = self.int_vars + self.bool_vars + self.func_syms
+        self.bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
+        zeros = tuple(FuncValue(0) for _ in self.func_syms)
+        # the tails of a point when no formula reads an array or function
+        self.int_tails = [bools + zeros for bools in self.bool_space]
 
     def check(self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None) -> EngineResult:
         soft = soft or []
@@ -197,22 +207,17 @@ class BruteForceEngine:
         ):
             return EngineResult("unsat")
 
-        if has_funcs:
-            pred = compile_formula(And(tuple(hard)))
-        else:
-            names = self.int_vars + self.bool_vars
-            pred = compile_predicate(hard, names)
+        pred = compile_predicate(hard, self.names)
 
         def soft_preds():  # compiled only for the scans that read them
-            if has_funcs:
-                return [compile_formula(f) for f, _ in soft]
-            return [compile_predicate([f], names) for f, _ in soft]
+            return [compile_predicate([f], self.names) for f, _ in soft]
 
+        tails = self._array_tails(formulas) if has_funcs else None
         box_points = self._box_size(bounds)
         small_finite = box_points is not None and box_points <= _MAX_POINTS_PER_SCAN
 
         if small_finite:
-            return self._finite_scan(bounds, hard, soft, pred, soft_preds(), has_funcs)
+            return self._finite_scan(bounds, soft, pred, soft_preds(), tails)
 
         targets = _soft_targets(soft, self.int_vars)
         if not has_funcs and targets is not None:
@@ -220,7 +225,7 @@ class BruteForceEngine:
             if model is not None:
                 return EngineResult("sat", model)
             return EngineResult("unknown")
-        return self._radius_scan(bounds, hard, soft, pred, soft_preds(), has_funcs)
+        return self._radius_scan(bounds, soft, pred, soft_preds(), tails)
 
     # -- sizing -------------------------------------------------------------
 
@@ -237,16 +242,16 @@ class BruteForceEngine:
 
     # -- exhaustive scan over a small finite box (sound unsat, true optimum)
 
-    def _finite_scan(self, bounds, hard, soft, pred, soft_preds, has_funcs) -> EngineResult:
+    def _finite_scan(self, bounds, soft, pred, soft_preds, tails) -> EngineResult:
         ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in self.int_vars]
-        result = self._scan(ranges, hard, soft, -1, sum(w for _, w in soft), pred, soft_preds, has_funcs)
+        result = self._scan(ranges, soft, -1, sum(w for _, w in soft), pred, soft_preds, tails)
         if result is not None:
             return EngineResult("sat", result[1])
-        return EngineResult("unknown" if has_funcs else "unsat")
+        return EngineResult("unknown" if tails is not None else "unsat")
 
     # -- growing concentric boxes around the origin ---------------------------
 
-    def _radius_scan(self, bounds, hard, soft, pred, soft_preds, has_funcs) -> EngineResult:
+    def _radius_scan(self, bounds, soft, pred, soft_preds, tails) -> EngineResult:
         best_model: Model | None = None
         best_score = -1
         perfect = sum(w for _, w in soft)
@@ -268,7 +273,7 @@ class BruteForceEngine:
                 total *= len(r)
             if total > _MAX_POINTS_PER_SCAN:
                 break
-            result = self._scan(ranges, hard, soft, best_score, perfect, pred, soft_preds, has_funcs)
+            result = self._scan(ranges, soft, best_score, perfect, pred, soft_preds, tails)
             if result is not None:
                 score, model = result
                 if not soft or score >= perfect:
@@ -279,101 +284,82 @@ class BruteForceEngine:
             return EngineResult("sat", best_model)
         return EngineResult("unknown")
 
-    def _scan(self, ranges, hard, soft, floor: int, perfect: int, pred, soft_preds, has_funcs: bool):
+    def _scan(self, ranges, soft, floor: int, perfect: int, pred, soft_preds, tails):
         """Scan the box; return (score, model) for the best point above
         `floor`, or the first satisfying point when there are no softs.
-        Stops at the first point satisfying every soft constraint.  The
-        predicates take a point's values positionally, or a candidate Model
-        when the formulas have arrays or functions (`has_funcs`)."""
+        Stops at the first point satisfying every soft constraint.  Each
+        point is checked with each of its tails: `tails(point)` for queries
+        over arrays or functions, ``self.int_tails`` when `tails` is None."""
         best = None
         best_score = floor
-        bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
         weights = [w for _, w in soft]
-        if not has_funcs:
-            for point in itertools.product(*ranges):
-                for bools_point in bool_space:
-                    if not pred(*point, *bools_point):
-                        continue
-                    if not soft:
-                        return (0, self._model_of(point, bools_point))
-                    score = sum(
-                        w for sp, w in zip(soft_preds, weights) if sp(*point, *bools_point)
-                    )
-                    if score > best_score:
-                        best = self._model_of(point, bools_point)
-                        best_score = score
-                        if best_score >= perfect:
-                            return (best_score, best)
-            return None if best is None else (best_score, best)
-
-        array_variants = self._array_variants(hard, soft)
-        for point in itertools.product(*ranges):
-            ints = dict(zip(self.int_vars, point))
-            for bools_point in bool_space:
-                bools = dict(zip(self.bool_vars, bools_point))
-                for funcs in array_variants(ints, bools):
-                    model = Model(ints=dict(ints), bools=dict(bools), funcs=funcs)
-                    self._fill_funcs(model)
-                    try:
-                        if not pred(model):
-                            continue
-                    except Exception:
-                        continue
-                    if not soft:
-                        return (0, model)
-                    score = sum(w for sp, w in zip(soft_preds, weights) if sp(model))
-                    if score > best_score:
-                        best, best_score = model, score
-                        if best_score >= perfect:
-                            return (best_score, best)
+        points = itertools.product(*ranges)
+        if tails is None:
+            scan = zip(points, itertools.repeat(self.int_tails))
+        else:
+            scan = ((point, tails(point)) for point in points)
+        for point, point_tails in scan:
+            for tail in point_tails:
+                if not pred(*point, *tail):
+                    continue
+                if not soft:
+                    return (0, self._model_of(point, tail))
+                score = sum(w for sp, w in zip(soft_preds, weights) if sp(*point, *tail))
+                if score > best_score:
+                    best = self._model_of(point, tail)
+                    best_score = score
+                    if best_score >= perfect:
+                        return (best_score, best)
         return None if best is None else (best_score, best)
 
-    def _model_of(self, point, bools_point) -> Model:
-        model = Model(ints=dict(zip(self.int_vars, point)), bools=dict(zip(self.bool_vars, bools_point)))
-        self._fill_funcs(model)
-        return model
-
-    def _fill_funcs(self, model: Model) -> None:
-        for name in self.func_syms:
-            model.funcs.setdefault(name, FuncValue(0))
+    def _model_of(self, point, tail) -> Model:
+        return Model(
+            ints=dict(zip(self.int_vars, point)),
+            bools=dict(zip(self.bool_vars, tail)),
+            funcs={s: fv.copy() for s, fv in zip(self.func_syms, tail[len(self.bool_vars):])},
+        )
 
     # -- expanding max-norm shells around the soft-equality target point -----
 
     def _shell_search(self, pred, targets: dict[str, int], bounds) -> Model | None:
         center = [targets.get(v, 0) for v in self.int_vars]
         clip = [bounds.get(v, (None, None)) for v in self.int_vars]
-        bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
         budget = _MAX_POINTS_PER_SCAN * 4
         for distance in range(_MAX_SHELL_DISTANCE + 1):
             for point in _shell_points(center, clip, distance):
-                for bools_point in bool_space:
-                    if pred(*point, *bools_point):
-                        return self._model_of(point, bools_point)
+                for tail in self.int_tails:
+                    if pred(*point, *tail):
+                        return self._model_of(point, tail)
                 budget -= 1
                 if budget <= 0:
                     return None
         return None
 
-    def _array_variants(self, hard, soft):
-        """Enumerator of array/function assignments for a fixed scalar point.
+    def _array_tails(self, formulas):
+        """`tails(point)`: the tails of a point for formulas over arrays or
+        functions, in scan order: for each assignment of the bools, every
+        assignment of the symbols the formulas read.
 
-        Slots are the index values reached by select terms; each slot and
-        each default ranges over the constants appearing in the problem.
-        Returns a callable yielding funcs dicts; yields one empty assignment
-        when the formulas touch no array symbols."""
-        formulas = hard + [f for f, _ in soft]
+        Slots are the index values that select-like terms reach when every
+        symbol is the constant-0 function; each slot and each default ranges
+        over the constants appearing in the problem.  A symbol the formulas
+        do not read is the constant-0 function.  A point and bools with more
+        than ``_MAX_ARRAY_SLOTS`` slots get no candidates."""
         used: set[str] = set()
+        accesses: set[tuple[str, Term]] = set()
         for f in formulas:
             for t in iter_subterms(f):
-                if isinstance(t, Select) and isinstance(t.array, ArrayVar):
-                    used.add(t.array.name)
-                elif isinstance(t, FunApp):
-                    used.add(t.fname)
+                if is_select_like(t):
+                    used.add(select_symbol(t))
+                    accesses.add((select_symbol(t), select_index(t)))
                 elif isinstance(t, ArrayVar):
                     used.add(t.name)
         syms = [s for s in self.func_syms if s in used]
-        if not syms:
-            return lambda ints, bools: iter(({},))
+        column = {s: k for k, s in enumerate(syms)}
+        positions = [column.get(s) for s in self.func_syms]  # of each symbol in `syms`, or None
+        accesses = {(s, index) for s, index in accesses if s in column}
+        zero = FuncValue(0)
+        probe_funcs = {s: zero for s in syms}
         candidates = _int_constants(formulas)
         for extra in (-1, 0, 1):
             if extra not in candidates:
@@ -382,49 +368,24 @@ class BruteForceEngine:
         if len(candidates) > _MAX_ARRAY_CANDIDATES:
             candidates = candidates[:_MAX_ARRAY_CANDIDATES]
 
-        def gen(ints, bools):
-            # discover slot indices by evaluating index terms, iterating to a
-            # fixpoint because indices may contain selects themselves
-            slots: dict[str, set[int]] = {s: set() for s in syms}
-            probe_funcs = {s: FuncValue(0) for s in syms}
-            for _ in range(4):
-                model = Model(ints=dict(ints), bools=dict(bools), funcs=probe_funcs)
-                found = False
-                for f in formulas:
-                    for t in iter_subterms(f):
-                        idx = None
-                        if isinstance(t, Select) and isinstance(t.array, ArrayVar):
-                            sym, idx = t.array.name, t.index
-                        elif isinstance(t, FunApp):
-                            sym, idx = t.fname, t.arg
-                        if idx is None or sym not in slots:
-                            continue
-                        try:
-                            value = eval_term(idx, model)
-                        except Exception:
-                            continue
-                        if value not in slots[sym]:
-                            slots[sym].add(value)
-                            found = True
-                if not found:
-                    break
-            slot_list = [(s, idx) for s in syms for idx in sorted(slots[s])]
-            if len(slot_list) > _MAX_ARRAY_SLOTS:
-                return iter(())  # too big; caller will end up unknown
-            axes = [candidates] * (len(syms) + len(slot_list))
+        def tails(point):
+            ints = dict(zip(self.int_vars, point))
+            for bools in self.bool_space:
+                probe = Model(ints=ints, bools=dict(zip(self.bool_vars, bools)), funcs=probe_funcs)
+                slots: dict[str, set[int]] = {s: set() for s in syms}
+                for s, index in accesses:
+                    slots[s].add(eval_term(index, probe))
+                slot_list = [(s, index) for s in syms for index in sorted(slots[s])]
+                if len(slot_list) > _MAX_ARRAY_SLOTS:
+                    continue
+                for combo in itertools.product(candidates, repeat=len(syms) + len(slot_list)):
+                    stored: dict[str, dict[int, int]] = {s: {} for s in syms}
+                    for (s, index), value in zip(slot_list, combo[len(syms):]):
+                        stored[s][index] = value
+                    values = [FuncValue(d, stored[s]) for s, d in zip(syms, combo)]
+                    yield bools + tuple(zero if k is None else values[k] for k in positions)
 
-            def build():
-                for combo in itertools.product(*axes):
-                    defaults = combo[: len(syms)]
-                    values = combo[len(syms):]
-                    funcs = {s: FuncValue(d) for s, d in zip(syms, defaults)}
-                    for (s, idx), v in zip(slot_list, values):
-                        funcs[s] = funcs[s].with_store(idx, v)
-                    yield funcs
-
-            return build()
-
-        return gen
+        return tails
 
 
 class LocalSolverClient(SolverClient):
@@ -569,13 +530,10 @@ def main(argv=None) -> int:
     buffer = ""
     for line in sys.stdin:
         buffer += line
-        while True:
-            complete, rest = _split_complete(buffer)
-            if complete is None:
-                break
-            buffer = rest
+        while (end := sexpr_end(buffer)) is not None:
+            command, buffer = buffer[:end], buffer[end:]
             try:
-                exprs = _read_sexprs(complete)
+                exprs = _read_sexprs(command)
             except SmtSyntaxError as exc:
                 session.emit(f'(error "{exc}")')
                 continue
@@ -583,38 +541,6 @@ def main(argv=None) -> int:
                 if not session.handle(sexpr):
                     return 0
     return 0
-
-
-def _split_complete(buffer: str):
-    """Split off the first complete top-level s-expression, if any."""
-    depth = 0
-    in_str = in_sym = in_comment = False
-    for i, ch in enumerate(buffer):
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-            continue
-        if in_str:
-            if ch == '"':
-                in_str = False
-            continue
-        if in_sym:
-            if ch == "|":
-                in_sym = False
-            continue
-        if ch == ";":
-            in_comment = True
-        elif ch == '"':
-            in_str = True
-        elif ch == "|":
-            in_sym = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return buffer[: i + 1], buffer[i + 1 :]
-    return None, buffer
 
 
 if __name__ == "__main__":

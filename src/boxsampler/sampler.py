@@ -8,14 +8,16 @@ run-wide.  Interval formulas accumulate so the blocking strategy can steer
 later seeds away from already-covered regions.
 
 Draws are flat tuples of values, one per declaration in declaration order
-(:class:`SampleLayout`).  Per epoch, :func:`epoch_drawer` turns an integer
-box into a plan of ``(slot, lo, width)`` entries; an array box still draws
-through :func:`sample_intervals_arrays` and is projected onto the tuple.
-Each tuple is checked by one positional predicate compiled once per run and
-is its own dedup key (function values written as their default and sorted
-exceptions); only a fresh sample becomes a :class:`Model`.  The random
-stream and the samples equal those of the reference chain
-:func:`sample_intervals` -> :func:`restrict_to_problem` ->
+(:class:`SampleLayout`).  Once per epoch, :func:`epoch_drawer` plans the
+draw from the box: a clamped range per key, and for an array box the
+select-like keys sorted by nesting depth.  A draw then only evaluates the
+indices of those keys and fills their slots; an array box's draw is
+projected onto the tuple.  Each tuple is checked by one positional
+predicate compiled once per run and is its own dedup key (function values
+written as their default and sorted exceptions); only a fresh sample
+becomes a :class:`Model`.  The random stream and the samples equal those of
+the reference chain :func:`sample_intervals` (or one draw of an array box,
+:func:`sample_intervals_arrays`) -> :func:`restrict_to_problem` ->
 :func:`canonical_assignment`, which stays for tests and ``cli verify``.
 """
 
@@ -29,30 +31,31 @@ from typing import Callable
 
 from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
+from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_formula, compile_predicate
-from .errors import NotAModel, SolverFailure, SoundnessViolation, UnsatFormula
+from .errors import NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
 from .smtlib import Declaration, ParsedProblem, print_formula
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind
 from .terms import (
-    ArrayVar,
+    Add,
     Atom,
     Formula,
-    FunApp,
     FuncValue,
     IntConst,
     IntVar,
     Model,
+    Mul,
     Rel,
-    Select,
     Sort,
+    Sub,
     Term,
     eval_formula,  # noqa: F401 -- not called here; bench/tracer.py wraps sampler.eval_formula
     eval_term,
     free_symbols,
     fun_names,
-    iter_subterms,
+    iter_term_nodes,
     preprocess,
     to_nnf,
 )
@@ -94,7 +97,6 @@ class EpochStats:
 class EpochResult:
     seed: Model
     intervals: IntervalMap
-    aliasing: arrays_mod.AliasingLiterals
     fresh_samples: list[Model]
     stats: EpochStats
 
@@ -220,10 +222,14 @@ def get_seed_blocking(
 # Interval sampling
 
 
-def _draw(interval, seed_value: int, width: int, rng: random.Random) -> int:
-    lo = interval.lo if interval.lo is not None else seed_value - width
-    hi = interval.hi if interval.hi is not None else seed_value + width
-    return rng.randint(lo, hi)
+def _clamp(interval, at: int, width: int) -> tuple[int, int]:
+    """`(lo, points)`: the draw range of `interval`, each open side `width`
+    away from the seed value `at`."""
+    lo = interval.lo if interval.lo is not None else at - width
+    hi = interval.hi if interval.hi is not None else at + width
+    if hi < lo:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    return lo, hi - lo + 1
 
 
 def sample_intervals(iv: IntervalMap, seed: Model, cfg: SamplerConfig, rng: random.Random) -> Model:
@@ -234,12 +240,102 @@ def sample_intervals(iv: IntervalMap, seed: Model, cfg: SamplerConfig, rng: rand
     ints = dict(seed.ints)
     for key, interval in iv.entries.items():
         assert isinstance(key, IntVar), "integer-only sampling requires variable keys"
-        ints[key.name] = _draw(interval, seed.int_value(key.name), cfg.unbounded_width, rng)
+        lo, points = _clamp(interval, seed.int_value(key.name), cfg.unbounded_width)
+        ints[key.name] = rng.randint(lo, lo + points - 1)
     return Model(ints=ints, bools=dict(seed.bools), funcs={n: f.copy() for n, f in seed.funcs.items()})
 
 
-class Clash(Exception):
-    """An already-assigned array slot fell outside a term's interval."""
+def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
+    """The draw plan of a box, made once per epoch: the integer steps
+    ``(name, lo, points)`` in key order, and the steps of the select-like
+    keys, ``(symbol, index term, interval, lo, points)``, in increasing
+    number of accesses nested in the index, so that inner accesses resolve
+    before the keys that read them.  Ranges are clamped around the seed
+    value of each key."""
+    int_steps = []
+    nested = []
+    for key, interval in iv.entries.items():
+        if isinstance(key, IntVar):
+            int_steps.append((key.name, *_clamp(interval, seed.int_value(key.name), width)))
+        else:
+            index = select_index(key)
+            depth = sum(1 for t in iter_term_nodes(index) if is_select_like(t))
+            step = (select_symbol(key), index, interval, *_clamp(interval, eval_term(key, seed), width))
+            nested.append((depth, step))
+    nested.sort(key=lambda pair: pair[0])
+    return int_steps, [step for _, step in nested]
+
+
+def _eval_index(t: Term, ints: dict[str, int], slots: dict[str, dict[int, int]], seed: Model) -> int:
+    """The value of an index term within a draw: variables read `ints`, an
+    access reads the slot its index reaches.  A slot that no key has drawn
+    takes the access's value under `seed`, and keeps it for the draw."""
+    if is_select_like(t):
+        index = _eval_index(select_index(t), ints, slots, seed)
+        bucket = slots.setdefault(select_symbol(t), {})
+        if index not in bucket:
+            bucket[index] = eval_term(t, seed)
+        return bucket[index]
+    if isinstance(t, IntConst):
+        return t.value
+    if isinstance(t, IntVar):
+        try:
+            return ints[t.name]
+        except KeyError:
+            raise UnassignedSymbol(t.name) from None
+    if isinstance(t, Add):
+        return sum(_eval_index(a, ints, slots, seed) for a in t.args)
+    if isinstance(t, Sub):
+        return _eval_index(t.lhs, ints, slots, seed) - _eval_index(t.rhs, ints, slots, seed)
+    if isinstance(t, Mul):
+        prod = 1
+        for a in t.args:
+            prod *= _eval_index(a, ints, slots, seed)
+        return prod
+    raise TypeError(f"cannot evaluate term of type {type(t).__name__}")
+
+
+def _array_drawer(
+    iv: IntervalMap,
+    seed: Model,
+    cfg: SamplerConfig,
+    rng: random.Random,
+    reconstructions: list[tuple[str, Term]] | None,
+) -> Callable[[], Model | None]:
+    """`draw()`: one assignment from an interval map with select-like keys,
+    or None on a clash (a slot already set outside a key's interval).
+
+    Integer keys are drawn first, then the select-like keys in the order
+    of :func:`_plan`.  An array or function keeps its seed default; its
+    exceptions are the slots of the draw.  The `reconstructions` then
+    rebuild the arrays that equality rewriting substituted."""
+    int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
+    randbelow = rng._randbelow
+    defaults = [(name, fv.default) for name, fv in seed.funcs.items()]
+    recipes = list(reversed(reconstructions or []))
+
+    def draw() -> Model | None:
+        ints = dict(seed.ints)
+        for name, lo, points in int_steps:
+            ints[name] = lo + randbelow(points)
+        slots: dict[str, dict[int, int]] = {}
+        for symbol, index, interval, lo, points in access_steps:
+            at = _eval_index(index, ints, slots, seed)
+            bucket = slots.setdefault(symbol, {})
+            if at not in bucket:
+                bucket[at] = lo + randbelow(points)
+            elif not interval.member(bucket[at]):
+                return None
+        funcs = {name: FuncValue(default, slots.get(name, {})) for name, default in defaults}
+        for name, touched in slots.items():
+            if name not in funcs:
+                funcs[name] = FuncValue(0, touched)
+        sample = Model(ints=ints, bools=dict(seed.bools), funcs=funcs)
+        for name, term in recipes:
+            sample.funcs[name] = eval_term(term, sample)
+        return sample
+
+    return draw
 
 
 def sample_intervals_arrays(
@@ -249,96 +345,10 @@ def sample_intervals_arrays(
     rng: random.Random,
     reconstructions: list[tuple[str, Term]] | None = None,
 ) -> Model | None:
-    """Draw one assignment from an interval map with select-term keys.
-
-    Integer variables are drawn first; select-like terms follow in
-    increasing nesting order of selects inside their index, so inner
-    accesses resolve before the terms that use them.  Returns None on a
-    clash (slot already pinned outside the required interval)."""
-    ints = dict(seed.ints)
-    select_keys: list[tuple[int, Term]] = []
-    for key, interval in iv.entries.items():
-        if isinstance(key, IntVar):
-            ints[key.name] = _draw(interval, seed.int_value(key.name), cfg.unbounded_width, rng)
-        else:
-            depth = sum(1 for t in _subterms(_index_of(key)) if _is_access(t))
-            select_keys.append((depth, key))
-    select_keys.sort(key=lambda pair: pair[0])
-
-    slots: dict[str, dict[int, int]] = {}
-    partial = Model(ints=ints, bools=dict(seed.bools), funcs={})
-
-    def read_slot(sym: str, index: int, term: Term) -> int:
-        bucket = slots.setdefault(sym, {})
-        if index not in bucket:
-            bucket[index] = eval_term(term, seed)  # untouched: complete from the seed
-        return bucket[index]
-
-    def eval_completing(t: Term) -> int:
-        if _is_access(t):
-            index = eval_completing(_index_of(t))
-            return read_slot(_symbol_of(t), index, t)
-        if isinstance(t, IntConst):
-            return t.value
-        if isinstance(t, IntVar):
-            return partial.int_value(t.name)
-        from .terms import Add, Mul, Sub
-
-        if isinstance(t, Add):
-            return sum(eval_completing(a) for a in t.args)
-        if isinstance(t, Sub):
-            return eval_completing(t.lhs) - eval_completing(t.rhs)
-        if isinstance(t, Mul):
-            prod = 1
-            for a in t.args:
-                prod *= eval_completing(a)
-            return prod
-        raise TypeError(f"cannot evaluate term of type {type(t).__name__}")
-
-    try:
-        for _, key in select_keys:
-            sym = _symbol_of(key)
-            index = eval_completing(_index_of(key))
-            interval = iv.get(key)
-            bucket = slots.setdefault(sym, {})
-            if index in bucket:
-                if not interval.member(bucket[index]):
-                    raise Clash
-                continue
-            bucket[index] = _draw(interval, eval_term(key, seed), cfg.unbounded_width, rng)
-    except Clash:
-        return None
-
-    funcs = {}
-    for name, fv in seed.funcs.items():
-        funcs[name] = FuncValue(fv.default, slots.get(name, {}))
-    for name, touched in slots.items():
-        if name not in funcs:
-            funcs[name] = FuncValue(0, touched)
-    sample = Model(ints=ints, bools=dict(seed.bools), funcs=funcs)
-    for name, term in reversed(reconstructions or []):
-        sample.funcs[name] = eval_term(term, sample)
-    return sample
-
-
-def _is_access(t: Term) -> bool:
-    return (isinstance(t, Select) and isinstance(t.array, ArrayVar)) or isinstance(t, FunApp)
-
-
-def _index_of(t: Term) -> Term:
-    return t.index if isinstance(t, Select) else t.arg
-
-
-def _symbol_of(t: Term) -> str:
-    return t.array.name if isinstance(t, Select) else t.fname
-
-
-def _subterms(t: Term):
-    from .terms import term_children
-
-    yield t
-    for c in term_children(t):
-        yield from _subterms(c)
+    """Draw one assignment from an interval map with select-like keys, or
+    None on a clash: one draw of the plan :func:`epoch_drawer` makes for
+    an array box."""
+    return _array_drawer(iv, seed, cfg, rng, reconstructions)()
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +428,30 @@ def epoch_drawer(
     cfg: SamplerConfig,
     rng: random.Random,
     *,
-    use_arrays: bool,
     reconstructions: list[tuple[str, Term]] | None = None,
 ) -> Callable[[], tuple | None]:
     """`draw()`: one vector drawn from the box `iv`, or None on a clash.
 
     Each draw equals ``layout.vector(restrict_to_problem(d, problem))`` of
-    the draw ``d`` of :func:`sample_intervals` (integer keys) or
-    :func:`sample_intervals_arrays`, and consumes the same random numbers.
-    For integer keys the draw is planned once: ``(slot, lo, width)`` per
-    key, open sides clamped as in :func:`sample_intervals`, and each value
-    is ``lo + rng._randbelow(width)``, which is what ``rng.randint(lo, hi)``
-    computes.  Keys that are not declared draw into a throw-away slot."""
-    if use_arrays:
+    the draw ``d`` of :func:`sample_intervals` (a problem without arrays or
+    functions) or :func:`sample_intervals_arrays`, and consumes the same
+    random numbers.  The draw is planned once (:func:`_plan`); each value
+    is ``lo + rng._randbelow(points)``, which is what ``rng.randint`` computes.
+    Integer keys that are not declared draw into a throw-away slot."""
+    if layout.funcs:
+        draw_sample = _array_drawer(iv, seed, cfg, rng, reconstructions)
         vector = layout.vector
 
         def draw_arrays():
-            drawn = sample_intervals_arrays(iv, seed, cfg, rng, reconstructions)
-            return None if drawn is None else vector(drawn)
+            sample = draw_sample()
+            return None if sample is None else vector(sample)
 
         return draw_arrays
 
+    int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
+    assert not access_steps, "integer-only sampling requires variable keys"
     n = len(layout.names)
-    width = cfg.unbounded_width
-    plan = []
-    for key, interval in iv.entries.items():
-        assert isinstance(key, IntVar), "integer-only sampling requires variable keys"
-        at = seed.int_value(key.name)
-        lo = interval.lo if interval.lo is not None else at - width
-        hi = interval.hi if interval.hi is not None else at + width
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}] for {key.name}")
-        plan.append((layout.slot.get(key.name, n), lo, hi - lo + 1))
+    plan = [(layout.slot.get(name, n), lo, points) for name, lo, points in int_steps]
     values = list(layout.vector(seed))
     exact = all(slot < n for slot, _, _ in plan)
     if not exact:
@@ -457,8 +459,8 @@ def epoch_drawer(
     randbelow = rng._randbelow
 
     def draw_ints():
-        for slot, lo, span in plan:
-            values[slot] = lo + randbelow(span)
+        for slot, lo, points in plan:
+            values[slot] = lo + randbelow(points)
         return tuple(values) if exact else tuple(values[:n])
 
     return draw_ints
@@ -466,15 +468,13 @@ def epoch_drawer(
 
 def exploit_epoch(
     iv: IntervalMap,
-    aliasing: arrays_mod.AliasingLiterals,
     seed: Model,
     pred: Callable[..., bool],
     problem: ParsedProblem,
+    dedup: DedupSet,
     cfg: SamplerConfig,
     rng: random.Random,
-    dedup: DedupSet,
     *,
-    use_arrays: bool,
     reconstructions: list[tuple[str, Term]] | None = None,
     deadline: float | None = None,
     remaining_budget: int | None = None,
@@ -485,7 +485,7 @@ def exploit_epoch(
     `pred`, the input formula compiled by :meth:`SampleLayout.predicate`,
     and deduplicated by its key; only fresh samples become Models."""
     layout = SampleLayout(problem.declarations)
-    draw = epoch_drawer(iv, seed, layout, cfg, rng, use_arrays=use_arrays, reconstructions=reconstructions)
+    draw = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)
     key_of = layout.key if layout.funcs else None
     model_of = layout.model
     add = dedup.add
@@ -519,15 +519,11 @@ def exploit_epoch(
         stats.unique_rate = new_in_round / cfg.samples_per_round
         if done or stats.unique_rate < cfg.unique_rate_threshold:
             break
-    return EpochResult(seed=seed, intervals=iv, aliasing=aliasing, fresh_samples=fresh, stats=stats)
+    return EpochResult(seed=seed, intervals=iv, fresh_samples=fresh, stats=stats)
 
 
 # ---------------------------------------------------------------------------
 # Main loop
-
-
-def _uses_arrays(problem: ParsedProblem) -> bool:
-    return any(d.is_function or d.sort == Sort.ARRAY for d in problem.declarations)
 
 
 def sample_formula(
@@ -551,8 +547,8 @@ def sample_formula(
     deadline = t_start + cfg.total_time_limit
 
     formula = to_nnf(preprocess(problem.assertion))
-    pred = SampleLayout(problem.declarations).predicate(formula)
-    use_arrays = _uses_arrays(problem)
+    layout = SampleLayout(problem.declarations)
+    pred = layout.predicate(formula)
     dedup = DedupSet(cfg.dedup_cap)
     accumulated: list[IntervalMap] = []
     injected = cfg.inject_seed
@@ -592,13 +588,11 @@ def sample_formula(
 
         t0 = time.monotonic()
         reconstructions: list[tuple[str, Term]] = []
-        if use_arrays:
+        if layout.funcs:
             result = arrays_mod.product_to_intervals(product, seed, rng)
-            iv, aliasing, seed = result.intervals, result.aliasing, result.seed
-            reconstructions = result.reconstructions
+            iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
         else:
             iv = strengthen_mod.product_to_intervals(product, seed)
-            aliasing = arrays_mod.AliasingLiterals()
         phase["strengthen"] += time.monotonic() - t0
 
         if not contains(iv, seed):
@@ -608,14 +602,12 @@ def sample_formula(
         remaining = None if cfg.max_samples is None else cfg.max_samples - stats.unique_samples
         epoch = exploit_epoch(
             iv,
-            aliasing,
             seed,
             pred,
             problem,
+            dedup,
             cfg,
             rng,
-            dedup,
-            use_arrays=use_arrays,
             reconstructions=reconstructions,
             deadline=deadline,
             remaining_budget=remaining,

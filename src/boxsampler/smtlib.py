@@ -9,6 +9,7 @@ stripped, so downstream modules never deal with substitution.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import SmtSyntaxError, UnsupportedFeature
@@ -125,6 +126,44 @@ def _tokenize(text: str):
         yield _Tok(text[i:j], line, col)
         col += j - i
         i = j
+
+
+# A complete string (``""`` is an escaped quote), quoted symbol or bare atom,
+# as :func:`_tokenize` reads it.
+_ATOM_TOKEN = re.compile(r'''"[^"]*(?:""[^"]*)*"|\|[^|]*\||[^ \t\r\n();|"]+''')
+
+
+def sexpr_end(text: str) -> int | None:
+    """The offset just past the first complete top-level s-expression of
+    `text`, or None while there is none yet.  Comments, strings and quoted
+    symbols follow :func:`_tokenize`, so parentheses inside them do not
+    count (inside a list, the escaped quote ``""`` reads as a string that
+    ends and one that starts, which skips the same text).  A stray ``)`` is
+    an s-expression of its own: a reader reports it as unbalanced and
+    carries on after it."""
+    depth = 0
+    skip_to = None  # the character that ends the comment, string or quoted symbol being skipped
+    for i, ch in enumerate(text):
+        if skip_to is not None:
+            if ch == skip_to:
+                skip_to = None
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth <= 0:
+                return i + 1
+        elif ch in " \t\r\n":
+            pass
+        elif ch == ";":
+            skip_to = "\n"
+        elif depth:
+            if ch == '"' or ch == "|":
+                skip_to = ch
+        else:
+            token = _ATOM_TOKEN.match(text, i)  # None while a string or symbol is unterminated
+            return None if token is None else token.end()
+    return None
 
 
 class _SExpr:

@@ -19,7 +19,7 @@ from enum import Enum
 from queue import Empty, Queue
 
 from .errors import ModelParseError
-from .smtlib import Declaration, _read_sexprs, print_declaration, print_formula
+from .smtlib import Declaration, _read_sexprs, print_declaration, print_formula, sexpr_end
 from .terms import (
     Formula,
     FuncValue,
@@ -270,9 +270,10 @@ class _ProcessHandle:
                 return line
 
     def read_balanced(self, first: str, deadline: float) -> str:
-        """Read lines until the parentheses opened in `first` are closed."""
+        """Read lines until `first` and the lines after it hold a complete
+        s-expression."""
         text = first
-        while _paren_balance(text) > 0:
+        while sexpr_end(text) is None:
             text += "\n" + self.read_line(deadline)
         return text
 
@@ -281,29 +282,6 @@ class _ProcessHandle:
             self.proc.kill()
         except Exception:
             pass
-
-
-def _paren_balance(text: str) -> int:
-    depth = 0
-    in_str = in_sym = False
-    prev = ""
-    for ch in text:
-        if in_str:
-            if ch == '"' and prev != "\\":
-                in_str = False
-        elif in_sym:
-            if ch == "|":
-                in_sym = False
-        elif ch == '"':
-            in_str = True
-        elif ch == "|":
-            in_sym = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        prev = ch
-    return depth
 
 
 class ProcessSolverClient(SolverClient):

@@ -545,8 +545,8 @@ def iter_nodes(f: Formula) -> Iterator[Union[Formula, Term]]:
     """Deterministic pre-order walk over formula and term nodes."""
     yield f
     if isinstance(f, Atom):
-        yield from _iter_term_nodes(f.lhs)
-        yield from _iter_term_nodes(f.rhs)
+        yield from iter_term_nodes(f.lhs)
+        yield from iter_term_nodes(f.rhs)
     elif isinstance(f, Not):
         yield from iter_nodes(f.arg)
     elif isinstance(f, (And, Or)):
@@ -557,15 +557,17 @@ def iter_nodes(f: Formula) -> Iterator[Union[Formula, Term]]:
         yield from iter_nodes(f.rhs)
     elif isinstance(f, DistinctF):
         for a in f.args:
-            yield from _iter_term_nodes(a)
+            yield from iter_term_nodes(a)
 
 
-def _iter_term_nodes(t: Term) -> Iterator[Union[Formula, Term]]:
+def iter_term_nodes(t: Term) -> Iterator[Union[Formula, Term]]:
+    """Deterministic pre-order walk over a term and its nodes: its
+    subterms, and the nodes of the conditions of its ites."""
     yield t
     if isinstance(t, Ite):
         yield from iter_nodes(t.cond)
     for child in term_children(t):
-        yield from _iter_term_nodes(child)
+        yield from iter_term_nodes(child)
 
 
 _TERM_TYPES = (IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, FunApp, ArrayVar)

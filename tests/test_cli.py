@@ -1,5 +1,6 @@
 """Command-line interface: run, verify, merge-coverage."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from boxsampler.cli import EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
+from boxsampler.sampler import RunStats
 from boxsampler.smtlib import parse_problem
 from boxsampler.terms import eval_formula
 from boxsampler.cli import model_from_json
@@ -82,6 +84,7 @@ class TestRun:
         assert stats["unique_samples"] == len(out.read_text().splitlines())
         assert stats["epochs"] >= 1
         assert "wall_time" in stats
+        assert list(stats) == [f.name for f in dataclasses.fields(RunStats)]
 
     def test_unsupported_input(self, tmp_path):
         bad = tmp_path / "bad.smt2"

@@ -1,6 +1,7 @@
 """Sampling loop: seeds, interval draws, epochs, and the full run."""
 
 import ast
+import hashlib
 import math
 import random
 import time
@@ -30,6 +31,7 @@ from boxsampler.sampler import (
 from boxsampler.smtlib import Declaration, ParsedProblem, parse_problem
 from boxsampler.solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind
 from boxsampler.terms import (
+    Add,
     ArrayVar,
     Atom,
     FunApp,
@@ -37,15 +39,17 @@ from boxsampler.terms import (
     IntConst,
     IntVar,
     Model,
+    Mul,
     Rel,
     Select,
     Sort,
+    Store,
+    Sub,
     eval_formula,
     eval_term,
     preprocess,
     to_nnf,
 )
-from boxsampler import arrays as arrays_mod
 from boxsampler import strengthen as strengthen_mod
 from oracle import deep_and_or
 
@@ -294,7 +298,7 @@ class TestEpochDrawer:
         cfg = cfg_of(unbounded_width=rng.choice([0, 5, 10**6]))
         layout = SampleLayout(problem.declarations)
         kernel_rng, reference_rng = random.Random(s), random.Random(s)
-        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng, use_arrays=False)
+        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
         for _ in range(30):
             reference = restrict_to_problem(sample_intervals(iv, seed, cfg, reference_rng), problem)
             values = draw()
@@ -310,7 +314,7 @@ class TestEpochDrawer:
         cfg = cfg_of(unbounded_width=rng.choice([1, 4]))
         layout = SampleLayout(problem.declarations)
         kernel_rng, reference_rng = random.Random(s), random.Random(s)
-        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng, use_arrays=True)
+        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
         for _ in range(30):
             drawn = sample_intervals_arrays(iv, seed, cfg, reference_rng)
             values = draw()
@@ -327,8 +331,7 @@ class TestEpochDrawer:
         clashes = 0
         for s in range(200):
             problem, seed, iv = _random_array_box(random.Random(s))
-            draw = epoch_drawer(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s),
-                                use_arrays=True)
+            draw = epoch_drawer(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s))
             clashes += sum(draw() is None for _ in range(10))
         assert clashes > 0  # the property above covers the clash branch
 
@@ -353,6 +356,75 @@ class TestEpochDrawer:
         assert layout.vector(model) == values
 
 
+def _random_index(rng: random.Random, depth: int):
+    """An index term: variables and constants under +, - and *, and array
+    reads and function applications nested up to `depth` deep."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        return rng.choice([I, J, IntVar("k"), IntConst(rng.randint(-1, 2))])
+    if roll < 0.55:
+        return Select(rng.choice([A, ArrayVar("b")]), _random_index(rng, depth - 1))
+    if roll < 0.7:
+        return FunApp("g", _random_index(rng, depth - 1))
+    if roll < 0.8:
+        return Add((_random_index(rng, depth - 1), IntConst(rng.randint(-1, 1))))
+    if roll < 0.9:
+        return Sub(_random_index(rng, depth - 1), _random_index(rng, depth - 1))
+    return Mul((IntConst(rng.choice([-1, 2])), _random_index(rng, depth - 1)))
+
+
+def _nested_array_box(rng: random.Random):
+    """A seed over arrays and a function, a box whose keys read them at
+    nested and arithmetic indices (keys alias, so draws clash), and
+    reconstructions of rewritten arrays."""
+    seed = Model(
+        ints={name: rng.randint(-1, 3) for name in ("i", "j", "k", "w")},
+        bools={"p": rng.random() < 0.5},
+        funcs={
+            name: FuncValue(rng.randint(-2, 2), {rng.randint(-1, 3): rng.randint(-2, 3) for _ in range(rng.randint(0, 3))})
+            for name in ("a", "b", "c", "g")
+        },
+    )
+    keys = [I, J, IntVar("w")] + [
+        (Select(rng.choice([A, ArrayVar("b")]), _random_index(rng, 2)) if rng.random() < 0.7
+         else FunApp("g", _random_index(rng, 2)))
+        for _ in range(rng.randint(1, 6))
+    ]
+    iv = IntervalMap()
+    for key in rng.sample(keys, rng.randint(1, len(keys))):
+        at = eval_term(key, seed)
+        roll = rng.random()
+        if roll < 0.25:
+            iv.entries[key] = Interval(at, at)
+        else:
+            lo = None if rng.random() < 0.3 else at - rng.randint(0, 3)
+            hi = None if rng.random() < 0.3 else at + rng.randint(0, 3)
+            iv.entries[key] = Interval(lo, hi)
+    # reconstructions apply last to first, so the second one reads `c` of the seed
+    roll = rng.random()
+    reconstructions = [("c", Store(A, I, IntVar("k"))), ("b", Store(ArrayVar("c"), J, IntConst(1)))][: (roll < 0.2) + (roll < 0.35)]
+    return seed, iv, reconstructions
+
+
+def test_array_draws_match_pinned_digest():
+    """`sample_intervals_arrays` on seeded boxes with nested accesses,
+    arithmetic indices, function keys, clashes and reconstructions: the
+    draws and the final random state equal the pinned ones."""
+    gen, rng = random.Random(2212), random.Random(6472)
+    digest = hashlib.sha256()
+    clashes = 0
+    for _ in range(600):
+        seed, iv, reconstructions = _nested_array_box(gen)
+        cfg = cfg_of(unbounded_width=gen.choice([0, 1, 4]))
+        for _ in range(10):
+            drawn = sample_intervals_arrays(iv, seed, cfg, rng, reconstructions)
+            clashes += drawn is None
+            digest.update(repr(None if drawn is None else canonical_assignment(drawn)).encode())
+    digest.update(repr(rng.getstate()).encode())
+    assert clashes > 0
+    assert digest.hexdigest() == "0583cfd3e15dae537ff761463a77829d37217f95e7795a1f007559b222ef26cc"
+
+
 def _intro_parts():
     p = parse_problem(
         "(declare-const x Int)(declare-const y Int)"
@@ -367,8 +439,7 @@ class TestExploitEpoch:
         iv = IntervalMap({X: Interval(12, 12), Y: Interval(2, 2)})
         seed = Model(ints={"x": 12, "y": 2})
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, SampleLayout(p.declarations).predicate(f), p, cfg_of(), random.Random(0),
-            DedupSet(10_000), use_arrays=False,
+            iv, seed, SampleLayout(p.declarations).predicate(f), p, DedupSet(10_000), cfg_of(), random.Random(0),
         )
         assert len(epoch.fresh_samples) == 1
         assert epoch.stats.rounds_run == 1  # unique rate collapsed immediately
@@ -379,8 +450,7 @@ class TestExploitEpoch:
         seed = Model(ints={"x": 12, "y": 2})
         cfg = cfg_of(rounds_per_epoch=5, samples_per_round=100, unique_rate_threshold=0.05)
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, SampleLayout(p.declarations).predicate(f), p, cfg, random.Random(0),
-            DedupSet(10_000), use_arrays=False,
+            iv, seed, SampleLayout(p.declarations).predicate(f), p, DedupSet(10_000), cfg, random.Random(0),
         )
         assert epoch.stats.rounds_run == 5
 
@@ -391,8 +461,7 @@ class TestExploitEpoch:
         dedup = DedupSet(10_000)
         cfg = cfg_of(rounds_per_epoch=3, samples_per_round=200)
         epoch = exploit_epoch(
-            iv, arrays_mod.AliasingLiterals(), seed, SampleLayout(p.declarations).predicate(f), p, cfg, random.Random(5),
-            dedup, use_arrays=False,
+            iv, seed, SampleLayout(p.declarations).predicate(f), p, dedup, cfg, random.Random(5),
         )
         keys = [canonical_assignment(s) for s in epoch.fresh_samples]
         assert len(keys) == len(set(keys))

@@ -3,15 +3,18 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxsampler.errors import SmtSyntaxError, UnsupportedFeature
 from boxsampler.smtlib import (
+    _read_sexprs,
+    _tokenize,
     parse_problem,
     print_formula,
     print_problem,
     print_term,
+    sexpr_end,
 )
 from boxsampler.terms import (
     Add,
@@ -185,6 +188,60 @@ class TestRoundTrip:
         p = parse_problem("(declare-const |my var| Int)(assert (>= |my var| 0))")
         assert p.assertion == Atom(Rel.GE, IntVar("my var"), IntConst(0))
         assert "|my var|" in print_formula(p.assertion)
+
+
+class TestSexprEnd:
+    def test_complete_and_incomplete(self):
+        assert sexpr_end("(check-sat)\n(exit)") == len("(check-sat)")
+        assert sexpr_end("  (assert (> x 2)") is None
+        assert sexpr_end("(assert (> x 2)\n)") == len("(assert (> x 2)\n)")
+        assert sexpr_end("") is None and sexpr_end(" \n; only a comment (") is None
+
+    def test_parens_in_strings_symbols_and_comments_do_not_count(self):
+        assert sexpr_end('(echo ")(")') == len('(echo ")(")')
+        assert sexpr_end("(declare-const |a)b| Int)") == len("(declare-const |a)b| Int)")
+        assert sexpr_end("(check-sat ; )\n)") == len("(check-sat ; )\n)")
+
+    def test_quote_is_escaped_by_doubling_not_by_backslash(self):
+        # SMT-LIB 2.6 writes a quote inside a string as "": a backslash is
+        # an ordinary character, so this error message is complete
+        text = '(error "C:\\")'
+        assert sexpr_end(text) == len(text)
+        assert sexpr_end('(echo "say ""hi"")")') == len('(echo "say ""hi"")")')
+        assert sexpr_end('(echo "open)') is None
+
+    def test_stray_close_paren_ends_an_erroneous_command(self):
+        assert sexpr_end(")\n(check-sat)") == 1
+        assert sexpr_end("  ) (check-sat)") == 3
+
+    def test_top_level_atom_is_complete(self):
+        assert sexpr_end("sat") == 3
+        assert sexpr_end("  unknown\n") == len("  unknown")
+
+    @given(st.text(alphabet='()|;"ab \n', max_size=60))
+    @settings(max_examples=500, deadline=None)
+    def test_splitting_agrees_with_the_tokenizer(self, text):
+        """Cutting `text` at each end in turn keeps its tokens; every piece
+        but the last reads as one s-expression or a stray `)`."""
+        try:
+            whole = [t.text for t in _tokenize(text)]
+        except SmtSyntaxError:
+            assume(False)
+        tokens = []
+        rest = text
+        while (end := sexpr_end(rest)) is not None:
+            piece, rest = rest[:end], rest[end:]
+            tokens += [t.text for t in _tokenize(piece)]
+            try:
+                assert len(_read_sexprs(piece)) == 1
+            except SmtSyntaxError as exc:
+                assert "unbalanced ')'" in str(exc) and piece.strip().endswith(")")
+        tokens += [t.text for t in _tokenize(rest)]
+        assert tokens == whole
+        try:
+            assert _read_sexprs(rest) == []  # nothing complete is left behind
+        except SmtSyntaxError as exc:
+            assert "unbalanced '('" in str(exc)
 
 
 class TestFuzz:

@@ -26,6 +26,13 @@ RUNS = {
         ["--strategy", "blocking", "--rng-seed", "23", "--max-samples", "600",
          "--samples-per-round", "80", "--rounds", "2"],
     ),
+    # an array equality (the equal arrays are rebuilt from their
+    # reconstructions on every draw) and a select nested in an index
+    "array_store_eq-blocking": (
+        "array_store_eq.smt2",
+        ["--strategy", "blocking", "--rng-seed", "41", "--max-samples", "500",
+         "--samples-per-round", "40", "--rounds", "2"],
+    ),
     "toy_array-random": (
         "toy_array.smt2",
         ["--strategy", "random", "--rng-seed", "31", "--max-samples", "150",
@@ -42,6 +49,10 @@ DIGESTS = {
     "toy_branch-blocking": (
         "24aae9f97803d2032d755d9fb2b9899cf527af2ca02f4389c9fc48e2c4d9ebd3",
         "17237bbbbeef2d649573ce159dbecad23821ac54bb1f6c8a4708e26e0bfe7a22",
+    ),
+    "array_store_eq-blocking": (
+        "48dedc01d386ab03ce0a92e40f116c29d8819d06178d1105859ecb20d99d79ec",
+        "2cad430ca28073594e6185660e4afa8bb440fe46ee236c0484289815e39188bd",
     ),
     "toy_array-random": (
         "652c8a9e6607a5516c599c074300c50d886e9fbb7ad162f850475a32c620138a",
