@@ -20,7 +20,6 @@ from .errors import (
     SolverFailure,
     SoundnessViolation,
     UnassignedSymbol,
-    UnknownGroundVar,
     UnsatFormula,
     UnsupportedFeature,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "Sort",
     "SoundnessViolation",
     "UnassignedSymbol",
-    "UnknownGroundVar",
     "UnsatFormula",
     "UnsupportedFeature",
     "VerdictKind",

@@ -1,42 +1,38 @@
-"""Reduce array product terms to plain integer ones and back.
+"""Reduce array product terms to integer literals over select-like leaves.
 
 The pipeline rewrites array equalities via a fresh shared-array construction,
-removes select-over-store terms with model-guided case splits, freezes the
-aliasing configuration of the model with index (dis)equality literals, then
-replaces every select / function-application term with a fresh integer
-variable ("grounding").  The integer strengthening runs on the grounded
-product, and the resulting bounds are mapped back onto the original terms.
+removes select-over-store terms with model-guided case splits, and freezes
+the aliasing configuration of the model with index (dis)equality literals.
+The integer strengthening then runs on that product as it stands: it treats
+every select / function-application term as a leaf, so the box is keyed on
+integer variables and the original select-like terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NoWitness, UnknownGroundVar, UnsupportedFeature
+from .errors import NoWitness, UnsupportedFeature
 from .implicant import ProductTerm, compute_implicant
 from .intervals import IntervalMap
 from .strengthen import product_to_intervals as _int_product_to_intervals
 from .terms import (
-    Add,
     And,
     ArrayVar,
     Atom,
-    BoolConst,
-    BoolVar,
     Formula,
     FunApp,
     IntConst,
     IntVar,
     Model,
-    Mul,
     Not,
     Or,
     Rel,
     Select,
     Sort,
     Store,
-    Sub,
     Term,
     eval_term,
     free_symbols,
@@ -48,46 +44,8 @@ from .terms import (
     sort_of,
 )
 
-_GROUND_PREFIX = "!g"
 _FRESH_ARRAY_PREFIX = "!c"
 _FRESH_SCALAR_PREFIX = "!u"
-
-
-@dataclass
-class GroundingTable:
-    """Injective mapping between select-like terms and fresh int variables."""
-
-    by_term: dict[Term, str] = field(default_factory=dict)
-    by_name: dict[str, Term] = field(default_factory=dict)
-
-    def var_for(self, term: Term) -> str:
-        name = self.by_term.get(term)
-        if name is None:
-            name = f"{_GROUND_PREFIX}{len(self.by_term)}"
-            self.by_term[term] = name
-            self.by_name[name] = term
-        return name
-
-    @staticmethod
-    def is_ground_name(name: str) -> bool:
-        return name.startswith(_GROUND_PREFIX)
-
-
-@dataclass
-class AliasingLiterals:
-    """Index (dis)equalities freezing which accesses coincide in the model."""
-
-    equalities: list[tuple[tuple[Term, Term], tuple[Term, Term]]] = field(default_factory=list)
-    disequalities: list[tuple[Term, Term]] = field(default_factory=list)
-
-    def literals(self) -> list[Formula]:
-        out: list[Formula] = []
-        for (i1, i2), (t1, t2) in self.equalities:
-            out.append(Atom(Rel.EQ, i1, i2))
-            out.append(Atom(Rel.EQ, t1, t2))
-        for i1, i2 in self.disequalities:
-            out.append(Atom(Rel.NE, i1, i2))
-        return out
 
 
 def is_select_like(t: Term) -> bool:
@@ -310,9 +268,10 @@ def _disequality_witness(lit: Atom, m: Model) -> Formula:
 # Aliasing literals
 
 
-def build_aliasing(product: ProductTerm, m: Model) -> AliasingLiterals:
-    """Freeze which same-array accesses coincide under the model: aliased
-    pairs get index and value equalities, the rest index disequalities."""
+def build_aliasing(product: ProductTerm, m: Model) -> list[Formula]:
+    """Freeze which same-array accesses coincide under the model: each aliased
+    pair gets an index then a value equality, and after all pairs come the
+    index disequalities of the rest."""
     groups: dict[str, list[Term]] = {}
     for lit in product:
         for sub in iter_subterms(lit):
@@ -320,87 +279,16 @@ def build_aliasing(product: ProductTerm, m: Model) -> AliasingLiterals:
                 group = groups.setdefault(select_symbol(sub), [])
                 if sub not in group:
                     group.append(sub)
-    out = AliasingLiterals()
+    equalities: list[Formula] = []
+    disequalities: list[Formula] = []
     for terms in groups.values():
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                t1, t2 = terms[i], terms[j]
-                i1, i2 = select_index(t1), select_index(t2)
-                if eval_term(i1, m) == eval_term(i2, m):
-                    out.equalities.append(((i1, i2), (t1, t2)))
-                else:
-                    out.disequalities.append((i1, i2))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Atomic grounding
-
-
-def ground_term(t: Term, table: GroundingTable) -> Term:
-    """Replace maximal select-like subterms by their grounding variables."""
-    if is_select_like(t):
-        _register(t, table)
-        return IntVar(table.var_for(t))
-    if isinstance(t, (IntConst, IntVar)):
-        return t
-    if isinstance(t, Add):
-        return Add(tuple(ground_term(a, table) for a in t.args))
-    if isinstance(t, Mul):
-        return Mul(tuple(ground_term(a, table) for a in t.args))
-    if isinstance(t, Sub):
-        return Sub(ground_term(t.lhs, table), ground_term(t.rhs, table))
-    raise UnsupportedFeature(f"cannot ground term of type {type(t).__name__}")
-
-
-def _register(t: Term, table: GroundingTable) -> None:
-    # nested select-like terms are registered too: the grounded model must
-    # assign every member of the grounded-term set
-    table.var_for(t)
-    for sub in iter_term_nodes(select_index(t)):
-        if is_select_like(sub):
-            _register(sub, table)
-
-
-def ground_formula(f: Formula, table: GroundingTable) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.rel, ground_term(f.lhs, table), ground_term(f.rhs, table))
-    if isinstance(f, Not):
-        return Not(ground_formula(f.arg, table))
-    if isinstance(f, And):
-        return And(tuple(ground_formula(a, table) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(ground_formula(a, table) for a in f.args))
-    if isinstance(f, (BoolVar, BoolConst)):
-        return f
-    raise UnsupportedFeature(f"cannot ground formula of type {type(f).__name__}")
-
-
-def ground_model(m: Model, table: GroundingTable) -> Model:
-    grounded = Model(dict(m.ints), dict(m.bools), {})
-    for term, name in table.by_term.items():
-        grounded.ints[name] = eval_term(term, m)
-    return grounded
-
-
-def ground(product: ProductTerm, m: Model) -> tuple[ProductTerm, Model, GroundingTable]:
-    """Ground a product term free of stores and array atoms."""
-    table = GroundingTable()
-    grounded = [ground_formula(lit, table) for lit in product]
-    return grounded, ground_model(m, table), table
-
-
-def unground(iv: IntervalMap, table: GroundingTable) -> IntervalMap:
-    """Map grounding variables in interval keys back to their terms."""
-    out = IntervalMap()
-    for key, interval in iv.entries.items():
-        if isinstance(key, IntVar) and key.name in table.by_name:
-            out.refine(table.by_name[key.name], interval)
-        elif isinstance(key, IntVar) and GroundingTable.is_ground_name(key.name):
-            raise UnknownGroundVar(key.name)
-        else:
-            out.refine(key, interval)
-    return out
+        for t1, t2 in itertools.combinations(terms, 2):
+            i1, i2 = select_index(t1), select_index(t2)
+            if eval_term(i1, m) == eval_term(i2, m):
+                equalities += [Atom(Rel.EQ, i1, i2), Atom(Rel.EQ, t1, t2)]
+            else:
+                disequalities.append(Atom(Rel.NE, i1, i2))
+    return equalities + disequalities
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +310,6 @@ def product_to_intervals(product: ProductTerm, m: Model, rng: random.Random) -> 
     equality rewriting."""
     product, m, recipes = rewrite_array_equality(product, m)
     product = eliminate_select_store(product, m, rng)
-    aliasing = build_aliasing(product, m)
-    full = product + [lit for lit in aliasing.literals() if lit not in set(product)]
-    grounded, grounded_model, table = ground(full, m)
-    iv = _int_product_to_intervals(grounded, grounded_model)
-    return ArrayPipelineResult(unground(iv, table), m, recipes)
+    present = set(product)
+    full = product + [lit for lit in build_aliasing(product, m) if lit not in present]
+    return ArrayPipelineResult(_int_product_to_intervals(full, m), m, recipes)

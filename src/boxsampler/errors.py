@@ -52,10 +52,6 @@ class NoWitness(BoxsamplerError):
     """No index distinguishes two array values claimed to be unequal."""
 
 
-class UnknownGroundVar(BoxsamplerError):
-    """An interval key refers to a grounding variable missing from the table."""
-
-
 class ModelParseError(BoxsamplerError):
     """Solver model output could not be coerced into the finite
     default-plus-exceptions representation."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
-from .smtlib import Declaration, _Parser, _read_sexprs, print_formula, sexpr_end
+from .smtlib import Declaration, _Parser, _read_sexprs, sexpr_end
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
 from .terms import (
     And,
@@ -52,6 +52,7 @@ _MAX_POINTS_PER_SCAN = 400_000
 _MAX_SHELL_DISTANCE = 500
 _MAX_ARRAY_SLOTS = 4
 _MAX_ARRAY_CANDIDATES = 9
+_MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
 
 
 @dataclass
@@ -208,6 +209,7 @@ class BruteForceEngine:
             return EngineResult("unsat")
 
         pred = compile_predicate(hard, self.names)
+        self.checks_left = _MAX_ARRAY_CHECKS
 
         def soft_preds():  # compiled only for the scans that read them
             return [compile_predicate([f], self.names) for f, _ in soft]
@@ -280,6 +282,8 @@ class BruteForceEngine:
                     return EngineResult("sat", model)
                 if score > best_score:
                     best_score, best_model = score, model
+            if self.checks_left <= 0:
+                break
         if best_model is not None:
             return EngineResult("sat", best_model)
         return EngineResult("unknown")
@@ -289,7 +293,9 @@ class BruteForceEngine:
         `floor`, or the first satisfying point when there are no softs.
         Stops at the first point satisfying every soft constraint.  Each
         point is checked with each of its tails: `tails(point)` for queries
-        over arrays or functions, ``self.int_tails`` when `tails` is None."""
+        over arrays or functions, ``self.int_tails`` when `tails` is None.
+        An array or function query stops scanning once it has made
+        ``_MAX_ARRAY_CHECKS`` checks."""
         best = None
         best_score = floor
         weights = [w for _, w in soft]
@@ -297,7 +303,7 @@ class BruteForceEngine:
         if tails is None:
             scan = zip(points, itertools.repeat(self.int_tails))
         else:
-            scan = ((point, tails(point)) for point in points)
+            scan = self._budgeted(points, tails)
         for point, point_tails in scan:
             for tail in point_tails:
                 if not pred(*point, *tail):
@@ -311,6 +317,16 @@ class BruteForceEngine:
                     if best_score >= perfect:
                         return (best_score, best)
         return None if best is None else (best_score, best)
+
+    def _budgeted(self, points, tails):
+        """One `(point, (tail,))` pair per candidate, until the query's
+        checks run out."""
+        for point in points:
+            for tail in tails(point):
+                if self.checks_left <= 0:
+                    return
+                self.checks_left -= 1
+                yield point, (tail,)
 
     def _model_of(self, point, tail) -> Model:
         return Model(

@@ -36,7 +36,7 @@ from .compiled import compile_formula, compile_predicate
 from .errors import NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
-from .smtlib import Declaration, ParsedProblem, print_formula
+from .smtlib import Declaration, ParsedProblem
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind
 from .terms import (
     Add,
@@ -87,7 +87,6 @@ class SamplerConfig:
 
 @dataclass
 class EpochStats:
-    solver_calls: int = 0
     rounds_run: int = 0
     unique_rate: float = 0.0
     clashes: int = 0

@@ -10,7 +10,7 @@ stripped, so downstream modules never deal with substitution.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .terms import (

@@ -279,9 +279,11 @@ def _strengthen_term(sign: int, t: Term, bound: int, m: Model, delta: IntervalMa
 def product_to_intervals(product: ProductTerm, m: Model) -> IntervalMap:
     """Intersect the bounds of every integer literal in the product term.
 
-    Boolean literals contribute no intervals (the sampler pins them to the
-    model's values); array-equality atoms must be rewritten away before
-    calling this."""
+    Keys are integer variables and select-like terms (a select over an array
+    variable, or a function application), each bounded as a leaf.  Boolean
+    literals contribute no intervals (the sampler pins them to the model's
+    values); array-equality atoms and select-over-store terms must be
+    rewritten away before calling this (`arrays.product_to_intervals`)."""
     out = IntervalMap()
     for lit in product:
         if _is_boolean_literal(lit):

@@ -1,8 +1,8 @@
 """Sorted AST for integer formulas with arrays, plus models and evaluation.
 
 Terms and formulas are immutable dataclasses compared structurally, so they
-can be used as dictionary keys (interval maps, grounding tables) and shared
-freely.  Models are plain value objects: integers for scalar variables and
+can serve as dictionary keys and set members (interval maps, sets of seen
+literals) and be shared freely.  Models are plain value objects: integers for scalar variables and
 finite default-plus-exceptions functions for arrays and unary uninterpreted
 functions.
 """
@@ -213,7 +213,6 @@ def disj(args) -> Formula:
 
 
 TRUE = And(())
-FALSE = Or(())
 
 
 def is_literal(f: Formula) -> bool:

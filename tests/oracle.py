@@ -242,7 +242,7 @@ def random_product_term(rng: random.Random, m: Model, names, size: int):
     return [random_product_literal(rng, m, names) for _ in range(size)]
 
 
-# -- random array formulas/models for grounding-fidelity tests ---------------
+# -- random array formulas/models for the array pipeline and solver tests ----
 
 
 def random_array_term(rng: random.Random, int_names, arr_names, fun_names, depth: int):

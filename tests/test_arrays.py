@@ -1,27 +1,27 @@
 """Array pipeline: select-store elimination, equality rewriting, aliasing,
-grounding, and the composed reduction."""
+and the composed reduction, whose boxes are keyed on select-like terms."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from boxsampler.arrays import (
-    GroundingTable,
     build_aliasing,
     eliminate_select_store,
-    ground,
-    ground_formula,
-    ground_model,
     product_to_intervals,
     rewrite_array_equality,
-    unground,
 )
-from boxsampler.errors import NoWitness, UnknownGroundVar
-from boxsampler.intervals import Interval, IntervalMap, contains
+from boxsampler.errors import NoWitness
+from boxsampler.implicant import compute_implicant
+from boxsampler.intervals import Interval, contains
+from boxsampler.sampler import canonical_assignment
+from boxsampler.smtlib import print_term
 from boxsampler.strengthen import product_to_intervals as int_product_to_intervals
 from boxsampler.terms import (
     Add,
+    And,
     ArrayVar,
     Atom,
     FunApp,
@@ -36,13 +36,14 @@ from boxsampler.terms import (
     Store,
     eval_formula,
     eval_term,
+    iter_subterms,
+    replace_in_formula,
     sort_of,
 )
 from oracle import (
-    env_of_model,
-    o_formula,
     random_array_formula,
     random_array_model,
+    random_array_term,
 )
 
 A, B = ArrayVar("a"), ArrayVar("b")
@@ -117,8 +118,6 @@ class TestEliminateSelectStore:
 
 
 def _count_select_store(f) -> int:
-    from boxsampler.terms import iter_subterms
-
     return sum(
         1
         for t in iter_subterms(f)
@@ -213,31 +212,33 @@ class TestBuildAliasing:
     def test_equal_indices_get_equalities(self):
         p = [Atom(Rel.LE, Select(A, I), IntConst(5)), Atom(Rel.GE, Select(A, J), IntConst(0))]
         m = _model(ints={"i": 3, "j": 3}, arrays={"a": (1, {})})
-        out = build_aliasing(p, m)
-        assert out.equalities and not out.disequalities
-        (pair,) = out.equalities
-        assert pair[0] == (I, J)
-        literals = out.literals()
-        assert Atom(Rel.EQ, I, J) in literals
-        assert Atom(Rel.EQ, Select(A, I), Select(A, J)) in literals
+        assert build_aliasing(p, m) == [Atom(Rel.EQ, I, J), Atom(Rel.EQ, Select(A, I), Select(A, J))]
 
     def test_distinct_indices_get_disequalities(self):
         p = [Atom(Rel.LE, Select(A, I), IntConst(5)), Atom(Rel.GE, Select(A, J), IntConst(0))]
         m = _model(ints={"i": 1, "j": 2}, arrays={"a": (1, {})})
-        out = build_aliasing(p, m)
-        assert out.disequalities == [(I, J)] and not out.equalities
+        assert build_aliasing(p, m) == [Atom(Rel.NE, I, J)]
+
+    def test_pair_equalities_precede_all_disequalities(self):
+        K = IntVar("k")
+        p = [Atom(Rel.LE, Select(A, t), IntConst(5)) for t in (I, K, J)]
+        m = _model(ints={"i": 3, "j": 3, "k": 0}, arrays={"a": (1, {})})
+        assert build_aliasing(p, m) == [
+            Atom(Rel.EQ, I, J),
+            Atom(Rel.EQ, Select(A, I), Select(A, J)),
+            Atom(Rel.NE, I, K),
+            Atom(Rel.NE, K, J),
+        ]
 
     def test_single_select_empty(self):
         p = [Atom(Rel.LE, Select(A, I), IntConst(5))]
         m = _model(ints={"i": 0}, arrays={"a": (0, {})})
-        out = build_aliasing(p, m)
-        assert not out.equalities and not out.disequalities
+        assert build_aliasing(p, m) == []
 
     def test_different_arrays_not_paired(self):
         p = [Atom(Rel.LE, Select(A, I), IntConst(5)), Atom(Rel.GE, Select(B, I), IntConst(0))]
         m = _model(ints={"i": 0}, arrays={"a": (0, {}), "b": (0, {})})
-        out = build_aliasing(p, m)
-        assert not out.equalities and not out.disequalities
+        assert build_aliasing(p, m) == []
 
     def test_function_applications_alias_too(self):
         p = [
@@ -245,8 +246,7 @@ class TestBuildAliasing:
             Atom(Rel.GE, FunApp("f", J), IntConst(0)),
         ]
         m = Model(ints={"i": 2, "j": 2}, funcs={"f": FuncValue(0)})
-        out = build_aliasing(p, m)
-        assert out.equalities
+        assert build_aliasing(p, m) == [Atom(Rel.EQ, I, J), Atom(Rel.EQ, FunApp("f", I), FunApp("f", J))]
 
     def test_all_emitted_literals_satisfied_by_model(self):
         rng = random.Random(5)
@@ -258,71 +258,8 @@ class TestBuildAliasing:
                 Atom(Rel.LE, FunApp("f", X), IntConst(9)),
                 Atom(Rel.LE, FunApp("f", Add((I, J))), IntConst(9)),
             ]
-            for lit in build_aliasing(p, m).literals():
+            for lit in build_aliasing(p, m):
                 assert eval_formula(lit, m)
-
-
-class TestGrounding:
-    def test_single_replacement(self):
-        p = [Atom(Rel.LE, Select(A, I), IntConst(5))]
-        m = _model(ints={"i": 2}, arrays={"a": (0, {2: 3})})
-        grounded, gm, table = ground(p, m)
-        (lit,) = grounded
-        assert isinstance(lit.lhs, IntVar)
-        assert gm.ints[lit.lhs.name] == 3
-        assert gm.ints["i"] == 2
-        assert not gm.funcs
-
-    def test_nested_select_keyed_on_original_term(self):
-        inner = Select(B, IntVar("k"))
-        outer = Select(A, inner)
-        p = [Atom(Rel.GE, outer, IntConst(0))]
-        m = _model(ints={"k": 1}, arrays={"a": (4, {}), "b": (0, {})})
-        grounded, gm, table = ground(p, m)
-        assert outer in table.by_term
-        assert inner in table.by_term  # registered for the grounded model
-        (lit,) = grounded
-        assert lit.lhs == IntVar(table.by_term[outer])
-        assert gm.ints[table.by_term[inner]] == 0
-        assert gm.ints[table.by_term[outer]] == 4
-
-    def test_grounding_fidelity_randomized(self):
-        rng = random.Random(41)
-        int_names, arr_names, fn_names = ["i", "j"], ["a", "b"], ["f"]
-        checked_true = checked_false = 0
-        for _ in range(250):
-            f = random_array_formula(rng, int_names, arr_names, fn_names, 2)
-            m = random_array_model(rng, int_names, arr_names, fn_names)
-            table = GroundingTable()
-            gf = ground_formula(f, table)
-            gm = ground_model(m, table)
-            original = eval_formula(f, m)
-            grounded = eval_formula(gf, gm)
-            assert original == grounded
-            checked_true += original
-            checked_false += not original
-        assert checked_true > 20 and checked_false > 20  # both directions exercised
-
-    def test_unground_round_trip(self):
-        p = [Atom(Rel.LE, Select(A, I), IntConst(5)), Atom(Rel.GE, I, IntConst(0))]
-        m = _model(ints={"i": 2}, arrays={"a": (0, {})})
-        grounded, gm, table = ground(p, m)
-        iv = int_product_to_intervals(grounded, gm)
-        restored = unground(iv, table)
-        assert set(restored.entries) == {Select(A, I), I}
-
-    def test_unground_mixed_keeps_plain_vars(self):
-        table = GroundingTable()
-        name = table.var_for(Select(A, I))
-        iv = IntervalMap({IntVar(name): Interval(0, 5), X: Interval(1, 2)})
-        restored = unground(iv, table)
-        assert restored.get(Select(A, I)) == Interval(0, 5)
-        assert restored.get(X) == Interval(1, 2)
-
-    def test_unknown_ground_var_rejected(self):
-        iv = IntervalMap({IntVar("!g99"): Interval(0, 1)})
-        with pytest.raises(UnknownGroundVar):
-            unground(iv, GroundingTable())
 
 
 class TestFullPipeline:
@@ -343,10 +280,25 @@ class TestFullPipeline:
         ]
         m = _model(ints={"i": 2}, arrays={"a": (0, {})})
         res = product_to_intervals(product, m, random.Random(0))
+        assert set(res.intervals.entries) == {Select(A, I), I}
         assert contains(res.intervals, m)
         sel_interval = res.intervals.get(Select(A, I))
         assert sel_interval.hi is not None and sel_interval.hi <= 5
         assert sel_interval.member(0)
+
+    def test_nested_select_keyed_on_outer_term_only(self):
+        inner = Select(B, IntVar("k"))
+        outer = Select(A, inner)
+        m = _model(ints={"k": 1}, arrays={"a": (4, {}), "b": (0, {})})
+        res = product_to_intervals([Atom(Rel.GE, outer, IntConst(0))], m, random.Random(0))
+        assert res.intervals.entries == {outer: Interval(0, None)}
+
+    def test_symbol_spelled_like_a_fresh_name_stays_its_own_key(self):
+        g = IntVar("!g0")
+        product = [Atom(Rel.LE, Select(A, IntConst(0)), IntConst(5)), Atom(Rel.GE, g, IntConst(10))]
+        m = _model(ints={"!g0": 12}, arrays={"a": (1, {})})
+        res = product_to_intervals(product, m, random.Random(0))
+        assert res.intervals.entries == {Select(A, IntConst(0)): Interval(None, 5), g: Interval(10, None)}
 
     def test_aliased_selects_pinned_to_shared_value(self):
         product = [
@@ -416,3 +368,46 @@ def _grid_model(assignment, seed):
         if isinstance(key, Select) and eval_term(key, pm) != value:
             return None
     return pm
+
+
+def _pipeline_case(rng):
+    """A seeded implicant over ints i, j, k, arrays a, b and function f, with
+    nested accesses, `a` read through a store half the time, and an array
+    equality (forced to hold) or disequality a quarter of the time each."""
+    ints, arrs, funs = ["i", "j", "k"], ["a", "b"], ["f"]
+    while True:
+        m = random_array_model(rng, ints, arrs, funs)
+        f = random_array_formula(rng, ints, arrs, funs, 3)
+        if rng.random() < 0.5:
+            idx = random_array_term(rng, ints, ["b"], funs, 1)
+            f = replace_in_formula(f, A, Store(A, idx, IntConst(rng.randint(-3, 3))))
+        roll = rng.random()
+        if roll < 0.4:
+            lhs = A
+            for _ in range(rng.randint(0, 2)):
+                lhs = Store(lhs, random_array_term(rng, ints, [], [], 1), IntConst(rng.randint(-3, 3)))
+            m.funcs["b"] = eval_term(lhs, m).copy()
+            f = And((f, Atom(Rel.EQ, lhs, B)))
+        elif roll < 0.55:
+            f = And((f, Atom(Rel.NE, A, B)))
+        if eval_formula(f, m):
+            return compute_implicant(f, m, rng), m
+
+
+def test_pipeline_boxes_match_pinned_digest():
+    """`product_to_intervals` on 600 seeded implicants: the box keys in order
+    with their bounds, the extended seed and the reconstructions equal the
+    pinned ones."""
+    digest = hashlib.sha256()
+    stores = reconstructed = 0
+    for n in range(600):
+        rng = random.Random(n)
+        product, m = _pipeline_case(rng)
+        stores += any(isinstance(t, Store) for lit in product for t in iter_subterms(lit))
+        res = product_to_intervals(product, m, rng)
+        reconstructed += bool(res.reconstructions)
+        boxes = [(print_term(k), iv.lo, iv.hi) for k, iv in res.intervals.entries.items()]
+        recipes = [(name, print_term(t)) for name, t in res.reconstructions]
+        digest.update(repr((n, boxes, canonical_assignment(res.seed), recipes)).encode())
+    assert stores > 100 and reconstructed > 100
+    assert digest.hexdigest() == "1e7edce15c74ec099466ddb34df90945f6d92978cabc2b53a46b68b3556d35b1"

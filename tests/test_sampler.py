@@ -600,6 +600,19 @@ class TestSampleFormula:
         for s in out:
             assert eval_formula(p.assertion, s)
 
+    def test_symbol_named_like_a_fresh_name_beside_an_access(self):
+        # a user symbol may spell any name the array pipeline could invent
+        p = parse_problem(
+            "(declare-const |!g0| Int)(declare-const a (Array Int Int))"
+            "(assert (and (<= 0 (select a 0)) (<= (select a 0) 5) (<= 10 |!g0|) (<= |!g0| 40)))"
+        )
+        out = []
+        cfg = cfg_of(max_samples=80, samples_per_round=40, rounds_per_epoch=2)
+        stats = sample_formula(p, cfg, LocalSolverClient(), on_sample=out.append)
+        assert stats.unique_samples == len(out) == 80
+        assert all(eval_formula(p.assertion, s) for s in out)
+        assert len({s.ints["!g0"] for s in out}) > 1
+
     def test_deeply_nested_formula(self):
         f = deep_and_or(300)
         p = ParsedProblem(None, [Declaration("x", Sort.INT)], f)
