@@ -19,7 +19,6 @@ import random
 import sys
 
 from . import coverage as coverage_mod
-from .compiled import compile_formula
 from .errors import (
     BoxsamplerError,
     NotAModel,
@@ -30,7 +29,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .intervals import to_json_obj
-from .sampler import SamplerConfig, canonical_assignment, sample_formula
+from .sampler import SampleLayout, SamplerConfig, sample_formula
 from .smtlib import ParsedProblem, parse_problem
 from .solver import ProcessSolverClient
 from .terms import FuncValue, Model, Sort, preprocess, to_nnf
@@ -106,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--intervals-out", default=None, help="per-epoch interval maps (JSON lines)")
     run.add_argument("--coverage-out", default=None, help="coverage bitmap output file")
     run.add_argument("--stats-out", default=None, help="run statistics JSON")
-    run.add_argument("--emit-intervals", action="store_true", help="short for --intervals-out <problem>.intervals")
     run.add_argument("--inject-seed", default=None, help="JSON assignment used as the first seed (test hook)")
 
     verify = sub.add_parser("verify", help="audit a samples file")
@@ -139,7 +137,6 @@ def _cmd_run(args) -> int:
         cfg.inject_seed = model_from_json(json.loads(args.inject_seed), problem)
 
     samples_path = args.samples_out or args.problem + ".samples"
-    intervals_path = args.intervals_out or (args.problem + ".intervals" if args.emit_intervals else None)
 
     bitmap = None
     nnf = None
@@ -165,8 +162,8 @@ def _cmd_run(args) -> int:
             coverage_mod.record_sample(bitmap, nnf, sample)
 
     def on_epoch(epoch):
-        if intervals_path:
-            _writer("intervals", intervals_path).write(json.dumps(to_json_obj(epoch.intervals)) + "\n")
+        if args.intervals_out:
+            _writer("intervals", args.intervals_out).write(json.dumps(to_json_obj(epoch.intervals)) + "\n")
 
     try:
         stats = sample_formula(problem, cfg, client, rng, on_sample=on_sample, on_epoch=on_epoch)
@@ -192,7 +189,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.problem, "r", encoding="utf-8") as fh:
         problem = parse_problem(fh.read())
-    check = compile_formula(preprocess(problem.assertion))
+    layout = SampleLayout(problem.declarations)
+    pred = layout.predicate(preprocess(problem.assertion))
     violations = 0
     duplicates = 0
     total = 0
@@ -203,11 +201,11 @@ def _cmd_verify(args) -> int:
             if not line:
                 continue
             total += 1
-            sample = model_from_json(json.loads(line), problem)
-            if not check(sample):
+            values = layout.vector(model_from_json(json.loads(line), problem))
+            if not pred(*values):
                 violations += 1
                 print(f"violation at line {line_no}", file=sys.stderr)
-            key = canonical_assignment(sample)
+            key = layout.key(values)
             if key in seen:
                 duplicates += 1
                 print(f"duplicate at line {line_no}", file=sys.stderr)

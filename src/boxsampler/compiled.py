@@ -1,14 +1,12 @@
 """Formulas compiled to Python functions: the evaluator of the hot loops.
 
-- :func:`compile_formula` turns a formula into ``check(model)``, the
-  check of ``verify``, of an injected seed and of the fallback solver's
-  array scans.
 - :func:`compile_predicate` turns a conjunction into ``pred(*values)``
   over positional values, one per symbol (integer, Boolean, array or
-  function), for the sampler's per-draw check and the fallback solver's
-  box scans.
-- :func:`compile_node_values` turns a formula into a function that computes
-  the value of every pre-order node once, for coverage bitmaps.
+  function): the sampler's per-draw check and injected-seed check, the
+  check of ``verify``, and the fallback solver's scans.
+- :func:`compile_node_values` turns a formula into a function of a
+  :class:`Model` that computes the value of every pre-order node once, for
+  coverage bitmaps.
 
 Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
 variables, ``+``, ``-``, ``*``, term-level ite, select, store, unary function
@@ -239,8 +237,7 @@ class _Codegen:
     def _hoist(self, piece: _Piece) -> _Piece:
         name = f"_h{len(self.functions)}"
         self.function(name, piece[2], [f"return {piece[0]}"])
-        args = "m" if self.params is None else self.signature
-        return (f"{name}({args})", 1, 0)
+        return (f"{name}({self.signature})", 1, 0)
 
     # -- functions -----------------------------------------------------------
 
@@ -273,15 +270,6 @@ class _Codegen:
 def _join(op: str, kids: list[_Piece]) -> _Piece:
     text = "(" + op.join(k[0] for k in kids) + ")"
     return (text, len(kids) + max(k[1] for k in kids), _reads(kids))
-
-
-def compile_formula(f: Formula):
-    """`check(model)`: the truth value of `f` under a :class:`Model`, as
-    :func:`terms.eval_formula` computes it."""
-    gen = _Codegen()
-    text, _, reads = gen.expression(f)
-    gen.function("_check", reads, [f"return {text}"])
-    return gen.build("_check")
 
 
 def compile_predicate(formulas: list[Formula], var_names: list[str]):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
-from .smtlib import Declaration, _Parser, _read_sexprs, sexpr_end
+from .smtlib import Declaration, _Parser, _print_sym, _read_sexprs, print_term, sexpr_end
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
 from .terms import (
     And,
@@ -509,36 +509,31 @@ class _Session:
 
 
 def _format_model(model: Model, declarations: list[Declaration]) -> str:
+    def num(v: int) -> str:
+        return print_term(IntConst(v))
+
     lines = ["("]
     for d in declarations:
+        name = _print_sym(d.name)
         if d.is_function:
             fv = model.funcs.get(d.name, FuncValue(0))
-            body = _ite_chain_text("x!0", fv)
-            lines.append(f"  (define-fun {d.name} ((x!0 Int)) Int {body})")
+            body = num(fv.default)
+            for k in sorted(fv.exceptions, reverse=True):
+                body = f"(ite (= x!0 {num(k)}) {num(fv.exceptions[k])} {body})"
+            lines.append(f"  (define-fun {name} ((x!0 Int)) Int {body})")
         elif d.sort == Sort.ARRAY:
             fv = model.funcs.get(d.name, FuncValue(0))
-            body = f"((as const (Array Int Int)) {_int_text(fv.default)})"
+            body = f"((as const (Array Int Int)) {num(fv.default)})"
             for k in sorted(fv.exceptions):
-                body = f"(store {body} {_int_text(k)} {_int_text(fv.exceptions[k])})"
-            lines.append(f"  (define-fun {d.name} () (Array Int Int) {body})")
+                body = f"(store {body} {num(k)} {num(fv.exceptions[k])})"
+            lines.append(f"  (define-fun {name} () (Array Int Int) {body})")
         elif d.sort == Sort.BOOL:
             value = "true" if model.bools.get(d.name, False) else "false"
-            lines.append(f"  (define-fun {d.name} () Bool {value})")
+            lines.append(f"  (define-fun {name} () Bool {value})")
         else:
-            lines.append(f"  (define-fun {d.name} () Int {_int_text(model.ints.get(d.name, 0))})")
+            lines.append(f"  (define-fun {name} () Int {num(model.ints.get(d.name, 0))})")
     lines.append(")")
     return "\n".join(lines)
-
-
-def _int_text(v: int) -> str:
-    return str(v) if v >= 0 else f"(- {-v})"
-
-
-def _ite_chain_text(param: str, fv: FuncValue) -> str:
-    body = _int_text(fv.default)
-    for k in sorted(fv.exceptions, reverse=True):
-        body = f"(ite (= {param} {_int_text(k)}) {_int_text(fv.exceptions[k])} {body})"
-    return body
 
 
 def main(argv=None) -> int:

@@ -8,17 +8,19 @@ run-wide.  Interval formulas accumulate so the blocking strategy can steer
 later seeds away from already-covered regions.
 
 Draws are flat tuples of values, one per declaration in declaration order
-(:class:`SampleLayout`).  Once per epoch, :func:`epoch_drawer` plans the
-draw from the box: a clamped range per key, and for an array box the
-select-like keys sorted by nesting depth.  A draw then only evaluates the
-indices of those keys and fills their slots; an array box's draw is
-projected onto the tuple.  Each tuple is checked by one positional
-predicate compiled once per run and is its own dedup key (function values
-written as their default and sorted exceptions); only a fresh sample
-becomes a :class:`Model`.  The random stream and the samples equal those of
-the reference chain :func:`sample_intervals` (or one draw of an array box,
-:func:`sample_intervals_arrays`) -> :func:`restrict_to_problem` ->
-:func:`canonical_assignment`, which stays for tests and ``cli verify``.
+(:class:`SampleLayout`).  One routine, :func:`epoch_drawer`, draws every
+box: once per epoch it plans the draw (a clamped range per key, the
+select-like keys sorted by nesting depth), and each draw writes the
+integer values, the array cells and any rebuilt arrays straight into the
+tuple.  Each tuple is checked by one positional predicate compiled once per
+run and is its own dedup key (function values written as their default and
+sorted exceptions); only a fresh sample becomes a :class:`Model`.
+
+The Model-based chain :func:`sample_intervals` (or
+:func:`sample_intervals_arrays`, one draw of :func:`epoch_drawer`) ->
+:func:`restrict_to_problem` -> :func:`canonical_assignment` draws the same
+random stream.  It stays as the reference of the tests and because the
+benchmark's span tracer wraps these names.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable
 from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
 from .arrays import is_select_like, select_index, select_symbol
-from .compiled import compile_formula, compile_predicate
+from .compiled import compile_predicate
 from .errors import NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
@@ -265,13 +267,14 @@ def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
     return int_steps, [step for _, step in nested]
 
 
-def _eval_index(t: Term, ints: dict[str, int], slots: dict[str, dict[int, int]], seed: Model) -> int:
-    """The value of an index term within a draw: variables read `ints`, an
-    access reads the slot its index reaches.  A slot that no key has drawn
-    takes the access's value under `seed`, and keeps it for the draw."""
+def _eval_index(t: Term, slot: dict[str, int], values: list, cells: dict[str, dict[int, int]], seed: Model) -> int:
+    """The value of an index term within a draw: a variable reads its slot
+    of `values`, an access reads the cell its index reaches.  A cell that no
+    key has drawn takes the access's value under `seed`, and keeps it for
+    the draw."""
     if is_select_like(t):
-        index = _eval_index(select_index(t), ints, slots, seed)
-        bucket = slots.setdefault(select_symbol(t), {})
+        index = _eval_index(select_index(t), slot, values, cells, seed)
+        bucket = cells.setdefault(select_symbol(t), {})
         if index not in bucket:
             bucket[index] = eval_term(t, seed)
         return bucket[index]
@@ -279,62 +282,28 @@ def _eval_index(t: Term, ints: dict[str, int], slots: dict[str, dict[int, int]],
         return t.value
     if isinstance(t, IntVar):
         try:
-            return ints[t.name]
+            return values[slot[t.name]]
         except KeyError:
             raise UnassignedSymbol(t.name) from None
     if isinstance(t, Add):
-        return sum(_eval_index(a, ints, slots, seed) for a in t.args)
+        return sum(_eval_index(a, slot, values, cells, seed) for a in t.args)
     if isinstance(t, Sub):
-        return _eval_index(t.lhs, ints, slots, seed) - _eval_index(t.rhs, ints, slots, seed)
+        return _eval_index(t.lhs, slot, values, cells, seed) - _eval_index(t.rhs, slot, values, cells, seed)
     if isinstance(t, Mul):
         prod = 1
         for a in t.args:
-            prod *= _eval_index(a, ints, slots, seed)
+            prod *= _eval_index(a, slot, values, cells, seed)
         return prod
     raise TypeError(f"cannot evaluate term of type {type(t).__name__}")
 
 
-def _array_drawer(
-    iv: IntervalMap,
-    seed: Model,
-    cfg: SamplerConfig,
-    rng: random.Random,
-    reconstructions: list[tuple[str, Term]] | None,
-) -> Callable[[], Model | None]:
-    """`draw()`: one assignment from an interval map with select-like keys,
-    or None on a clash (a slot already set outside a key's interval).
-
-    Integer keys are drawn first, then the select-like keys in the order
-    of :func:`_plan`.  An array or function keeps its seed default; its
-    exceptions are the slots of the draw.  The `reconstructions` then
-    rebuild the arrays that equality rewriting substituted."""
-    int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
-    randbelow = rng._randbelow
-    defaults = [(name, fv.default) for name, fv in seed.funcs.items()]
-    recipes = list(reversed(reconstructions or []))
-
-    def draw() -> Model | None:
-        ints = dict(seed.ints)
-        for name, lo, points in int_steps:
-            ints[name] = lo + randbelow(points)
-        slots: dict[str, dict[int, int]] = {}
-        for symbol, index, interval, lo, points in access_steps:
-            at = _eval_index(index, ints, slots, seed)
-            bucket = slots.setdefault(symbol, {})
-            if at not in bucket:
-                bucket[at] = lo + randbelow(points)
-            elif not interval.member(bucket[at]):
-                return None
-        funcs = {name: FuncValue(default, slots.get(name, {})) for name, default in defaults}
-        for name, touched in slots.items():
-            if name not in funcs:
-                funcs[name] = FuncValue(0, touched)
-        sample = Model(ints=ints, bools=dict(seed.bools), funcs=funcs)
-        for name, term in recipes:
-            sample.funcs[name] = eval_term(term, sample)
-        return sample
-
-    return draw
+def _seed_declarations(seed: Model, known=()) -> list[Declaration]:
+    """Declarations of the symbols of `seed` that are not in `known`."""
+    return (
+        [Declaration(name, Sort.INT) for name in seed.ints if name not in known]
+        + [Declaration(name, Sort.BOOL) for name in seed.bools if name not in known]
+        + [Declaration(name, Sort.ARRAY) for name in seed.funcs if name not in known]
+    )
 
 
 def sample_intervals_arrays(
@@ -345,9 +314,11 @@ def sample_intervals_arrays(
     reconstructions: list[tuple[str, Term]] | None = None,
 ) -> Model | None:
     """Draw one assignment from an interval map with select-like keys, or
-    None on a clash: one draw of the plan :func:`epoch_drawer` makes for
-    an array box."""
-    return _array_drawer(iv, seed, cfg, rng, reconstructions)()
+    None on a clash: one draw of :func:`epoch_drawer` over a layout of the
+    seed's own symbols."""
+    layout = SampleLayout(_seed_declarations(seed))
+    values = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)()
+    return None if values is None else layout.model(values)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +344,7 @@ class SampleLayout:
     arrays and functions."""
 
     def __init__(self, declarations: list[Declaration]):
+        self.declarations = list(declarations)
         self.names = [d.name for d in declarations]
         self.slot = {name: i for i, name in enumerate(self.names)}
         self.ints: list[tuple[str, int]] = []
@@ -429,40 +401,56 @@ def epoch_drawer(
     *,
     reconstructions: list[tuple[str, Term]] | None = None,
 ) -> Callable[[], tuple | None]:
-    """`draw()`: one vector drawn from the box `iv`, or None on a clash.
+    """`draw()`: one vector of `layout` drawn from the box `iv`, or None on
+    a clash (an array cell already set outside a key's interval).
 
-    Each draw equals ``layout.vector(restrict_to_problem(d, problem))`` of
-    the draw ``d`` of :func:`sample_intervals` (a problem without arrays or
-    functions) or :func:`sample_intervals_arrays`, and consumes the same
-    random numbers.  The draw is planned once (:func:`_plan`); each value
-    is ``lo + rng._randbelow(points)``, which is what ``rng.randint`` computes.
-    Integer keys that are not declared draw into a throw-away slot."""
-    if layout.funcs:
-        draw_sample = _array_drawer(iv, seed, cfg, rng, reconstructions)
-        vector = layout.vector
+    The draw is planned once (:func:`_plan`) over a frame of slots: the
+    layout's declared symbols, then the seed's other symbols (the fresh
+    names of array-equality rewriting, and keys that are not declared).  A
+    draw writes the integer steps, then the select-like steps, so that each
+    array or function becomes its seed default with the cells of the draw
+    as exceptions.  The `reconstructions` then rebuild the arrays that
+    equality rewriting substituted, over a :class:`Model` built only when
+    there are any.  The draw returns the declared prefix of the frame.
 
-        def draw_arrays():
-            sample = draw_sample()
-            return None if sample is None else vector(sample)
-
-        return draw_arrays
-
+    Each value is ``lo + rng._randbelow(points)``, which is what
+    ``rng.randint`` computes, so a draw equals
+    ``layout.vector(restrict_to_problem(d, problem))`` of the draw ``d`` of
+    :func:`sample_intervals` (a box without select-like keys) and consumes
+    the same random numbers; that reference chain stays for the tests and
+    the benchmark's span tracer, not for sampling."""
+    frame = SampleLayout(layout.declarations + _seed_declarations(seed, layout.slot))
+    slot = frame.slot
     int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
-    assert not access_steps, "integer-only sampling requires variable keys"
+    int_plan = [(slot[name], lo, points) for name, lo, points in int_steps]
+    values = list(frame.vector(seed))
+    arrays = [(name, i, values[i].default) for name, i in frame.funcs]
+    recipes = [(name, term, slot[name]) for name, term in reversed(reconstructions or [])]
     n = len(layout.names)
-    plan = [(layout.slot.get(name, n), lo, points) for name, lo, points in int_steps]
-    values = list(layout.vector(seed))
-    exact = all(slot < n for slot, _, _ in plan)
-    if not exact:
-        values.append(0)
+    exact = len(values) == n
     randbelow = rng._randbelow
 
-    def draw_ints():
-        for slot, lo, points in plan:
-            values[slot] = lo + randbelow(points)
+    def draw():
+        for i, lo, points in int_plan:
+            values[i] = lo + randbelow(points)
+        if arrays:
+            cells: dict[str, dict[int, int]] = {}
+            for symbol, index, interval, lo, points in access_steps:
+                at = _eval_index(index, slot, values, cells, seed)
+                bucket = cells.setdefault(symbol, {})
+                if at not in bucket:
+                    bucket[at] = lo + randbelow(points)
+                elif not interval.member(bucket[at]):
+                    return None
+            for name, i, default in arrays:
+                values[i] = FuncValue(default, cells.get(name, {}))
+            if recipes:
+                sample = frame.model(values)
+                for name, term, i in recipes:
+                    values[i] = sample.funcs[name] = eval_term(term, sample)
         return tuple(values) if exact else tuple(values[:n])
 
-    return draw_ints
+    return draw
 
 
 def exploit_epoch(
@@ -525,6 +513,17 @@ def exploit_epoch(
 # Main loop
 
 
+def _check_injected(seed: Model, formula: Formula, layout: SampleLayout, pred) -> None:
+    """Reject an injected seed that leaves a symbol of `formula` unassigned
+    or does not satisfy it."""
+    assigned = {Sort.INT: seed.ints, Sort.BOOL: seed.bools, Sort.ARRAY: seed.funcs}
+    for name, sort in [*free_symbols(formula).items(), *((f, Sort.ARRAY) for f in fun_names(formula))]:
+        if name not in assigned[sort]:
+            raise UnassignedSymbol(name)
+    if not pred(*layout.vector(seed)):
+        raise NotAModel("injected seed does not satisfy the formula")
+
+
 def sample_formula(
     problem: ParsedProblem,
     cfg: SamplerConfig,
@@ -564,8 +563,7 @@ def sample_formula(
         if injected is not None:
             seed = injected
             injected = None
-            if not compile_formula(formula)(seed):
-                raise NotAModel("injected seed does not satisfy the formula")
+            _check_injected(seed, formula, layout, pred)
         elif client is None:
             stats.stop_reason = "no solver configured"
             break

@@ -210,10 +210,6 @@ def _read_sexprs(text: str) -> list[_SExpr]:
 # ---------------------------------------------------------------------------
 # Problem parsing
 
-_INT_SORT = ("Int",)
-_BOOL_SORT = ("Bool",)
-
-
 def _parse_sort(s: _SExpr) -> Sort:
     if s.is_atom:
         if s.text == "Int":
@@ -356,22 +352,12 @@ class _Parser:
             raise UnsupportedFeature(f"operator {head} is outside the supported fragment")
         if head in ("forall", "exists"):
             raise UnsupportedFeature("quantifiers are not supported")
-        if head in ("<", "<=", ">", ">="):
-            self._want_arity(args, 2, head, s)
-            lhs, rhs = (self._expr(a, env) for a in args)
-            self._want_int(lhs, s)
-            self._want_int(rhs, s)
-            return Atom(Rel(head), lhs, rhs)
-        if head == "=":
-            self._want_arity(args, 2, head, s)
-            lhs, rhs = (self._expr(a, env) for a in args)
-            if self._is_formula(lhs) or self._is_formula(rhs):
-                if not (self._is_formula(lhs) and self._is_formula(rhs)):
-                    raise SmtSyntaxError("= operands have different sorts", s.tok.line, s.tok.col)
-                return Iff(lhs, rhs)
-            if sort_of(lhs) != sort_of(rhs):
-                raise SmtSyntaxError("= operands have different sorts", s.tok.line, s.tok.col)
-            return Atom(Rel.EQ, lhs, rhs)
+        if head in ("<", "<=", ">", ">=", "="):
+            # chainable: (op a b c) is (and (op a b) (op b c))
+            if len(args) < 2:
+                raise SmtSyntaxError(f"{head} expects at least 2 arguments", s.tok.line, s.tok.col)
+            xs = [self._expr(a, env) for a in args]
+            return conj(self._relation(head, lhs, rhs, s) for lhs, rhs in zip(xs, xs[1:]))
         if head == "distinct":
             if len(args) < 2:
                 raise SmtSyntaxError("distinct expects at least 2 arguments", s.tok.line, s.tok.col)
@@ -451,6 +437,19 @@ class _Parser:
             self._want_int(arg, s)
             return FunApp(name, arg)
         raise SmtSyntaxError(f"unknown operator {head!r}", s.tok.line, s.tok.col)
+
+    def _relation(self, head: str, lhs, rhs, s: _SExpr) -> Formula:
+        if head != "=":
+            self._want_int(lhs, s)
+            self._want_int(rhs, s)
+            return Atom(Rel(head), lhs, rhs)
+        if self._is_formula(lhs) or self._is_formula(rhs):
+            if not (self._is_formula(lhs) and self._is_formula(rhs)):
+                raise SmtSyntaxError("= operands have different sorts", s.tok.line, s.tok.col)
+            return Iff(lhs, rhs)
+        if sort_of(lhs) != sort_of(rhs):
+            raise SmtSyntaxError("= operands have different sorts", s.tok.line, s.tok.col)
+        return Atom(Rel.EQ, lhs, rhs)
 
     def _let(self, s: _SExpr, env):
         items = s.items

@@ -53,12 +53,6 @@ class Monomial:
     coeff: int
     factors: tuple[Term, ...]
 
-    def as_term(self) -> Term:
-        parts: tuple[Term, ...] = self.factors
-        if self.coeff != 1 or not parts:
-            parts = (IntConst(self.coeff),) + parts
-        return parts[0] if len(parts) == 1 else Mul(parts)
-
 
 @dataclass(frozen=True)
 class CanonicalLiteral:
@@ -127,8 +121,6 @@ def _monomials_of(t: Term) -> tuple[list[Monomial], int]:
         if not factors:
             return [], coeff
         return [Monomial(coeff, tuple(factors))], 0
-    if isinstance(t, (IntVar, Select, FunApp, Add)):
-        return [Monomial(1, (t,))], 0
     if sort_of(t) != Sort.INT:
         raise UnsupportedFeature("array terms cannot appear in integer literals")
     return [Monomial(1, (t,))], 0

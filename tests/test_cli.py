@@ -3,9 +3,6 @@
 import dataclasses
 import json
 import sys
-from pathlib import Path
-
-import pytest
 
 from boxsampler.cli import EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
 from boxsampler.sampler import RunStats

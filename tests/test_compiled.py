@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler.compiled import compile_formula, compile_node_values, compile_predicate
+from boxsampler.compiled import compile_node_values, compile_predicate
 from boxsampler.coverage import CoverageBitmap, record_sample
 from boxsampler.errors import UnassignedSymbol
 from boxsampler.smtlib import parse_problem
@@ -90,6 +90,14 @@ def _full_grammar_formula(rng, depth: int):
     return rng.choice([And, Or])(tuple(kids)) if roll < 0.8 else rng.choice([Implies, Iff, Xor])(*kids)
 
 
+def _model_check(f):
+    """`check(model)`: the truth value of `f` under a Model, read from the
+    compiled node values (the root is node 0)."""
+    values, _, bool_nodes = compile_node_values(f)
+    assert bool_nodes[0] == 0
+    return lambda m: values(m)[1][0]
+
+
 def _interpreted_record(bm: CoverageBitmap, f, sample: Model) -> None:
     """Coverage recording by evaluating every node on its own with the
     interpreter: the reference for the compiled recorder."""
@@ -111,7 +119,7 @@ class TestAgreement:
     def test_int_formulas_match_interpreter_and_oracle(self, seed):
         rng = random.Random(seed)
         f = random_formula(rng, INTS, 4)
-        check = compile_formula(f)
+        check = _model_check(f)
         pred = compile_predicate([f], INTS)
         for _ in range(5):
             m = _int_model(rng)
@@ -125,7 +133,7 @@ class TestAgreement:
     def test_array_formulas_match_interpreter_and_oracle(self, seed):
         rng = random.Random(seed)
         f = _full_grammar_formula(rng, 3)
-        check = compile_formula(f)
+        check = _model_check(f)
         for _ in range(5):
             m = _array_model(rng)
             expected = o_formula(f, env_of_model(m))
@@ -142,7 +150,7 @@ class TestAgreement:
         names = INTS + ARRAYS + FUNS + ["p", "q"]
         order = rng.sample(names, len(names))  # positions follow the given names, not a fixed grouping
         pred = compile_predicate([f], order)
-        check = compile_formula(f)
+        check = _model_check(f)
         for _ in range(5):
             m = _array_model(rng)
             env = {**m.ints, **m.bools, **m.funcs}
@@ -160,7 +168,7 @@ class TestAgreement:
         assert compile_predicate([], INTS)(0, 0, 0) is True
 
     def test_unassigned_symbol(self):
-        check = compile_formula(Atom(Rel.LE, X, IntVar("y")))
+        check = _model_check(Atom(Rel.LE, X, IntVar("y")))
         with pytest.raises(UnassignedSymbol):
             check(Model(ints={"x": 1}))
         with pytest.raises(UnassignedSymbol):
@@ -170,18 +178,18 @@ class TestAgreement:
         names = [f"v{i}" for i in range(3000)]
         long_sum = Atom(Rel.EQ, Add(tuple(IntVar(n) for n in names)), IntConst(3000))
         empty = Atom(Rel.LT, Add(()), Mul(()))  # 0 < 1
-        m = Model(ints=dict.fromkeys(names, 1))
-        assert compile_formula(And((long_sum, empty)))(m) is True
-        assert compile_formula(And((long_sum, Or(()))))(m) is False
-        assert compile_formula(And(()))(m) is True
+        ones = [1] * len(names)
+        assert compile_predicate([long_sum, empty], names)(*ones) is True
+        assert compile_predicate([long_sum, Or(())], names)(*ones) is False
+        assert compile_predicate([And(())], [])() is True
 
 
 class TestDeepFormulas:
     def test_depth_300_compiles_through_helpers(self):
         f = deep_and_or(300)
-        check = compile_formula(f)
         pred = compile_predicate([f], ["x"])
-        assert check.source.count("def ") > 1
+        check = _model_check(f)
+        assert pred.source.count("def ") > 1
         for x in range(-3, 320, 7):
             m = Model(ints={"x": x})
             assert check(m) == pred(x) == eval_formula(f, m)
@@ -235,14 +243,15 @@ class TestGeneratedSource:
         name = p.declarations[0].name
         assert "import" in name
         f = p.assertion
-        check = compile_formula(f)
+        check = compile_predicate([f], [name, "ok", "f)("])
         values, _, _ = compile_node_values(f)
         pred = compile_predicate([Atom(Rel.GT, IntVar(name), IntConst(3))], [name])
         for fn in (check, values, pred):
             assert name not in fn.source and "import" not in fn.source and "f)(" not in fn.source
             assert fn.__globals__["__builtins__"] == {}
         model = Model(ints={name: 5}, bools={"ok": True}, funcs={"f)(": FuncValue(1, {5: 0})})
-        assert check(model) is True and eval_formula(f, model) is True
+        assert check(5, True, model.funcs["f)("]) is True and eval_formula(f, model) is True
+        assert values(model)[1][0] is True
         model.ints[name] = 2
-        assert check(model) is False
+        assert check(2, True, model.funcs["f)("]) is False and values(model)[1][0] is False
         assert pred(5) is True and pred(2) is False

@@ -19,9 +19,8 @@ from boxsampler.terms import (
     eval_formula,
     is_literal,
     iter_nodes,
-    to_nnf,
 )
-from oracle import brute_force_implies, env_of_model, o_formula, random_nnf_formula
+from oracle import brute_force_implies, random_nnf_formula
 
 X, Y = IntVar("x"), IntVar("y")
 A = Atom(Rel.GE, X, IntConst(0))

@@ -1,4 +1,5 @@
-"""Every name a `boxsampler` module imports is used by that module.
+"""Every name a `boxsampler` module, a test module or a benchmark script
+imports is used by that module.
 
 No linter is available offline, so this walks each module's syntax tree.
 An imported name counts as used when the module reads it anywhere or lists
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "boxsampler"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "boxsampler"
+MODULES = sorted(SRC.glob("*.py")) + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py"))
 NOQA = "# noqa: F401"
 
 
@@ -41,7 +44,7 @@ def unused_imports(source: str) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler.errors import NotAModel, SoundnessViolation, UnsatFormula
+from boxsampler.errors import NotAModel, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from boxsampler.intervals import Interval, IntervalMap, contains
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import (
@@ -288,7 +288,10 @@ def _random_array_box(rng: random.Random):
 class TestEpochDrawer:
     """Each vector the epoch drawer returns equals the reference draw,
     restricted to the problem and projected onto the layout, and consumes
-    the same random numbers."""
+    the same random numbers.  The integer reference is
+    :func:`sample_intervals`; the array one is one draw over the seed's own
+    symbols (:func:`sample_intervals_arrays`), whose stream is pinned by
+    :func:`test_array_draws_match_pinned_digest`."""
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
@@ -503,9 +506,28 @@ class TestSampleFormula:
 
     def test_bad_injected_seed_rejected(self):
         p, _ = _intro_parts()
+        drawn = []
         cfg = cfg_of(inject_seed=Model(ints={"x": -1, "y": 0}))
         with pytest.raises(NotAModel):
-            sample_formula(p, cfg, None)
+            sample_formula(p, cfg, None, on_sample=drawn.append, on_epoch=drawn.append)
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the seed x = 3 satisfies the formula without reaching the missing symbol
+            "(declare-const x Int)(declare-const y Int)(assert (or (> x 0) (and (< x 0) (> y 0))))",
+            "(declare-const x Int)(declare-fun g (Int) Int)(assert (or (> x 0) (and (< x 0) (<= (g x) 7))))",
+            "(declare-const p Bool)(declare-const x Int)(assert (or (> x 0) (and (< x 0) p)))",
+        ],
+        ids=["int", "function", "bool"],
+    )
+    def test_injected_seed_missing_a_symbol_rejected(self, text):
+        drawn = []
+        cfg = cfg_of(inject_seed=Model(ints={"x": 3}), max_samples=10)
+        with pytest.raises(UnassignedSymbol):
+            sample_formula(parse_problem(text), cfg, None, on_sample=drawn.append, on_epoch=drawn.append)
+        assert drawn == []
 
     def test_box_wider_than_the_formula_raises_soundness_violation(self, monkeypatch):
         # intro's box for the seed (12, 2) is x in [0, 15]; x up to 10^6

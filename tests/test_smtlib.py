@@ -22,14 +22,12 @@ from boxsampler.terms import (
     ArrayVar,
     Atom,
     BoolVar,
+    Iff,
     IntConst,
     IntVar,
-    Mul,
-    Not,
     Or,
     Rel,
     Select,
-    Sort,
 )
 from oracle import random_formula
 
@@ -126,6 +124,39 @@ class TestParse:
             "(assert (distinct x y 3))(assert (<= (ite b x y) 4))"
         )
         assert p.assertion is not None
+
+
+
+class TestChainable:
+    DECLS = "(declare-const x Int)(declare-const y Int)(declare-const p Bool)(declare-const q Bool)(declare-const r Bool)"
+    X, Y = IntVar("x"), IntVar("y")
+
+    def _parse(self, expr: str):
+        return parse_problem(f"{self.DECLS}(assert {expr})").assertion
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_relations_hold_between_adjacent_arguments(self, op):
+        rel = Rel(op)
+        assert self._parse(f"({op} 0 x y 1000)") == And(
+            (Atom(rel, IntConst(0), self.X), Atom(rel, self.X, self.Y), Atom(rel, self.Y, IntConst(1000)))
+        )
+
+    def test_int_equality_chains(self):
+        assert self._parse("(= x y 3)") == And((Atom(Rel.EQ, self.X, self.Y), Atom(Rel.EQ, self.Y, IntConst(3))))
+
+    def test_bool_equality_chains_as_iff(self):
+        p, q, r = BoolVar("p"), BoolVar("q"), BoolVar("r")
+        assert self._parse("(= p q r)") == And((Iff(p, q), Iff(q, r)))
+
+    def test_two_arguments_parse_as_one_atom(self):
+        assert self._parse("(<= 0 x)") == Atom(Rel.LE, IntConst(0), self.X)
+        assert self._parse("(= x y)") == Atom(Rel.EQ, self.X, self.Y)
+        assert self._parse("(= p q)") == Iff(BoolVar("p"), BoolVar("q"))
+
+    @pytest.mark.parametrize("expr", ["(<= x)", "(= x)", "(< 0 x p)", "(= x y p)", "(= p q x)"])
+    def test_too_few_arguments_or_mixed_sorts_rejected(self, expr):
+        with pytest.raises(SmtSyntaxError):
+            self._parse(expr)
 
 
 class TestRoundTrip:

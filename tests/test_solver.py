@@ -16,7 +16,6 @@ from boxsampler.smtlib import Declaration, parse_problem
 from boxsampler.solver import (
     ProcessSolverClient,
     SolverRequest,
-    SolverVerdict,
     VerdictKind,
     parse_model,
 )
@@ -286,6 +285,19 @@ class TestProcessClient:
         )
         v = process_client.solve(SolverRequest(p.declarations, [p.assertion]))
         assert v.is_sat
+        assert eval_formula(p.assertion, v.model)
+
+    def test_quoted_symbols_round_trip(self, process_client):
+        # the model names each symbol as the query declared it, |...| included
+        p = parse_problem(
+            "(declare-const |x y| Int)(declare-const |p q| Bool)(declare-const |a b| (Array Int Int))"
+            "(declare-fun |f g| (Int) Int)"
+            "(assert (and (= |x y| (- 4)) |p q| (= (select |a b| |x y|) (- 2)) (= (|f g| |x y|) 5)))"
+        )
+        v = process_client.solve(SolverRequest(p.declarations, [p.assertion]))
+        assert v.is_sat, v.reason
+        assert v.model.ints == {"x y": -4} and v.model.bools == {"p q": True}
+        assert v.model.funcs["a b"].apply(-4) == -2 and v.model.funcs["f g"].apply(-4) == 5
         assert eval_formula(p.assertion, v.model)
 
     def test_timeout_reported_as_error(self):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from boxsampler.errors import DivisorZero, NegativeSlack
@@ -28,7 +28,6 @@ from boxsampler.terms import (
     Not,
     Rel,
     Sub,
-    eval_formula,
 )
 from oracle import env_of_model, o_formula, random_product_term
 

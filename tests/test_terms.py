@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from boxsampler.errors import UnassignedSymbol, UnsupportedFeature
@@ -13,7 +13,6 @@ from boxsampler.terms import (
     And,
     ArrayVar,
     Atom,
-    BoolConst,
     BoolVar,
     DistinctF,
     FuncValue,
@@ -34,7 +33,7 @@ from boxsampler.terms import (
     preprocess,
     to_nnf,
 )
-from oracle import env_of_model, iter_int_models, o_formula, o_term, random_formula
+from oracle import env_of_model, iter_int_models, o_formula, random_formula
 
 X, Y = IntVar("x"), IntVar("y")
 
