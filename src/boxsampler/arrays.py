@@ -27,7 +27,6 @@ from .terms import (
     IntConst,
     IntVar,
     Model,
-    Not,
     Or,
     Rel,
     Select,
@@ -37,10 +36,9 @@ from .terms import (
     eval_term,
     free_symbols,
     fun_names,
+    iter_nodes,
     iter_subterms,
-    iter_term_nodes,
-    replace_in_formula,
-    replace_term,
+    replace,
     sort_of,
 )
 
@@ -67,18 +65,10 @@ def select_index(t: Term) -> Term:
 # Select-over-store elimination
 
 
-def _find_select_store(t) -> Select | None:
-    for sub in iter_term_nodes(t):
+def _find_select_store(lit: Formula) -> Select | None:
+    for sub in iter_nodes(lit):
         if isinstance(sub, Select) and isinstance(sub.array, Store):
             return sub
-    return None
-
-
-def _literal_select_store(lit: Formula) -> Select | None:
-    if isinstance(lit, Atom):
-        return _find_select_store(lit.lhs) or _find_select_store(lit.rhs)
-    if isinstance(lit, Not):
-        return _literal_select_store(lit.arg)
     return None
 
 
@@ -90,7 +80,7 @@ def eliminate_select_store(product: ProductTerm, m: Model, rng: random.Random) -
     seen: set[Formula] = set()
     while work:
         lit = work.pop(0)
-        target = _literal_select_store(lit)
+        target = _find_select_store(lit)
         if target is None:
             if lit not in seen:
                 seen.add(lit)
@@ -99,8 +89,8 @@ def eliminate_select_store(product: ProductTerm, m: Model, rng: random.Random) -
         store = target.array
         assert isinstance(store, Store)
         t_i, t_e, t_j = store.index, store.value, target.index
-        hit = replace_in_formula(lit, target, t_e)
-        miss = replace_in_formula(lit, target, Select(store.array, t_j))
+        hit = replace(lit, target, t_e)
+        miss = replace(lit, target, Select(store.array, t_j))
         case_split = Or(
             (
                 And((Atom(Rel.EQ, t_i, t_j), hit)),
@@ -236,12 +226,12 @@ def rewrite_array_equality(
             m.ints[uvar.name] = f2.apply(eval_term(idx, m))
 
         def substitute(f: Formula) -> Formula:
-            f = replace_in_formula(f, base1, subst1)
-            return replace_in_formula(f, base2, subst2)
+            f = replace(f, base1, subst1)
+            return replace(f, base2, subst2)
 
         work = [substitute(x) for x in new_lits + work]
         out = [substitute(x) for x in out]
-        recipes = [(name, replace_term(replace_term(t, base1, subst1), base2, subst2)) for name, t in recipes]
+        recipes = [(name, replace(replace(t, base1, subst1), base2, subst2)) for name, t in recipes]
         recipes.append((base1.name, subst1))
         recipes.append((base2.name, subst2))
     return out, m, recipes

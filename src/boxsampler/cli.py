@@ -30,9 +30,9 @@ from .errors import (
 )
 from .intervals import to_json_obj
 from .sampler import SampleLayout, SamplerConfig, sample_formula
-from .smtlib import ParsedProblem, parse_problem
+from .smtlib import parse_problem
 from .solver import ProcessSolverClient
-from .terms import FuncValue, Model, Sort, preprocess, to_nnf
+from .terms import Model, preprocess, to_nnf
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,35 +52,6 @@ def sample_to_json(sample: Model) -> dict:
             "exceptions": {str(k): v for k, v in sorted(fv.exceptions.items())},
         }
     return out
-
-
-def model_from_json(obj: dict, problem: ParsedProblem) -> Model:
-    model = Model()
-    env = problem.sort_env()
-    for name, value in obj.items():
-        decl = env.get(name)
-        if decl is None:
-            raise BoxsamplerError(f"unknown symbol {name!r} in assignment")
-        if decl.is_function or decl.sort == Sort.ARRAY:
-            if not isinstance(value, dict):
-                raise BoxsamplerError(f"array symbol {name!r} needs a default/exceptions object")
-            model.funcs[name] = FuncValue(
-                int(value.get("default", 0)),
-                {int(k): int(v) for k, v in value.get("exceptions", {}).items()},
-            )
-        elif decl.sort == Sort.BOOL:
-            model.bools[name] = bool(value)
-        else:
-            model.ints[name] = int(value)
-    # unmentioned symbols default to 0 / false / constant-0 arrays
-    for decl in problem.declarations:
-        if decl.is_function or decl.sort == Sort.ARRAY:
-            model.funcs.setdefault(decl.name, FuncValue(0))
-        elif decl.sort == Sort.BOOL:
-            model.bools.setdefault(decl.name, False)
-        else:
-            model.ints.setdefault(decl.name, 0)
-    return model
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,7 +105,8 @@ def _cmd_run(args) -> int:
         rng_seed=args.rng_seed,
     )
     if args.inject_seed:
-        cfg.inject_seed = model_from_json(json.loads(args.inject_seed), problem)
+        layout = SampleLayout(problem.declarations)
+        cfg.inject_seed = layout.model(layout.from_json(json.loads(args.inject_seed)))
 
     samples_path = args.samples_out or args.problem + ".samples"
 
@@ -201,7 +173,7 @@ def _cmd_verify(args) -> int:
             if not line:
                 continue
             total += 1
-            values = layout.vector(model_from_json(json.loads(line), problem))
+            values = layout.from_json(json.loads(line))
             if not pred(*values):
                 violations += 1
                 print(f"violation at line {line_no}", file=sys.stderr)

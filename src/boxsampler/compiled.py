@@ -8,6 +8,9 @@
   :class:`Model` that computes the value of every pre-order node once, for
   coverage bitmaps.
 
+Both walk a node's children as :func:`terms.children` lists them, so the
+node numbering is that of :func:`terms.iter_nodes`.
+
 Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
 variables, ``+``, ``-``, ``*``, term-level ite, select, store, unary function
 application and array variables; relational atoms (array equality
@@ -41,6 +44,7 @@ import itertools
 
 from .errors import UnassignedSymbol
 from .terms import (
+    FORMULA_TYPES,
     Add,
     And,
     ArrayVar,
@@ -65,6 +69,7 @@ from .terms import (
     Store,
     Sub,
     Xor,
+    children,
     sort_of,
 )
 
@@ -73,39 +78,10 @@ _CHAIN = 16  # operands of one + or * chain
 
 _PY_REL = {Rel.LT: "<", Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=", Rel.EQ: "==", Rel.NE: "!="}
 
-_FORMULA_TYPES = (Atom, Not, And, Or, BoolVar, BoolConst, Implies, Iff, Xor, DistinctF)
-
 
 def _distinct(*values) -> bool:
     return len(set(values)) == len(values)
 
-
-def _pair(node) -> tuple:
-    return (node.lhs, node.rhs)
-
-
-def _args(node) -> tuple:
-    return node.args
-
-
-# Child nodes of each inner node type, in the order of `terms.iter_nodes`.
-_CHILDREN = {
-    Atom: _pair,
-    Implies: _pair,
-    Iff: _pair,
-    Xor: _pair,
-    Sub: _pair,
-    And: _args,
-    Or: _args,
-    DistinctF: _args,
-    Add: _args,
-    Mul: _args,
-    Not: lambda n: (n.arg,),
-    FunApp: lambda n: (n.arg,),
-    Ite: lambda n: (n.cond, n.then, n.orelse),
-    Select: lambda n: (n.array, n.index),
-    Store: lambda n: (n.array, n.index, n.value),
-}
 
 # Python text of each inner node type, except + and *, over its children's
 # texts; a function application's first text is the function symbol.
@@ -126,13 +102,6 @@ _TEMPLATES = {
 }
 
 _SYMBOL_FIELD = {IntVar: "ints", BoolVar: "bools", ArrayVar: "funcs"}  # Model field of each symbol type
-
-
-def _children(node) -> tuple:
-    try:
-        return _CHILDREN[type(node)](node)
-    except KeyError:
-        raise TypeError(f"not a term or formula: {node!r}") from None
 
 
 # A piece of generated code: (text, operator nesting depth, symbols read
@@ -224,7 +193,7 @@ class _Codegen:
         leaf = self._leaf(node)
         if leaf is not None:
             return leaf
-        kids = [self.expression(k) for k in _children(node)]
+        kids = [self.expression(k) for k in children(node)]
         piece = self._combine(node, kids)
         while piece[1] > _MAX_DEPTH:
             deepest = max(range(len(kids)), key=lambda i: kids[i][1])
@@ -303,11 +272,11 @@ def compile_node_values(f: Formula):
         index = next(preorder)
         piece = gen._leaf(node)
         if piece is None:
-            expr, _, expr_reads = gen._combine(node, [visit(k) for k in _children(node)])
+            expr, _, expr_reads = gen._combine(node, [visit(k) for k in children(node)])
             body.append(f"n{index} = {expr}")
             piece = (f"n{index}", 0, expr_reads)
         reads |= piece[2]
-        if isinstance(node, _FORMULA_TYPES):
+        if isinstance(node, FORMULA_TYPES):
             bools.append((index, piece[0]))
         elif sort_of(node) == Sort.INT:
             ints.append((index, piece[0]))

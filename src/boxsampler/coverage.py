@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .compiled import compile_node_values
 from .errors import BitmapMismatch
-from .terms import Formula, Model, Sort, iter_nodes, sort_of
+from .terms import TERM_TYPES, Formula, Model, Sort, iter_nodes, sort_of
 
 _WORD = (1 << 64) - 1
 
@@ -23,9 +23,7 @@ MAGIC = b"MGACOV1"
 
 
 def _node_width(node) -> int:
-    from .terms import _TERM_TYPES
-
-    if isinstance(node, _TERM_TYPES):
+    if isinstance(node, TERM_TYPES):
         return 64 if sort_of(node) == Sort.INT else 0
     return 1  # formulas are boolean-sorted
 

@@ -35,7 +35,7 @@ from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
 from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
-from .errors import NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
+from .errors import BoxsamplerError, NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
 from .smtlib import Declaration, ParsedProblem
@@ -57,7 +57,7 @@ from .terms import (
     eval_term,
     free_symbols,
     fun_names,
-    iter_term_nodes,
+    iter_nodes,
     preprocess,
     to_nnf,
 )
@@ -260,7 +260,7 @@ def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
             int_steps.append((key.name, *_clamp(interval, seed.int_value(key.name), width)))
         else:
             index = select_index(key)
-            depth = sum(1 for t in iter_term_nodes(index) if is_select_like(t))
+            depth = sum(1 for t in iter_nodes(index) if is_select_like(t))
             step = (select_symbol(key), index, interval, *_clamp(interval, eval_term(key, seed), width))
             nested.append((depth, step))
     nested.sort(key=lambda pair: pair[0])
@@ -338,6 +338,11 @@ def restrict_to_problem(sample: Model, problem: ParsedProblem) -> Model:
     return out
 
 
+# The value of a symbol a sample omits, by sort; function values are never
+# changed in place, so one constant-0 function serves every sample.
+_ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
+
+
 class SampleLayout:
     """A sample of a problem as a flat tuple of values, one per declaration
     in declaration order: ints, bools, and :class:`FuncValue` objects for
@@ -347,16 +352,14 @@ class SampleLayout:
         self.declarations = list(declarations)
         self.names = [d.name for d in declarations]
         self.slot = {name: i for i, name in enumerate(self.names)}
+        self.sorts = [Sort.ARRAY if d.is_function else d.sort for d in declarations]
+        self.zeros = tuple(_ZERO[sort] for sort in self.sorts)
         self.ints: list[tuple[str, int]] = []
         self.bools: list[tuple[str, int]] = []
         self.funcs: list[tuple[str, int]] = []
-        for i, d in enumerate(declarations):
-            if d.is_function or d.sort == Sort.ARRAY:
-                self.funcs.append((d.name, i))
-            elif d.sort == Sort.INT:
-                self.ints.append((d.name, i))
-            else:
-                self.bools.append((d.name, i))
+        groups = {Sort.INT: self.ints, Sort.BOOL: self.bools, Sort.ARRAY: self.funcs}
+        for i, (name, sort) in enumerate(zip(self.names, self.sorts)):
+            groups[sort].append((name, i))
 
     def predicate(self, formula: Formula):
         """`pred(*values)`: the truth value of `formula` under a vector."""
@@ -365,13 +368,30 @@ class SampleLayout:
     def vector(self, sample: Model) -> tuple:
         """The values of the declared symbols in `sample`; a missing one is
         0, false or the constant-0 function, as in :func:`restrict_to_problem`."""
-        values: list = [None] * len(self.names)
-        for name, i in self.ints:
-            values[i] = sample.ints.get(name, 0)
-        for name, i in self.bools:
-            values[i] = sample.bools.get(name, False)
-        for name, i in self.funcs:
-            values[i] = sample.funcs.get(name, FuncValue(0))
+        fields = {Sort.INT: sample.ints, Sort.BOOL: sample.bools, Sort.ARRAY: sample.funcs}
+        return tuple(fields[sort].get(name, _ZERO[sort]) for name, sort in zip(self.names, self.sorts))
+
+    def from_json(self, obj: dict) -> tuple:
+        """The vector of a JSON assignment as `cli run` writes samples: a
+        number or truth value per scalar symbol, a default/exceptions object
+        per array or function; an omitted symbol is 0, false or the
+        constant-0 function, as in :meth:`vector`."""
+        values = list(self.zeros)
+        slot, sorts = self.slot, self.sorts
+        for name, value in obj.items():
+            i = slot.get(name)
+            if i is None:
+                raise BoxsamplerError(f"unknown symbol {name!r} in assignment")
+            sort = sorts[i]
+            if sort is Sort.INT:
+                values[i] = int(value)
+            elif sort is Sort.BOOL:
+                values[i] = bool(value)
+            elif isinstance(value, dict):
+                exceptions = {int(k): int(v) for k, v in value.get("exceptions", {}).items()}
+                values[i] = FuncValue(int(value.get("default", 0)), exceptions)
+            else:
+                raise BoxsamplerError(f"array symbol {name!r} needs a default/exceptions object")
         return tuple(values)
 
     def key(self, values: tuple) -> tuple:
@@ -419,7 +439,8 @@ def epoch_drawer(
     :func:`sample_intervals` (a box without select-like keys) and consumes
     the same random numbers; that reference chain stays for the tests and
     the benchmark's span tracer, not for sampling."""
-    frame = SampleLayout(layout.declarations + _seed_declarations(seed, layout.slot))
+    undeclared = _seed_declarations(seed, layout.slot)
+    frame = SampleLayout(layout.declarations + undeclared) if undeclared else layout
     slot = frame.slot
     int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
     int_plan = [(slot[name], lo, points) for name, lo, points in int_steps]
@@ -457,7 +478,7 @@ def exploit_epoch(
     iv: IntervalMap,
     seed: Model,
     pred: Callable[..., bool],
-    problem: ParsedProblem,
+    layout: SampleLayout,
     dedup: DedupSet,
     cfg: SamplerConfig,
     rng: random.Random,
@@ -468,10 +489,9 @@ def exploit_epoch(
 ) -> EpochResult:
     """Run up to n sampling rounds of k draws, stopping early when the rate
     of new unique samples in a round drops below the threshold.  Each draw
-    is a vector of the problem's :class:`SampleLayout`, checked with
-    `pred`, the input formula compiled by :meth:`SampleLayout.predicate`,
-    and deduplicated by its key; only fresh samples become Models."""
-    layout = SampleLayout(problem.declarations)
+    is a vector of the run's `layout`, checked with `pred`, the input
+    formula compiled by :meth:`SampleLayout.predicate`, and deduplicated by
+    its key; only fresh samples become Models."""
     draw = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)
     key_of = layout.key if layout.funcs else None
     model_of = layout.model
@@ -601,7 +621,7 @@ def sample_formula(
             iv,
             seed,
             pred,
-            problem,
+            layout,
             dedup,
             cfg,
             rng,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .terms import (
+    FORMULA_TYPES,
     Add,
     And,
     ArrayVar,
@@ -310,7 +311,7 @@ class _Parser:
 
     @staticmethod
     def _is_formula(x) -> bool:
-        return isinstance(x, (Atom, Not, And, Or, BoolVar, BoolConst, Implies, Iff, Xor, DistinctF))
+        return isinstance(x, FORMULA_TYPES)
 
     def _expr(self, s: _SExpr, env: dict[str, Term | Formula]):
         if s.is_atom:

@@ -5,13 +5,19 @@ can serve as dictionary keys and set members (interval maps, sets of seen
 literals) and be shared freely.  Models are plain value objects: integers for scalar variables and
 finite default-plus-exceptions functions for arrays and unary uninterpreted
 functions.
+
+Node structure.  One table lists each node type's children in pre-order
+(an ``Ite``: condition, then, else); :func:`children` reads it, and the
+structural walks derive from it: :func:`iter_nodes`, whose numbering
+coverage bitmaps and :mod:`.compiled` share, and :func:`replace`.
+Evaluation, printing, preprocessing and NNF stay written per type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, Union, get_args
 
 from .errors import UnassignedSymbol, UnsupportedFeature
 
@@ -122,6 +128,7 @@ class ArrayVar:
 
 
 Term = Union[IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, FunApp, ArrayVar]
+TERM_TYPES = get_args(Term)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +207,7 @@ class DistinctF:
 
 
 Formula = Union[Atom, Not, And, Or, BoolVar, BoolConst, Implies, Iff, Xor, DistinctF]
+FORMULA_TYPES = get_args(Formula)
 
 
 def conj(args) -> Formula:
@@ -453,128 +461,106 @@ def preprocess(f: Formula) -> Formula:
         ]
         return preprocess(conj(pairs)) if pairs else TRUE
     if isinstance(f, Atom):
-        ite = _find_ite(f.lhs) or _find_ite(f.rhs)
+        ite = next((n for n in iter_nodes(f) if isinstance(n, Ite)), None)
         if ite is None:
             return f
         cond = preprocess(ite.cond)
-        then_atom = Atom(f.rel, replace_term(f.lhs, ite, ite.then), replace_term(f.rhs, ite, ite.then))
-        else_atom = Atom(f.rel, replace_term(f.lhs, ite, ite.orelse), replace_term(f.rhs, ite, ite.orelse))
+        then_atom = replace(f, ite, ite.then)
+        else_atom = replace(f, ite, ite.orelse)
         return Or((And((cond, preprocess(then_atom))), And((Not(cond), preprocess(else_atom)))))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _find_ite(t: Term) -> Ite | None:
-    if isinstance(t, Ite):
-        return t
-    for child in term_children(t):
-        found = _find_ite(child)
-        if found is not None:
-            return found
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Traversal and substitution helpers
+# Node structure: one child table, and the walks derived from it
 
 
-def term_children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (IntConst, IntVar, ArrayVar)):
-        return ()
-    if isinstance(t, (Add, Mul)):
-        return t.args
-    if isinstance(t, Sub):
-        return (t.lhs, t.rhs)
-    if isinstance(t, Ite):
-        return (t.then, t.orelse)
-    if isinstance(t, Select):
-        return (t.array, t.index)
-    if isinstance(t, Store):
-        return (t.array, t.index, t.value)
-    if isinstance(t, FunApp):
-        return (t.arg,)
-    raise TypeError(f"not a term: {t!r}")
+def _none(node) -> tuple:
+    return ()
 
 
-def replace_term(t: Term, target: Term, repl: Term) -> Term:
-    """Syntactically replace every occurrence of `target` inside `t`."""
-    if t == target:
+def _pair(node) -> tuple:
+    return (node.lhs, node.rhs)
+
+
+def _args(node) -> tuple:
+    return node.args
+
+
+# Children of each node type, in pre-order.
+_CHILD_TABLE = {
+    IntConst: _none,
+    IntVar: _none,
+    ArrayVar: _none,
+    BoolVar: _none,
+    BoolConst: _none,
+    Atom: _pair,
+    Implies: _pair,
+    Iff: _pair,
+    Xor: _pair,
+    Sub: _pair,
+    And: _args,
+    Or: _args,
+    DistinctF: _args,
+    Add: _args,
+    Mul: _args,
+    Not: lambda n: (n.arg,),
+    FunApp: lambda n: (n.arg,),
+    Ite: lambda n: (n.cond, n.then, n.orelse),
+    Select: lambda n: (n.array, n.index),
+    Store: lambda n: (n.array, n.index, n.value),
+}
+
+_VARIADIC = (And, Or, DistinctF, Add, Mul)
+
+
+def children(node) -> tuple:
+    """The child nodes of a term or formula, in pre-order; () for a leaf."""
+    try:
+        return _CHILD_TABLE[type(node)](node)
+    except KeyError:
+        raise TypeError(f"not a term or formula: {node!r}") from None
+
+
+def iter_nodes(node) -> Iterator[Union[Formula, Term]]:
+    """Deterministic pre-order walk over a term or formula and every node
+    below it, the conditions of ites included."""
+    table = _CHILD_TABLE  # the lookup of `children`, inlined: this walk is hot
+    stack = [node]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        try:
+            kids = table[type(node)](node)
+        except KeyError:
+            raise TypeError(f"not a term or formula: {node!r}") from None
+        if kids:
+            push(reversed(kids))
+
+
+def replace(node, target: Term, repl: Term):
+    """`node` with every occurrence of `target` replaced by `repl`, the
+    conditions of ites included."""
+    kind = type(node)
+    if kind is type(target) and node == target:
         return repl
-    if isinstance(t, (IntConst, IntVar, ArrayVar)):
-        return t
-    if isinstance(t, Add):
-        return Add(tuple(replace_term(a, target, repl) for a in t.args))
-    if isinstance(t, Mul):
-        return Mul(tuple(replace_term(a, target, repl) for a in t.args))
-    if isinstance(t, Sub):
-        return Sub(replace_term(t.lhs, target, repl), replace_term(t.rhs, target, repl))
-    if isinstance(t, Ite):
-        return Ite(t.cond, replace_term(t.then, target, repl), replace_term(t.orelse, target, repl))
-    if isinstance(t, Select):
-        return Select(replace_term(t.array, target, repl), replace_term(t.index, target, repl))
-    if isinstance(t, Store):
-        return Store(
-            replace_term(t.array, target, repl),
-            replace_term(t.index, target, repl),
-            replace_term(t.value, target, repl),
-        )
-    if isinstance(t, FunApp):
-        return FunApp(t.fname, replace_term(t.arg, target, repl))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def replace_in_formula(f: Formula, target: Term, repl: Term) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.rel, replace_term(f.lhs, target, repl), replace_term(f.rhs, target, repl))
-    if isinstance(f, Not):
-        return Not(replace_in_formula(f.arg, target, repl))
-    if isinstance(f, And):
-        return And(tuple(replace_in_formula(a, target, repl) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(replace_in_formula(a, target, repl) for a in f.args))
-    if isinstance(f, (BoolVar, BoolConst)):
-        return f
-    if isinstance(f, DistinctF):
-        return DistinctF(tuple(replace_term(a, target, repl) for a in f.args))
-    if isinstance(f, (Implies, Iff, Xor)):
-        return type(f)(replace_in_formula(f.lhs, target, repl), replace_in_formula(f.rhs, target, repl))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def iter_nodes(f: Formula) -> Iterator[Union[Formula, Term]]:
-    """Deterministic pre-order walk over formula and term nodes."""
-    yield f
-    if isinstance(f, Atom):
-        yield from iter_term_nodes(f.lhs)
-        yield from iter_term_nodes(f.rhs)
-    elif isinstance(f, Not):
-        yield from iter_nodes(f.arg)
-    elif isinstance(f, (And, Or)):
-        for a in f.args:
-            yield from iter_nodes(a)
-    elif isinstance(f, (Implies, Iff, Xor)):
-        yield from iter_nodes(f.lhs)
-        yield from iter_nodes(f.rhs)
-    elif isinstance(f, DistinctF):
-        for a in f.args:
-            yield from iter_term_nodes(a)
-
-
-def iter_term_nodes(t: Term) -> Iterator[Union[Formula, Term]]:
-    """Deterministic pre-order walk over a term and its nodes: its
-    subterms, and the nodes of the conditions of its ites."""
-    yield t
-    if isinstance(t, Ite):
-        yield from iter_nodes(t.cond)
-    for child in term_children(t):
-        yield from iter_term_nodes(child)
-
-
-_TERM_TYPES = (IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, FunApp, ArrayVar)
+    kids = children(node)
+    if not kids:
+        return node
+    new = [replace(k, target, repl) for k in kids]
+    if kind is Atom:
+        return Atom(node.rel, *new)
+    if kind is FunApp:
+        return FunApp(node.fname, *new)
+    if kind in _VARIADIC:
+        return kind(tuple(new))
+    return kind(*new)
 
 
 def iter_subterms(f: Formula) -> Iterator[Term]:
     for node in iter_nodes(f):
-        if isinstance(node, _TERM_TYPES):
+        if isinstance(node, TERM_TYPES):
             yield node
 
 

@@ -37,7 +37,7 @@ from boxsampler.terms import (
     eval_formula,
     eval_term,
     iter_subterms,
-    replace_in_formula,
+    replace,
     sort_of,
 )
 from oracle import (
@@ -380,7 +380,7 @@ def _pipeline_case(rng):
         f = random_array_formula(rng, ints, arrs, funs, 3)
         if rng.random() < 0.5:
             idx = random_array_term(rng, ints, ["b"], funs, 1)
-            f = replace_in_formula(f, A, Store(A, idx, IntConst(rng.randint(-3, 3))))
+            f = replace(f, A, Store(A, idx, IntConst(rng.randint(-3, 3))))
         roll = rng.random()
         if roll < 0.4:
             lhs = A

@@ -4,17 +4,23 @@ import dataclasses
 import json
 import sys
 
-from boxsampler.cli import EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
-from boxsampler.sampler import RunStats
+import pytest
+
+from boxsampler.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
+from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
 from boxsampler.terms import eval_formula
-from boxsampler.cli import model_from_json
 
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
 
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def model_from_line(obj: dict, problem):
+    layout = SampleLayout(problem.declarations)
+    return layout.model(layout.from_json(obj))
 
 
 def _run_intro(data_dir, tmp_path, *extra, samples="s.jsonl", seed='{"x": 12, "y": 2}'):
@@ -45,7 +51,7 @@ class TestRun:
         seen = set()
         for line in lines:
             obj = json.loads(line)
-            model = model_from_json(obj, problem)
+            model = model_from_line(obj, problem)
             assert eval_formula(problem.assertion, model)
             seen.add(line)
         assert len(seen) == 50
@@ -118,7 +124,7 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert len(lines) == 30
         for line in lines:
-            assert eval_formula(problem.assertion, model_from_json(json.loads(line), problem))
+            assert eval_formula(problem.assertion, model_from_line(json.loads(line), problem))
 
     def test_array_run_with_injected_seed(self, data_dir, tmp_path):
         out = tmp_path / "arr.jsonl"
@@ -135,7 +141,7 @@ class TestRun:
         assert code == EXIT_OK
         problem = parse_problem((data_dir / "toy_array.smt2").read_text())
         for line in out.read_text().splitlines():
-            assert eval_formula(problem.assertion, model_from_json(json.loads(line), problem))
+            assert eval_formula(problem.assertion, model_from_line(json.loads(line), problem))
 
 
 class TestVerify:
@@ -165,6 +171,63 @@ class TestVerify:
         empty.write_text("")
         assert run_cli("verify", empty, data_dir / "intro.smt2") == EXIT_OK
         assert "0 samples" in capsys.readouterr().out
+
+
+# Assignments `cli run --inject-seed` and `cli verify` read the same way.
+BAD_ASSIGNMENTS = [
+    ("intro.smt2", {"x": 12, "y": 2, "z": 0}, "unknown symbol 'z' in assignment"),
+    ("toy_array.smt2", {"i": 0, "a": 3}, "array symbol 'a' needs a default/exceptions object"),
+]
+
+
+class TestAssignments:
+    @pytest.mark.parametrize("name,obj,message", BAD_ASSIGNMENTS)
+    def test_verify_rejects(self, data_dir, tmp_path, capsys, name, obj, message):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(json.dumps(obj) + "\n")
+        assert run_cli("verify", samples, data_dir / name) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,obj,message", BAD_ASSIGNMENTS)
+    def test_inject_seed_rejects(self, data_dir, tmp_path, capsys, name, obj, message):
+        code = run_cli(
+            "run", data_dir / name, "--inject-seed", json.dumps(obj), "--max-samples", 5,
+            "--samples-out", tmp_path / "s.jsonl", "--solver-cmd", MINISOLVER_CMD,
+        )
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_verify_reads_omitted_symbols_as_zero(self, data_dir, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        lines = [{"x": 7}, {"x": 8}, {"x": 7, "y": 0}]  # x - 5y <= 7 needs y >= 1 at x = 8
+        samples.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        assert run_cli("verify", samples, data_dir / "intro.smt2") == EXIT_VIOLATIONS
+        assert "3 samples, 1 violations, 1 duplicates" in capsys.readouterr().out
+
+    def test_verify_reads_an_omitted_array_as_constant_zero(self, data_dir, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        lines = [{"i": 1}, {"i": 1, "a": {"default": 0, "exceptions": {"2": 0}}}, {"i": 2, "a": {"default": 6}}]
+        samples.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        assert run_cli("verify", samples, data_dir / "toy_array.smt2") == EXIT_VIOLATIONS
+        assert "3 samples, 1 violations, 1 duplicates" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,seed,code", [
+        ("intro.smt2", {"x": 7}, EXIT_OK),
+        ("intro.smt2", {"x": 8}, EXIT_ERROR),  # y = 0 violates x - 5y <= 7
+        ("toy_array.smt2", {"i": 2}, EXIT_OK),
+    ])
+    def test_inject_seed_reads_omitted_symbols_as_zero(self, data_dir, tmp_path, capsys, name, seed, code):
+        out = tmp_path / "s.jsonl"
+        assert run_cli(
+            "run", data_dir / name, "--inject-seed", json.dumps(seed), "--max-samples", 1,
+            "--samples-out", out, "--solver-cmd", MINISOLVER_CMD,
+        ) == code
+        if code == EXIT_OK:
+            problem = parse_problem((data_dir / name).read_text())
+            (line,) = out.read_text().splitlines()
+            assert eval_formula(problem.assertion, model_from_line(json.loads(line), problem))
+        else:
+            assert "injected seed does not satisfy the formula" in capsys.readouterr().err
 
 
 class TestMergeCoverage:

@@ -439,32 +439,35 @@ def _intro_parts():
 class TestExploitEpoch:
     def test_degenerate_box_stops_after_one_round(self):
         p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
         iv = IntervalMap({X: Interval(12, 12), Y: Interval(2, 2)})
         seed = Model(ints={"x": 12, "y": 2})
         epoch = exploit_epoch(
-            iv, seed, SampleLayout(p.declarations).predicate(f), p, DedupSet(10_000), cfg_of(), random.Random(0),
+            iv, seed, layout.predicate(f), layout, DedupSet(10_000), cfg_of(), random.Random(0),
         )
         assert len(epoch.fresh_samples) == 1
         assert epoch.stats.rounds_run == 1  # unique rate collapsed immediately
 
     def test_wide_box_runs_all_rounds(self):
         p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
         iv = IntervalMap({X: Interval(0, 15), Y: Interval(2, 10**6)})
         seed = Model(ints={"x": 12, "y": 2})
         cfg = cfg_of(rounds_per_epoch=5, samples_per_round=100, unique_rate_threshold=0.05)
         epoch = exploit_epoch(
-            iv, seed, SampleLayout(p.declarations).predicate(f), p, DedupSet(10_000), cfg, random.Random(0),
+            iv, seed, layout.predicate(f), layout, DedupSet(10_000), cfg, random.Random(0),
         )
         assert epoch.stats.rounds_run == 5
 
     def test_all_emitted_samples_fresh_and_satisfying(self):
         p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
         iv = IntervalMap({X: Interval(0, 15), Y: Interval(2, 40)})
         seed = Model(ints={"x": 12, "y": 2})
         dedup = DedupSet(10_000)
         cfg = cfg_of(rounds_per_epoch=3, samples_per_round=200)
         epoch = exploit_epoch(
-            iv, seed, SampleLayout(p.declarations).predicate(f), p, dedup, cfg, random.Random(5),
+            iv, seed, layout.predicate(f), layout, dedup, cfg, random.Random(5),
         )
         keys = [canonical_assignment(s) for s in epoch.fresh_samples]
         assert len(keys) == len(set(keys))

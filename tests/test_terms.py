@@ -1,5 +1,6 @@
 """Core AST: evaluation, NNF, preprocessing."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,15 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxsampler.errors import UnassignedSymbol, UnsupportedFeature
-from boxsampler.smtlib import parse_problem
+from boxsampler.smtlib import parse_problem, print_formula, print_term
 from boxsampler.terms import (
+    FORMULA_TYPES,
+    TERM_TYPES,
     Add,
     And,
     ArrayVar,
     Atom,
+    BoolConst,
     BoolVar,
     DistinctF,
+    FunApp,
     FuncValue,
+    Iff,
+    Implies,
     IntConst,
     IntVar,
     Ite,
@@ -27,13 +34,17 @@ from boxsampler.terms import (
     Select,
     Store,
     Sub,
+    Xor,
+    children,
     eval_formula,
     eval_term,
+    iter_nodes,
     literal_count,
     preprocess,
+    replace,
     to_nnf,
 )
-from oracle import env_of_model, iter_int_models, o_formula, random_formula
+from oracle import env_of_model, iter_int_models, o_formula, random_array_formula, random_formula
 
 X, Y = IntVar("x"), IntVar("y")
 
@@ -194,6 +205,15 @@ class TestPreprocess:
                     m = Model(ints={"x": xv}, bools={"b": bv, "c": cv})
                     assert eval_formula(f, m) == eval_formula(g, m)
 
+    def test_ite_shared_with_another_ites_condition(self):
+        low = Ite(Atom(Rel.LT, X, Y), X, Y)
+        sign = Ite(Atom(Rel.GE, low, IntConst(0)), IntConst(1), IntConst(-1))
+        f = Or((Atom(Rel.LE, Add((low, sign)), IntConst(1)), Atom(Rel.EQ, Mul((IntConst(2), sign)), low)))
+        g = preprocess(f)
+        assert not any(isinstance(n, Ite) for n in iter_nodes(g))
+        for m in iter_int_models(["x", "y"], -3, 3):
+            assert eval_formula(f, m) == eval_formula(g, m)
+
     def test_nnf_requires_core(self):
         with pytest.raises(UnsupportedFeature):
             to_nnf(DistinctF((X, Y, IntVar("z"))))
@@ -213,3 +233,78 @@ class TestConstruction:
     def test_func_value_canonical(self):
         assert FuncValue(0, {3: 0}) == FuncValue(0)
         assert FuncValue(1, {3: 0}).exceptions == {3: 0}
+
+
+def _every_node_type_formulas() -> list:
+    """Seeded formulas that hold every term and formula type."""
+    rng = random.Random(7)
+    x, y, a, b = X, Y, ArrayVar("a"), ArrayVar("b")
+    p, q = BoolVar("p"), BoolVar("q")
+    out = []
+    for _ in range(40):
+        f = random_array_formula(rng, ["x", "y"], ["a", "b"], ["f"], 3)
+        g = random_array_formula(rng, ["x", "y"], ["a", "b"], ["f"], 1)
+        ite = Ite(Or((p, g)), Sub(x, y), Select(Store(a, x, IntConst(rng.randint(-3, 3))), y))
+        out.append(
+            And(
+                (
+                    Implies(p, f),
+                    Iff(Not(q), Atom(Rel.EQ, Store(a, ite, y), b)),
+                    Xor(BoolConst(rng.random() < 0.5), DistinctF((x, ite, FunApp("f", Mul((IntConst(2), ite)))))),
+                )
+            )
+        )
+    return out
+
+
+class TestNodeStructure:
+    def test_children_in_preorder(self):
+        cond = Atom(Rel.LT, X, Y)
+        assert children(Ite(cond, X, Y)) == (cond, X, Y)
+        assert children(Atom(Rel.LE, X, IntConst(1))) == (X, IntConst(1))
+        assert children(Store(ArrayVar("a"), X, Y)) == (ArrayVar("a"), X, Y)
+        assert children(FunApp("f", X)) == (X,)
+        assert children(DistinctF((X, Y, X))) == (X, Y, X)
+
+    def test_leaves_have_no_children_and_other_values_raise(self):
+        for leaf in (IntConst(1), X, ArrayVar("a"), BoolVar("b"), BoolConst(True)):
+            assert children(leaf) == ()
+            assert list(iter_nodes(leaf)) == [leaf]
+        for value in (3, "x", None, (X, Y)):
+            with pytest.raises(TypeError):
+                children(value)
+            with pytest.raises(TypeError):
+                list(iter_nodes(value))
+
+    def test_node_order_matches_pinned_digest(self):
+        """Coverage bitmaps number nodes in this order, so it is a file
+        format: the digest was taken before the child table moved here."""
+        digest = hashlib.sha256()
+        kinds = set()
+        for f in _every_node_type_formulas():
+            for node in iter_nodes(f):
+                text = print_term(node) if isinstance(node, TERM_TYPES) else print_formula(node)
+                digest.update(f"{type(node).__name__} {text}\n".encode())
+                kinds.add(type(node))
+        assert kinds == set(TERM_TYPES + FORMULA_TYPES)
+        assert digest.hexdigest() == "06394cc55aa0dd364ae886ffa31aeaee00ca9f76326b4f80dec015311ee9724a"
+
+    def test_replace_reaches_ite_conditions_and_rebuilds(self):
+        z, b = IntVar("z"), BoolVar("b")
+
+        def build(v):
+            cond = And((Atom(Rel.EQ, v, Y), Not(b)))
+            return Or(
+                (
+                    Atom(Rel.LT, FunApp("h", Add((v, IntConst(1)))), Ite(cond, Mul((IntConst(2), v)), Sub(v, Y))),
+                    DistinctF((v, Y, Select(Store(ArrayVar("a"), v, Y), v))),
+                    Implies(b, Atom(Rel.GE, v, IntConst(0))),
+                )
+            )
+
+        assert replace(build(X), X, z) == build(z)
+        assert replace(build(X), IntVar("w"), z) == build(X)
+
+    def test_replace_flattens_rebuilt_sums(self):
+        assert replace(Add((X, IntConst(1))), X, Add((Y, Y))) == Add((Y, Y, IntConst(1)))
+        assert replace(Atom(Rel.NE, X, IntConst(0)), X, Y) == Atom(Rel.NE, Y, IntConst(0))
