@@ -23,12 +23,14 @@ class NotAModel(BoxsamplerError):
 
 
 class SmtSyntaxError(BoxsamplerError):
-    """Malformed SMT-LIB input."""
+    """Malformed SMT-LIB input: `message` about the token at `offset` of
+    `text`, which starts on `line` (counted from 1) at `col` (from 0)."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+    def __init__(self, message: str, text: str, offset: int):
+        self.offset = offset
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset) - 1
+        super().__init__(f"{self.line}:{self.col}: {message}")
 
 
 class NegativeSlack(BoxsamplerError):

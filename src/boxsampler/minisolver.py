@@ -8,6 +8,12 @@ scans over growing integer boxes; unsat is only claimed when the feasible
 box was provably finite and fully scanned.  MAX-Solve scans the same region
 and keeps the best soft-constraint score.  Everything is deterministic.
 
+The input is read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`,
+which frames and reads each command in one pass as soon as it is complete.
+Assertions must be Bool, as in :func:`smtlib.parse_problem`.  A stray ")"
+and every rejected command get an ``(error "...")`` reply, with quotes
+doubled, and reading goes on.
+
 Every scan checks points with one predicate per query,
 :func:`compiled.compile_predicate` over the declared symbols, which takes a
 point's values positionally.  For a query over arrays or functions, the
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
-from .smtlib import Declaration, _Parser, _print_sym, _read_sexprs, print_term, sexpr_end
+from .smtlib import Declaration, Parser, _print_sym, print_term, read_sexpr
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
 from .terms import (
     And,
@@ -431,13 +437,18 @@ class LocalSolverClient(SolverClient):
 class _Session:
     def __init__(self, out):
         self.out = out
-        self.parser = _Parser()
+        self.parser = Parser()
         self.frames: list[tuple[list[Formula], list[tuple[Formula, int]]]] = [([], [])]
         self.last_model: Model | None = None
 
     def emit(self, text: str):
         self.out.write(text + "\n")
         self.out.flush()
+
+    def error(self, message: str):
+        """Reply `(error "message")`, with each quote of `message` doubled
+        as SMT-LIB escapes it, so that the reply reads as one s-expression."""
+        self.emit('(error "' + message.replace('"', '""') + '")')
 
     @property
     def hard(self) -> list[Formula]:
@@ -447,11 +458,12 @@ class _Session:
     def soft(self) -> list[tuple[Formula, int]]:
         return [s for frame in self.frames for s in frame[1]]
 
-    def handle(self, sexpr) -> bool:
-        """Process one command; returns False on exit."""
+    def handle(self, sexpr, text: str) -> bool:
+        """Process one command, read from `text`; returns False on exit."""
         if sexpr.is_atom or not sexpr.items or not sexpr.items[0].is_atom:
-            self.emit('(error "expected a command")')
+            self.error("expected a command")
             return True
+        self.parser.text = text
         head = sexpr.items[0].text
         args = sexpr.items[1:]
         try:
@@ -460,7 +472,7 @@ class _Session:
             if head in ("set-logic", "set-info", "set-option", "echo"):
                 return True
             if head == "reset":
-                self.parser = _Parser()
+                self.parser = Parser()
                 self.frames = [([], [])]
                 self.last_model = None
                 return True
@@ -474,14 +486,13 @@ class _Session:
                         self.frames.pop()
                 return True
             if head in ("declare-const", "declare-fun", "define-fun"):
-                self.parser._command(sexpr)
+                self.parser.command(sexpr)
                 return True
             if head == "assert":
-                f = self.parser._expr(args[0], {})
-                self.frames[-1][0].append(f)
+                self.frames[-1][0].append(self.parser.formula(sexpr, args[0]))
                 return True
             if head == "assert-soft":
-                f = self.parser._expr(args[0], {})
+                f = self.parser.formula(sexpr, args[0])
                 weight = 1
                 rest = list(args[1:])
                 while rest:
@@ -498,13 +509,13 @@ class _Session:
                 return True
             if head == "get-model":
                 if self.last_model is None:
-                    self.emit('(error "no model available")')
+                    self.error("no model available")
                 else:
                     self.emit(_format_model(self.last_model, list(self.parser.decls.values())))
                 return True
-            self.emit(f'(error "unsupported command {head}")')
+            self.error(f"unsupported command {head}")
         except (SmtSyntaxError, UnsupportedFeature, ValueError, IndexError) as exc:
-            self.emit(f'(error "{exc}")')
+            self.error(str(exc))
         return True
 
 
@@ -541,16 +552,19 @@ def main(argv=None) -> int:
     buffer = ""
     for line in sys.stdin:
         buffer += line
-        while (end := sexpr_end(buffer)) is not None:
-            command, buffer = buffer[:end], buffer[end:]
+        while True:
             try:
-                exprs = _read_sexprs(command)
-            except SmtSyntaxError as exc:
-                session.emit(f'(error "{exc}")')
+                read = read_sexpr(buffer)
+            except SmtSyntaxError as exc:  # a stray ")": reported, and read past
+                session.error(str(exc))
+                buffer = buffer[exc.offset + 1 :]
                 continue
-            for sexpr in exprs:
-                if not session.handle(sexpr):
-                    return 0
+            if read is None:
+                break
+            sexpr, end = read
+            if not session.handle(sexpr, buffer):
+                return 0
+            buffer = buffer[end:]
     return 0
 
 

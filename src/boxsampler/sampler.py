@@ -4,8 +4,8 @@ Each epoch grabs a fresh seed model from the solver (randomized MAX-SMT or
 blocking), extracts an implicant of the formula around the seed, shrinks it
 to interval bounds, and then draws many cheap samples from the box.  Every
 emitted sample is re-verified against the input formula and deduplicated
-run-wide.  Interval formulas accumulate so the blocking strategy can steer
-later seeds away from already-covered regions.
+run-wide.  The blocking strategy keeps the negation of every box
+(:class:`BlockingHistory`) to steer later seeds away from covered regions.
 
 Draws are flat tuples of values, one per declaration in declaration order
 (:class:`SampleLayout`).  One routine, :func:`epoch_drawer`, draws every
@@ -158,19 +158,26 @@ def canonical_assignment(sample: Model) -> tuple:
 # Seed procedures
 
 
-def _request_declarations(problem: ParsedProblem, extra_formulas: list[Formula]) -> list[Declaration]:
-    decls = list(problem.declarations)
-    known = {d.name for d in decls}
-    for f in extra_formulas:
-        for name, sort in free_symbols(f).items():
-            if name not in known:
-                known.add(name)
-                decls.append(Declaration(name, sort))
-        for name in fun_names(f):
-            if name not in known:
-                known.add(name)
-                decls.append(Declaration(name, Sort.INT, is_function=True))
-    return decls
+class BlockingHistory:
+    """The boxes that blocking seeds must leave.  Each box is negated once,
+    when it is added; `declarations` holds the problem's declarations and
+    then those of the symbols that only the negations name."""
+
+    def __init__(self, problem: ParsedProblem):
+        self.problem = problem
+        self.clear()
+
+    def clear(self) -> None:
+        self.negations: list[Formula] = []
+        self.declarations = {d.name: d for d in self.problem.declarations}
+
+    def add(self, iv: IntervalMap) -> None:
+        negation = neg_to_formula(iv)
+        self.negations.append(negation)
+        for name, sort in free_symbols(negation).items():
+            self.declarations.setdefault(name, Declaration(name, sort))
+        for name in fun_names(negation):
+            self.declarations.setdefault(name, Declaration(name, Sort.INT, is_function=True))
 
 
 def get_seed_random(
@@ -192,25 +199,19 @@ def get_seed_random(
     return verdict.model, verdict
 
 
-def get_seed_blocking(
-    problem: ParsedProblem,
-    formula: Formula,
-    client: SolverClient,
-    accumulated: list[IntervalMap],
-) -> tuple[Model, bool, int]:
-    """Seed outside every accumulated interval box; on failure the history is
+def get_seed_blocking(formula: Formula, client: SolverClient, history: BlockingHistory) -> tuple[Model, bool, int]:
+    """Seed outside every box of the history; on failure the history is
     cleared and the search restarts from the plain formula.  Returns the
     seed, whether a reset happened, and the number of solver calls."""
-    blocking = [neg_to_formula(iv) for iv in accumulated]
-    req = SolverRequest(_request_declarations(problem, blocking), [formula] + blocking, [])
+    req = SolverRequest(list(history.declarations.values()), [formula, *history.negations], [])
     verdict = client.solve(req)
     calls = 1
     if verdict.is_sat:
         return verdict.model, False, calls
     if verdict.kind not in (VerdictKind.UNSAT, VerdictKind.UNKNOWN):
         raise SolverFailure(verdict.reason or verdict.kind.value)
-    accumulated.clear()
-    verdict = client.solve(SolverRequest(list(problem.declarations), [formula], []))
+    history.clear()
+    verdict = client.solve(SolverRequest(list(history.problem.declarations), [formula], []))
     calls += 1
     if verdict.kind == VerdictKind.UNSAT:
         raise UnsatFormula("input formula is unsatisfiable")
@@ -568,7 +569,7 @@ def sample_formula(
     layout = SampleLayout(problem.declarations)
     pred = layout.predicate(formula)
     dedup = DedupSet(cfg.dedup_cap)
-    accumulated: list[IntervalMap] = []
+    history = BlockingHistory(problem) if cfg.strategy == "blocking" else None
     injected = cfg.inject_seed
 
     while True:
@@ -587,8 +588,8 @@ def sample_formula(
         elif client is None:
             stats.stop_reason = "no solver configured"
             break
-        elif cfg.strategy == "blocking":
-            seed, was_reset, calls = get_seed_blocking(problem, formula, client, accumulated)
+        elif history is not None:
+            seed, was_reset, calls = get_seed_blocking(formula, client, history)
             stats.solver_calls += calls
             if was_reset:
                 stats.blocking_resets += 1
@@ -610,6 +611,8 @@ def sample_formula(
             iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
         else:
             iv = strengthen_mod.product_to_intervals(product, seed)
+        if history is not None:
+            history.add(iv)
         phase["strengthen"] += time.monotonic() - t0
 
         if not contains(iv, seed):
@@ -634,7 +637,6 @@ def sample_formula(
         stats.epochs += 1
         stats.unique_samples += len(epoch.fresh_samples)
         stats.clashes += epoch.stats.clashes
-        accumulated.append(iv)
 
         t0 = time.monotonic()
         if on_sample is not None:

@@ -1,6 +1,14 @@
 """SMT-LIB v2 reader and writer for the supported fragment.
 
-The reader handles set-logic, declare-fun / declare-const (Int, Bool,
+One reader, :func:`read_sexpr`, reads every s-expression of the package:
+input files (:func:`parse_problem`), solver replies (`solver`) and the
+commands of the `minisolver` pipe.  It follows the lexical rules of
+SMT-LIB 2.6 (``""`` is a quote inside a string, ``|...|`` a quoted
+symbol), says when a text holds no complete s-expression yet, and gives
+each node the offset it starts at, from which an error's line and column
+are derived.
+
+The parser handles set-logic, declare-fun / declare-const (Int, Bool,
 (Array Int Int), unary Int -> Int functions), zero-parameter define-fun
 (inlined), assert, and ignores set-info / set-option / check-sat / exit.
 let-bindings are inlined during parsing and named-assertion attributes are
@@ -65,147 +73,73 @@ class ParsedProblem:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / s-expression reader
+# Reader
 
-
-@dataclass
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str):
-    line, col = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield _Tok(ch, line, col)
-            col += 1
-            i += 1
-            continue
-        if ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtSyntaxError("unterminated quoted symbol", line, col)
-            yield _Tok(text[i : j + 1], line, col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise SmtSyntaxError("unterminated string literal", line, col)
-            yield _Tok(text[i : j + 1], line, col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        j = i
-        while j < n and text[j] not in " \t\r\n();|\"":
-            j += 1
-        yield _Tok(text[i:j], line, col)
-        col += j - i
-        i = j
-
-
-# A complete string (``""`` is an escaped quote), quoted symbol or bare atom,
-# as :func:`_tokenize` reads it.
-_ATOM_TOKEN = re.compile(r'''"[^"]*(?:""[^"]*)*"|\|[^|]*\||[^ \t\r\n();|"]+''')
-
-
-def sexpr_end(text: str) -> int | None:
-    """The offset just past the first complete top-level s-expression of
-    `text`, or None while there is none yet.  Comments, strings and quoted
-    symbols follow :func:`_tokenize`, so parentheses inside them do not
-    count (inside a list, the escaped quote ``""`` reads as a string that
-    ends and one that starts, which skips the same text).  A stray ``)`` is
-    an s-expression of its own: a reader reports it as unbalanced and
-    carries on after it."""
-    depth = 0
-    skip_to = None  # the character that ends the comment, string or quoted symbol being skipped
-    for i, ch in enumerate(text):
-        if skip_to is not None:
-            if ch == skip_to:
-                skip_to = None
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth <= 0:
-                return i + 1
-        elif ch in " \t\r\n":
-            pass
-        elif ch == ";":
-            skip_to = "\n"
-        elif depth:
-            if ch == '"' or ch == "|":
-                skip_to = ch
-        else:
-            token = _ATOM_TOKEN.match(text, i)  # None while a string or symbol is unterminated
-            return None if token is None else token.end()
-    return None
+# One token, after any whitespace and comments, as SMT-LIB 2.6 spells it:
+# group 1 is "(", group 2 is ")", group 3 a string (in which "" is a quote),
+# a quoted symbol or a bare atom, and group 4 the start of a string or
+# quoted symbol that the text does not close.  At the end of the text no
+# group matches.
+_TOKEN = re.compile(
+    r'(?:[ \t\r\n]++|;[^\n]*+)*+'
+    r'(?:(\()|(\))|("(?:[^"]|"")*+"|\|[^|]*+\||[^ \t\r\n();|"]++)|(["|]))?'
+)
 
 
 class _SExpr:
-    """Either an atom token or a parenthesized list of _SExpr."""
+    """An atom, whose `text` is its token, or a list of `items` (its `text`
+    is "("); `offset` is where it starts in the text it was read from."""
 
-    __slots__ = ("items", "tok")
+    __slots__ = ("items", "text", "offset")
 
-    def __init__(self, items, tok: _Tok):
+    def __init__(self, items, text: str, offset: int):
         self.items = items  # None for atoms
-        self.tok = tok
+        self.text = text
+        self.offset = offset
 
     @property
     def is_atom(self) -> bool:
         return self.items is None
 
-    @property
-    def text(self) -> str:
-        return self.tok.text
+
+def read_sexpr(text: str, pos: int = 0, final: bool = False) -> tuple[_SExpr, int] | None:
+    """The first complete s-expression at or after `pos` in `text`, and the
+    offset just past it; None while there is none, because the text ends
+    before one, or inside a list, string or quoted symbol.  With `final`,
+    the text is all there is, and ending inside an s-expression is an
+    error.  A ")" that closes no list is an error whose offset is the
+    ")", so that a reader of a stream can report it and go on after it."""
+    opens: list[_SExpr] = []
+    for token in _TOKEN.finditer(text, pos):
+        kind = token.lastindex
+        if kind == 1:
+            opens.append(_SExpr([], "(", token.start(1)))
+            continue
+        if kind == 3:
+            node = _SExpr(None, token[3], token.start(3))
+        elif kind == 2:
+            if not opens:
+                raise SmtSyntaxError("unbalanced ')'", text, token.start(2))
+            node = opens.pop()
+        elif final and kind == 4:
+            what = "string literal" if token[4] == '"' else "quoted symbol"
+            raise SmtSyntaxError(f"unterminated {what}", text, token.start(4))
+        elif final and opens:
+            raise SmtSyntaxError("unbalanced '('", text, opens[-1].offset)
+        else:
+            return None
+        if not opens:
+            return node, token.end()
+        opens[-1].items.append(node)
 
 
-def _read_sexprs(text: str) -> list[_SExpr]:
-    stack: list[list[_SExpr]] = [[]]
-    opens: list[_Tok] = []
-    try:
-        for tok in _tokenize(text):
-            if tok.text == "(":
-                stack.append([])
-                opens.append(tok)
-            elif tok.text == ")":
-                if len(stack) == 1:
-                    raise SmtSyntaxError("unbalanced ')'", tok.line, tok.col)
-                items = stack.pop()
-                stack[-1].append(_SExpr(items, opens.pop()))
-            else:
-                stack[-1].append(_SExpr(None, tok))
-    except RecursionError:  # pragma: no cover - defensive
-        raise SmtSyntaxError("input too deeply nested", 0, 0) from None
-    if len(stack) != 1:
-        tok = opens[-1]
-        raise SmtSyntaxError("unbalanced '('", tok.line, tok.col)
-    return stack[0]
+def read_sexprs(text: str) -> list[_SExpr]:
+    """Every s-expression of `text`."""
+    exprs, pos = [], 0
+    while (read := read_sexpr(text, pos, final=True)) is not None:
+        node, pos = read
+        exprs.append(node)
+    return exprs
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +170,40 @@ def _sym(name: str) -> str:
     return name
 
 
-class _Parser:
+class Parser:
+    """Turns commands into declarations and assertions.  `text` is the text
+    the commands were read from: errors give their line and column in it."""
+
     def __init__(self):
         self.logic: str | None = None
         self.decls: dict[str, Declaration] = {}
         self.macros: dict[str, Term | Formula] = {}
         self.assertions: list[Formula] = []
+        self.text = ""
+
+    def _error(self, message: str, s: _SExpr) -> SmtSyntaxError:
+        return SmtSyntaxError(message, self.text, s.offset)
 
     # -- commands ---------------------------------------------------------
 
     def run(self, text: str) -> ParsedProblem:
-        for sexpr in _read_sexprs(text):
-            self._command(sexpr)
+        self.text = text
+        for sexpr in read_sexprs(text):
+            self.command(sexpr)
         return ParsedProblem(
             self.logic, list(self.decls.values()), conj(self.assertions) if self.assertions else And(())
         )
 
-    def _command(self, s: _SExpr) -> None:
+    def command(self, s: _SExpr) -> None:
         if s.is_atom or not s.items or not s.items[0].is_atom:
-            raise SmtSyntaxError("expected a command", s.tok.line, s.tok.col)
+            raise self._error("expected a command", s)
         head = s.items[0].text
         args = s.items[1:]
         if head in ("set-info", "set-option", "check-sat", "exit", "get-model", "get-value", "echo"):
             return
         if head == "set-logic":
             if len(args) != 1 or not args[0].is_atom:
-                raise SmtSyntaxError("set-logic expects one symbol", s.tok.line, s.tok.col)
+                raise self._error("set-logic expects one symbol", s)
             logic = args[0].text
             if logic not in SUPPORTED_LOGICS:
                 raise UnsupportedFeature(f"unsupported logic {logic}")
@@ -269,17 +211,17 @@ class _Parser:
             return
         if head == "declare-const":
             if len(args) != 2 or not args[0].is_atom:
-                raise SmtSyntaxError("declare-const expects name and sort", s.tok.line, s.tok.col)
+                raise self._error("declare-const expects name and sort", s)
             self._declare(_sym(args[0].text), args[1], params=None)
             return
         if head == "declare-fun":
             if len(args) != 3 or not args[0].is_atom or args[1].is_atom:
-                raise SmtSyntaxError("declare-fun expects name, params, sort", s.tok.line, s.tok.col)
+                raise self._error("declare-fun expects name, params, sort", s)
             self._declare(_sym(args[0].text), args[2], params=args[1].items)
             return
         if head == "define-fun":
             if len(args) != 4 or not args[0].is_atom or args[1].is_atom:
-                raise SmtSyntaxError("define-fun expects name, params, sort, body", s.tok.line, s.tok.col)
+                raise self._error("define-fun expects name, params, sort, body", s)
             if args[1].items:
                 raise UnsupportedFeature("define-fun with parameters")
             body = self._expr(args[3], {})
@@ -287,15 +229,19 @@ class _Parser:
             return
         if head == "assert":
             if len(args) != 1:
-                raise SmtSyntaxError("assert expects one formula", s.tok.line, s.tok.col)
-            f = self._expr(args[0], {})
-            if not self._is_formula(f):
-                raise SmtSyntaxError("assert expects a Bool expression", s.tok.line, s.tok.col)
-            self.assertions.append(f)
+                raise self._error("assert expects one formula", s)
+            self.assertions.append(self.formula(s, args[0]))
             return
         if head in ("push", "pop", "declare-sort", "define-sort", "declare-datatypes", "reset"):
             raise UnsupportedFeature(f"command {head} is outside the supported subset")
         raise UnsupportedFeature(f"unknown command {head}")
+
+    def formula(self, command: _SExpr, s: _SExpr) -> Formula:
+        """`s`, the formula that `command` asserts, which must be a Bool."""
+        f = self._expr(s, {})
+        if not self._is_formula(f):
+            raise self._error("assert expects a Bool expression", command)
+        return f
 
     def _declare(self, name: str, sort_expr: _SExpr, params) -> None:
         if params:
@@ -318,16 +264,16 @@ class _Parser:
             return self._atom_expr(s, env)
         items = s.items
         if not items:
-            raise SmtSyntaxError("empty application", s.tok.line, s.tok.col)
+            raise self._error("empty application", s)
         if not items[0].is_atom:
-            raise SmtSyntaxError("expected an operator symbol", s.tok.line, s.tok.col)
+            raise self._error("expected an operator symbol", s)
         head = items[0].text
         args = items[1:]
         if head == "let":
             return self._let(s, env)
         if head == "!":
             if not args:
-                raise SmtSyntaxError("empty attribute expression", s.tok.line, s.tok.col)
+                raise self._error("empty attribute expression", s)
             return self._expr(args[0], env)  # attributes such as :named are stripped
         if head == "-" and len(args) == 1:
             inner = self._expr(args[0], env)
@@ -338,7 +284,7 @@ class _Parser:
         if head in ("+", "-", "*"):
             terms = [self._expr(a, env) for a in args]
             if len(terms) < 2:
-                raise SmtSyntaxError(f"{head} expects at least 2 arguments", s.tok.line, s.tok.col)
+                raise self._error(f"{head} expects at least 2 arguments", s)
             for t in terms:
                 self._want_int(t, s)
             if head == "+":
@@ -356,12 +302,12 @@ class _Parser:
         if head in ("<", "<=", ">", ">=", "="):
             # chainable: (op a b c) is (and (op a b) (op b c))
             if len(args) < 2:
-                raise SmtSyntaxError(f"{head} expects at least 2 arguments", s.tok.line, s.tok.col)
+                raise self._error(f"{head} expects at least 2 arguments", s)
             xs = [self._expr(a, env) for a in args]
             return conj(self._relation(head, lhs, rhs, s) for lhs, rhs in zip(xs, xs[1:]))
         if head == "distinct":
             if len(args) < 2:
-                raise SmtSyntaxError("distinct expects at least 2 arguments", s.tok.line, s.tok.col)
+                raise self._error("distinct expects at least 2 arguments", s)
             xs = [self._expr(a, env) for a in args]
             if all(self._is_formula(x) for x in xs):
                 if len(xs) == 2:
@@ -369,7 +315,7 @@ class _Parser:
                 raise UnsupportedFeature("distinct over more than two Bool terms")
             sorts = {sort_of(x) for x in xs if not self._is_formula(x)}
             if len(sorts) != 1 or any(self._is_formula(x) for x in xs):
-                raise SmtSyntaxError("distinct operands have different sorts", s.tok.line, s.tok.col)
+                raise self._error("distinct operands have different sorts", s)
             if len(xs) == 2:
                 return Atom(Rel.NE, xs[0], xs[1])
             if sorts == {Sort.INT}:
@@ -388,7 +334,7 @@ class _Parser:
             return conj(xs) if head == "and" else disj(xs)
         if head == "=>":
             if len(args) < 2:
-                raise SmtSyntaxError("=> expects at least 2 arguments", s.tok.line, s.tok.col)
+                raise self._error("=> expects at least 2 arguments", s)
             xs = [self._expr(a, env) for a in args]
             for x in xs:
                 self._want_bool(x, s)
@@ -437,7 +383,7 @@ class _Parser:
             arg = self._expr(args[0], env)
             self._want_int(arg, s)
             return FunApp(name, arg)
-        raise SmtSyntaxError(f"unknown operator {head!r}", s.tok.line, s.tok.col)
+        raise self._error(f"unknown operator {head!r}", s)
 
     def _relation(self, head: str, lhs, rhs, s: _SExpr) -> Formula:
         if head != "=":
@@ -446,20 +392,20 @@ class _Parser:
             return Atom(Rel(head), lhs, rhs)
         if self._is_formula(lhs) or self._is_formula(rhs):
             if not (self._is_formula(lhs) and self._is_formula(rhs)):
-                raise SmtSyntaxError("= operands have different sorts", s.tok.line, s.tok.col)
+                raise self._error("= operands have different sorts", s)
             return Iff(lhs, rhs)
         if sort_of(lhs) != sort_of(rhs):
-            raise SmtSyntaxError("= operands have different sorts", s.tok.line, s.tok.col)
+            raise self._error("= operands have different sorts", s)
         return Atom(Rel.EQ, lhs, rhs)
 
     def _let(self, s: _SExpr, env):
         items = s.items
         if len(items) != 3 or items[1].is_atom:
-            raise SmtSyntaxError("malformed let", s.tok.line, s.tok.col)
+            raise self._error("malformed let", s)
         new_env = dict(env)
         for binding in items[1].items:
             if binding.is_atom or len(binding.items) != 2 or not binding.items[0].is_atom:
-                raise SmtSyntaxError("malformed let binding", s.tok.line, s.tok.col)
+                raise self._error("malformed let binding", s)
             # bindings are parallel: values use the outer environment
             new_env[_sym(binding.items[0].text)] = self._expr(binding.items[1], env)
         return self._expr(items[2], new_env)
@@ -481,9 +427,9 @@ class _Parser:
             return self.macros[name]
         decl = self.decls.get(name)
         if decl is None:
-            raise SmtSyntaxError(f"undeclared symbol {name!r}", s.tok.line, s.tok.col)
+            raise self._error(f"undeclared symbol {name!r}", s)
         if decl.is_function:
-            raise SmtSyntaxError(f"function {name!r} used without arguments", s.tok.line, s.tok.col)
+            raise self._error(f"function {name!r} used without arguments", s)
         if decl.sort == Sort.INT:
             return IntVar(name)
         if decl.sort == Sort.BOOL:
@@ -492,24 +438,24 @@ class _Parser:
 
     def _want_arity(self, args, n, head, s):
         if len(args) != n:
-            raise SmtSyntaxError(f"{head} expects {n} arguments", s.tok.line, s.tok.col)
+            raise self._error(f"{head} expects {n} arguments", s)
 
     def _want_int(self, x, s):
         if self._is_formula(x) or sort_of(x) != Sort.INT:
-            raise SmtSyntaxError("expected an Int expression", s.tok.line, s.tok.col)
+            raise self._error("expected an Int expression", s)
 
     def _want_bool(self, x, s):
         if not self._is_formula(x):
-            raise SmtSyntaxError("expected a Bool expression", s.tok.line, s.tok.col)
+            raise self._error("expected a Bool expression", s)
 
     def _want_array(self, x, s):
         if self._is_formula(x) or sort_of(x) != Sort.ARRAY:
-            raise SmtSyntaxError("expected an (Array Int Int) expression", s.tok.line, s.tok.col)
+            raise self._error("expected an (Array Int Int) expression", s)
 
 
 def parse_problem(text: str) -> ParsedProblem:
     """Parse an SMT-LIB script into a single conjoined assertion."""
-    return _Parser().run(text)
+    return Parser().run(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ assert-soft convention; when the configured solver rejects that syntax the
 query silently degrades to a plain solve and the verdict is flagged.  Every
 satisfiable answer is re-checked against the hard constraints with the
 internal evaluator before being returned.
+
+Replies are read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`:
+it tells when the lines of an error or a model make a complete reply, and
+:func:`parse_model` reads the model with it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from enum import Enum
 from queue import Empty, Queue
 
 from .errors import ModelParseError
-from .smtlib import Declaration, _read_sexprs, print_declaration, print_formula, sexpr_end
+from .smtlib import Declaration, print_declaration, print_formula, read_sexpr, read_sexprs
 from .terms import (
     Formula,
     FuncValue,
@@ -97,7 +101,7 @@ def parse_model(text: str, declarations: list[Declaration]) -> Model:
     constants in `(- k)` form, constant arrays with store chains, as-array
     references, and ite-chains over the function argument."""
     try:
-        exprs = _read_sexprs(text)
+        exprs = read_sexprs(text)
     except Exception as exc:
         raise ModelParseError(f"unreadable model output: {exc}") from None
     if len(exprs) != 1 or exprs[0].is_atom:
@@ -273,7 +277,7 @@ class _ProcessHandle:
         """Read lines until `first` and the lines after it hold a complete
         s-expression."""
         text = first
-        while sexpr_end(text) is None:
+        while read_sexpr(text) is None:
             text += "\n" + self.read_line(deadline)
         return text
 

@@ -15,6 +15,7 @@ from boxsampler.errors import NotAModel, SoundnessViolation, UnassignedSymbol, U
 from boxsampler.intervals import Interval, IntervalMap, contains
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import (
+    BlockingHistory,
     DedupSet,
     SampleLayout,
     SamplerConfig,
@@ -50,6 +51,7 @@ from boxsampler.terms import (
     preprocess,
     to_nnf,
 )
+from boxsampler import sampler as sampler_mod
 from boxsampler import strengthen as strengthen_mod
 from oracle import deep_and_or
 
@@ -108,23 +110,47 @@ class TestGetSeed:
     def test_blocking_empty_history(self):
         p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 3)))")
         f = to_nnf(preprocess(p.assertion))
-        seed, was_reset, calls = get_seed_blocking(p, f, LocalSolverClient(), [])
+        seed, was_reset, calls = get_seed_blocking(f, LocalSolverClient(), BlockingHistory(p))
         assert eval_formula(f, seed) and not was_reset and calls == 1
 
     def test_blocking_avoids_prior_boxes(self):
         p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 3)))")
         f = to_nnf(preprocess(p.assertion))
-        prior = [IntervalMap({X: Interval(0, 1)})]
-        seed, was_reset, _ = get_seed_blocking(p, f, LocalSolverClient(), prior)
+        prior = BlockingHistory(p)
+        prior.add(IntervalMap({X: Interval(0, 1)}))
+        seed, was_reset, _ = get_seed_blocking(f, LocalSolverClient(), prior)
         assert seed.ints["x"] in (2, 3) and not was_reset
 
     def test_blocking_reset_path(self):
         p = parse_problem("(declare-const x Int)(assert (= x 0))")
         f = to_nnf(preprocess(p.assertion))
-        accumulated = [IntervalMap({X: Interval(0, 0)})]
-        seed, was_reset, calls = get_seed_blocking(p, f, LocalSolverClient(), accumulated)
+        history = BlockingHistory(p)
+        history.add(IntervalMap({X: Interval(0, 0)}))
+        seed, was_reset, calls = get_seed_blocking(f, LocalSolverClient(), history)
         assert seed.ints["x"] == 0 and was_reset and calls == 2
-        assert accumulated == []  # history cleared
+        assert history.negations == []  # history cleared
+
+    def test_history_declares_the_symbols_only_its_boxes_name(self):
+        p = parse_problem("(declare-const x Int)(assert (>= x 0))")
+        history = BlockingHistory(p)
+        history.add(IntervalMap({X: Interval(0, 4), Y: Interval(1, 1)}))
+        history.add(IntervalMap({Y: Interval(2, 2)}))
+        assert [d.name for d in history.declarations.values()] == ["x", "y"]
+        history.clear()
+        assert list(history.declarations.values()) == p.declarations
+
+    @pytest.mark.parametrize("strategy, negated", [("blocking", True), ("random", False)])
+    def test_each_box_is_negated_once(self, monkeypatch, strategy, negated):
+        """Under blocking, one box is negated per epoch, when it is added;
+        the random strategy negates none."""
+        boxes = []
+        negate = sampler_mod.neg_to_formula
+        monkeypatch.setattr(sampler_mod, "neg_to_formula", lambda iv: boxes.append(iv) or negate(iv))
+        p = parse_problem("(declare-const x Int)(declare-const y Int)(assert (and (<= 0 x 20) (<= 0 y 20)))")
+        cfg = cfg_of(strategy=strategy, max_samples=40, samples_per_round=5, rounds_per_epoch=1)
+        stats = sample_formula(p, cfg, LocalSolverClient(), random.Random(3))
+        assert stats.epochs > 3
+        assert len(boxes) == (stats.epochs if negated else 0)
 
 
 class TestSampleIntervals:

@@ -3,18 +3,17 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxsampler.errors import SmtSyntaxError, UnsupportedFeature
 from boxsampler.smtlib import (
-    _read_sexprs,
-    _tokenize,
     parse_problem,
     print_formula,
     print_problem,
     print_term,
-    sexpr_end,
+    read_sexpr,
+    read_sexprs,
 )
 from boxsampler.terms import (
     Add,
@@ -126,6 +125,30 @@ class TestParse:
         assert p.assertion is not None
 
 
+class TestErrorPositions:
+    """Errors name the line (from 1) and column (from 0) where the
+    offending token starts."""
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("(declare-const x Int)\n(assert (>= x 0)", "unbalanced '('", 2, 0),
+        ("(declare-const x Int)\n  (assert (>= x 0)))", "unbalanced ')'", 2, 19),
+        ('(declare-const x Int)\n(echo "oops)', "unterminated string literal", 2, 6),
+        ("(declare-const x Int)\n(assert (> |x 0))", "unterminated quoted symbol", 2, 11),
+        ("(declare-const x Int)\n(assert (> x 0))\n(assert (< y 5))", "undeclared symbol 'y'", 3, 11),
+        ("(declare-const x Int)\n\t(assert (+ x 1))", "assert expects a Bool expression", 2, 1),
+    ])
+    def test_position_of_the_offending_token(self, text, message, line, col):
+        with pytest.raises(SmtSyntaxError) as info:
+            parse_problem(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value) == f"{line}:{col}: {message}"
+
+    @pytest.mark.parametrize("before", ["(declare-const |a\nb| Int)", '(echo "a\nb")'])
+    def test_lines_count_newlines_inside_symbols_and_strings(self, before):
+        with pytest.raises(SmtSyntaxError) as info:
+            parse_problem(before + "\n(assert (> zz 0))")
+        assert str(info.value) == "3:11: undeclared symbol 'zz'"
+
 
 class TestChainable:
     DECLS = "(declare-const x Int)(declare-const y Int)(declare-const p Bool)(declare-const q Bool)(declare-const r Bool)"
@@ -221,58 +244,102 @@ class TestRoundTrip:
         assert "|my var|" in print_formula(p.assertion)
 
 
+def _end(text: str) -> int | None:
+    """Where reading `text` stops: past its first s-expression, or past a
+    stray ")" that it reports; None while nothing is complete."""
+    try:
+        read = read_sexpr(text)
+    except SmtSyntaxError as exc:
+        assert "unbalanced ')'" in str(exc)
+        return exc.offset + 1
+    return None if read is None else read[1]
+
+
+def _shape(sexpr):
+    return sexpr.text if sexpr.is_atom else [_shape(item) for item in sexpr.items]
+
+
+def _read_fed(chunks) -> tuple[list, str]:
+    """The s-expressions of `chunks` fed one at a time, each read as soon as
+    it is complete, and a stray ")" reported and read past, as the
+    minisolver pipe reads its input; and the text left unread."""
+    exprs, buffer = [], ""
+    for chunk in chunks:
+        buffer += chunk
+        while True:
+            try:
+                read = read_sexpr(buffer)
+            except SmtSyntaxError as exc:
+                exprs.append(str(exc))
+                buffer = buffer[exc.offset + 1 :]
+                continue
+            if read is None:
+                break
+            sexpr, end = read
+            exprs.append(_shape(sexpr))
+            buffer = buffer[end:]
+    return exprs, buffer
+
+
 class TestSexprEnd:
+    """Where :func:`read_sexpr` finds the first s-expression of a text to end."""
+
     def test_complete_and_incomplete(self):
-        assert sexpr_end("(check-sat)\n(exit)") == len("(check-sat)")
-        assert sexpr_end("  (assert (> x 2)") is None
-        assert sexpr_end("(assert (> x 2)\n)") == len("(assert (> x 2)\n)")
-        assert sexpr_end("") is None and sexpr_end(" \n; only a comment (") is None
+        assert _end("(check-sat)\n(exit)") == len("(check-sat)")
+        assert _end("  (assert (> x 2)") is None
+        assert _end("(assert (> x 2)\n)") == len("(assert (> x 2)\n)")
+        assert _end("") is None and _end(" \n; only a comment (") is None
 
     def test_parens_in_strings_symbols_and_comments_do_not_count(self):
-        assert sexpr_end('(echo ")(")') == len('(echo ")(")')
-        assert sexpr_end("(declare-const |a)b| Int)") == len("(declare-const |a)b| Int)")
-        assert sexpr_end("(check-sat ; )\n)") == len("(check-sat ; )\n)")
+        assert _end('(echo ")(")') == len('(echo ")(")')
+        assert _end("(declare-const |a)b| Int)") == len("(declare-const |a)b| Int)")
+        assert _end("(check-sat ; )\n)") == len("(check-sat ; )\n)")
 
     def test_quote_is_escaped_by_doubling_not_by_backslash(self):
         # SMT-LIB 2.6 writes a quote inside a string as "": a backslash is
         # an ordinary character, so this error message is complete
         text = '(error "C:\\")'
-        assert sexpr_end(text) == len(text)
-        assert sexpr_end('(echo "say ""hi"")")') == len('(echo "say ""hi"")")')
-        assert sexpr_end('(echo "open)') is None
+        assert _end(text) == len(text)
+        assert _end('(echo "say ""hi"")")') == len('(echo "say ""hi"")")')
+        assert _end('(echo "open)') is None
 
     def test_stray_close_paren_ends_an_erroneous_command(self):
-        assert sexpr_end(")\n(check-sat)") == 1
-        assert sexpr_end("  ) (check-sat)") == 3
+        assert _end(")\n(check-sat)") == 1
+        assert _end("  ) (check-sat)") == 3
 
     def test_top_level_atom_is_complete(self):
-        assert sexpr_end("sat") == 3
-        assert sexpr_end("  unknown\n") == len("  unknown")
+        assert _end("sat") == 3
+        assert _end("  unknown\n") == len("  unknown")
+
+    def test_a_string_with_an_escaped_quote_is_one_atom(self):
+        reply = '(error "1:11: undeclared symbol \'a""b\'")'
+        sexpr, end = read_sexpr(reply + " sat")
+        assert _shape(sexpr) == ["error", '"1:11: undeclared symbol \'a""b\'"'] and end == len(reply)
+        assert _end('"open ""') is None  # the doubled quote does not close the string
+
+    def test_reading_starts_at_pos(self):
+        text = "(a) (b c)"
+        sexpr, end = read_sexpr(text, 3)
+        assert _shape(sexpr) == ["b", "c"] and sexpr.offset == 4 and end == len(text)
+        assert read_sexpr(text, end) is None
+
+    def test_whole_text_that_ends_inside_an_expression_is_an_error(self):
+        with pytest.raises(SmtSyntaxError, match="unbalanced"):
+            read_sexprs("(a (b)")
+        assert read_sexprs(" ; nothing\n") == []
 
     @given(st.text(alphabet='()|;"ab \n', max_size=60))
     @settings(max_examples=500, deadline=None)
-    def test_splitting_agrees_with_the_tokenizer(self, text):
-        """Cutting `text` at each end in turn keeps its tokens; every piece
-        but the last reads as one s-expression or a stray `)`."""
+    def test_reading_line_by_line_agrees_with_reading_whole(self, text):
+        """Fed a line at a time, as the pipe feeds it, a text reads as the
+        same s-expressions as when it is read whole."""
+        exprs, rest = _read_fed([text])
+        assert _read_fed(text.splitlines(keepends=True)) == (exprs, rest)
         try:
-            whole = [t.text for t in _tokenize(text)]
+            whole = read_sexprs(text)
         except SmtSyntaxError:
-            assume(False)
-        tokens = []
-        rest = text
-        while (end := sexpr_end(rest)) is not None:
-            piece, rest = rest[:end], rest[end:]
-            tokens += [t.text for t in _tokenize(piece)]
-            try:
-                assert len(_read_sexprs(piece)) == 1
-            except SmtSyntaxError as exc:
-                assert "unbalanced ')'" in str(exc) and piece.strip().endswith(")")
-        tokens += [t.text for t in _tokenize(rest)]
-        assert tokens == whole
-        try:
-            assert _read_sexprs(rest) == []  # nothing complete is left behind
-        except SmtSyntaxError as exc:
-            assert "unbalanced '('" in str(exc)
+            return
+        assert [_shape(s) for s in whole] == exprs and read_sexprs(rest) == []
 
 
 class TestFuzz:

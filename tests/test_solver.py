@@ -12,7 +12,7 @@ import pytest
 from boxsampler.errors import ModelParseError
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import canonical_assignment
-from boxsampler.smtlib import Declaration, parse_problem
+from boxsampler.smtlib import Declaration, parse_problem, read_sexpr
 from boxsampler.solver import (
     ProcessSolverClient,
     SolverRequest,
@@ -184,16 +184,33 @@ class TestLocalClient:
         assert v.is_sat and eval_formula(f, v.model)
 
 
-def test_pipe_reports_a_stray_paren_and_carries_on():
+def _minisolver(commands: str) -> list[str]:
+    """The lines that `python -m boxsampler.minisolver` answers `commands` with."""
     session = subprocess.run(
         [sys.executable, "-m", "boxsampler.minisolver"],
-        input=")\n(declare-fun x () Int)\n(assert (> x 2))\n(check-sat)\n",
-        capture_output=True, text=True, timeout=60,
+        input=commands, capture_output=True, text=True, timeout=60,
     )
-    lines = session.stdout.splitlines()
+    return session.stdout.splitlines()
+
+
+def test_pipe_reports_a_stray_paren_and_carries_on():
+    lines = _minisolver(")\n(declare-fun x () Int)\n(assert (> x 2))\n(check-sat)\n")
     assert len(lines) == 2
     assert lines[0].startswith("(error") and "unbalanced ')'" in lines[0]
     assert lines[1] == "sat"
+
+
+@pytest.mark.parametrize("command", ["(assert (+ x 1))", "(assert-soft (+ x 1) :weight 2)"])
+def test_pipe_rejects_an_assertion_that_is_not_bool(command):
+    lines = _minisolver(f"(declare-const x Int){command}(check-sat)\n")
+    assert lines == ['(error "1:0: assert expects a Bool expression")', "sat"]
+
+
+def test_pipe_error_reply_with_a_quote_reads_as_one_sexpr():
+    lines = _minisolver('(assert (> |a"b| 0))\n(check-sat)\n')
+    assert lines == ['(error "1:11: undeclared symbol \'a""b\'")', "sat"]
+    reply, end = read_sexpr(lines[0])
+    assert end == len(lines[0]) and reply.items[1].text == '"1:11: undeclared symbol \'a""b\'"'
 
 
 ARRAY_DECLS = [D("i"), D("j"), D("p", Sort.BOOL), D("a", Sort.ARRAY), D("g", fn=True)]
