@@ -9,7 +9,8 @@ box was provably finite and fully scanned.  MAX-Solve scans the same region
 and keeps the best soft-constraint score.  Everything is deterministic.
 
 The input is read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`,
-which frames and reads each command in one pass as soon as it is complete.
+through :class:`smtlib.StreamReader`, which frames and reads each command
+in one pass as soon as it is complete.
 Assertions must be Bool, as in :func:`smtlib.parse_problem`.  A stray ")"
 and every rejected command get an ``(error "...")`` reply, with quotes
 doubled, and reading goes on.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
-from .smtlib import Declaration, Parser, _print_sym, print_term, read_sexpr
+from .smtlib import Declaration, Parser, StreamReader, _print_sym, print_term
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
 from .terms import (
     And,
@@ -458,12 +459,11 @@ class _Session:
     def soft(self) -> list[tuple[Formula, int]]:
         return [s for frame in self.frames for s in frame[1]]
 
-    def handle(self, sexpr, text: str) -> bool:
-        """Process one command, read from `text`; returns False on exit."""
+    def handle(self, sexpr) -> bool:
+        """Process one command; returns False on exit."""
         if sexpr.is_atom or not sexpr.items or not sexpr.items[0].is_atom:
             self.error("expected a command")
             return True
-        self.parser.text = text
         head = sexpr.items[0].text
         args = sexpr.items[1:]
         try:
@@ -549,22 +549,13 @@ def _format_model(model: Model, declarations: list[Declaration]) -> str:
 
 def main(argv=None) -> int:
     session = _Session(sys.stdout)
-    buffer = ""
+    reader = StreamReader()
     for line in sys.stdin:
-        buffer += line
-        while True:
-            try:
-                read = read_sexpr(buffer)
-            except SmtSyntaxError as exc:  # a stray ")": reported, and read past
-                session.error(str(exc))
-                buffer = buffer[exc.offset + 1 :]
-                continue
-            if read is None:
-                break
-            sexpr, end = read
-            if not session.handle(sexpr, buffer):
+        for command in reader.feed(line):
+            if isinstance(command, SmtSyntaxError):  # a stray ")"
+                session.error(str(command))
+            elif not session.handle(command):
                 return 0
-            buffer = buffer[end:]
     return 0
 
 

@@ -2,10 +2,11 @@
 
 One reader, :func:`read_sexpr`, reads every s-expression of the package:
 input files (:func:`parse_problem`), solver replies (`solver`) and the
-commands of the `minisolver` pipe.  It follows the lexical rules of
-SMT-LIB 2.6 (``""`` is a quote inside a string, ``|...|`` a quoted
-symbol), says when a text holds no complete s-expression yet, and gives
-each node the offset it starts at, from which an error's line and column
+commands of the `minisolver` pipe, which :class:`StreamReader` reads as
+they arrive.  It follows the lexical rules of SMT-LIB 2.6 (``""`` is a
+quote inside a string, ``|...|`` a quoted symbol), says when a text holds
+no complete s-expression yet, and gives each node the text it was read
+from and the offset it starts at, from which an error's line and column
 are derived.
 
 The parser handles set-logic, declare-fun / declare-const (Int, Bool,
@@ -76,47 +77,49 @@ class ParsedProblem:
 # Reader
 
 # One token, after any whitespace and comments, as SMT-LIB 2.6 spells it:
-# group 1 is "(", group 2 is ")", group 3 a string (in which "" is a quote),
-# a quoted symbol or a bare atom, and group 4 the start of a string or
-# quoted symbol that the text does not close.  At the end of the text no
-# group matches.
+# group 1 is "(", group 2 is ")", group 3 a string (in which "" is a quote,
+# so no quote may follow it), a quoted symbol or a bare atom, and group 4
+# the start of a string or quoted symbol that the text does not close.  At
+# the end of the text no group matches.
 _TOKEN = re.compile(
-    r'(?:[ \t\r\n]++|;[^\n]*+)*+'
-    r'(?:(\()|(\))|("(?:[^"]|"")*+"|\|[^|]*+\||[^ \t\r\n();|"]++)|(["|]))?'
+    r'(?:[ \t\r\n]+|;[^\n]*)*'
+    r'(?:(\()|(\))|("[^"]*(?:""[^"]*)*"(?!")|\|[^|]*\||[^ \t\r\n();|"]+)|(["|]))?'
 )
 
 
 class _SExpr:
     """An atom, whose `text` is its token, or a list of `items` (its `text`
-    is "("); `offset` is where it starts in the text it was read from."""
+    is "("), which starts at `offset` in `source`, the text it was read from."""
 
-    __slots__ = ("items", "text", "offset")
+    __slots__ = ("items", "text", "source", "offset")
 
-    def __init__(self, items, text: str, offset: int):
+    def __init__(self, items, text: str, source: str, offset: int):
         self.items = items  # None for atoms
         self.text = text
+        self.source = source
         self.offset = offset
 
     @property
     def is_atom(self) -> bool:
         return self.items is None
 
+    def error(self, message: str) -> SmtSyntaxError:  # at this node's line and column
+        return SmtSyntaxError(message, self.source, self.offset)
+
 
 def read_sexpr(text: str, pos: int = 0, final: bool = False) -> tuple[_SExpr, int] | None:
-    """The first complete s-expression at or after `pos` in `text`, and the
-    offset just past it; None while there is none, because the text ends
-    before one, or inside a list, string or quoted symbol.  With `final`,
-    the text is all there is, and ending inside an s-expression is an
-    error.  A ")" that closes no list is an error whose offset is the
-    ")", so that a reader of a stream can report it and go on after it."""
+    """The first complete s-expression at or after `pos` in `text` and the
+    offset just past it, or None while the text ends before one or inside
+    it.  With `final` the text is all there is, and ending inside one is an
+    error.  A ")" closing no list is an error at the ")", to be read past."""
     opens: list[_SExpr] = []
     for token in _TOKEN.finditer(text, pos):
         kind = token.lastindex
         if kind == 1:
-            opens.append(_SExpr([], "(", token.start(1)))
+            opens.append(_SExpr([], "(", text, token.start(1)))
             continue
         if kind == 3:
-            node = _SExpr(None, token[3], token.start(3))
+            node = _SExpr(None, token[3], text, token.start(3))
         elif kind == 2:
             if not opens:
                 raise SmtSyntaxError("unbalanced ')'", text, token.start(2))
@@ -140,6 +143,32 @@ def read_sexprs(text: str) -> list[_SExpr]:
         node, pos = read
         exprs.append(node)
     return exprs
+
+
+class StreamReader:
+    """Reads the s-expressions of a text that arrives in pieces, such as the
+    commands of a pipe.  `unread` is what has arrived and not been read."""
+
+    def __init__(self):
+        self.unread = ""
+
+    def feed(self, piece: str):
+        """Append `piece`, and yield each s-expression now complete, in order.
+        A ")" that closes no list yields its `SmtSyntaxError` instead, and
+        reading goes on after it."""
+        self.unread += piece
+        while True:
+            try:
+                read = read_sexpr(self.unread)
+            except SmtSyntaxError as exc:
+                self.unread = self.unread[exc.offset + 1 :]
+                yield exc
+                continue
+            if read is None:
+                return
+            node, end = read
+            self.unread = self.unread[end:]
+            yield node
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +200,18 @@ def _sym(name: str) -> str:
 
 
 class Parser:
-    """Turns commands into declarations and assertions.  `text` is the text
-    the commands were read from: errors give their line and column in it."""
+    """Turns commands into declarations and assertions.  Errors give the
+    line and column of the offending node in the text it was read from."""
 
     def __init__(self):
         self.logic: str | None = None
         self.decls: dict[str, Declaration] = {}
         self.macros: dict[str, Term | Formula] = {}
         self.assertions: list[Formula] = []
-        self.text = ""
-
-    def _error(self, message: str, s: _SExpr) -> SmtSyntaxError:
-        return SmtSyntaxError(message, self.text, s.offset)
 
     # -- commands ---------------------------------------------------------
 
     def run(self, text: str) -> ParsedProblem:
-        self.text = text
         for sexpr in read_sexprs(text):
             self.command(sexpr)
         return ParsedProblem(
@@ -196,14 +220,14 @@ class Parser:
 
     def command(self, s: _SExpr) -> None:
         if s.is_atom or not s.items or not s.items[0].is_atom:
-            raise self._error("expected a command", s)
+            raise s.error("expected a command")
         head = s.items[0].text
         args = s.items[1:]
         if head in ("set-info", "set-option", "check-sat", "exit", "get-model", "get-value", "echo"):
             return
         if head == "set-logic":
             if len(args) != 1 or not args[0].is_atom:
-                raise self._error("set-logic expects one symbol", s)
+                raise s.error("set-logic expects one symbol")
             logic = args[0].text
             if logic not in SUPPORTED_LOGICS:
                 raise UnsupportedFeature(f"unsupported logic {logic}")
@@ -211,17 +235,17 @@ class Parser:
             return
         if head == "declare-const":
             if len(args) != 2 or not args[0].is_atom:
-                raise self._error("declare-const expects name and sort", s)
+                raise s.error("declare-const expects name and sort")
             self._declare(_sym(args[0].text), args[1], params=None)
             return
         if head == "declare-fun":
             if len(args) != 3 or not args[0].is_atom or args[1].is_atom:
-                raise self._error("declare-fun expects name, params, sort", s)
+                raise s.error("declare-fun expects name, params, sort")
             self._declare(_sym(args[0].text), args[2], params=args[1].items)
             return
         if head == "define-fun":
             if len(args) != 4 or not args[0].is_atom or args[1].is_atom:
-                raise self._error("define-fun expects name, params, sort, body", s)
+                raise s.error("define-fun expects name, params, sort, body")
             if args[1].items:
                 raise UnsupportedFeature("define-fun with parameters")
             body = self._expr(args[3], {})
@@ -229,7 +253,7 @@ class Parser:
             return
         if head == "assert":
             if len(args) != 1:
-                raise self._error("assert expects one formula", s)
+                raise s.error("assert expects one formula")
             self.assertions.append(self.formula(s, args[0]))
             return
         if head in ("push", "pop", "declare-sort", "define-sort", "declare-datatypes", "reset"):
@@ -240,7 +264,7 @@ class Parser:
         """`s`, the formula that `command` asserts, which must be a Bool."""
         f = self._expr(s, {})
         if not self._is_formula(f):
-            raise self._error("assert expects a Bool expression", command)
+            raise command.error("assert expects a Bool expression")
         return f
 
     def _declare(self, name: str, sort_expr: _SExpr, params) -> None:
@@ -264,16 +288,16 @@ class Parser:
             return self._atom_expr(s, env)
         items = s.items
         if not items:
-            raise self._error("empty application", s)
+            raise s.error("empty application")
         if not items[0].is_atom:
-            raise self._error("expected an operator symbol", s)
+            raise s.error("expected an operator symbol")
         head = items[0].text
         args = items[1:]
         if head == "let":
             return self._let(s, env)
         if head == "!":
             if not args:
-                raise self._error("empty attribute expression", s)
+                raise s.error("empty attribute expression")
             return self._expr(args[0], env)  # attributes such as :named are stripped
         if head == "-" and len(args) == 1:
             inner = self._expr(args[0], env)
@@ -284,7 +308,7 @@ class Parser:
         if head in ("+", "-", "*"):
             terms = [self._expr(a, env) for a in args]
             if len(terms) < 2:
-                raise self._error(f"{head} expects at least 2 arguments", s)
+                raise s.error(f"{head} expects at least 2 arguments")
             for t in terms:
                 self._want_int(t, s)
             if head == "+":
@@ -302,12 +326,12 @@ class Parser:
         if head in ("<", "<=", ">", ">=", "="):
             # chainable: (op a b c) is (and (op a b) (op b c))
             if len(args) < 2:
-                raise self._error(f"{head} expects at least 2 arguments", s)
+                raise s.error(f"{head} expects at least 2 arguments")
             xs = [self._expr(a, env) for a in args]
             return conj(self._relation(head, lhs, rhs, s) for lhs, rhs in zip(xs, xs[1:]))
         if head == "distinct":
             if len(args) < 2:
-                raise self._error("distinct expects at least 2 arguments", s)
+                raise s.error("distinct expects at least 2 arguments")
             xs = [self._expr(a, env) for a in args]
             if all(self._is_formula(x) for x in xs):
                 if len(xs) == 2:
@@ -315,7 +339,7 @@ class Parser:
                 raise UnsupportedFeature("distinct over more than two Bool terms")
             sorts = {sort_of(x) for x in xs if not self._is_formula(x)}
             if len(sorts) != 1 or any(self._is_formula(x) for x in xs):
-                raise self._error("distinct operands have different sorts", s)
+                raise s.error("distinct operands have different sorts")
             if len(xs) == 2:
                 return Atom(Rel.NE, xs[0], xs[1])
             if sorts == {Sort.INT}:
@@ -334,7 +358,7 @@ class Parser:
             return conj(xs) if head == "and" else disj(xs)
         if head == "=>":
             if len(args) < 2:
-                raise self._error("=> expects at least 2 arguments", s)
+                raise s.error("=> expects at least 2 arguments")
             xs = [self._expr(a, env) for a in args]
             for x in xs:
                 self._want_bool(x, s)
@@ -383,7 +407,7 @@ class Parser:
             arg = self._expr(args[0], env)
             self._want_int(arg, s)
             return FunApp(name, arg)
-        raise self._error(f"unknown operator {head!r}", s)
+        raise s.error(f"unknown operator {head!r}")
 
     def _relation(self, head: str, lhs, rhs, s: _SExpr) -> Formula:
         if head != "=":
@@ -392,20 +416,20 @@ class Parser:
             return Atom(Rel(head), lhs, rhs)
         if self._is_formula(lhs) or self._is_formula(rhs):
             if not (self._is_formula(lhs) and self._is_formula(rhs)):
-                raise self._error("= operands have different sorts", s)
+                raise s.error("= operands have different sorts")
             return Iff(lhs, rhs)
         if sort_of(lhs) != sort_of(rhs):
-            raise self._error("= operands have different sorts", s)
+            raise s.error("= operands have different sorts")
         return Atom(Rel.EQ, lhs, rhs)
 
     def _let(self, s: _SExpr, env):
         items = s.items
         if len(items) != 3 or items[1].is_atom:
-            raise self._error("malformed let", s)
+            raise s.error("malformed let")
         new_env = dict(env)
         for binding in items[1].items:
             if binding.is_atom or len(binding.items) != 2 or not binding.items[0].is_atom:
-                raise self._error("malformed let binding", s)
+                raise s.error("malformed let binding")
             # bindings are parallel: values use the outer environment
             new_env[_sym(binding.items[0].text)] = self._expr(binding.items[1], env)
         return self._expr(items[2], new_env)
@@ -427,9 +451,9 @@ class Parser:
             return self.macros[name]
         decl = self.decls.get(name)
         if decl is None:
-            raise self._error(f"undeclared symbol {name!r}", s)
+            raise s.error(f"undeclared symbol {name!r}")
         if decl.is_function:
-            raise self._error(f"function {name!r} used without arguments", s)
+            raise s.error(f"function {name!r} used without arguments")
         if decl.sort == Sort.INT:
             return IntVar(name)
         if decl.sort == Sort.BOOL:
@@ -438,19 +462,19 @@ class Parser:
 
     def _want_arity(self, args, n, head, s):
         if len(args) != n:
-            raise self._error(f"{head} expects {n} arguments", s)
+            raise s.error(f"{head} expects {n} arguments")
 
     def _want_int(self, x, s):
         if self._is_formula(x) or sort_of(x) != Sort.INT:
-            raise self._error("expected an Int expression", s)
+            raise s.error("expected an Int expression")
 
     def _want_bool(self, x, s):
         if not self._is_formula(x):
-            raise self._error("expected a Bool expression", s)
+            raise s.error("expected a Bool expression")
 
     def _want_array(self, x, s):
         if self._is_formula(x) or sort_of(x) != Sort.ARRAY:
-            raise self._error("expected an (Array Int Int) expression", s)
+            raise s.error("expected an (Array Int Int) expression")
 
 
 def parse_problem(text: str) -> ParsedProblem:

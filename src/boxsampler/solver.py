@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from queue import Empty, Queue
 
-from .errors import ModelParseError
+from .errors import ModelParseError, SmtSyntaxError
 from .smtlib import Declaration, print_declaration, print_formula, read_sexpr, read_sexprs
 from .terms import (
     Formula,
@@ -394,3 +394,6 @@ class ProcessSolverClient(SolverClient):
         except ModelParseError as exc:
             self._reset()
             return SolverVerdict(VerdictKind.ERROR, reason=str(exc))
+        except SmtSyntaxError as exc:  # a reply that starts with a ")" closing nothing
+            self._reset()
+            return SolverVerdict(VerdictKind.ERROR, reason=f"unreadable solver reply: {exc}")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from boxsampler.errors import SmtSyntaxError, UnsupportedFeature
 from boxsampler.smtlib import (
+    _TOKEN,
+    StreamReader,
     parse_problem,
     print_formula,
     print_problem,
@@ -260,25 +262,15 @@ def _shape(sexpr):
 
 
 def _read_fed(chunks) -> tuple[list, str]:
-    """The s-expressions of `chunks` fed one at a time, each read as soon as
-    it is complete, and a stray ")" reported and read past, as the
-    minisolver pipe reads its input; and the text left unread."""
-    exprs, buffer = [], ""
-    for chunk in chunks:
-        buffer += chunk
-        while True:
-            try:
-                read = read_sexpr(buffer)
-            except SmtSyntaxError as exc:
-                exprs.append(str(exc))
-                buffer = buffer[exc.offset + 1 :]
-                continue
-            if read is None:
-                break
-            sexpr, end = read
-            exprs.append(_shape(sexpr))
-            buffer = buffer[end:]
-    return exprs, buffer
+    """What a :class:`StreamReader` fed `chunks` one at a time yields, with
+    each stray ")" as its message, and the text it leaves unread."""
+    reader = StreamReader()
+    exprs = [
+        str(read) if isinstance(read, SmtSyntaxError) else _shape(read)
+        for chunk in chunks
+        for read in reader.feed(chunk)
+    ]
+    return exprs, reader.unread
 
 
 class TestSexprEnd:
@@ -322,6 +314,17 @@ class TestSexprEnd:
         sexpr, end = read_sexpr(text, 3)
         assert _shape(sexpr) == ["b", "c"] and sexpr.offset == 4 and end == len(text)
         assert read_sexpr(text, end) is None
+
+    def test_stream_reports_a_stray_paren_and_reads_on(self):
+        reader = StreamReader()
+        assert _read_fed([") (a", " b)\n(c", ")"]) == (["1:0: unbalanced ')'", ["a", "b"], ["c"]], "")
+        assert list(reader.feed('(echo "a)')) == [] and reader.unread == '(echo "a)'
+
+    def test_token_pattern_compiles_on_python_3_10(self):
+        # possessive quantifiers and atomic groups need Python 3.11, and the
+        # package supports 3.10
+        for syntax in ("*+", "++", "?+", "}+", "(?>"):
+            assert syntax not in _TOKEN.pattern
 
     def test_whole_text_that_ends_inside_an_expression_is_an_error(self):
         with pytest.raises(SmtSyntaxError, match="unbalanced"):

@@ -371,6 +371,27 @@ class TestProcessClient:
         assert v.kind == VerdictKind.ERROR
         assert v.reason == '(error "C:\\")'
 
+    def test_model_reply_starting_with_a_stray_paren_is_error(self, tmp_path):
+        # the reply is malformed: the verdict says so and the process is
+        # reset, and the syntax error does not escape as if from the input
+        stub = tmp_path / "stray.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line == '(check-sat)':\n"
+            "        print('sat', flush=True)\n"
+            "    elif line == '(get-model)':\n"
+            "        print(')\\n((define-fun x () Int 5))', flush=True)\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=5.0)
+        p = parse_problem("(declare-const x Int)(assert (>= x 0))")
+        v = client.solve(SolverRequest(p.declarations, [p.assertion]))
+        assert v.kind == VerdictKind.ERROR
+        assert v.reason == "unreadable solver reply: 1:0: unbalanced ')'"
+        assert client._handle is None
+        client.close()
+
     def test_lying_solver_caught_by_recheck(self, tmp_path):
         # answers sat with a model violating the hard constraint
         stub = tmp_path / "liar.py"
