@@ -320,7 +320,7 @@ class TestSexprEnd:
         assert _read_fed([") (a", " b)\n(c", ")"]) == (["1:0: unbalanced ')'", ["a", "b"], ["c"]], "")
         assert list(reader.feed('(echo "a)')) == [] and reader.unread == '(echo "a)'
 
-    def test_token_pattern_compiles_on_python_3_10(self):
+    def test_token_pattern_uses_no_syntax_newer_than_python_3_10(self):
         # possessive quantifiers and atomic groups need Python 3.11, and the
         # package supports 3.10
         for syntax in ("*+", "++", "?+", "}+", "(?>"):
