@@ -5,7 +5,10 @@ removes select-over-store terms with model-guided case splits, and freezes
 the aliasing configuration of the model with index (dis)equality literals.
 The integer strengthening then runs on that product as it stands: it treats
 every select / function-application term as a leaf, so the box is keyed on
-integer variables and the original select-like terms.
+integer variables and the original select-like terms.  What a select-like
+term is, and the symbol and index it reads, are told by
+:func:`terms.is_select_like`, :func:`terms.select_symbol` and
+:func:`terms.select_index`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .terms import (
     ArrayVar,
     Atom,
     Formula,
-    FunApp,
     IntConst,
     IntVar,
     Model,
@@ -36,29 +38,17 @@ from .terms import (
     eval_term,
     free_symbols,
     fun_names,
+    is_select_like,
     iter_nodes,
     iter_subterms,
     replace,
+    select_index,
+    select_symbol,
     sort_of,
 )
 
 _FRESH_ARRAY_PREFIX = "!c"
 _FRESH_SCALAR_PREFIX = "!u"
-
-
-def is_select_like(t: Term) -> bool:
-    """Array access or unary function application over an array variable."""
-    return (isinstance(t, Select) and isinstance(t.array, ArrayVar)) or isinstance(t, FunApp)
-
-
-def select_symbol(t: Term) -> str:
-    """The array or function a select-like term reads."""
-    return t.array.name if isinstance(t, Select) else t.fname
-
-
-def select_index(t: Term) -> Term:
-    """The index term of a select-like term."""
-    return t.index if isinstance(t, Select) else t.arg
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ class SmtSyntaxError(BoxsamplerError):
     `text`, which starts on `line` (counted from 1) at `col` (from 0)."""
 
     def __init__(self, message: str, text: str, offset: int):
+        self.message = message
         self.offset = offset
         self.line = text.count("\n", 0, offset) + 1
         self.col = offset - text.rfind("\n", 0, offset) - 1

@@ -13,7 +13,8 @@ through :class:`smtlib.StreamReader`, which frames and reads each command
 in one pass as soon as it is complete.
 Assertions must be Bool, as in :func:`smtlib.parse_problem`.  A stray ")"
 and every rejected command get an ``(error "...")`` reply, with quotes
-doubled, and reading goes on.
+doubled and the line and column of the error in the input stream, and
+reading goes on.
 
 Every scan checks points with one predicate per query,
 :func:`compiled.compile_predicate` over the declared symbols, which takes a
@@ -31,7 +32,6 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .smtlib import Declaration, Parser, StreamReader, _print_sym, print_term
@@ -50,8 +50,11 @@ from .terms import (
     Sort,
     Term,
     eval_term,
+    is_select_like,
     iter_nodes,
     iter_subterms,
+    select_index,
+    select_symbol,
 )
 
 _RADIUS_SCHEDULE = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 150)
@@ -438,6 +441,7 @@ class LocalSolverClient(SolverClient):
 class _Session:
     def __init__(self, out):
         self.out = out
+        self.reader = StreamReader()
         self.parser = Parser()
         self.frames: list[tuple[list[Formula], list[tuple[Formula, int]]]] = [([], [])]
         self.last_model: Model | None = None
@@ -514,7 +518,9 @@ class _Session:
                     self.emit(_format_model(self.last_model, list(self.parser.decls.values())))
                 return True
             self.error(f"unsupported command {head}")
-        except (SmtSyntaxError, UnsupportedFeature, ValueError, IndexError) as exc:
+        except SmtSyntaxError as exc:
+            self.error(self.reader.locate(exc))
+        except (UnsupportedFeature, ValueError, IndexError) as exc:
             self.error(str(exc))
         return True
 
@@ -549,11 +555,10 @@ def _format_model(model: Model, declarations: list[Declaration]) -> str:
 
 def main(argv=None) -> int:
     session = _Session(sys.stdout)
-    reader = StreamReader()
     for line in sys.stdin:
-        for command in reader.feed(line):
+        for command in session.reader.feed(line):
             if isinstance(command, SmtSyntaxError):  # a stray ")"
-                session.error(str(command))
+                session.error(session.reader.locate(command))
             elif not session.handle(command):
                 return 0
     return 0

@@ -33,7 +33,6 @@ from typing import Callable
 
 from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
-from .arrays import is_select_like, select_index, select_symbol
 from .compiled import compile_predicate
 from .errors import BoxsamplerError, NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from .implicant import compute_implicant
@@ -57,8 +56,11 @@ from .terms import (
     eval_term,
     free_symbols,
     fun_names,
+    is_select_like,
     iter_nodes,
     preprocess,
+    select_index,
+    select_symbol,
     to_nnf,
 )
 
@@ -434,8 +436,9 @@ def epoch_drawer(
     equality rewriting substituted, over a :class:`Model` built only when
     there are any.  The draw returns the declared prefix of the frame.
 
-    Each value is ``lo + rng._randbelow(points)``, which is what
-    ``rng.randint`` computes, so a draw equals
+    Each value is ``lo + r``, where ``r`` is the first of
+    ``rng.getrandbits(points.bit_length())`` below `points`: the bits and
+    the rejection loop of ``rng.randint``, so a draw equals
     ``layout.vector(restrict_to_problem(d, problem))`` of the draw ``d`` of
     :func:`sample_intervals` (a box without select-like keys) and consumes
     the same random numbers; that reference chain stays for the tests and
@@ -444,24 +447,31 @@ def epoch_drawer(
     frame = SampleLayout(layout.declarations + undeclared) if undeclared else layout
     slot = frame.slot
     int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
-    int_plan = [(slot[name], lo, points) for name, lo, points in int_steps]
+    int_plan = [(slot[name], lo, points, points.bit_length()) for name, lo, points in int_steps]
+    access_plan = [(*rest, points, points.bit_length()) for *rest, points in access_steps]
     values = list(frame.vector(seed))
     arrays = [(name, i, values[i].default) for name, i in frame.funcs]
     recipes = [(name, term, slot[name]) for name, term in reversed(reconstructions or [])]
     n = len(layout.names)
     exact = len(values) == n
-    randbelow = rng._randbelow
+    getrandbits = rng.getrandbits
 
     def draw():
-        for i, lo, points in int_plan:
-            values[i] = lo + randbelow(points)
+        for i, lo, points, k in int_plan:
+            r = getrandbits(k)
+            while r >= points:
+                r = getrandbits(k)
+            values[i] = lo + r
         if arrays:
             cells: dict[str, dict[int, int]] = {}
-            for symbol, index, interval, lo, points in access_steps:
+            for symbol, index, interval, lo, points, k in access_plan:
                 at = _eval_index(index, slot, values, cells, seed)
                 bucket = cells.setdefault(symbol, {})
                 if at not in bucket:
-                    bucket[at] = lo + randbelow(points)
+                    r = getrandbits(k)
+                    while r >= points:
+                        r = getrandbits(k)
+                    bucket[at] = lo + r
                 elif not interval.member(bucket[at]):
                     return None
             for name, i, default in arrays:

@@ -147,28 +147,51 @@ def read_sexprs(text: str) -> list[_SExpr]:
 
 class StreamReader:
     """Reads the s-expressions of a text that arrives in pieces, such as the
-    commands of a pipe.  `unread` is what has arrived and not been read."""
+    commands of a pipe.  It keeps what has arrived from the start of the
+    line where reading stands (`text`, read on from `pos`) and that line's
+    number in the stream (`line`), so that :meth:`locate` can place an error
+    in the stream without keeping or counting the text read before it."""
 
     def __init__(self):
-        self.unread = ""
+        self.text = ""
+        self.pos = 0
+        self.line = 1
+        self.base_line = 1  # `line` when the last s-expression yielded was read
+
+    @property
+    def unread(self) -> str:
+        return self.text[self.pos :]
 
     def feed(self, piece: str):
         """Append `piece`, and yield each s-expression now complete, in order.
         A ")" that closes no list yields its `SmtSyntaxError` instead, and
         reading goes on after it."""
-        self.unread += piece
+        self.text += piece
         while True:
             try:
-                read = read_sexpr(self.unread)
+                read = read_sexpr(self.text, self.pos)
             except SmtSyntaxError as exc:
-                self.unread = self.unread[exc.offset + 1 :]
+                self._advance(exc.offset + 1)
                 yield exc
                 continue
             if read is None:
                 return
             node, end = read
-            self.unread = self.unread[end:]
+            self._advance(end)
             yield node
+
+    def _advance(self, end: int):
+        """Read on from `end`, keeping the text from the start of its line;
+        `text[:pos]` holds no newline."""
+        self.base_line = self.line
+        start = self.text.rfind("\n", self.pos, end) + 1
+        self.line += self.text.count("\n", 0, start)
+        self.text, self.pos = self.text[start:], end - start
+
+    def locate(self, exc: SmtSyntaxError) -> str:
+        """The message of `exc`, an error at what :meth:`feed` yielded last
+        (or that error itself), with its line counted in the stream."""
+        return f"{exc.line + self.base_line - 1}:{exc.col}: {exc.message}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ satisfiable answer is re-checked against the hard constraints with the
 internal evaluator before being returned.
 
 Replies are read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`:
-it tells when the lines of an error or a model make a complete reply, and
-:func:`parse_model` reads the model with it.
+it tells when the lines of an error or a model make a complete reply, which
+is framed once if it has arrived whole, and :func:`parse_model` reads the
+model with it.  When the solver closes its output, the error names its exit
+status.
 """
 
 from __future__ import annotations
@@ -269,17 +271,31 @@ class _ProcessHandle:
             except Empty:
                 continue
             if line is None:
-                raise EOFError("solver closed its output")
+                try:
+                    status = f"exit status {self.proc.wait(timeout=1.0)}"
+                except subprocess.TimeoutExpired:
+                    status = "still running"
+                raise EOFError(f"solver closed its output ({status})")
             if line.strip():
                 return line
 
     def read_balanced(self, first: str, deadline: float) -> str:
-        """Read lines until `first` and the lines after it hold a complete
-        s-expression."""
-        text = first
-        while read_sexpr(text) is None:
-            text += "\n" + self.read_line(deadline)
-        return text
+        """The first s-expression of `first` and the lines after it.  Each
+        try takes every line already queued, so a reply that has arrived
+        whole is read once; what follows it is dropped, as nothing follows
+        a reply the client waits for."""
+        lines = [first]
+        while True:
+            while not self.lines.empty():
+                line = self.lines.get_nowait()
+                if line is None:  # the end of output, for read_line to report
+                    self.lines.put(None)
+                    break
+                lines.append(line)
+            text = "\n".join(lines)
+            if (read := read_sexpr(text)) is not None:
+                return text[: read[1]]
+            lines.append(self.read_line(deadline))
 
     def kill(self):
         try:

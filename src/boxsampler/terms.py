@@ -11,6 +11,10 @@ Node structure.  One table lists each node type's children in pre-order
 structural walks derive from it: :func:`iter_nodes`, whose numbering
 coverage bitmaps and :mod:`.compiled` share, and :func:`replace`.
 Evaluation, printing, preprocessing and NNF stay written per type.
+The select-like vocabulary lives here too: :func:`is_select_like` tells an
+array access or function application, which :func:`select_symbol` and
+:func:`select_index` take apart, for the array pipeline, the sampler and
+the minisolver alike.
 """
 
 from __future__ import annotations
@@ -129,6 +133,21 @@ class ArrayVar:
 
 Term = Union[IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, FunApp, ArrayVar]
 TERM_TYPES = get_args(Term)
+
+
+def is_select_like(t: Term) -> bool:
+    """Array access or unary function application over an array variable."""
+    return (isinstance(t, Select) and isinstance(t.array, ArrayVar)) or isinstance(t, FunApp)
+
+
+def select_symbol(t: Term) -> str:
+    """The array or function a select-like term reads."""
+    return t.array.name if isinstance(t, Select) else t.fname
+
+
+def select_index(t: Term) -> Term:
+    """The index term of a select-like term."""
+    return t.index if isinstance(t, Select) else t.arg
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,16 @@ line, followed by the reason.  A top-level function, class or assignment
 counts as read when a statement other than its own definition, in the
 package, the tests or the benchmark scripts, names it: as a name, an
 attribute, an imported name, or a part of a dotted-name string (the
-entries of `__all__` and of the tracer's `WRAPPED` table)."""
+entries of `__all__` and of the tracer's `WRAPPED` table).
+
+The solver child, `python -m boxsampler.minisolver`, imports only the
+modules its pipe uses, as each start pays for every module it imports."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -140,3 +146,18 @@ def test_checker_flags_dead_names():
         ),
     }
     assert dead_names(sources, ["a.py"]) == ["a.py: recursive", "a.py: unread", "a.py: limit", "a.py: dead"]
+
+
+def test_solver_child_imports_only_the_modules_of_the_pipe():
+    script = "import boxsampler.minisolver, sys; print(sorted(m for m in sys.modules if m.startswith('boxsampler')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert ast.literal_eval(out) == [
+        "boxsampler",
+        "boxsampler.compiled",
+        "boxsampler.errors",
+        "boxsampler.minisolver",
+        "boxsampler.smtlib",
+        "boxsampler.solver",
+        "boxsampler.terms",
+    ]

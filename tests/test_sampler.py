@@ -364,14 +364,22 @@ class TestEpochDrawer:
             clashes += sum(draw() is None for _ in range(10))
         assert clashes > 0  # the property above covers the clash branch
 
-    def test_randbelow_reproduces_randint(self):
-        spans = [(0, 0), (-5, 5), (3, 10**6), (-(10**12), 10**12), (7, 8), (-1, 0)]
-        gen = random.Random(3)
-        spans += [(lo, lo + gen.randint(0, 2**gen.randint(0, 70))) for lo in range(-100, 100)]
-        a, b = random.Random(9), random.Random(9)
-        for lo, hi in spans * 5:
-            assert lo + a._randbelow(hi - lo + 1) == b.randint(lo, hi)
-        assert a.getstate() == b.getstate()
+    @pytest.mark.parametrize("points", [1, 2, 3, 4, 7, 8, 9, 2**20 - 1, 2**20, 2**20 + 1, 2 * 10**6 + 1, 2**70 + 3])
+    def test_draws_take_the_values_and_bits_of_randint(self, points):
+        """An integer key and a select-like key of `points` values each draw
+        what `randint` draws, and leave the generator where it leaves it."""
+        decls = [Declaration("x", Sort.INT), Declaration("i", Sort.INT), Declaration("a", Sort.ARRAY)]
+        seed = Model(ints={"x": 0, "i": 0}, funcs={"a": FuncValue(0)})
+        iv = IntervalMap({X: Interval(-3, points - 4), Select(A, I): Interval(5, points + 4)})
+        layout = SampleLayout(decls)
+        for s in range(6):
+            kernel_rng, reference_rng = random.Random(s), random.Random(s)
+            draw = epoch_drawer(iv, seed, layout, cfg_of(), kernel_rng)
+            for _ in range(20):
+                x, i, a = draw()
+                assert x == reference_rng.randint(-3, points - 4) and i == 0
+                assert a == FuncValue(0, {0: reference_rng.randint(5, points + 4)})
+            assert kernel_rng.getstate() == reference_rng.getstate()
 
     def test_key_is_the_vector_with_canonical_functions(self):
         p = parse_problem(

@@ -320,6 +320,18 @@ class TestSexprEnd:
         assert _read_fed([") (a", " b)\n(c", ")"]) == (["1:0: unbalanced ')'", ["a", "b"], ["c"]], "")
         assert list(reader.feed('(echo "a)')) == [] and reader.unread == '(echo "a)'
 
+    def test_stream_locates_errors_in_the_stream(self):
+        # positions count the lines read before and the columns of earlier
+        # commands on the same line
+        reader = StreamReader()
+        fed = [read for line in ["(a)\n", "\n", "(b) (c\n", " d) )\n"] for read in reader.feed(line)]
+        assert [_shape(read) for read in fed[:3]] == [["a"], ["b"], ["c", "d"]]
+        assert reader.locate(fed[3]) == "4:4: unbalanced ')'"
+        reader = StreamReader()
+        nodes = [read for line in ["(a)\n", "(b)\n", "  (c x)\n"] for read in reader.feed(line)]
+        assert reader.locate(nodes[-1].items[1].error("bad x")) == "3:5: bad x"
+        assert reader.line == 3 and reader.unread == "\n"
+
     def test_token_pattern_uses_no_syntax_newer_than_python_3_10(self):
         # possessive quantifiers and atomic groups need Python 3.11, and the
         # package supports 3.10

@@ -13,8 +13,10 @@ from boxsampler.errors import ModelParseError
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import canonical_assignment
 from boxsampler.smtlib import Declaration, parse_problem, read_sexpr
+from boxsampler import solver as solver_mod
 from boxsampler.solver import (
     ProcessSolverClient,
+    _ProcessHandle,
     SolverRequest,
     VerdictKind,
     parse_model,
@@ -203,7 +205,22 @@ def test_pipe_reports_a_stray_paren_and_carries_on():
 @pytest.mark.parametrize("command", ["(assert (+ x 1))", "(assert-soft (+ x 1) :weight 2)"])
 def test_pipe_rejects_an_assertion_that_is_not_bool(command):
     lines = _minisolver(f"(declare-const x Int){command}(check-sat)\n")
-    assert lines == ['(error "1:0: assert expects a Bool expression")', "sat"]
+    assert lines == ['(error "1:21: assert expects a Bool expression")', "sat"]
+
+
+def test_pipe_error_positions_are_lines_and_columns_of_the_stream():
+    # a command on its own line says its line; one that shares a line with
+    # an earlier command counts its column from the start of the line
+    lines = _minisolver(
+        "(declare-const x Int)\n(assert (> x 0))\n(assert (> y 0))\n"
+        "(declare-const y Int) (assert (+ y 1))\n\n  )\n(check-sat)\n"
+    )
+    assert lines == [
+        "(error \"3:11: undeclared symbol 'y'\")",
+        '(error "4:22: assert expects a Bool expression")',
+        "(error \"6:2: unbalanced ')'\")",
+        "sat",
+    ]
 
 
 def test_pipe_error_reply_with_a_quote_reads_as_one_sexpr():
@@ -322,6 +339,50 @@ class TestProcessClient:
         p = parse_problem("(declare-const x Int)(assert (= x 0))")
         v = client.solve(SolverRequest(p.declarations, [p.assertion]))
         assert v.kind == VerdictKind.ERROR
+        client.close()
+
+    def test_a_model_reply_is_framed_in_one_read(self, monkeypatch):
+        # every line of the reply is queued before it is framed (the first
+        # line read waits for the rest to arrive), so each query frames its
+        # model reply with one read, not one per line
+        names = [f"x{k}" for k in range(5)]
+        problem = parse_problem("".join(f"(declare-const {n} Int)" for n in names) + "(assert (> x0 2))")
+        framed = []
+        monkeypatch.setattr(solver_mod, "read_sexpr", lambda text: framed.append(text) or read_sexpr(text))
+        read_line = _ProcessHandle.read_line
+
+        def read_line_once_the_reply_is_queued(handle, deadline):
+            line = read_line(handle, deadline)
+            while line == "(" and handle.lines.qsize() < len(names) + 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return line
+
+        monkeypatch.setattr(_ProcessHandle, "read_line", read_line_once_the_reply_is_queued)
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        for _ in range(10):
+            v = client.solve(SolverRequest(problem.declarations, [problem.assertion]))
+            assert v.is_sat and v.model.ints["x0"] > 2
+        client.close()
+        assert len(framed) == 10
+        assert all(text.splitlines()[0] == "(" and text.splitlines()[-1] == ")" for text in framed)
+
+    def test_a_queued_reply_is_read_alone_and_the_end_of_output_kept(self):
+        # once the child has exited, its whole output is queued: the reply
+        # is read without the line after it, and the end of output is still
+        # reported after that
+        script = "print('(\\n  (define-fun x () Int 5)\\n)\\n(error \"next\")')"
+        handle = _ProcessHandle([sys.executable, "-c", script])
+        handle.reader.join(timeout=30)
+        deadline = time.monotonic() + 30
+        assert handle.read_balanced(handle.read_line(deadline), deadline) == "(\n  (define-fun x () Int 5)\n)"
+        with pytest.raises(EOFError, match=r"closed its output \(exit status 0\)"):
+            handle.read_line(time.monotonic() + 5)
+
+    def test_a_solver_that_exits_names_its_exit_status(self):
+        client = ProcessSolverClient(f"{sys.executable} -c 'import sys; sys.exit(3)'", timeout=10.0)
+        p = parse_problem("(declare-const x Int)(assert (= x 0))")
+        v = client.solve(SolverRequest(p.declarations, [p.assertion]))
+        assert v.kind == VerdictKind.ERROR and "exit status 3" in v.reason, v.reason
         client.close()
 
     def test_broken_command_is_error_not_crash(self):
