@@ -158,10 +158,6 @@ class StreamReader:
         self.line = 1
         self.base_line = 1  # `line` when the last s-expression yielded was read
 
-    @property
-    def unread(self) -> str:
-        return self.text[self.pos :]
-
     def feed(self, piece: str):
         """Append `piece`, and yield each s-expression now complete, in order.
         A ")" that closes no list yields its `SmtSyntaxError` instead, and

@@ -271,8 +271,9 @@ class _ProcessHandle:
             except Empty:
                 continue
             if line is None:
-                try:
-                    status = f"exit status {self.proc.wait(timeout=1.0)}"
+                try:  # wait for the exit a second at most, and not past the deadline
+                    wait = max(0.0, min(1.0, deadline - time.monotonic()))
+                    status = f"exit status {self.proc.wait(timeout=wait)}"
                 except subprocess.TimeoutExpired:
                     status = "still running"
                 raise EOFError(f"solver closed its output ({status})")

@@ -368,18 +368,16 @@ class TestEpochDrawer:
     def test_draws_take_the_values_and_bits_of_randint(self, points):
         """An integer key and a select-like key of `points` values each draw
         what `randint` draws, and leave the generator where it leaves it."""
-        decls = [Declaration("x", Sort.INT), Declaration("i", Sort.INT), Declaration("a", Sort.ARRAY)]
-        seed = Model(ints={"x": 0, "i": 0}, funcs={"a": FuncValue(0)})
-        iv = IntervalMap({X: Interval(-3, points - 4), Select(A, I): Interval(5, points + 4)})
-        layout = SampleLayout(decls)
         for s in range(6):
-            kernel_rng, reference_rng = random.Random(s), random.Random(s)
-            draw = epoch_drawer(iv, seed, layout, cfg_of(), kernel_rng)
-            for _ in range(20):
-                x, i, a = draw()
-                assert x == reference_rng.randint(-3, points - 4) and i == 0
-                assert a == FuncValue(0, {0: reference_rng.randint(5, points + 4)})
-            assert kernel_rng.getstate() == reference_rng.getstate()
+            _assert_draws_match_randint(-3, points - 4, random.Random(s), 20)
+
+    def test_draws_match_randint_over_random_spans(self):
+        # negative and huge lower bounds, widths from 2**0 to 2**70
+        spans = [(0, 0), (-5, 5), (3, 10**6), (-(10**12), 10**12), (7, 8), (-1, 0)]
+        gen = random.Random(3)
+        spans += [(lo, lo + gen.randint(0, 2 ** gen.randint(0, 70))) for lo in range(-100, 100)]
+        for k, (lo, hi) in enumerate(spans):
+            _assert_draws_match_randint(lo, hi, random.Random(k), 5)
 
     def test_key_is_the_vector_with_canonical_functions(self):
         p = parse_problem(
@@ -391,6 +389,23 @@ class TestEpochDrawer:
         model = layout.model(values)
         assert model == Model(ints={"x": 4}, bools={"q": True}, funcs={"a": FuncValue(1, {3: 0, -2: 5})})
         assert layout.vector(model) == values
+
+
+def _assert_draws_match_randint(lo: int, hi: int, rng: random.Random, draws: int):
+    """An integer key over [lo, hi] and a select-like key over [lo + 9, hi + 9]
+    draw what `randint` draws from a copy of `rng`, and leave `rng` where
+    `randint` leaves the copy."""
+    decls = [Declaration("x", Sort.INT), Declaration("i", Sort.INT), Declaration("a", Sort.ARRAY)]
+    seed = Model(ints={"x": 0, "i": 0}, funcs={"a": FuncValue(0)})
+    iv = IntervalMap({X: Interval(lo, hi), Select(A, I): Interval(lo + 9, hi + 9)})
+    reference_rng = random.Random()
+    reference_rng.setstate(rng.getstate())
+    draw = epoch_drawer(iv, seed, SampleLayout(decls), cfg_of(), rng)
+    for _ in range(draws):
+        x, i, a = draw()
+        assert x == reference_rng.randint(lo, hi) and i == 0
+        assert a == FuncValue(0, {0: reference_rng.randint(lo + 9, hi + 9)})
+    assert rng.getstate() == reference_rng.getstate()
 
 
 def _random_index(rng: random.Random, depth: int):

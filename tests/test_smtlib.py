@@ -270,7 +270,7 @@ def _read_fed(chunks) -> tuple[list, str]:
         for chunk in chunks
         for read in reader.feed(chunk)
     ]
-    return exprs, reader.unread
+    return exprs, reader.text[reader.pos :]
 
 
 class TestSexprEnd:
@@ -318,7 +318,7 @@ class TestSexprEnd:
     def test_stream_reports_a_stray_paren_and_reads_on(self):
         reader = StreamReader()
         assert _read_fed([") (a", " b)\n(c", ")"]) == (["1:0: unbalanced ')'", ["a", "b"], ["c"]], "")
-        assert list(reader.feed('(echo "a)')) == [] and reader.unread == '(echo "a)'
+        assert list(reader.feed('(echo "a)')) == [] and reader.text[reader.pos :] == '(echo "a)'
 
     def test_stream_locates_errors_in_the_stream(self):
         # positions count the lines read before and the columns of earlier
@@ -330,7 +330,7 @@ class TestSexprEnd:
         reader = StreamReader()
         nodes = [read for line in ["(a)\n", "(b)\n", "  (c x)\n"] for read in reader.feed(line)]
         assert reader.locate(nodes[-1].items[1].error("bad x")) == "3:5: bad x"
-        assert reader.line == 3 and reader.unread == "\n"
+        assert reader.line == 3 and reader.text[reader.pos :] == "\n"
 
     def test_token_pattern_uses_no_syntax_newer_than_python_3_10(self):
         # possessive quantifiers and atomic groups need Python 3.11, and the

@@ -385,6 +385,15 @@ class TestProcessClient:
         assert v.kind == VerdictKind.ERROR and "exit status 3" in v.reason, v.reason
         client.close()
 
+    def test_a_child_that_closes_its_output_is_not_waited_for_past_the_deadline(self):
+        handle = _ProcessHandle([sys.executable, "-c", "import os, time; os.close(1); time.sleep(30)"])
+        handle.reader.join(timeout=30)  # the end of output is queued
+        start = time.monotonic()
+        with pytest.raises(EOFError, match=r"closed its output \(still running\)"):
+            handle.read_line(start + 0.2)
+        assert time.monotonic() - start < 0.8
+        handle.kill()
+
     def test_broken_command_is_error_not_crash(self):
         client = ProcessSolverClient(f"{sys.executable} -c 'pass'", timeout=2.0)
         p = parse_problem("(declare-const x Int)(assert (= x 0))")
