@@ -7,7 +7,8 @@ Subcommands:
   merge-coverage  union coverage bitmaps and report normalized coverage
 
 Exit codes: 0 success, 2 unsatisfiable input, 3 unsupported input,
-4 solver failure, 5 verification found violations, 1 anything else.
+4 solver failure, 5 verification found violations, 130 a run stopped by
+Ctrl-C (its samples, stats and coverage are still written), 1 anything else.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_UNSAT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SOLVER = 4
 EXIT_VIOLATIONS = 5
+EXIT_INTERRUPTED = 130  # as a shell reports SIGINT
 
 
 def sample_to_json(sample: Model) -> dict:
@@ -155,7 +157,7 @@ def _cmd_run(args) -> int:
         f"{stats.unique_samples} unique samples in {stats.epochs} epochs "
         f"({stats.solver_calls} solver calls); stopped: {stats.stop_reason}"
     )
-    return EXIT_OK
+    return EXIT_INTERRUPTED if stats.stop_reason == "interrupted" else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -10,7 +10,8 @@ and keeps the best soft-constraint score.  Everything is deterministic.
 
 The input is read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`,
 through :class:`smtlib.StreamReader`, which frames and reads each command
-in one pass as soon as it is complete.
+in one pass as soon as it is complete; the client reads the replies at the
+other end of the pipe with the same class.
 Assertions must be Bool, as in :func:`smtlib.parse_problem`.  A stray ")"
 and every rejected command get an ``(error "...")`` reply, with quotes
 doubled and the line and column of the error in the input stream, and

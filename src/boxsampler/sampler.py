@@ -568,7 +568,9 @@ def sample_formula(
     `on_sample(model)` fires for every fresh verified sample; `on_epoch`
     receives each EpochResult.  Returns aggregate statistics, whose
     `wall_time` holds the seconds of each phase (solve, implicant,
-    strengthen, sample, and emit: the two callbacks) and the "total"."""
+    strengthen, sample, and emit: the two callbacks) and the "total".  On
+    Ctrl-C it stops with `stop_reason` "interrupted", and `unique_samples`
+    counts the samples `on_sample` took."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
     phase = {"solve": 0.0, "implicant": 0.0, "strengthen": 0.0, "sample": 0.0, "emit": 0.0}
@@ -582,79 +584,82 @@ def sample_formula(
     history = BlockingHistory(problem) if cfg.strategy == "blocking" else None
     injected = cfg.inject_seed
 
-    while True:
-        if time.monotonic() > deadline:
-            stats.stop_reason = "total time limit"
-            break
-        if cfg.max_samples is not None and stats.unique_samples >= cfg.max_samples:
-            stats.stop_reason = "max samples"
-            break
+    try:
+        while True:
+            if time.monotonic() > deadline:
+                stats.stop_reason = "total time limit"
+                break
+            if cfg.max_samples is not None and stats.unique_samples >= cfg.max_samples:
+                stats.stop_reason = "max samples"
+                break
 
-        t0 = time.monotonic()
-        if injected is not None:
-            seed = injected
-            injected = None
-            _check_injected(seed, formula, layout, pred)
-        elif client is None:
-            stats.stop_reason = "no solver configured"
-            break
-        elif history is not None:
-            seed, was_reset, calls = get_seed_blocking(formula, client, history)
-            stats.solver_calls += calls
-            if was_reset:
-                stats.blocking_resets += 1
-        else:
-            seed, verdict = get_seed_random(problem, formula, client, cfg, rng)
-            stats.solver_calls += 1
-            if verdict.degraded:
-                stats.maxsmt_degradations += 1
-        phase["solve"] += time.monotonic() - t0
+            t0 = time.monotonic()
+            if injected is not None:
+                seed = injected
+                injected = None
+                _check_injected(seed, formula, layout, pred)
+            elif client is None:
+                stats.stop_reason = "no solver configured"
+                break
+            elif history is not None:
+                seed, was_reset, calls = get_seed_blocking(formula, client, history)
+                stats.solver_calls += calls
+                if was_reset:
+                    stats.blocking_resets += 1
+            else:
+                seed, verdict = get_seed_random(problem, formula, client, cfg, rng)
+                stats.solver_calls += 1
+                if verdict.degraded:
+                    stats.maxsmt_degradations += 1
+            phase["solve"] += time.monotonic() - t0
 
-        t0 = time.monotonic()
-        product = compute_implicant(formula, seed, rng)
-        phase["implicant"] += time.monotonic() - t0
+            t0 = time.monotonic()
+            product = compute_implicant(formula, seed, rng)
+            phase["implicant"] += time.monotonic() - t0
 
-        t0 = time.monotonic()
-        reconstructions: list[tuple[str, Term]] = []
-        if layout.funcs:
-            result = arrays_mod.product_to_intervals(product, seed, rng)
-            iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
-        else:
-            iv = strengthen_mod.product_to_intervals(product, seed)
-        if history is not None:
-            history.add(iv)
-        phase["strengthen"] += time.monotonic() - t0
+            t0 = time.monotonic()
+            reconstructions: list[tuple[str, Term]] = []
+            if layout.funcs:
+                result = arrays_mod.product_to_intervals(product, seed, rng)
+                iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
+            else:
+                iv = strengthen_mod.product_to_intervals(product, seed)
+            if history is not None:
+                history.add(iv)
+            phase["strengthen"] += time.monotonic() - t0
 
-        if not contains(iv, seed):
-            raise SoundnessViolation("seed fell outside its own interval box")
+            if not contains(iv, seed):
+                raise SoundnessViolation("seed fell outside its own interval box")
 
-        t0 = time.monotonic()
-        remaining = None if cfg.max_samples is None else cfg.max_samples - stats.unique_samples
-        epoch = exploit_epoch(
-            iv,
-            seed,
-            pred,
-            layout,
-            dedup,
-            cfg,
-            rng,
-            reconstructions=reconstructions,
-            deadline=deadline,
-            remaining_budget=remaining,
-        )
-        phase["sample"] += time.monotonic() - t0
+            t0 = time.monotonic()
+            remaining = None if cfg.max_samples is None else cfg.max_samples - stats.unique_samples
+            epoch = exploit_epoch(
+                iv,
+                seed,
+                pred,
+                layout,
+                dedup,
+                cfg,
+                rng,
+                reconstructions=reconstructions,
+                deadline=deadline,
+                remaining_budget=remaining,
+            )
+            phase["sample"] += time.monotonic() - t0
 
-        stats.epochs += 1
-        stats.unique_samples += len(epoch.fresh_samples)
-        stats.clashes += epoch.stats.clashes
+            stats.epochs += 1
+            stats.clashes += epoch.stats.clashes
 
-        t0 = time.monotonic()
-        if on_sample is not None:
+            t0 = time.monotonic()
             for sample in epoch.fresh_samples:
-                on_sample(sample)
-        if on_epoch is not None:
-            on_epoch(epoch)
-        phase["emit"] += time.monotonic() - t0
+                if on_sample is not None:
+                    on_sample(sample)
+                stats.unique_samples += 1  # once handed over, so that an interrupt leaves it exact
+            if on_epoch is not None:
+                on_epoch(epoch)
+            phase["emit"] += time.monotonic() - t0
+    except KeyboardInterrupt:
+        stats.stop_reason = "interrupted"
 
     stats.probabilistic_dedup = dedup.probabilistic
     phase["total"] = time.monotonic() - t_start

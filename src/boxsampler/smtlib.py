@@ -1,13 +1,13 @@
 """SMT-LIB v2 reader and writer for the supported fragment.
 
 One reader, :func:`read_sexpr`, reads every s-expression of the package:
-input files (:func:`parse_problem`), solver replies (`solver`) and the
-commands of the `minisolver` pipe, which :class:`StreamReader` reads as
-they arrive.  It follows the lexical rules of SMT-LIB 2.6 (``""`` is a
-quote inside a string, ``|...|`` a quoted symbol), says when a text holds
-no complete s-expression yet, and gives each node the text it was read
-from and the offset it starts at, from which an error's line and column
-are derived.
+input files (:func:`parse_problem`) and both ends of the solver pipe, whose
+text :class:`StreamReader` reads as it arrives: the commands the
+`minisolver` reads and the replies the `solver` client reads.  It follows
+the lexical rules of SMT-LIB 2.6 (``""`` is a quote inside a string,
+``|...|`` a quoted symbol), says when a text holds no complete s-expression
+yet, and gives each node the text it was read from and the offset it starts
+at, from which an error's line and column are derived.
 
 The parser handles set-logic, declare-fun / declare-const (Int, Bool,
 (Array Int Int), unary Int -> Int functions), zero-parameter define-fun
@@ -160,8 +160,9 @@ class StreamReader:
 
     def feed(self, piece: str):
         """Append `piece`, and yield each s-expression now complete, in order.
-        A ")" that closes no list yields its `SmtSyntaxError` instead, and
-        reading goes on after it."""
+        A top-level atom that reaches the end of the text is not complete
+        yet: the next piece may go on with it.  A ")" that closes no list
+        yields its `SmtSyntaxError` instead, and reading goes on after it."""
         self.text += piece
         while True:
             try:
@@ -170,7 +171,7 @@ class StreamReader:
                 self._advance(exc.offset + 1)
                 yield exc
                 continue
-            if read is None:
+            if read is None or (read[0].is_atom and read[1] == len(self.text)):
                 return
             node, end = read
             self._advance(end)

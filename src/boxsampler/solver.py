@@ -7,25 +7,29 @@ query silently degrades to a plain solve and the verdict is flagged.  Every
 satisfiable answer is re-checked against the hard constraints with the
 internal evaluator before being returned.
 
-Replies are read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`:
-it tells when the lines of an error or a model make a complete reply, which
-is framed once if it has arrived whole, and :func:`parse_model` reads the
-model with it.  When the solver closes its output, the error names its exit
+Each query goes to the solver in one write.  The solver's output is read
+with the one SMT-LIB reader, through one :class:`smtlib.StreamReader` fed
+with whatever has arrived, so each reply (a verdict atom, an ``(error ...)``
+list or a model) is read once, as one s-expression, which
+:func:`parse_model` takes as it is.  Reading waits with `select`, so it is
+POSIX-only.  When the solver closes its output, the error names its exit
 status.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
+import os
+import select
 import shlex
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from queue import Empty, Queue
 
 from .errors import ModelParseError, SmtSyntaxError
-from .smtlib import Declaration, print_declaration, print_formula, read_sexpr, read_sexprs
+from .smtlib import Declaration, StreamReader, print_declaration, print_formula
 from .terms import (
     Formula,
     FuncValue,
@@ -96,19 +100,15 @@ class SolverClient:
 # Model output parsing
 
 
-def parse_model(text: str, declarations: list[Declaration]) -> Model:
-    """Parse a get-model response into the finite model representation.
+def parse_model(reply, declarations: list[Declaration]) -> Model:
+    """Parse a get-model reply, as read, into the finite model representation.
 
     Accepts the `(model ...)` and bare `((define-fun ...))` wrappers, integer
     constants in `(- k)` form, constant arrays with store chains, as-array
     references, and ite-chains over the function argument."""
-    try:
-        exprs = read_sexprs(text)
-    except Exception as exc:
-        raise ModelParseError(f"unreadable model output: {exc}") from None
-    if len(exprs) != 1 or exprs[0].is_atom:
-        raise ModelParseError(f"expected one parenthesized model, got {text[:80]!r}")
-    items = exprs[0].items
+    if reply.is_atom:
+        raise ModelParseError(f"expected a model, got {reply.text!r}")
+    items = reply.items
     if items and items[0].is_atom and items[0].text == "model":
         items = items[1:]
 
@@ -234,75 +234,49 @@ def _parse_array_expr(body, raw_funs) -> FuncValue:
 
 
 class _ProcessHandle:
-    """Child process with a line-reader thread for timeout-safe reads."""
+    """Child process whose output is read one reply at a time, each within
+    a deadline."""
 
     def __init__(self, cmd: list[str]):
-        self.proc = subprocess.Popen(
-            cmd,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
-        )
-        self.lines: Queue[str | None] = Queue()
-        self.reader = threading.Thread(target=self._pump, daemon=True)
-        self.reader.start()
-
-    def _pump(self):
-        try:
-            for line in self.proc.stdout:
-                self.lines.put(line.rstrip("\n"))
-        except ValueError:
-            pass
-        self.lines.put(None)
+        self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
+        self.reader = StreamReader()
+        self.replies = iter(())  # what the reader has yet to yield of the output so far
 
     def send(self, text: str) -> None:
-        self.proc.stdin.write(text + "\n")
+        self.proc.stdin.write(text.encode() + b"\n")
         self.proc.stdin.flush()
 
-    def read_line(self, deadline: float) -> str:
-        while True:
+    def reply(self, deadline: float):
+        """The next s-expression of the solver's output, read by `deadline`.
+        Output that follows it is left for the next reply.  A ")" closing
+        nothing raises its `SmtSyntaxError`."""
+        out = self.proc.stdout.fileno()
+        while (node := next(self.replies, None)) is None:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if remaining <= 0 or not select.select([out], [], [], remaining)[0]:
                 raise TimeoutError("solver response timed out")
-            try:
-                line = self.lines.get(timeout=min(remaining, 0.5))
-            except Empty:
-                continue
-            if line is None:
+            data = os.read(out, 1 << 16)
+            if not data:
                 try:  # wait for the exit a second at most, and not past the deadline
                     wait = max(0.0, min(1.0, deadline - time.monotonic()))
                     status = f"exit status {self.proc.wait(timeout=wait)}"
                 except subprocess.TimeoutExpired:
                     status = "still running"
                 raise EOFError(f"solver closed its output ({status})")
-            if line.strip():
-                return line
-
-    def read_balanced(self, first: str, deadline: float) -> str:
-        """The first s-expression of `first` and the lines after it.  Each
-        try takes every line already queued, so a reply that has arrived
-        whole is read once; what follows it is dropped, as nothing follows
-        a reply the client waits for."""
-        lines = [first]
-        while True:
-            while not self.lines.empty():
-                line = self.lines.get_nowait()
-                if line is None:  # the end of output, for read_line to report
-                    self.lines.put(None)
-                    break
-                lines.append(line)
-            text = "\n".join(lines)
-            if (read := read_sexpr(text)) is not None:
-                return text[: read[1]]
-            lines.append(self.read_line(deadline))
+            self.replies = self.reader.feed(self.decoder.decode(data))
+        if isinstance(node, SmtSyntaxError):
+            raise node
+        return node
 
     def kill(self):
-        try:
-            self.proc.kill()
-        except Exception:
-            pass
+        """Stop the child, reap it and close its pipes; harmless if it has
+        exited or been killed already."""
+        self.proc.kill()
+        self.proc.wait()
+        self.proc.stdout.close()
+        with contextlib.suppress(OSError):  # input left unflushed to a dead child
+            self.proc.stdin.close()
 
 
 class ProcessSolverClient(SolverClient):
@@ -319,9 +293,9 @@ class ProcessSolverClient(SolverClient):
 
     def _ensure(self) -> _ProcessHandle:
         if self._handle is None or self._handle.proc.poll() is not None:
+            self._reset()
             self._handle = _ProcessHandle(self.cmd)
-            self._handle.send("(set-option :print-success false)")
-            self._handle.send("(set-option :produce-models true)")
+            self._handle.send("(set-option :print-success false)\n(set-option :produce-models true)")
         return self._handle
 
     def _reset(self):
@@ -359,12 +333,10 @@ class ProcessSolverClient(SolverClient):
             try:
                 handle = self._ensure()
                 deadline = time.monotonic() + min(self.timeout, 10.0)
-                handle.send("(push 1)")
-                handle.send("(assert-soft true :weight 1)")
-                handle.send("(check-sat)")
-                answer = handle.read_line(deadline)
+                handle.send("(push 1)\n(assert-soft true :weight 1)\n(check-sat)")
+                answer = handle.reply(deadline)
                 handle.send("(pop 1)")
-                self._soft_supported = answer.strip() == "sat"
+                self._soft_supported = answer.is_atom and answer.text == "sat"
                 if not self._soft_supported:
                     self._reset()
             except Exception:
@@ -376,36 +348,29 @@ class ProcessSolverClient(SolverClient):
         try:
             handle = self._ensure()
             deadline = time.monotonic() + self.timeout
-            handle.send("(push 1)")
-            for d in req.declarations:
-                handle.send(print_declaration(d))
-            for f in req.hard:
-                handle.send(f"(assert {print_formula(f)})")
+            commands = ["(push 1)", *map(print_declaration, req.declarations)]
+            commands += [f"(assert {print_formula(f)})" for f in req.hard]
             if use_soft:
-                for f, weight in req.soft:
-                    handle.send(f"(assert-soft {print_formula(f)} :weight {weight})")
-            handle.send("(check-sat)")
-            answer = handle.read_line(deadline).strip()
-            if answer.startswith("(error"):
-                full = handle.read_balanced(answer, deadline)
+                commands += [f"(assert-soft {print_formula(f)} :weight {weight})" for f, weight in req.soft]
+            handle.send("\n".join([*commands, "(check-sat)"]))
+            answer = handle.reply(deadline)
+            if not answer.is_atom:
                 self._reset()
-                return SolverVerdict(VerdictKind.ERROR, reason=full)
-            if answer == "unsat":
+                return SolverVerdict(VerdictKind.ERROR, reason=_frag(answer))
+            if answer.text == "unsat":
                 handle.send("(pop 1)")
                 return SolverVerdict(VerdictKind.UNSAT)
-            if answer == "unknown":
+            if answer.text == "unknown":
                 handle.send("(pop 1)")
                 return SolverVerdict(VerdictKind.UNKNOWN, reason="solver answered unknown")
-            if answer != "sat":
+            if answer.text != "sat":
                 self._reset()
-                return SolverVerdict(VerdictKind.ERROR, reason=f"unexpected solver answer {answer!r}")
+                return SolverVerdict(VerdictKind.ERROR, reason=f"unexpected solver answer {answer.text!r}")
             handle.send("(get-model)")
-            first = handle.read_line(deadline)
-            text = handle.read_balanced(first, deadline)
+            reply = handle.reply(deadline)
             handle.send("(pop 1)")
-            model = parse_model(text, req.declarations)
-            return SolverVerdict(VerdictKind.SAT, model=model)
-        except (TimeoutError, EOFError, BrokenPipeError, OSError) as exc:
+            return SolverVerdict(VerdictKind.SAT, model=parse_model(reply, req.declarations))
+        except (EOFError, OSError) as exc:  # TimeoutError and BrokenPipeError are OSErrors
             self._reset()
             return SolverVerdict(VerdictKind.ERROR, reason=f"solver process failure: {exc}")
         except ModelParseError as exc:
@@ -413,4 +378,4 @@ class ProcessSolverClient(SolverClient):
             return SolverVerdict(VerdictKind.ERROR, reason=str(exc))
         except SmtSyntaxError as exc:  # a reply that starts with a ")" closing nothing
             self._reset()
-            return SolverVerdict(VerdictKind.ERROR, reason=f"unreadable solver reply: {exc}")
+            return SolverVerdict(VerdictKind.ERROR, reason=f"unreadable solver reply: {handle.reader.locate(exc)}")

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from boxsampler.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
+from boxsampler import cli
+from boxsampler.cli import EXIT_ERROR, EXIT_INTERRUPTED, EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
 from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
 from boxsampler.terms import eval_formula
@@ -88,6 +89,26 @@ class TestRun:
         assert stats["epochs"] >= 1
         assert "wall_time" in stats
         assert list(stats) == [f.name for f in dataclasses.fields(RunStats)]
+
+    def test_interrupted_run_writes_consistent_stats(self, data_dir, tmp_path, monkeypatch, capsys):
+        # Ctrl-C while the 3rd sample is written: the two written samples
+        # are the ones the stats count, and coverage is still written
+        calls, original = [], cli.sample_to_json
+
+        def sample_to_json(sample):
+            calls.append(sample)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return original(sample)
+
+        monkeypatch.setattr(cli, "sample_to_json", sample_to_json)
+        stats_path, cov = tmp_path / "stats.json", tmp_path / "cov.bin"
+        code, out = _run_intro(data_dir, tmp_path, "--stats-out", stats_path, "--coverage-out", cov)
+        assert code == EXIT_INTERRUPTED
+        stats = json.loads(stats_path.read_text())
+        assert stats["stop_reason"] == "interrupted"
+        assert len(out.read_text().splitlines()) == stats["unique_samples"] == 2
+        assert cov.exists() and "stopped: interrupted" in capsys.readouterr().out
 
     def test_unsupported_input(self, tmp_path):
         bad = tmp_path / "bad.smt2"

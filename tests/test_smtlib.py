@@ -315,6 +315,10 @@ class TestSexprEnd:
         assert _shape(sexpr) == ["b", "c"] and sexpr.offset == 4 and end == len(text)
         assert read_sexpr(text, end) is None
 
+    def test_stream_holds_back_an_atom_until_it_is_complete(self):
+        assert _read_fed(["(a) sa", "t", "\n"]) == ([["a"], "sat"], "\n")
+        assert _read_fed(["sat"]) == ([], "sat")
+
     def test_stream_reports_a_stray_paren_and_reads_on(self):
         reader = StreamReader()
         assert _read_fed([") (a", " b)\n(c", ")"]) == (["1:0: unbalanced ')'", ["a", "b"], ["c"]], "")
@@ -343,18 +347,22 @@ class TestSexprEnd:
             read_sexprs("(a (b)")
         assert read_sexprs(" ; nothing\n") == []
 
-    @given(st.text(alphabet='()|;"ab \n', max_size=60))
+    @given(st.text(alphabet='()|;"ab \n', max_size=60), st.lists(st.integers(0, 60), max_size=8))
     @settings(max_examples=500, deadline=None)
-    def test_reading_line_by_line_agrees_with_reading_whole(self, text):
-        """Fed a line at a time, as the pipe feeds it, a text reads as the
-        same s-expressions as when it is read whole."""
+    def test_reading_line_by_line_agrees_with_reading_whole(self, text, cuts):
+        """Fed a line at a time, as the minisolver reads its input, or in
+        pieces cut anywhere, as the client reads replies, a text reads as the
+        same s-expressions as when it is read whole, but for a trailing atom
+        that the next piece could go on with, which is left unread."""
         exprs, rest = _read_fed([text])
         assert _read_fed(text.splitlines(keepends=True)) == (exprs, rest)
+        cuts = sorted({min(cut, len(text)) for cut in cuts})
+        assert _read_fed(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])) == (exprs, rest)
         try:
             whole = read_sexprs(text)
         except SmtSyntaxError:
             return
-        assert [_shape(s) for s in whole] == exprs and read_sexprs(rest) == []
+        assert exprs + [_shape(s) for s in read_sexprs(rest)] == [_shape(s) for s in whole]
 
 
 class TestFuzz:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import select
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from boxsampler.errors import ModelParseError
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import canonical_assignment
-from boxsampler.smtlib import Declaration, parse_problem, read_sexpr
+from boxsampler.smtlib import Declaration, parse_problem, read_sexpr, read_sexprs
 from boxsampler import solver as solver_mod
 from boxsampler.solver import (
     ProcessSolverClient,
@@ -33,106 +34,110 @@ def D(name, sort=Sort.INT, fn=False):
     return Declaration(name, sort, is_function=fn)
 
 
+def read_model(name: str):
+    """The reply of a recorded model file, as the client reads it."""
+    return read_sexprs((MODELS_DIR / name).read_text())[0]
+
+
 class TestParseModel:
     def test_plain_ints(self):
-        m = parse_model((MODELS_DIR / "m01_plain_ints.txt").read_text(), [D("x"), D("y")])
+        m = parse_model(read_model("m01_plain_ints.txt"), [D("x"), D("y")])
         assert m.ints == {"x": 12, "y": 2}
 
     def test_model_keyword_and_negative(self):
-        m = parse_model((MODELS_DIR / "m02_model_keyword.txt").read_text(), [D("x"), D("y")])
+        m = parse_model(read_model("m02_model_keyword.txt"), [D("x"), D("y")])
         assert m.ints == {"x": 5, "y": -3}
 
     def test_bools(self):
         decls = [D("p", Sort.BOOL), D("q", Sort.BOOL), D("x")]
-        m = parse_model((MODELS_DIR / "m03_bools.txt").read_text(), decls)
+        m = parse_model(read_model("m03_bools.txt"), decls)
         assert m.bools == {"p": True, "q": False} and m.ints == {"x": 0}
 
     def test_const_array(self):
-        m = parse_model((MODELS_DIR / "m04_const_array.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m04_const_array.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(0)
 
     def test_store_array(self):
-        m = parse_model((MODELS_DIR / "m05_store_array.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m05_store_array.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(7, {1: 9})
 
     def test_store_chain(self):
-        m = parse_model((MODELS_DIR / "m06_store_chain.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m06_store_chain.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(0, {1: 9, -2: 4})
 
     def test_as_array(self):
-        m = parse_model((MODELS_DIR / "m07_as_array.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m07_as_array.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(5, {3: 12})
 
     def test_fun_ite_chain(self):
-        m = parse_model((MODELS_DIR / "m08_fun_ite.txt").read_text(), [D("f", fn=True)])
+        m = parse_model(read_model("m08_fun_ite.txt"), [D("f", fn=True)])
         assert m.funcs["f"] == FuncValue(0, {0: 1, 2: -7})
 
     def test_fun_const(self):
-        m = parse_model((MODELS_DIR / "m09_fun_const.txt").read_text(), [D("f", fn=True)])
+        m = parse_model(read_model("m09_fun_const.txt"), [D("f", fn=True)])
         assert m.funcs["f"] == FuncValue(42)
 
     def test_lambda_array(self):
-        m = parse_model((MODELS_DIR / "m10_lambda_array.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m10_lambda_array.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(1, {4: 8})
 
     def test_big_negative_int(self):
-        m = parse_model((MODELS_DIR / "m11_negative_int.txt").read_text(), [D("z")])
+        m = parse_model(read_model("m11_negative_int.txt"), [D("z")])
         assert m.ints["z"] == -123456789012345678901234567890
 
     def test_mixed(self):
         decls = [D("i"), D("b", Sort.BOOL), D("a", Sort.ARRAY), D("f", fn=True)]
-        m = parse_model((MODELS_DIR / "m12_mixed.txt").read_text(), decls)
+        m = parse_model(read_model("m12_mixed.txt"), decls)
         assert m.ints["i"] == 3 and m.bools["b"] is True
         assert m.funcs["a"] == FuncValue(-1, {3: 6})
         assert m.funcs["f"] == FuncValue(-2, {3: 0})
 
     def test_missing_symbols_filled_with_defaults(self):
         decls = [D("x"), D("y"), D("p", Sort.BOOL), D("a", Sort.ARRAY)]
-        m = parse_model((MODELS_DIR / "m13_missing_symbol.txt").read_text(), decls)
+        m = parse_model(read_model("m13_missing_symbol.txt"), decls)
         assert m.ints == {"x": 4, "y": 0}
         assert m.bools == {"p": False}
         assert m.funcs["a"] == FuncValue(0)
 
     def test_quoted_symbol(self):
-        m = parse_model((MODELS_DIR / "m14_quoted_symbol.txt").read_text(), [D("weird name")])
+        m = parse_model(read_model("m14_quoted_symbol.txt"), [D("weird name")])
         assert m.ints["weird name"] == 11
 
     def test_ite_with_flipped_equality(self):
-        m = parse_model((MODELS_DIR / "m15_ite_flipped_eq.txt").read_text(), [D("f", fn=True)])
+        m = parse_model(read_model("m15_ite_flipped_eq.txt"), [D("f", fn=True)])
         assert m.funcs["f"] == FuncValue(2, {5: 9})
 
     def test_duplicate_ite_key_first_wins(self):
-        m = parse_model((MODELS_DIR / "m16_dup_exception.txt").read_text(), [D("f", fn=True)])
+        m = parse_model(read_model("m16_dup_exception.txt"), [D("f", fn=True)])
         assert m.funcs["f"] == FuncValue(0, {1: 3})
 
     def test_zero_defaults(self):
         decls = [D("a", Sort.ARRAY), D("x")]
-        m = parse_model((MODELS_DIR / "m17_zero_defaults.txt").read_text(), decls)
+        m = parse_model(read_model("m17_zero_defaults.txt"), decls)
         assert m.funcs["a"] == FuncValue(0) and m.ints["x"] == 0
 
     def test_store_over_as_array(self):
-        m = parse_model((MODELS_DIR / "m18_store_over_asarray.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m18_store_over_asarray.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(0, {9: 9, 0: 2})
 
     def test_big_ints(self):
-        m = parse_model((MODELS_DIR / "m19_big_ints.txt").read_text(), [D("x"), D("y")])
+        m = parse_model(read_model("m19_big_ints.txt"), [D("x"), D("y")])
         assert m.ints["x"] == 99999999999999999999999999
 
     def test_exception_equal_to_default_dropped(self):
-        m = parse_model((MODELS_DIR / "m20_exception_equal_default.txt").read_text(), [D("a", Sort.ARRAY)])
+        m = parse_model(read_model("m20_exception_equal_default.txt"), [D("a", Sort.ARRAY)])
         assert m.funcs["a"] == FuncValue(5)
 
     def test_golden_corpus_all_parse(self):
         # every recorded output parses with permissive declarations
         for path in sorted(MODELS_DIR.glob("m*.txt")):
-            text = path.read_text()
-            parse_model(text, [])  # ignoring declarations must not crash
+            parse_model(read_model(path.name), [])  # ignoring declarations must not crash
 
     def test_garbage_rejected(self):
         with pytest.raises(ModelParseError):
-            parse_model("sat", [D("x")])
+            parse_model(read_sexprs("sat")[0], [D("x")])
         with pytest.raises(ModelParseError):
-            parse_model("((define-fun x () Int (+ 1 2 oops)))", [D("x")])
+            parse_model(read_sexprs("((define-fun x () Int (+ 1 2 oops)))")[0], [D("x")])
 
 
 class TestLocalClient:
@@ -341,42 +346,44 @@ class TestProcessClient:
         assert v.kind == VerdictKind.ERROR
         client.close()
 
-    def test_a_model_reply_is_framed_in_one_read(self, monkeypatch):
-        # every line of the reply is queued before it is framed (the first
-        # line read waits for the rest to arrive), so each query frames its
-        # model reply with one read, not one per line
-        names = [f"x{k}" for k in range(5)]
-        problem = parse_problem("".join(f"(declare-const {n} Int)" for n in names) + "(assert (> x0 2))")
-        framed = []
-        monkeypatch.setattr(solver_mod, "read_sexpr", lambda text: framed.append(text) or read_sexpr(text))
-        read_line = _ProcessHandle.read_line
-
-        def read_line_once_the_reply_is_queued(handle, deadline):
-            line = read_line(handle, deadline)
-            while line == "(" and handle.lines.qsize() < len(names) + 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return line
-
-        monkeypatch.setattr(_ProcessHandle, "read_line", read_line_once_the_reply_is_queued)
-        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
-        for _ in range(10):
-            v = client.solve(SolverRequest(problem.declarations, [problem.assertion]))
-            assert v.is_sat and v.model.ints["x0"] > 2
+    def test_replies_written_a_byte_at_a_time_are_read_whole(self, tmp_path):
+        # each byte arrives on its own: "sat" must not be read as "s", nor
+        # a model before its closing paren
+        stub = tmp_path / "bytewise.py"
+        stub.write_text(
+            "import sys, time\n"
+            "def say(text):\n"
+            "    for ch in text + '\\n':\n"
+            "        sys.stdout.write(ch)\n"
+            "        sys.stdout.flush()\n"
+            "        time.sleep(0.001)\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line == '(check-sat)':\n"
+            "        say('sat')\n"
+            "    elif line == '(get-model)':\n"
+            "        say('(\\n  (define-fun x () Int 5)\\n  (define-fun |y z| () Int (- 12))\\n)')\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=30.0)
+        p = parse_problem("(declare-const x Int)(declare-const |y z| Int)(assert (> x 2))")
+        for _ in range(2):
+            v = client.solve(SolverRequest(p.declarations, [p.assertion]))
+            assert v.is_sat and v.model.ints == {"x": 5, "y z": -12}, v.reason
         client.close()
-        assert len(framed) == 10
-        assert all(text.splitlines()[0] == "(" and text.splitlines()[-1] == ")" for text in framed)
 
     def test_a_queued_reply_is_read_alone_and_the_end_of_output_kept(self):
-        # once the child has exited, its whole output is queued: the reply
-        # is read without the line after it, and the end of output is still
-        # reported after that
+        # once the child has exited, its whole output arrives in one read:
+        # the first reply is read without the one after it, which is the
+        # next reply, and the end of output is still reported after that
         script = "print('(\\n  (define-fun x () Int 5)\\n)\\n(error \"next\")')"
         handle = _ProcessHandle([sys.executable, "-c", script])
-        handle.reader.join(timeout=30)
+        handle.proc.wait(timeout=30)
         deadline = time.monotonic() + 30
-        assert handle.read_balanced(handle.read_line(deadline), deadline) == "(\n  (define-fun x () Int 5)\n)"
+        assert solver_mod._frag(handle.reply(deadline)) == "((define-fun x () Int 5))"
+        assert solver_mod._frag(handle.reply(deadline)) == '(error "next")'
         with pytest.raises(EOFError, match=r"closed its output \(exit status 0\)"):
-            handle.read_line(time.monotonic() + 5)
+            handle.reply(time.monotonic() + 5)
+        handle.kill()
 
     def test_a_solver_that_exits_names_its_exit_status(self):
         client = ProcessSolverClient(f"{sys.executable} -c 'import sys; sys.exit(3)'", timeout=10.0)
@@ -387,12 +394,35 @@ class TestProcessClient:
 
     def test_a_child_that_closes_its_output_is_not_waited_for_past_the_deadline(self):
         handle = _ProcessHandle([sys.executable, "-c", "import os, time; os.close(1); time.sleep(30)"])
-        handle.reader.join(timeout=30)  # the end of output is queued
+        select.select([handle.proc.stdout], [], [], 30)  # the end of output has arrived
         start = time.monotonic()
         with pytest.raises(EOFError, match=r"closed its output \(still running\)"):
-            handle.read_line(start + 0.2)
+            handle.reply(start + 0.2)
         assert time.monotonic() - start < 0.8
         handle.kill()
+
+    def test_the_child_is_reaped_and_its_pipes_closed(self):
+        # on a reset (after a failed query) and on close, and a second wait
+        # or close of the process stays harmless
+        p = parse_problem("(declare-const x Int)(assert (= x 0))")
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        for stop in (client._reset, client.close):
+            assert client.solve(SolverRequest(p.declarations, [p.assertion])).is_sat
+            proc = client._handle.proc
+            stop()
+            assert proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+            proc.wait(timeout=1)
+            proc.stdin.close()
+        assert client._handle is None
+
+    def test_a_child_that_stopped_reading_is_reaped_without_raising(self):
+        # the failed write leaves its bytes buffered, to be flushed on close
+        handle = _ProcessHandle([sys.executable, "-c", "import os, time; os.close(0); print(1, flush=True); time.sleep(30)"])
+        assert handle.reply(time.monotonic() + 30).text == "1"
+        with pytest.raises(BrokenPipeError):
+            handle.send("(check-sat)")
+        handle.kill()
+        assert handle.proc.returncode is not None and handle.proc.stdin.closed and handle.proc.stdout.closed
 
     def test_broken_command_is_error_not_crash(self):
         client = ProcessSolverClient(f"{sys.executable} -c 'pass'", timeout=2.0)
@@ -458,7 +488,7 @@ class TestProcessClient:
         p = parse_problem("(declare-const x Int)(assert (>= x 0))")
         v = client.solve(SolverRequest(p.declarations, [p.assertion]))
         assert v.kind == VerdictKind.ERROR
-        assert v.reason == "unreadable solver reply: 1:0: unbalanced ')'"
+        assert v.reason == "unreadable solver reply: 2:0: unbalanced ')'"  # line 1 is "sat"
         assert client._handle is None
         client.close()
 
