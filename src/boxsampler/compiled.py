@@ -4,9 +4,9 @@
   over positional values, one per symbol (integer, Boolean, array or
   function): the sampler's per-draw check and injected-seed check, the
   check of ``verify``, and the fallback solver's scans.
-- :func:`compile_node_values` turns a formula into a function of a
-  :class:`Model` that computes the value of every pre-order node once, for
-  coverage bitmaps.
+- :func:`compile_node_values` turns a formula into a function over the
+  same positional values that computes the value of every pre-order node
+  once, for coverage bitmaps.
 
 Both walk a node's children as :func:`terms.children` lists them, so the
 node numbering is that of :func:`terms.iter_nodes`.
@@ -20,9 +20,6 @@ read with ``FuncValue.apply`` and updated with ``FuncValue.with_store``,
 both bound in the generated function's globals.  Values and truth values
 equal those of :func:`terms.eval_formula` / :func:`terms.eval_term`, which
 stay the reference, with the same evaluation order and short-circuiting.
-One difference: a compiled function reads every symbol of its (sub)formula
-when it starts, so a symbol missing from the model raises
-:class:`UnassignedSymbol` even where the interpreter would not reach it.
 
 Hoisting.  CPython's parser fails at about 200 nested parentheses and its
 compiler at a few thousand nested operators.  A subexpression that would
@@ -32,9 +29,8 @@ called in its place; sums and products split into parenthesised groups of
 
 Security.  Generated source is built only from this module's templates, the
 shape of our own AST and ``repr`` of int and bool constants.  Symbol names
-never enter the text: a symbol's name is bound to a global of the generated
-code (``_k0``, ``_k1``, ...) and its value read into a local (``s0``, ...);
-constants of any other type are bound as globals too.  The code runs under
+never enter the text: symbols are the positional parameters ``v0``, ``v1``,
+...; constants of any other type are bound as globals.  The code runs under
 empty ``__builtins__``, so it reaches only the names bound here.
 """
 
@@ -101,70 +97,46 @@ _TEMPLATES = {
     Store: lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})",
 }
 
-_SYMBOL_FIELD = {IntVar: "ints", BoolVar: "bools", ArrayVar: "funcs"}  # Model field of each symbol type
+_SYMBOL_TYPES = (IntVar, BoolVar, ArrayVar)
 
-
-# A piece of generated code: (text, operator nesting depth, symbols read
-# as a bit set with bit j for symbol j).
+# A piece of generated code: (text, operator nesting depth).
 _Piece = tuple
 
 
-def _reads(pieces) -> int:
-    reads = 0
-    for p in pieces:
-        reads |= p[2]
-    return reads
-
-
 class _Codegen:
-    """Source and globals of one compiled function and its helpers.
+    """Source and globals of one compiled function and its helpers, whose
+    parameters ``v0, v1, ...`` are the values of the symbols `params`."""
 
-    With `params` (variable names), symbols are positional parameters
-    ``v0, v1, ...``; otherwise the functions take one :class:`Model` ``m``."""
-
-    def __init__(self, params: list[str] | None = None):
-        self.params = None if params is None else {name: f"v{i}" for i, name in enumerate(params)}
-        self.signature = "m" if params is None else ", ".join(f"v{i}" for i in range(len(params)))
+    def __init__(self, params: list[str]):
+        self.params = {name: f"v{i}" for i, name in enumerate(params)}
+        self.signature = ", ".join(f"v{i}" for i in range(len(params)))
         self.env: dict = {
             "__builtins__": {},
             "_apply": FuncValue.apply,
             "_store": FuncValue.with_store,
             "_distinct": _distinct,
-            "_KeyError": KeyError,
-            "_Unassigned": UnassignedSymbol,
         }
-        self.symbols: list[tuple[str, str]] = []  # (Model field, name) by index
-        self._symbol_ids: dict[tuple[str, str], int] = {}
         self.functions: list[str] = []
 
     # -- leaves ------------------------------------------------------------
 
-    def _symbol(self, field_name: str, name: str) -> _Piece:
-        if self.params is not None:
-            if name not in self.params:
-                raise UnassignedSymbol(name)
-            return (self.params[name], 0, 0)
-        key = (field_name, name)
-        j = self._symbol_ids.get(key)
-        if j is None:
-            j = self._symbol_ids[key] = len(self.symbols)
-            self.symbols.append(key)
-            self.env[f"_k{j}"] = name
-        return (f"s{j}", 0, 1 << j)
+    def _symbol(self, name: str) -> _Piece:
+        if name not in self.params:
+            raise UnassignedSymbol(name)
+        return (self.params[name], 0)
 
     def _const(self, value) -> _Piece:
         if type(value) in (int, bool):
-            return (repr(value), 0, 0)
+            return (repr(value), 0)
         name = f"_c{len(self.env)}"
         self.env[name] = value
-        return (name, 0, 0)
+        return (name, 0)
 
     def _leaf(self, node) -> _Piece | None:
         kind = type(node)
         if kind is IntConst or kind is BoolConst:
             return self._const(node.value)
-        field_name = _SYMBOL_FIELD.get(kind)
-        return None if field_name is None else self._symbol(field_name, node.name)
+        return self._symbol(node.name) if kind in _SYMBOL_TYPES else None
 
     # -- inner nodes ---------------------------------------------------------
 
@@ -173,19 +145,19 @@ class _Codegen:
         kind = type(node)
         if kind is Add or kind is Mul:
             if not kids:
-                return ("0" if kind is Add else "1", 0, 0)
+                return ("0" if kind is Add else "1", 0)
             op = " + " if kind is Add else " * "
             while len(kids) > _CHAIN:
                 kids = [_join(op, kids[i : i + _CHAIN]) for i in range(0, len(kids), _CHAIN)]
             return _join(op, kids)
         if kind is FunApp:
-            kids = [self._symbol("funcs", node.fname), *kids]
+            kids = [self._symbol(node.fname), *kids]
         try:
             template = _TEMPLATES[kind]
         except KeyError:
             raise TypeError(f"not a term or formula: {node!r}") from None
         text = template(node, [k[0] for k in kids])
-        return (text, 1 + max((k[1] for k in kids), default=0), _reads(kids))
+        return (text, 1 + max((k[1] for k in kids), default=0))
 
     # -- expressions with hoisting -----------------------------------------
 
@@ -205,25 +177,14 @@ class _Codegen:
 
     def _hoist(self, piece: _Piece) -> _Piece:
         name = f"_h{len(self.functions)}"
-        self.function(name, piece[2], [f"return {piece[0]}"])
-        return (f"{name}({self.signature})", 1, 0)
+        self.function(name, [f"return {piece[0]}"])
+        return (f"{name}({self.signature})", 1)
 
     # -- functions -----------------------------------------------------------
 
-    def function(self, name: str, reads: int, body: list[str]) -> None:
-        """Add `def name(signature)` that loads the symbols in `reads` and
-        runs `body`."""
-        lines = [f"def {name}({self.signature}):"]
-        used = [j for j in range(len(self.symbols)) if reads >> j & 1]
-        fields = sorted({self.symbols[j][0] for j in used})
-        for field_name in fields:
-            lines.append(f"    _{field_name} = m.{field_name}")
-        if used:
-            lines.append("    try:")
-            lines += [f"        s{j} = _{self.symbols[j][0]}[_k{j}]" for j in used]
-            lines.append("    except _KeyError as _e:")
-            lines.append("        raise _Unassigned(_e.args[0]) from None")
-        lines += [f"    {line}" for line in body]
+    def function(self, name: str, body: list[str]) -> None:
+        """Add `def name(signature)` that runs `body`."""
+        lines = [f"def {name}({self.signature}):", *(f"    {line}" for line in body)]
         self.functions.append("\n".join(lines) + "\n")
 
     def build(self, name: str):
@@ -238,7 +199,7 @@ class _Codegen:
 
 def _join(op: str, kids: list[_Piece]) -> _Piece:
     text = "(" + op.join(k[0] for k in kids) + ")"
-    return (text, len(kids) + max(k[1] for k in kids), _reads(kids))
+    return (text, len(kids) + max(k[1] for k in kids))
 
 
 def compile_predicate(formulas: list[Formula], var_names: list[str]):
@@ -248,34 +209,32 @@ def compile_predicate(formulas: list[Formula], var_names: list[str]):
     function symbols.  Raises :class:`UnassignedSymbol` for any other
     symbol."""
     gen = _Codegen(var_names)
-    text, _, _ = gen.expression(And(tuple(formulas)))
-    gen.function("_predicate", 0, [f"return {text}"])
+    text, _ = gen.expression(And(tuple(formulas)))
+    gen.function("_predicate", [f"return {text}"])
     return gen.build("_predicate")
 
 
-def compile_node_values(f: Formula):
-    """`(values, int_nodes, bool_nodes)`.  `values(model)` returns the pair
-    (values of the integer-sorted nodes, values of the Boolean-sorted
-    nodes), each node computed once from its children; `int_nodes` and
-    `bool_nodes` hold those nodes' pre-order indices (numbered as
-    :func:`terms.iter_nodes` yields them).  Array-sorted nodes are computed
-    but not returned."""
-    gen = _Codegen()
+def compile_node_values(f: Formula, var_names: list[str]):
+    """`(values, int_nodes, bool_nodes)`.  `values(*args)`, with the
+    symbols `var_names` bound positionally as in :func:`compile_predicate`,
+    returns the pair (values of the integer-sorted nodes, values of the
+    Boolean-sorted nodes), each node computed once from its children;
+    `int_nodes` and `bool_nodes` hold those nodes' pre-order indices
+    (numbered as :func:`terms.iter_nodes` yields them).  Array-sorted nodes
+    are computed but not returned."""
+    gen = _Codegen(var_names)
     body: list[str] = []
     ints: list[tuple[int, str]] = []
     bools: list[tuple[int, str]] = []
-    reads = 0
     preorder = itertools.count()
 
     def visit(node) -> _Piece:
-        nonlocal reads
         index = next(preorder)
         piece = gen._leaf(node)
         if piece is None:
-            expr, _, expr_reads = gen._combine(node, [visit(k) for k in children(node)])
+            expr, _ = gen._combine(node, [visit(k) for k in children(node)])
             body.append(f"n{index} = {expr}")
-            piece = (f"n{index}", 0, expr_reads)
-        reads |= piece[2]
+            piece = (f"n{index}", 0)
         if isinstance(node, FORMULA_TYPES):
             bools.append((index, piece[0]))
         elif sort_of(node) == Sort.INT:
@@ -286,7 +245,7 @@ def compile_node_values(f: Formula):
     ints.sort()
     bools.sort()
     body.append(f"return {_tuple(t for _, t in ints)}, {_tuple(t for _, t in bools)}")
-    gen.function("_values", reads, body)
+    gen.function("_values", body)
     return gen.build("_values"), [i for i, _ in ints], [i for i, _ in bools]
 
 

@@ -14,8 +14,8 @@ import struct
 from dataclasses import dataclass, field
 
 from .compiled import compile_node_values
-from .errors import BitmapMismatch
-from .terms import TERM_TYPES, Formula, Model, Sort, iter_nodes, sort_of
+from .errors import BitmapMismatch, UnassignedSymbol
+from .terms import TERM_TYPES, Formula, Model, Sort, free_symbols, fun_names, iter_nodes, sort_of
 
 _WORD = (1 << 64) - 1
 
@@ -73,14 +73,31 @@ def _check_compatible(a: CoverageBitmap, b: CoverageBitmap) -> None:
         raise BitmapMismatch("bitmaps cover different node sets")
 
 
+_MODEL_FIELD = {Sort.INT: "ints", Sort.BOOL: "bools", Sort.ARRAY: "funcs"}
+
+
+def _symbols(f: Formula) -> list[tuple[str, str]]:
+    """(Model field, name) of each symbol of `f`: its variables, then its
+    function symbols."""
+    sorts = free_symbols(f)
+    funcs = sorted(fun_names(f) - sorts.keys())
+    return [(_MODEL_FIELD[sort], name) for name, sort in sorts.items()] + [("funcs", name) for name in funcs]
+
+
 def record_sample(bm: CoverageBitmap, f: Formula, sample: Model) -> CoverageBitmap:
     """Fold one sample into the bitmap: every AST node's value is computed
-    once, by `f` compiled with :func:`compiled.compile_node_values`, and its
-    bits accumulated."""
+    once, by `f` compiled over its symbols with
+    :func:`compiled.compile_node_values`, and its bits accumulated.  Raises
+    :class:`UnassignedSymbol` if `sample` lacks a symbol of `f`."""
     if bm._compiled is None or bm._compiled[0] is not f:
-        bm._compiled = (f, *compile_node_values(f))
-    _, values, int_nodes, bool_nodes = bm._compiled
-    ints, bools = values(sample)
+        symbols = _symbols(f)
+        bm._compiled = (f, symbols, *compile_node_values(f, [name for _, name in symbols]))
+    _, symbols, values, int_nodes, bool_nodes = bm._compiled
+    try:
+        args = [getattr(sample, field_name)[name] for field_name, name in symbols]
+    except KeyError as e:
+        raise UnassignedSymbol(e.args[0]) from None
+    ints, bools = values(*args)
     zero, one = bm.seen_zero, bm.seen_one
     for i, v in zip(int_nodes, ints):
         one[i] |= v & _WORD  # two's complement low bits

@@ -256,8 +256,8 @@ class BruteForceEngine:
     # -- exhaustive scan over a small finite box (sound unsat, true optimum)
 
     def _finite_scan(self, bounds, soft, pred, soft_preds, tails) -> EngineResult:
-        ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in self.int_vars]
-        result = self._scan(ranges, soft, -1, sum(w for _, w in soft), pred, soft_preds, tails)
+        points = itertools.product(*(range(bounds[v][0], bounds[v][1] + 1) for v in self.int_vars))
+        result = self._scan(points, soft, -1, sum(w for _, w in soft), pred, soft_preds, tails)
         if result is not None:
             return EngineResult("sat", result[1])
         return EngineResult("unknown" if tails is not None else "unsat")
@@ -286,7 +286,7 @@ class BruteForceEngine:
                 total *= len(r)
             if total > _MAX_POINTS_PER_SCAN:
                 break
-            result = self._scan(ranges, soft, best_score, perfect, pred, soft_preds, tails)
+            result = self._scan(itertools.product(*ranges), soft, best_score, perfect, pred, soft_preds, tails)
             if result is not None:
                 score, model = result
                 if not soft or score >= perfect:
@@ -299,9 +299,9 @@ class BruteForceEngine:
             return EngineResult("sat", best_model)
         return EngineResult("unknown")
 
-    def _scan(self, ranges, soft, floor: int, perfect: int, pred, soft_preds, tails):
-        """Scan the box; return (score, model) for the best point above
-        `floor`, or the first satisfying point when there are no softs.
+    def _scan(self, points, soft, floor: int, perfect: int, pred, soft_preds, tails):
+        """Scan `points` in order; return (score, model) for the best point
+        above `floor`, or the first satisfying point when there are no softs.
         Stops at the first point satisfying every soft constraint.  Each
         point is checked with each of its tails: `tails(point)` for queries
         over arrays or functions, ``self.int_tails`` when `tails` is None.
@@ -310,7 +310,6 @@ class BruteForceEngine:
         best = None
         best_score = floor
         weights = [w for _, w in soft]
-        points = itertools.product(*ranges)
         if tails is None:
             scan = zip(points, itertools.repeat(self.int_tails))
         else:
@@ -351,16 +350,10 @@ class BruteForceEngine:
     def _shell_search(self, pred, targets: dict[str, int], bounds) -> Model | None:
         center = [targets.get(v, 0) for v in self.int_vars]
         clip = [bounds.get(v, (None, None)) for v in self.int_vars]
-        budget = _MAX_POINTS_PER_SCAN * 4
-        for distance in range(_MAX_SHELL_DISTANCE + 1):
-            for point in _shell_points(center, clip, distance):
-                for tail in self.int_tails:
-                    if pred(*point, *tail):
-                        return self._model_of(point, tail)
-                budget -= 1
-                if budget <= 0:
-                    return None
-        return None
+        shells = (_shell_points(center, clip, d) for d in range(_MAX_SHELL_DISTANCE + 1))
+        points = itertools.islice(itertools.chain.from_iterable(shells), _MAX_POINTS_PER_SCAN * 4)
+        result = self._scan(points, [], -1, 0, pred, [], None)
+        return None if result is None else result[1]
 
     def _array_tails(self, formulas):
         """`tails(point)`: the tails of a point for formulas over arrays or

@@ -567,15 +567,27 @@ def sample_formula(
 
     `on_sample(model)` fires for every fresh verified sample; `on_epoch`
     receives each EpochResult.  Returns aggregate statistics, whose
-    `wall_time` holds the seconds of each phase (solve, implicant,
-    strengthen, sample, and emit: the two callbacks) and the "total".  On
-    Ctrl-C it stops with `stop_reason` "interrupted", and `unique_samples`
-    counts the samples `on_sample` took."""
+    `wall_time` holds the seconds of each phase and the "total": setup
+    (preprocessing, the predicate compile and the blocking history), solve
+    (with the loop head), implicant, strengthen (with the seed's containment
+    check), sample, and emit (the two callbacks).  The phases are
+    contiguous laps of one clock, so they sum to the total.  On Ctrl-C it
+    stops with `stop_reason` "interrupted", and `unique_samples` counts the
+    samples `on_sample` took."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
-    phase = {"solve": 0.0, "implicant": 0.0, "strengthen": 0.0, "sample": 0.0, "emit": 0.0}
-    t_start = time.monotonic()
+    phase = dict.fromkeys(("setup", "solve", "implicant", "strengthen", "sample", "emit"), 0.0)
+    t_start = t_lap = time.monotonic()
+    running = "setup"
     deadline = t_start + cfg.total_time_limit
+
+    def lap(following: str) -> float:
+        """End the running phase's lap now and start `following`'s."""
+        nonlocal t_lap, running
+        now = time.monotonic()
+        phase[running] += now - t_lap
+        t_lap, running = now, following
+        return now
 
     formula = to_nnf(preprocess(problem.assertion))
     layout = SampleLayout(problem.declarations)
@@ -586,14 +598,13 @@ def sample_formula(
 
     try:
         while True:
-            if time.monotonic() > deadline:
+            if lap("solve") > deadline:
                 stats.stop_reason = "total time limit"
                 break
             if cfg.max_samples is not None and stats.unique_samples >= cfg.max_samples:
                 stats.stop_reason = "max samples"
                 break
 
-            t0 = time.monotonic()
             if injected is not None:
                 seed = injected
                 injected = None
@@ -611,13 +622,11 @@ def sample_formula(
                 stats.solver_calls += 1
                 if verdict.degraded:
                     stats.maxsmt_degradations += 1
-            phase["solve"] += time.monotonic() - t0
 
-            t0 = time.monotonic()
+            lap("implicant")
             product = compute_implicant(formula, seed, rng)
-            phase["implicant"] += time.monotonic() - t0
 
-            t0 = time.monotonic()
+            lap("strengthen")
             reconstructions: list[tuple[str, Term]] = []
             if layout.funcs:
                 result = arrays_mod.product_to_intervals(product, seed, rng)
@@ -626,12 +635,10 @@ def sample_formula(
                 iv = strengthen_mod.product_to_intervals(product, seed)
             if history is not None:
                 history.add(iv)
-            phase["strengthen"] += time.monotonic() - t0
-
             if not contains(iv, seed):
                 raise SoundnessViolation("seed fell outside its own interval box")
 
-            t0 = time.monotonic()
+            lap("sample")
             remaining = None if cfg.max_samples is None else cfg.max_samples - stats.unique_samples
             epoch = exploit_epoch(
                 iv,
@@ -645,23 +652,20 @@ def sample_formula(
                 deadline=deadline,
                 remaining_budget=remaining,
             )
-            phase["sample"] += time.monotonic() - t0
-
             stats.epochs += 1
             stats.clashes += epoch.stats.clashes
 
-            t0 = time.monotonic()
+            lap("emit")
             for sample in epoch.fresh_samples:
                 if on_sample is not None:
                     on_sample(sample)
                 stats.unique_samples += 1  # once handed over, so that an interrupt leaves it exact
             if on_epoch is not None:
                 on_epoch(epoch)
-            phase["emit"] += time.monotonic() - t0
     except KeyboardInterrupt:
         stats.stop_reason = "interrupted"
 
+    phase["total"] = lap(running) - t_start  # the stopping loop head or the interrupted phase
     stats.probabilistic_dedup = dedup.probabilistic
-    phase["total"] = time.monotonic() - t_start
     stats.wall_time = phase
     return stats

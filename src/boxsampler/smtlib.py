@@ -69,9 +69,6 @@ class ParsedProblem:
     declarations: list[Declaration]
     assertion: Formula
 
-    def sort_env(self) -> dict[str, Declaration]:
-        return {d.name: d for d in self.declarations}
-
 
 # ---------------------------------------------------------------------------
 # Reader

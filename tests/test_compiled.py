@@ -36,6 +36,8 @@ from boxsampler.terms import (
     Xor,
     eval_formula,
     eval_term,
+    free_symbols,
+    fun_names,
     iter_nodes,
     preprocess,
     sort_of,
@@ -90,12 +92,22 @@ def _full_grammar_formula(rng, depth: int):
     return rng.choice([And, Or])(tuple(kids)) if roll < 0.8 else rng.choice([Implies, Iff, Xor])(*kids)
 
 
+def _symbols(f) -> list[str]:
+    return [*free_symbols(f), *sorted(fun_names(f))]
+
+
+def _args(m: Model, names: list[str]) -> list:
+    env = {**m.ints, **m.bools, **m.funcs}
+    return [env[n] for n in names]
+
+
 def _model_check(f):
     """`check(model)`: the truth value of `f` under a Model, read from the
-    compiled node values (the root is node 0)."""
-    values, _, bool_nodes = compile_node_values(f)
+    node values compiled over the symbols of `f` (the root is node 0)."""
+    names = _symbols(f)
+    values, _, bool_nodes = compile_node_values(f, names)
     assert bool_nodes[0] == 0
-    return lambda m: values(m)[1][0]
+    return lambda m: values(*_args(m, names))[1][0]
 
 
 def _interpreted_record(bm: CoverageBitmap, f, sample: Model) -> None:
@@ -168,11 +180,13 @@ class TestAgreement:
         assert compile_predicate([], INTS)(0, 0, 0) is True
 
     def test_unassigned_symbol(self):
-        check = _model_check(Atom(Rel.LE, X, IntVar("y")))
+        f = Atom(Rel.LE, X, IntVar("y"))
         with pytest.raises(UnassignedSymbol):
-            check(Model(ints={"x": 1}))
+            record_sample(CoverageBitmap.for_formula(f), f, Model(ints={"x": 1}))
         with pytest.raises(UnassignedSymbol):
-            compile_predicate([Atom(Rel.LE, X, IntVar("y"))], ["x"])
+            compile_node_values(f, ["x"])
+        with pytest.raises(UnassignedSymbol):
+            compile_predicate([f], ["x"])
 
     def test_long_sum_and_empty_operators(self):
         names = [f"v{i}" for i in range(3000)]
@@ -222,10 +236,11 @@ class TestCoverageValues:
     def test_values_are_preorder_node_values(self):
         rng = random.Random(8)
         f = _full_grammar_formula(rng, 4)
-        values, int_nodes, bool_nodes = compile_node_values(f)
+        names = _symbols(f)
+        values, int_nodes, bool_nodes = compile_node_values(f, names)
         nodes = list(iter_nodes(f))
         m = _array_model(rng)
-        ints, bools = values(m)
+        ints, bools = values(*_args(m, names))
         assert int_nodes == [i for i, n in enumerate(nodes) if not isinstance(n, _FORMULAS) and sort_of(n) == Sort.INT]
         assert bool_nodes == [i for i, n in enumerate(nodes) if isinstance(n, _FORMULAS)]
         assert list(ints) == [eval_term(nodes[i], m) for i in int_nodes]
@@ -244,14 +259,14 @@ class TestGeneratedSource:
         assert "import" in name
         f = p.assertion
         check = compile_predicate([f], [name, "ok", "f)("])
-        values, _, _ = compile_node_values(f)
+        values, _, _ = compile_node_values(f, [name, "ok", "f)("])
         pred = compile_predicate([Atom(Rel.GT, IntVar(name), IntConst(3))], [name])
         for fn in (check, values, pred):
             assert name not in fn.source and "import" not in fn.source and "f)(" not in fn.source
             assert fn.__globals__["__builtins__"] == {}
         model = Model(ints={name: 5}, bools={"ok": True}, funcs={"f)(": FuncValue(1, {5: 0})})
         assert check(5, True, model.funcs["f)("]) is True and eval_formula(f, model) is True
-        assert values(model)[1][0] is True
+        assert values(5, True, model.funcs["f)("])[1][0] is True
         model.ints[name] = 2
-        assert check(2, True, model.funcs["f)("]) is False and values(model)[1][0] is False
+        assert check(2, True, model.funcs["f)("]) is False and values(2, True, model.funcs["f)("])[1][0] is False
         assert pred(5) is True and pred(2) is False

@@ -1,6 +1,7 @@
 """Every name a `boxsampler` module, a test module or a benchmark script
 imports is used by that module, and every top-level name a `boxsampler`
-module defines is read somewhere.
+module defines, and every method of its top-level classes, is read
+somewhere.
 
 No linter is available offline, so this walks each module's syntax tree.
 An imported name counts as used when the module reads it anywhere or lists
@@ -9,7 +10,9 @@ line, followed by the reason.  A top-level function, class or assignment
 counts as read when a statement other than its own definition, in the
 package, the tests or the benchmark scripts, names it: as a name, an
 attribute, an imported name, or a part of a dotted-name string (the
-entries of `__all__` and of the tracer's `WRAPPED` table).
+entries of `__all__` and of the tracer's `WRAPPED` table).  A method of a
+top-level class counts as read, in the same ways, when a statement other
+than its own definition names it, the other methods of its class included.
 
 The solver child, `python -m boxsampler.minisolver`, imports only the
 modules its pipe uses, as each start pays for every module it imports."""
@@ -102,22 +105,43 @@ def _names_defined(stmt: ast.stmt) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+def _units(stmt: ast.stmt) -> list[tuple[int | None, list[ast.AST]]]:
+    """The parts of a top-level statement whose reads count apart: the
+    whole statement, or for a class each statement of its body (numbered)
+    and the rest of its header (None)."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(None, [stmt])]
+    return [*enumerate([b] for b in stmt.body), (None, [*stmt.decorator_list, *stmt.bases, *stmt.keywords])]
+
+
 def dead_names(sources: dict[str, str], defining: list[str]) -> list[str]:
     """`module: name` of every top-level function, class or assignment of
     the `defining` modules that no top-level statement of `sources` other
-    than its own definition reads; dunders are allowed."""
-    readers: dict[str, set] = defaultdict(set)  # name -> {(module, statement index)}
-    defined = []
+    than its own definition reads, and `module: Class.method` of every
+    method of their top-level classes that no statement other than its own
+    definition reads; dunders are allowed."""
+    readers: dict[str, set] = defaultdict(set)  # name -> {(module, statement index, class body index)}
+    defined = []  # (module, statement index, class body index or None, reported name, name)
     for module, source in sources.items():
         for i, stmt in enumerate(ast.parse(source).body):
-            for name in _names_read(stmt):
-                readers[name].add((module, i))
-            if module in defining:
-                defined += [(module, i, name) for name in _names_defined(stmt)]
+            for j, nodes in _units(stmt):
+                for node in nodes:
+                    for name in _names_read(node):
+                        readers[name].add((module, i, j))
+            if module not in defining:
+                continue
+            defined += [(module, i, None, name, name) for name in _names_defined(stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                defined += [
+                    (module, i, j, f"{stmt.name}.{m.name}", m.name)
+                    for j, m in enumerate(stmt.body)
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
     return [
-        f"{module}: {name}"
-        for module, i, name in defined
-        if not (name.startswith("__") and name.endswith("__")) and not readers[name] - {(module, i)}
+        f"{module}: {shown}"
+        for module, i, j, shown, name in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and all(r[:2] == (module, i) and j in (None, r[2]) for r in readers[name])
     ]
 
 
@@ -146,6 +170,30 @@ def test_checker_flags_dead_names():
         ),
     }
     assert dead_names(sources, ["a.py"]) == ["a.py: recursive", "a.py: unread", "a.py: limit", "a.py: dead"]
+
+
+def test_checker_flags_dead_methods():
+    sources = {
+        "a.py": (
+            "class Box:\n"
+            "    def __init__(self): pass\n"
+            "    def used(self): return self.helper()\n"
+            "    def helper(self): return 1\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    @property\n"
+            "    def width(self): return 0\n"
+            "    def in_a_table(self): pass\n"
+            "    def dead(self): pass\n"
+            "class Mixin: pass\n"
+            "class Sub(Mixin): pass\n"
+        ),
+        "b.py": (
+            "from a import Box, Sub\n"
+            "WRAPPED = ('a.Box.in_a_table',)\n"
+            "def use(box): return box.used(), box.width, 'not a name: dead'\n"
+        ),
+    }
+    assert dead_names(sources, ["a.py"]) == ["a.py: Box.recursive", "a.py: Box.dead"]
 
 
 def test_solver_child_imports_only_the_modules_of_the_pipe():

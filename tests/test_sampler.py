@@ -706,7 +706,27 @@ class TestSampleFormula:
         wall = dict(stats.wall_time)
         total = wall.pop("total")
         assert wall["emit"] > 0.5 * total
-        assert sum(wall.values()) == pytest.approx(total, rel=0.05)
+        assert sum(wall.values()) == pytest.approx(total, abs=1e-9)
+
+    @pytest.mark.parametrize("stop", ["total time limit", "no solver configured", "interrupted"])
+    def test_phases_sum_to_total_on_other_stop_reasons(self, stop):
+        p, _ = _intro_parts()
+        cfg = cfg_of(samples_per_round=10, rounds_per_epoch=1, total_time_limit=0.05 if stop == "total time limit" else 900)
+        taken = []
+
+        def on_sample(s):
+            if stop == "interrupted" and len(taken) == 20:
+                raise KeyboardInterrupt
+            taken.append(s)
+
+        client = None if stop == "no solver configured" else LocalSolverClient()
+        stats = sample_formula(p, cfg, client, on_sample=on_sample)
+        assert stats.stop_reason == stop
+        wall = dict(stats.wall_time)
+        total = wall.pop("total")
+        assert list(wall) == ["setup", "solve", "implicant", "strengthen", "sample", "emit"]
+        assert min(wall.values()) >= 0 and wall["setup"] > 0
+        assert sum(wall.values()) == pytest.approx(total, abs=1e-9)
 
     def test_seed_containment_every_epoch(self):
         p = parse_problem(
