@@ -13,13 +13,13 @@ node numbering is that of :func:`terms.iter_nodes`.
 
 Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
 variables, ``+``, ``-``, ``*``, term-level ite, select, store, unary function
-application and array variables; relational atoms (array equality
-included), not/and/or, Boolean variables and constants, implication, iff,
-xor and distinct.  Array and function values are :class:`FuncValue` objects,
-read with ``FuncValue.apply`` and updated with ``FuncValue.with_store``,
-both bound in the generated function's globals.  Values and truth values
-equal those of :func:`terms.eval_formula` / :func:`terms.eval_term`, which
-stay the reference, with the same evaluation order and short-circuiting.
+application and array variables; relational atoms (array equality included),
+not/and/or, Boolean variables and constants.  Array and function values are
+:class:`FuncValue` objects, read with ``FuncValue.apply`` and updated with
+``FuncValue.with_store``, both bound in the generated function's globals.
+Values and truth values equal those of :func:`terms.eval_formula` /
+:func:`terms.eval_term`, which stay the reference, with the same evaluation
+order and short-circuiting.
 
 Hoisting.  CPython's parser fails at about 200 nested parentheses and its
 compiler at a few thousand nested operators.  A subexpression that would
@@ -47,12 +47,9 @@ from .terms import (
     Atom,
     BoolConst,
     BoolVar,
-    DistinctF,
     Formula,
     FunApp,
     FuncValue,
-    Iff,
-    Implies,
     IntConst,
     IntVar,
     Ite,
@@ -64,7 +61,6 @@ from .terms import (
     Sort,
     Store,
     Sub,
-    Xor,
     children,
     sort_of,
 )
@@ -75,10 +71,6 @@ _CHAIN = 16  # operands of one + or * chain
 _PY_REL = {Rel.LT: "<", Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=", Rel.EQ: "==", Rel.NE: "!="}
 
 
-def _distinct(*values) -> bool:
-    return len(set(values)) == len(values)
-
-
 # Python text of each inner node type, except + and *, over its children's
 # texts; a function application's first text is the function symbol.
 _TEMPLATES = {
@@ -86,10 +78,6 @@ _TEMPLATES = {
     Not: lambda n, c: f"(not {c[0]})",
     And: lambda n, c: "(" + " and ".join(c) + ")" if c else "True",
     Or: lambda n, c: "(" + " or ".join(c) + ")" if c else "False",
-    Implies: lambda n, c: f"((not {c[0]}) or {c[1]})",
-    Iff: lambda n, c: f"({c[0]} == {c[1]})",
-    Xor: lambda n, c: f"({c[0]} != {c[1]})",
-    DistinctF: lambda n, c: f"_distinct({', '.join(c)})",
     Sub: lambda n, c: f"({c[0]} - {c[1]})",
     Ite: lambda n, c: f"({c[1]} if {c[0]} else {c[2]})",
     Select: lambda n, c: f"_apply({c[0]}, {c[1]})",
@@ -114,7 +102,6 @@ class _Codegen:
             "__builtins__": {},
             "_apply": FuncValue.apply,
             "_store": FuncValue.with_store,
-            "_distinct": _distinct,
         }
         self.functions: list[str] = []
 

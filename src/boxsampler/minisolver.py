@@ -2,8 +2,9 @@
 
 `python -m boxsampler.minisolver` speaks enough SMT-LIB v2 on standard
 input/output to serve as the `--solver-cmd` backend for toy problems when no
-real solver is installed: declare-fun/-const, assert, assert-soft, push/pop,
-check-sat, get-model, reset, exit.  Satisfiability is decided by exhaustive
+real solver is installed: declare-fun/-const, assert, assert-soft, push/pop
+(which scope declarations and assertions alike), check-sat, get-model,
+reset, exit.  Satisfiability is decided by exhaustive
 scans over growing integer boxes; unsat is only claimed when the feasible
 box was provably finite and fully scanned.  MAX-Solve scans the same region
 and keeps the best soft-constraint score.  Everything is deterministic.
@@ -437,7 +438,8 @@ class _Session:
         self.out = out
         self.reader = StreamReader()
         self.parser = Parser()
-        self.frames: list[tuple[list[Formula], list[tuple[Formula, int]]]] = [([], [])]
+        # (hard, soft) of each scope, and for a pushed one the (decls, macros) that `pop` restores
+        self.frames: list[tuple] = [([], [])]
         self.last_model: Model | None = None
 
     def emit(self, text: str):
@@ -476,12 +478,12 @@ class _Session:
                 return True
             if head == "push":
                 for _ in range(int(args[0].text) if args else 1):
-                    self.frames.append(([], []))
+                    self.frames.append(([], [], dict(self.parser.decls), dict(self.parser.macros)))
                 return True
             if head == "pop":
                 for _ in range(int(args[0].text) if args else 1):
                     if len(self.frames) > 1:
-                        self.frames.pop()
+                        _, _, self.parser.decls, self.parser.macros = self.frames.pop()
                 return True
             if head in ("declare-const", "declare-fun", "define-fun"):
                 self.parser.command(sexpr)

@@ -93,6 +93,8 @@ class SamplerConfig:
 class EpochStats:
     rounds_run: int = 0
     unique_rate: float = 0.0
+    draws: int = 0  # each a fresh sample, a duplicate or a clash (no vector)
+    duplicates: int = 0
     clashes: int = 0
 
 
@@ -110,6 +112,8 @@ class RunStats:
     solver_calls: int = 0
     maxsmt_degradations: int = 0
     unique_samples: int = 0
+    draws: int = 0
+    duplicates: int = 0
     clashes: int = 0
     blocking_resets: int = 0
     raw_coverage: float | None = None
@@ -346,6 +350,17 @@ def restrict_to_problem(sample: Model, problem: ParsedProblem) -> Model:
 _ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
 
 
+def _func_from_json(name: str, value) -> FuncValue:
+    """An array or function value from its JSON default/exceptions object."""
+    try:
+        default, exceptions = value.get("default", 0), value.get("exceptions", {})
+        if type(default) is int and all(type(v) is int for v in exceptions.values()):
+            return FuncValue(default, {int(k): v for k, v in exceptions.items()})
+    except (AttributeError, ValueError):  # no object, or an index that is no integer
+        pass
+    raise BoxsamplerError(f"array symbol {name!r} needs a default/exceptions object of integers, not {value!r}")
+
+
 class SampleLayout:
     """A sample of a problem as a flat tuple of values, one per declaration
     in declaration order: ints, bools, and :class:`FuncValue` objects for
@@ -375,26 +390,27 @@ class SampleLayout:
         return tuple(fields[sort].get(name, _ZERO[sort]) for name, sort in zip(self.names, self.sorts))
 
     def from_json(self, obj: dict) -> tuple:
-        """The vector of a JSON assignment as `cli run` writes samples: a
-        number or truth value per scalar symbol, a default/exceptions object
-        per array or function; an omitted symbol is 0, false or the
-        constant-0 function, as in :meth:`vector`."""
-        values = list(self.zeros)
+        """The vector of a JSON assignment as `cli run` writes samples: an
+        integer or truth value per scalar symbol, a default/exceptions object
+        of integers per array or function; an omitted symbol is 0, false or
+        the constant-0 function, as in :meth:`vector`.  A value of another
+        JSON type raises :class:`BoxsamplerError`."""
+        if not isinstance(obj, dict):
+            raise BoxsamplerError("an assignment must be a JSON object")
+        zeros = self.zeros
+        values = list(zeros)
         slot, sorts = self.slot, self.sorts
         for name, value in obj.items():
             i = slot.get(name)
             if i is None:
                 raise BoxsamplerError(f"unknown symbol {name!r} in assignment")
-            sort = sorts[i]
-            if sort is Sort.INT:
-                values[i] = int(value)
-            elif sort is Sort.BOOL:
-                values[i] = bool(value)
-            elif isinstance(value, dict):
-                exceptions = {int(k): int(v) for k, v in value.get("exceptions", {}).items()}
-                values[i] = FuncValue(int(value.get("default", 0)), exceptions)
+            if type(value) is type(zeros[i]):  # int for an Int and bool for a Bool: true is no Int
+                values[i] = value
+            elif sorts[i] is Sort.ARRAY:
+                values[i] = _func_from_json(name, value)
             else:
-                raise BoxsamplerError(f"array symbol {name!r} needs a default/exceptions object")
+                shape = "an integer" if sorts[i] is Sort.INT else "true or false"
+                raise BoxsamplerError(f"{sorts[i].value} symbol {name!r} needs {shape}, not {value!r}")
         return tuple(values)
 
     def key(self, values: tuple) -> tuple:
@@ -515,9 +531,10 @@ def exploit_epoch(
     done = False
     for _ in range(cfg.rounds_per_epoch):
         new_in_round = 0
+        drawn = cfg.samples_per_round  # unless the round stops early
         for i in range(cfg.samples_per_round):
             if i % 64 == 0 and time.monotonic() > epoch_deadline:
-                done = True
+                done, drawn = True, i
                 break
             values = draw()
             if values is None:
@@ -531,12 +548,14 @@ def exploit_epoch(
                 fresh.append(model_of(values))
                 new_in_round += 1
                 if remaining_budget is not None and len(fresh) >= remaining_budget:
-                    done = True
+                    done, drawn = True, i + 1
                     break
         stats.rounds_run += 1
+        stats.draws += drawn
         stats.unique_rate = new_in_round / cfg.samples_per_round
         if done or stats.unique_rate < cfg.unique_rate_threshold:
             break
+    stats.duplicates = stats.draws - stats.clashes - len(fresh)
     return EpochResult(seed=seed, intervals=iv, fresh_samples=fresh, stats=stats)
 
 
@@ -653,6 +672,8 @@ def sample_formula(
                 remaining_budget=remaining,
             )
             stats.epochs += 1
+            stats.draws += epoch.stats.draws
+            stats.duplicates += epoch.stats.duplicates
             stats.clashes += epoch.stats.clashes
 
             lap("emit")

@@ -13,7 +13,12 @@ The parser handles set-logic, declare-fun / declare-const (Int, Bool,
 (Array Int Int), unary Int -> Int functions), zero-parameter define-fun
 (inlined), assert, and ignores set-info / set-option / check-sat / exit.
 let-bindings are inlined during parsing and named-assertion attributes are
-stripped, so downstream modules never deal with substitution.
+stripped, so downstream modules never deal with substitution.  The other
+Boolean operators are lowered to not/and/or as they are read: ``(=> a b)``
+is ``(or (not a) b)``, ``xor`` and two-Bool ``distinct`` are ``(or (and a
+(not b)) (and (not a) b))``, Bool ``=`` is ``(or (and a b) (and (not a)
+(not b)))``, Int ``distinct`` the pairwise disequalities, and Boolean ite
+``(or (and c a) (and (not c) b))``; printing writes the lowered form.
 """
 
 from __future__ import annotations
@@ -30,11 +35,8 @@ from .terms import (
     Atom,
     BoolConst,
     BoolVar,
-    DistinctF,
     Formula,
     FunApp,
-    Iff,
-    Implies,
     IntConst,
     IntVar,
     Ite,
@@ -47,7 +49,6 @@ from .terms import (
     Store,
     Sub,
     Term,
-    Xor,
     conj,
     disj,
     sort_of,
@@ -352,16 +353,15 @@ class Parser:
             xs = [self._expr(a, env) for a in args]
             if all(self._is_formula(x) for x in xs):
                 if len(xs) == 2:
-                    return Xor(xs[0], xs[1])
+                    return _xor(*xs)
                 raise UnsupportedFeature("distinct over more than two Bool terms")
             sorts = {sort_of(x) for x in xs if not self._is_formula(x)}
             if len(sorts) != 1 or any(self._is_formula(x) for x in xs):
                 raise s.error("distinct operands have different sorts")
-            if len(xs) == 2:
-                return Atom(Rel.NE, xs[0], xs[1])
-            if sorts == {Sort.INT}:
-                return DistinctF(tuple(xs))
-            raise UnsupportedFeature("distinct over array terms")
+            if len(xs) > 2 and sorts != {Sort.INT}:
+                raise UnsupportedFeature("distinct over array terms")
+            # pairwise: (distinct a b c) is (and (distinct a b) (distinct a c) (distinct b c))
+            return conj(Atom(Rel.NE, xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
         if head == "not":
             self._want_arity(args, 1, head, s)
             inner = self._expr(args[0], env)
@@ -379,16 +379,13 @@ class Parser:
             xs = [self._expr(a, env) for a in args]
             for x in xs:
                 self._want_bool(x, s)
-            acc = xs[-1]
-            for x in reversed(xs[:-1]):
-                acc = Implies(x, acc)
-            return acc
+            return Or((*map(Not, xs[:-1]), xs[-1]))  # right-associative: (=> a (=> b c))
         if head == "xor":
             self._want_arity(args, 2, head, s)
             lhs, rhs = (self._expr(a, env) for a in args)
             self._want_bool(lhs, s)
             self._want_bool(rhs, s)
-            return Xor(lhs, rhs)
+            return _xor(lhs, rhs)
         if head == "ite":
             self._want_arity(args, 3, head, s)
             cond = self._expr(args[0], env)
@@ -434,7 +431,7 @@ class Parser:
         if self._is_formula(lhs) or self._is_formula(rhs):
             if not (self._is_formula(lhs) and self._is_formula(rhs)):
                 raise s.error("= operands have different sorts")
-            return Iff(lhs, rhs)
+            return Or((And((lhs, rhs)), And((Not(lhs), Not(rhs)))))  # iff
         if sort_of(lhs) != sort_of(rhs):
             raise s.error("= operands have different sorts")
         return Atom(Rel.EQ, lhs, rhs)
@@ -492,6 +489,10 @@ class Parser:
     def _want_array(self, x, s):
         if self._is_formula(x) or sort_of(x) != Sort.ARRAY:
             raise s.error("expected an (Array Int Int) expression")
+
+
+def _xor(a: Formula, b: Formula) -> Formula:
+    return Or((And((a, Not(b))), And((Not(a), b))))
 
 
 def parse_problem(text: str) -> ParsedProblem:
@@ -558,14 +559,6 @@ def print_formula(f: Formula) -> str:
         return _print_sym(f.name)
     if isinstance(f, BoolConst):
         return "true" if f.value else "false"
-    if isinstance(f, Implies):
-        return f"(=> {print_formula(f.lhs)} {print_formula(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"(= {print_formula(f.lhs)} {print_formula(f.rhs)})"
-    if isinstance(f, Xor):
-        return f"(xor {print_formula(f.lhs)} {print_formula(f.rhs)})"
-    if isinstance(f, DistinctF):
-        return "(distinct " + " ".join(print_term(a) for a in f.args) + ")"
     raise TypeError(f"not a formula: {f!r}")
 
 

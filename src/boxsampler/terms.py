@@ -6,6 +6,10 @@ literals) and be shared freely.  Models are plain value objects: integers for sc
 finite default-plus-exceptions functions for arrays and unary uninterpreted
 functions.
 
+Formulas are relational atoms and Boolean variables and constants under
+not/and/or: the parser lowers ``=>``, ``xor``, Bool ``=`` and ``distinct``
+to these, and :func:`preprocess` lifts term-level ite out of atoms.
+
 Node structure.  One table lists each node type's children in pre-order
 (an ``Ite``: condition, then, else); :func:`children` reads it, and the
 structural walks derive from it: :func:`iter_nodes`, whose numbering
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union, get_args
 
-from .errors import UnassignedSymbol, UnsupportedFeature
+from .errors import UnassignedSymbol
 
 
 class Sort(Enum):
@@ -200,32 +204,7 @@ class BoolConst:
     value: bool
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Iff:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Xor:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class DistinctF:
-    """n-ary pairwise-distinct over integer terms; removed by preprocess."""
-
-    args: tuple[Term, ...]
-
-
-Formula = Union[Atom, Not, And, Or, BoolVar, BoolConst, Implies, Iff, Xor, DistinctF]
+Formula = Union[Atom, Not, And, Or, BoolVar, BoolConst]
 FORMULA_TYPES = get_args(Formula)
 
 
@@ -237,9 +216,6 @@ def conj(args) -> Formula:
 def disj(args) -> Formula:
     args = tuple(args)
     return args[0] if len(args) == 1 else Or(args)
-
-
-TRUE = And(())
 
 
 def is_literal(f: Formula) -> bool:
@@ -380,22 +356,11 @@ def eval_formula(f: Formula, m: Model) -> bool:
         return m.bool_value(f.name)
     if isinstance(f, BoolConst):
         return f.value
-    if isinstance(f, Implies):
-        return (not eval_formula(f.lhs, m)) or eval_formula(f.rhs, m)
-    if isinstance(f, Iff):
-        return eval_formula(f.lhs, m) == eval_formula(f.rhs, m)
-    if isinstance(f, Xor):
-        return eval_formula(f.lhs, m) != eval_formula(f.rhs, m)
-    if isinstance(f, DistinctF):
-        vals = [eval_term(a, m) for a in f.args]
-        return len(set(vals)) == len(vals)
     raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # Negation normal form
-
-_CORE = (Atom, Not, And, Or, BoolVar, BoolConst)
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -403,17 +368,16 @@ def to_nnf(f: Formula) -> Formula:
 
     Negated relational atoms are absorbed by flipping the relation, so the
     output contains `Not` only above boolean variables.  The literal count
-    never increases.  Expects a preprocessed formula (core connectives only).
+    never increases.
     """
-    if not isinstance(f, _CORE):
-        raise UnsupportedFeature(f"formula must be preprocessed before NNF: {type(f).__name__}")
     if isinstance(f, (Atom, BoolVar, BoolConst)):
         return f
     if isinstance(f, And):
         return And(tuple(to_nnf(a) for a in f.args))
     if isinstance(f, Or):
         return Or(tuple(to_nnf(a) for a in f.args))
-    # f is a negation
+    if not isinstance(f, Not):
+        raise TypeError(f"not a formula: {f!r}")
     g = f.arg
     if isinstance(g, Atom):
         return Atom(g.rel.negate(), g.lhs, g.rhs)
@@ -427,7 +391,7 @@ def to_nnf(f: Formula) -> Formula:
         return BoolConst(not g.value)
     if isinstance(g, BoolVar):
         return f
-    raise UnsupportedFeature(f"formula must be preprocessed before NNF: {type(g).__name__}")
+    raise TypeError(f"not a formula: {g!r}")
 
 
 def literal_count(f: Formula) -> int:
@@ -437,25 +401,16 @@ def literal_count(f: Formula) -> int:
         return literal_count(f.arg)
     if isinstance(f, (And, Or)):
         return sum(literal_count(a) for a in f.args)
-    if isinstance(f, (Implies, Iff, Xor)):
-        return literal_count(f.lhs) + literal_count(f.rhs)
-    if isinstance(f, DistinctF):
-        return 1
     raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing: lower ite / implication / iff / xor / distinct to the core
-# grammar, rejecting out-of-scope constructs.
+# Preprocessing: lift term-level ite out of atoms
 
 
 def preprocess(f: Formula) -> Formula:
-    """Rewrite to the core grammar: And/Or/Not/Atom/BoolVar/BoolConst.
-
-    Term-level ite inside an atom A becomes (c and A[then]) or (not c and
-    A[else]); distinct expands pairwise; =>, =-on-bool and xor expand to
-    and/or/not.
-    """
+    """`f` with no term-level ite: an atom A over ``(ite c t e)`` becomes
+    ``(c and A[t]) or (not c and A[e])``, until no ite is left."""
     if isinstance(f, (BoolVar, BoolConst)):
         return f
     if isinstance(f, Not):
@@ -464,21 +419,6 @@ def preprocess(f: Formula) -> Formula:
         return And(tuple(preprocess(a) for a in f.args))
     if isinstance(f, Or):
         return Or(tuple(preprocess(a) for a in f.args))
-    if isinstance(f, Implies):
-        return Or((Not(preprocess(f.lhs)), preprocess(f.rhs)))
-    if isinstance(f, Iff):
-        a, b = preprocess(f.lhs), preprocess(f.rhs)
-        return Or((And((a, b)), And((Not(a), Not(b)))))
-    if isinstance(f, Xor):
-        a, b = preprocess(f.lhs), preprocess(f.rhs)
-        return Or((And((a, Not(b))), And((Not(a), b))))
-    if isinstance(f, DistinctF):
-        pairs = [
-            Atom(Rel.NE, f.args[i], f.args[j])
-            for i in range(len(f.args))
-            for j in range(i + 1, len(f.args))
-        ]
-        return preprocess(conj(pairs)) if pairs else TRUE
     if isinstance(f, Atom):
         ite = next((n for n in iter_nodes(f) if isinstance(n, Ite)), None)
         if ite is None:
@@ -514,13 +454,9 @@ _CHILD_TABLE = {
     BoolVar: _none,
     BoolConst: _none,
     Atom: _pair,
-    Implies: _pair,
-    Iff: _pair,
-    Xor: _pair,
     Sub: _pair,
     And: _args,
     Or: _args,
-    DistinctF: _args,
     Add: _args,
     Mul: _args,
     Not: lambda n: (n.arg,),
@@ -530,7 +466,7 @@ _CHILD_TABLE = {
     Store: lambda n: (n.array, n.index, n.value),
 }
 
-_VARIADIC = (And, Or, DistinctF, Add, Mul)
+_VARIADIC = (And, Or, Add, Mul)
 
 
 def children(node) -> tuple:

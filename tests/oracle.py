@@ -19,11 +19,8 @@ from boxsampler.terms import (
     Atom,
     BoolConst,
     BoolVar,
-    DistinctF,
     FunApp,
     FuncValue,
-    Iff,
-    Implies,
     IntConst,
     IntVar,
     Ite,
@@ -35,7 +32,6 @@ from boxsampler.terms import (
     Select,
     Store,
     Sub,
-    Xor,
 )
 
 # ---------------------------------------------------------------------------
@@ -109,15 +105,38 @@ _FORMULA_TABLE = {
     Or: lambda f, env: any(o_formula(a, env) for a in f.args),
     BoolVar: lambda f, env: env[f.name],
     BoolConst: lambda f, env: f.value,
-    Implies: lambda f, env: (not o_formula(f.lhs, env)) or o_formula(f.rhs, env),
-    Iff: lambda f, env: o_formula(f.lhs, env) == o_formula(f.rhs, env),
-    Xor: lambda f, env: o_formula(f.lhs, env) != o_formula(f.rhs, env),
-    DistinctF: lambda f, env: _all_distinct([o_term(a, env) for a in f.args]),
 }
 
 
-def _all_distinct(values):
-    return len(set(values)) == len(values)
+# SMT-LIB's operators by their definitions over the values of their
+# arguments, without the trees the parser lowers them to.
+def _implies(*xs):
+    *premises, conclusion = xs  # right-associative: (=> a b c) is (=> a (=> b c))
+    return conclusion or not all(premises)
+
+
+SMT_OPS = {
+    "not": lambda a: not a,
+    "and": lambda *xs: all(xs),
+    "or": lambda *xs: any(xs),
+    "=>": _implies,
+    "xor": lambda a, b: a != b,
+    "=": lambda *xs: all(a == b for a, b in zip(xs, xs[1:])),
+    "distinct": lambda *xs: len(set(xs)) == len(xs),
+    "ite": lambda c, a, b: a if c else b,
+    "<": lambda *xs: all(a < b for a, b in zip(xs, xs[1:])),
+    "<=": lambda *xs: all(a <= b for a, b in zip(xs, xs[1:])),
+    ">": lambda *xs: all(a > b for a, b in zip(xs, xs[1:])),
+    ">=": lambda *xs: all(a >= b for a, b in zip(xs, xs[1:])),
+}
+
+
+def o_sexpr(e, env):
+    """The value of `e`, an SMT-LIB expression written as nested tuples
+    ``(operator, argument, ...)`` over symbol names and integers."""
+    if isinstance(e, tuple):
+        return SMT_OPS[e[0]](*(o_sexpr(a, env) for a in e[1:]))
+    return env[e] if isinstance(e, str) else e
 
 
 def env_of_model(m: Model) -> dict:

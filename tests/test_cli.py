@@ -198,6 +198,15 @@ class TestVerify:
 BAD_ASSIGNMENTS = [
     ("intro.smt2", {"x": 12, "y": 2, "z": 0}, "unknown symbol 'z' in assignment"),
     ("toy_array.smt2", {"i": 0, "a": 3}, "array symbol 'a' needs a default/exceptions object"),
+    # a value of the wrong JSON type is an error, not read as a number
+    ("intro.smt2", {"x": "abc", "y": 2}, "Int symbol 'x' needs an integer, not 'abc'"),
+    ("intro.smt2", {"x": True, "y": 2}, "Int symbol 'x' needs an integer, not True"),
+    ("intro.smt2", {"x": 1.7, "y": 2}, "Int symbol 'x' needs an integer, not 1.7"),
+    ("sugar.smt2", {"p": 1}, "Bool symbol 'p' needs true or false, not 1"),
+    ("toy_array.smt2", {"i": 0, "a": {"default": 1.5}}, "array symbol 'a' needs a default/exceptions object of integers"),
+    ("toy_array.smt2", {"i": 0, "a": {"default": 1, "exceptions": {"2": "3"}}}, "array symbol 'a' needs a default"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"two": 3}}}, "array symbol 'a' needs a default"),
+    ("intro.smt2", [12, 2], "an assignment must be a JSON object"),
 ]
 
 

@@ -12,16 +12,14 @@ from boxsampler.coverage import CoverageBitmap, record_sample
 from boxsampler.errors import UnassignedSymbol
 from boxsampler.smtlib import parse_problem
 from boxsampler.terms import (
+    FORMULA_TYPES,
     Add,
     And,
     ArrayVar,
     Atom,
     BoolConst,
     BoolVar,
-    DistinctF,
     FuncValue,
-    Iff,
-    Implies,
     IntConst,
     IntVar,
     Ite,
@@ -33,7 +31,6 @@ from boxsampler.terms import (
     Select,
     Sort,
     Store,
-    Xor,
     eval_formula,
     eval_term,
     free_symbols,
@@ -48,7 +45,6 @@ from oracle import deep_and_or, env_of_model, o_formula, random_array_formula, r
 INTS = ["x", "y", "z"]
 ARRAYS, FUNS = ["a", "b"], ["g"]
 X = IntVar("x")
-_FORMULAS = (Atom, Not, And, Or, BoolVar, BoolConst, Implies, Iff, Xor, DistinctF)
 
 
 def _int_model(rng) -> Model:
@@ -73,8 +69,9 @@ def _store_chain(rng):
 
 
 def _full_grammar_formula(rng, depth: int):
-    """Array formulas plus stores, array equality, term ite, Booleans and
-    the connectives that preprocess removes."""
+    """Array formulas plus stores, array equality, term ite, Booleans,
+    pairwise disequalities and negated connectives, as the parser builds
+    for =>, xor and distinct."""
     roll = rng.random()
     if depth <= 0 or roll < 0.25:
         return random_array_formula(rng, INTS, ARRAYS, FUNS, 1)
@@ -87,9 +84,11 @@ def _full_grammar_formula(rng, depth: int):
     if roll < 0.5:
         return BoolVar(rng.choice(["p", "q"])) if rng.random() < 0.8 else BoolConst(rng.random() < 0.5)
     if roll < 0.55:
-        return DistinctF(tuple(_array_term(rng) for _ in range(rng.randint(1, 3))))
+        xs = [_array_term(rng) for _ in range(rng.randint(2, 3))]
+        return And(tuple(Atom(Rel.NE, a, b) for i, a in enumerate(xs) for b in xs[i + 1 :]))
     kids = [_full_grammar_formula(rng, depth - 1) for _ in range(2)]
-    return rng.choice([And, Or])(tuple(kids)) if roll < 0.8 else rng.choice([Implies, Iff, Xor])(*kids)
+    connective = rng.choice([And, Or])(tuple(kids))
+    return connective if roll < 0.8 else Not(connective)
 
 
 def _symbols(f) -> list[str]:
@@ -241,8 +240,8 @@ class TestCoverageValues:
         nodes = list(iter_nodes(f))
         m = _array_model(rng)
         ints, bools = values(*_args(m, names))
-        assert int_nodes == [i for i, n in enumerate(nodes) if not isinstance(n, _FORMULAS) and sort_of(n) == Sort.INT]
-        assert bool_nodes == [i for i, n in enumerate(nodes) if isinstance(n, _FORMULAS)]
+        assert int_nodes == [i for i, n in enumerate(nodes) if not isinstance(n, FORMULA_TYPES) and sort_of(n) == Sort.INT]
+        assert bool_nodes == [i for i, n in enumerate(nodes) if isinstance(n, FORMULA_TYPES)]
         assert list(ints) == [eval_term(nodes[i], m) for i in int_nodes]
         assert list(bools) == [eval_formula(nodes[i], m) for i in bool_nodes]
 

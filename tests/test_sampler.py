@@ -523,6 +523,36 @@ class TestExploitEpoch:
         for s in epoch.fresh_samples:
             assert eval_formula(f, s)
 
+    def test_each_draw_is_fresh_duplicate_or_clash(self):
+        # i and j may alias, and then the second access misses its interval
+        p = parse_problem("(declare-const i Int)(declare-const j Int)(declare-const a (Array Int Int))")
+        layout = SampleLayout(p.declarations)
+        iv = IntervalMap({I: Interval(0, 3), J: Interval(0, 3), Select(A, I): Interval(0, 2), Select(A, J): Interval(6, 7)})
+        seed = Model(ints={"i": 0, "j": 1}, funcs={"a": FuncValue(0, {0: 1, 1: 6})})
+        pred = layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
+        cfg = cfg_of(rounds_per_epoch=3, samples_per_round=40, unique_rate_threshold=0.0)
+
+        class CountingDedup(DedupSet):
+            lookups = 0  # one per draw that is no clash
+
+            def add(self, key):
+                self.lookups += 1
+                return super().add(key)
+
+        def epoch_counts(**kw):
+            dedup = CountingDedup(10_000)
+            epoch = exploit_epoch(iv, seed, pred, layout, dedup, cfg, random.Random(2), **kw)
+            assert epoch.stats.draws == dedup.lookups + epoch.stats.clashes
+            assert epoch.stats.duplicates == dedup.lookups - len(epoch.fresh_samples)
+            return epoch.stats, len(epoch.fresh_samples)
+
+        full, _ = epoch_counts()
+        assert full.draws == 120 and full.clashes > 0 and full.duplicates > 0
+        cut, fresh = epoch_counts(remaining_budget=30)  # the budget stops a round early
+        assert fresh == 30 and cut.draws < 120
+        late, _ = epoch_counts(deadline=time.monotonic() - 1)
+        assert (late.draws, late.duplicates, late.rounds_run) == (0, 0, 1)
+
 
 class TestDedupSet:
     def test_exact_then_probabilistic(self):
@@ -555,6 +585,21 @@ class TestSampleFormula:
         stats = sample_formula(p, cfg, None, on_sample=collected.append)
         assert stats.unique_samples == 1 and len(collected) == 1
         assert stats.epochs == 1
+
+    def test_run_counts_sum_the_epoch_counts(self):
+        p = parse_problem(
+            "(declare-const i Int)(declare-const j Int)(declare-const a (Array Int Int))"
+            "(assert (and (<= 0 i 3) (<= 0 j 3) (<= 0 (select a i) 2) (<= 6 (select a j) 7)))"
+        )
+        epochs = []
+        cfg = cfg_of(max_samples=50, samples_per_round=40, rounds_per_epoch=3, rng_seed=1)
+        stats = sample_formula(p, cfg, LocalSolverClient(), on_epoch=epochs.append)
+        last = epochs[-1].stats
+        assert stats.stop_reason == "max samples" and last.draws < last.rounds_run * cfg.samples_per_round
+        assert stats.draws == stats.unique_samples + stats.duplicates + stats.clashes
+        assert stats.duplicates > 0
+        for name in ("draws", "duplicates", "clashes"):
+            assert getattr(stats, name) == sum(getattr(e.stats, name) for e in epochs)
 
     def test_bad_injected_seed_rejected(self):
         p, _ = _intro_parts()

@@ -23,14 +23,20 @@ from boxsampler.terms import (
     ArrayVar,
     Atom,
     BoolVar,
-    Iff,
     IntConst,
     IntVar,
+    Not,
     Or,
     Rel,
     Select,
+    preprocess,
+    to_nnf,
 )
-from oracle import random_formula
+from oracle import o_formula, o_sexpr, random_formula
+
+
+def _iff(a, b):
+    return Or((And((a, b)), And((Not(a), Not(b)))))
 
 
 class TestParse:
@@ -171,17 +177,82 @@ class TestChainable:
 
     def test_bool_equality_chains_as_iff(self):
         p, q, r = BoolVar("p"), BoolVar("q"), BoolVar("r")
-        assert self._parse("(= p q r)") == And((Iff(p, q), Iff(q, r)))
+        assert self._parse("(= p q r)") == And((_iff(p, q), _iff(q, r)))
 
     def test_two_arguments_parse_as_one_atom(self):
         assert self._parse("(<= 0 x)") == Atom(Rel.LE, IntConst(0), self.X)
         assert self._parse("(= x y)") == Atom(Rel.EQ, self.X, self.Y)
-        assert self._parse("(= p q)") == Iff(BoolVar("p"), BoolVar("q"))
+        assert self._parse("(= p q)") == _iff(BoolVar("p"), BoolVar("q"))
 
     @pytest.mark.parametrize("expr", ["(<= x)", "(= x)", "(< 0 x p)", "(= x y p)", "(= p q x)"])
     def test_too_few_arguments_or_mixed_sorts_rejected(self, expr):
         with pytest.raises(SmtSyntaxError):
             self._parse(expr)
+
+
+# SMT-LIB expressions as nested tuples (operator, argument, ...) over the
+# symbols x, y, z (Int) and p, q, r (Bool), which `oracle.o_sexpr` evaluates
+def _app(op: str, least: int, most: int, args):
+    return st.lists(args, min_size=least, max_size=most).map(lambda xs: (op, *xs))
+
+
+_INT_LEAVES = st.one_of(st.sampled_from("xyz"), st.integers(-3, 3))
+_INTS = st.one_of(_INT_LEAVES, st.tuples(st.just("ite"), st.sampled_from("pqr"), _INT_LEAVES, _INT_LEAVES))
+_ATOMS = st.one_of(
+    st.sampled_from("pqr"),
+    st.sampled_from(["<", "<=", ">", ">=", "="]).flatmap(lambda op: _app(op, 2, 3, _INTS)),
+    _app("distinct", 2, 4, _INTS),
+)
+_BOOLS = st.recursive(
+    _ATOMS,
+    lambda kids: st.one_of(
+        _app("not", 1, 1, kids), _app("and", 1, 3, kids), _app("or", 1, 3, kids),
+        _app("=>", 2, 3, kids), _app("xor", 2, 2, kids), _app("=", 2, 3, kids),
+        _app("distinct", 2, 2, kids), _app("ite", 3, 3, kids),
+    ),
+    max_leaves=10,
+)
+_ENVS = st.fixed_dictionaries({**{n: st.integers(-3, 3) for n in "xyz"}, **{n: st.booleans() for n in "pqr"}})
+
+
+def _text(e) -> str:
+    if isinstance(e, tuple):
+        return "(" + " ".join([e[0], *map(_text, e[1:])]) + ")"
+    return e if isinstance(e, str) else print_term(IntConst(e))
+
+
+class TestLowering:
+    """The parser lowers =>, xor, = over Bools, distinct and Boolean ite to
+    not/and/or over atoms."""
+
+    DECLS = "".join(f"(declare-const {n} Int)" for n in "xyz") + "".join(f"(declare-const {n} Bool)" for n in "pqr")
+    P, Q, R = BoolVar("p"), BoolVar("q"), BoolVar("r")
+
+    def _parse(self, expr: str):
+        return parse_problem(f"{self.DECLS}(assert {expr})").assertion
+
+    @pytest.mark.parametrize("expr, expected", [
+        ("(=> p q)", Or((Not(P), Q))),
+        ("(=> p q r)", Or((Not(P), Not(Q), R))),
+        ("(xor p q)", Or((And((P, Not(Q))), And((Not(P), Q))))),
+        ("(distinct p q)", Or((And((P, Not(Q))), And((Not(P), Q))))),
+        ("(ite p q r)", Or((And((P, Q)), And((Not(P), R))))),
+    ])
+    def test_each_operator_lowers_to_and_or_not(self, expr, expected):
+        assert self._parse(expr) == expected
+
+    @given(_BOOLS, _ENVS)
+    @settings(max_examples=300, deadline=None)
+    def test_lowering_agrees_with_the_operator_definitions(self, e, env):
+        f = self._parse(_text(e))
+        assert o_formula(f, env) == o_sexpr(e, env)
+        assert o_formula(to_nnf(preprocess(f)), env) == o_sexpr(e, env)
+
+    @given(_BOOLS)
+    @settings(max_examples=200, deadline=None)
+    def test_printing_a_parsed_formula_parses_back_to_it(self, e):
+        f = self._parse(_text(e))
+        assert self._parse(print_formula(f)) == f
 
 
 class TestRoundTrip:

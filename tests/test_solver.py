@@ -235,6 +235,23 @@ def test_pipe_error_reply_with_a_quote_reads_as_one_sexpr():
     assert end == len(lines[0]) and reply.items[1].text == '"1:11: undeclared symbol \'a""b\'"'
 
 
+def test_pipe_pop_drops_the_declarations_of_its_scope():
+    lines = _minisolver(
+        "(declare-fun w () Int)\n(push 1)\n(declare-fun x () Int)\n(define-fun two () Int 2)\n"
+        "(assert (> x two))\n(check-sat)\n(pop 1)\n"
+        "(declare-fun y () Int)\n(assert (= y 1))\n(check-sat)\n(get-model)\n"
+        "(assert (> x 0))\n(assert (> two 0))\n(reset)\n(assert (> w 0))\n"
+    )
+    assert lines[:2] == ["sat", "sat"]
+    model = "\n".join(lines[2:-3])
+    assert "define-fun w " in model and "define-fun y () Int 1" in model and " x " not in model
+    assert lines[-3:] == [
+        "(error \"12:11: undeclared symbol 'x'\")",
+        "(error \"13:11: undeclared symbol 'two'\")",
+        "(error \"15:11: undeclared symbol 'w'\")",
+    ]
+
+
 ARRAY_DECLS = [D("i"), D("j"), D("p", Sort.BOOL), D("a", Sort.ARRAY), D("g", fn=True)]
 
 

@@ -38,6 +38,13 @@ RUNS = {
         ["--strategy", "random", "--rng-seed", "31", "--max-samples", "150",
          "--samples-per-round", "40", "--rounds", "2"],
     ),
+    # =>, xor, = over Bools, distinct over Bools and over Ints, term ite:
+    # pinned before the parser lowered the Boolean operators
+    "sugar-random": (
+        "sugar.smt2",
+        ["--strategy", "random", "--rng-seed", "53", "--max-samples", "300",
+         "--samples-per-round", "40", "--rounds", "2"],
+    ),
 }
 
 # SHA-256 of (samples file, intervals file) for each run.
@@ -57,6 +64,10 @@ DIGESTS = {
     "toy_array-random": (
         "652c8a9e6607a5516c599c074300c50d886e9fbb7ad162f850475a32c620138a",
         "bb175c5fbb1ab59b178b736bb1a941638b8cc69419d66e5223f2568ed4ebd0a0",
+    ),
+    "sugar-random": (
+        "39fa3c68b9ac2649aca54f511bdacbdb7a74125b7ab7d9f5b2208e6cc128c1fe",
+        "3e4798cf86b92d27220891c41910b930655693e3b5957840f161d189bd9750b4",
     ),
 }
 

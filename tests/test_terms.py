@@ -18,11 +18,8 @@ from boxsampler.terms import (
     Atom,
     BoolConst,
     BoolVar,
-    DistinctF,
     FunApp,
     FuncValue,
-    Iff,
-    Implies,
     IntConst,
     IntVar,
     Ite,
@@ -34,7 +31,6 @@ from boxsampler.terms import (
     Select,
     Store,
     Sub,
-    Xor,
     children,
     eval_formula,
     eval_term,
@@ -157,7 +153,7 @@ class TestNNF:
 class TestPreprocess:
     def test_distinct_expands_pairwise(self):
         z = IntVar("z")
-        f = preprocess(DistinctF((X, Y, z)))
+        f = parse_problem("(declare-const x Int)(declare-const y Int)(declare-const z Int)(assert (distinct x y z))").assertion
         assert f == And(
             (Atom(Rel.NE, X, Y), Atom(Rel.NE, X, z), Atom(Rel.NE, Y, z))
         )
@@ -187,7 +183,7 @@ class TestPreprocess:
             f = Or(
                 (
                     Atom(Rel.LE, Ite(inner, X, Y), IntConst(rng.randint(-3, 3))),
-                    And((b, DistinctF((X, Y)))),
+                    And((b, Atom(Rel.NE, X, Y))),
                 )
             )
             g = preprocess(f)
@@ -214,10 +210,6 @@ class TestPreprocess:
         for m in iter_int_models(["x", "y"], -3, 3):
             assert eval_formula(f, m) == eval_formula(g, m)
 
-    def test_nnf_requires_core(self):
-        with pytest.raises(UnsupportedFeature):
-            to_nnf(DistinctF((X, Y, IntVar("z"))))
-
 
 class TestConstruction:
     def test_nested_conjunction_flattens(self):
@@ -236,7 +228,8 @@ class TestConstruction:
 
 
 def _every_node_type_formulas() -> list:
-    """Seeded formulas that hold every term and formula type."""
+    """Seeded formulas that hold every term and formula type, with the
+    trees the parser builds for =>, = over Bools, xor and distinct."""
     rng = random.Random(7)
     x, y, a, b = X, Y, ArrayVar("a"), ArrayVar("b")
     p, q = BoolVar("p"), BoolVar("q")
@@ -245,12 +238,15 @@ def _every_node_type_formulas() -> list:
         f = random_array_formula(rng, ["x", "y"], ["a", "b"], ["f"], 3)
         g = random_array_formula(rng, ["x", "y"], ["a", "b"], ["f"], 1)
         ite = Ite(Or((p, g)), Sub(x, y), Select(Store(a, x, IntConst(rng.randint(-3, 3))), y))
+        eq, c = Atom(Rel.EQ, Store(a, ite, y), b), BoolConst(rng.random() < 0.5)
+        distinct = [x, ite, FunApp("f", Mul((IntConst(2), ite)))]
+        ne = And(tuple(Atom(Rel.NE, distinct[i], distinct[j]) for i, j in ((0, 1), (0, 2), (1, 2))))
         out.append(
             And(
                 (
-                    Implies(p, f),
-                    Iff(Not(q), Atom(Rel.EQ, Store(a, ite, y), b)),
-                    Xor(BoolConst(rng.random() < 0.5), DistinctF((x, ite, FunApp("f", Mul((IntConst(2), ite)))))),
+                    Or((Not(p), f)),
+                    Or((And((Not(q), eq)), And((Not(Not(q)), Not(eq))))),
+                    Or((And((c, Not(ne))), And((Not(c), ne)))),
                 )
             )
         )
@@ -264,7 +260,7 @@ class TestNodeStructure:
         assert children(Atom(Rel.LE, X, IntConst(1))) == (X, IntConst(1))
         assert children(Store(ArrayVar("a"), X, Y)) == (ArrayVar("a"), X, Y)
         assert children(FunApp("f", X)) == (X,)
-        assert children(DistinctF((X, Y, X))) == (X, Y, X)
+        assert children(Add((X, Y, X))) == (X, Y, X)
 
     def test_leaves_have_no_children_and_other_values_raise(self):
         for leaf in (IntConst(1), X, ArrayVar("a"), BoolVar("b"), BoolConst(True)):
@@ -278,7 +274,8 @@ class TestNodeStructure:
 
     def test_node_order_matches_pinned_digest(self):
         """Coverage bitmaps number nodes in this order, so it is a file
-        format: the digest was taken before the child table moved here."""
+        format: the digest was taken with the child table of the code that
+        still had node types for =>, iff, xor and distinct."""
         digest = hashlib.sha256()
         kinds = set()
         for f in _every_node_type_formulas():
@@ -287,18 +284,19 @@ class TestNodeStructure:
                 digest.update(f"{type(node).__name__} {text}\n".encode())
                 kinds.add(type(node))
         assert kinds == set(TERM_TYPES + FORMULA_TYPES)
-        assert digest.hexdigest() == "06394cc55aa0dd364ae886ffa31aeaee00ca9f76326b4f80dec015311ee9724a"
+        assert digest.hexdigest() == "75f2c5097e631e697650285e6ca8f5457c36f7e268fc19f5423a3c0e840a6355"
 
     def test_replace_reaches_ite_conditions_and_rebuilds(self):
         z, b = IntVar("z"), BoolVar("b")
 
         def build(v):
             cond = And((Atom(Rel.EQ, v, Y), Not(b)))
+            read = Select(Store(ArrayVar("a"), v, Y), v)
             return Or(
                 (
                     Atom(Rel.LT, FunApp("h", Add((v, IntConst(1)))), Ite(cond, Mul((IntConst(2), v)), Sub(v, Y))),
-                    DistinctF((v, Y, Select(Store(ArrayVar("a"), v, Y), v))),
-                    Implies(b, Atom(Rel.GE, v, IntConst(0))),
+                    And((Atom(Rel.NE, v, Y), Atom(Rel.NE, v, read), Atom(Rel.NE, Y, read))),
+                    Or((Not(b), Atom(Rel.GE, v, IntConst(0)))),
                 )
             )
 
