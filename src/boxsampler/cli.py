@@ -22,6 +22,7 @@ import sys
 from . import coverage as coverage_mod
 from .errors import (
     BoxsamplerError,
+    ConfigError,
     NotAModel,
     SmtSyntaxError,
     SolverFailure,
@@ -68,7 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epoch-time-limit", type=float, default=600.0)
     run.add_argument("--max-samples", type=int, default=None)
     run.add_argument("--rounds", type=int, default=10, help="sampling rounds per epoch")
-    run.add_argument("--samples-per-round", type=int, default=1000)
+    run.add_argument(
+        "--samples-per-round",
+        type=int,
+        default=1000,
+        help="draws per sampling round; boxes with at most this many points are enumerated, each point once",
+    )
     run.add_argument("--unique-rate-threshold", type=float, default=0.05)
     run.add_argument("--random-bound", type=int, default=100, help="soft-assignment range for random seeds")
     run.add_argument("--unbounded-width", type=int, default=10**6, help="clamp width for open intervals")
@@ -91,9 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        problem = parse_problem(fh.read())
-
+    if args.solver_timeout <= 0:
+        raise ConfigError("the solver timeout must be positive")
     cfg = SamplerConfig(
         strategy=args.strategy,
         total_time_limit=args.time_limit,
@@ -106,6 +111,8 @@ def _cmd_run(args) -> int:
         unbounded_width=args.unbounded_width,
         rng_seed=args.rng_seed,
     )
+    with open(args.problem, "r", encoding="utf-8") as fh:
+        problem = parse_problem(fh.read())
     if args.inject_seed:
         layout = SampleLayout(problem.declarations)
         cfg.inject_seed = layout.model(layout.from_json(json.loads(args.inject_seed)))

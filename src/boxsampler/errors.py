@@ -5,6 +5,11 @@ class BoxsamplerError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(BoxsamplerError, ValueError):
+    """A sampler setting that cannot sample: a count below 1, a negative
+    width or bound, a time limit that is not positive."""
+
+
 class UnsupportedFeature(BoxsamplerError):
     """Input uses a construct outside the supported fragment (div, mod,
     quantifiers, multi-dimensional arrays, functions of arity > 1, ...)."""

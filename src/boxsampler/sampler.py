@@ -5,16 +5,20 @@ blocking), extracts an implicant of the formula around the seed, shrinks it
 to interval bounds, and then draws many cheap samples from the box.  Every
 emitted sample is re-verified against the input formula and deduplicated
 run-wide.  The blocking strategy keeps the negation of every box
-(:class:`BlockingHistory`) to steer later seeds away from covered regions.
+(:class:`BlockingHistory`) to steer later seeds away from covered regions,
+and stops once every model has been drawn.
 
 Draws are flat tuples of values, one per declaration in declaration order
-(:class:`SampleLayout`).  One routine, :func:`epoch_drawer`, draws every
-box: once per epoch it plans the draw (a clamped range per key, the
-select-like keys sorted by nesting depth), and each draw writes the
-integer values, the array cells and any rebuilt arrays straight into the
-tuple.  Each tuple is checked by one positional predicate compiled once per
-run and is its own dedup key (function values written as their default and
-sorted exceptions); only a fresh sample becomes a :class:`Model`.
+(:class:`SampleLayout`).  One routine, :func:`epoch_drawer`, supplies the
+draws of every box: once per epoch it plans the draw (a clamped range per
+key, the select-like keys sorted by nesting depth).  A box of at most
+`samples_per_round` points, with no select-like key and no rebuilt array,
+is then enumerated, each point once in a shuffled order, so that a point
+box costs one draw.  Any other box is drawn at random: each draw writes
+the integer values, the array cells and any rebuilt arrays straight into
+the tuple.  Each tuple is checked by one positional predicate compiled once
+per run and is its own dedup key (function values written as their default
+and sorted exceptions); only a fresh sample becomes a :class:`Model`.
 
 The Model-based chain :func:`sample_intervals` (or
 :func:`sample_intervals_arrays`, one draw of :func:`epoch_drawer`) ->
@@ -26,6 +30,8 @@ benchmark's span tracer wraps these names.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,7 +40,15 @@ from typing import Callable
 from . import arrays as arrays_mod
 from . import strengthen as strengthen_mod
 from .compiled import compile_predicate
-from .errors import BoxsamplerError, NotAModel, SolverFailure, SoundnessViolation, UnassignedSymbol, UnsatFormula
+from .errors import (
+    BoxsamplerError,
+    ConfigError,
+    NotAModel,
+    SolverFailure,
+    SoundnessViolation,
+    UnassignedSymbol,
+    UnsatFormula,
+)
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
 from .smtlib import Declaration, ParsedProblem
@@ -82,11 +96,17 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.strategy not in ("random", "blocking"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.total_time_limit <= 0 or self.epoch_time_limit <= 0:
-            raise ValueError("time limits must be positive")
+            raise ConfigError("time limits must be positive")
+        if self.rounds_per_epoch < 1 or self.samples_per_round < 1:
+            raise ConfigError("rounds per epoch and samples per round must be at least 1")
+        if self.max_samples is not None and self.max_samples < 0:
+            raise ConfigError("max samples must not be negative")
+        if self.random_bound < 0 or self.unbounded_width < 0:
+            raise ConfigError("random bound and unbounded width must not be negative")
         if not 0.0 <= self.unique_rate_threshold <= 1.0:
-            raise ValueError("unique-rate threshold must lie in [0, 1]")
+            raise ConfigError("unique-rate threshold must lie in [0, 1]")
 
 
 @dataclass
@@ -96,6 +116,7 @@ class EpochStats:
     draws: int = 0  # each a fresh sample, a duplicate or a clash (no vector)
     duplicates: int = 0
     clashes: int = 0
+    enumerated: bool = False  # every point of the box drawn once (exploit_epoch)
 
 
 @dataclass
@@ -115,6 +136,7 @@ class RunStats:
     draws: int = 0
     duplicates: int = 0
     clashes: int = 0
+    enumerated_epochs: int = 0
     blocking_resets: int = 0
     raw_coverage: float | None = None
     probabilistic_dedup: bool = False
@@ -167,17 +189,31 @@ def canonical_assignment(sample: Model) -> tuple:
 class BlockingHistory:
     """The boxes that blocking seeds must leave.  Each box is negated once,
     when it is added; `declarations` holds the problem's declarations and
-    then those of the symbols that only the negations name."""
+    then those of the symbols that only the negations name.
+
+    `exhaustive` holds while every model inside a box of the history has
+    been drawn: the problem declares Ints only, and each box bounds every
+    one of them on both sides and was enumerated in full.  A blocking query
+    that is unsat then means that every model has been drawn."""
 
     def __init__(self, problem: ParsedProblem):
         self.problem = problem
+        decls = problem.declarations
+        int_only = all(d.sort == Sort.INT and not d.is_function for d in decls)
+        self.int_keys = [IntVar(d.name) for d in decls] if int_only else None
         self.clear()
 
     def clear(self) -> None:
         self.negations: list[Formula] = []
         self.declarations = {d.name: d for d in self.problem.declarations}
+        self.exhaustive = self.int_keys is not None
 
-    def add(self, iv: IntervalMap) -> None:
+    def add(self, iv: IntervalMap, enumerated: bool = False) -> None:
+        """Block the box `iv`, of whose points all (`enumerated`) or some
+        were drawn."""
+        if self.exhaustive:
+            bounds = [iv.entries.get(key) for key in self.int_keys]
+            self.exhaustive = enumerated and all(b and b.lo is not None and b.hi is not None for b in bounds)
         negation = neg_to_formula(iv)
         self.negations.append(negation)
         for name, sort in free_symbols(negation).items():
@@ -205,15 +241,21 @@ def get_seed_random(
     return verdict.model, verdict
 
 
-def get_seed_blocking(formula: Formula, client: SolverClient, history: BlockingHistory) -> tuple[Model, bool, int]:
+def get_seed_blocking(
+    formula: Formula, client: SolverClient, history: BlockingHistory
+) -> tuple[Model | None, bool, int]:
     """Seed outside every box of the history; on failure the history is
     cleared and the search restarts from the plain formula.  Returns the
-    seed, whether a reset happened, and the number of solver calls."""
+    seed, whether a reset happened, and the number of solver calls.  The
+    seed is None when no model is left outside an exhaustive history
+    (:attr:`BlockingHistory.exhaustive`): every model has been drawn."""
     req = SolverRequest(list(history.declarations.values()), [formula, *history.negations], [])
     verdict = client.solve(req)
     calls = 1
     if verdict.is_sat:
         return verdict.model, False, calls
+    if verdict.kind == VerdictKind.UNSAT and history.exhaustive and history.negations:
+        return None, False, calls
     if verdict.kind not in (VerdictKind.UNSAT, VerdictKind.UNKNOWN):
         raise SolverFailure(verdict.reason or verdict.kind.value)
     history.clear()
@@ -324,7 +366,8 @@ def sample_intervals_arrays(
     None on a clash: one draw of :func:`epoch_drawer` over a layout of the
     seed's own symbols."""
     layout = SampleLayout(_seed_declarations(seed))
-    values = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)()
+    draw, _ = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)
+    values = draw()
     return None if values is None else layout.model(values)
 
 
@@ -439,9 +482,18 @@ def epoch_drawer(
     rng: random.Random,
     *,
     reconstructions: list[tuple[str, Term]] | None = None,
-) -> Callable[[], tuple | None]:
-    """`draw()`: one vector of `layout` drawn from the box `iv`, or None on
-    a clash (an array cell already set outside a key's interval).
+    enumerate_up_to: int = 0,
+) -> tuple[Callable[[], tuple | None], int]:
+    """`(draw, volume)`: `draw()` is one vector of `layout` drawn from the
+    box `iv`, or None on a clash (an array cell already set outside a key's
+    interval).
+
+    A box with no select-like key and no reconstruction has a volume: the
+    product of the points of its integer steps.  When that volume V is at
+    most `enumerate_up_to`, the box is enumerated: the first V calls of
+    `draw()` return each of its points once, in an order shuffled with
+    `rng` (a single point takes no random number), and `volume` is V.
+    Otherwise `volume` is 0 and every draw is random, as follows.
 
     The draw is planned once (:func:`_plan`) over a frame of slots: the
     layout's declared symbols, then the seed's other symbols (the fresh
@@ -470,6 +522,23 @@ def epoch_drawer(
     recipes = [(name, term, slot[name]) for name, term in reversed(reconstructions or [])]
     n = len(layout.names)
     exact = len(values) == n
+
+    volume = 0 if access_plan or recipes else math.prod(points for _, _, points, _ in int_plan)
+    if 0 < volume <= enumerate_up_to:
+        for _, i, default in arrays:  # no select-like key sets a cell
+            values[i] = FuncValue(default, {})
+        slots = [i for i, *_ in int_plan]
+        order = list(itertools.product(*(range(lo, lo + points) for _, lo, points, _ in int_plan)))
+        rng.shuffle(order)
+        next_point = iter(order).__next__
+
+        def visit():
+            for i, value in zip(slots, next_point()):
+                values[i] = value
+            return tuple(values) if exact else tuple(values[:n])
+
+        return visit, volume
+
     getrandbits = rng.getrandbits
 
     def draw():
@@ -498,7 +567,7 @@ def epoch_drawer(
                     values[i] = sample.funcs[name] = eval_term(term, sample)
         return tuple(values) if exact else tuple(values[:n])
 
-    return draw
+    return draw, 0
 
 
 def exploit_epoch(
@@ -515,11 +584,17 @@ def exploit_epoch(
     remaining_budget: int | None = None,
 ) -> EpochResult:
     """Run up to n sampling rounds of k draws, stopping early when the rate
-    of new unique samples in a round drops below the threshold.  Each draw
-    is a vector of the run's `layout`, checked with `pred`, the input
-    formula compiled by :meth:`SampleLayout.predicate`, and deduplicated by
-    its key; only fresh samples become Models."""
-    draw = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)
+    of new unique samples in a round drops below the threshold.  A box of at
+    most k points is enumerated instead (:func:`epoch_drawer`): one round
+    of V draws visits each of its V points once, and `stats.enumerated`
+    says whether the round ran to its end.  Each draw is a vector of the
+    run's `layout`, checked with `pred`, the input formula compiled by
+    :meth:`SampleLayout.predicate`, and deduplicated by its key; only fresh
+    samples become Models.  The deadline and the budget cut a round short."""
+    draw, volume = epoch_drawer(
+        iv, seed, layout, cfg, rng, reconstructions=reconstructions, enumerate_up_to=cfg.samples_per_round
+    )
+    rounds, per_round = (1, volume) if volume else (cfg.rounds_per_epoch, cfg.samples_per_round)
     key_of = layout.key if layout.funcs else None
     model_of = layout.model
     add = dedup.add
@@ -529,10 +604,10 @@ def exploit_epoch(
     if deadline is not None:
         epoch_deadline = min(epoch_deadline, deadline)
     done = False
-    for _ in range(cfg.rounds_per_epoch):
+    for _ in range(rounds):
         new_in_round = 0
-        drawn = cfg.samples_per_round  # unless the round stops early
-        for i in range(cfg.samples_per_round):
+        drawn = per_round  # unless the round stops early
+        for i in range(per_round):
             if i % 64 == 0 and time.monotonic() > epoch_deadline:
                 done, drawn = True, i
                 break
@@ -552,10 +627,11 @@ def exploit_epoch(
                     break
         stats.rounds_run += 1
         stats.draws += drawn
-        stats.unique_rate = new_in_round / cfg.samples_per_round
+        stats.unique_rate = new_in_round / per_round
         if done or stats.unique_rate < cfg.unique_rate_threshold:
             break
     stats.duplicates = stats.draws - stats.clashes - len(fresh)
+    stats.enumerated = volume > 0 and stats.draws == volume
     return EpochResult(seed=seed, intervals=iv, fresh_samples=fresh, stats=stats)
 
 
@@ -589,9 +665,11 @@ def sample_formula(
     `wall_time` holds the seconds of each phase and the "total": setup
     (preprocessing, the predicate compile and the blocking history), solve
     (with the loop head), implicant, strengthen (with the seed's containment
-    check), sample, and emit (the two callbacks).  The phases are
-    contiguous laps of one clock, so they sum to the total.  On Ctrl-C it
-    stops with `stop_reason` "interrupted", and `unique_samples` counts the
+    check), sample (with the box's negation under blocking), and emit (the
+    two callbacks).  The phases are contiguous laps of one clock, so they
+    sum to the total.  Under blocking, a run that has drawn every model
+    stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).  On
+    Ctrl-C it stops with "interrupted", and `unique_samples` counts the
     samples `on_sample` took."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
@@ -634,6 +712,9 @@ def sample_formula(
             elif history is not None:
                 seed, was_reset, calls = get_seed_blocking(formula, client, history)
                 stats.solver_calls += calls
+                if seed is None:
+                    stats.stop_reason = "exhausted"
+                    break
                 if was_reset:
                     stats.blocking_resets += 1
             else:
@@ -652,8 +733,6 @@ def sample_formula(
                 iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
             else:
                 iv = strengthen_mod.product_to_intervals(product, seed)
-            if history is not None:
-                history.add(iv)
             if not contains(iv, seed):
                 raise SoundnessViolation("seed fell outside its own interval box")
 
@@ -675,6 +754,9 @@ def sample_formula(
             stats.draws += epoch.stats.draws
             stats.duplicates += epoch.stats.duplicates
             stats.clashes += epoch.stats.clashes
+            stats.enumerated_epochs += epoch.stats.enumerated
+            if history is not None:
+                history.add(iv, epoch.stats.enumerated)
 
             lap("emit")
             for sample in epoch.fresh_samples:

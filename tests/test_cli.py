@@ -115,6 +115,29 @@ class TestRun:
         bad.write_text("(declare-const x Int)(assert (= (div x 2) 1))")
         assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--samples-per-round", 0], "samples per round"),
+            (["--samples-per-round", -5, "--time-limit", 1], "samples per round"),
+            (["--rounds", 0, "--time-limit", 1], "rounds per epoch"),
+            (["--time-limit", 0], "time limits"),
+            (["--random-bound", -1], "random bound"),
+            (["--unbounded-width", -1], "unbounded width"),
+            (["--max-samples", -1], "max samples"),
+            (["--solver-timeout", 0], "solver timeout"),
+        ],
+        ids=[
+            "zero-draws", "negative-draws", "zero-rounds", "zero-time",
+            "random-bound", "width", "max-samples", "solver-timeout",
+        ],
+    )
+    def test_config_that_cannot_sample_is_an_error(self, data_dir, tmp_path, capsys, extra, message):
+        code, out = _run_intro(data_dir, tmp_path, *extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR and not out.exists()
+        assert err.startswith("error: ") and message in err
+
     def test_byte_identical_reruns(self, data_dir, tmp_path):
         _, out1 = _run_intro(data_dir, tmp_path, "--rng-seed", 77, samples="a.jsonl")
         _, out2 = _run_intro(data_dir, tmp_path, "--rng-seed", 77, samples="b.jsonl")

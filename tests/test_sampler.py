@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler.errors import NotAModel, SoundnessViolation, UnassignedSymbol, UnsatFormula
+from boxsampler.errors import ConfigError, NotAModel, SoundnessViolation, UnassignedSymbol, UnsatFormula
 from boxsampler.intervals import Interval, IntervalMap, contains
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import (
@@ -327,7 +327,7 @@ class TestEpochDrawer:
         cfg = cfg_of(unbounded_width=rng.choice([0, 5, 10**6]))
         layout = SampleLayout(problem.declarations)
         kernel_rng, reference_rng = random.Random(s), random.Random(s)
-        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
+        draw, _ = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
         for _ in range(30):
             reference = restrict_to_problem(sample_intervals(iv, seed, cfg, reference_rng), problem)
             values = draw()
@@ -343,7 +343,7 @@ class TestEpochDrawer:
         cfg = cfg_of(unbounded_width=rng.choice([1, 4]))
         layout = SampleLayout(problem.declarations)
         kernel_rng, reference_rng = random.Random(s), random.Random(s)
-        draw = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
+        draw, _ = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
         for _ in range(30):
             drawn = sample_intervals_arrays(iv, seed, cfg, reference_rng)
             values = draw()
@@ -360,7 +360,7 @@ class TestEpochDrawer:
         clashes = 0
         for s in range(200):
             problem, seed, iv = _random_array_box(random.Random(s))
-            draw = epoch_drawer(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s))
+            draw, _ = epoch_drawer(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s))
             clashes += sum(draw() is None for _ in range(10))
         assert clashes > 0  # the property above covers the clash branch
 
@@ -400,7 +400,7 @@ def _assert_draws_match_randint(lo: int, hi: int, rng: random.Random, draws: int
     iv = IntervalMap({X: Interval(lo, hi), Select(A, I): Interval(lo + 9, hi + 9)})
     reference_rng = random.Random()
     reference_rng.setstate(rng.getstate())
-    draw = epoch_drawer(iv, seed, SampleLayout(decls), cfg_of(), rng)
+    draw, _ = epoch_drawer(iv, seed, SampleLayout(decls), cfg_of(), rng)
     for _ in range(draws):
         x, i, a = draw()
         assert x == reference_rng.randint(lo, hi) and i == 0
@@ -554,6 +554,94 @@ class TestExploitEpoch:
         assert (late.draws, late.duplicates, late.rounds_run) == (0, 0, 1)
 
 
+class TestEnumeratedEpoch:
+    """A box of at most `samples_per_round` points without select-like keys
+    is visited once per point, in one round, through the same checks."""
+
+    def _epoch(self, iv, seed, cfg, rng, dedup=None, **kw):
+        p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
+        return exploit_epoch(iv, seed, layout.predicate(f), layout, dedup or DedupSet(10_000), cfg, rng, **kw)
+
+    def test_point_box_draws_once_and_takes_no_random_number(self):
+        rng = random.Random(4)
+        state = rng.getstate()
+        iv = IntervalMap({X: Interval(12, 12), Y: Interval(2, 2)})
+        epoch = self._epoch(iv, Model(ints={"x": 12, "y": 2}), cfg_of(), rng)
+        assert [s.ints for s in epoch.fresh_samples] == [{"x": 12, "y": 2}]
+        assert (epoch.stats.draws, epoch.stats.rounds_run, epoch.stats.enumerated) == (1, 1, True)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("width", [1, 3, 10])
+    def test_small_box_yields_each_point_once(self, width):
+        # (x, y) in [0, 3] x [2, 1 + width]: at most samples_per_round points
+        iv = IntervalMap({X: Interval(0, 3), Y: Interval(2, 1 + width)})
+        cfg = cfg_of(samples_per_round=40, rounds_per_epoch=5)
+        epoch = self._epoch(iv, Model(ints={"x": 1, "y": 2}), cfg, random.Random(width))
+        points = [(s.ints["x"], s.ints["y"]) for s in epoch.fresh_samples]
+        assert sorted(points) == [(x, y) for x in range(4) for y in range(2, 2 + width)]
+        assert epoch.stats.draws == 4 * width and epoch.stats.duplicates == 0
+        assert epoch.stats.rounds_run == 1 and epoch.stats.enumerated
+
+    def test_order_is_shuffled_by_the_rng(self):
+        iv = IntervalMap({X: Interval(0, 15), Y: Interval(2, 3)})
+        seed = Model(ints={"x": 1, "y": 2})
+        epochs = [self._epoch(iv, seed, cfg_of(), random.Random(k)) for k in range(5)]
+        orders = {tuple(map(canonical_assignment, epoch.fresh_samples)) for epoch in epochs}
+        assert len(orders) == 5
+
+    def test_box_one_point_too_large_is_drawn_at_random(self):
+        # 41 points, 40 draws per round: the random draws of the reference
+        # chain, deduplicated in order, and the same random numbers
+        p, _ = _intro_parts()
+        iv = IntervalMap({X: Interval(0, 40), Y: Interval(8, 8)})
+        seed = Model(ints={"x": 12, "y": 8})
+        cfg = cfg_of(samples_per_round=40, rounds_per_epoch=1)
+        rng, reference_rng = random.Random(8), random.Random(8)
+        epoch = self._epoch(iv, seed, cfg, rng)
+        expected, seen = [], set()
+        for _ in range(40):
+            key = canonical_assignment(restrict_to_problem(sample_intervals(iv, seed, cfg, reference_rng), p))
+            if key not in seen:
+                seen.add(key)
+                expected.append(key)
+        assert [canonical_assignment(s) for s in epoch.fresh_samples] == expected
+        assert epoch.stats.draws == 40 and epoch.stats.duplicates > 0 and not epoch.stats.enumerated
+        assert rng.getstate() == reference_rng.getstate()
+
+    def test_budget_cut_keeps_the_counts_and_is_not_enumerated(self):
+        iv = IntervalMap({X: Interval(0, 9), Y: Interval(2, 3)})
+        seed = Model(ints={"x": 1, "y": 2})
+        dedup = DedupSet(10_000)
+        for x in range(0, 10, 2):  # half the points are known already
+            dedup.add((x, 2))
+        epoch = self._epoch(iv, seed, cfg_of(), random.Random(3), dedup, remaining_budget=6)
+        stats = epoch.stats
+        assert len(epoch.fresh_samples) == 6 and stats.duplicates > 0
+        assert stats.draws == len(epoch.fresh_samples) + stats.duplicates + stats.clashes < 20
+        assert not stats.enumerated
+
+    def test_point_outside_the_formula_raises_soundness_violation(self):
+        # x - 5y <= 7 fails at x = 18, y = 2
+        iv = IntervalMap({X: Interval(16, 18), Y: Interval(2, 2)})
+        with pytest.raises(SoundnessViolation):
+            self._epoch(iv, Model(ints={"x": 16, "y": 2}), cfg_of(), random.Random(0))
+
+
+class TestSamplerConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples_per_round", 0), ("samples_per_round", -5), ("rounds_per_epoch", 0), ("total_time_limit", 0),
+            ("epoch_time_limit", -1.0), ("max_samples", -1), ("random_bound", -1), ("unbounded_width", -1),
+            ("unique_rate_threshold", 1.5), ("strategy", "greedy"),
+        ],
+    )
+    def test_values_that_cannot_sample_are_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            cfg_of(**{field: value})
+
+
 class TestDedupSet:
     def test_exact_then_probabilistic(self):
         d = DedupSet(cap=4)
@@ -705,6 +793,9 @@ class TestSampleFormula:
         p = parse_problem("(declare-const x Int)(assert (>= x 1))(assert (<= x 0))")
         with pytest.raises(UnsatFormula):
             sample_formula(p, cfg_of(max_samples=5), LocalSolverClient())
+        # under blocking, the empty history is exhaustive, but no model was drawn
+        with pytest.raises(UnsatFormula):
+            sample_formula(p, cfg_of(strategy="blocking", max_samples=5), LocalSolverClient())
 
     def test_array_problem_end_to_end(self):
         p = parse_problem(
@@ -753,10 +844,13 @@ class TestSampleFormula:
         assert wall["emit"] > 0.5 * total
         assert sum(wall.values()) == pytest.approx(total, abs=1e-9)
 
-    @pytest.mark.parametrize("stop", ["total time limit", "no solver configured", "interrupted"])
+    @pytest.mark.parametrize("stop", ["total time limit", "no solver configured", "interrupted", "exhausted"])
     def test_phases_sum_to_total_on_other_stop_reasons(self, stop):
         p, _ = _intro_parts()
         cfg = cfg_of(samples_per_round=10, rounds_per_epoch=1, total_time_limit=0.05 if stop == "total time limit" else 900)
+        if stop == "exhausted":
+            p = parse_problem("(declare-const x Int)(declare-const y Int)(assert (and (<= 0 x 2) (<= 0 y 2)))")
+            cfg.strategy, cfg.total_time_limit = "blocking", 30
         taken = []
 
         def on_sample(s):
@@ -772,6 +866,44 @@ class TestSampleFormula:
         assert list(wall) == ["setup", "solve", "implicant", "strengthen", "sample", "emit"]
         assert min(wall.values()) >= 0 and wall["setup"] > 0
         assert sum(wall.values()) == pytest.approx(total, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "text, models, calls",
+        [
+            ("(declare-const x Int)(assert (<= 0 x 0))", 1, 2),
+            ("(declare-const x Int)(assert (and (distinct x 5) (<= 0 x 10)))", 10, None),
+            # y <= x cuts the square, so the blocking seeds need several boxes
+            ("(declare-const x Int)(declare-const y Int)(assert (and (<= 0 x 6) (<= 0 y 6) (<= y x)))", 28, None),
+        ],
+        ids=["point", "gap", "triangle"],
+    )
+    def test_blocking_stops_when_every_model_is_drawn(self, text, models, calls):
+        p = parse_problem(text)
+        cfg = cfg_of(strategy="blocking", total_time_limit=30, samples_per_round=20, rounds_per_epoch=2)
+        out = []
+        stats = sample_formula(p, cfg, LocalSolverClient(), on_sample=out.append)
+        assert stats.stop_reason == "exhausted" and stats.blocking_resets == 0
+        assert stats.unique_samples == len({canonical_assignment(s) for s in out}) == models
+        assert all(eval_formula(p.assertion, s) for s in out)
+        assert stats.enumerated_epochs == stats.epochs
+        assert calls is None or stats.solver_calls == calls
+
+    @pytest.mark.parametrize(
+        "text, width",
+        [
+            # the implicant needs only one disjunct, and p is never drawn
+            ("(declare-const x Int)(declare-const p Bool)(assert (and (<= 0 x 0) (or p (>= x 0))))", 10**6),
+            # no box bounds y, so a box's negation blocks values of y never drawn
+            ("(declare-const x Int)(declare-const y Int)(assert (<= 0 x 0))", 0),
+            # the open side is clamped to the seed value, which is all that is drawn
+            ("(declare-const x Int)(assert (>= x 0))", 0),
+        ],
+        ids=["bool", "int-not-keyed", "open-side"],
+    )
+    def test_blocking_resets_when_the_boxes_are_not_exhaustive(self, text, width):
+        cfg = cfg_of(strategy="blocking", total_time_limit=0.3, unbounded_width=width)
+        stats = sample_formula(parse_problem(text), cfg, LocalSolverClient())
+        assert stats.stop_reason == "total time limit" and stats.blocking_resets > 0
 
     def test_seed_containment_every_epoch(self):
         p = parse_problem(

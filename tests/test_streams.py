@@ -3,7 +3,7 @@
 `test_byte_identical_reruns` compares two runs of the same code; these
 digests compare against the files the sampler wrote before its per-draw
 loop was rewritten, so a change to the random stream, the draw order, the
-dedup or the sample encoding shows up here.  A change that alters the
+enumeration order, the dedup or the sample encoding shows up here.  A change that alters the
 stream on purpose must say why and update the digests."""
 
 import hashlib
@@ -45,9 +45,19 @@ RUNS = {
         ["--strategy", "random", "--rng-seed", "53", "--max-samples", "300",
          "--samples-per-round", "40", "--rounds", "2"],
     ),
+    # every box holds at most 40 points and is enumerated in a shuffled
+    # order; the run stops with all 87 models, before --max-samples and
+    # well before the time limit
+    "small_boxes-blocking": (
+        "small_boxes.smt2",
+        ["--strategy", "blocking", "--rng-seed", "41", "--max-samples", "200",
+         "--samples-per-round", "40", "--rounds", "2", "--time-limit", "30"],
+    ),
 }
 
-# SHA-256 of (samples file, intervals file) for each run.
+# SHA-256 of (samples file, intervals file) for each run.  small_boxes was
+# pinned when boxes of at most --samples-per-round points began to be
+# enumerated; the others are older and held through that change.
 DIGESTS = {
     "intro-random": (
         "7016cfb25a95d79a50153dd679f45f491de9b0862db244f8d6ceff57228e9682",
@@ -64,6 +74,10 @@ DIGESTS = {
     "toy_array-random": (
         "652c8a9e6607a5516c599c074300c50d886e9fbb7ad162f850475a32c620138a",
         "bb175c5fbb1ab59b178b736bb1a941638b8cc69419d66e5223f2568ed4ebd0a0",
+    ),
+    "small_boxes-blocking": (
+        "9e8257df7c8f3fe3eb98075c385ae51f882a7c2a1b7b1d6f89d3aba83a8dc8ce",
+        "a11f62bae89dc08dbeba9418c47c57213a6acb11df86058779dceec716ef6271",
     ),
     "sugar-random": (
         "39fa3c68b9ac2649aca54f511bdacbdb7a74125b7ab7d9f5b2208e6cc128c1fe",
