@@ -410,7 +410,9 @@ class BruteForceEngine:
 
 
 class LocalSolverClient(SolverClient):
-    """In-process client backed by the brute-force engine."""
+    """In-process client backed by the brute-force engine.  It ignores a
+    request's deadline: the engine's scans are bounded by a count of
+    points and checks, not by time."""
 
     def solve(self, req: SolverRequest) -> SolverVerdict:
         assert not req.soft

@@ -52,7 +52,7 @@ from .errors import (
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
 from .smtlib import Declaration, ParsedProblem
-from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind
+from .solver import SolverClient, SolverRequest, VerdictKind
 from .terms import (
     Add,
     Atom,
@@ -223,33 +223,46 @@ class BlockingHistory:
 
 
 def get_seed_random(
-    problem: ParsedProblem, formula: Formula, client: SolverClient, cfg: SamplerConfig, rng: random.Random
-) -> tuple[Model, SolverVerdict]:
+    problem: ParsedProblem,
+    formula: Formula,
+    client: SolverClient,
+    cfg: SamplerConfig,
+    rng: random.Random,
+    deadline: float | None = None,
+) -> tuple[Model, bool, int]:
     """Seed via MAX-SMT: the formula is hard, equality of every int variable
-    to a uniformly random value in [-B, B] is soft."""
+    to a uniformly random value in [-B, B] is soft.  A MAX-SMT query
+    answered unknown is asked again as a plain solve.  Returns the seed,
+    whether the soft constraints were dropped, and the number of solver
+    calls."""
     soft = [
         (Atom(Rel.EQ, IntVar(d.name), IntConst(rng.randint(-cfg.random_bound, cfg.random_bound))), 1)
         for d in problem.declarations
         if d.sort == Sort.INT and not d.is_function
     ]
-    req = SolverRequest(list(problem.declarations), [formula], soft)
+    req = SolverRequest(list(problem.declarations), [formula], soft, deadline)
     verdict = client.max_solve(req)
+    calls = 1
+    if verdict.kind == VerdictKind.UNKNOWN:
+        verdict = client.solve(SolverRequest(req.declarations, req.hard, [], deadline))
+        verdict.degraded = True
+        calls += 1
     if verdict.kind == VerdictKind.UNSAT:
         raise UnsatFormula("input formula is unsatisfiable")
     if not verdict.is_sat:
         raise SolverFailure(verdict.reason or verdict.kind.value)
-    return verdict.model, verdict
+    return verdict.model, verdict.degraded, calls
 
 
 def get_seed_blocking(
-    formula: Formula, client: SolverClient, history: BlockingHistory
+    formula: Formula, client: SolverClient, history: BlockingHistory, deadline: float | None = None
 ) -> tuple[Model | None, bool, int]:
     """Seed outside every box of the history; on failure the history is
     cleared and the search restarts from the plain formula.  Returns the
     seed, whether a reset happened, and the number of solver calls.  The
     seed is None when no model is left outside an exhaustive history
     (:attr:`BlockingHistory.exhaustive`): every model has been drawn."""
-    req = SolverRequest(list(history.declarations.values()), [formula, *history.negations], [])
+    req = SolverRequest(list(history.declarations.values()), [formula, *history.negations], [], deadline)
     verdict = client.solve(req)
     calls = 1
     if verdict.is_sat:
@@ -259,7 +272,7 @@ def get_seed_blocking(
     if verdict.kind not in (VerdictKind.UNSAT, VerdictKind.UNKNOWN):
         raise SolverFailure(verdict.reason or verdict.kind.value)
     history.clear()
-    verdict = client.solve(SolverRequest(list(history.problem.declarations), [formula], []))
+    verdict = client.solve(SolverRequest(list(history.problem.declarations), [formula], [], deadline))
     calls += 1
     if verdict.kind == VerdictKind.UNSAT:
         raise UnsatFormula("input formula is unsatisfiable")
@@ -668,9 +681,11 @@ def sample_formula(
     check), sample (with the box's negation under blocking), and emit (the
     two callbacks).  The phases are contiguous laps of one clock, so they
     sum to the total.  Under blocking, a run that has drawn every model
-    stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).  On
-    Ctrl-C it stops with "interrupted", and `unique_samples` counts the
-    samples `on_sample` took."""
+    stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).  Each
+    solver query carries the run's deadline; one that fails once the
+    deadline has passed stops the run with "total time limit".  On Ctrl-C
+    it stops with "interrupted", and `unique_samples` counts the samples
+    `on_sample` took."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
     phase = dict.fromkeys(("setup", "solve", "implicant", "strengthen", "sample", "emit"), 0.0)
@@ -709,19 +724,23 @@ def sample_formula(
             elif client is None:
                 stats.stop_reason = "no solver configured"
                 break
-            elif history is not None:
-                seed, was_reset, calls = get_seed_blocking(formula, client, history)
+            else:
+                try:
+                    if history is not None:
+                        seed, was_reset, calls = get_seed_blocking(formula, client, history, deadline)
+                        stats.blocking_resets += was_reset
+                    else:
+                        seed, degraded, calls = get_seed_random(problem, formula, client, cfg, rng, deadline)
+                        stats.maxsmt_degradations += degraded
+                except SolverFailure:
+                    if time.monotonic() < deadline:
+                        raise
+                    stats.stop_reason = "total time limit"  # the query was cut off at the run's deadline
+                    break
                 stats.solver_calls += calls
                 if seed is None:
                     stats.stop_reason = "exhausted"
                     break
-                if was_reset:
-                    stats.blocking_resets += 1
-            else:
-                seed, verdict = get_seed_random(problem, formula, client, cfg, rng)
-                stats.solver_calls += 1
-                if verdict.degraded:
-                    stats.maxsmt_degradations += 1
 
             lap("implicant")
             product = compute_implicant(formula, seed, rng)

@@ -1,19 +1,28 @@
 """External SMT solver access: Solve and MAX-Solve over pipes.
 
 The process client speaks SMT-LIB v2 text with one persistent child
-process, scoping every query in push/pop.  Soft constraints use the
-assert-soft convention; when the configured solver rejects that syntax the
-query silently degrades to a plain solve and the verdict is flagged.  Every
+process, in two nested scopes.  The *base scope*, one ``(push 1)`` opened
+when the child starts, holds the declarations and hard formulas sent so
+far.  A request whose declarations and hard formulas extend those of the
+base sends only the new ones; any other request pops the base and builds
+it again.  So a blocking run sends each box negation once, and the random
+strategy sends its formula once.  The *query scope*, pushed inside the
+base, holds the soft constraints, `check-sat` and `get-model`, and is
+popped after the answer.  Soft constraints use the assert-soft
+convention; when the configured solver rejects that syntax the query
+silently degrades to a plain solve and the verdict is flagged.  Every
 satisfiable answer is re-checked against the hard constraints with the
 internal evaluator before being returned.
 
-Each query goes to the solver in one write.  The solver's output is read
-with the one SMT-LIB reader, through one :class:`smtlib.StreamReader` fed
-with whatever has arrived, so each reply (a verdict atom, an ``(error ...)``
-list or a model) is read once, as one s-expression, which
-:func:`parse_model` takes as it is.  Reading waits with `select`, so it is
-POSIX-only.  When the solver closes its output, the error names its exit
-status.
+Each query goes to the solver in one write, and waits for its answer until
+the client's timeout or the request's deadline, whichever comes first.
+The solver's output is read with the one SMT-LIB reader, through one
+:class:`smtlib.StreamReader` fed with whatever has arrived, so each reply
+(a verdict atom, an ``(error ...)`` list or a model) is read once, as one
+s-expression, which :func:`parse_model` takes as it is.  Reading waits with
+`select`, so it is POSIX-only.  When the solver closes its output, the
+error names its exit status.  `subprocess` and `shlex` are imported by the
+process client only, so that the solver child does not load them.
 """
 
 from __future__ import annotations
@@ -22,8 +31,6 @@ import codecs
 import contextlib
 import os
 import select
-import shlex
-import subprocess
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,9 +48,13 @@ from .terms import (
 
 @dataclass
 class SolverRequest:
+    """One query.  `deadline`, on the `time.monotonic` clock, is the run's:
+    the query is not waited for past it."""
+
     declarations: list[Declaration]
     hard: list[Formula]
     soft: list[tuple[Formula, int]] = field(default_factory=list)
+    deadline: float | None = None
 
 
 class VerdictKind(Enum):
@@ -238,6 +249,8 @@ class _ProcessHandle:
     a deadline."""
 
     def __init__(self, cmd: list[str]):
+        import subprocess
+
         self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
         self.reader = StreamReader()
@@ -258,6 +271,8 @@ class _ProcessHandle:
                 raise TimeoutError("solver response timed out")
             data = os.read(out, 1 << 16)
             if not data:
+                import subprocess
+
                 try:  # wait for the exit a second at most, and not past the deadline
                     wait = max(0.0, min(1.0, deadline - time.monotonic()))
                     status = f"exit status {self.proc.wait(timeout=wait)}"
@@ -281,13 +296,22 @@ class _ProcessHandle:
 
 class ProcessSolverClient(SolverClient):
     """Drives an external solver (default `z3 -in`) over standard input and
-    output, one persistent process per sampler run."""
+    output, one persistent process per sampler run.
+
+    The client remembers what its base scope holds (`_base`): a request
+    that extends it is sent as its new declarations and hard formulas, and
+    any other request rebuilds the base.  A reset (timeout, end of output,
+    an unreadable or error reply, a dead child) forgets the base along with
+    the child."""
 
     def __init__(self, cmd: str = "z3 -in", timeout: float = 60.0):
+        import shlex
+
         self.cmd = shlex.split(cmd)
         self.timeout = timeout
         self._handle: _ProcessHandle | None = None
         self._soft_supported: bool | None = None
+        self._base: tuple[list[Declaration], list[Formula]] = ([], [])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -295,10 +319,11 @@ class ProcessSolverClient(SolverClient):
         if self._handle is None or self._handle.proc.poll() is not None:
             self._reset()
             self._handle = _ProcessHandle(self.cmd)
-            self._handle.send("(set-option :print-success false)\n(set-option :produce-models true)")
+            self._handle.send("(set-option :print-success false)\n(set-option :produce-models true)\n(push 1)")
         return self._handle
 
     def _reset(self):
+        self._base = ([], [])
         if self._handle is not None:
             self._handle.kill()
             self._handle = None
@@ -323,12 +348,15 @@ class ProcessSolverClient(SolverClient):
             if verdict.kind != VerdictKind.ERROR or "assert-soft" not in verdict.reason:
                 return _recheck(req, verdict)
             self._soft_supported = False
-        hard_only = SolverRequest(req.declarations, req.hard, [])
+        hard_only = SolverRequest(req.declarations, req.hard, [], req.deadline)
         verdict = self._query(hard_only, use_soft=False)
         verdict.degraded = bool(req.soft)
         return _recheck(req, verdict)
 
     def _soft_probe(self) -> bool:
+        """Whether the solver takes assert-soft.  The probe runs inside the
+        base scope, whose formulas may be unsat, so any verdict means yes
+        and only an ``(error ...)`` reply means no."""
         if self._soft_supported is None:
             try:
                 handle = self._ensure()
@@ -336,7 +364,7 @@ class ProcessSolverClient(SolverClient):
                 handle.send("(push 1)\n(assert-soft true :weight 1)\n(check-sat)")
                 answer = handle.reply(deadline)
                 handle.send("(pop 1)")
-                self._soft_supported = answer.is_atom and answer.text == "sat"
+                self._soft_supported = answer.is_atom
                 if not self._soft_supported:
                     self._reset()
             except Exception:
@@ -344,12 +372,26 @@ class ProcessSolverClient(SolverClient):
                 self._reset()
         return self._soft_supported
 
+    def _base_commands(self, req: SolverRequest) -> list[str]:
+        """The commands that make the base scope hold `req`'s declarations
+        and hard formulas: the new ones when the base holds a prefix of
+        each, else a popped and rebuilt base."""
+        decls, hard = self._base
+        commands = []
+        if not (_extends(req.declarations, decls) and _extends(req.hard, hard)):
+            commands, decls, hard = ["(pop 1)", "(push 1)"], [], []
+        commands += map(print_declaration, req.declarations[len(decls):])
+        commands += [f"(assert {print_formula(f)})" for f in req.hard[len(hard):]]
+        self._base = (list(req.declarations), list(req.hard))
+        return commands
+
     def _query(self, req: SolverRequest, use_soft: bool) -> SolverVerdict:
         try:
             handle = self._ensure()
             deadline = time.monotonic() + self.timeout
-            commands = ["(push 1)", *map(print_declaration, req.declarations)]
-            commands += [f"(assert {print_formula(f)})" for f in req.hard]
+            if req.deadline is not None:
+                deadline = min(deadline, req.deadline)
+            commands = [*self._base_commands(req), "(push 1)"]
             if use_soft:
                 commands += [f"(assert-soft {print_formula(f)} :weight {weight})" for f, weight in req.soft]
             handle.send("\n".join([*commands, "(check-sat)"]))
@@ -366,9 +408,8 @@ class ProcessSolverClient(SolverClient):
             if answer.text != "sat":
                 self._reset()
                 return SolverVerdict(VerdictKind.ERROR, reason=f"unexpected solver answer {answer.text!r}")
-            handle.send("(get-model)")
+            handle.send("(get-model)\n(pop 1)")
             reply = handle.reply(deadline)
-            handle.send("(pop 1)")
             return SolverVerdict(VerdictKind.SAT, model=parse_model(reply, req.declarations))
         except (EOFError, OSError) as exc:  # TimeoutError and BrokenPipeError are OSErrors
             self._reset()
@@ -379,3 +420,8 @@ class ProcessSolverClient(SolverClient):
         except SmtSyntaxError as exc:  # a reply that starts with a ")" closing nothing
             self._reset()
             return SolverVerdict(VerdictKind.ERROR, reason=f"unreadable solver reply: {handle.reader.locate(exc)}")
+
+
+def _extends(items: list, prefix: list) -> bool:
+    """Whether `prefix` is a prefix of `items`, compared by identity first."""
+    return len(prefix) <= len(items) and all(a is b or a == b for a, b in zip(prefix, items))

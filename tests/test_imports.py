@@ -197,15 +197,25 @@ def test_checker_flags_dead_methods():
 
 
 def test_solver_child_imports_only_the_modules_of_the_pipe():
-    script = "import boxsampler.minisolver, sys; print(sorted(m for m in sys.modules if m.startswith('boxsampler')))"
+    # the process client imports subprocess (and with it selectors and
+    # signal) and shlex itself, so the child does not load them
+    script = (
+        "import sys; before = set(sys.modules); import boxsampler.minisolver\n"
+        "new = set(sys.modules) - before\n"
+        "print((sorted(m for m in new if m.startswith('boxsampler')),"
+        " sorted(new & {'subprocess', 'selectors', 'signal', 'shlex'})))"
+    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
-    assert ast.literal_eval(out) == [
-        "boxsampler",
-        "boxsampler.compiled",
-        "boxsampler.errors",
-        "boxsampler.minisolver",
-        "boxsampler.smtlib",
-        "boxsampler.solver",
-        "boxsampler.terms",
-    ]
+    assert ast.literal_eval(out) == (
+        [
+            "boxsampler",
+            "boxsampler.compiled",
+            "boxsampler.errors",
+            "boxsampler.minisolver",
+            "boxsampler.smtlib",
+            "boxsampler.solver",
+            "boxsampler.terms",
+        ],
+        [],
+    )

@@ -89,7 +89,7 @@ def sat(model: Model) -> SolverVerdict:
 class TestGetSeed:
     def test_random_unique_model(self):
         p = parse_problem("(declare-const x Int)(assert (= x 5))")
-        seed, _ = get_seed_random(p, preprocess(p.assertion), LocalSolverClient(), cfg_of(), random.Random(0))
+        seed, _, _ = get_seed_random(p, preprocess(p.assertion), LocalSolverClient(), cfg_of(), random.Random(0))
         assert seed.ints["x"] == 5
 
     def test_random_soft_pulls_toward_target(self):
@@ -97,7 +97,7 @@ class TestGetSeed:
         f = to_nnf(preprocess(p.assertion))
         hits = set()
         for s in range(6):
-            seed, _ = get_seed_random(p, f, LocalSolverClient(), cfg_of(random_bound=10), random.Random(s))
+            seed, _, _ = get_seed_random(p, f, LocalSolverClient(), cfg_of(random_bound=10), random.Random(s))
             assert eval_formula(f, seed)
             hits.add(seed.ints["x"])
         assert len(hits) > 1  # randomized targets move the seed around
@@ -788,6 +788,17 @@ class TestSampleFormula:
         stats = sample_formula(p, cfg, transcript)
         assert stats.solver_calls == 2
         assert stats.unique_samples == 15
+
+    def test_unknown_max_solve_is_asked_again_as_a_plain_solve(self):
+        p, _ = _intro_parts()
+        unknown = SolverVerdict(VerdictKind.UNKNOWN, reason="search budget exhausted")
+        transcript = ScriptedClient([unknown, sat(Model(ints={"x": 12, "y": 2})), sat(Model(ints={"x": 1, "y": 3}))])
+        cfg = cfg_of(max_samples=15, samples_per_round=10, rounds_per_epoch=1)
+        stats = sample_formula(p, cfg, transcript)
+        assert stats.unique_samples == 15 and stats.stop_reason == "max samples"
+        assert stats.solver_calls == 3 and stats.maxsmt_degradations == 1
+        first, retry, _ = transcript.requests
+        assert first.soft and not retry.soft and retry.hard == first.hard
 
     def test_unsat_problem_raises(self):
         p = parse_problem("(declare-const x Int)(assert (>= x 1))(assert (<= x 0))")

@@ -12,7 +12,14 @@ import pytest
 
 from boxsampler.errors import ModelParseError
 from boxsampler.minisolver import LocalSolverClient
-from boxsampler.sampler import canonical_assignment
+from boxsampler.intervals import Interval, IntervalMap
+from boxsampler.sampler import (
+    BlockingHistory,
+    SamplerConfig,
+    canonical_assignment,
+    get_seed_blocking,
+    sample_formula,
+)
 from boxsampler.smtlib import Declaration, parse_problem, read_sexpr, read_sexprs
 from boxsampler import solver as solver_mod
 from boxsampler.solver import (
@@ -528,3 +535,89 @@ class TestProcessClient:
         v = client.solve(SolverRequest(p.declarations, [p.assertion]))
         assert v.kind == VerdictKind.ERROR and "hard constraint" in v.reason
         client.close()
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """The commands each process client of the test sends, one list entry
+    per write."""
+    writes: list[str] = []
+    send = _ProcessHandle.send
+
+    def recording(self, text):
+        writes.append(text)
+        send(self, text)
+
+    monkeypatch.setattr(_ProcessHandle, "send", recording)
+    return writes
+
+
+def _lines(writes: list[str], prefix: str) -> list[str]:
+    return [line for text in writes for line in text.split("\n") if line.startswith(prefix)]
+
+
+POINTS = "(declare-const x Int)(declare-const y Int)(assert (and (= (+ x y) 10) (<= 0 x) (<= x 1000)))"
+
+
+class TestBaseScope:
+    def test_a_blocking_run_sends_each_declaration_and_hard_formula_once(self, sent):
+        # every box is a point, so each of the 20 epochs adds one negation
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        cfg = SamplerConfig(strategy="blocking", max_samples=20, samples_per_round=40, rounds_per_epoch=2)
+        stats = sample_formula(parse_problem(POINTS), cfg, client, random.Random(7))
+        client.close()
+        assert stats.unique_samples == 20 and stats.solver_calls == 20 and stats.blocking_resets == 0
+        asserts = _lines(sent, "(assert ")
+        assert len(asserts) == 20 and len(set(asserts)) == 20  # the formula, then one negation per epoch
+        assert sorted(_lines(sent, "(declare-")) == ["(declare-fun x () Int)", "(declare-fun y () Int)"]
+        assert _lines(sent, "(pop 1)") == ["(pop 1)"] * 20  # only the query scopes are popped
+
+    def test_a_reset_history_rebuilds_the_base(self, sent):
+        # the negation of the only model makes the query unsat; once the
+        # history is cleared, the base must no longer hold that negation
+        p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 0)))")
+        history = BlockingHistory(p)
+        history.add(IntervalMap({IntVar("x"): Interval(0, 0)}))
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        seed, was_reset, calls = get_seed_blocking(p.assertion, client, history)
+        client.close()
+        assert seed.ints["x"] == 0 and was_reset and calls == 2
+        rebuilt = sent[-3]  # before the get-model write and the exit
+        assert rebuilt.startswith("(pop 1)\n(push 1)\n(declare-fun x () Int)")
+        assert len(_lines([rebuilt], "(assert ")) == 1
+
+    def test_a_killed_child_is_restarted_and_the_base_sent_again(self, sent):
+        p = parse_problem("(declare-const x Int)(assert (and (>= x 2) (<= x 4)))")
+        req = SolverRequest(p.declarations, [p.assertion])
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        assert client.solve(req).is_sat
+        assert client.solve(req).is_sat  # the base holds it all: nothing is sent again
+        assert len(_lines(sent, "(assert ")) == 1
+        client._handle.proc.kill()
+        client._handle.proc.wait()
+        v = client.solve(req)
+        client.close()
+        assert v.is_sat and 2 <= v.model.ints["x"] <= 4, v.reason
+        assert len(_lines(sent, "(assert ")) == 2 and len(_lines(sent, "(declare-")) == 2
+
+    def test_soft_constraints_are_honored_after_an_unsat_query(self):
+        # the soft probe runs inside the unsat base of the query before
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        p = parse_problem("(declare-const x Int)(assert (>= x 1))(assert (<= x 0))")
+        assert client.solve(SolverRequest(p.declarations, [p.assertion])).kind == VerdictKind.UNSAT
+        p = parse_problem("(declare-const x Int)(assert (and (>= x 0) (<= x 10)))")
+        soft = [(Atom(Rel.EQ, IntVar("x"), IntConst(7)), 1)]
+        v = client.max_solve(SolverRequest(p.declarations, [p.assertion], soft))
+        client.close()
+        assert v.is_sat and v.model.ints["x"] == 7 and not v.degraded
+
+
+def test_a_query_is_cut_off_at_the_runs_deadline():
+    # the solver never answers; the client's own timeout is a minute
+    client = ProcessSolverClient(f"{sys.executable} -c 'import time; time.sleep(60)'", timeout=60.0)
+    cfg = SamplerConfig(strategy="blocking", total_time_limit=1)
+    start = time.monotonic()
+    stats = sample_formula(parse_problem(POINTS), cfg, client)
+    client.close()
+    assert time.monotonic() - start < 5
+    assert stats.stop_reason == "total time limit" and stats.unique_samples == 0
