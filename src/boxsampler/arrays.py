@@ -4,11 +4,10 @@ The pipeline rewrites array equalities via a fresh shared-array construction,
 removes select-over-store terms with model-guided case splits, and freezes
 the aliasing configuration of the model with index (dis)equality literals.
 The integer strengthening then runs on that product as it stands: it treats
-every select / function-application term as a leaf, so the box is keyed on
-integer variables and the original select-like terms.  What a select-like
-term is, and the symbol and index it reads, are told by
-:func:`terms.is_select_like`, :func:`terms.select_symbol` and
-:func:`terms.select_index`.
+every select-like term (:func:`terms.is_select_like`, a function
+application included) as a leaf that reads ``t.array.name`` at
+``t.index``, so the box is keyed on integer variables and the original
+select-like terms.
 """
 
 from __future__ import annotations
@@ -37,13 +36,10 @@ from .terms import (
     Term,
     eval_term,
     free_symbols,
-    fun_names,
     is_select_like,
     iter_nodes,
     iter_subterms,
     replace,
-    select_index,
-    select_symbol,
     sort_of,
 )
 
@@ -134,7 +130,6 @@ def _used_names(product: ProductTerm, m: Model) -> set[str]:
     used: set[str] = set(m.ints) | set(m.bools) | set(m.funcs)
     for lit in product:
         used |= set(free_symbols(lit))
-        used |= fun_names(lit)
     return used
 
 
@@ -256,14 +251,14 @@ def build_aliasing(product: ProductTerm, m: Model) -> list[Formula]:
     for lit in product:
         for sub in iter_subterms(lit):
             if is_select_like(sub):
-                group = groups.setdefault(select_symbol(sub), [])
+                group = groups.setdefault(sub.array.name, [])
                 if sub not in group:
                     group.append(sub)
     equalities: list[Formula] = []
     disequalities: list[Formula] = []
     for terms in groups.values():
         for t1, t2 in itertools.combinations(terms, 2):
-            i1, i2 = select_index(t1), select_index(t2)
+            i1, i2 = t1.index, t2.index
             if eval_term(i1, m) == eval_term(i2, m):
                 equalities += [Atom(Rel.EQ, i1, i2), Atom(Rel.EQ, t1, t2)]
             else:

@@ -60,25 +60,26 @@ def sample_to_json(sample: Model) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="boxsampler")
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = SamplerConfig()  # the defaults of the sampling options
 
     run = sub.add_parser("run", help="sample a problem")
     run.add_argument("problem", help="SMT-LIB v2 input file")
     run.add_argument("--solver-cmd", default="z3 -in", help="solver command line (SMT-LIB on stdio)")
-    run.add_argument("--strategy", choices=("random", "blocking"), default="random")
-    run.add_argument("--time-limit", type=float, default=900.0, help="total run budget, seconds")
-    run.add_argument("--epoch-time-limit", type=float, default=600.0)
-    run.add_argument("--max-samples", type=int, default=None)
-    run.add_argument("--rounds", type=int, default=10, help="sampling rounds per epoch")
+    run.add_argument("--strategy", choices=("random", "blocking"), default=cfg.strategy)
+    run.add_argument("--time-limit", type=float, default=cfg.total_time_limit, help="total run budget, seconds")
+    run.add_argument("--epoch-time-limit", type=float, default=cfg.epoch_time_limit)
+    run.add_argument("--max-samples", type=int, default=cfg.max_samples)
+    run.add_argument("--rounds", type=int, default=cfg.rounds_per_epoch, help="sampling rounds per epoch")
     run.add_argument(
         "--samples-per-round",
         type=int,
-        default=1000,
+        default=cfg.samples_per_round,
         help="draws per sampling round; boxes with at most this many points are enumerated, each point once",
     )
-    run.add_argument("--unique-rate-threshold", type=float, default=0.05)
-    run.add_argument("--random-bound", type=int, default=100, help="soft-assignment range for random seeds")
-    run.add_argument("--unbounded-width", type=int, default=10**6, help="clamp width for open intervals")
-    run.add_argument("--rng-seed", type=int, default=0)
+    run.add_argument("--unique-rate-threshold", type=float, default=cfg.unique_rate_threshold)
+    run.add_argument("--random-bound", type=int, default=cfg.random_bound, help="soft-assignment range of random seeds")
+    run.add_argument("--unbounded-width", type=int, default=cfg.unbounded_width, help="clamp width for open intervals")
+    run.add_argument("--rng-seed", type=int, default=cfg.rng_seed)
     run.add_argument("--solver-timeout", type=float, default=60.0, help="per-query solver timeout")
     run.add_argument("--samples-out", default=None, help="samples file (JSON lines); default <problem>.samples")
     run.add_argument("--intervals-out", default=None, help="per-epoch interval maps (JSON lines)")

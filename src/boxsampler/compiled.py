@@ -1,9 +1,9 @@
 """Formulas compiled to Python functions: the evaluator of the hot loops.
 
 - :func:`compile_predicate` turns a conjunction into ``pred(*values)``
-  over positional values, one per symbol (integer, Boolean, array or
-  function): the sampler's per-draw check and injected-seed check, the
-  check of ``verify``, and the fallback solver's scans.
+  over positional values, one per symbol (integer, Boolean or array,
+  functions included): the sampler's per-draw check and injected-seed
+  check, the check of ``verify``, and the fallback solver's scans.
 - :func:`compile_node_values` turns a formula into a function over the
   same positional values that computes the value of every pre-order node
   once, for coverage bitmaps.
@@ -12,9 +12,9 @@ Both walk a node's children as :func:`terms.children` lists them, so the
 node numbering is that of :func:`terms.iter_nodes`.
 
 Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
-variables, ``+``, ``-``, ``*``, term-level ite, select, store, unary function
-application and array variables; relational atoms (array equality included),
-not/and/or, Boolean variables and constants.  Array and function values are
+variables, ``+``, ``-``, ``*``, term-level ite, select (function application
+included), store and array variables; relational atoms (array equality
+included), not/and/or, Boolean variables and constants.  Array values are
 :class:`FuncValue` objects, read with ``FuncValue.apply`` and updated with
 ``FuncValue.with_store``, both bound in the generated function's globals.
 Values and truth values equal those of :func:`terms.eval_formula` /
@@ -48,7 +48,6 @@ from .terms import (
     BoolConst,
     BoolVar,
     Formula,
-    FunApp,
     FuncValue,
     IntConst,
     IntVar,
@@ -72,7 +71,7 @@ _PY_REL = {Rel.LT: "<", Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=", Rel.EQ: "==", R
 
 
 # Python text of each inner node type, except + and *, over its children's
-# texts; a function application's first text is the function symbol.
+# texts.
 _TEMPLATES = {
     Atom: lambda n, c: f"({c[0]} {_PY_REL[n.rel]} {c[1]})",
     Not: lambda n, c: f"(not {c[0]})",
@@ -81,7 +80,6 @@ _TEMPLATES = {
     Sub: lambda n, c: f"({c[0]} - {c[1]})",
     Ite: lambda n, c: f"({c[1]} if {c[0]} else {c[2]})",
     Select: lambda n, c: f"_apply({c[0]}, {c[1]})",
-    FunApp: lambda n, c: f"_apply({c[0]}, {c[1]})",
     Store: lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})",
 }
 
@@ -137,8 +135,6 @@ class _Codegen:
             while len(kids) > _CHAIN:
                 kids = [_join(op, kids[i : i + _CHAIN]) for i in range(0, len(kids), _CHAIN)]
             return _join(op, kids)
-        if kind is FunApp:
-            kids = [self._symbol(node.fname), *kids]
         try:
             template = _TEMPLATES[kind]
         except KeyError:
@@ -192,8 +188,8 @@ def _join(op: str, kids: list[_Piece]) -> _Piece:
 def compile_predicate(formulas: list[Formula], var_names: list[str]):
     """`pred(*values)`: the conjunction of `formulas` with the symbols
     `var_names` bound positionally, in order: ints and bools for integer and
-    Boolean variables, :class:`FuncValue` objects for array variables and
-    function symbols.  Raises :class:`UnassignedSymbol` for any other
+    Boolean variables, :class:`FuncValue` objects for array variables
+    (functions included).  Raises :class:`UnassignedSymbol` for any other
     symbol."""
     gen = _Codegen(var_names)
     text, _ = gen.expression(And(tuple(formulas)))

@@ -2,10 +2,11 @@
 
 Every node of the formula's syntax tree carries a bit width: 1 for
 boolean-sorted nodes, 64 for integer-sorted ones (the lower 64 bits of the
-value in two's complement), 0 for array-sorted nodes.  A bit counts as
-covered once it has been observed as both 0 and 1 across the recorded
-samples.  Nodes are numbered in deterministic pre-order, so bitmaps from
-different runs over the same input can be compared and merged.
+value in two's complement), 0 for array-sorted nodes, function symbols
+included.  A bit counts as covered once it has been observed as both 0 and
+1 across the recorded samples.  Nodes are numbered in deterministic
+pre-order, so bitmaps from different runs over the same input can be
+compared and merged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .compiled import compile_node_values
 from .errors import BitmapMismatch, UnassignedSymbol
-from .terms import TERM_TYPES, Formula, Model, Sort, free_symbols, fun_names, iter_nodes, sort_of
+from .terms import TERM_TYPES, Formula, Model, Sort, free_symbols, iter_nodes, sort_of
 
 _WORD = (1 << 64) - 1
 
@@ -77,11 +78,8 @@ _MODEL_FIELD = {Sort.INT: "ints", Sort.BOOL: "bools", Sort.ARRAY: "funcs"}
 
 
 def _symbols(f: Formula) -> list[tuple[str, str]]:
-    """(Model field, name) of each symbol of `f`: its variables, then its
-    function symbols."""
-    sorts = free_symbols(f)
-    funcs = sorted(fun_names(f) - sorts.keys())
-    return [(_MODEL_FIELD[sort], name) for name, sort in sorts.items()] + [("funcs", name) for name in funcs]
+    """(Model field, name) of each symbol of `f`."""
+    return [(_MODEL_FIELD[sort], name) for name, sort in free_symbols(f).items()]
 
 
 def record_sample(bm: CoverageBitmap, f: Formula, sample: Model) -> CoverageBitmap:
@@ -138,24 +136,31 @@ def normalized_coverage(mine: CoverageBitmap, others: list[CoverageBitmap]) -> f
 # little-endian u64 masks (boolean nodes use the low bit).
 
 
+_RECORD = struct.Struct("<BQQ")
+
+
 def write_bitmap(bm: CoverageBitmap, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(bm.widths)))
         for width, zero, one in zip(bm.widths, bm.seen_zero, bm.seen_one):
-            fh.write(struct.pack("<BQQ", width, zero, one))
+            fh.write(_RECORD.pack(width, zero, one))
 
 
 def read_bitmap(path: str) -> CoverageBitmap:
+    """The bitmap of a file :func:`write_bitmap` wrote; raises
+    :class:`BitmapMismatch` for any other file, a truncated one included."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise BitmapMismatch(f"{path}: not a coverage bitmap file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        widths, zeros, ones = [], [], []
-        for _ in range(count):
-            width, zero, one = struct.unpack("<BQQ", fh.read(17))
-            widths.append(width)
-            zeros.append(zero)
-            ones.append(one)
-    return CoverageBitmap(widths, zeros, ones)
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise BitmapMismatch(f"{path}: not a coverage bitmap file")
+    start = len(MAGIC) + 4
+    if len(data) < start:
+        raise BitmapMismatch(f"{path}: truncated header")
+    (count,) = struct.unpack_from("<I", data, len(MAGIC))
+    size = start + _RECORD.size * count
+    if len(data) != size:
+        what = "truncated node records" if len(data) < size else f"{len(data) - size} bytes after the last node record"
+        raise BitmapMismatch(f"{path}: {what}")
+    records = list(_RECORD.iter_unpack(data[start:]))
+    return CoverageBitmap([r[0] for r in records], [r[1] for r in records], [r[2] for r in records])

@@ -1,9 +1,9 @@
 """Integer interval domain keyed by leaf terms.
 
 An :class:`IntervalMap` represents a conjunction of bounds over integer
-variables, select-terms, and unary function applications.  Endpoints are
-inclusive; a missing endpoint means unbounded on that side, and a missing
-key means the leaf is completely unconstrained.
+variables and select-like terms (array reads and function applications).
+Endpoints are inclusive; a missing endpoint means unbounded on that side,
+and a missing key means the leaf is completely unconstrained.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyIntersection
 from .smtlib import print_term
-from .terms import And, Atom, Formula, IntConst, Model, Or, Rel, Term, conj, disj, eval_term
+from .terms import Atom, Formula, IntConst, Model, Or, Rel, Term, disj, eval_term
 
 
 @dataclass(frozen=True)
@@ -84,26 +84,9 @@ class IntervalMap:
         return IntervalMap(self.entries)
 
 
-def intersect(a: IntervalMap, b: IntervalMap) -> IntervalMap:
-    out = a.copy()
-    for key, interval in b.entries.items():
-        out.refine(key, interval)
-    return out
-
-
 def contains(iv: IntervalMap, asgn: Model) -> bool:
     """True iff every keyed leaf evaluates inside its interval under `asgn`."""
     return all(interval.member(eval_term(key, asgn)) for key, interval in iv.entries.items())
-
-
-def to_formula(iv: IntervalMap) -> Formula:
-    atoms: list[Formula] = []
-    for key, interval in iv.entries.items():
-        if interval.lo is not None:
-            atoms.append(Atom(Rel.GE, key, IntConst(interval.lo)))
-        if interval.hi is not None:
-            atoms.append(Atom(Rel.LE, key, IntConst(interval.hi)))
-    return conj(atoms) if atoms else And(())
 
 
 def neg_to_formula(iv: IntervalMap) -> Formula:

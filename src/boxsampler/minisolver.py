@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
@@ -43,7 +42,6 @@ from .terms import (
     ArrayVar,
     Atom,
     Formula,
-    FunApp,
     FuncValue,
     IntConst,
     IntVar,
@@ -55,8 +53,6 @@ from .terms import (
     is_select_like,
     iter_nodes,
     iter_subterms,
-    select_index,
-    select_symbol,
 )
 
 _RADIUS_SCHEDULE = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 150)
@@ -67,10 +63,8 @@ _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
 
 
-@dataclass
-class EngineResult:
-    status: str  # "sat" | "unsat" | "unknown"
-    model: Model | None = None
+def _unknown() -> SolverVerdict:
+    return SolverVerdict(VerdictKind.UNKNOWN, reason="search budget exhausted")
 
 
 def _unit_bounds(formulas: list[Formula]) -> dict[str, tuple[int | None, int | None]]:
@@ -198,27 +192,27 @@ class BruteForceEngine:
 
     def __init__(self, declarations: list[Declaration]):
         self.declarations = declarations
-        self.int_vars = sorted(d.name for d in declarations if d.sort == Sort.INT and not d.is_function)
+        self.int_vars = sorted(d.name for d in declarations if d.sort == Sort.INT)
         self.bool_vars = sorted(d.name for d in declarations if d.sort == Sort.BOOL)
-        self.func_syms = sorted(
-            d.name for d in declarations if d.is_function or d.sort == Sort.ARRAY
-        )
+        self.func_syms = sorted(d.name for d in declarations if d.sort == Sort.ARRAY)
         self.names = self.int_vars + self.bool_vars + self.func_syms
         self.bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
         zeros = tuple(FuncValue(0) for _ in self.func_syms)
         # the tails of a point when no formula reads an array or function
         self.int_tails = [bools + zeros for bools in self.bool_space]
 
-    def check(self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None) -> EngineResult:
+    def check(self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None) -> SolverVerdict:
+        """The verdict on `hard`, with the best model for the weights of
+        `soft`; unknown when the search runs out of points or checks."""
         soft = soft or []
         bounds = _unit_bounds(hard)
         formulas = hard + [f for f, _ in soft]
-        has_funcs = any(isinstance(t, (ArrayVar, FunApp)) for f in formulas for t in iter_subterms(f))
+        has_funcs = any(isinstance(t, ArrayVar) for f in formulas for t in iter_subterms(f))
         if any(
             lo is not None and hi is not None and lo > hi
             for lo, hi in (bounds.get(v, (None, None)) for v in self.int_vars)
         ):
-            return EngineResult("unsat")
+            return SolverVerdict(VerdictKind.UNSAT)
 
         pred = compile_predicate(hard, self.names)
         self.checks_left = _MAX_ARRAY_CHECKS
@@ -237,8 +231,8 @@ class BruteForceEngine:
         if not has_funcs and targets is not None:
             model = self._shell_search(pred, targets, bounds)
             if model is not None:
-                return EngineResult("sat", model)
-            return EngineResult("unknown")
+                return SolverVerdict(VerdictKind.SAT, model)
+            return _unknown()
         return self._radius_scan(bounds, soft, pred, soft_preds(), tails)
 
     # -- sizing -------------------------------------------------------------
@@ -256,16 +250,16 @@ class BruteForceEngine:
 
     # -- exhaustive scan over a small finite box (sound unsat, true optimum)
 
-    def _finite_scan(self, bounds, soft, pred, soft_preds, tails) -> EngineResult:
+    def _finite_scan(self, bounds, soft, pred, soft_preds, tails) -> SolverVerdict:
         points = itertools.product(*(range(bounds[v][0], bounds[v][1] + 1) for v in self.int_vars))
         result = self._scan(points, soft, -1, sum(w for _, w in soft), pred, soft_preds, tails)
         if result is not None:
-            return EngineResult("sat", result[1])
-        return EngineResult("unknown" if tails is not None else "unsat")
+            return SolverVerdict(VerdictKind.SAT, result[1])
+        return _unknown() if tails is not None else SolverVerdict(VerdictKind.UNSAT)
 
     # -- growing concentric boxes around the origin ---------------------------
 
-    def _radius_scan(self, bounds, soft, pred, soft_preds, tails) -> EngineResult:
+    def _radius_scan(self, bounds, soft, pred, soft_preds, tails) -> SolverVerdict:
         best_model: Model | None = None
         best_score = -1
         perfect = sum(w for _, w in soft)
@@ -291,14 +285,14 @@ class BruteForceEngine:
             if result is not None:
                 score, model = result
                 if not soft or score >= perfect:
-                    return EngineResult("sat", model)
+                    return SolverVerdict(VerdictKind.SAT, model)
                 if score > best_score:
                     best_score, best_model = score, model
             if self.checks_left <= 0:
                 break
         if best_model is not None:
-            return EngineResult("sat", best_model)
-        return EngineResult("unknown")
+            return SolverVerdict(VerdictKind.SAT, best_model)
+        return _unknown()
 
     def _scan(self, points, soft, floor: int, perfect: int, pred, soft_preds, tails):
         """Scan `points` in order; return (score, model) for the best point
@@ -371,8 +365,8 @@ class BruteForceEngine:
         for f in formulas:
             for t in iter_subterms(f):
                 if is_select_like(t):
-                    used.add(select_symbol(t))
-                    accesses.add((select_symbol(t), select_index(t)))
+                    used.add(t.array.name)
+                    accesses.add((t.array.name, t.index))
                 elif isinstance(t, ArrayVar):
                     used.add(t.name)
         syms = [s for s in self.func_syms if s in used]
@@ -416,19 +410,10 @@ class LocalSolverClient(SolverClient):
 
     def solve(self, req: SolverRequest) -> SolverVerdict:
         assert not req.soft
-        return _recheck(req, self._run(req, []))
+        return _recheck(req, BruteForceEngine(req.declarations).check(list(req.hard)))
 
     def max_solve(self, req: SolverRequest) -> SolverVerdict:
-        return _recheck(req, self._run(req, req.soft))
-
-    def _run(self, req: SolverRequest, soft) -> SolverVerdict:
-        engine = BruteForceEngine(req.declarations)
-        result = engine.check(list(req.hard), list(soft))
-        if result.status == "sat":
-            return SolverVerdict(VerdictKind.SAT, model=result.model)
-        if result.status == "unsat":
-            return SolverVerdict(VerdictKind.UNSAT)
-        return SolverVerdict(VerdictKind.UNKNOWN, reason="search budget exhausted")
+        return _recheck(req, BruteForceEngine(req.declarations).check(list(req.hard), req.soft))
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +490,9 @@ class _Session:
                 return True
             if head == "check-sat":
                 engine = BruteForceEngine(list(self.parser.decls.values()))
-                result = engine.check(self.hard, self.soft)
-                self.last_model = result.model
-                self.emit(result.status)
+                verdict = engine.check(self.hard, self.soft)
+                self.last_model = verdict.model
+                self.emit(verdict.kind.value)
                 return True
             if head == "get-model":
                 if self.last_model is None:

@@ -69,12 +69,9 @@ from .terms import (
     eval_formula,  # noqa: F401 -- not called here; bench/tracer.py wraps sampler.eval_formula
     eval_term,
     free_symbols,
-    fun_names,
     is_select_like,
     iter_nodes,
     preprocess,
-    select_index,
-    select_symbol,
     to_nnf,
 )
 
@@ -91,7 +88,6 @@ class SamplerConfig:
     random_bound: int = 100
     unbounded_width: int = 10**6
     rng_seed: int = 0
-    dedup_cap: int = 1_000_000
     inject_seed: Model | None = None  # test hook: fixed first seed
 
     def __post_init__(self):
@@ -142,6 +138,9 @@ class RunStats:
     probabilistic_dedup: bool = False
     stop_reason: str = ""
     wall_time: dict[str, float] = field(default_factory=dict)
+
+
+_DEDUP_CAP = 1_000_000  # exact keys a run keeps before it stores digests
 
 
 class DedupSet:
@@ -199,7 +198,7 @@ class BlockingHistory:
     def __init__(self, problem: ParsedProblem):
         self.problem = problem
         decls = problem.declarations
-        int_only = all(d.sort == Sort.INT and not d.is_function for d in decls)
+        int_only = all(d.sort == Sort.INT for d in decls)
         self.int_keys = [IntVar(d.name) for d in decls] if int_only else None
         self.clear()
 
@@ -218,8 +217,6 @@ class BlockingHistory:
         self.negations.append(negation)
         for name, sort in free_symbols(negation).items():
             self.declarations.setdefault(name, Declaration(name, sort))
-        for name in fun_names(negation):
-            self.declarations.setdefault(name, Declaration(name, Sort.INT, is_function=True))
 
 
 def get_seed_random(
@@ -238,7 +235,7 @@ def get_seed_random(
     soft = [
         (Atom(Rel.EQ, IntVar(d.name), IntConst(rng.randint(-cfg.random_bound, cfg.random_bound))), 1)
         for d in problem.declarations
-        if d.sort == Sort.INT and not d.is_function
+        if d.sort == Sort.INT
     ]
     req = SolverRequest(list(problem.declarations), [formula], soft, deadline)
     verdict = client.max_solve(req)
@@ -321,9 +318,8 @@ def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
         if isinstance(key, IntVar):
             int_steps.append((key.name, *_clamp(interval, seed.int_value(key.name), width)))
         else:
-            index = select_index(key)
-            depth = sum(1 for t in iter_nodes(index) if is_select_like(t))
-            step = (select_symbol(key), index, interval, *_clamp(interval, eval_term(key, seed), width))
+            depth = sum(1 for t in iter_nodes(key.index) if is_select_like(t))
+            step = (key.array.name, key.index, interval, *_clamp(interval, eval_term(key, seed), width))
             nested.append((depth, step))
     nested.sort(key=lambda pair: pair[0])
     return int_steps, [step for _, step in nested]
@@ -335,8 +331,8 @@ def _eval_index(t: Term, slot: dict[str, int], values: list, cells: dict[str, di
     key has drawn takes the access's value under `seed`, and keeps it for
     the draw."""
     if is_select_like(t):
-        index = _eval_index(select_index(t), slot, values, cells, seed)
-        bucket = cells.setdefault(select_symbol(t), {})
+        index = _eval_index(t.index, slot, values, cells, seed)
+        bucket = cells.setdefault(t.array.name, {})
         if index not in bucket:
             bucket[index] = eval_term(t, seed)
         return bucket[index]
@@ -391,7 +387,7 @@ def sample_intervals_arrays(
 def restrict_to_problem(sample: Model, problem: ParsedProblem) -> Model:
     out = Model()
     for d in problem.declarations:
-        if d.is_function or d.sort == Sort.ARRAY:
+        if d.sort == Sort.ARRAY:
             fv = sample.funcs.get(d.name, FuncValue(0))
             out.funcs[d.name] = fv.copy()
         elif d.sort == Sort.INT:
@@ -426,7 +422,7 @@ class SampleLayout:
         self.declarations = list(declarations)
         self.names = [d.name for d in declarations]
         self.slot = {name: i for i, name in enumerate(self.names)}
-        self.sorts = [Sort.ARRAY if d.is_function else d.sort for d in declarations]
+        self.sorts = [d.sort for d in declarations]
         self.zeros = tuple(_ZERO[sort] for sort in self.sorts)
         self.ints: list[tuple[str, int]] = []
         self.bools: list[tuple[str, int]] = []
@@ -656,7 +652,7 @@ def _check_injected(seed: Model, formula: Formula, layout: SampleLayout, pred) -
     """Reject an injected seed that leaves a symbol of `formula` unassigned
     or does not satisfy it."""
     assigned = {Sort.INT: seed.ints, Sort.BOOL: seed.bools, Sort.ARRAY: seed.funcs}
-    for name, sort in [*free_symbols(formula).items(), *((f, Sort.ARRAY) for f in fun_names(formula))]:
+    for name, sort in free_symbols(formula).items():
         if name not in assigned[sort]:
             raise UnassignedSymbol(name)
     if not pred(*layout.vector(seed)):
@@ -704,7 +700,7 @@ def sample_formula(
     formula = to_nnf(preprocess(problem.assertion))
     layout = SampleLayout(problem.declarations)
     pred = layout.predicate(formula)
-    dedup = DedupSet(cfg.dedup_cap)
+    dedup = DedupSet(_DEDUP_CAP)
     history = BlockingHistory(problem) if cfg.strategy == "blocking" else None
     injected = cfg.inject_seed
 

@@ -19,6 +19,10 @@ is ``(or (not a) b)``, ``xor`` and two-Bool ``distinct`` are ``(or (and a
 (not b)) (and (not a) b))``, Bool ``=`` is ``(or (and a b) (and (not a)
 (not b)))``, Int ``distinct`` the pairwise disequalities, and Boolean ite
 ``(or (and c a) (and (not c) b))``; printing writes the lowered form.
+
+A unary Int -> Int function is an array that SMT-LIB spells differently:
+its declaration has sort ARRAY and ``is_function``, and ``(f x)`` is read
+as ``Select(ArrayVar("f", function=True), x)`` and printed back as ``(f x)``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .terms import (
     BoolConst,
     BoolVar,
     Formula,
-    FunApp,
     IntConst,
     IntVar,
     Ite,
@@ -60,8 +63,8 @@ SUPPORTED_LOGICS = {"QF_LIA", "QF_NIA", "QF_ALIA", "QF_AUFLIA", "QF_UFLIA"}
 @dataclass
 class Declaration:
     name: str
-    sort: Sort  # for FUNCTION declarations, sort is INT and is_function=True
-    is_function: bool = False
+    sort: Sort
+    is_function: bool = False  # a unary Int -> Int function, of sort ARRAY
 
 
 @dataclass
@@ -290,7 +293,7 @@ class Parser:
             psorts = [_parse_sort(p) for p in params]
             rsort = _parse_sort(sort_expr)
             if psorts == [Sort.INT] and rsort == Sort.INT:
-                self.decls[name] = Declaration(name, Sort.INT, is_function=True)
+                self.decls[name] = Declaration(name, Sort.ARRAY, is_function=True)
                 return
             raise UnsupportedFeature("only unary Int -> Int uninterpreted functions are supported")
         self.decls[name] = Declaration(name, _parse_sort(sort_expr))
@@ -420,7 +423,7 @@ class Parser:
             self._want_arity(args, 1, head, s)
             arg = self._expr(args[0], env)
             self._want_int(arg, s)
-            return FunApp(name, arg)
+            return Select(ArrayVar(name, function=True), arg)
         raise s.error(f"unknown operator {head!r}")
 
     def _relation(self, head: str, lhs, rhs, s: _SExpr) -> Formula:
@@ -518,11 +521,11 @@ def print_term(t: Term) -> str:
     if isinstance(t, Ite):
         return f"(ite {print_formula(t.cond)} {print_term(t.then)} {print_term(t.orelse)})"
     if isinstance(t, Select):
+        if isinstance(t.array, ArrayVar) and t.array.function:
+            return f"({_print_sym(t.array.name)} {print_term(t.index)})"
         return f"(select {print_term(t.array)} {print_term(t.index)})"
     if isinstance(t, Store):
         return f"(store {print_term(t.array)} {print_term(t.index)} {print_term(t.value)})"
-    if isinstance(t, FunApp):
-        return f"({_print_sym(t.fname)} {print_term(t.arg)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -569,11 +572,3 @@ def print_declaration(d: Declaration) -> str:
         return f"(declare-fun {_print_sym(d.name)} () (Array Int Int))"
     return f"(declare-fun {_print_sym(d.name)} () {d.sort.value})"
 
-
-def print_problem(p: ParsedProblem) -> str:
-    lines = []
-    if p.logic:
-        lines.append(f"(set-logic {p.logic})")
-    lines.extend(print_declaration(d) for d in p.declarations)
-    lines.append(f"(assert {print_formula(p.assertion)})")
-    return "\n".join(lines) + "\n"

@@ -12,8 +12,8 @@ recursively:
    nonnegative product every factor may move between zero and its model
    value, with a negative product every factor must move away from zero.
 
-The bounds reaching the leaves (variables, select-terms, function
-applications) are collected into an IntervalMap.  By construction the model
+The bounds reaching the leaves (variables and select-like terms: array
+reads and function applications alike) are collected into an IntervalMap.  By construction the model
 lies inside every interval and every point of the box satisfies the literal.
 """
 
@@ -30,7 +30,6 @@ from .terms import (
     BoolConst,
     BoolVar,
     Formula,
-    FunApp,
     IntConst,
     IntVar,
     Model,
@@ -241,7 +240,7 @@ def _strengthen_product(sign: int, factors: list[Term], bound: int, m: Model, de
 
 def _strengthen_term(sign: int, t: Term, bound: int, m: Model, delta: IntervalMap) -> None:
     # sign * t <= bound for a single non-constant term
-    if isinstance(t, (IntVar, Select, FunApp)):
+    if isinstance(t, (IntVar, Select)):
         interval = Interval(hi=bound) if sign > 0 else Interval(lo=-bound)
         delta.refine(t, interval)
         return
@@ -272,7 +271,7 @@ def product_to_intervals(product: ProductTerm, m: Model) -> IntervalMap:
     """Intersect the bounds of every integer literal in the product term.
 
     Keys are integer variables and select-like terms (a select over an array
-    variable, or a function application), each bounded as a leaf.  Boolean
+    variable, a function application included), each bounded as a leaf.  Boolean
     literals contribute no intervals (the sampler pins them to the model's
     values); array-equality atoms and select-over-store terms must be
     rewritten away before calling this (`arrays.product_to_intervals`)."""

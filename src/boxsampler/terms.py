@@ -3,8 +3,9 @@
 Terms and formulas are immutable dataclasses compared structurally, so they
 can serve as dictionary keys and set members (interval maps, sets of seen
 literals) and be shared freely.  Models are plain value objects: integers for scalar variables and
-finite default-plus-exceptions functions for arrays and unary uninterpreted
-functions.
+finite default-plus-exceptions functions for arrays.  A unary Int -> Int
+function is an array whose ``ArrayVar`` has ``function=True``, which only
+SMT-LIB printing reads: ``(f x)`` is ``Select(ArrayVar("f", True), x)``.
 
 Formulas are relational atoms and Boolean variables and constants under
 not/and/or: the parser lowers ``=>``, ``xor``, Bool ``=`` and ``distinct``
@@ -15,10 +16,10 @@ Node structure.  One table lists each node type's children in pre-order
 structural walks derive from it: :func:`iter_nodes`, whose numbering
 coverage bitmaps and :mod:`.compiled` share, and :func:`replace`.
 Evaluation, printing, preprocessing and NNF stay written per type.
-The select-like vocabulary lives here too: :func:`is_select_like` tells an
-array access or function application, which :func:`select_symbol` and
-:func:`select_index` take apart, for the array pipeline, the sampler and
-the minisolver alike.
+A *select-like* term, told by :func:`is_select_like`, is a select over an
+array variable, a function application included: a leaf that reads the
+symbol ``t.array.name`` at the index ``t.index``, for the array pipeline,
+the sampler and the minisolver alike.
 """
 
 from __future__ import annotations
@@ -123,35 +124,19 @@ class Store:
 
 
 @dataclass(frozen=True)
-class FunApp:
-    """Application of a unary uninterpreted function to an integer term."""
-
-    fname: str
-    arg: "Term"
-
-
-@dataclass(frozen=True)
 class ArrayVar:
     name: str
+    function: bool = False  # a unary function, spelled (f x) in SMT-LIB
 
 
-Term = Union[IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, FunApp, ArrayVar]
+Term = Union[IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, ArrayVar]
 TERM_TYPES = get_args(Term)
 
 
 def is_select_like(t: Term) -> bool:
-    """Array access or unary function application over an array variable."""
-    return (isinstance(t, Select) and isinstance(t.array, ArrayVar)) or isinstance(t, FunApp)
-
-
-def select_symbol(t: Term) -> str:
-    """The array or function a select-like term reads."""
-    return t.array.name if isinstance(t, Select) else t.fname
-
-
-def select_index(t: Term) -> Term:
-    """The index term of a select-like term."""
-    return t.index if isinstance(t, Select) else t.arg
+    """A select over an array variable: an array access or a function
+    application."""
+    return isinstance(t, Select) and isinstance(t.array, ArrayVar)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +203,12 @@ def disj(args) -> Formula:
     return args[0] if len(args) == 1 else Or(args)
 
 
-def is_literal(f: Formula) -> bool:
-    return isinstance(f, (Atom, BoolVar, BoolConst)) or (
-        isinstance(f, Not) and isinstance(f.arg, (Atom, BoolVar))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sorts
 
 
 def sort_of(t: Term) -> Sort:
-    if isinstance(t, (IntConst, IntVar, Add, Sub, Mul, Ite, Select, FunApp)):
+    if isinstance(t, (IntConst, IntVar, Add, Sub, Mul, Ite, Select)):
         return Sort.INT
     if isinstance(t, (ArrayVar, Store)):
         return Sort.ARRAY
@@ -326,8 +305,6 @@ def eval_term(t: Term, m: Model):
         return eval_term(t.array, m).with_store(
             eval_term(t.index, m), eval_term(t.value, m)
         )
-    if isinstance(t, FunApp):
-        return m.func_value(t.fname).apply(eval_term(t.arg, m))
     if isinstance(t, ArrayVar):
         return m.func_value(t.name)
     raise TypeError(f"not a term: {t!r}")
@@ -394,16 +371,6 @@ def to_nnf(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {g!r}")
 
 
-def literal_count(f: Formula) -> int:
-    if isinstance(f, (Atom, BoolVar, BoolConst)):
-        return 1
-    if isinstance(f, Not):
-        return literal_count(f.arg)
-    if isinstance(f, (And, Or)):
-        return sum(literal_count(a) for a in f.args)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Preprocessing: lift term-level ite out of atoms
 
@@ -460,7 +427,6 @@ _CHILD_TABLE = {
     Add: _args,
     Mul: _args,
     Not: lambda n: (n.arg,),
-    FunApp: lambda n: (n.arg,),
     Ite: lambda n: (n.cond, n.then, n.orelse),
     Select: lambda n: (n.array, n.index),
     Store: lambda n: (n.array, n.index, n.value),
@@ -506,8 +472,6 @@ def replace(node, target: Term, repl: Term):
     new = [replace(k, target, repl) for k in kids]
     if kind is Atom:
         return Atom(node.rel, *new)
-    if kind is FunApp:
-        return FunApp(node.fname, *new)
     if kind in _VARIADIC:
         return kind(tuple(new))
     return kind(*new)
@@ -520,8 +484,8 @@ def iter_subterms(f: Formula) -> Iterator[Term]:
 
 
 def free_symbols(f: Formula) -> dict[str, Sort]:
-    """Free variable symbols of a formula with their sorts.  Uninterpreted
-    function names are not included; see :func:`fun_names`."""
+    """Free variable symbols of a formula with their sorts; a function
+    symbol is an ARRAY."""
     out: dict[str, Sort] = {}
     for node in iter_nodes(f):
         if isinstance(node, IntVar):
@@ -531,7 +495,3 @@ def free_symbols(f: Formula) -> dict[str, Sort]:
         elif isinstance(node, ArrayVar):
             out[node.name] = Sort.ARRAY
     return out
-
-
-def fun_names(f: Formula) -> set[str]:
-    return {n.fname for n in iter_nodes(f) if isinstance(n, FunApp)}

@@ -3,8 +3,9 @@
 The evaluator here is a deliberately separate implementation from the one
 in the package (table-dispatched, arrays as plain dict closures) so the two
 can cross-check each other.  Also provides brute-force model enumeration
-over small boxes and random formula/model generators used by property and
-acceptance tests.
+over small boxes, random formula/model generators used by property and
+acceptance tests, and the views of formulas, boxes and problems that only
+the tests read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from boxsampler.intervals import IntervalMap
+from boxsampler.smtlib import ParsedProblem, print_declaration, print_formula
 from boxsampler.terms import (
     Add,
     And,
@@ -19,7 +22,6 @@ from boxsampler.terms import (
     Atom,
     BoolConst,
     BoolVar,
-    FunApp,
     FuncValue,
     IntConst,
     IntVar,
@@ -32,7 +34,59 @@ from boxsampler.terms import (
     Select,
     Store,
     Sub,
+    conj,
 )
+
+# ---------------------------------------------------------------------------
+# Views that only the tests read
+
+
+def is_literal(f) -> bool:
+    return isinstance(f, (Atom, BoolVar, BoolConst)) or (isinstance(f, Not) and isinstance(f.arg, (Atom, BoolVar)))
+
+
+def literal_count(f) -> int:
+    if isinstance(f, (Atom, BoolVar, BoolConst)):
+        return 1
+    if isinstance(f, Not):
+        return literal_count(f.arg)
+    if isinstance(f, (And, Or)):
+        return sum(literal_count(a) for a in f.args)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def intersect(a: IntervalMap, b: IntervalMap) -> IntervalMap:
+    out = a.copy()
+    for key, interval in b.entries.items():
+        out.refine(key, interval)
+    return out
+
+
+def to_formula(iv: IntervalMap):
+    """The box `iv` as the conjunction of its bounds."""
+    atoms = []
+    for key, interval in iv.entries.items():
+        if interval.lo is not None:
+            atoms.append(Atom(Rel.GE, key, IntConst(interval.lo)))
+        if interval.hi is not None:
+            atoms.append(Atom(Rel.LE, key, IntConst(interval.hi)))
+    return conj(atoms) if atoms else And(())
+
+
+def print_problem(p: ParsedProblem) -> str:
+    lines = []
+    if p.logic:
+        lines.append(f"(set-logic {p.logic})")
+    lines.extend(print_declaration(d) for d in p.declarations)
+    lines.append(f"(assert {print_formula(p.assertion)})")
+    return "\n".join(lines) + "\n"
+
+
+def fun_app(name: str, arg):
+    """The application ``(name arg)`` of a unary function, which the parser
+    reads as a select over the function's symbol."""
+    return Select(ArrayVar(name, function=True), arg)
+
 
 # ---------------------------------------------------------------------------
 # Second evaluator.  Arrays are evaluated as (default, frozen dict) pairs.
@@ -60,7 +114,6 @@ _TERM_TABLE = {
     Ite: lambda t, env: o_term(t.then, env) if o_formula(t.cond, env) else o_term(t.orelse, env),
     Select: lambda t, env: _arr_get(o_term(t.array, env), o_term(t.index, env)),
     Store: lambda t, env: _store(o_term(t.array, env), o_term(t.index, env), o_term(t.value, env)),
-    FunApp: lambda t, env: _arr_get(env[t.fname], o_term(t.arg, env)),
     ArrayVar: lambda t, env: env[t.name],
 }
 
@@ -271,7 +324,7 @@ def random_array_term(rng: random.Random, int_names, arr_names, fun_names, depth
     if roll < 0.55 and arr_names:
         return Select(ArrayVar(rng.choice(arr_names)), random_array_term(rng, int_names, arr_names, fun_names, depth - 1))
     if roll < 0.7 and fun_names:
-        return FunApp(rng.choice(fun_names), random_array_term(rng, int_names, arr_names, fun_names, depth - 1))
+        return fun_app(rng.choice(fun_names), random_array_term(rng, int_names, arr_names, fun_names, depth - 1))
     if roll < 0.85:
         return Add(tuple(random_array_term(rng, int_names, arr_names, fun_names, depth - 1) for _ in range(2)))
     return Mul((IntConst(rng.choice([-2, 2, 3])), random_array_term(rng, int_names, arr_names, fun_names, depth - 1)))

@@ -24,7 +24,6 @@ from boxsampler.terms import (
     And,
     ArrayVar,
     Atom,
-    FunApp,
     FuncValue,
     IntConst,
     IntVar,
@@ -41,6 +40,7 @@ from boxsampler.terms import (
     sort_of,
 )
 from oracle import (
+    fun_app,
     random_array_formula,
     random_array_model,
     random_array_term,
@@ -242,11 +242,11 @@ class TestBuildAliasing:
 
     def test_function_applications_alias_too(self):
         p = [
-            Atom(Rel.LE, FunApp("f", I), IntConst(5)),
-            Atom(Rel.GE, FunApp("f", J), IntConst(0)),
+            Atom(Rel.LE, fun_app("f", I), IntConst(5)),
+            Atom(Rel.GE, fun_app("f", J), IntConst(0)),
         ]
         m = Model(ints={"i": 2, "j": 2}, funcs={"f": FuncValue(0)})
-        assert build_aliasing(p, m) == [Atom(Rel.EQ, I, J), Atom(Rel.EQ, FunApp("f", I), FunApp("f", J))]
+        assert build_aliasing(p, m) == [Atom(Rel.EQ, I, J), Atom(Rel.EQ, fun_app("f", I), fun_app("f", J))]
 
     def test_all_emitted_literals_satisfied_by_model(self):
         rng = random.Random(5)
@@ -255,8 +255,8 @@ class TestBuildAliasing:
             p = [
                 Atom(Rel.LE, Select(A, I), IntConst(9)),
                 Atom(Rel.LE, Select(A, J), IntConst(9)),
-                Atom(Rel.LE, FunApp("f", X), IntConst(9)),
-                Atom(Rel.LE, FunApp("f", Add((I, J))), IntConst(9)),
+                Atom(Rel.LE, fun_app("f", X), IntConst(9)),
+                Atom(Rel.LE, fun_app("f", Add((I, J))), IntConst(9)),
             ]
             for lit in build_aliasing(p, m):
                 assert eval_formula(lit, m)

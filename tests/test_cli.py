@@ -320,3 +320,12 @@ class TestMergeCoverage:
         other = tmp_path / "other.bin"
         write_bitmap(CoverageBitmap([1, 64]), str(other))
         assert run_cli("merge-coverage", c1, other) == 1
+
+    def test_truncated_bitmap_is_an_error(self, tmp_path, capsys):
+        from boxsampler.coverage import MAGIC
+
+        short = tmp_path / "short.bin"
+        short.write_bytes(MAGIC + (2).to_bytes(4, "little") + b"\x01")  # two node records promised, one byte given
+        assert run_cli("merge-coverage", short) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err and "Traceback" not in err

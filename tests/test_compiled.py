@@ -34,7 +34,6 @@ from boxsampler.terms import (
     eval_formula,
     eval_term,
     free_symbols,
-    fun_names,
     iter_nodes,
     preprocess,
     sort_of,
@@ -92,7 +91,7 @@ def _full_grammar_formula(rng, depth: int):
 
 
 def _symbols(f) -> list[str]:
-    return [*free_symbols(f), *sorted(fun_names(f))]
+    return list(free_symbols(f))
 
 
 def _args(m: Model, names: list[str]) -> list:

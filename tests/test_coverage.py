@@ -5,6 +5,7 @@ import random
 import pytest
 
 from boxsampler.coverage import (
+    MAGIC,
     CoverageBitmap,
     normalized_coverage,
     raw_coverage,
@@ -151,6 +152,23 @@ class TestPersistence:
         assert loaded.widths == bm.widths
         assert loaded.seen_zero == bm.seen_zero
         assert loaded.seen_one == bm.seen_one
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda data: data[: len(MAGIC) + 2], "truncated header"),
+            (lambda data: data[:-1], "truncated node records"),
+            (lambda data: data[: len(MAGIC) + 4 + 17 + 5], "truncated node records"),
+            (lambda data: data + b"\x00\x07", "2 bytes after the last node record"),
+        ],
+        ids=["header", "last-record", "second-record", "trailing"],
+    )
+    def test_malformed_length_rejected(self, tmp_path, cut, message):
+        path = tmp_path / "cov.bin"
+        write_bitmap(CoverageBitmap([1, 64, 0]), str(path))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(BitmapMismatch, match=message):
+            read_bitmap(str(path))
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"

@@ -17,10 +17,9 @@ from boxsampler.terms import (
     Or,
     Rel,
     eval_formula,
-    is_literal,
     iter_nodes,
 )
-from oracle import brute_force_implies, random_nnf_formula
+from oracle import brute_force_implies, is_literal, random_nnf_formula
 
 X, Y = IntVar("x"), IntVar("y")
 A = Atom(Rel.GE, X, IntConst(0))

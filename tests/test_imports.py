@@ -13,6 +13,8 @@ attribute, an imported name, or a part of a dotted-name string (the
 entries of `__all__` and of the tracer's `WRAPPED` table).  A method of a
 top-level class counts as read, in the same ways, when a statement other
 than its own definition names it, the other methods of its class included.
+The package and the benchmark scripts alone must read each of these names:
+one that only the tests read belongs in the tests (`tests/oracle.py`).
 
 The solver child, `python -m boxsampler.minisolver`, imports only the
 modules its pipe uses, as each start pays for every module it imports."""
@@ -148,6 +150,12 @@ def dead_names(sources: dict[str, str], defining: list[str]) -> list[str]:
 def test_every_top_level_name_is_read():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES}
     assert dead_names(sources, [str(p.relative_to(ROOT)) for p in MODULES if p.parent == SRC]) == []
+
+
+def test_no_package_name_is_read_by_the_tests_alone():
+    program = [p for p in MODULES if p.parent != ROOT / "tests"]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in program}
+    assert dead_names(sources, [str(p.relative_to(ROOT)) for p in program if p.parent == SRC]) == []
 
 
 def test_checker_flags_dead_names():

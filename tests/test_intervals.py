@@ -12,9 +12,7 @@ from boxsampler.intervals import (
     Interval,
     IntervalMap,
     contains,
-    intersect,
     neg_to_formula,
-    to_formula,
     to_json_obj,
 )
 from boxsampler.terms import (
@@ -27,6 +25,7 @@ from boxsampler.terms import (
     Rel,
     eval_formula,
 )
+from oracle import intersect, to_formula
 
 X, Y = IntVar("x"), IntVar("y")
 

@@ -35,7 +35,6 @@ from boxsampler.terms import (
     Add,
     ArrayVar,
     Atom,
-    FunApp,
     FuncValue,
     IntConst,
     IntVar,
@@ -53,7 +52,7 @@ from boxsampler.terms import (
 )
 from boxsampler import sampler as sampler_mod
 from boxsampler import strengthen as strengthen_mod
-from oracle import deep_and_or
+from oracle import deep_and_or, fun_app
 
 X, Y = IntVar("x"), IntVar("y")
 A = ArrayVar("a")
@@ -291,7 +290,7 @@ def _random_array_box(rng: random.Random):
     application keys whose indices may alias, so that draws can clash."""
     decls = [
         Declaration("i", Sort.INT), Declaration("j", Sort.INT), Declaration("p", Sort.BOOL),
-        Declaration("a", Sort.ARRAY), Declaration("g", Sort.INT, is_function=True),
+        Declaration("a", Sort.ARRAY), Declaration("g", Sort.ARRAY, is_function=True),
     ]
     rng.shuffle(decls)
     problem = ParsedProblem("QF_ALIA", decls, Atom(Rel.EQ, IntConst(0), IntConst(0)))
@@ -299,7 +298,7 @@ def _random_array_box(rng: random.Random):
     seed = Model(ints={"i": rng.randint(0, 3), "j": rng.randint(0, 3)}, bools={"p": True},
                  funcs={"a": a, "g": FuncValue(rng.randint(-3, 3))})
     iv = IntervalMap()
-    keys = [I, J, Select(A, I), Select(A, J), FunApp("g", I), FunApp("g", Select(A, J))]
+    keys = [I, J, Select(A, I), Select(A, J), fun_app("g", I), fun_app("g", Select(A, J))]
     for key in rng.sample(keys, rng.randint(1, len(keys))):
         at = eval_term(key, seed)
         if isinstance(key, IntVar) and rng.random() < 0.5:
@@ -417,7 +416,7 @@ def _random_index(rng: random.Random, depth: int):
     if roll < 0.55:
         return Select(rng.choice([A, ArrayVar("b")]), _random_index(rng, depth - 1))
     if roll < 0.7:
-        return FunApp("g", _random_index(rng, depth - 1))
+        return fun_app("g", _random_index(rng, depth - 1))
     if roll < 0.8:
         return Add((_random_index(rng, depth - 1), IntConst(rng.randint(-1, 1))))
     if roll < 0.9:
@@ -439,7 +438,7 @@ def _nested_array_box(rng: random.Random):
     )
     keys = [I, J, IntVar("w")] + [
         (Select(rng.choice([A, ArrayVar("b")]), _random_index(rng, 2)) if rng.random() < 0.7
-         else FunApp("g", _random_index(rng, 2)))
+         else fun_app("g", _random_index(rng, 2)))
         for _ in range(rng.randint(1, 6))
     ]
     iv = IntervalMap()

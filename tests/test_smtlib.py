@@ -11,8 +11,8 @@ from boxsampler.smtlib import (
     _TOKEN,
     StreamReader,
     parse_problem,
+    print_declaration,
     print_formula,
-    print_problem,
     print_term,
     read_sexpr,
     read_sexprs,
@@ -29,10 +29,11 @@ from boxsampler.terms import (
     Or,
     Rel,
     Select,
+    Sort,
     preprocess,
     to_nnf,
 )
-from oracle import o_formula, o_sexpr, random_formula
+from oracle import o_formula, o_sexpr, print_problem, random_formula
 
 
 def _iff(a, b):
@@ -88,7 +89,10 @@ class TestParse:
     def test_declare_fun_unary(self):
         p = parse_problem("(declare-fun f (Int) Int)(assert (>= (f 0) 1))")
         decl = p.declarations[0]
-        assert decl.is_function
+        assert decl.is_function and decl.sort == Sort.ARRAY
+        assert p.assertion == Atom(Rel.GE, Select(ArrayVar("f", function=True), IntConst(0)), IntConst(1))
+        assert print_formula(p.assertion) == "(>= (f 0) 1)"
+        assert print_declaration(decl) == "(declare-fun f (Int) Int)"
 
     def test_zero_param_define_fun_inlined(self):
         p = parse_problem(

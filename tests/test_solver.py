@@ -38,7 +38,7 @@ MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
 
 
 def D(name, sort=Sort.INT, fn=False):
-    return Declaration(name, sort, is_function=fn)
+    return Declaration(name, Sort.ARRAY if fn else sort, is_function=fn)
 
 
 def read_model(name: str):

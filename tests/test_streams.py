@@ -53,6 +53,15 @@ RUNS = {
         ["--strategy", "blocking", "--rng-seed", "41", "--max-samples", "200",
          "--samples-per-round", "40", "--rounds", "2", "--time-limit", "30"],
     ),
+    # unary functions beside an array, nested in indices and in each
+    # other; pinned while applications were still their own node type.
+    # The random strategy is not pinned here: its MAX-SMT queries over
+    # arrays run until the time limit, so its stream depends on timing
+    "fun_app-blocking": (
+        "fun_app.smt2",
+        ["--strategy", "blocking", "--rng-seed", "59", "--max-samples", "400",
+         "--samples-per-round", "25", "--rounds", "2", "--time-limit", "30"],
+    ),
 }
 
 # SHA-256 of (samples file, intervals file) for each run.  small_boxes was
@@ -78,6 +87,10 @@ DIGESTS = {
     "small_boxes-blocking": (
         "9e8257df7c8f3fe3eb98075c385ae51f882a7c2a1b7b1d6f89d3aba83a8dc8ce",
         "a11f62bae89dc08dbeba9418c47c57213a6acb11df86058779dceec716ef6271",
+    ),
+    "fun_app-blocking": (
+        "03839eb8fbac29f59b545a56faec0d5136c2d77cadb12ec1e4a3815bcf26b417",
+        "a4ff4477736d4ede7134fbe09b89f3ca4a33988fa741ebf9613ae1cb866cf15d",
     ),
     "sugar-random": (
         "39fa3c68b9ac2649aca54f511bdacbdb7a74125b7ab7d9f5b2208e6cc128c1fe",

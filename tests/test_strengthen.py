@@ -29,7 +29,7 @@ from boxsampler.terms import (
     Rel,
     Sub,
 )
-from oracle import env_of_model, o_formula, random_product_term
+from oracle import env_of_model, intersect, o_formula, random_product_term
 
 X, Y = IntVar("x"), IntVar("y")
 X1, X2 = IntVar("x1"), IntVar("x2")
@@ -256,8 +256,6 @@ class TestProductToIntervals:
                 assert all(o_formula(lit, env) for lit in product)
 
     def test_conjunction_closure_matches_pairwise_intersection(self):
-        from boxsampler.intervals import intersect
-
         rng = random.Random(55)
         names = ["x", "y"]
         for _ in range(100):
