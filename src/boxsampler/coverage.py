@@ -149,7 +149,8 @@ def write_bitmap(bm: CoverageBitmap, path: str) -> None:
 
 def read_bitmap(path: str) -> CoverageBitmap:
     """The bitmap of a file :func:`write_bitmap` wrote; raises
-    :class:`BitmapMismatch` for any other file, a truncated one included."""
+    :class:`BitmapMismatch` for any other file, a truncated one or one
+    whose masks set bits above a node's width included."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(MAGIC):
@@ -163,4 +164,7 @@ def read_bitmap(path: str) -> CoverageBitmap:
         what = "truncated node records" if len(data) < size else f"{len(data) - size} bytes after the last node record"
         raise BitmapMismatch(f"{path}: {what}")
     records = list(_RECORD.iter_unpack(data[start:]))
+    for node, (width, zero, one) in enumerate(records):
+        if (zero | one) >> width:
+            raise BitmapMismatch(f"{path}: node record {node} sets bits above its width {width}")
     return CoverageBitmap([r[0] for r in records], [r[1] for r in records], [r[2] for r in records])

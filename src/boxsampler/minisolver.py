@@ -18,25 +18,33 @@ and every rejected command get an ``(error "...")`` reply, with quotes
 doubled and the line and column of the error in the input stream, and
 reading goes on.
 
-Every scan checks points with one predicate per query,
-:func:`compiled.compile_predicate` over the declared symbols, which takes a
-point's values positionally.  For a query over arrays or functions, the
+One :class:`BruteForceEngine` serves a session while its declarations stay
+the same, and answers a `check-sat` at the cost of what changed since the
+last one.  Each assertion is analysed once, when a query first holds it:
+:func:`compiled.compile_predicate` compiles it over the declared symbols,
+which takes a point's values positionally; the arrays, select-like terms
+and constants it gives an array query's enumeration are noted; and its
+single-variable bounds are folded into the unit bounds.
+A query's predicate is the conjunction of those compiled assertions.  A
+blocking query, which only adds assertions, resumes the last finite scan at
+the model that scan found.  For a query over arrays or functions, the
 candidate function values of each point are enumerated after its Booleans,
 in the same loop.
 
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
-scripts.
+scripts, and stops a query at the request's deadline.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+import time
 
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .smtlib import Declaration, Parser, StreamReader, _print_sym, print_term
-from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _recheck
+from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _extends, _recheck
 from .terms import (
     And,
     ArrayVar,
@@ -52,7 +60,6 @@ from .terms import (
     eval_term,
     is_select_like,
     iter_nodes,
-    iter_subterms,
 )
 
 _RADIUS_SCHEDULE = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 150)
@@ -61,63 +68,62 @@ _MAX_SHELL_DISTANCE = 500
 _MAX_ARRAY_SLOTS = 4
 _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
+_CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
+
+_MIRRORED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE}
 
 
 def _unknown() -> SolverVerdict:
     return SolverVerdict(VerdictKind.UNKNOWN, reason="search budget exhausted")
 
 
-def _unit_bounds(formulas: list[Formula]) -> dict[str, tuple[int | None, int | None]]:
-    """Bounds implied by top-level single-variable atoms, for pruning and
-    for sound unsat claims on finite boxes."""
-    bounds: dict[str, tuple[int | None, int | None]] = {}
-
-    def tighten(name: str, lo: int | None, hi: int | None):
-        cur_lo, cur_hi = bounds.get(name, (None, None))
-        if lo is not None:
-            cur_lo = lo if cur_lo is None else max(cur_lo, lo)
-        if hi is not None:
-            cur_hi = hi if cur_hi is None else min(cur_hi, hi)
-        bounds[name] = (cur_lo, cur_hi)
-
-    def visit(f: Formula):
-        if isinstance(f, And):
-            for a in f.args:
-                visit(a)
-            return
-        if not isinstance(f, Atom):
-            return
-        var, const, rel = None, None, f.rel
-        if isinstance(f.lhs, IntVar) and isinstance(f.rhs, IntConst):
-            var, const = f.lhs.name, f.rhs.value
-        elif isinstance(f.lhs, IntConst) and isinstance(f.rhs, IntVar):
-            var, const = f.rhs.name, f.lhs.value
-            rel = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE}.get(rel, rel)
-        if var is None:
-            return
-        if rel == Rel.LE:
-            tighten(var, None, const)
-        elif rel == Rel.LT:
-            tighten(var, None, const - 1)
-        elif rel == Rel.GE:
-            tighten(var, const, None)
-        elif rel == Rel.GT:
-            tighten(var, const + 1, None)
-        elif rel == Rel.EQ:
-            tighten(var, const, const)
-
-    for f in formulas:
-        visit(f)
-    return bounds
+def _unit_atom(f: Formula) -> tuple[str, Rel, int] | None:
+    """`(x, rel, c)` when `f` reads `x rel c` for an Int variable `x` and a
+    constant `c`, either way round; None otherwise."""
+    if not isinstance(f, Atom):
+        return None
+    if isinstance(f.lhs, IntVar) and isinstance(f.rhs, IntConst):
+        return f.lhs.name, f.rel, f.rhs.value
+    if isinstance(f.lhs, IntConst) and isinstance(f.rhs, IntVar):
+        return f.rhs.name, _MIRRORED.get(f.rel, f.rel), f.lhs.value
+    return None
 
 
-def _int_constants(formulas: list[Formula]) -> list[int]:
-    consts: set[int] = set()
+def _tighten(bounds: dict[str, tuple[int | None, int | None]], f: Formula) -> None:
+    """Tighten `bounds` by the top-level single-variable atoms of `f`: the
+    unit bounds, for pruning and for sound unsat claims on finite boxes."""
+    if isinstance(f, And):
+        for a in f.args:
+            _tighten(bounds, a)
+        return
+    unit = _unit_atom(f)
+    if unit is None:
+        return
+    var, rel, c = unit
+    if rel == Rel.NE:
+        return
+    lo = {Rel.GE: c, Rel.GT: c + 1, Rel.EQ: c}.get(rel)
+    hi = {Rel.LE: c, Rel.LT: c - 1, Rel.EQ: c}.get(rel)
+    cur_lo, cur_hi = bounds.get(var, (None, None))
+    if lo is not None:
+        cur_lo = lo if cur_lo is None else max(cur_lo, lo)
+    if hi is not None:
+        cur_hi = hi if cur_hi is None else min(cur_hi, hi)
+    bounds[var] = (cur_lo, cur_hi)
+
+
+def _note_reads(formulas, used: set[str], accesses: set[tuple[str, Term]], constants: set[int]) -> None:
+    """Add what `formulas` give an array query's tails: to `used` the array
+    and function symbols they read, to `accesses` the (symbol, index) of
+    their select-like terms, and to `constants` their integer constants."""
     for f in formulas:
         for node in iter_nodes(f):
-            if isinstance(node, IntConst):
-                consts.add(node.value)
-    return sorted(consts)
+            if isinstance(node, ArrayVar):
+                used.add(node.name)
+            elif isinstance(node, IntConst):
+                constants.add(node.value)
+            elif is_select_like(node):
+                accesses.add((node.array.name, node.index))
 
 
 def _soft_targets(soft, int_vars) -> dict[str, int] | None:
@@ -128,15 +134,60 @@ def _soft_targets(soft, int_vars) -> dict[str, int] | None:
     targets: dict[str, int] = {}
     names = set(int_vars)
     for f, _weight in soft:
-        if not (isinstance(f, Atom) and f.rel == Rel.EQ):
+        unit = _unit_atom(f)
+        if unit is None or unit[1] != Rel.EQ or unit[0] not in names:
             return None
-        if isinstance(f.lhs, IntVar) and isinstance(f.rhs, IntConst) and f.lhs.name in names:
-            targets.setdefault(f.lhs.name, f.rhs.value)
-        elif isinstance(f.rhs, IntVar) and isinstance(f.lhs, IntConst) and f.rhs.name in names:
-            targets.setdefault(f.rhs.name, f.lhs.value)
-        else:
-            return None
+        targets.setdefault(unit[0], unit[2])
     return targets
+
+
+def _refuted(f: Formula, bounds) -> bool:
+    """Whether `f` is `x = c` for a constant `c` outside `x`'s unit
+    bounds, so that no point of a scan satisfies it."""
+    unit = _unit_atom(f)
+    if unit is None or unit[1] != Rel.EQ:
+        return False
+    lo, hi = bounds.get(unit[0], (None, None))
+    return (lo is not None and unit[2] < lo) or (hi is not None and unit[2] > hi)
+
+
+def _lex_points(ranges: list[range], start: tuple | None = None):
+    """The points of ``itertools.product(*ranges)`` in its order, from the
+    point `start` on (`start` included), or all of them."""
+    if start is None:
+        return itertools.product(*ranges)
+    fixed = [(x,) for x in start]
+    # after `start`: its last coordinate grows first, then the one before it, ...
+    later = (
+        itertools.product(*fixed[:k], range(start[k] + 1, ranges[k].stop), *ranges[k + 1:])
+        for k in reversed(range(len(ranges)))
+    )
+    return itertools.chain((tuple(start),), itertools.chain.from_iterable(later))
+
+
+def _conjunction(preds: list):
+    """`pred(*values)`: whether every predicate of `preds` holds, tried in
+    order until one fails.  The first is called directly, so a point that
+    fails it, as most points of a scan do, costs one call more than it."""
+    if len(preds) <= 1:
+        return preds[0] if preds else (lambda *values: True)
+    first, rest = preds[0], preds[1:]
+    return lambda *values: first(*values) and all(p(*values) for p in rest)
+
+
+def _clocked(items, deadline: float):
+    """`items` in order, with the clock read before each run of
+    ``_CLOCK_EVERY`` of them; raises `TimeoutError` once it is past
+    `deadline`."""
+    it = iter(items)
+
+    def runs():
+        for first in it:
+            if time.monotonic() > deadline:
+                raise TimeoutError("search passed the deadline")
+            yield itertools.chain((first,), itertools.islice(it, _CLOCK_EVERY - 1))
+
+    return itertools.chain.from_iterable(runs())
 
 
 def _shell_points(center: list[int], clip, distance: int):
@@ -183,12 +234,28 @@ def _within(v: int, clip_pair) -> bool:
 
 
 class BruteForceEngine:
-    """Deterministic bounded search for models of the supported fragment.
+    """Deterministic bounded search for models of the supported fragment,
+    for one list of declarations.
 
     Every scan checks points with one predicate over the declared symbols,
     ints, then bools, then arrays and functions; after a point's ints come
     the values of its *tail*, the bools and then one :class:`FuncValue`
-    per array or function symbol."""
+    per array or function symbol.
+
+    The engine is incremental.  It keeps the hard formulas of its queries
+    (`hard`) with what it found out about each, once: the compiled
+    predicate, the arrays, accesses and constants it gives an array query
+    (`reads`), and its part of the unit bounds (`bounds`).  A query whose
+    hard list extends `hard` (compared as :func:`solver._extends` does)
+    adds only its new formulas; any other hard list starts over.  A finite
+    scan with no soft constraints and no arrays remembers the model it
+    found (`resume`).  The next such scan over the same unit bounds starts
+    at that model's point, since every point before it fails formulas that
+    the extended list still holds; so each answer equals that of a fresh
+    engine.
+
+    A query past its deadline answers error: the scans read the clock every
+    ``_CLOCK_EVERY`` points."""
 
     def __init__(self, declarations: list[Declaration]):
         self.declarations = declarations
@@ -200,47 +267,81 @@ class BruteForceEngine:
         zeros = tuple(FuncValue(0) for _ in self.func_syms)
         # the tails of a point when no formula reads an array or function
         self.int_tails = [bools + zeros for bools in self.bool_space]
+        self._start_over()
 
-    def check(self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None) -> SolverVerdict:
+    def _start_over(self) -> None:
+        self.hard: list[Formula] = []
+        self.preds: list = []  # the compiled predicate of each formula of `hard`
+        self.pred = _conjunction(self.preds)
+        # the array and function symbols `hard` reads, its accesses and its constants
+        self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), set())
+        self.bounds: dict[str, tuple[int | None, int | None]] = {}
+        self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain finite-scan model
+
+    def _assert(self, hard: list[Formula]) -> None:
+        """Make `hard` the engine's hard list, analysing its new formulas."""
+        if not _extends(hard, self.hard):
+            self._start_over()
+        new = hard[len(self.hard):]
+        if not new:
+            return
+        preds = [compile_predicate([f], self.names) for f in new]  # before any state changes
+        self.hard += new
+        self.preds += preds
+        self.pred = _conjunction(self.preds)
+        _note_reads(new, *self.reads)
+        for f in new:
+            _tighten(self.bounds, f)
+
+    def check(
+        self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None, deadline: float | None = None
+    ) -> SolverVerdict:
         """The verdict on `hard`, with the best model for the weights of
-        `soft`; unknown when the search runs out of points or checks."""
+        `soft`; unknown when the search runs out of points or checks, error
+        when it runs past `deadline` (on the `time.monotonic` clock)."""
+        self._assert(hard)
         soft = soft or []
-        bounds = _unit_bounds(hard)
-        formulas = hard + [f for f, _ in soft]
-        has_funcs = any(isinstance(t, ArrayVar) for f in formulas for t in iter_subterms(f))
+        bounds = self.bounds
         if any(
             lo is not None and hi is not None and lo > hi
             for lo, hi in (bounds.get(v, (None, None)) for v in self.int_vars)
         ):
             return SolverVerdict(VerdictKind.UNSAT)
-
-        pred = compile_predicate(hard, self.names)
         self.checks_left = _MAX_ARRAY_CHECKS
+        self.deadline = deadline
+        try:
+            return self._search(soft)
+        except TimeoutError as exc:
+            return SolverVerdict(VerdictKind.ERROR, reason=str(exc))
 
-        def soft_preds():  # compiled only for the scans that read them
-            return [compile_predicate([f], self.names) for f, _ in soft]
+    def _search(self, soft) -> SolverVerdict:
+        reads = self.reads
+        if soft:
+            reads = tuple(set(r) for r in reads)
+            _note_reads([f for f, _ in soft], *reads)
+        has_funcs = bool(reads[0])
+        tails = self._array_tails(*reads) if has_funcs else None
+        box_points = self._box_size()
+        finite = box_points is not None and box_points <= _MAX_POINTS_PER_SCAN
+        if not finite and not has_funcs:
+            targets = _soft_targets(soft, self.int_vars)
+            if targets is not None:
+                model = self._shell_search(targets)
+                return _unknown() if model is None else SolverVerdict(VerdictKind.SAT, model)
 
-        tails = self._array_tails(formulas) if has_funcs else None
-        box_points = self._box_size(bounds)
-        small_finite = box_points is not None and box_points <= _MAX_POINTS_PER_SCAN
-
-        if small_finite:
-            return self._finite_scan(bounds, soft, pred, soft_preds(), tails)
-
-        targets = _soft_targets(soft, self.int_vars)
-        if not has_funcs and targets is not None:
-            model = self._shell_search(pred, targets, bounds)
-            if model is not None:
-                return SolverVerdict(VerdictKind.SAT, model)
-            return _unknown()
-        return self._radius_scan(bounds, soft, pred, soft_preds(), tails)
+        # a soft equality outside the unit bounds adds to no score in the box
+        soft = [(f, w) for f, w in soft if not _refuted(f, self.bounds)]
+        soft_preds = [compile_predicate([f], self.names) for f, _ in soft]
+        if finite:
+            return self._finite_scan(soft, soft_preds, tails)
+        return self._radius_scan(soft, soft_preds, tails)
 
     # -- sizing -------------------------------------------------------------
 
-    def _box_size(self, bounds) -> int | None:
+    def _box_size(self) -> int | None:
         total = 2 ** len(self.bool_vars)
         for v in self.int_vars:
-            lo, hi = bounds.get(v, (None, None))
+            lo, hi = self.bounds.get(v, (None, None))
             if lo is None or hi is None:
                 return None
             total *= hi - lo + 1
@@ -250,16 +351,27 @@ class BruteForceEngine:
 
     # -- exhaustive scan over a small finite box (sound unsat, true optimum)
 
-    def _finite_scan(self, bounds, soft, pred, soft_preds, tails) -> SolverVerdict:
-        points = itertools.product(*(range(bounds[v][0], bounds[v][1] + 1) for v in self.int_vars))
-        result = self._scan(points, soft, -1, sum(w for _, w in soft), pred, soft_preds, tails)
-        if result is not None:
-            return SolverVerdict(VerdictKind.SAT, result[1])
-        return _unknown() if tails is not None else SolverVerdict(VerdictKind.UNSAT)
+    def _finite_scan(self, soft, soft_preds, tails) -> SolverVerdict:
+        """Scan the box of the unit bounds in lexicographic order.  A plain
+        scan (no soft constraints, no tails) starts at `resume`'s point when
+        that was found in the same box, and becomes the new `resume`."""
+        ranges = [range(self.bounds[v][0], self.bounds[v][1] + 1) for v in self.int_vars]
+        plain = not soft and tails is None
+        start = None
+        if plain and self.resume is not None and self.resume[0] == self.bounds:
+            start = self.resume[1]
+        points = _lex_points(ranges, start)
+        result = self._scan(points, soft, -1, sum(w for _, w in soft), soft_preds, tails)
+        if result is None:
+            return _unknown() if tails is not None else SolverVerdict(VerdictKind.UNSAT)
+        model = result[1]
+        if plain:
+            self.resume = (dict(self.bounds), tuple(model.ints[v] for v in self.int_vars))
+        return SolverVerdict(VerdictKind.SAT, model)
 
     # -- growing concentric boxes around the origin ---------------------------
 
-    def _radius_scan(self, bounds, soft, pred, soft_preds, tails) -> SolverVerdict:
+    def _radius_scan(self, soft, soft_preds, tails) -> SolverVerdict:
         best_model: Model | None = None
         best_score = -1
         perfect = sum(w for _, w in soft)
@@ -267,7 +379,7 @@ class BruteForceEngine:
             ranges = []
             empty = False
             for v in self.int_vars:
-                lo, hi = bounds.get(v, (None, None))
+                lo, hi = self.bounds.get(v, (None, None))
                 lo2 = -radius if lo is None else max(lo, -radius)
                 hi2 = radius if hi is None else min(hi, radius)
                 if lo2 > hi2:
@@ -281,7 +393,7 @@ class BruteForceEngine:
                 total *= len(r)
             if total > _MAX_POINTS_PER_SCAN:
                 break
-            result = self._scan(itertools.product(*ranges), soft, best_score, perfect, pred, soft_preds, tails)
+            result = self._scan(itertools.product(*ranges), soft, best_score, perfect, soft_preds, tails)
             if result is not None:
                 score, model = result
                 if not soft or score >= perfect:
@@ -294,21 +406,25 @@ class BruteForceEngine:
             return SolverVerdict(VerdictKind.SAT, best_model)
         return _unknown()
 
-    def _scan(self, points, soft, floor: int, perfect: int, pred, soft_preds, tails):
+    def _scan(self, points, soft, floor: int, perfect: int, soft_preds, tails):
         """Scan `points` in order; return (score, model) for the best point
         above `floor`, or the first satisfying point when there are no softs.
         Stops at the first point satisfying every soft constraint.  Each
         point is checked with each of its tails: `tails(point)` for queries
         over arrays or functions, ``self.int_tails`` when `tails` is None.
         An array or function query stops scanning once it has made
-        ``_MAX_ARRAY_CHECKS`` checks."""
+        ``_MAX_ARRAY_CHECKS`` checks.  A query with a deadline raises
+        `TimeoutError` when it finds the clock past it."""
         best = None
         best_score = floor
         weights = [w for _, w in soft]
+        pred = self.pred
         if tails is None:
             scan = zip(points, itertools.repeat(self.int_tails))
         else:
             scan = self._budgeted(points, tails)
+        if self.deadline is not None:
+            scan = _clocked(scan, self.deadline)
         for point, point_tails in scan:
             for tail in point_tails:
                 if not pred(*point, *tail):
@@ -342,46 +458,31 @@ class BruteForceEngine:
 
     # -- expanding max-norm shells around the soft-equality target point -----
 
-    def _shell_search(self, pred, targets: dict[str, int], bounds) -> Model | None:
+    def _shell_search(self, targets: dict[str, int]) -> Model | None:
         center = [targets.get(v, 0) for v in self.int_vars]
-        clip = [bounds.get(v, (None, None)) for v in self.int_vars]
+        clip = [self.bounds.get(v, (None, None)) for v in self.int_vars]
         shells = (_shell_points(center, clip, d) for d in range(_MAX_SHELL_DISTANCE + 1))
         points = itertools.islice(itertools.chain.from_iterable(shells), _MAX_POINTS_PER_SCAN * 4)
-        result = self._scan(points, [], -1, 0, pred, [], None)
+        result = self._scan(points, [], -1, 0, [], None)
         return None if result is None else result[1]
 
-    def _array_tails(self, formulas):
+    def _array_tails(self, used, accesses, constants):
         """`tails(point)`: the tails of a point for formulas over arrays or
         functions, in scan order: for each assignment of the bools, every
-        assignment of the symbols the formulas read.
+        assignment of the symbols `used`, which the formulas read.
 
-        Slots are the index values that select-like terms reach when every
-        symbol is the constant-0 function; each slot and each default ranges
-        over the constants appearing in the problem.  A symbol the formulas
-        do not read is the constant-0 function.  A point and bools with more
-        than ``_MAX_ARRAY_SLOTS`` slots get no candidates."""
-        used: set[str] = set()
-        accesses: set[tuple[str, Term]] = set()
-        for f in formulas:
-            for t in iter_subterms(f):
-                if is_select_like(t):
-                    used.add(t.array.name)
-                    accesses.add((t.array.name, t.index))
-                elif isinstance(t, ArrayVar):
-                    used.add(t.name)
+        Slots are the index values that the select-like terms `accesses`
+        reach when every symbol is the constant-0 function; each slot and
+        each default ranges over the `constants` of the problem.  A symbol
+        the formulas do not read is the constant-0 function.  A point and
+        bools with more than ``_MAX_ARRAY_SLOTS`` slots get no candidates."""
         syms = [s for s in self.func_syms if s in used]
         column = {s: k for k, s in enumerate(syms)}
         positions = [column.get(s) for s in self.func_syms]  # of each symbol in `syms`, or None
         accesses = {(s, index) for s, index in accesses if s in column}
         zero = FuncValue(0)
         probe_funcs = {s: zero for s in syms}
-        candidates = _int_constants(formulas)
-        for extra in (-1, 0, 1):
-            if extra not in candidates:
-                candidates.append(extra)
-        candidates.sort()
-        if len(candidates) > _MAX_ARRAY_CANDIDATES:
-            candidates = candidates[:_MAX_ARRAY_CANDIDATES]
+        candidates = sorted(constants | {-1, 0, 1})[:_MAX_ARRAY_CANDIDATES]
 
         def tails(point):
             ints = dict(zip(self.int_vars, point))
@@ -403,17 +504,33 @@ class BruteForceEngine:
         return tails
 
 
+def _engine_for(engine: BruteForceEngine | None, declarations: list[Declaration]) -> BruteForceEngine:
+    """`engine` while it serves `declarations`, else a new engine for them."""
+    if engine is not None and engine.declarations == declarations:
+        return engine
+    return BruteForceEngine(declarations)
+
+
 class LocalSolverClient(SolverClient):
-    """In-process client backed by the brute-force engine.  It ignores a
-    request's deadline: the engine's scans are bounded by a count of
-    points and checks, not by time."""
+    """In-process client backed by the brute-force engine.  It keeps one
+    engine while the requests' declarations stay the same, so a blocking
+    request pays only for its new formulas.  A request whose deadline
+    passes during the search is answered error, as the process client
+    answers a timeout."""
+
+    def __init__(self):
+        self.engine: BruteForceEngine | None = None
+
+    def _check(self, req: SolverRequest) -> SolverVerdict:
+        self.engine = _engine_for(self.engine, list(req.declarations))
+        return _recheck(req, self.engine.check(list(req.hard), req.soft, req.deadline))
 
     def solve(self, req: SolverRequest) -> SolverVerdict:
         assert not req.soft
-        return _recheck(req, BruteForceEngine(req.declarations).check(list(req.hard)))
+        return self._check(req)
 
     def max_solve(self, req: SolverRequest) -> SolverVerdict:
-        return _recheck(req, BruteForceEngine(req.declarations).check(list(req.hard), req.soft))
+        return self._check(req)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +545,7 @@ class _Session:
         # (hard, soft) of each scope, and for a pushed one the (decls, macros) that `pop` restores
         self.frames: list[tuple] = [([], [])]
         self.last_model: Model | None = None
+        self.engine: BruteForceEngine | None = None  # kept while the declarations stay the same
 
     def emit(self, text: str):
         self.out.write(text + "\n")
@@ -462,6 +580,7 @@ class _Session:
                 self.parser = Parser()
                 self.frames = [([], [])]
                 self.last_model = None
+                self.engine = None
                 return True
             if head == "push":
                 for _ in range(int(args[0].text) if args else 1):
@@ -489,8 +608,8 @@ class _Session:
                 self.frames[-1][1].append((f, weight))
                 return True
             if head == "check-sat":
-                engine = BruteForceEngine(list(self.parser.decls.values()))
-                verdict = engine.check(self.hard, self.soft)
+                self.engine = _engine_for(self.engine, list(self.parser.decls.values()))
+                verdict = self.engine.check(self.hard, self.soft)
                 self.last_model = verdict.model
                 self.emit(verdict.kind.value)
                 return True

@@ -329,3 +329,13 @@ class TestMergeCoverage:
         assert run_cli("merge-coverage", short) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated" in err and "Traceback" not in err
+
+    def test_masks_above_the_width_are_an_error(self, tmp_path, capsys):
+        from boxsampler.coverage import CoverageBitmap, write_bitmap
+
+        wide = tmp_path / "wide.bin"
+        write_bitmap(CoverageBitmap([1], [2**64 - 1], [2**64 - 1]), str(wide))  # a Boolean node with 64 bits seen
+        assert run_cli("merge-coverage", wide) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert "raw" not in out
+        assert err.startswith("error:") and "above its width 1" in err

@@ -170,6 +170,13 @@ class TestPersistence:
         with pytest.raises(BitmapMismatch, match=message):
             read_bitmap(str(path))
 
+    @pytest.mark.parametrize("width, mask", [(0, 1), (1, 2), (1, 2**64 - 1)])
+    def test_masks_above_the_width_rejected(self, tmp_path, width, mask):
+        path = tmp_path / "cov.bin"
+        write_bitmap(CoverageBitmap([64, width], [2**64 - 1, 0], [2**64 - 1, mask]), str(path))
+        with pytest.raises(BitmapMismatch, match="node record 1 sets bits above its width"):
+            read_bitmap(str(path))
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOTACOV1\x00\x00")
