@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 unsatisfiable input, 3 unsupported input,
 4 solver failure, 5 verification found violations, 130 a run stopped by
-Ctrl-C (its samples, stats and coverage are still written), 1 anything else.
+Ctrl-C, 1 anything else.  A run stopped by Ctrl-C, or by a solver failure
+after its first epoch, still writes its samples, stats and coverage.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ def _cmd_run(args) -> int:
         f"{stats.unique_samples} unique samples in {stats.epochs} epochs "
         f"({stats.solver_calls} solver calls); stopped: {stats.stop_reason}"
     )
-    return EXIT_INTERRUPTED if stats.stop_reason == "interrupted" else EXIT_OK
+    if stats.stop_reason == "interrupted":
+        return EXIT_INTERRUPTED
+    return EXIT_SOLVER if stats.stop_reason.startswith("solver failure") else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -33,6 +33,12 @@ in the same loop.
 
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
 scripts, and stops a query at the request's deadline.
+
+Every start of a :class:`solver.ProcessSolverClient` running this module
+waits for its imports before the first answer, so the child imports only
+the modules of the pipe (`errors`, `terms`, `smtlib`, `compiled`, `solver`)
+and none of them imports `dataclasses`, `inspect` or `typing`: the
+dataclasses alone made the time from spawn to first answer a quarter longer.
 """
 
 from __future__ import annotations

@@ -679,9 +679,12 @@ def sample_formula(
     sum to the total.  Under blocking, a run that has drawn every model
     stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).  Each
     solver query carries the run's deadline; one that fails once the
-    deadline has passed stops the run with "total time limit".  On Ctrl-C
-    it stops with "interrupted", and `unique_samples` counts the samples
-    `on_sample` took."""
+    deadline has passed stops the run with "total time limit".  A solver
+    failure before the deadline raises :class:`SolverFailure` if no epoch
+    has run yet, and otherwise stops the run with "solver failure: <reason>",
+    so that the samples already taken keep their stats.  On Ctrl-C it stops
+    with "interrupted", and `unique_samples` counts the samples `on_sample`
+    took."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
     phase = dict.fromkeys(("setup", "solve", "implicant", "strengthen", "sample", "emit"), 0.0)
@@ -728,10 +731,13 @@ def sample_formula(
                     else:
                         seed, degraded, calls = get_seed_random(problem, formula, client, cfg, rng, deadline)
                         stats.maxsmt_degradations += degraded
-                except SolverFailure:
-                    if time.monotonic() < deadline:
+                except SolverFailure as exc:
+                    if time.monotonic() >= deadline:
+                        stats.stop_reason = "total time limit"  # the query was cut off at the run's deadline
+                    elif stats.epochs:
+                        stats.stop_reason = f"solver failure: {exc}"
+                    else:
                         raise
-                    stats.stop_reason = "total time limit"  # the query was cut off at the run's deadline
                     break
                 stats.solver_calls += calls
                 if seed is None:

@@ -28,7 +28,6 @@ as ``Select(ArrayVar("f", function=True), x)`` and printed back as ``(f x)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .terms import (
@@ -52,6 +51,7 @@ from .terms import (
     Store,
     Sub,
     Term,
+    _Record,
     conj,
     disj,
     sort_of,
@@ -60,18 +60,22 @@ from .terms import (
 SUPPORTED_LOGICS = {"QF_LIA", "QF_NIA", "QF_ALIA", "QF_AUFLIA", "QF_UFLIA"}
 
 
-@dataclass
-class Declaration:
-    name: str
-    sort: Sort
-    is_function: bool = False  # a unary Int -> Int function, of sort ARRAY
+class Declaration(_Record):
+    __slots__ = ("name", "sort", "is_function")
+
+    def __init__(self, name: str, sort: Sort, is_function: bool = False):
+        self.name = name
+        self.sort = sort
+        self.is_function = is_function  # a unary Int -> Int function, of sort ARRAY
 
 
-@dataclass
-class ParsedProblem:
-    logic: str | None
-    declarations: list[Declaration]
-    assertion: Formula
+class ParsedProblem(_Record):
+    __slots__ = ("logic", "declarations", "assertion")
+
+    def __init__(self, logic: str | None, declarations: list[Declaration], assertion: Formula):
+        self.logic = logic
+        self.declarations = declarations
+        self.assertion = assertion
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ The solver's output is read with the one SMT-LIB reader, through one
 (a verdict atom, an ``(error ...)`` list or a model) is read once, as one
 s-expression, which :func:`parse_model` takes as it is.  Reading waits with
 `select`, so it is POSIX-only.  When the solver closes its output, the
-error names its exit status.  `subprocess` and `shlex` are imported by the
-process client only, so that the solver child does not load them.
+error names its exit status.
+
+The solver child, ``python -m boxsampler.minisolver``, imports this module,
+and every start of a :class:`ProcessSolverClient` waits for the child's
+imports before its first answer.  So `subprocess` and `shlex` are imported
+by the process client only, and the requests and verdicts are plain slotted
+classes, not dataclasses, as in every module the child imports.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import contextlib
 import os
 import select
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ModelParseError, SmtSyntaxError
@@ -42,19 +46,28 @@ from .terms import (
     FuncValue,
     Model,
     Sort,
+    _Record,
     eval_formula,
 )
 
 
-@dataclass
-class SolverRequest:
+class SolverRequest(_Record):
     """One query.  `deadline`, on the `time.monotonic` clock, is the run's:
     the query is not waited for past it."""
 
-    declarations: list[Declaration]
-    hard: list[Formula]
-    soft: list[tuple[Formula, int]] = field(default_factory=list)
-    deadline: float | None = None
+    __slots__ = ("declarations", "hard", "soft", "deadline")
+
+    def __init__(
+        self,
+        declarations: list[Declaration],
+        hard: list[Formula],
+        soft: list[tuple[Formula, int]] | None = None,
+        deadline: float | None = None,
+    ):
+        self.declarations = declarations
+        self.hard = hard
+        self.soft = [] if soft is None else soft
+        self.deadline = deadline
 
 
 class VerdictKind(Enum):
@@ -64,12 +77,14 @@ class VerdictKind(Enum):
     ERROR = "error"
 
 
-@dataclass
-class SolverVerdict:
-    kind: VerdictKind
-    model: Model | None = None
-    reason: str = ""
-    degraded: bool = False  # soft constraints were dropped
+class SolverVerdict(_Record):
+    __slots__ = ("kind", "model", "reason", "degraded")
+
+    def __init__(self, kind: VerdictKind, model: Model | None = None, reason: str = "", degraded: bool = False):
+        self.kind = kind
+        self.model = model
+        self.reason = reason
+        self.degraded = degraded  # soft constraints were dropped
 
     @property
     def is_sat(self) -> bool:

@@ -1,11 +1,19 @@
 """Sorted AST for integer formulas with arrays, plus models and evaluation.
 
-Terms and formulas are immutable dataclasses compared structurally, so they
-can serve as dictionary keys and set members (interval maps, sets of seen
-literals) and be shared freely.  Models are plain value objects: integers for scalar variables and
-finite default-plus-exceptions functions for arrays.  A unary Int -> Int
-function is an array whose ``ArrayVar`` has ``function=True``, which only
-SMT-LIB printing reads: ``(f x)`` is ``Select(ArrayVar("f", True), x)``.
+Terms and formulas are immutable slotted classes over one base, ``_Node``,
+compared and hashed structurally by the tuple of their fields, so they can
+serve as dictionary keys and set members (interval maps, sets of seen
+literals) and be shared freely.  Models are mutable value objects, compared
+by their fields: integers for scalar variables and finite
+default-plus-exceptions functions for arrays.  None of these classes is a
+dataclass: importing :mod:`dataclasses` (and with it :mod:`inspect`) and
+generating each class's methods with ``exec`` would make every start of the
+solver child (:mod:`.minisolver`), which imports this module, about a
+quarter slower to its first answer.
+
+A unary Int -> Int function is an array whose ``ArrayVar`` has
+``function=True``, which only SMT-LIB printing reads: ``(f x)`` is
+``Select(ArrayVar("f", True), x)``.
 
 Formulas are relational atoms and Boolean variables and constants under
 not/and/or: the parser lowers ``=>``, ``xor``, Bool ``=`` and ``distinct``
@@ -24,9 +32,8 @@ the sampler and the minisolver alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator, Union, get_args
 
 from .errors import UnassignedSymbol
 
@@ -60,77 +67,208 @@ _NEGATED = {
 
 
 # ---------------------------------------------------------------------------
+# Value objects
+
+
+class _Record:
+    """Slotted value object whose fields are its ``__slots__``, with the
+    repr and equality a dataclass would give it: equal when of the same
+    class with equal fields, and therefore unhashable.  Subclasses write
+    their own ``__init__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            names = self.__slots__
+            return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_set = object.__setattr__  # writes a field of a node, whose own __setattr__ raises
+
+
+class _Node(_Record):
+    """Base of the term and formula nodes: immutable, so that they can serve
+    as dictionary keys and set members.  Each node type writes its own
+    ``__init__``, and an ``__eq__`` and ``__hash__`` over the tuple of its
+    fields, as a frozen dataclass generates them: these are hot, and a
+    generic method over the fields compared nested nodes about half as
+    fast."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild a node through its constructor
+        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class IntConst(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class IntVar:
-    name: str
+class IntVar(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Add:
-    args: tuple["Term", ...]
+class Add(_Node):
+    __slots__ = ("args",)
 
-    def __post_init__(self):
+    def __init__(self, args: tuple[Term, ...]):
         flat: list[Term] = []
-        for a in self.args:
+        for a in args:
             flat.extend(a.args) if isinstance(a, Add) else flat.append(a)
-        object.__setattr__(self, "args", tuple(flat))
+        _set(self, "args", tuple(flat))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
-class Sub:
-    lhs: "Term"
-    rhs: "Term"
+class Sub(_Node):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
-class Mul:
-    args: tuple["Term", ...]
+class Mul(_Node):
+    __slots__ = ("args",)
 
-    def __post_init__(self):
+    def __init__(self, args: tuple[Term, ...]):
         flat: list[Term] = []
-        for a in self.args:
+        for a in args:
             flat.extend(a.args) if isinstance(a, Mul) else flat.append(a)
-        object.__setattr__(self, "args", tuple(flat))
+        _set(self, "args", tuple(flat))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
-class Ite:
+class Ite(_Node):
     """Term-level if-then-else; removed by :func:`preprocess`."""
 
-    cond: "Formula"
-    then: "Term"
-    orelse: "Term"
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Formula, then: Term, orelse: Term):
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "orelse", orelse)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cond, self.then, self.orelse) == (other.cond, other.then, other.orelse)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cond, self.then, self.orelse))
 
 
-@dataclass(frozen=True)
-class Select:
-    array: "Term"
-    index: "Term"
+class Select(_Node):
+    __slots__ = ("array", "index")
+
+    def __init__(self, array: Term, index: Term):
+        _set(self, "array", array)
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.array, self.index) == (other.array, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.array, self.index))
 
 
-@dataclass(frozen=True)
-class Store:
-    array: "Term"
-    index: "Term"
-    value: "Term"
+class Store(_Node):
+    __slots__ = ("array", "index", "value")
+
+    def __init__(self, array: Term, index: Term, value: Term):
+        _set(self, "array", array)
+        _set(self, "index", index)
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.array, self.index, self.value) == (other.array, other.index, other.value)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.array, self.index, self.value))
 
 
-@dataclass(frozen=True)
-class ArrayVar:
-    name: str
-    function: bool = False  # a unary function, spelled (f x) in SMT-LIB
+class ArrayVar(_Node):
+    __slots__ = ("name", "function")
+
+    def __init__(self, name: str, function: bool = False):
+        _set(self, "name", name)
+        _set(self, "function", function)  # a unary function, spelled (f x) in SMT-LIB
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.function) == (other.name, other.function)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.function))
 
 
-Term = Union[IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, ArrayVar]
-TERM_TYPES = get_args(Term)
+# The term node types.  `Term` names them in annotations, which are never
+# evaluated, so it needs no `typing.Union`.
+TERM_TYPES = Term = (IntConst, IntVar, Add, Sub, Mul, Ite, Select, Store, ArrayVar)
 
 
 def is_select_like(t: Term) -> bool:
@@ -143,54 +281,107 @@ def is_select_like(t: Term) -> bool:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Atom:
-    rel: Rel
-    lhs: Term
-    rhs: Term
+class Atom(_Node):
+    __slots__ = ("rel", "lhs", "rhs")
+
+    def __init__(self, rel: Rel, lhs: Term, rhs: Term):
+        _set(self, "rel", rel)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rel, self.lhs, self.rhs) == (other.rel, other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rel, self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
+class Not(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True)
-class And:
-    args: tuple["Formula", ...]
+class And(_Node):
+    __slots__ = ("args",)
 
-    def __post_init__(self):
+    def __init__(self, args: tuple[Formula, ...]):
         flat: list[Formula] = []
-        for a in self.args:
+        for a in args:
             flat.extend(a.args) if isinstance(a, And) else flat.append(a)
-        object.__setattr__(self, "args", tuple(flat))
+        _set(self, "args", tuple(flat))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
-class Or:
-    args: tuple["Formula", ...]
+class Or(_Node):
+    __slots__ = ("args",)
 
-    def __post_init__(self):
+    def __init__(self, args: tuple[Formula, ...]):
         flat: list[Formula] = []
-        for a in self.args:
+        for a in args:
             flat.extend(a.args) if isinstance(a, Or) else flat.append(a)
-        object.__setattr__(self, "args", tuple(flat))
+        _set(self, "args", tuple(flat))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
-class BoolVar:
+class BoolVar(_Node):
     """Boolean variable, admitted as a 0-ary atom."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class BoolConst(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-Formula = Union[Atom, Not, And, Or, BoolVar, BoolConst]
-FORMULA_TYPES = get_args(Formula)
+FORMULA_TYPES = Formula = (Atom, Not, And, Or, BoolVar, BoolConst)  # as TERM_TYPES and Term
 
 
 def conj(args) -> Formula:
@@ -219,17 +410,21 @@ def sort_of(t: Term) -> Sort:
 # Models
 
 
-@dataclass
-class FuncValue:
+class FuncValue(_Record):
     """Finite function value: maps every integer to `default` except for the
     listed exceptions.  Exceptions equal to the default are dropped so that
     structural equality coincides with extensional equality."""
 
-    default: int
-    exceptions: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("default", "exceptions")
 
-    def __post_init__(self):
-        self.exceptions = {k: v for k, v in self.exceptions.items() if v != self.default}
+    def __init__(self, default: int, exceptions: dict[int, int] | None = None):
+        self.default = default
+        self.exceptions = {k: v for k, v in exceptions.items() if v != default} if exceptions else {}
+
+    def __eq__(self, other):  # compiled array equality calls this in the sampling loop
+        if other.__class__ is self.__class__:
+            return (self.default, self.exceptions) == (other.default, other.exceptions)
+        return NotImplemented
 
     def apply(self, index: int) -> int:
         return self.exceptions.get(index, self.default)
@@ -243,13 +438,20 @@ class FuncValue:
         return FuncValue(self.default, dict(self.exceptions))
 
 
-@dataclass
-class Model:
+class Model(_Record):
     """Assignment of values to the free symbols of a formula."""
 
-    ints: dict[str, int] = field(default_factory=dict)
-    bools: dict[str, bool] = field(default_factory=dict)
-    funcs: dict[str, FuncValue] = field(default_factory=dict)
+    __slots__ = ("ints", "bools", "funcs")
+
+    def __init__(
+        self,
+        ints: dict[str, int] | None = None,
+        bools: dict[str, bool] | None = None,
+        funcs: dict[str, FuncValue] | None = None,
+    ):
+        self.ints = {} if ints is None else ints
+        self.bools = {} if bools is None else bools
+        self.funcs = {} if funcs is None else funcs
 
     def int_value(self, name: str) -> int:
         try:
@@ -443,7 +645,7 @@ def children(node) -> tuple:
         raise TypeError(f"not a term or formula: {node!r}") from None
 
 
-def iter_nodes(node) -> Iterator[Union[Formula, Term]]:
+def iter_nodes(node) -> Iterator[Formula | Term]:
     """Deterministic pre-order walk over a term or formula and every node
     below it, the conditions of ites included."""
     table = _CHILD_TABLE  # the lookup of `children`, inlined: this walk is hot

@@ -7,12 +7,42 @@ import sys
 import pytest
 
 from boxsampler import cli
-from boxsampler.cli import EXIT_ERROR, EXIT_INTERRUPTED, EXIT_OK, EXIT_UNSAT, EXIT_UNSUPPORTED, EXIT_VIOLATIONS, main
+from boxsampler.cli import (
+    EXIT_ERROR,
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_UNSAT,
+    EXIT_UNSUPPORTED,
+    EXIT_VIOLATIONS,
+    main,
+)
 from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
 from boxsampler.terms import eval_formula
 
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
+
+# The minisolver, but its input ends where the third check-sat begins: it
+# answers two queries and exits.
+SOLVER_EXITING_AT_THIRD_QUERY = """\
+import sys
+
+from boxsampler import minisolver
+
+
+def until_third_check_sat(lines):
+    checks = 0
+    for line in lines:
+        checks += line.count("(check-sat)")
+        if checks == 3:
+            return
+        yield line
+
+
+sys.stdin = until_third_check_sat(sys.stdin)
+minisolver.main()
+"""
 
 
 def run_cli(*args) -> int:
@@ -109,6 +139,23 @@ class TestRun:
         assert stats["stop_reason"] == "interrupted"
         assert len(out.read_text().splitlines()) == stats["unique_samples"] == 2
         assert cov.exists() and "stopped: interrupted" in capsys.readouterr().out
+
+    def test_solver_failure_mid_run_writes_consistent_stats(self, data_dir, tmp_path, capsys):
+        script = tmp_path / "exits_at_third_query.py"
+        script.write_text(SOLVER_EXITING_AT_THIRD_QUERY)
+        out, stats_path, cov = tmp_path / "s.jsonl", tmp_path / "stats.json", tmp_path / "cov.bin"
+        code = run_cli(
+            "run", data_dir / "toy_sum.smt2", "--strategy", "blocking", "--max-samples", 1000,
+            "--samples-per-round", 5, "--rounds", 1, "--solver-cmd", f"{sys.executable} {script}",
+            "--samples-out", out, "--stats-out", stats_path, "--coverage-out", cov,
+        )
+        assert code == EXIT_SOLVER
+        stats = json.loads(stats_path.read_text())
+        assert stats["stop_reason"].startswith("solver failure: ") and "closed its output" in stats["stop_reason"]
+        assert stats["epochs"] == stats["solver_calls"] == 2
+        assert len(out.read_text().splitlines()) == stats["unique_samples"] == 10
+        assert cov.exists() and stats["raw_coverage"] > 0
+        assert "stopped: solver failure: " in capsys.readouterr().out
 
     def test_unsupported_input(self, tmp_path):
         bad = tmp_path / "bad.smt2"

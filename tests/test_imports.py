@@ -227,3 +227,11 @@ def test_solver_child_imports_only_the_modules_of_the_pipe():
         ],
         [],
     )
+
+
+def test_solver_child_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps the site's .pth files out, which may import typing themselves
+    script = "import sys, boxsampler.minisolver; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert ast.literal_eval(out) == []

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler.errors import ConfigError, NotAModel, SoundnessViolation, UnassignedSymbol, UnsatFormula
+from boxsampler.errors import (
+    ConfigError,
+    NotAModel,
+    SolverFailure,
+    SoundnessViolation,
+    UnassignedSymbol,
+    UnsatFormula,
+)
 from boxsampler.intervals import Interval, IntervalMap, contains
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import (
@@ -798,6 +805,22 @@ class TestSampleFormula:
         assert stats.solver_calls == 3 and stats.maxsmt_degradations == 1
         first, retry, _ = transcript.requests
         assert first.soft and not retry.soft and retry.hard == first.hard
+
+    def test_solver_failure_after_an_epoch_stops_the_run(self):
+        p, _ = _intro_parts()
+        error = SolverVerdict(VerdictKind.ERROR, reason="solver process died")
+        transcript = ScriptedClient([sat(Model(ints={"x": 12, "y": 2})), sat(Model(ints={"x": 1, "y": 3})), error])
+        cfg = cfg_of(max_samples=1000, samples_per_round=10, rounds_per_epoch=1)
+        out = []
+        stats = sample_formula(p, cfg, transcript, on_sample=out.append)
+        assert stats.stop_reason == "solver failure: solver process died"
+        assert len(transcript.requests) == 3 and stats.solver_calls == stats.epochs == 2
+        assert stats.unique_samples == len(out) > 0
+        wall = dict(stats.wall_time)
+        assert sum(wall.values()) - wall["total"] == pytest.approx(wall["total"], abs=1e-9)
+        # before the first epoch there is nothing to keep: the failure raises
+        with pytest.raises(SolverFailure, match="solver process died"):
+            sample_formula(p, cfg, ScriptedClient([error]))
 
     def test_unsat_problem_raises(self):
         p = parse_problem("(declare-const x Int)(assert (>= x 1))(assert (<= x 0))")

@@ -1,6 +1,8 @@
-"""Core AST: evaluation, NNF, preprocessing."""
+"""Core AST: node contract, evaluation, NNF, preprocessing."""
 
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxsampler.errors import UnassignedSymbol, UnsupportedFeature
-from boxsampler.smtlib import parse_problem, print_formula, print_term
+from boxsampler.smtlib import Declaration, parse_problem, print_formula, print_term
+from boxsampler.solver import SolverRequest, SolverVerdict, VerdictKind
 from boxsampler.terms import (
     FORMULA_TYPES,
     TERM_TYPES,
@@ -28,6 +31,7 @@ from boxsampler.terms import (
     Or,
     Rel,
     Select,
+    Sort,
     Store,
     Sub,
     children,
@@ -215,6 +219,106 @@ class TestPreprocess:
         assert not any(isinstance(n, Ite) for n in iter_nodes(g))
         for m in iter_int_models(["x", "y"], -3, 3):
             assert eval_formula(f, m) == eval_formula(g, m)
+
+
+P, Q = BoolVar("p"), BoolVar("q")
+A = ArrayVar("a")
+
+# Each node type: its fields, in order, with example values, and its repr.
+NODE_CASES = {
+    IntConst: ({"value": 3}, "IntConst(value=3)"),
+    IntVar: ({"name": "x"}, "IntVar(name='x')"),
+    Add: ({"args": (X, Y)}, "Add(args=(IntVar(name='x'), IntVar(name='y')))"),
+    Sub: ({"lhs": X, "rhs": Y}, "Sub(lhs=IntVar(name='x'), rhs=IntVar(name='y'))"),
+    Mul: ({"args": (IntConst(2), X)}, "Mul(args=(IntConst(value=2), IntVar(name='x')))"),
+    Ite: (
+        {"cond": P, "then": X, "orelse": Y},
+        "Ite(cond=BoolVar(name='p'), then=IntVar(name='x'), orelse=IntVar(name='y'))",
+    ),
+    Select: ({"array": A, "index": X}, "Select(array=ArrayVar(name='a', function=False), index=IntVar(name='x'))"),
+    Store: (
+        {"array": A, "index": X, "value": Y},
+        "Store(array=ArrayVar(name='a', function=False), index=IntVar(name='x'), value=IntVar(name='y'))",
+    ),
+    ArrayVar: ({"name": "f", "function": True}, "ArrayVar(name='f', function=True)"),
+    Atom: (
+        {"rel": Rel.LE, "lhs": X, "rhs": IntConst(0)},
+        "Atom(rel=<Rel.LE: '<='>, lhs=IntVar(name='x'), rhs=IntConst(value=0))",
+    ),
+    Not: ({"arg": P}, "Not(arg=BoolVar(name='p'))"),
+    And: ({"args": (P, Q)}, "And(args=(BoolVar(name='p'), BoolVar(name='q')))"),
+    Or: ({"args": (P, Q)}, "Or(args=(BoolVar(name='p'), BoolVar(name='q')))"),
+    BoolVar: ({"name": "p"}, "BoolVar(name='p')"),
+    BoolConst: ({"value": True}, "BoolConst(value=True)"),
+}
+
+
+@pytest.mark.parametrize("kind", TERM_TYPES + FORMULA_TYPES, ids=lambda k: k.__name__)
+def test_node_contract(kind):
+    """What every node guarantees: structural equality and a hash equal to
+    that of its tuple of fields, immutability, positional and keyword
+    construction, copies, and the repr (test_arrays hashes reprs into a
+    pinned digest)."""
+    fields, text = NODE_CASES[kind]
+    values = tuple(fields.values())
+    node, twin = kind(*values), kind(**fields)
+    assert node == twin and not node != twin and node is not twin
+    assert hash(node) == hash(twin) == hash(values)
+    assert tuple(getattr(node, name) for name in fields) == values
+    assert repr(node) == text
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, values[0])
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert copy.copy(node) == node == copy.deepcopy(node) == pickle.loads(pickle.dumps(node))
+    assert node != values and node != IntVar("z")
+    if "args" in fields:  # a variadic node flattens a direct child of its own type
+        a, b, c = (*values[0], values[0][0])
+        assert kind((kind((a, b)), c)).args == (a, b, c)
+
+
+def test_nodes_of_different_types_with_equal_fields_are_unequal():
+    for left, right in (
+        (Sub(X, Y), Select(X, Y)),
+        (IntVar("a"), BoolVar("a")),
+        (IntConst(1), BoolConst(True)),
+        (Add((X, Y)), Mul((X, Y))),
+        (And((P, Q)), Or((P, Q))),
+    ):
+        assert left != right and not left == right
+    assert ArrayVar("f") == ArrayVar("f", False) != ArrayVar("f", function=True)
+
+
+def test_value_objects_compare_by_fields_and_are_unhashable():
+    cases = [
+        (FuncValue(1, {2: 3}), FuncValue(1, {2: 3, 4: 1}), "FuncValue(default=1, exceptions={2: 3})"),
+        (Model({"x": 1}), Model(ints={"x": 1}, bools={}), "Model(ints={'x': 1}, bools={}, funcs={})"),
+        (
+            Declaration("f", Sort.ARRAY, is_function=True),
+            Declaration("f", Sort.ARRAY, True),
+            "Declaration(name='f', sort=<Sort.ARRAY: 'Array'>, is_function=True)",
+        ),
+        (
+            SolverRequest([], [P]),
+            SolverRequest([], [P], [], None),
+            "SolverRequest(declarations=[], hard=[BoolVar(name='p')], soft=[], deadline=None)",
+        ),
+        (
+            SolverVerdict(VerdictKind.UNKNOWN),
+            SolverVerdict(VerdictKind.UNKNOWN, None, "", False),
+            "SolverVerdict(kind=<VerdictKind.UNKNOWN: 'unknown'>, model=None, reason='', degraded=False)",
+        ),
+    ]
+    for value, twin, text in cases:
+        assert value == twin and repr(value) == text
+        assert value != Model({"x": 2}) and value != (value,)
+        with pytest.raises(TypeError):
+            hash(value)
+    request = SolverRequest([], [])
+    request.soft.append((P, 1))
+    assert SolverRequest([], []).soft == []  # each request its own default list
 
 
 class TestConstruction:
