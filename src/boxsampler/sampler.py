@@ -225,57 +225,63 @@ def get_seed_random(
     client: SolverClient,
     cfg: SamplerConfig,
     rng: random.Random,
+    stats: RunStats,
     deadline: float | None = None,
-) -> tuple[Model, bool, int]:
+) -> tuple[Model, bool]:
     """Seed via MAX-SMT: the formula is hard, equality of every int variable
     to a uniformly random value in [-B, B] is soft.  A MAX-SMT query
-    answered unknown is asked again as a plain solve.  Returns the seed,
-    whether the soft constraints were dropped, and the number of solver
-    calls."""
+    answered unknown is asked again as a plain solve.  Returns the seed and
+    whether the soft constraints were dropped; each query is counted in
+    `stats.solver_calls` as it is made, one that fails included."""
     soft = [
         (Atom(Rel.EQ, IntVar(d.name), IntConst(rng.randint(-cfg.random_bound, cfg.random_bound))), 1)
         for d in problem.declarations
         if d.sort == Sort.INT
     ]
     req = SolverRequest(list(problem.declarations), [formula], soft, deadline)
+    stats.solver_calls += 1
     verdict = client.max_solve(req)
-    calls = 1
     if verdict.kind == VerdictKind.UNKNOWN:
+        stats.solver_calls += 1
         verdict = client.solve(SolverRequest(req.declarations, req.hard, [], deadline))
         verdict.degraded = True
-        calls += 1
     if verdict.kind == VerdictKind.UNSAT:
         raise UnsatFormula("input formula is unsatisfiable")
     if not verdict.is_sat:
         raise SolverFailure(verdict.reason or verdict.kind.value)
-    return verdict.model, verdict.degraded, calls
+    return verdict.model, verdict.degraded
 
 
 def get_seed_blocking(
-    formula: Formula, client: SolverClient, history: BlockingHistory, deadline: float | None = None
-) -> tuple[Model | None, bool, int]:
+    formula: Formula,
+    client: SolverClient,
+    history: BlockingHistory,
+    stats: RunStats,
+    deadline: float | None = None,
+) -> tuple[Model | None, bool]:
     """Seed outside every box of the history; on failure the history is
     cleared and the search restarts from the plain formula.  Returns the
-    seed, whether a reset happened, and the number of solver calls.  The
-    seed is None when no model is left outside an exhaustive history
-    (:attr:`BlockingHistory.exhaustive`): every model has been drawn."""
+    seed and whether a reset happened; each query is counted in
+    `stats.solver_calls` as it is made.  The seed is None when no model is
+    left outside an exhaustive history (:attr:`BlockingHistory.exhaustive`):
+    every model has been drawn."""
     req = SolverRequest(list(history.declarations.values()), [formula, *history.negations], [], deadline)
+    stats.solver_calls += 1
     verdict = client.solve(req)
-    calls = 1
     if verdict.is_sat:
-        return verdict.model, False, calls
+        return verdict.model, False
     if verdict.kind == VerdictKind.UNSAT and history.exhaustive and history.negations:
-        return None, False, calls
+        return None, False
     if verdict.kind not in (VerdictKind.UNSAT, VerdictKind.UNKNOWN):
         raise SolverFailure(verdict.reason or verdict.kind.value)
     history.clear()
+    stats.solver_calls += 1
     verdict = client.solve(SolverRequest(list(history.problem.declarations), [formula], [], deadline))
-    calls += 1
     if verdict.kind == VerdictKind.UNSAT:
         raise UnsatFormula("input formula is unsatisfiable")
     if not verdict.is_sat:
         raise SolverFailure(verdict.reason or verdict.kind.value)
-    return verdict.model, True, calls
+    return verdict.model, True
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +684,9 @@ def sample_formula(
     two callbacks).  The phases are contiguous laps of one clock, so they
     sum to the total.  Under blocking, a run that has drawn every model
     stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).  Each
-    solver query carries the run's deadline; one that fails once the
-    deadline has passed stops the run with "total time limit".  A solver
+    solver query carries the run's deadline and counts in `solver_calls`,
+    whether it answers or fails; one that fails once the deadline has
+    passed stops the run with "total time limit".  A solver
     failure before the deadline raises :class:`SolverFailure` if no epoch
     has run yet, and otherwise stops the run with "solver failure: <reason>",
     so that the samples already taken keep their stats.  On Ctrl-C it stops
@@ -726,10 +733,10 @@ def sample_formula(
             else:
                 try:
                     if history is not None:
-                        seed, was_reset, calls = get_seed_blocking(formula, client, history, deadline)
+                        seed, was_reset = get_seed_blocking(formula, client, history, stats, deadline)
                         stats.blocking_resets += was_reset
                     else:
-                        seed, degraded, calls = get_seed_random(problem, formula, client, cfg, rng, deadline)
+                        seed, degraded = get_seed_random(problem, formula, client, cfg, rng, stats, deadline)
                         stats.maxsmt_degradations += degraded
                 except SolverFailure as exc:
                     if time.monotonic() >= deadline:
@@ -739,7 +746,6 @@ def sample_formula(
                     else:
                         raise
                     break
-                stats.solver_calls += calls
                 if seed is None:
                     stats.stop_reason = "exhausted"
                     break

@@ -138,7 +138,7 @@ def parse_model(reply, declarations: list[Declaration]) -> Model:
     if items and items[0].is_atom and items[0].text == "model":
         items = items[1:]
 
-    raw_funs: dict[str, tuple[bool, object]] = {}  # name -> (has_param, body sexpr)
+    raw_funs: dict[str, tuple[str | None, object]] = {}  # name -> (parameter or None, body sexpr)
     for entry in items:
         if entry.is_atom or len(entry.items) != 5 or entry.items[0].text != "define-fun":
             raise ModelParseError(f"unexpected model entry: {_frag(entry)}")
@@ -146,12 +146,9 @@ def parse_model(reply, declarations: list[Declaration]) -> Model:
         if not name_s.is_atom or params_s.is_atom:
             raise ModelParseError(f"unexpected model entry: {_frag(entry)}")
         name = name_s.text.strip("|")
-        if len(params_s.items) == 0:
-            raw_funs[name] = (False, body_s)
-        elif len(params_s.items) == 1:
-            raw_funs[name] = (True, (params_s, body_s))
-        else:
+        if len(params_s.items) > 1:
             raise ModelParseError(f"function of arity > 1 in model: {name}")
+        raw_funs[name] = (_param(params_s) if params_s.items else None, body_s)
 
     model = Model()
     decl_by_name = {d.name: d for d in declarations}
@@ -160,12 +157,27 @@ def parse_model(reply, declarations: list[Declaration]) -> Model:
         if decl.is_function:
             model.funcs[name] = _parse_fun_value(name, raw, raw_funs)
         elif decl.sort == Sort.INT:
-            model.ints[name] = 0 if raw is None else _parse_int_const(raw[1])
+            model.ints[name] = 0 if raw is None else _parse_int_const(_constant(name, raw))
         elif decl.sort == Sort.BOOL:
-            model.bools[name] = False if raw is None else _parse_bool_const(raw[1])
+            model.bools[name] = False if raw is None else _parse_bool_const(_constant(name, raw))
         else:
             model.funcs[name] = _parse_array_value(name, raw, raw_funs)
     return model
+
+
+def _param(params) -> str:
+    """The name of the one parameter of a ``((x Int))`` list."""
+    binding = None if params.is_atom or len(params.items) != 1 else params.items[0]
+    if binding is None or binding.is_atom or len(binding.items) != 2 or not binding.items[0].is_atom:
+        raise ModelParseError(f"unexpected parameter list: {_frag(params)}")
+    return binding.items[0].text
+
+
+def _constant(name: str, raw):
+    param, body = raw
+    if param is not None:
+        raise ModelParseError(f"expected a constant value for {name}")
+    return body
 
 
 def _frag(sexpr) -> str:
@@ -194,11 +206,9 @@ def _parse_bool_const(body) -> bool:
 def _parse_fun_value(name, raw, raw_funs) -> FuncValue:
     if raw is None:
         return FuncValue(0)
-    if not raw[0]:
+    if raw[0] is None:
         raise ModelParseError(f"expected a unary function body for {name}")
-    params_s, body_s = raw[1]
-    param = params_s.items[0].items[0].text
-    return _parse_ite_chain(param, body_s)
+    return _parse_ite_chain(*raw)
 
 
 def _parse_ite_chain(param: str, body) -> FuncValue:
@@ -209,7 +219,9 @@ def _parse_ite_chain(param: str, body) -> FuncValue:
         head = body.items[0].text
         if head != "ite":
             return FuncValue(_parse_int_const(body), exceptions)
-        cond, then, rest = body.items[1], body.items[2], body.items[3]
+        if len(body.items) != 4:
+            raise ModelParseError(f"unsupported function body: {_frag(body)}")
+        _, cond, then, rest = body.items
         if cond.is_atom or len(cond.items) != 3 or cond.items[0].text != "=":
             raise ModelParseError(f"unsupported function body: {_frag(body)}")
         a, b = cond.items[1], cond.items[2]
@@ -222,14 +234,14 @@ def _parse_ite_chain(param: str, body) -> FuncValue:
 def _parse_array_value(name, raw, raw_funs) -> FuncValue:
     if raw is None:
         return FuncValue(0)
-    if raw[0]:
+    if raw[0] is not None:
         raise ModelParseError(f"expected an array value for {name}")
     return _parse_array_expr(raw[1], raw_funs)
 
 
 def _parse_array_expr(body, raw_funs) -> FuncValue:
-    if body.is_atom:
-        raise ModelParseError(f"not an array value: {body.text}")
+    if body.is_atom or not body.items:
+        raise ModelParseError(f"not an array value: {_frag(body)}")
     items = body.items
     head = items[0]
     # (store <array> <index> <value>)
@@ -245,13 +257,12 @@ def _parse_array_expr(body, raw_funs) -> FuncValue:
     if head.is_atom and head.text == "_" and len(items) == 3 and items[1].text == "as-array":
         ref = items[2].text.strip("|")
         raw = raw_funs.get(ref)
-        if raw is None or not raw[0]:
+        if raw is None or raw[0] is None:
             raise ModelParseError(f"as-array refers to unknown function {ref}")
-        params_s, body_s = raw[1]
-        return _parse_ite_chain(params_s.items[0].items[0].text, body_s)
+        return _parse_ite_chain(*raw)
     # (lambda ((x Int)) <body>)
     if head.is_atom and head.text == "lambda" and len(items) == 3:
-        return _parse_ite_chain(items[1].items[0].items[0].text, items[2])
+        return _parse_ite_chain(_param(items[1]), items[2])
     raise ModelParseError(f"unsupported array value: {_frag(body)}")
 
 

@@ -6,10 +6,16 @@ serve as dictionary keys and set members (interval maps, sets of seen
 literals) and be shared freely.  Models are mutable value objects, compared
 by their fields: integers for scalar variables and finite
 default-plus-exceptions functions for arrays.  None of these classes is a
-dataclass: importing :mod:`dataclasses` (and with it :mod:`inspect`) and
-generating each class's methods with ``exec`` would make every start of the
-solver child (:mod:`.minisolver`), which imports this module, about a
-quarter slower to its first answer.
+dataclass: the solver child (:mod:`.minisolver`) imports this module, and
+:mod:`dataclasses` (with :mod:`inspect`) would make every start of it about
+a quarter slower to its first answer.  Instead each node type lists its
+fields once, in ``__slots__``, and ``_Node`` compiles its ``__init__``,
+``__eq__`` and ``__hash__`` from that list: one small compile per node type,
+about 0.15 ms each, and no :mod:`dataclasses` or :mod:`inspect`.
+
+Security.  The compiled source is built only from the templates of
+``_Node.__init_subclass__`` and the ``__slots__`` of this module's node
+types, which Python requires to be identifiers; no input text enters it.
 
 A unary Int -> Int function is an array whose ``ArrayVar`` has
 ``function=True``, which only SMT-LIB printing reads: ``(f x)`` is
@@ -94,13 +100,34 @@ _set = object.__setattr__  # writes a field of a node, whose own __setattr__ rai
 
 class _Node(_Record):
     """Base of the term and formula nodes: immutable, so that they can serve
-    as dictionary keys and set members.  Each node type writes its own
-    ``__init__``, and an ``__eq__`` and ``__hash__`` over the tuple of its
-    fields, as a frozen dataclass generates them: these are hot, and a
-    generic method over the fields compared nested nodes about half as
-    fast."""
+    as dictionary keys and set members.  A node type lists its fields once,
+    in ``__slots__``; :meth:`__init_subclass__` gives it the ``__init__``,
+    ``__eq__`` and ``__hash__`` a frozen dataclass would, written out per
+    type, because these are hot: a generic method over the fields compared
+    nested nodes about half as fast."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__dict__["__slots__"]
+        if not names:  # a base without fields of its own: _Variadic
+            return
+        mine = ", ".join(f"self.{n}" for n in names)
+        theirs = ", ".join(f"other.{n}" for n in names)
+        source = [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return {mine} == {theirs}" if len(names) == 1 else f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine},))",
+        ]
+        if cls.__init__ is object.__init__:  # neither it nor a base writes one
+            source += [f"def __init__(self, {', '.join(names)}):", *(f"    _set(self, {n!r}, {n})" for n in names)]
+        methods: dict = {}
+        exec(compile("\n".join(source), f"<{cls.__name__} methods>", "exec"), {"_set": _set}, methods)  # slot names only
+        for name, method in methods.items():
+            setattr(cls, name, method)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -112,6 +139,20 @@ class _Node(_Record):
         return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
 
 
+class _Variadic(_Node):
+    """A node over a tuple of `args` that flattens each direct child of its
+    own type: Add, Mul, And and Or."""
+
+    __slots__ = ()
+
+    def __init__(self, args: tuple):
+        flat: list = []
+        kind = self.__class__
+        for a in args:
+            flat.extend(a.args) if a.__class__ is kind else flat.append(a)
+        _set(self, "args", tuple(flat))
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -119,83 +160,21 @@ class _Node(_Record):
 class IntConst(_Node):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        _set(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class IntVar(_Node):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
-
-class Add(_Node):
+class Add(_Variadic):
     __slots__ = ("args",)
-
-    def __init__(self, args: tuple[Term, ...]):
-        flat: list[Term] = []
-        for a in args:
-            flat.extend(a.args) if isinstance(a, Add) else flat.append(a)
-        _set(self, "args", tuple(flat))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.args,))
 
 
 class Sub(_Node):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: Term, rhs: Term):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lhs, self.rhs))
-
-
-class Mul(_Node):
+class Mul(_Variadic):
     __slots__ = ("args",)
-
-    def __init__(self, args: tuple[Term, ...]):
-        flat: list[Term] = []
-        for a in args:
-            flat.extend(a.args) if isinstance(a, Mul) else flat.append(a)
-        _set(self, "args", tuple(flat))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.args,))
 
 
 class Ite(_Node):
@@ -203,51 +182,13 @@ class Ite(_Node):
 
     __slots__ = ("cond", "then", "orelse")
 
-    def __init__(self, cond: Formula, then: Term, orelse: Term):
-        _set(self, "cond", cond)
-        _set(self, "then", then)
-        _set(self, "orelse", orelse)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cond, self.then, self.orelse) == (other.cond, other.then, other.orelse)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cond, self.then, self.orelse))
-
 
 class Select(_Node):
     __slots__ = ("array", "index")
 
-    def __init__(self, array: Term, index: Term):
-        _set(self, "array", array)
-        _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.array, self.index) == (other.array, other.index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.array, self.index))
-
 
 class Store(_Node):
     __slots__ = ("array", "index", "value")
-
-    def __init__(self, array: Term, index: Term, value: Term):
-        _set(self, "array", array)
-        _set(self, "index", index)
-        _set(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.array, self.index, self.value) == (other.array, other.index, other.value)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.array, self.index, self.value))
 
 
 class ArrayVar(_Node):
@@ -256,14 +197,6 @@ class ArrayVar(_Node):
     def __init__(self, name: str, function: bool = False):
         _set(self, "name", name)
         _set(self, "function", function)  # a unary function, spelled (f x) in SMT-LIB
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.function) == (other.name, other.function)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.function))
 
 
 # The term node types.  `Term` names them in annotations, which are never
@@ -284,69 +217,17 @@ def is_select_like(t: Term) -> bool:
 class Atom(_Node):
     __slots__ = ("rel", "lhs", "rhs")
 
-    def __init__(self, rel: Rel, lhs: Term, rhs: Term):
-        _set(self, "rel", rel)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rel, self.lhs, self.rhs) == (other.rel, other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rel, self.lhs, self.rhs))
-
 
 class Not(_Node):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Formula):
-        _set(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.arg,) == (other.arg,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.arg,))
-
-
-class And(_Node):
+class And(_Variadic):
     __slots__ = ("args",)
 
-    def __init__(self, args: tuple[Formula, ...]):
-        flat: list[Formula] = []
-        for a in args:
-            flat.extend(a.args) if isinstance(a, And) else flat.append(a)
-        _set(self, "args", tuple(flat))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.args,))
-
-
-class Or(_Node):
+class Or(_Variadic):
     __slots__ = ("args",)
-
-    def __init__(self, args: tuple[Formula, ...]):
-        flat: list[Formula] = []
-        for a in args:
-            flat.extend(a.args) if isinstance(a, Or) else flat.append(a)
-        _set(self, "args", tuple(flat))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.args,))
 
 
 class BoolVar(_Node):
@@ -354,31 +235,9 @@ class BoolVar(_Node):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class BoolConst(_Node):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        _set(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
 
 
 FORMULA_TYPES = Formula = (Atom, Not, And, Or, BoolVar, BoolConst)  # as TERM_TYPES and Term
@@ -634,9 +493,6 @@ _CHILD_TABLE = {
     Store: lambda n: (n.array, n.index, n.value),
 }
 
-_VARIADIC = (And, Or, Add, Mul)
-
-
 def children(node) -> tuple:
     """The child nodes of a term or formula, in pre-order; () for a leaf."""
     try:
@@ -674,7 +530,7 @@ def replace(node, target: Term, repl: Term):
     new = [replace(k, target, repl) for k in kids]
     if kind is Atom:
         return Atom(node.rel, *new)
-    if kind in _VARIADIC:
+    if isinstance(node, _Variadic):
         return kind(tuple(new))
     return kind(*new)
 

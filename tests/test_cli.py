@@ -152,7 +152,7 @@ class TestRun:
         assert code == EXIT_SOLVER
         stats = json.loads(stats_path.read_text())
         assert stats["stop_reason"].startswith("solver failure: ") and "closed its output" in stats["stop_reason"]
-        assert stats["epochs"] == stats["solver_calls"] == 2
+        assert stats["epochs"] == 2 and stats["solver_calls"] == 3  # the failed query counts
         assert len(out.read_text().splitlines()) == stats["unique_samples"] == 10
         assert cov.exists() and stats["raw_coverage"] > 0
         assert "stopped: solver failure: " in capsys.readouterr().out

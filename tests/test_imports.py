@@ -17,7 +17,12 @@ The package and the benchmark scripts alone must read each of these names:
 one that only the tests read belongs in the tests (`tests/oracle.py`).
 
 The solver child, `python -m boxsampler.minisolver`, imports only the
-modules its pipe uses, as each start pays for every module it imports."""
+modules its pipe uses, as each start pays for every module it imports.
+
+A node type of `terms` declares its fields once, in `__slots__`: `_Node`
+generates its `__init__`, `__eq__` and `__hash__`, so no node class body
+writes these, but for the two constructors that do more than store their
+arguments."""
 
 import ast
 import os
@@ -235,3 +240,44 @@ def test_solver_child_loads_no_dataclasses_inspect_or_typing():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True).stdout
     assert ast.literal_eval(out) == []
+
+
+def hand_written_node_methods(source: str) -> list[str]:
+    """`Class.method` of every `__init__`, `__eq__` or `__hash__` that the
+    body of `_Node` or of a class derived from it (in the same module)
+    defines."""
+    nodes, out = {"_Node"}, []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        if stmt.name != "_Node" and not any(isinstance(b, ast.Name) and b.id in nodes for b in stmt.bases):
+            continue
+        nodes.add(stmt.name)
+        out += [
+            f"{stmt.name}.{m.name}"
+            for m in stmt.body
+            if isinstance(m, ast.FunctionDef) and m.name in ("__init__", "__eq__", "__hash__")
+        ]
+    return out
+
+
+def test_node_types_declare_their_fields_once():
+    # ArrayVar has a default; _Variadic flattens the children of its own type
+    assert hand_written_node_methods((SRC / "terms.py").read_text()) == ["_Variadic.__init__", "ArrayVar.__init__"]
+
+
+def test_checker_flags_hand_written_node_methods():
+    source = (
+        "class _Record:\n"
+        "    def __eq__(self, other): pass\n"
+        "class _Node(_Record): pass\n"
+        "class Leaf(_Node):\n"
+        "    def __init__(self): pass\n"
+        "    def __hash__(self): pass\n"
+        "    def other(self): pass\n"
+        "class Branch(Leaf):\n"
+        "    def __eq__(self, other): pass\n"
+        "class Model(_Record):\n"
+        "    def __init__(self): pass\n"
+    )
+    assert hand_written_node_methods(source) == ["Leaf.__init__", "Leaf.__hash__", "Branch.__eq__"]

@@ -24,6 +24,7 @@ from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import (
     BlockingHistory,
     DedupSet,
+    RunStats,
     SampleLayout,
     SamplerConfig,
     canonical_assignment,
@@ -95,7 +96,7 @@ def sat(model: Model) -> SolverVerdict:
 class TestGetSeed:
     def test_random_unique_model(self):
         p = parse_problem("(declare-const x Int)(assert (= x 5))")
-        seed, _, _ = get_seed_random(p, preprocess(p.assertion), LocalSolverClient(), cfg_of(), random.Random(0))
+        seed, _ = get_seed_random(p, preprocess(p.assertion), LocalSolverClient(), cfg_of(), random.Random(0), RunStats())
         assert seed.ints["x"] == 5
 
     def test_random_soft_pulls_toward_target(self):
@@ -103,7 +104,7 @@ class TestGetSeed:
         f = to_nnf(preprocess(p.assertion))
         hits = set()
         for s in range(6):
-            seed, _, _ = get_seed_random(p, f, LocalSolverClient(), cfg_of(random_bound=10), random.Random(s))
+            seed, _ = get_seed_random(p, f, LocalSolverClient(), cfg_of(random_bound=10), random.Random(s), RunStats())
             assert eval_formula(f, seed)
             hits.add(seed.ints["x"])
         assert len(hits) > 1  # randomized targets move the seed around
@@ -111,20 +112,21 @@ class TestGetSeed:
     def test_random_unsat_propagates(self):
         p = parse_problem("(declare-const x Int)(assert (>= x 1))(assert (<= x 0))")
         with pytest.raises(UnsatFormula):
-            get_seed_random(p, preprocess(p.assertion), LocalSolverClient(), cfg_of(), random.Random(0))
+            get_seed_random(p, preprocess(p.assertion), LocalSolverClient(), cfg_of(), random.Random(0), RunStats())
 
     def test_blocking_empty_history(self):
         p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 3)))")
         f = to_nnf(preprocess(p.assertion))
-        seed, was_reset, calls = get_seed_blocking(f, LocalSolverClient(), BlockingHistory(p))
-        assert eval_formula(f, seed) and not was_reset and calls == 1
+        stats = RunStats()
+        seed, was_reset = get_seed_blocking(f, LocalSolverClient(), BlockingHistory(p), stats)
+        assert eval_formula(f, seed) and not was_reset and stats.solver_calls == 1
 
     def test_blocking_avoids_prior_boxes(self):
         p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 3)))")
         f = to_nnf(preprocess(p.assertion))
         prior = BlockingHistory(p)
         prior.add(IntervalMap({X: Interval(0, 1)}))
-        seed, was_reset, _ = get_seed_blocking(f, LocalSolverClient(), prior)
+        seed, was_reset = get_seed_blocking(f, LocalSolverClient(), prior, RunStats())
         assert seed.ints["x"] in (2, 3) and not was_reset
 
     def test_blocking_reset_path(self):
@@ -132,8 +134,9 @@ class TestGetSeed:
         f = to_nnf(preprocess(p.assertion))
         history = BlockingHistory(p)
         history.add(IntervalMap({X: Interval(0, 0)}))
-        seed, was_reset, calls = get_seed_blocking(f, LocalSolverClient(), history)
-        assert seed.ints["x"] == 0 and was_reset and calls == 2
+        stats = RunStats()
+        seed, was_reset = get_seed_blocking(f, LocalSolverClient(), history, stats)
+        assert seed.ints["x"] == 0 and was_reset and stats.solver_calls == 2
         assert history.negations == []  # history cleared
 
     def test_history_declares_the_symbols_only_its_boxes_name(self):
@@ -814,7 +817,7 @@ class TestSampleFormula:
         out = []
         stats = sample_formula(p, cfg, transcript, on_sample=out.append)
         assert stats.stop_reason == "solver failure: solver process died"
-        assert len(transcript.requests) == 3 and stats.solver_calls == stats.epochs == 2
+        assert len(transcript.requests) == stats.solver_calls == 3 and stats.epochs == 2  # the failed query counts
         assert stats.unique_samples == len(out) > 0
         wall = dict(stats.wall_time)
         assert sum(wall.values()) - wall["total"] == pytest.approx(wall["total"], abs=1e-9)

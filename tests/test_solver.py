@@ -15,6 +15,7 @@ from boxsampler.minisolver import LocalSolverClient
 from boxsampler.intervals import Interval, IntervalMap
 from boxsampler.sampler import (
     BlockingHistory,
+    RunStats,
     SamplerConfig,
     canonical_assignment,
     get_seed_blocking,
@@ -145,6 +146,15 @@ class TestParseModel:
             parse_model(read_sexprs("sat")[0], [D("x")])
         with pytest.raises(ModelParseError):
             parse_model(read_sexprs("((define-fun x () Int (+ 1 2 oops)))")[0], [D("x")])
+        for reply, decl in (
+            ("((define-fun f (x) Int 0))", D("f", fn=True)),  # a parameter that is an atom
+            ("((define-fun f ((x Int)) Int (ite (= x 1) 2)))", D("f", fn=True)),  # no else branch
+            ("((define-fun a () (Array Int Int) (lambda (x) 0)))", D("a", Sort.ARRAY)),
+            ("((define-fun a () (Array Int Int) ()))", D("a", Sort.ARRAY)),
+            ("((define-fun x ((y Int)) Int 0))", D("x")),  # a function where a constant is declared
+        ):
+            with pytest.raises(ModelParseError):
+                parse_model(read_sexprs(reply)[0], [decl])
 
 
 class TestLocalClient:
@@ -516,6 +526,27 @@ class TestProcessClient:
         assert client._handle is None
         client.close()
 
+    def test_malformed_model_reply_is_error(self, tmp_path):
+        # a well-formed s-expression that is not a model: the verdict says
+        # so and the process is reset, and no parse error escapes
+        stub = tmp_path / "malformed.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line == '(check-sat)':\n"
+            "        print('sat', flush=True)\n"
+            "    elif line == '(get-model)':\n"
+            "        print('((define-fun f (x) Int 0))', flush=True)\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=5.0)
+        p = parse_problem("(declare-fun f (Int) Int)(assert (>= (f 0) 0))")
+        v = client.solve(SolverRequest(p.declarations, [p.assertion]))
+        assert v.kind == VerdictKind.ERROR
+        assert v.reason == "unexpected parameter list: (x)"
+        assert client._handle is None
+        client.close()
+
     def test_lying_solver_caught_by_recheck(self, tmp_path):
         # answers sat with a model violating the hard constraint
         stub = tmp_path / "liar.py"
@@ -579,9 +610,10 @@ class TestBaseScope:
         history = BlockingHistory(p)
         history.add(IntervalMap({IntVar("x"): Interval(0, 0)}))
         client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
-        seed, was_reset, calls = get_seed_blocking(p.assertion, client, history)
+        stats = RunStats()
+        seed, was_reset = get_seed_blocking(p.assertion, client, history, stats)
         client.close()
-        assert seed.ints["x"] == 0 and was_reset and calls == 2
+        assert seed.ints["x"] == 0 and was_reset and stats.solver_calls == 2
         rebuilt = sent[-3]  # before the get-model write and the exit
         assert rebuilt.startswith("(pop 1)\n(push 1)\n(declare-fun x () Int)")
         assert len(_lines([rebuilt], "(assert ")) == 1

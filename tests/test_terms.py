@@ -41,6 +41,7 @@ from boxsampler.terms import (
     preprocess,
     replace,
     to_nnf,
+    _Node,
 )
 from oracle import (
     env_of_model,
@@ -277,6 +278,26 @@ def test_node_contract(kind):
     if "args" in fields:  # a variadic node flattens a direct child of its own type
         a, b, c = (*values[0], values[0][0])
         assert kind((kind((a, b)), c)).args == (a, b, c)
+
+
+def test_node_cases_cover_every_node_type():
+    """A node type added to `terms` gets a case above, and so a run of
+    test_node_contract: the concrete subclasses of _Node are found by
+    walking __subclasses__(), the bases (named with "_") left out."""
+    found, stack = set(), [_Node]
+    while stack:
+        kind = stack.pop()
+        stack += kind.__subclasses__()
+        if not kind.__name__.startswith("_"):
+            found.add(kind)
+    assert set(NODE_CASES) == found == set(TERM_TYPES + FORMULA_TYPES)
+
+
+def test_variadic_nodes_flatten_only_their_own_type():
+    for outer, inner, (a, b) in ((Add, Mul, (X, Y)), (Mul, Add, (X, Y)), (And, Or, (P, Q)), (Or, And, (P, Q))):
+        nested = inner((a, b))
+        assert outer((nested, a)).args == (nested, a)
+        assert outer((a, outer((nested, b)))).args == (a, nested, b)
 
 
 def test_nodes_of_different_types_with_equal_fields_are_unequal():
