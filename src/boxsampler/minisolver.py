@@ -4,10 +4,13 @@
 input/output to serve as the `--solver-cmd` backend for toy problems when no
 real solver is installed: declare-fun/-const, assert, assert-soft, push/pop
 (which scope declarations and assertions alike), check-sat, get-model,
-reset, exit.  Satisfiability is decided by exhaustive
-scans over growing integer boxes; unsat is only claimed when the feasible
-box was provably finite and fully scanned.  MAX-Solve scans the same region
-and keeps the best soft-constraint score.  Everything is deterministic.
+reset, exit.  Each `check-sat` runs one scan, over one of three orders
+of integer points: the box of the single-variable bounds when it is finite
+and small, in lexicographic order; else the max-norm shells around the
+soft targets, when every soft constraint pins an Int to a constant; else
+boxes of growing radius around the origin, one after another.  The scan
+keeps the best soft-constraint score; unsat is only claimed when the
+finite box was fully scanned.  Everything is deterministic.
 
 The input is read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`,
 through :class:`smtlib.StreamReader`, which frames and reads each command
@@ -26,10 +29,10 @@ which takes a point's values positionally; the arrays, select-like terms
 and constants it gives an array query's enumeration are noted; and its
 single-variable bounds are folded into the unit bounds.
 A query's predicate is the conjunction of those compiled assertions.  A
-blocking query, which only adds assertions, resumes the last finite scan at
-the model that scan found.  For a query over arrays or functions, the
-candidate function values of each point are enumerated after its Booleans,
-in the same loop.
+blocking query, which only adds assertions, resumes the last scan of the
+box at the model that scan found.  For a query over arrays or functions,
+the candidate function values of each point are enumerated after its
+Booleans, in the same loop.
 
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
 scripts, and stops a query at the request's deadline.
@@ -44,12 +47,13 @@ dataclasses alone made the time from spawn to first answer a quarter longer.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
-from .smtlib import Declaration, Parser, StreamReader, _print_sym, print_term
+from .smtlib import Declaration, Parser, StreamReader, _print_sym, numeral, print_term
 from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _extends, _recheck
 from .terms import (
     And,
@@ -77,10 +81,6 @@ _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or fun
 _CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
 
 _MIRRORED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE}
-
-
-def _unknown() -> SolverVerdict:
-    return SolverVerdict(VerdictKind.UNKNOWN, reason="search budget exhausted")
 
 
 def _unit_atom(f: Formula) -> tuple[str, Rel, int] | None:
@@ -196,65 +196,45 @@ def _clocked(items, deadline: float):
     return itertools.chain.from_iterable(runs())
 
 
+def _clip(lo: int, hi: int, bound) -> tuple[int, int]:
+    """[lo, hi] cut to `bound`, a (lo, hi) pair of unit bounds, either None."""
+    bound_lo, bound_hi = bound
+    return (lo if bound_lo is None else max(lo, bound_lo), hi if bound_hi is None else min(hi, bound_hi))
+
+
 def _shell_points(center: list[int], clip, distance: int):
     """Points of the clipped box at max-norm distance exactly `distance`
-    from `center`, each yielded once, in a fixed order."""
-    n = len(center)
-    if n == 0:
-        if distance == 0:
-            yield ()
-        return
-    if distance == 0:
-        if all(_within(center[j], clip[j]) for j in range(n)):
-            yield tuple(center)
-        return
-    for i in range(n):
-        for side in (-distance, distance):
-            xi = center[i] + side
-            if not _within(xi, clip[i]):
-                continue
-            axes = []
-            empty = False
-            for j in range(n):
-                if j == i:
-                    axes.append((xi,))
-                    continue
-                r = distance - 1 if j < i else distance
-                lo, hi = center[j] - r, center[j] + r
-                clo, chi = clip[j]
-                if clo is not None:
-                    lo = max(lo, clo)
-                if chi is not None:
-                    hi = min(hi, chi)
-                if lo > hi:
-                    empty = True
-                    break
-                axes.append(range(lo, hi + 1))
-            if not empty:
-                yield from itertools.product(*axes)
-
-
-def _within(v: int, clip_pair) -> bool:
-    lo, hi = clip_pair
-    return (lo is None or v >= lo) and (hi is None or v <= hi)
+    from `center`, each yielded once, in a fixed order: the faces on which
+    coordinate i is first at that distance, by i and then side, each in
+    lexicographic order."""
+    faces = [(i, side) for i in range(len(center)) for side in (-distance, distance)] if distance else [(0, 0)]
+    for i, side in faces:
+        axes = []
+        for j, (c, bound) in enumerate(zip(center, clip)):
+            r = distance - 1 if j < i else distance
+            lo, hi = _clip(c + side, c + side, bound) if j == i else _clip(c - r, c + r, bound)
+            axes.append(range(lo, hi + 1))
+        yield from itertools.product(*axes)
 
 
 class BruteForceEngine:
     """Deterministic bounded search for models of the supported fragment,
     for one list of declarations.
 
-    Every scan checks points with one predicate over the declared symbols,
-    ints, then bools, then arrays and functions; after a point's ints come
-    the values of its *tail*, the bools and then one :class:`FuncValue`
-    per array or function symbol.
+    A query runs one scan (`_scan`) over one order of points: the
+    unit-bound box (`_box`), the shells around the soft targets (`_shells`)
+    or the radius boxes (`_radius_boxes`).  The scan checks points with one
+    predicate over the declared symbols, ints, then bools, then arrays and
+    functions; after a point's ints come the values of its *tail*, the
+    bools and then one :class:`FuncValue` per array or function symbol.
 
     The engine is incremental.  It keeps the hard formulas of its queries
     (`hard`) with what it found out about each, once: the compiled
     predicate, the arrays, accesses and constants it gives an array query
     (`reads`), and its part of the unit bounds (`bounds`).  A query whose
     hard list extends `hard` (compared as :func:`solver._extends` does)
-    adds only its new formulas; any other hard list starts over.  A finite
-    scan with no soft constraints and no arrays remembers the model it
+    adds only its new formulas; any other hard list starts over.  A scan of
+    the box with no soft constraints and no arrays remembers the model it
     found (`resume`).  The next such scan over the same unit bounds starts
     at that model's point, since every point before it fails formulas that
     the extended list still holds; so each answer equals that of a fresh
@@ -282,7 +262,7 @@ class BruteForceEngine:
         # the array and function symbols `hard` reads, its accesses and its constants
         self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), set())
         self.bounds: dict[str, tuple[int | None, int | None]] = {}
-        self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain finite-scan model
+        self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain box-scan model
 
     def _assert(self, hard: list[Formula]) -> None:
         """Make `hard` the engine's hard list, analysing its new formulas."""
@@ -307,11 +287,7 @@ class BruteForceEngine:
         when it runs past `deadline` (on the `time.monotonic` clock)."""
         self._assert(hard)
         soft = soft or []
-        bounds = self.bounds
-        if any(
-            lo is not None and hi is not None and lo > hi
-            for lo, hi in (bounds.get(v, (None, None)) for v in self.int_vars)
-        ):
+        if any(lo is not None and hi is not None and lo > hi for lo, hi in self.bounds.values()):
             return SolverVerdict(VerdictKind.UNSAT)
         self.checks_left = _MAX_ARRAY_CHECKS
         self.deadline = deadline
@@ -321,109 +297,91 @@ class BruteForceEngine:
             return SolverVerdict(VerdictKind.ERROR, reason=str(exc))
 
     def _search(self, soft) -> SolverVerdict:
+        """Scan one order of points for the best model.  The order is the
+        box of the unit bounds when it is finite and small, from `resume`'s
+        point on for a plain query (no softs, no tails); else the shells
+        around the soft targets when every soft pins an Int to a constant
+        (scanned for the first model, as with no softs); else the radius
+        boxes.  Only a box scanned whole without tails proves unsat."""
         reads = self.reads
         if soft:
             reads = tuple(set(r) for r in reads)
             _note_reads([f for f, _ in soft], *reads)
-        has_funcs = bool(reads[0])
-        tails = self._array_tails(*reads) if has_funcs else None
-        box_points = self._box_size()
-        finite = box_points is not None and box_points <= _MAX_POINTS_PER_SCAN
-        if not finite and not has_funcs:
-            targets = _soft_targets(soft, self.int_vars)
-            if targets is not None:
-                model = self._shell_search(targets)
-                return _unknown() if model is None else SolverVerdict(VerdictKind.SAT, model)
-
-        # a soft equality outside the unit bounds adds to no score in the box
-        soft = [(f, w) for f, w in soft if not _refuted(f, self.bounds)]
-        soft_preds = [compile_predicate([f], self.names) for f, _ in soft]
-        if finite:
-            return self._finite_scan(soft, soft_preds, tails)
-        return self._radius_scan(soft, soft_preds, tails)
-
-    # -- sizing -------------------------------------------------------------
-
-    def _box_size(self) -> int | None:
-        total = 2 ** len(self.bool_vars)
-        for v in self.int_vars:
-            lo, hi = self.bounds.get(v, (None, None))
-            if lo is None or hi is None:
-                return None
-            total *= hi - lo + 1
-            if total > _MAX_POINTS_PER_SCAN:
-                return total
-        return total
-
-    # -- exhaustive scan over a small finite box (sound unsat, true optimum)
-
-    def _finite_scan(self, soft, soft_preds, tails) -> SolverVerdict:
-        """Scan the box of the unit bounds in lexicographic order.  A plain
-        scan (no soft constraints, no tails) starts at `resume`'s point when
-        that was found in the same box, and becomes the new `resume`."""
-        ranges = [range(self.bounds[v][0], self.bounds[v][1] + 1) for v in self.int_vars]
-        plain = not soft and tails is None
-        start = None
-        if plain and self.resume is not None and self.resume[0] == self.bounds:
-            start = self.resume[1]
-        points = _lex_points(ranges, start)
-        result = self._scan(points, soft, -1, sum(w for _, w in soft), soft_preds, tails)
-        if result is None:
-            return _unknown() if tails is not None else SolverVerdict(VerdictKind.UNSAT)
-        model = result[1]
+        tails = self._array_tails(*reads) if reads[0] else None
+        box = self._box()
+        targets = None if box is not None or tails is not None else _soft_targets(soft, self.int_vars)
+        if targets is not None:
+            soft = []
+        else:  # a soft equality outside the unit bounds adds to no score
+            soft = [(f, w) for f, w in soft if not _refuted(f, self.bounds)]
+        plain = box is not None and not soft and tails is None
+        if box is None:
+            points = self._radius_boxes() if targets is None else self._shells(targets)
+        else:
+            resumed = plain and self.resume is not None and self.resume[0] == self.bounds
+            points = _lex_points(box, self.resume[1] if resumed else None)
+        model = self._scan(points, soft, tails)
+        if model is None and box is not None and tails is None:
+            return SolverVerdict(VerdictKind.UNSAT)
+        if model is None:
+            return SolverVerdict(VerdictKind.UNKNOWN, reason="search budget exhausted")
         if plain:
             self.resume = (dict(self.bounds), tuple(model.ints[v] for v in self.int_vars))
         return SolverVerdict(VerdictKind.SAT, model)
 
-    # -- growing concentric boxes around the origin ---------------------------
+    # -- the three point orders ---------------------------------------------
 
-    def _radius_scan(self, soft, soft_preds, tails) -> SolverVerdict:
-        best_model: Model | None = None
-        best_score = -1
-        perfect = sum(w for _, w in soft)
+    def _box(self, radius: int | None = None) -> list[range] | None:
+        """The ranges of the unit-bound box, each clipped to [-radius, radius]
+        when `radius` is given; None when a range is unbounded or the box,
+        with its Bools, holds more than ``_MAX_POINTS_PER_SCAN`` points.  A
+        range is sized as ``hi - lo + 1``, since ``len`` raises on one wider
+        than ``sys.maxsize``."""
+        pairs = [self.bounds.get(v, (None, None)) for v in self.int_vars]
+        if radius is not None:
+            pairs = [_clip(-radius, radius, bound) for bound in pairs]
+        if any(lo is None or hi is None for lo, hi in pairs):
+            return None
+        size = 2 ** len(self.bool_vars) * math.prod(max(hi - lo + 1, 0) for lo, hi in pairs)
+        return None if size > _MAX_POINTS_PER_SCAN else [range(lo, hi + 1) for lo, hi in pairs]
+
+    def _radius_boxes(self):
+        """The points of each box of ``_RADIUS_SCHEDULE`` in turn, each in
+        lexicographic order, up to the first box too large to scan; an empty
+        box holds none.  A point is met again in every larger box, so a scan
+        with a running best answers as one scan per box would."""
         for radius in _RADIUS_SCHEDULE:
-            ranges = []
-            empty = False
-            for v in self.int_vars:
-                lo, hi = self.bounds.get(v, (None, None))
-                lo2 = -radius if lo is None else max(lo, -radius)
-                hi2 = radius if hi is None else min(hi, radius)
-                if lo2 > hi2:
-                    empty = True
-                    break
-                ranges.append(range(lo2, hi2 + 1))
-            if empty:
-                continue
-            total = 2 ** len(self.bool_vars)
-            for r in ranges:
-                total *= len(r)
-            if total > _MAX_POINTS_PER_SCAN:
-                break
-            result = self._scan(itertools.product(*ranges), soft, best_score, perfect, soft_preds, tails)
-            if result is not None:
-                score, model = result
-                if not soft or score >= perfect:
-                    return SolverVerdict(VerdictKind.SAT, model)
-                if score > best_score:
-                    best_score, best_model = score, model
-            if self.checks_left <= 0:
-                break
-        if best_model is not None:
-            return SolverVerdict(VerdictKind.SAT, best_model)
-        return _unknown()
+            ranges = self._box(radius)
+            if ranges is None:
+                return
+            yield from itertools.product(*ranges)
 
-    def _scan(self, points, soft, floor: int, perfect: int, soft_preds, tails):
-        """Scan `points` in order; return (score, model) for the best point
-        above `floor`, or the first satisfying point when there are no softs.
-        Stops at the first point satisfying every soft constraint.  Each
-        point is checked with each of its tails: `tails(point)` for queries
-        over arrays or functions, ``self.int_tails`` when `tails` is None.
-        An array or function query stops scanning once it has made
-        ``_MAX_ARRAY_CHECKS`` checks.  A query with a deadline raises
-        `TimeoutError` when it finds the clock past it."""
+    def _shells(self, targets: dict[str, int]):
+        """The points of the unit-bound box by max-norm distance from
+        `targets`, nearest shell first, up to ``_MAX_SHELL_DISTANCE`` and
+        ``4 * _MAX_POINTS_PER_SCAN`` points."""
+        center = [targets.get(v, 0) for v in self.int_vars]
+        clip = [self.bounds.get(v, (None, None)) for v in self.int_vars]
+        shells = (_shell_points(center, clip, d) for d in range(_MAX_SHELL_DISTANCE + 1))
+        return itertools.islice(itertools.chain.from_iterable(shells), _MAX_POINTS_PER_SCAN * 4)
+
+    # -- the scan -------------------------------------------------------------
+
+    def _scan(self, points, soft, tails) -> Model | None:
+        """The best model among `points`, scanned in order: the first of the
+        highest soft score, or the first model when there are no softs;
+        None when no point has one.  Stops at the first point satisfying
+        every soft constraint.  Each point is checked with each of its
+        tails: `tails(point)` for queries over arrays or functions,
+        ``self.int_tails`` when `tails` is None.  An array or function query
+        stops scanning once it has made ``_MAX_ARRAY_CHECKS`` checks.  A
+        query with a deadline raises `TimeoutError` when it finds the clock
+        past it."""
         best = None
-        best_score = floor
+        best_score = -1
         weights = [w for _, w in soft]
+        soft_preds = [compile_predicate([f], self.names) for f, _ in soft]
+        perfect = sum(weights)
         pred = self.pred
         if tails is None:
             scan = zip(points, itertools.repeat(self.int_tails))
@@ -436,14 +394,14 @@ class BruteForceEngine:
                 if not pred(*point, *tail):
                     continue
                 if not soft:
-                    return (0, self._model_of(point, tail))
+                    return self._model_of(point, tail)
                 score = sum(w for sp, w in zip(soft_preds, weights) if sp(*point, *tail))
                 if score > best_score:
                     best = self._model_of(point, tail)
                     best_score = score
                     if best_score >= perfect:
-                        return (best_score, best)
-        return None if best is None else (best_score, best)
+                        return best
+        return best
 
     def _budgeted(self, points, tails):
         """One `(point, (tail,))` pair per candidate, until the query's
@@ -461,16 +419,6 @@ class BruteForceEngine:
             bools=dict(zip(self.bool_vars, tail)),
             funcs={s: fv.copy() for s, fv in zip(self.func_syms, tail[len(self.bool_vars):])},
         )
-
-    # -- expanding max-norm shells around the soft-equality target point -----
-
-    def _shell_search(self, targets: dict[str, int]) -> Model | None:
-        center = [targets.get(v, 0) for v in self.int_vars]
-        clip = [self.bounds.get(v, (None, None)) for v in self.int_vars]
-        shells = (_shell_points(center, clip, d) for d in range(_MAX_SHELL_DISTANCE + 1))
-        points = itertools.islice(itertools.chain.from_iterable(shells), _MAX_POINTS_PER_SCAN * 4)
-        result = self._scan(points, [], -1, 0, [], None)
-        return None if result is None else result[1]
 
     def _array_tails(self, used, accesses, constants):
         """`tails(point)`: the tails of a point for formulas over arrays or
@@ -589,11 +537,11 @@ class _Session:
                 self.engine = None
                 return True
             if head == "push":
-                for _ in range(int(args[0].text) if args else 1):
+                for _ in range(_count(args[0]) if args else 1):
                     self.frames.append(([], [], dict(self.parser.decls), dict(self.parser.macros)))
                 return True
             if head == "pop":
-                for _ in range(int(args[0].text) if args else 1):
+                for _ in range(_count(args[0]) if args else 1):
                     if len(self.frames) > 1:
                         _, _, self.parser.decls, self.parser.macros = self.frames.pop()
                 return True
@@ -610,7 +558,7 @@ class _Session:
                 while rest:
                     item = rest.pop(0)
                     if item.is_atom and item.text == ":weight" and rest:
-                        weight = int(rest.pop(0).text)
+                        weight = _count(rest.pop(0))
                 self.frames[-1][1].append((f, weight))
                 return True
             if head == "check-sat":
@@ -631,6 +579,14 @@ class _Session:
         except (UnsupportedFeature, ValueError, IndexError) as exc:
             self.error(str(exc))
         return True
+
+
+def _count(arg) -> int:
+    """The value of `arg`, the numeral of a push, a pop or a weight."""
+    value = numeral(arg.text)
+    if value is None:
+        raise arg.error("expected a numeral")
+    return value
 
 
 def _format_model(model: Model, declarations: list[Declaration]) -> str:

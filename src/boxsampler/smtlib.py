@@ -461,8 +461,9 @@ class Parser:
             return BoolConst(True)
         if text == "false":
             return BoolConst(False)
-        if text.isdigit() or (text[0] == "-" and text[1:].isdigit()):
-            return IntConst(int(text))
+        value = numeral(text)
+        if value is not None:
+            return IntConst(value)
         if text.startswith("#"):
             raise UnsupportedFeature("bit-vector and hex literals are not supported")
         name = _sym(text)
@@ -496,6 +497,16 @@ class Parser:
     def _want_array(self, x, s):
         if self._is_formula(x) or sort_of(x) != Sort.ARRAY:
             raise s.error("expected an (Array Int Int) expression")
+
+
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
+def numeral(text: str) -> int | None:
+    """The integer that `text` spells in ASCII digits, with a leading "-"
+    when negative, as solvers print model values; None for any other text,
+    such as "²" or "٣", which `str.isdigit` accepts."""
+    return int(text) if _NUMERAL.fullmatch(text) else None
 
 
 def _xor(a: Formula, b: Formula) -> Formula:

@@ -9,7 +9,7 @@ it again.  So a blocking run sends each box negation once, and the random
 strategy sends its formula once.  The *query scope*, pushed inside the
 base, holds the soft constraints, `check-sat` and `get-model`, and is
 popped after the answer.  Soft constraints use the assert-soft
-convention; when the configured solver rejects that syntax the query
+convention; once the configured solver rejects that syntax, each query
 silently degrades to a plain solve and the verdict is flagged.  Every
 satisfiable answer is re-checked against the hard constraints with the
 internal evaluator before being returned.
@@ -40,7 +40,7 @@ import time
 from enum import Enum
 
 from .errors import ModelParseError, SmtSyntaxError
-from .smtlib import Declaration, StreamReader, print_declaration, print_formula
+from .smtlib import Declaration, StreamReader, numeral, print_declaration, print_formula
 from .terms import (
     Formula,
     FuncValue,
@@ -154,14 +154,12 @@ def parse_model(reply, declarations: list[Declaration]) -> Model:
     decl_by_name = {d.name: d for d in declarations}
     for name, decl in decl_by_name.items():
         raw = raw_funs.get(name)
-        if decl.is_function:
-            model.funcs[name] = _parse_fun_value(name, raw, raw_funs)
-        elif decl.sort == Sort.INT:
+        if decl.sort == Sort.INT:
             model.ints[name] = 0 if raw is None else _parse_int_const(_constant(name, raw))
         elif decl.sort == Sort.BOOL:
             model.bools[name] = False if raw is None else _parse_bool_const(_constant(name, raw))
         else:
-            model.funcs[name] = _parse_array_value(name, raw, raw_funs)
+            model.funcs[name] = _parse_func_value(decl, raw, raw_funs)
     return model
 
 
@@ -188,10 +186,10 @@ def _frag(sexpr) -> str:
 
 def _parse_int_const(body) -> int:
     if body.is_atom:
-        t = body.text
-        if t.isdigit() or (t.startswith("-") and t[1:].isdigit()):
-            return int(t)
-        raise ModelParseError(f"not an integer constant: {t}")
+        value = numeral(body.text)
+        if value is None:
+            raise ModelParseError(f"not an integer constant: {body.text}")
+        return value
     if len(body.items) == 2 and body.items[0].is_atom and body.items[0].text == "-":
         return -_parse_int_const(body.items[1])
     raise ModelParseError(f"not an integer constant: {_frag(body)}")
@@ -203,12 +201,18 @@ def _parse_bool_const(body) -> bool:
     raise ModelParseError(f"not a boolean constant: {_frag(body)}")
 
 
-def _parse_fun_value(name, raw, raw_funs) -> FuncValue:
+def _parse_func_value(decl: Declaration, raw, raw_funs) -> FuncValue:
+    """The value of the array or function `decl` from its (parameter,
+    body) definition `raw`: an ite chain over the parameter of a function,
+    or an array expression, whose as-array references are entries of
+    `raw_funs`.  A parameter list is there exactly for a function."""
     if raw is None:
         return FuncValue(0)
-    if raw[0] is None:
-        raise ModelParseError(f"expected a unary function body for {name}")
-    return _parse_ite_chain(*raw)
+    param, body = raw
+    if (param is not None) != decl.is_function:
+        kind = "a unary function body" if decl.is_function else "an array value"
+        raise ModelParseError(f"expected {kind} for {decl.name}")
+    return _parse_ite_chain(param, body) if decl.is_function else _parse_array_expr(body, raw_funs)
 
 
 def _parse_ite_chain(param: str, body) -> FuncValue:
@@ -229,14 +233,6 @@ def _parse_ite_chain(param: str, body) -> FuncValue:
         key = _parse_int_const(key_expr)
         exceptions.setdefault(key, _parse_int_const(then))
         body = rest
-
-
-def _parse_array_value(name, raw, raw_funs) -> FuncValue:
-    if raw is None:
-        return FuncValue(0)
-    if raw[0] is not None:
-        raise ModelParseError(f"expected an array value for {name}")
-    return _parse_array_expr(raw[1], raw_funs)
 
 
 def _parse_array_expr(body, raw_funs) -> FuncValue:
@@ -328,7 +324,12 @@ class ProcessSolverClient(SolverClient):
     that extends it is sent as its new declarations and hard formulas, and
     any other request rebuilds the base.  A reset (timeout, end of output,
     an unreadable or error reply, a dead child) forgets the base along with
-    the child."""
+    the child.
+
+    The client learns whether the solver takes assert-soft from the answers
+    to its soft queries: an ``(error ...)`` reply that names assert-soft, or
+    the SMT-LIB answer ``unsupported``, rejects it, and that query and
+    every later one are asked without their soft constraints."""
 
     def __init__(self, cmd: str = "z3 -in", timeout: float = 60.0):
         import shlex
@@ -336,7 +337,7 @@ class ProcessSolverClient(SolverClient):
         self.cmd = shlex.split(cmd)
         self.timeout = timeout
         self._handle: _ProcessHandle | None = None
-        self._soft_supported: bool | None = None
+        self._soft_supported = True  # until the answer to a soft query rejects assert-soft
         self._base: tuple[list[Declaration], list[Formula]] = ([], [])
 
     # -- lifecycle ---------------------------------------------------------
@@ -369,34 +370,16 @@ class ProcessSolverClient(SolverClient):
         return _recheck(req, self._query(req, use_soft=False))
 
     def max_solve(self, req: SolverRequest) -> SolverVerdict:
-        if req.soft and self._soft_probe():
+        if req.soft and self._soft_supported:
             verdict = self._query(req, use_soft=True)
-            if verdict.kind != VerdictKind.ERROR or "assert-soft" not in verdict.reason:
+            rejected = verdict.reason == "unsupported" or "assert-soft" in verdict.reason
+            if verdict.kind != VerdictKind.ERROR or not rejected:
                 return _recheck(req, verdict)
             self._soft_supported = False
         hard_only = SolverRequest(req.declarations, req.hard, [], req.deadline)
         verdict = self._query(hard_only, use_soft=False)
         verdict.degraded = bool(req.soft)
         return _recheck(req, verdict)
-
-    def _soft_probe(self) -> bool:
-        """Whether the solver takes assert-soft.  The probe runs inside the
-        base scope, whose formulas may be unsat, so any verdict means yes
-        and only an ``(error ...)`` reply means no."""
-        if self._soft_supported is None:
-            try:
-                handle = self._ensure()
-                deadline = time.monotonic() + min(self.timeout, 10.0)
-                handle.send("(push 1)\n(assert-soft true :weight 1)\n(check-sat)")
-                answer = handle.reply(deadline)
-                handle.send("(pop 1)")
-                self._soft_supported = answer.is_atom
-                if not self._soft_supported:
-                    self._reset()
-            except Exception:
-                self._soft_supported = False
-                self._reset()
-        return self._soft_supported
 
     def _base_commands(self, req: SolverRequest) -> list[str]:
         """The commands that make the base scope hold `req`'s declarations
@@ -422,7 +405,7 @@ class ProcessSolverClient(SolverClient):
                 commands += [f"(assert-soft {print_formula(f)} :weight {weight})" for f, weight in req.soft]
             handle.send("\n".join([*commands, "(check-sat)"]))
             answer = handle.reply(deadline)
-            if not answer.is_atom:
+            if not answer.is_atom or answer.text == "unsupported":
                 self._reset()
                 return SolverVerdict(VerdictKind.ERROR, reason=_frag(answer))
             if answer.text == "unsat":

@@ -162,6 +162,15 @@ class TestRun:
         bad.write_text("(declare-const x Int)(assert (= (div x 2) 1))")
         assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
 
+    def test_a_numeral_in_other_digits_is_a_syntax_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.smt2"
+        bad.write_text("(declare-const x Int)\n(assert (= x ²))")
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"x": 0}\n')
+        assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
+        assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
+        assert capsys.readouterr().err == "unsupported input: 2:13: undeclared symbol '²'\n" * 2
+
     @pytest.mark.parametrize(
         "extra, message",
         [

@@ -11,6 +11,7 @@ import hashlib
 import io
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -21,9 +22,11 @@ from boxsampler import minisolver
 from boxsampler.compiled import compile_predicate
 from boxsampler.minisolver import BruteForceEngine, LocalSolverClient, _Session
 from boxsampler.sampler import SamplerConfig, sample_formula
-from boxsampler.smtlib import parse_problem, print_term
+from boxsampler.smtlib import Declaration, parse_problem, print_term
 from boxsampler.solver import SolverRequest, VerdictKind
-from boxsampler.terms import Add, Atom, IntConst, IntVar, Model, Rel, Sort
+from boxsampler.terms import Add, Atom, BoolVar, IntConst, IntVar, Model, Or, Rel, Sort
+
+from oracle import random_atom, random_formula
 
 SUM4 = (
     "(declare-const a Int)(declare-const b Int)(declare-const c Int)(declare-const d Int)"
@@ -247,3 +250,60 @@ def test_a_random_run_stops_at_its_time_limit_inside_a_query():
     stats = sample_formula(parse_problem(SUM4), cfg, LocalSolverClient(), random.Random(0))
     assert stats.stop_reason == "total time limit"
     assert stats.wall_time["total"] < 2.25
+
+
+# ---------------------------------------------------------------------------
+# Int-only answers of each point order
+
+WIDE = 4 * sys.maxsize  # a unit bound wider than any `range` length
+
+
+def _int_query(s: int) -> SolverRequest:
+    """A seeded query over up to three Ints and sometimes a Bool, for one
+    of the engine's point orders in turn: the shells around unit soft
+    targets; the radius boxes with no softs, or with softs that are not
+    unit equalities; the box of small unit bounds; and the radius boxes
+    with a hard sum beyond their reach, which run out.  Half of the
+    queries that are not box queries also bound `x` within [0, WIDE].
+    Int-only: no arrays or functions."""
+    rng = random.Random(s)
+    ints = ["x", "y", "z"][: rng.randint(2, 3)]
+    decls = [Declaration(v, Sort.INT) for v in ints]
+    hard = [random_formula(rng, ints, 1)]
+    if rng.random() < 0.4:
+        decls.append(Declaration("p", Sort.BOOL))
+        hard.append(Or((BoolVar("p"), random_atom(rng, ints))))
+    soft = []
+    order = s % 4
+    if order == 0:
+        soft = [(Atom(Rel.EQ, IntVar(v), IntConst(rng.randint(-30, 30))), rng.randint(1, 3)) for v in ints]
+    elif order == 1 and rng.random() < 0.6:
+        sums = (Add((IntVar(rng.choice(ints)), IntConst(0))) for _ in range(2))
+        soft = [(Atom(Rel.EQ, t, IntConst(rng.randint(-30, 30))), rng.randint(1, 3)) for t in sums]
+    elif order == 2:
+        for v in ints:
+            lo = rng.randint(-4, 2)
+            hard += [Atom(Rel.GE, IntVar(v), IntConst(lo)), Atom(Rel.LE, IntVar(v), IntConst(lo + rng.randint(0, 3)))]
+        if rng.random() < 0.5:
+            soft = [(Atom(Rel.EQ, IntVar(v), IntConst(rng.randint(-5, 5))), 1) for v in ints]
+    elif order == 3:
+        hard.append(Atom(Rel.EQ, Add((IntVar("x"), IntVar("y"))), IntConst(rng.choice([-1, 1]) * rng.randint(400, 500))))
+    if order != 2 and s % 8 < 4:
+        hard += [Atom(Rel.GE, IntVar("x"), IntConst(0)), Atom(Rel.LE, IntVar("x"), IntConst(WIDE))]
+    return SolverRequest(decls, hard, soft)
+
+
+def test_int_answers_match_pinned_digest():
+    """The (status, model) answers of the brute-force engine on seeded
+    Int-only queries over each point order equal the pinned ones."""
+    digest = hashlib.sha256()
+    statuses = set()
+    client = LocalSolverClient()
+    for s in range(24):
+        req = _int_query(s)
+        v = client.max_solve(req) if req.soft else client.solve(req)
+        statuses.add(v.kind)
+        model = None if v.model is None else (sorted(v.model.ints.items()), sorted(v.model.bools.items()))
+        digest.update(repr((v.kind.value, model)).encode())
+    assert statuses == {VerdictKind.SAT, VerdictKind.UNSAT, VerdictKind.UNKNOWN}
+    assert digest.hexdigest() == "06d4cbf199273790f79222654aee7c5160fcab7fc2d142717bb39a54857f170c"

@@ -148,6 +148,9 @@ class TestErrorPositions:
         ("(declare-const x Int)\n(assert (> |x 0))", "unterminated quoted symbol", 2, 11),
         ("(declare-const x Int)\n(assert (> x 0))\n(assert (< y 5))", "undeclared symbol 'y'", 3, 11),
         ("(declare-const x Int)\n\t(assert (+ x 1))", "assert expects a Bool expression", 2, 1),
+        # numerals are ASCII digits: others that `str.isdigit` takes are symbols
+        ("(declare-const x Int)\n(assert (= x ²))", "undeclared symbol '²'", 2, 13),
+        ("(declare-const x Int)\n(assert (= x ٣))", "undeclared symbol '٣'", 2, 13),
     ])
     def test_position_of_the_offending_token(self, text, message, line, col):
         with pytest.raises(SmtSyntaxError) as info:

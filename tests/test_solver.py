@@ -152,6 +152,8 @@ class TestParseModel:
             ("((define-fun a () (Array Int Int) (lambda (x) 0)))", D("a", Sort.ARRAY)),
             ("((define-fun a () (Array Int Int) ()))", D("a", Sort.ARRAY)),
             ("((define-fun x ((y Int)) Int 0))", D("x")),  # a function where a constant is declared
+            ("((define-fun f () Int 0))", D("f", fn=True)),  # a constant where a function is declared
+            ("((define-fun a ((x Int)) Int 0))", D("a", Sort.ARRAY)),  # a function where an array is declared
         ):
             with pytest.raises(ModelParseError):
                 parse_model(read_sexprs(reply)[0], [decl])
@@ -267,6 +269,13 @@ def test_pipe_pop_drops_the_declarations_of_its_scope():
         "(error \"13:11: undeclared symbol 'two'\")",
         "(error \"15:11: undeclared symbol 'w'\")",
     ]
+
+
+@pytest.mark.parametrize("command", ["(push \u0663)", "(assert-soft (> x 0) :weight \u00b2)"])
+def test_pipe_counts_and_weights_are_ascii_numerals(command):
+    # "\u0663" (Arabic-Indic three) and "\u00b2" are digits to `str.isdigit`
+    lines = _minisolver(f"(declare-const x Int)\n{command}\n(pop 1)\n(assert (< x 0))\n(check-sat)\n")
+    assert lines == [f'(error "2:{len(command) - 2}: expected a numeral")', "sat"]
 
 
 ARRAY_DECLS = [D("i"), D("j"), D("p", Sort.BOOL), D("a", Sort.ARRAY), D("g", fn=True)]
@@ -488,6 +497,48 @@ class TestProcessClient:
         assert v.is_sat and v.degraded and v.model.ints["x"] == 5
         client.close()
 
+    def test_an_unsupported_answer_to_assert_soft_degrades(self, tmp_path, sent):
+        # SMT-LIB has a solver answer `unsupported` to a command it does not
+        # take; the random run's first query learns it, and no probe is sent
+        stub = tmp_path / "unsupported.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line.startswith('(assert-soft'):\n"
+            "        print('unsupported', flush=True)\n"
+            "    elif line == '(check-sat)':\n"
+            "        print('sat', flush=True)\n"
+            "    elif line == '(get-model)':\n"
+            "        print('((define-fun x () Int 5))', flush=True)\n"
+            "    elif line == '(exit)':\n"
+            "        break\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=5.0)
+        cfg = SamplerConfig(strategy="random", max_samples=1)
+        stats = sample_formula(parse_problem("(declare-const x Int)(assert (>= x 0))"), cfg, client, random.Random(0))
+        client.close()
+        assert stats.unique_samples == 1 and stats.solver_calls == 1 and stats.maxsmt_degradations == 1
+        assert len(_lines(sent, "(assert-soft ")) == 1 and len(_lines(sent, "(check-sat)")) == 2
+
+    def test_a_model_value_in_other_digits_is_error(self, tmp_path):
+        # "²" is a digit to `str.isdigit`, not a numeral
+        stub = tmp_path / "superscript.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line == '(check-sat)':\n"
+            "        print('sat', flush=True)\n"
+            "    elif line == '(get-model)':\n"
+            "        print('((define-fun x () Int \u00b2))', flush=True)\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=5.0)
+        p = parse_problem("(declare-const x Int)(assert (>= x 0))")
+        v = client.solve(SolverRequest(p.declarations, [p.assertion]))
+        client.close()
+        assert v.kind == VerdictKind.ERROR and v.reason == "not an integer constant: \u00b2"
+
     def test_error_with_backslash_before_quote_is_read_at_once(self, tmp_path):
         # the message ends in a backslash; a quote is escaped only by "" in
         # SMT-LIB 2.6, so the answer is one complete line
@@ -633,7 +684,7 @@ class TestBaseScope:
         assert len(_lines(sent, "(assert ")) == 2 and len(_lines(sent, "(declare-")) == 2
 
     def test_soft_constraints_are_honored_after_an_unsat_query(self):
-        # the soft probe runs inside the unsat base of the query before
+        # the first soft query follows an unsat one in the same child
         client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
         p = parse_problem("(declare-const x Int)(assert (>= x 1))(assert (<= x 0))")
         assert client.solve(SolverRequest(p.declarations, [p.assertion])).kind == VerdictKind.UNSAT
