@@ -139,12 +139,25 @@ def _cmd_run(args) -> int:
             fh = sinks[key] = open(path, "w", encoding="utf-8")
         return fh
 
+    # Coverage is folded once per epoch, over the epoch's fresh samples,
+    # before its intervals line is written; one last fold after the run
+    # takes what a stop inside an epoch (Ctrl-C, a solver failure) left
+    # pending.  A fold cut short by Ctrl-C is repeated whole, which leaves
+    # the same bitmap: a fold only ORs bits in.
+    pending: list[Model] = []
+
+    def fold_coverage():
+        if pending:
+            coverage_mod.record_sample(bitmap, nnf, *pending)
+            pending.clear()
+
     def on_sample(sample: Model):
         _writer("samples", samples_path).write(json.dumps(sample_to_json(sample), sort_keys=True) + "\n")
         if bitmap is not None:
-            coverage_mod.record_sample(bitmap, nnf, sample)
+            pending.append(sample)
 
     def on_epoch(epoch):
+        fold_coverage()
         if args.intervals_out:
             _writer("intervals", args.intervals_out).write(json.dumps(to_json_obj(epoch.intervals)) + "\n")
 
@@ -156,6 +169,7 @@ def _cmd_run(args) -> int:
         client.close()
 
     if bitmap is not None:
+        fold_coverage()
         coverage_mod.write_bitmap(bitmap, args.coverage_out)
         stats.raw_coverage = coverage_mod.raw_coverage(bitmap)
     if args.stats_out:

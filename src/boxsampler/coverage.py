@@ -7,12 +7,24 @@ included.  A bit counts as covered once it has been observed as both 0 and
 1 across the recorded samples.  Nodes are numbered in deterministic
 pre-order, so bitmaps from different runs over the same input can be
 compared and merged.
+
+Samples are folded into a bitmap in batches.  The fold reduces each node's
+values over the batch to their OR and their AND, a sample at a time, each
+step one ``map`` over every node that runs in C; then an integer node gains
+``OR(values)`` in its seen-one mask and ``~AND(values)`` in its seen-zero
+mask, since the OR of every ``~v`` is ``~AND(v)``, and a Boolean node gains
+one if any value is true and zero if any is false.  A batch thus costs one
+Python step per sample plus one per node, not one per node and sample, and
+a one-sample batch has nothing to reduce.  A fold only ORs bits in, so
+folding the same samples again, or in any split or order, leaves the same
+bitmap.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import and_, or_
 
 from .compiled import compile_node_values
 from .errors import BitmapMismatch, UnassignedSymbol
@@ -82,28 +94,43 @@ def _symbols(f: Formula) -> list[tuple[str, str]]:
     return [(_MODEL_FIELD[sort], name) for name, sort in free_symbols(f).items()]
 
 
-def record_sample(bm: CoverageBitmap, f: Formula, sample: Model) -> CoverageBitmap:
-    """Fold one sample into the bitmap: every AST node's value is computed
-    once, by `f` compiled over its symbols with
-    :func:`compiled.compile_node_values`, and its bits accumulated.  Raises
-    :class:`UnassignedSymbol` if `sample` lacks a symbol of `f`."""
+def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBitmap:
+    """Fold `samples`, any number of them, into the bitmap.
+
+    Every AST node's value is computed once per sample, by `f` compiled
+    over its symbols with :func:`compiled.compile_node_values`.  The values
+    are then reduced per node over the whole batch, one ``map`` over all
+    nodes per further sample, and folded in: an integer node's
+    seen-one mask gains the OR of its values and its seen-zero mask the
+    complement of their AND (the OR of the complements), both cut to the
+    low 64 bits of two's complement; a Boolean node gains one if any value
+    is true and zero if any is false.  The fold only ORs bits in, so it is
+    idempotent: repeating it, or folding the samples one at a time or in
+    any other batches, leaves the same bitmap.  No samples is a no-op.
+    Raises :class:`UnassignedSymbol`, before any mask changes, if a sample
+    lacks a symbol of `f`."""
+    if not samples:
+        return bm
     if bm._compiled is None or bm._compiled[0] is not f:
         symbols = _symbols(f)
         bm._compiled = (f, symbols, *compile_node_values(f, [name for _, name in symbols]))
     _, symbols, values, int_nodes, bool_nodes = bm._compiled
     try:
-        args = [getattr(sample, field_name)[name] for field_name, name in symbols]
+        rows = [values(*[getattr(sample, field_name)[name] for field_name, name in symbols]) for sample in samples]
     except KeyError as e:
         raise UnassignedSymbol(e.args[0]) from None
-    ints, bools = values(*args)
+    (ors, somes), (ands, everys) = rows[0], rows[0]
+    for ints, bools in rows[1:]:
+        ors, ands = list(map(or_, ors, ints)), list(map(and_, ands, ints))
+        somes, everys = list(map(or_, somes, bools)), list(map(and_, everys, bools))
     zero, one = bm.seen_zero, bm.seen_one
-    for i, v in zip(int_nodes, ints):
-        one[i] |= v & _WORD  # two's complement low bits
-        zero[i] |= ~v & _WORD
-    for i, v in zip(bool_nodes, bools):
-        if v:
+    for i, ored, anded in zip(int_nodes, ors, ands):
+        one[i] |= ored & _WORD  # two's complement low bits
+        zero[i] |= ~anded & _WORD
+    for i, some, every in zip(bool_nodes, somes, everys):
+        if some:
             one[i] |= 1
-        else:
+        if not every:
             zero[i] |= 1
     return bm
 

@@ -583,7 +583,7 @@ class _Session:
 
 def _count(arg) -> int:
     """The value of `arg`, the numeral of a push, a pop or a weight."""
-    value = numeral(arg.text)
+    value = numeral(arg.text, arg.error)
     if value is None:
         raise arg.error("expected a numeral")
     return value

@@ -28,6 +28,8 @@ as ``Select(ArrayVar("f", function=True), x)`` and printed back as ``(f x)``.
 from __future__ import annotations
 
 import re
+import sys
+from collections.abc import Callable
 
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .terms import (
@@ -461,7 +463,7 @@ class Parser:
             return BoolConst(True)
         if text == "false":
             return BoolConst(False)
-        value = numeral(text)
+        value = numeral(text, s.error)
         if value is not None:
             return IntConst(value)
         if text.startswith("#"):
@@ -502,11 +504,19 @@ class Parser:
 _NUMERAL = re.compile(r"-?[0-9]+")
 
 
-def numeral(text: str) -> int | None:
+def numeral(text: str, error: Callable[[str], Exception]) -> int | None:
     """The integer that `text` spells in ASCII digits, with a leading "-"
     when negative, as solvers print model values; None for any other text,
-    such as "²" or "٣", which `str.isdigit` accepts."""
-    return int(text) if _NUMERAL.fullmatch(text) else None
+    such as "²" or "٣", which `str.isdigit` accepts.  A numeral longer than
+    Python converts (4300 digits by default) raises ``error(message)``, so
+    each caller reports it as its own input's error."""
+    if not _NUMERAL.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise error(f"numeral of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _xor(a: Formula, b: Formula) -> Formula:

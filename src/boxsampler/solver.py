@@ -186,7 +186,7 @@ def _frag(sexpr) -> str:
 
 def _parse_int_const(body) -> int:
     if body.is_atom:
-        value = numeral(body.text)
+        value = numeral(body.text, ModelParseError)
         if value is None:
             raise ModelParseError(f"not an integer constant: {body.text}")
         return value

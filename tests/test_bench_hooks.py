@@ -57,17 +57,22 @@ def test_exploit_epoch_takes_the_config_sixth():
 
 def test_cli_emits_through_module_globals(monkeypatch, data_dir, tmp_path):
     calls = dict.fromkeys(("sample_to_json", "to_json_obj", "record_sample"), 0)
+    emitted, folded = [], []
 
-    def counting(name, fn):
+    def counting(name, fn, seen=None):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if seen is not None:
+                seen.append(args)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(cli, "sample_to_json", counting("sample_to_json", cli.sample_to_json))
+    monkeypatch.setattr(cli, "sample_to_json", counting("sample_to_json", cli.sample_to_json, emitted))
     monkeypatch.setattr(cli, "to_json_obj", counting("to_json_obj", cli.to_json_obj))
-    monkeypatch.setattr(cli.coverage_mod, "record_sample", counting("record_sample", cli.coverage_mod.record_sample))
+    monkeypatch.setattr(
+        cli.coverage_mod, "record_sample", counting("record_sample", cli.coverage_mod.record_sample, folded)
+    )
     stats_path = tmp_path / "stats.json"
     code = cli.main([
         "run", str(data_dir / "intro.smt2"), "--inject-seed", '{"x": 12, "y": 2}', "--max-samples", "60",
@@ -78,8 +83,11 @@ def test_cli_emits_through_module_globals(monkeypatch, data_dir, tmp_path):
     assert code == cli.EXIT_OK
     stats = json.loads(stats_path.read_text())
     assert stats["epochs"] > 1
-    assert calls == {
-        "sample_to_json": stats["unique_samples"],
-        "to_json_obj": stats["epochs"],
-        "record_sample": stats["unique_samples"],
-    }
+    assert calls["sample_to_json"] == stats["unique_samples"]
+    assert calls["to_json_obj"] == stats["epochs"]
+    # coverage is folded in batches, none empty: every emitted sample object
+    # is folded exactly once
+    batches = [args[2:] for args in folded]
+    assert 0 < len(batches) <= stats["epochs"] and all(batches)
+    assert sum(map(len, batches)) == stats["unique_samples"]
+    assert sorted(map(id, (s for b in batches for s in b))) == sorted(id(s) for (s,) in emitted)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from boxsampler import cli
+from boxsampler import coverage as coverage_mod
 from boxsampler.cli import (
     EXIT_ERROR,
     EXIT_INTERRUPTED,
@@ -19,9 +20,15 @@ from boxsampler.cli import (
 )
 from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
-from boxsampler.terms import eval_formula
+from boxsampler.terms import eval_formula, preprocess, to_nnf
 
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
+
+# Python caps int(str) at 4300 digits by default from 3.11 and 3.10.7 on;
+# where there is no cap (older, or PYTHONINTMAXSTRDIGITS=0) a long numeral is fine
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int(str) has no digit limit"
+)
 
 # The minisolver, but its input ends where the third check-sat begins: it
 # answers two queries and exits.
@@ -52,6 +59,17 @@ def run_cli(*args) -> int:
 def model_from_line(obj: dict, problem):
     layout = SampleLayout(problem.declarations)
     return layout.model(layout.from_json(obj))
+
+
+def bitmap_of_samples_file(problem_path, samples_path):
+    """The coverage bitmap of the samples in `samples_path`, read back and
+    folded one at a time."""
+    problem = parse_problem(problem_path.read_text())
+    nnf = to_nnf(preprocess(problem.assertion))
+    bitmap = coverage_mod.CoverageBitmap.for_formula(nnf)
+    for line in samples_path.read_text().splitlines():
+        coverage_mod.record_sample(bitmap, nnf, model_from_line(json.loads(line), problem))
+    return bitmap
 
 
 def _run_intro(data_dir, tmp_path, *extra, samples="s.jsonl", seed='{"x": 12, "y": 2}'):
@@ -138,7 +156,28 @@ class TestRun:
         stats = json.loads(stats_path.read_text())
         assert stats["stop_reason"] == "interrupted"
         assert len(out.read_text().splitlines()) == stats["unique_samples"] == 2
-        assert cov.exists() and "stopped: interrupted" in capsys.readouterr().out
+        assert coverage_mod.read_bitmap(cov) == bitmap_of_samples_file(data_dir / "intro.smt2", out)
+        assert "stopped: interrupted" in capsys.readouterr().out
+
+    def test_ctrl_c_inside_a_fold_leaves_a_consistent_bitmap(self, data_dir, tmp_path, monkeypatch):
+        # Ctrl-C halfway through the first epoch's fold: the last fold folds
+        # all of its samples again, the half already folded included
+        folds, original = [], coverage_mod.record_sample
+
+        def record_sample(bm, f, *samples):
+            folds.append(len(samples))
+            if len(folds) == 1:
+                original(bm, f, *samples[: len(samples) // 2])
+                raise KeyboardInterrupt
+            original(bm, f, *samples)
+
+        monkeypatch.setattr(cli.coverage_mod, "record_sample", record_sample)
+        stats_path, cov = tmp_path / "stats.json", tmp_path / "cov.bin"
+        code, out = _run_intro(data_dir, tmp_path, "--stats-out", stats_path, "--coverage-out", cov)
+        assert code == EXIT_INTERRUPTED
+        stats = json.loads(stats_path.read_text())
+        assert folds == [stats["unique_samples"]] * 2 and stats["epochs"] == 1
+        assert coverage_mod.read_bitmap(cov) == bitmap_of_samples_file(data_dir / "intro.smt2", out)
 
     def test_solver_failure_mid_run_writes_consistent_stats(self, data_dir, tmp_path, capsys):
         script = tmp_path / "exits_at_third_query.py"
@@ -154,7 +193,8 @@ class TestRun:
         assert stats["stop_reason"].startswith("solver failure: ") and "closed its output" in stats["stop_reason"]
         assert stats["epochs"] == 2 and stats["solver_calls"] == 3  # the failed query counts
         assert len(out.read_text().splitlines()) == stats["unique_samples"] == 10
-        assert cov.exists() and stats["raw_coverage"] > 0
+        assert coverage_mod.read_bitmap(cov) == bitmap_of_samples_file(data_dir / "toy_sum.smt2", out)
+        assert stats["raw_coverage"] > 0
         assert "stopped: solver failure: " in capsys.readouterr().out
 
     def test_unsupported_input(self, tmp_path):
@@ -170,6 +210,14 @@ class TestRun:
         assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
         assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
         assert capsys.readouterr().err == "unsupported input: 2:13: undeclared symbol '²'\n" * 2
+
+    @needs_digit_limit
+    def test_a_numeral_over_the_digit_limit_is_a_syntax_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.smt2"
+        bad.write_text("(declare-const x Int)\n(assert (= x " + "1" * 5000 + "))")
+        assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
+        message = f"numeral of 5000 digits exceeds the limit of {sys.get_int_max_str_digits()}"
+        assert capsys.readouterr().err == f"unsupported input: 2:13: {message}\n"
 
     @pytest.mark.parametrize(
         "extra, message",

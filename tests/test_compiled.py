@@ -245,6 +245,87 @@ class TestCoverageValues:
         assert list(bools) == [eval_formula(nodes[i], m) for i in bool_nodes]
 
 
+def _wide_model(rng) -> Model:
+    """An array model whose ints reach past 64 bits, of either sign."""
+    m = _array_model(rng)
+    m.ints = {n: rng.choice([1, 2**63, 2**64, 2**70]) * rng.randint(-3, 3) + rng.randint(-1, 1) for n in INTS}
+    return m
+
+
+def _recorded(f, batches) -> CoverageBitmap:
+    bm = CoverageBitmap.for_formula(f)
+    for batch in batches:
+        assert record_sample(bm, f, *batch) is bm
+    return bm
+
+
+class TestBatchFold:
+    """One `record_sample` call over many samples reduces each node's values
+    over the batch; it must equal folding them one at a time, in any batches."""
+
+    # Bool, Int and array nodes (widths 1, 64 and 0); x*x and the stored
+    # values run past 64 bits
+    ALL_SORTS = (
+        "(declare-const x Int)(declare-const p Bool)(declare-const a (Array Int Int))"
+        "(assert (or p (< (* x x) (select (store a x (- x)) 0))))"
+    )
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_one_call_equals_one_sample_calls_and_interpreter(self, seed):
+        rng = random.Random(seed)
+        f = _full_grammar_formula(rng, 3)
+        if rng.random() < 0.5:
+            f = to_nnf(preprocess(f))
+        samples = [_wide_model(rng) for _ in range(rng.randint(1, 12))]
+        reference = CoverageBitmap.for_formula(f)
+        for m in samples:
+            _interpreted_record(reference, f, m)
+        assert _recorded(f, [samples]) == _recorded(f, [[m] for m in samples]) == reference
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_any_split_into_batches_gives_the_same_bitmap(self, seed):
+        rng = random.Random(seed)
+        f = _full_grammar_formula(rng, 3)
+        samples = [_wide_model(rng) for _ in range(rng.randint(0, 12))]
+        cuts = sorted(rng.sample(range(len(samples) + 1), rng.randint(0, len(samples) + 1)))
+        batches = [samples[a:b] for a, b in zip([0, *cuts], [*cuts, len(samples)])]
+        whole = _recorded(f, [samples])
+        assert _recorded(f, batches) == whole
+        assert _recorded(f, [samples, *batches]) == whole  # folding again changes nothing
+
+    def test_all_sorts_negative_and_wide_values(self):
+        f = parse_problem(self.ALL_SORTS).assertion
+        assert {0, 1, 64} <= set(CoverageBitmap.for_formula(f).widths)
+        a = FuncValue(-(2**80), {0: 2**65 + 1})
+        values = [-(2**70) - 1, -1, 0, 2**64, 2**64 - 1, 3 << 62]
+        samples = [Model(ints={"x": x}, bools={"p": x < 0}, funcs={"a": a}) for x in values]
+        reference = CoverageBitmap.for_formula(f)
+        for m in samples:
+            _interpreted_record(reference, f, m)
+        assert _recorded(f, [samples]) == _recorded(f, [[m] for m in samples]) == reference
+        assert _recorded(f, [samples[:2], samples[2:5], samples[5:]]) == reference
+        assert 0 < reference.covered_bits() < reference.total_bits()
+
+    def test_no_samples_is_a_no_op(self):
+        f = parse_problem(self.ALL_SORTS).assertion
+        empty = CoverageBitmap.for_formula(f)
+        assert _recorded(f, [[]]) == empty
+        m = Model(ints={"x": -5}, bools={"p": True}, funcs={"a": FuncValue(2, {})})
+        assert _recorded(f, [[m], []]) == _recorded(f, [[m]]) != empty
+
+    def test_a_sample_without_a_symbol_changes_nothing(self):
+        f = parse_problem(self.ALL_SORTS).assertion
+        m = Model(ints={"x": -5}, bools={"p": True}, funcs={"a": FuncValue(2, {})})
+        bm = _recorded(f, [[m]])
+        before = bm.copy()
+        with pytest.raises(UnassignedSymbol):
+            good = Model(ints={"x": 7}, bools={"p": False}, funcs={"a": FuncValue(0, {})})
+            record_sample(bm, f, good, Model(ints={"x": 1}))
+        assert bm == before
+
+
 class TestGeneratedSource:
     NAME = '|a"); import os; ("|'
 

@@ -37,6 +37,12 @@ from oracle import deep_and_or, random_array_formula
 MODELS_DIR = Path(__file__).parent / "data" / "models"
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
 
+# Python caps int(str) at 4300 digits by default from 3.11 and 3.10.7 on;
+# where there is no cap (older, or PYTHONINTMAXSTRDIGITS=0) a long numeral is fine
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int(str) has no digit limit"
+)
+
 
 def D(name, sort=Sort.INT, fn=False):
     return Declaration(name, Sort.ARRAY if fn else sort, is_function=fn)
@@ -276,6 +282,15 @@ def test_pipe_counts_and_weights_are_ascii_numerals(command):
     # "\u0663" (Arabic-Indic three) and "\u00b2" are digits to `str.isdigit`
     lines = _minisolver(f"(declare-const x Int)\n{command}\n(pop 1)\n(assert (< x 0))\n(check-sat)\n")
     assert lines == [f'(error "2:{len(command) - 2}: expected a numeral")', "sat"]
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["(push 1{digits})", "(assert-soft (> x 0) :weight 1{digits})"])
+def test_pipe_counts_and_weights_over_the_digit_limit_are_located_errors(command):
+    command = command.format(digits="0" * 4999)
+    lines = _minisolver(f"(declare-const x Int)\n{command}\n(pop 1)\n(assert (< x 0))\n(check-sat)\n")
+    limit = sys.get_int_max_str_digits()
+    assert lines == [f'(error "2:{command.index("10")}: numeral of 5000 digits exceeds the limit of {limit}")', "sat"]
 
 
 ARRAY_DECLS = [D("i"), D("j"), D("p", Sort.BOOL), D("a", Sort.ARRAY), D("g", fn=True)]
@@ -538,6 +553,28 @@ class TestProcessClient:
         v = client.solve(SolverRequest(p.declarations, [p.assertion]))
         client.close()
         assert v.kind == VerdictKind.ERROR and v.reason == "not an integer constant: \u00b2"
+
+    @needs_digit_limit
+    def test_a_model_value_over_the_digit_limit_is_error(self, tmp_path):
+        # Python converts at most 4300 digits by default: the reply is
+        # malformed, not a crash, and the process is reset
+        stub = tmp_path / "huge.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line == '(check-sat)':\n"
+            "        print('sat', flush=True)\n"
+            "    elif line == '(get-model)':\n"
+            "        print('((define-fun x () Int (- ' + '7' * 5000 + ')))', flush=True)\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=5.0)
+        p = parse_problem("(declare-const x Int)(assert (<= x 0))")
+        v = client.solve(SolverRequest(p.declarations, [p.assertion]))
+        assert v.kind == VerdictKind.ERROR
+        assert v.reason == f"numeral of 5000 digits exceeds the limit of {sys.get_int_max_str_digits()}"
+        assert client._handle is None
+        client.close()
 
     def test_error_with_backslash_before_quote_is_read_at_once(self, tmp_path):
         # the message ends in a backslash; a quote is escaped only by "" in
