@@ -46,16 +46,24 @@ EXIT_VIOLATIONS = 5
 EXIT_INTERRUPTED = 130  # as a shell reports SIGINT
 
 
-def sample_to_json(sample: Model) -> dict:
-    out: dict = {}
-    out.update(sample.ints)
-    out.update(sample.bools)
+_escape = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
+_int = int.__repr__  # how json.dumps writes an int
+
+
+def sample_to_json(sample: Model) -> str:
+    """The samples-file line of `sample`, newline included: one JSON object
+    with an entry per symbol, sorted by name, whose value is an integer,
+    true or false, or ``{"default": d, "exceptions": {...}}`` with the
+    exceptions keyed by ``str(index)`` in string order.  Each entry is
+    written straight to text, with no dict and no ``json.dumps``; the line is
+    byte-identical to ``json.dumps(obj, sort_keys=True)`` of that object."""
+    entries = [(name, f"{_escape(name)}: {_int(v)}") for name, v in sample.ints.items()]
+    entries += [(name, f"{_escape(name)}: {'true' if v else 'false'}") for name, v in sample.bools.items()]
     for name, fv in sample.funcs.items():
-        out[name] = {
-            "default": fv.default,
-            "exceptions": {str(k): v for k, v in sorted(fv.exceptions.items())},
-        }
-    return out
+        cells = ", ".join([f'"{k}": {_int(v)}' for k, v in sorted([(str(k), v) for k, v in fv.exceptions.items()])])
+        entries.append((name, f'{_escape(name)}: {{"default": {_int(fv.default)}, "exceptions": {{{cells}}}}}'))
+    entries.sort()
+    return "{" + ", ".join([text for _, text in entries]) + "}\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,7 +160,7 @@ def _cmd_run(args) -> int:
             pending.clear()
 
     def on_sample(sample: Model):
-        _writer("samples", samples_path).write(json.dumps(sample_to_json(sample), sort_keys=True) + "\n")
+        _writer("samples", samples_path).write(sample_to_json(sample))
         if bitmap is not None:
             pending.append(sample)
 

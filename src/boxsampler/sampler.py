@@ -18,7 +18,9 @@ box costs one draw.  Any other box is drawn at random: each draw writes
 the integer values, the array cells and any rebuilt arrays straight into
 the tuple.  Each tuple is checked by one positional predicate compiled once
 per run and is its own dedup key (function values written as their default
-and sorted exceptions); only a fresh sample becomes a :class:`Model`.
+and sorted exceptions); only a fresh sample becomes a :class:`Model`, one
+``dict(zip(...))`` per sort group over the names and the slice (or
+itemgetter) that the layout plans once (:meth:`SampleLayout.model`).
 
 The Model-based chain :func:`sample_intervals` (or
 :func:`sample_intervals_arrays`, one draw of :func:`epoch_drawer`) ->
@@ -35,6 +37,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from . import arrays as arrays_mod
@@ -409,14 +412,30 @@ _ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
 
 
 def _func_from_json(name: str, value) -> FuncValue:
-    """An array or function value from its JSON default/exceptions object."""
+    """An array or function value from its JSON default/exceptions object.
+    An index is read only when written as `cli run` writes it, ``str(i)``:
+    no sign, leading zero, blank, underscore or non-ASCII digit, so that no
+    two indices can name the same cell."""
     try:
         default, exceptions = value.get("default", 0), value.get("exceptions", {})
         if type(default) is int and all(type(v) is int for v in exceptions.values()):
-            return FuncValue(default, {int(k): v for k, v in exceptions.items()})
+            cells = {i: v for k, v in exceptions.items() if str(i := int(k)) == k}
+            if len(cells) == len(exceptions):  # no index dropped as not canonical
+                return FuncValue(default, cells)
     except (AttributeError, ValueError):  # no object, or an index that is no integer
         pass
-    raise BoxsamplerError(f"array symbol {name!r} needs a default/exceptions object of integers, not {value!r}")
+    raise BoxsamplerError(
+        f"array symbol {name!r} needs a default/exceptions object of integers, "
+        f"indexed by canonical decimals, not {value!r}"
+    )
+
+
+def _getter(slots: list[int]):
+    """`get(vector)`: the values at the ascending `slots`, as one slice when
+    they are contiguous (or none) and by index otherwise."""
+    if len(slots) > 1 and slots[-1] - slots[0] >= len(slots):
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[-1] + 1) if slots else slice(0))
 
 
 class SampleLayout:
@@ -430,12 +449,12 @@ class SampleLayout:
         self.slot = {name: i for i, name in enumerate(self.names)}
         self.sorts = [d.sort for d in declarations]
         self.zeros = tuple(_ZERO[sort] for sort in self.sorts)
-        self.ints: list[tuple[str, int]] = []
-        self.bools: list[tuple[str, int]] = []
-        self.funcs: list[tuple[str, int]] = []
-        groups = {Sort.INT: self.ints, Sort.BOOL: self.bools, Sort.ARRAY: self.funcs}
-        for i, (name, sort) in enumerate(zip(self.names, self.sorts)):
-            groups[sort].append((name, i))
+        slots: dict[Sort, list[int]] = {Sort.INT: [], Sort.BOOL: [], Sort.ARRAY: []}
+        for i, sort in enumerate(self.sorts):
+            slots[sort].append(i)
+        self.funcs = [(self.names[i], i) for i in slots[Sort.ARRAY]]
+        # the plan of model(): per sort group, its names and its values' getter
+        self._groups = tuple((tuple(self.names[i] for i in group), _getter(group)) for group in slots.values())
 
     def predicate(self, formula: Formula):
         """`pred(*values)`: the truth value of `formula` under a vector."""
@@ -480,12 +499,16 @@ class SampleLayout:
             key[i] = (fv.default, tuple(sorted(fv.exceptions.items())))
         return tuple(key)
 
-    def model(self, values: tuple) -> Model:
-        """The :class:`Model` of a vector, its dicts in declaration order."""
+    def model(self, values) -> Model:
+        """The :class:`Model` of a vector (a tuple or a list).  Each sort
+        group's names and getter are planned with the layout, so a dict is
+        one ``dict(zip(names, get(values)))``: fresh, in declaration order,
+        and a fresh ``{}`` for an empty group."""
+        (ints, get_ints), (bools, get_bools), (funcs, get_funcs) = self._groups
         return Model(
-            ints={name: values[i] for name, i in self.ints},
-            bools={name: values[i] for name, i in self.bools},
-            funcs={name: values[i] for name, i in self.funcs},
+            dict(zip(ints, get_ints(values))) if ints else {},
+            dict(zip(bools, get_bools(values))) if bools else {},
+            dict(zip(funcs, get_funcs(values))) if funcs else {},
         )
 
 

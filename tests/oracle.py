@@ -32,6 +32,7 @@ from boxsampler.terms import (
     Or,
     Rel,
     Select,
+    Sort,
     Store,
     Sub,
     conj,
@@ -211,6 +212,33 @@ def model_of_env(env: dict) -> Model:
         else:
             m.ints[name] = value
     return m
+
+
+def layout_model(layout, values) -> Model:
+    """The :class:`Model` of a vector of `layout` (a
+    :class:`boxsampler.sampler.SampleLayout`), one comprehension per sort
+    over the declarations: the reference of ``SampleLayout.model``."""
+    declared = list(enumerate(zip(layout.names, layout.sorts)))
+    groups = {sort: [(name, i) for i, (name, s) in declared if s is sort] for sort in Sort}
+    return Model(
+        ints={name: values[i] for name, i in groups[Sort.INT]},
+        bools={name: values[i] for name, i in groups[Sort.BOOL]},
+        funcs={name: values[i] for name, i in groups[Sort.ARRAY]},
+    )
+
+
+def sample_json_obj(m: Model) -> dict:
+    """The JSON object of a sample: ``json.dumps(sample_json_obj(m),
+    sort_keys=True)`` is the reference of ``boxsampler.cli.sample_to_json``."""
+    out: dict = {}
+    out.update(m.ints)
+    out.update(m.bools)
+    for name, fv in m.funcs.items():
+        out[name] = {
+            "default": fv.default,
+            "exceptions": {str(k): v for k, v in sorted(fv.exceptions.items())},
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxsampler import cli
 from boxsampler import coverage as coverage_mod
@@ -20,7 +22,8 @@ from boxsampler.cli import (
 )
 from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
-from boxsampler.terms import eval_formula, preprocess, to_nnf
+from boxsampler.terms import FuncValue, Model, eval_formula, preprocess, to_nnf
+from oracle import sample_json_obj
 
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
 
@@ -334,6 +337,14 @@ BAD_ASSIGNMENTS = [
     ("toy_array.smt2", {"i": 0, "a": {"default": 1, "exceptions": {"2": "3"}}}, "array symbol 'a' needs a default"),
     ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"two": 3}}}, "array symbol 'a' needs a default"),
     ("intro.smt2", [12, 2], "an assignment must be a JSON object"),
+    # an index is read only in the form `cli run` writes, so no two name one cell
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"01": 7, "1": 9}}}, "indexed by canonical decimals"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"01": 7}}}, "indexed by canonical decimals"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"1_0": 7}}}, "indexed by canonical decimals"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {" 3": 7}}}, "indexed by canonical decimals"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"+4": 7}}}, "indexed by canonical decimals"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"-0": 7}}}, "indexed by canonical decimals"),
+    ("toy_array.smt2", {"i": 0, "a": {"exceptions": {"\u0661": 7}}}, "indexed by canonical decimals"),
 ]
 
 
@@ -385,6 +396,62 @@ class TestAssignments:
             assert eval_formula(problem.assertion, model_from_line(json.loads(line), problem))
         else:
             assert "injected seed does not satisfy the formula" in capsys.readouterr().err
+
+
+# Symbols as the parser admits them, quoted ones with a space, a quote and
+# non-ASCII letters included.
+SYMBOLS = ["x", "a b", 'say "hi"', "\u00e9\u2603", "x!1"]
+
+
+@st.composite
+def _models(draw):
+    """A Model over distinct symbols: wide ints, Bools, and function values
+    with wide indices, whose string order is not their numeric order."""
+    wide = st.integers(-(2**80), 2**80)
+    names = draw(st.lists(st.sampled_from(SYMBOLS + ["y", "z0", "Z"]), unique=True))
+    m = Model()
+    for name in names:
+        field = draw(st.sampled_from(["ints", "bools", "funcs"]))
+        if field == "ints":
+            m.ints[name] = draw(wide)
+        elif field == "bools":
+            m.bools[name] = draw(st.booleans())
+        else:
+            m.funcs[name] = FuncValue(draw(wide), draw(st.dictionaries(st.integers(-(2**70), 2**70), wide, max_size=5)))
+    return m
+
+
+class TestSampleLine:
+    """`cli.sample_to_json` writes the line that ``json.dumps`` writes of the
+    sample's JSON object with sorted keys, and `verify` reads it back."""
+
+    @pytest.mark.parametrize("model", [
+        Model(),
+        Model(ints={"x": -3, "y": 2**64 + 1, "z": -(2**100)}),
+        Model(bools={"p": True, "q": False}),
+        Model(funcs={"a": FuncValue(5), "f": FuncValue(-1, {})}),
+        # string order of the indices: "-46" < "0" < "10" < "3"
+        Model(ints={"i": 0}, funcs={"a": FuncValue(1, {3: 4, 10: -2, 0: 7, -46: 2**70})}),
+        Model(ints=dict(zip(SYMBOLS, range(-2, 3))), bools={"b b": True}, funcs={"\u00e9t\u00e9": FuncValue(0, {1: 1})}),
+    ])
+    def test_line_is_byte_identical_to_json_dumps(self, model):
+        assert cli.sample_to_json(model) == json.dumps(sample_json_obj(model), sort_keys=True) + "\n"
+
+    @given(_models())
+    @settings(max_examples=200, deadline=None)
+    def test_random_lines_are_byte_identical_to_json_dumps(self, model):
+        assert cli.sample_to_json(model) == json.dumps(sample_json_obj(model), sort_keys=True) + "\n"
+
+    def test_quoted_symbols_round_trip(self, tmp_path):
+        problem = parse_problem(
+            "(declare-const |a b| Int)(declare-const |say \"hi\"| Bool)"
+            "(declare-const |\u00e9\u2603| (Array Int Int))(assert (> |a b| 0))"
+        )
+        layout = SampleLayout(problem.declarations)
+        values = (2**70, True, FuncValue(3, {-46: 1, 0: 2, 10: 3, 3: 4}))
+        line = cli.sample_to_json(layout.model(values))
+        assert line.isascii() and line.endswith("}\n")
+        assert layout.from_json(json.loads(line)) == values
 
 
 class TestMergeCoverage:

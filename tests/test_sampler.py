@@ -8,7 +8,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxsampler.errors import (
@@ -60,7 +60,7 @@ from boxsampler.terms import (
 )
 from boxsampler import sampler as sampler_mod
 from boxsampler import strengthen as strengthen_mod
-from oracle import deep_and_or, fun_app
+from oracle import deep_and_or, fun_app, layout_model
 
 X, Y = IntVar("x"), IntVar("y")
 A = ArrayVar("a")
@@ -400,6 +400,53 @@ class TestEpochDrawer:
         assert layout.vector(model) == values
 
 
+_VALUE_OF_SORT = {
+    Sort.INT: st.integers(-(2**70), 2**70),
+    Sort.BOOL: st.booleans(),
+    Sort.ARRAY: st.builds(
+        FuncValue, st.integers(-3, 3), st.dictionaries(st.integers(-5, 5), st.integers(-3, 3), max_size=3)
+    ),
+}
+
+
+@st.composite
+def _layout_vectors(draw):
+    """A layout over interleaved Int, Bool and Array declarations, perhaps a
+    draw frame (undeclared `!u` scalars and `!c` arrays appended after the
+    declared symbols), and one vector of it."""
+    sorts = draw(st.lists(st.sampled_from(list(Sort)), max_size=8))
+    decls = [Declaration(f"s{k}", sort) for k, sort in enumerate(sorts)]
+    extra = draw(st.lists(st.sampled_from([Sort.INT, Sort.ARRAY]), max_size=3))
+    decls += [Declaration(f"{'!u' if sort is Sort.INT else '!c'}{k}", sort) for k, sort in enumerate(extra)]
+    return SampleLayout(decls), tuple(draw(_VALUE_OF_SORT[d.sort]) for d in decls)
+
+
+def _layout_of(*sorts: Sort) -> SampleLayout:
+    return SampleLayout([Declaration(f"s{k}", sort) for k, sort in enumerate(sorts)])
+
+
+class TestLayoutModel:
+    """`SampleLayout.model` builds what one comprehension per sort builds,
+    dict order included, and fresh dicts on every call."""
+
+    @given(_layout_vectors())
+    @example((_layout_of(), ()))
+    @example((_layout_of(Sort.INT), (7,)))
+    @example((_layout_of(Sort.BOOL, Sort.ARRAY), (True, FuncValue(1, {2: 3}))))
+    @example((_layout_of(Sort.INT, Sort.BOOL, Sort.INT, Sort.ARRAY, Sort.INT), (1, False, 2, FuncValue(0), 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_model_equals_the_comprehension_reference(self, case):
+        layout, values = case
+        model, reference = layout.model(values), layout_model(layout, values)
+        assert model == reference
+        for field in ("ints", "bools", "funcs"):
+            assert list(getattr(model, field)) == list(getattr(reference, field))
+        again = layout.model(list(values))  # a draw with reconstructions hands it a list
+        assert again == model
+        for field in ("ints", "bools", "funcs"):
+            assert getattr(again, field) is not getattr(model, field)
+
+
 def _assert_draws_match_randint(lo: int, hi: int, rng: random.Random, draws: int):
     """An integer key over [lo, hi] and a select-like key over [lo + 9, hi + 9]
     draw what `randint` draws from a copy of `rng`, and leave `rng` where
@@ -561,6 +608,46 @@ class TestExploitEpoch:
         assert fresh == 30 and cut.draws < 120
         late, _ = epoch_counts(deadline=time.monotonic() - 1)
         assert (late.draws, late.duplicates, late.rounds_run) == (0, 0, 1)
+
+
+def _counting_models(monkeypatch) -> list:
+    """Count the Models the sampler module builds from here on."""
+    built = []
+
+    def counting_model(*args, **kwargs):
+        built.append(1)
+        return Model(*args, **kwargs)
+
+    monkeypatch.setattr(sampler_mod, "Model", counting_model)
+    return built
+
+
+class TestOneModelPerFreshSample:
+    """An epoch builds one Model per fresh sample and none for a duplicate
+    or a clash."""
+
+    def test_int_box_with_duplicates(self, monkeypatch):
+        p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
+        iv = IntervalMap({X: Interval(0, 15), Y: Interval(2, 3)})  # 32 points, drawn at random
+        seed = Model(ints={"x": 12, "y": 2})
+        cfg = cfg_of(rounds_per_epoch=3, samples_per_round=20, unique_rate_threshold=0.0)
+        built = _counting_models(monkeypatch)
+        epoch = exploit_epoch(iv, seed, layout.predicate(f), layout, DedupSet(10_000), cfg, random.Random(5))
+        assert epoch.stats.duplicates > 0 and epoch.stats.enumerated is False
+        assert len(built) == len(epoch.fresh_samples)
+
+    def test_array_box_with_clashes(self, monkeypatch):
+        p = parse_problem("(declare-const i Int)(declare-const j Int)(declare-const a (Array Int Int))")
+        layout = SampleLayout(p.declarations)
+        iv = IntervalMap({I: Interval(0, 3), J: Interval(0, 3), Select(A, I): Interval(0, 2), Select(A, J): Interval(6, 7)})
+        seed = Model(ints={"i": 0, "j": 1}, funcs={"a": FuncValue(0, {0: 1, 1: 6})})
+        pred = layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
+        cfg = cfg_of(rounds_per_epoch=3, samples_per_round=40, unique_rate_threshold=0.0)
+        built = _counting_models(monkeypatch)
+        epoch = exploit_epoch(iv, seed, pred, layout, DedupSet(10_000), cfg, random.Random(2))
+        assert epoch.stats.clashes > 0 and epoch.stats.duplicates > 0
+        assert len(built) == len(epoch.fresh_samples)
 
 
 class TestEnumeratedEpoch:
