@@ -203,20 +203,23 @@ def _cmd_verify(args) -> int:
     total = 0
     seen = set()
     with open(args.samples, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            values = layout.from_json(json.loads(line))
-            if not pred(*values):
-                violations += 1
-                print(f"violation at line {line_no}", file=sys.stderr)
-            key = layout.key(values)
-            if key in seen:
-                duplicates += 1
-                print(f"duplicate at line {line_no}", file=sys.stderr)
-            seen.add(key)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                total += 1
+                values = layout.from_json(json.loads(line))
+                if not pred(*values):
+                    violations += 1
+                    print(f"violation at line {line_no}", file=sys.stderr)
+                key = layout.key(values)
+                if key in seen:
+                    duplicates += 1
+                    print(f"duplicate at line {line_no}", file=sys.stderr)
+                seen.add(key)
+        except (json.JSONDecodeError, BoxsamplerError) as exc:
+            raise BoxsamplerError(f"{args.samples}:{line_no}: {exc}") from exc
     print(f"{total} samples, {violations} violations, {duplicates} duplicates")
     return EXIT_OK if violations == 0 and duplicates == 0 else EXIT_VIOLATIONS
 

@@ -18,9 +18,11 @@ box costs one draw.  Any other box is drawn at random: each draw writes
 the integer values, the array cells and any rebuilt arrays straight into
 the tuple.  Each tuple is checked by one positional predicate compiled once
 per run and is its own dedup key (function values written as their default
-and sorted exceptions); only a fresh sample becomes a :class:`Model`, one
-``dict(zip(...))`` per sort group over the names and the slice (or
-itemgetter) that the layout plans once (:meth:`SampleLayout.model`).
+and sorted exceptions); only a fresh sample becomes a :class:`Model`, built
+by one generated call (:meth:`SampleLayout.model`) that unpacks the tuple
+into one dict display per sort group.  Its text depends only on the tuple
+of sorts, so it is compiled once per sort signature; each layout binds its
+own names as closure variables, since a quoted symbol may hold any text.
 
 The Model-based chain :func:`sample_intervals` (or
 :func:`sample_intervals_arrays`, one draw of :func:`epoch_drawer`) ->
@@ -31,13 +33,13 @@ benchmark's span tracer wraps these names.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 from . import arrays as arrays_mod
@@ -430,12 +432,28 @@ def _func_from_json(name: str, value) -> FuncValue:
     )
 
 
-def _getter(slots: list[int]):
-    """`get(vector)`: the values at the ascending `slots`, as one slice when
-    they are contiguous (or none) and by index otherwise."""
-    if len(slots) > 1 and slots[-1] - slots[0] >= len(slots):
-        return itemgetter(*slots)
-    return itemgetter(slice(slots[0], slots[-1] + 1) if slots else slice(0))
+@functools.lru_cache(maxsize=256)
+def _model_factory(sorts: tuple[Sort, ...]):
+    """`factory(*names)`: the builder of :meth:`SampleLayout.model` for a
+    layout of `sorts`, with the layout's `names` bound as closure variables
+    ``_n0``, ``_n1``, ...  The generated text depends on the sorts alone, so
+    it is compiled once per sort signature; no name enters it, since an
+    SMT-LIB quoted symbol may hold a quote, a parenthesis or a newline."""
+    n = len(sorts)
+    groups: dict[Sort, list[str]] = {Sort.INT: [], Sort.BOOL: [], Sort.ARRAY: []}
+    for i, sort in enumerate(sorts):
+        groups[sort].append(f"_n{i}: v{i}")
+    displays = ", ".join("{" + ", ".join(group) + "}" for group in groups.values())
+    source = (
+        f"def factory({', '.join(f'_n{i}' for i in range(n))}):\n"
+        f"    def model(values):\n"
+        f"        ({''.join(f'v{i}, ' for i in range(n))}) = values\n"
+        f"        return Model({displays})\n"
+        f"    return model\n"
+    )
+    env = {"Model": Model, "__builtins__": {}}
+    exec(compile(source, "<layout model>", "exec"), env)  # source from the sorts only
+    return env["factory"]
 
 
 class SampleLayout:
@@ -449,12 +467,7 @@ class SampleLayout:
         self.slot = {name: i for i, name in enumerate(self.names)}
         self.sorts = [d.sort for d in declarations]
         self.zeros = tuple(_ZERO[sort] for sort in self.sorts)
-        slots: dict[Sort, list[int]] = {Sort.INT: [], Sort.BOOL: [], Sort.ARRAY: []}
-        for i, sort in enumerate(self.sorts):
-            slots[sort].append(i)
-        self.funcs = [(self.names[i], i) for i in slots[Sort.ARRAY]]
-        # the plan of model(): per sort group, its names and its values' getter
-        self._groups = tuple((tuple(self.names[i] for i in group), _getter(group)) for group in slots.values())
+        self.funcs = [(name, i) for i, (name, sort) in enumerate(zip(self.names, self.sorts)) if sort is Sort.ARRAY]
 
     def predicate(self, formula: Formula):
         """`pred(*values)`: the truth value of `formula` under a vector."""
@@ -499,17 +512,16 @@ class SampleLayout:
             key[i] = (fv.default, tuple(sorted(fv.exceptions.items())))
         return tuple(key)
 
-    def model(self, values) -> Model:
-        """The :class:`Model` of a vector (a tuple or a list).  Each sort
-        group's names and getter are planned with the layout, so a dict is
-        one ``dict(zip(names, get(values)))``: fresh, in declaration order,
-        and a fresh ``{}`` for an empty group."""
-        (ints, get_ints), (bools, get_bools), (funcs, get_funcs) = self._groups
-        return Model(
-            dict(zip(ints, get_ints(values))) if ints else {},
-            dict(zip(bools, get_bools(values))) if bools else {},
-            dict(zip(funcs, get_funcs(values))) if funcs else {},
-        )
+    @functools.cached_property
+    def model(self) -> Callable[..., Model]:
+        """`model(values)`: the :class:`Model` of a vector (a tuple or a
+        list of the layout's length).  A generated function unpacks the
+        vector and returns ``Model({_n0: v0, ...}, {...}, {...})``, one dict
+        display per sort group: fresh dicts in declaration order on every
+        call.  The function is compiled once per tuple of sorts
+        (:func:`_model_factory`) and bound to this layout's names on first
+        use; the names are closure variables, never written into the text."""
+        return _model_factory(tuple(self.sorts))(*self.names)
 
 
 def epoch_drawer(

@@ -356,6 +356,17 @@ class TestAssignments:
         assert run_cli("verify", samples, data_dir / name) == EXIT_ERROR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad,message", [
+        ('{"x": 2', "Expecting ',' delimiter"),
+        (json.dumps(BAD_ASSIGNMENTS[0][1]), BAD_ASSIGNMENTS[0][2]),
+    ])
+    def test_verify_names_the_line_of_a_bad_sample(self, data_dir, tmp_path, capsys, bad, message):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"x": 12, "y": 2}\n{"x": 7, "y": 0}\n' + bad + "\n")
+        assert run_cli("verify", samples, data_dir / "intro.smt2") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"error: {samples}:3: " in err and message in err
+
     @pytest.mark.parametrize("name,obj,message", BAD_ASSIGNMENTS)
     def test_inject_seed_rejects(self, data_dir, tmp_path, capsys, name, obj, message):
         code = run_cli(

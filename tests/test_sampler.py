@@ -409,20 +409,27 @@ _VALUE_OF_SORT = {
 }
 
 
+# Names that would break generated text if they were written into it.
+_AWKWARD_NAMES = ['say "hi"', "a)b", "line\nbreak", "# comment", "lambda", "None", "ünï", "v0", "_n1", "Model"]
+
+
 @st.composite
 def _layout_vectors(draw):
-    """A layout over interleaved Int, Bool and Array declarations, perhaps a
-    draw frame (undeclared `!u` scalars and `!c` arrays appended after the
-    declared symbols), and one vector of it."""
+    """A layout over interleaved Int, Bool and Array declarations with unique
+    names of any text, perhaps a draw frame (undeclared `!u` scalars and
+    `!c` arrays appended after the declared symbols), and one vector of it."""
     sorts = draw(st.lists(st.sampled_from(list(Sort)), max_size=8))
-    decls = [Declaration(f"s{k}", sort) for k, sort in enumerate(sorts)]
+    name = st.one_of(st.sampled_from(_AWKWARD_NAMES), st.text().filter(lambda t: not t.startswith("!")))
+    names = draw(st.lists(name, min_size=len(sorts), max_size=len(sorts), unique=True))
+    decls = [Declaration(name, sort) for name, sort in zip(names, sorts)]
     extra = draw(st.lists(st.sampled_from([Sort.INT, Sort.ARRAY]), max_size=3))
     decls += [Declaration(f"{'!u' if sort is Sort.INT else '!c'}{k}", sort) for k, sort in enumerate(extra)]
     return SampleLayout(decls), tuple(draw(_VALUE_OF_SORT[d.sort]) for d in decls)
 
 
-def _layout_of(*sorts: Sort) -> SampleLayout:
-    return SampleLayout([Declaration(f"s{k}", sort) for k, sort in enumerate(sorts)])
+def _layout_of(*sorts: Sort, names=None) -> SampleLayout:
+    names = names or [f"s{k}" for k in range(len(sorts))]
+    return SampleLayout([Declaration(name, sort) for name, sort in zip(names, sorts)])
 
 
 class TestLayoutModel:
@@ -434,6 +441,8 @@ class TestLayoutModel:
     @example((_layout_of(Sort.INT), (7,)))
     @example((_layout_of(Sort.BOOL, Sort.ARRAY), (True, FuncValue(1, {2: 3}))))
     @example((_layout_of(Sort.INT, Sort.BOOL, Sort.INT, Sort.ARRAY, Sort.INT), (1, False, 2, FuncValue(0), 3)))
+    @example((_layout_of(Sort.INT, Sort.BOOL, Sort.ARRAY, Sort.INT, names=_AWKWARD_NAMES[:4]), (1, True, FuncValue(2), 3)))
+    @example((_layout_of(Sort.BOOL, Sort.INT, Sort.ARRAY, Sort.INT, Sort.BOOL, Sort.INT, names=_AWKWARD_NAMES[4:]), (False, 1, FuncValue(0), 2, True, 3)))
     @settings(max_examples=300, deadline=None)
     def test_model_equals_the_comprehension_reference(self, case):
         layout, values = case
@@ -445,6 +454,23 @@ class TestLayoutModel:
         assert again == model
         for field in ("ints", "bools", "funcs"):
             assert getattr(again, field) is not getattr(model, field)
+
+    def test_layouts_of_one_sort_signature_share_one_builder(self):
+        sampler_mod._model_factory.cache_clear()
+        sorts = (Sort.INT, Sort.BOOL, Sort.ARRAY, Sort.INT)
+        layouts = [_layout_of(*sorts, names=[f"{k}{name}" for name in "wxyz"]) for k in range(50)]
+        values = (4, True, FuncValue(1), 5)
+        for k, layout in enumerate(layouts):
+            assert layout.model(values) == Model({f"{k}w": 4, f"{k}z": 5}, {f"{k}x": True}, {f"{k}y": FuncValue(1)})
+        info = sampler_mod._model_factory.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
+    def test_a_layout_that_builds_no_model_compiles_nothing(self):
+        sampler_mod._model_factory.cache_clear()
+        layout = _layout_of(Sort.INT, Sort.ARRAY, Sort.BOOL)
+        layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
+        assert layout.key(layout.from_json({"s0": 3})) == (3, (0, ()), False)
+        assert sampler_mod._model_factory.cache_info().currsize == 0
 
 
 def _assert_draws_match_randint(lo: int, hi: int, rng: random.Random, draws: int):
@@ -611,14 +637,16 @@ class TestExploitEpoch:
 
 
 def _counting_models(monkeypatch) -> list:
-    """Count the Models the sampler module builds from here on."""
+    """Count the Models built from here on: a layout's builder binds the
+    class when it is generated, so `Model.__init__` is counted."""
     built = []
+    init = Model.__init__
 
-    def counting_model(*args, **kwargs):
+    def counting_init(self, *args, **kwargs):
         built.append(1)
-        return Model(*args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sampler_mod, "Model", counting_model)
+    monkeypatch.setattr(Model, "__init__", counting_init)
     return built
 
 
