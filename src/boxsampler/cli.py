@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -66,6 +67,7 @@ def sample_to_json(sample: Model) -> str:
     return "{" + ", ".join([text for _, text in entries]) + "}\n"
 
 
+@functools.cache  # built once per process: building takes most of a short `verify`
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="boxsampler")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -202,10 +204,11 @@ def _cmd_verify(args) -> int:
     duplicates = 0
     total = 0
     seen = set()
-    with open(args.samples, "r", encoding="utf-8") as fh:
+    # read as bytes and decoded a line at a time, so that an error names its line
+    with open(args.samples, "rb") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = line.decode("utf-8").strip()
                 if not line:
                     continue
                 total += 1
@@ -218,7 +221,7 @@ def _cmd_verify(args) -> int:
                     duplicates += 1
                     print(f"duplicate at line {line_no}", file=sys.stderr)
                 seen.add(key)
-        except (json.JSONDecodeError, BoxsamplerError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, BoxsamplerError) as exc:
             raise BoxsamplerError(f"{args.samples}:{line_no}: {exc}") from exc
     print(f"{total} samples, {violations} violations, {duplicates} duplicates")
     return EXIT_OK if violations == 0 and duplicates == 0 else EXIT_VIOLATIONS

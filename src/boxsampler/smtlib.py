@@ -11,14 +11,24 @@ at, from which an error's line and column are derived.
 
 The parser handles set-logic, declare-fun / declare-const (Int, Bool,
 (Array Int Int), unary Int -> Int functions), zero-parameter define-fun
-(inlined), assert, and ignores set-info / set-option / check-sat / exit.
-let-bindings are inlined during parsing and named-assertion attributes are
-stripped, so downstream modules never deal with substitution.  The other
-Boolean operators are lowered to not/and/or as they are read: ``(=> a b)``
-is ``(or (not a) b)``, ``xor`` and two-Bool ``distinct`` are ``(or (and a
-(not b)) (and (not a) b))``, Bool ``=`` is ``(or (and a b) (and (not a)
-(not b)))``, Int ``distinct`` the pairwise disequalities, and Boolean ite
-``(or (and c a) (and (not c) b))``; printing writes the lowered form.
+(inlined, its body checked against its sort), assert, and ignores set-info /
+set-option / check-sat / exit.  let-bindings are inlined during parsing and
+named-assertion attributes are stripped, so downstream modules never deal
+with substitution.
+
+Each operator is stated once, in the table ``_OPERATORS``: its operand
+sorts, its arity and its builder.  One routine, ``Parser._apply``, checks
+every application against its entry in one order: the number of operands,
+then each operand parsed, then the sort of each, left to right, and raises
+each arity and sort error at the application.  The builders
+lower the other Boolean operators to not/and/or as they are read: ``(=> a
+b)`` is ``(or (not a) b)``, ``xor`` and two-Bool ``distinct`` are ``(or
+(and a (not b)) (and (not a) b))``, Bool ``=`` is ``(or (and a b) (and (not
+a) (not b)))``, Int ``distinct`` the pairwise disequalities, and Boolean ite
+``(or (and c a) (and (not c) b))``.  One printer, :func:`print_formula`
+(also bound as :func:`print_term`), writes any term or formula in that
+lowered form: it walks :func:`.terms.children`, with each node's head from
+a map of node types.
 
 A unary Int -> Int function is an array that SMT-LIB spells differently:
 its declaration has sort ARRAY and ``is_function``, and ``(f x)`` is read
@@ -27,6 +37,7 @@ as ``Select(ArrayVar("f", function=True), x)`` and printed back as ``(f x)``.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from collections.abc import Callable
@@ -52,11 +63,12 @@ from .terms import (
     Sort,
     Store,
     Sub,
+    TERM_TYPES,
     Term,
     _Record,
+    children,
     conj,
     disj,
-    sort_of,
 )
 
 SUPPORTED_LOGICS = {"QF_LIA", "QF_NIA", "QF_ALIA", "QF_AUFLIA", "QF_UFLIA"}
@@ -201,23 +213,21 @@ class StreamReader:
 # ---------------------------------------------------------------------------
 # Problem parsing
 
+# The sorts by SMT-LIB name; the node of a symbol declared of each sort; the
+# sort of each node type, Bool for a formula and for a term as `sort_of`
+# gives; and how a sort error names each sort.
+_SORT_NAMES = {"Int": Sort.INT, "Bool": Sort.BOOL, "(Array Int Int)": Sort.ARRAY}
+_VARIABLES = {Sort.INT: IntVar, Sort.BOOL: BoolVar, Sort.ARRAY: ArrayVar}
+_SORT_OF = {**dict.fromkeys(TERM_TYPES, Sort.INT), ArrayVar: Sort.ARRAY, Store: Sort.ARRAY}
+_SORT_OF.update(dict.fromkeys(FORMULA_TYPES, Sort.BOOL))
+_EXPECTED = {Sort.INT: "an Int", Sort.BOOL: "a Bool", Sort.ARRAY: "an (Array Int Int)"}
+
+
 def _parse_sort(s: _SExpr) -> Sort:
-    if s.is_atom:
-        if s.text == "Int":
-            return Sort.INT
-        if s.text == "Bool":
-            return Sort.BOOL
-        raise UnsupportedFeature(f"unsupported sort {s.text!r}")
-    parts = s.items
-    if (
-        len(parts) == 3
-        and parts[0].is_atom
-        and parts[0].text == "Array"
-        and all(p.is_atom and p.text == "Int" for p in parts[1:])
-    ):
-        return Sort.ARRAY
-    texts = " ".join(p.text if p.is_atom else "(...)" for p in parts)
-    raise UnsupportedFeature(f"unsupported sort ({texts})")
+    text = s.text if s.is_atom else "(" + " ".join(p.text if p.is_atom else "(...)" for p in s.items) + ")"
+    if text not in _SORT_NAMES:
+        raise UnsupportedFeature(f"unsupported sort {text!r}" if s.is_atom else f"unsupported sort {text}")
+    return _SORT_NAMES[text]
 
 
 def _sym(name: str) -> str:
@@ -241,9 +251,7 @@ class Parser:
     def run(self, text: str) -> ParsedProblem:
         for sexpr in read_sexprs(text):
             self.command(sexpr)
-        return ParsedProblem(
-            self.logic, list(self.decls.values()), conj(self.assertions) if self.assertions else And(())
-        )
+        return ParsedProblem(self.logic, list(self.decls.values()), conj(self.assertions))
 
     def command(self, s: _SExpr) -> None:
         if s.is_atom or not s.items or not s.items[0].is_atom:
@@ -251,46 +259,42 @@ class Parser:
         head = s.items[0].text
         args = s.items[1:]
         if head in ("set-info", "set-option", "check-sat", "exit", "get-model", "get-value", "echo"):
-            return
-        if head == "set-logic":
+            pass
+        elif head == "set-logic":
             if len(args) != 1 or not args[0].is_atom:
                 raise s.error("set-logic expects one symbol")
-            logic = args[0].text
-            if logic not in SUPPORTED_LOGICS:
-                raise UnsupportedFeature(f"unsupported logic {logic}")
-            self.logic = logic
-            return
-        if head == "declare-const":
+            if args[0].text not in SUPPORTED_LOGICS:
+                raise UnsupportedFeature(f"unsupported logic {args[0].text}")
+            self.logic = args[0].text
+        elif head == "declare-const":
             if len(args) != 2 or not args[0].is_atom:
                 raise s.error("declare-const expects name and sort")
             self._declare(_sym(args[0].text), args[1], params=None)
-            return
-        if head == "declare-fun":
+        elif head == "declare-fun":
             if len(args) != 3 or not args[0].is_atom or args[1].is_atom:
                 raise s.error("declare-fun expects name, params, sort")
             self._declare(_sym(args[0].text), args[2], params=args[1].items)
-            return
-        if head == "define-fun":
+        elif head == "define-fun":
             if len(args) != 4 or not args[0].is_atom or args[1].is_atom:
                 raise s.error("define-fun expects name, params, sort, body")
             if args[1].items:
                 raise UnsupportedFeature("define-fun with parameters")
             body = self._expr(args[3], {})
+            _check(args[3], _parse_sort(args[2]), body)
             self.macros[_sym(args[0].text)] = body
-            return
-        if head == "assert":
+        elif head == "assert":
             if len(args) != 1:
                 raise s.error("assert expects one formula")
             self.assertions.append(self.formula(s, args[0]))
-            return
-        if head in ("push", "pop", "declare-sort", "define-sort", "declare-datatypes", "reset"):
+        elif head in ("push", "pop", "declare-sort", "define-sort", "declare-datatypes", "reset"):
             raise UnsupportedFeature(f"command {head} is outside the supported subset")
-        raise UnsupportedFeature(f"unknown command {head}")
+        else:
+            raise UnsupportedFeature(f"unknown command {head}")
 
     def formula(self, command: _SExpr, s: _SExpr) -> Formula:
         """`s`, the formula that `command` asserts, which must be a Bool."""
         f = self._expr(s, {})
-        if not self._is_formula(f):
+        if _SORT_OF[f.__class__] is not Sort.BOOL:
             raise command.error("assert expects a Bool expression")
         return f
 
@@ -306,10 +310,6 @@ class Parser:
 
     # -- expressions ------------------------------------------------------
 
-    @staticmethod
-    def _is_formula(x) -> bool:
-        return isinstance(x, FORMULA_TYPES)
-
     def _expr(self, s: _SExpr, env: dict[str, Term | Formula]):
         if s.is_atom:
             return self._atom_expr(s, env)
@@ -320,130 +320,41 @@ class Parser:
             raise s.error("expected an operator symbol")
         head = items[0].text
         args = items[1:]
+        op = _OPERATORS.get(head)
+        if op is not None:
+            if head == "-" and len(args) == 1:
+                op = _NEGATE
+            return self._apply(s, head, op, args, env)
         if head == "let":
             return self._let(s, env)
         if head == "!":
             if not args:
                 raise s.error("empty attribute expression")
             return self._expr(args[0], env)  # attributes such as :named are stripped
-        if head == "-" and len(args) == 1:
-            inner = self._expr(args[0], env)
-            self._want_int(inner, s)
-            if isinstance(inner, IntConst):
-                return IntConst(-inner.value)
-            return Mul((IntConst(-1), inner))
-        if head in ("+", "-", "*"):
-            terms = [self._expr(a, env) for a in args]
-            if len(terms) < 2:
-                raise s.error(f"{head} expects at least 2 arguments")
-            for t in terms:
-                self._want_int(t, s)
-            if head == "+":
-                return Add(tuple(terms))
-            if head == "*":
-                return Mul(tuple(terms))
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = Sub(acc, t)
-            return acc
         if head in ("div", "mod", "abs", "rem", "/", "to_real", "to_int"):
             raise UnsupportedFeature(f"operator {head} is outside the supported fragment")
         if head in ("forall", "exists"):
             raise UnsupportedFeature("quantifiers are not supported")
-        if head in ("<", "<=", ">", ">=", "="):
-            # chainable: (op a b c) is (and (op a b) (op b c))
-            if len(args) < 2:
-                raise s.error(f"{head} expects at least 2 arguments")
-            xs = [self._expr(a, env) for a in args]
-            return conj(self._relation(head, lhs, rhs, s) for lhs, rhs in zip(xs, xs[1:]))
-        if head == "distinct":
-            if len(args) < 2:
-                raise s.error("distinct expects at least 2 arguments")
-            xs = [self._expr(a, env) for a in args]
-            if all(self._is_formula(x) for x in xs):
-                if len(xs) == 2:
-                    return _xor(*xs)
-                raise UnsupportedFeature("distinct over more than two Bool terms")
-            sorts = {sort_of(x) for x in xs if not self._is_formula(x)}
-            if len(sorts) != 1 or any(self._is_formula(x) for x in xs):
-                raise s.error("distinct operands have different sorts")
-            if len(xs) > 2 and sorts != {Sort.INT}:
-                raise UnsupportedFeature("distinct over array terms")
-            # pairwise: (distinct a b c) is (and (distinct a b) (distinct a c) (distinct b c))
-            return conj(Atom(Rel.NE, xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
-        if head == "not":
-            self._want_arity(args, 1, head, s)
-            inner = self._expr(args[0], env)
-            self._want_bool(inner, s)
-            return Not(inner)
-        if head in ("and", "or"):
-            xs = [self._expr(a, env) for a in args]
-            for x in xs:
-                self._want_bool(x, s)
-            # single-element connectives are normalized away, like nesting
-            return conj(xs) if head == "and" else disj(xs)
-        if head == "=>":
-            if len(args) < 2:
-                raise s.error("=> expects at least 2 arguments")
-            xs = [self._expr(a, env) for a in args]
-            for x in xs:
-                self._want_bool(x, s)
-            return Or((*map(Not, xs[:-1]), xs[-1]))  # right-associative: (=> a (=> b c))
-        if head == "xor":
-            self._want_arity(args, 2, head, s)
-            lhs, rhs = (self._expr(a, env) for a in args)
-            self._want_bool(lhs, s)
-            self._want_bool(rhs, s)
-            return _xor(lhs, rhs)
-        if head == "ite":
-            self._want_arity(args, 3, head, s)
-            cond = self._expr(args[0], env)
-            self._want_bool(cond, s)
-            then = self._expr(args[1], env)
-            orelse = self._expr(args[2], env)
-            if self._is_formula(then) and self._is_formula(orelse):
-                return Or((And((cond, then)), And((Not(cond), orelse))))
-            self._want_int(then, s)
-            self._want_int(orelse, s)
-            return Ite(cond, then, orelse)
-        if head == "select":
-            self._want_arity(args, 2, head, s)
-            arr = self._expr(args[0], env)
-            idx = self._expr(args[1], env)
-            self._want_array(arr, s)
-            self._want_int(idx, s)
-            return Select(arr, idx)
-        if head == "store":
-            self._want_arity(args, 3, head, s)
-            arr = self._expr(args[0], env)
-            idx = self._expr(args[1], env)
-            val = self._expr(args[2], env)
-            self._want_array(arr, s)
-            self._want_int(idx, s)
-            self._want_int(val, s)
-            return Store(arr, idx, val)
-        # user function application
-        name = _sym(head)
-        decl = self.decls.get(name)
-        if decl is not None and decl.is_function:
-            self._want_arity(args, 1, head, s)
-            arg = self._expr(args[0], env)
-            self._want_int(arg, s)
-            return Select(ArrayVar(name, function=True), arg)
-        raise s.error(f"unknown operator {head!r}")
+        decl = self.decls.get(_sym(head))
+        if decl is None or not decl.is_function:
+            raise s.error(f"unknown operator {head!r}")
+        return self._apply(s, head, _APPLY, args, env)
 
-    def _relation(self, head: str, lhs, rhs, s: _SExpr) -> Formula:
-        if head != "=":
-            self._want_int(lhs, s)
-            self._want_int(rhs, s)
-            return Atom(Rel(head), lhs, rhs)
-        if self._is_formula(lhs) or self._is_formula(rhs):
-            if not (self._is_formula(lhs) and self._is_formula(rhs)):
-                raise s.error("= operands have different sorts")
-            return Or((And((lhs, rhs)), And((Not(lhs), Not(rhs)))))  # iff
-        if sort_of(lhs) != sort_of(rhs):
-            raise s.error("= operands have different sorts")
-        return Atom(Rel.EQ, lhs, rhs)
+    def _apply(self, s: _SExpr, head: str, op: tuple, args: list[_SExpr], env):
+        """The application `s` of `head` to `args`, checked against `op`, an
+        entry of `_OPERATORS`, and built: first the number of operands, then
+        each operand parsed, then the sort of each, left to right."""
+        sorts, arity, variadic, build = op
+        if len(args) != arity and not (variadic and len(args) > arity):
+            raise s.error(f"{head} expects {'at least ' if variadic else ''}{arity} arguments")
+        xs = [self._expr(a, env) for a in args]
+        if not variadic:
+            for want, x in zip(sorts, xs):
+                _check(s, want, x)
+        elif sorts is not None:
+            for x in xs:
+                _check(s, sorts, x)
+        return build(s, xs)
 
     def _let(self, s: _SExpr, env):
         items = s.items
@@ -478,27 +389,91 @@ class Parser:
             raise s.error(f"undeclared symbol {name!r}")
         if decl.is_function:
             raise s.error(f"function {name!r} used without arguments")
-        if decl.sort == Sort.INT:
-            return IntVar(name)
-        if decl.sort == Sort.BOOL:
-            return BoolVar(name)
-        return ArrayVar(name)
+        return _VARIABLES[decl.sort](name)
 
-    def _want_arity(self, args, n, head, s):
-        if len(args) != n:
-            raise s.error(f"{head} expects {n} arguments")
 
-    def _want_int(self, x, s):
-        if self._is_formula(x) or sort_of(x) != Sort.INT:
-            raise s.error("expected an Int expression")
+def _check(s: _SExpr, want: Sort | None, x) -> None:
+    """Raise the sort error of `x`, read from `s`, unless it is of sort
+    `want`; None takes any sort."""
+    if want is not None and _SORT_OF[x.__class__] is not want:
+        raise s.error(f"expected {_EXPECTED[want]} expression")
 
-    def _want_bool(self, x, s):
-        if not self._is_formula(x):
-            raise s.error("expected a Bool expression")
 
-    def _want_array(self, x, s):
-        if self._is_formula(x) or sort_of(x) != Sort.ARRAY:
-            raise s.error("expected an (Array Int Int) expression")
+def _fixed(build, *sorts) -> tuple:  # the entry of an operator of one operand of each sort
+    return sorts, len(sorts), False, build
+
+
+def _variadic(least: int, sort: Sort | None, build) -> tuple:  # of `least` or more operands, all of `sort`
+    return sort, least, True, build
+
+
+def _relation(rel: Rel) -> tuple:  # chainable: (op a b c) is (and (op a b) (op b c))
+    return _variadic(2, Sort.INT, lambda s, xs: conj(Atom(rel, a, b) for a, b in zip(xs, xs[1:])))
+
+
+def _equal(s: _SExpr, xs: list) -> Formula:
+    sort = _SORT_OF[xs[0].__class__]
+    if any(_SORT_OF[x.__class__] is not sort for x in xs):
+        raise s.error("= operands have different sorts")
+    if sort is Sort.BOOL:
+        return conj(Or((And((a, b)), And((Not(a), Not(b))))) for a, b in zip(xs, xs[1:]))  # iff
+    return conj(Atom(Rel.EQ, a, b) for a, b in zip(xs, xs[1:]))
+
+
+def _distinct(s: _SExpr, xs: list) -> Formula:
+    sorts = {_SORT_OF[x.__class__] for x in xs}
+    if len(sorts) != 1:
+        raise s.error("distinct operands have different sorts")
+    if Sort.BOOL in sorts:
+        if len(xs) != 2:
+            raise UnsupportedFeature("distinct over more than two Bool terms")
+        return _xor(*xs)
+    if len(xs) > 2 and Sort.ARRAY in sorts:
+        raise UnsupportedFeature("distinct over array terms")
+    # pairwise: (distinct a b c) is (and (distinct a b) (distinct a c) (distinct b c))
+    return conj(Atom(Rel.NE, xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
+
+
+def _ite(s: _SExpr, xs: list):
+    cond, then, orelse = xs
+    if _SORT_OF[then.__class__] is Sort.BOOL and _SORT_OF[orelse.__class__] is Sort.BOOL:
+        return Or((And((cond, then)), And((Not(cond), orelse))))
+    _check(s, Sort.INT, then)
+    _check(s, Sort.INT, orelse)
+    return Ite(cond, then, orelse)
+
+
+def _negate(s: _SExpr, xs: list) -> Term:
+    (x,) = xs
+    return IntConst(-x.value) if x.__class__ is IntConst else Mul((IntConst(-1), x))
+
+
+# Each operator's entry: (operand sorts, arity, variadic, builder).  A fixed
+# operator takes `arity` operands, one of each sort; a variadic one takes
+# `arity` or more, all of the one sort given.  A sort None takes any sort,
+# which the builder checks.  The builder takes the application, where its
+# errors are placed, and the checked operands.
+_OPERATORS = {
+    "+": _variadic(2, Sort.INT, lambda s, xs: Add(xs)),
+    "-": _variadic(2, Sort.INT, lambda s, xs: functools.reduce(Sub, xs)),
+    "*": _variadic(2, Sort.INT, lambda s, xs: Mul(xs)),
+    "not": _fixed(lambda s, xs: Not(xs[0]), Sort.BOOL),
+    # single-element connectives are normalized away, like nesting
+    "and": _variadic(0, Sort.BOOL, lambda s, xs: conj(xs)),
+    "or": _variadic(0, Sort.BOOL, lambda s, xs: disj(xs)),
+    # right-associative: (=> a b c) is (=> a (=> b c))
+    "=>": _variadic(2, Sort.BOOL, lambda s, xs: Or((*map(Not, xs[:-1]), xs[-1]))),
+    "xor": _fixed(lambda s, xs: _xor(*xs), Sort.BOOL, Sort.BOOL),
+    "select": _fixed(lambda s, xs: Select(*xs), Sort.ARRAY, Sort.INT),
+    "store": _fixed(lambda s, xs: Store(*xs), Sort.ARRAY, Sort.INT, Sort.INT),
+    **{rel.value: _relation(rel) for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE)},
+    "=": _variadic(2, None, _equal),
+    "distinct": _variadic(2, None, _distinct),
+    "ite": _fixed(_ite, Sort.BOOL, None, None),
+}
+_NEGATE = _fixed(_negate, Sort.INT)  # unary minus
+# the application (f x) of a declared function, whose head `s` begins with
+_APPLY = _fixed(lambda s, xs: Select(ArrayVar(_sym(s.items[0].text), function=True), xs[0]), Sort.INT)
 
 
 _NUMERAL = re.compile(r"-?[0-9]+")
@@ -532,68 +507,51 @@ def parse_problem(text: str) -> ParsedProblem:
 # Printing
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, IntConst):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, (IntVar, ArrayVar)):
-        return _print_sym(t.name)
-    if isinstance(t, Add):
-        return "(+ " + " ".join(print_term(a) for a in t.args) + ")"
-    if isinstance(t, Sub):
-        return f"(- {print_term(t.lhs)} {print_term(t.rhs)})"
-    if isinstance(t, Mul):
-        return "(* " + " ".join(print_term(a) for a in t.args) + ")"
-    if isinstance(t, Ite):
-        return f"(ite {print_formula(t.cond)} {print_term(t.then)} {print_term(t.orelse)})"
-    if isinstance(t, Select):
-        if isinstance(t.array, ArrayVar) and t.array.function:
-            return f"({_print_sym(t.array.name)} {print_term(t.index)})"
-        return f"(select {print_term(t.array)} {print_term(t.index)})"
-    if isinstance(t, Store):
-        return f"(store {print_term(t.array)} {print_term(t.index)} {print_term(t.value)})"
-    raise TypeError(f"not a term: {t!r}")
+# The head of each node type with operands; an atom's is its relation's.
+_HEADS = {Add: "+", Sub: "-", Mul: "*", Ite: "ite", Select: "select", Store: "store", Not: "not", And: "and", Or: "or"}
+_REL_HEADS = {**{rel: rel.value for rel in Rel}, Rel.NE: "distinct"}
 
 
-_PLAIN_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ~!@$%^&*_-+=<>.?/")
-_PLAIN_REST = _PLAIN_FIRST | set("0123456789")
+def print_formula(node: Term | Formula) -> str:
+    """The SMT-LIB text of a term or formula.  An `and` or `or` of fewer
+    than two operands prints as its operand, or as true or false."""
+    kind = node.__class__
+    if kind is IntConst:
+        return str(node.value) if node.value >= 0 else f"(- {-node.value})"
+    if kind is IntVar or kind is BoolVar or kind is ArrayVar:
+        return _print_sym(node.name)
+    if kind is BoolConst:
+        return "true" if node.value else "false"
+    if kind is Select and node.array.__class__ is ArrayVar and node.array.function:
+        return f"({_print_sym(node.array.name)} {print_formula(node.index)})"
+    kids = children(node)
+    if kind is Atom:
+        head = _REL_HEADS[node.rel]
+    elif len(kids) < 2 and (kind is And or kind is Or):
+        return print_formula(kids[0]) if kids else "true" if kind is And else "false"
+    else:
+        head = _HEADS[kind]
+    return f"({head} {' '.join(map(print_formula, kids))})"
+
+
+print_term = print_formula
+
+
+# A symbol prints bare when it starts with one of the first characters and
+# holds only the others; any other symbol prints quoted, as |name|.
+_PLAIN_FIRST = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ~!@$%^&*_-+=<>.?/"
+_PLAIN_REST = _PLAIN_FIRST + "0123456789"
 
 
 def _print_sym(name: str) -> str:
-    if name and name[0] in _PLAIN_FIRST and all(c in _PLAIN_REST for c in name):
+    if name and name[0] in _PLAIN_FIRST and not name.strip(_PLAIN_REST):
         return name
     return "|" + name + "|"
 
 
-def print_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        if f.rel == Rel.NE:
-            return f"(distinct {print_term(f.lhs)} {print_term(f.rhs)})"
-        return f"({f.rel.value} {print_term(f.lhs)} {print_term(f.rhs)})"
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.arg)})"
-    if isinstance(f, And):
-        if not f.args:
-            return "true"
-        if len(f.args) == 1:
-            return print_formula(f.args[0])
-        return "(and " + " ".join(print_formula(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        if not f.args:
-            return "false"
-        if len(f.args) == 1:
-            return print_formula(f.args[0])
-        return "(or " + " ".join(print_formula(a) for a in f.args) + ")"
-    if isinstance(f, BoolVar):
-        return _print_sym(f.name)
-    if isinstance(f, BoolConst):
-        return "true" if f.value else "false"
-    raise TypeError(f"not a formula: {f!r}")
+_SORT_TEXT = {sort: text for text, sort in _SORT_NAMES.items()}
 
 
 def print_declaration(d: Declaration) -> str:
-    if d.is_function:
-        return f"(declare-fun {_print_sym(d.name)} (Int) Int)"
-    if d.sort == Sort.ARRAY:
-        return f"(declare-fun {_print_sym(d.name)} () (Array Int Int))"
-    return f"(declare-fun {_print_sym(d.name)} () {d.sort.value})"
-
+    sort = "(Int) Int" if d.is_function else "() " + _SORT_TEXT[d.sort]
+    return f"(declare-fun {_print_sym(d.name)} {sort})"

@@ -28,8 +28,9 @@ to these, and :func:`preprocess` lifts term-level ite out of atoms.
 Node structure.  One table lists each node type's children in pre-order
 (an ``Ite``: condition, then, else); :func:`children` reads it, and the
 structural walks derive from it: :func:`iter_nodes`, whose numbering
-coverage bitmaps and :mod:`.compiled` share, and :func:`replace`.
-Evaluation, printing, preprocessing and NNF stay written per type.
+coverage bitmaps and :mod:`.compiled` share, :func:`replace`, and the
+SMT-LIB printer of :mod:`.smtlib`.  Evaluation, preprocessing and NNF stay
+written per type.
 A *select-like* term, told by :func:`is_select_like`, is a select over an
 array variable, a function application included: a leaf that reads the
 symbol ``t.array.name`` at the index ``t.index``, for the array pipeline,

@@ -1,5 +1,6 @@
 """Command-line interface: run, verify, merge-coverage."""
 
+import argparse
 import dataclasses
 import json
 import sys
@@ -322,6 +323,32 @@ class TestVerify:
         empty.write_text("")
         assert run_cli("verify", empty, data_dir / "intro.smt2") == EXIT_OK
         assert "0 samples" in capsys.readouterr().out
+
+    def test_a_line_that_is_not_utf8_is_named(self, data_dir, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_bytes(b'{"x": 12, "y": 2}\n\xff\xfe\n')
+        assert run_cli("verify", samples, data_dir / "intro.smt2") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {samples}:2: ") and "can't decode byte 0xff" in err
+
+    def test_two_calls_build_one_argument_parser(self, data_dir, tmp_path, monkeypatch, capsys):
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):  # called once per build of the parser
+            built.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli._build_parser.cache_clear()
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"x": 12, "y": 2}\n')
+        try:
+            for _ in range(2):
+                assert run_cli("verify", samples, data_dir / "intro.smt2") == EXIT_OK
+            assert built == ["boxsampler"]
+        finally:
+            cli._build_parser.cache_clear()
 
 
 # Assignments `cli run --inject-seed` and `cli verify` read the same way.

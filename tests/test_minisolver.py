@@ -62,6 +62,19 @@ def _feed(session: _Session, text: str) -> None:
             session.handle(command)
 
 
+def test_define_fun_body_is_checked_against_its_sort():
+    """The solver child reads define-fun through the parser, so a body of
+    another sort is an error reply, placed at the body in the stream."""
+    out = io.StringIO()
+    _feed(_Session(out), "(declare-const x Int)\n(define-fun c () Int true)\n(define-fun d () Bool (+ x 1))\n"
+          "(define-fun e () Bool (> x 1))\n(assert e)\n(check-sat)\n")
+    assert out.getvalue().splitlines() == [
+        '(error "2:21: expected an Int expression")',
+        '(error "3:22: expected a Bool expression")',
+        "sat",
+    ]
+
+
 def test_a_point_blocking_trial_compiles_each_assertion_once(data_dir, predicate_calls):
     """The recorded transcript asserts the problem and then one negation per
     query.  Each is compiled once, and each query's scan starts at the

@@ -1,5 +1,6 @@
 """SMT-LIB reader/writer: examples, round trips, fuzz robustness."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,18 +23,32 @@ from boxsampler.terms import (
     And,
     ArrayVar,
     Atom,
+    BoolConst,
     BoolVar,
     IntConst,
     IntVar,
+    Ite,
+    Mul,
     Not,
     Or,
     Rel,
     Select,
     Sort,
+    Store,
+    Sub,
     preprocess,
     to_nnf,
 )
-from oracle import o_formula, o_sexpr, print_problem, random_formula
+from oracle import (
+    fun_app,
+    o_formula,
+    o_sexpr,
+    print_problem,
+    random_array_formula,
+    random_array_term,
+    random_formula,
+    random_nnf_formula,
+)
 
 
 def _iff(a, b):
@@ -163,6 +178,163 @@ class TestErrorPositions:
         with pytest.raises(SmtSyntaxError) as info:
             parse_problem(before + "\n(assert (> zz 0))")
         assert str(info.value) == "3:11: undeclared symbol 'zz'"
+
+
+class TestPinnedErrors:
+    """One malformed application per head, each with a single error, and
+    the message and position the parser gives it.  A sort or arity error is
+    placed at the application, not at the operand."""
+
+    DECLS = (
+        "(declare-const x Int)(declare-const y Int)(declare-const p Bool)(declare-const q Bool)"
+        "(declare-const a (Array Int Int))(declare-const b (Array Int Int))(declare-fun f (Int) Int)\n"
+    )
+
+    @pytest.mark.parametrize("expr, message", [
+        # arity, exact
+        ("(not p q)", "2:10: not expects 1 arguments"),
+        ("(xor p)", "2:10: xor expects 2 arguments"),
+        ("(ite p 1)", "2:10: ite expects 3 arguments"),
+        ("(select a)", "2:10: select expects 2 arguments"),
+        ("(store a 1)", "2:10: store expects 3 arguments"),
+        ("(f 1 2)", "2:10: f expects 1 arguments"),
+        ("(|f| 1 2)", "2:10: |f| expects 1 arguments"),
+        ("(f)", "2:10: f expects 1 arguments"),
+        # arity, at least
+        ("(+ x)", "2:10: + expects at least 2 arguments"),
+        ("(-)", "2:10: - expects at least 2 arguments"),
+        ("(* x)", "2:10: * expects at least 2 arguments"),
+        ("(=> p)", "2:10: => expects at least 2 arguments"),
+        ("(< x)", "2:10: < expects at least 2 arguments"),
+        ("(<= x)", "2:10: <= expects at least 2 arguments"),
+        ("(> x)", "2:10: > expects at least 2 arguments"),
+        ("(>= x)", "2:10: >= expects at least 2 arguments"),
+        ("(= x)", "2:10: = expects at least 2 arguments"),
+        ("(distinct x)", "2:10: distinct expects at least 2 arguments"),
+        # an operand that is not an Int
+        ("(+ x p)", "2:10: expected an Int expression"),
+        ("(- x p)", "2:10: expected an Int expression"),
+        ("(* p x)", "2:10: expected an Int expression"),
+        ("(- p)", "2:10: expected an Int expression"),
+        ("(< x p)", "2:10: expected an Int expression"),
+        ("(>= a 1)", "2:10: expected an Int expression"),
+        ("(select a p)", "2:10: expected an Int expression"),
+        ("(store a 1 p)", "2:10: expected an Int expression"),
+        ("(store a p 1)", "2:10: expected an Int expression"),
+        ("(f p)", "2:10: expected an Int expression"),
+        ("(f a)", "2:10: expected an Int expression"),
+        ("(ite p x q)", "2:10: expected an Int expression"),
+        ("(ite p a b)", "2:10: expected an Int expression"),
+        ("(<= 0 (+ x (select a (* 2 p))))", "2:31: expected an Int expression"),
+        # an operand that is not a Bool
+        ("(not x)", "2:10: expected a Bool expression"),
+        ("(and p x)", "2:10: expected a Bool expression"),
+        ("(or x)", "2:10: expected a Bool expression"),
+        ("(=> p x)", "2:10: expected a Bool expression"),
+        ("(xor p x)", "2:10: expected a Bool expression"),
+        ("(ite x 1 2)", "2:10: expected a Bool expression"),
+        ("(or p (and q (not y)))", "2:23: expected a Bool expression"),
+        # an operand that is not an array
+        ("(select x 1)", "2:10: expected an (Array Int Int) expression"),
+        ("(store x 1 2)", "2:10: expected an (Array Int Int) expression"),
+        ("(select (f 1) 0)", "2:10: expected an (Array Int Int) expression"),
+        # operands of different sorts
+        ("(distinct x p)", "2:10: distinct operands have different sorts"),
+        ("(distinct p x)", "2:10: distinct operands have different sorts"),
+        ("(distinct x a)", "2:10: distinct operands have different sorts"),
+        ("(distinct p q x)", "2:10: distinct operands have different sorts"),
+        ("(= x p)", "2:10: = operands have different sorts"),
+        ("(= p x)", "2:10: = operands have different sorts"),
+        ("(= x a)", "2:10: = operands have different sorts"),
+        ("(= x y p)", "2:10: = operands have different sorts"),
+        # heads outside the table
+        ("(foo x)", "2:10: unknown operator 'foo'"),
+        ("(g 1)", "2:10: unknown operator 'g'"),
+        ("()", "2:10: empty application"),
+        ("((+ x 1) 2)", "2:10: expected an operator symbol"),
+        ("(!)", "2:10: empty attribute expression"),
+        ("(let x p)", "2:10: malformed let"),
+        ("(let ((z)) z)", "2:10: malformed let binding"),
+        ("f", "2:10: function 'f' used without arguments"),
+    ])
+    def test_syntax_error_text(self, expr, message):
+        with pytest.raises(SmtSyntaxError) as info:
+            parse_problem(f"{self.DECLS}  (assert {expr})")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("expr, message", [
+        ("(div x 2)", "operator div is outside the supported fragment"),
+        ("(mod x 2)", "operator mod is outside the supported fragment"),
+        ("(abs x)", "operator abs is outside the supported fragment"),
+        ("(forall ((z Int)) p)", "quantifiers are not supported"),
+        ("(exists ((z Int)) p)", "quantifiers are not supported"),
+        ("(distinct p q p)", "distinct over more than two Bool terms"),
+        ("(distinct a b a)", "distinct over array terms"),
+    ])
+    def test_unsupported_feature_text(self, expr, message):
+        with pytest.raises(UnsupportedFeature) as info:
+            parse_problem(f"{self.DECLS}  (assert {expr})")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("(declare-const x Real)", "unsupported sort 'Real'"),
+        ("(declare-const x (Array Int Bool))", "unsupported sort (Array Int Bool)"),
+        ("(declare-const x (Array Int (Array Int Int)))", "unsupported sort (Array Int (...))"),
+        ("(declare-fun f (Int) Bool)", "only unary Int -> Int uninterpreted functions are supported"),
+    ])
+    def test_unsupported_sort_text(self, text, message):
+        with pytest.raises(UnsupportedFeature) as info:
+            parse_problem(text)
+        assert str(info.value) == message
+
+
+class TestCheckOrder:
+    """Every application is checked in one order: the number of operands,
+    then each operand parsed, then the sort of each, left to right.  An
+    input with two errors reports the first in that order."""
+
+    DECLS = TestPinnedErrors.DECLS
+
+    @pytest.mark.parametrize("expr, message", [
+        ("(+ (g 1))", "2:10: + expects at least 2 arguments"),
+        ("(- (g 1) x x)", "2:13: unknown operator 'g'"),
+        ("(* (g 1))", "2:10: * expects at least 2 arguments"),
+        ("(ite x (g 1) 2)", "2:17: unknown operator 'g'"),
+        ("(select p (g 1))", "2:20: unknown operator 'g'"),
+        ("(and x (g 1))", "2:17: unknown operator 'g'"),
+        ("(store p q a)", "2:10: expected an (Array Int Int) expression"),
+    ])
+    def test_first_error_in_check_order(self, expr, message):
+        with pytest.raises(SmtSyntaxError) as info:
+            parse_problem(f"{self.DECLS}  (assert {expr})")
+        assert str(info.value) == message
+
+
+class TestDefineFun:
+    """A zero-parameter define-fun is inlined, and its body must have the
+    sort it declares; a body of another sort is an error at the body."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("(define-fun c () Int true)(assert c)", "1:21: expected an Int expression"),
+        ("(declare-const x Int)(define-fun c () Bool (+ x 1))(assert (> c 0))", "1:43: expected a Bool expression"),
+        ("(declare-const x Int)\n(define-fun c () (Array Int Int) x)", "2:33: expected an (Array Int Int) expression"),
+    ])
+    def test_body_of_another_sort_is_rejected(self, text, message):
+        with pytest.raises(SmtSyntaxError) as info:
+            parse_problem(text)
+        assert str(info.value) == message
+
+    def test_body_of_its_sort_is_inlined(self):
+        p = parse_problem(
+            "(declare-const x Int)(declare-const a (Array Int Int))(define-fun b () Bool (> x 1))"
+            "(define-fun c () (Array Int Int) a)(assert (and b (= (select c x) 2)))"
+        )
+        gt = Atom(Rel.GT, IntVar("x"), IntConst(1))
+        assert p.assertion == And((gt, Atom(Rel.EQ, Select(ArrayVar("a"), IntVar("x")), IntConst(2))))
+
+    def test_declared_sort_must_be_supported(self):
+        with pytest.raises(UnsupportedFeature, match="unsupported sort 'Real'"):
+            parse_problem("(define-fun c () Real 1)")
 
 
 class TestChainable:
@@ -322,6 +494,69 @@ class TestRoundTrip:
         p = parse_problem("(declare-const |my var| Int)(assert (>= |my var| 0))")
         assert p.assertion == Atom(Rel.GE, IntVar("my var"), IntConst(0))
         assert "|my var|" in print_formula(p.assertion)
+
+
+class TestPinnedPrint:
+    """The bytes the printer writes, for terms and formulas of every node
+    type; solver queries and the intervals file are made of them."""
+
+    X, A = IntVar("x"), ArrayVar("a")
+
+    @pytest.mark.parametrize("node, text", [
+        (IntConst(0), "0"),
+        (IntConst(-5), "(- 5)"),
+        (IntVar("my var"), "|my var|"),
+        (IntVar("1x"), "|1x|"),
+        (IntVar("x!1"), "x!1"),
+        (ArrayVar("a b"), "|a b|"),
+        (Add((X,)), "(+ x)"),
+        (Sub(X, IntConst(-2)), "(- x (- 2))"),
+        (Mul((IntConst(-1), X)), "(* (- 1) x)"),
+        (Ite(BoolVar("p"), X, IntConst(-1)), "(ite p x (- 1))"),
+        (Ite(Atom(Rel.NE, X, IntConst(1)), IntConst(2), X), "(ite (distinct x 1) 2 x)"),
+        (Select(Store(A, IntConst(1), IntConst(2)), IntConst(0)), "(select (store a 1 2) 0)"),
+        (Store(A, fun_app("f", X), IntConst(3)), "(store a (f x) 3)"),
+        (Store(A, fun_app("my f", fun_app("f", IntConst(-1))), X), "(store a (|my f| (f (- 1))) x)"),
+        (Select(ArrayVar("b", function=False), X), "(select b x)"),
+    ])
+    def test_term_text(self, node, text):
+        assert print_term(node) == text
+
+    @pytest.mark.parametrize("node, text", [
+        (BoolConst(True), "true"),
+        (BoolConst(False), "false"),
+        (BoolVar("p q"), "|p q|"),
+        (Not(BoolVar("p")), "(not p)"),
+        (And(()), "true"),
+        (Or(()), "false"),
+        (And((BoolVar("p"),)), "p"),
+        (Or((Not(BoolVar("p")),)), "(not p)"),
+        (And((BoolVar("p"), Or(()))), "(and p false)"),
+        (Atom(Rel.NE, X, IntConst(-3)), "(distinct x (- 3))"),
+        (Atom(Rel.EQ, Store(A, X, X), ArrayVar("b")), "(= (store a x x) b)"),
+        (Or((Atom(Rel.LT, fun_app("f", X), IntConst(0)), BoolVar("p"))), "(or (< (f x) 0) p)"),
+    ])
+    def test_formula_text(self, node, text):
+        assert print_formula(node) == text
+
+    def test_random_formulas_print_to_pinned_bytes(self):
+        rng = random.Random(2212)
+        ints, arrays, funs = ["x", "y", "my var"], ["a", "b c"], ["f", "1g"]
+        digest = hashlib.sha256()
+        for _ in range(300):
+            texts = [
+                print_formula(random_formula(rng, ints, 3)),
+                print_formula(random_nnf_formula(rng, ints, 3)),
+                print_formula(random_array_formula(rng, ints, arrays, funs, 3)),
+                print_term(random_array_term(rng, ints, arrays, funs, 3)),
+                print_term(Store(
+                    ArrayVar(rng.choice(arrays)),
+                    random_array_term(rng, ints, arrays, funs, 2),
+                    random_array_term(rng, ints, arrays, funs, 2),
+                )),
+            ]
+            digest.update(("\n".join(texts) + "\n").encode())
+        assert digest.hexdigest() == "ff3761661c77306a379c3af704ee37d1750e8c6be3ec4f42350a87d4fe206976"
 
 
 def _end(text: str) -> int | None:
