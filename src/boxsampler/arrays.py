@@ -200,8 +200,7 @@ def rewrite_array_equality(
         new_lits += [Atom(Rel.EQ, Select(common, idx), val) for idx, val in chain1]
         new_lits += [Atom(Rel.EQ, Select(common, idx), val) for idx, val in chain2]
         # extend the model before substituting so every new literal holds
-        shared = eval_term(lit.lhs, m)
-        m.funcs[common.name] = shared.copy()
+        m.funcs[common.name] = eval_term(lit.lhs, m)
         f1, f2 = m.func_value(base1.name), m.func_value(base2.name)
         _, uchain1 = _store_chain(subst1)
         _, uchain2 = _store_chain(subst2)

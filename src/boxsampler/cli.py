@@ -108,8 +108,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_problem(path: str):
+    """The problem of the SMT-LIB file `path`; one that is not UTF-8 is an error that names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BoxsamplerError(f"{path}: {exc}") from exc
+    return parse_problem(text)
+
+
 def _cmd_run(args) -> int:
-    if args.solver_timeout <= 0:
+    if not args.solver_timeout > 0:  # false for NaN too
         raise ConfigError("the solver timeout must be positive")
     cfg = SamplerConfig(
         strategy=args.strategy,
@@ -123,8 +133,7 @@ def _cmd_run(args) -> int:
         unbounded_width=args.unbounded_width,
         rng_seed=args.rng_seed,
     )
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        problem = parse_problem(fh.read())
+    problem = _read_problem(args.problem)
     if args.inject_seed:
         layout = SampleLayout(problem.declarations)
         cfg.inject_seed = layout.model(layout.from_json(json.loads(args.inject_seed)))
@@ -196,8 +205,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        problem = parse_problem(fh.read())
+    problem = _read_problem(args.problem)
     layout = SampleLayout(problem.declarations)
     pred = layout.predicate(preprocess(problem.assertion))
     violations = 0
@@ -216,11 +224,10 @@ def _cmd_verify(args) -> int:
                 if not pred(*values):
                     violations += 1
                     print(f"violation at line {line_no}", file=sys.stderr)
-                key = layout.key(values)
-                if key in seen:
+                if values in seen:
                     duplicates += 1
                     print(f"duplicate at line {line_no}", file=sys.stderr)
-                seen.add(key)
+                seen.add(values)
         except (UnicodeDecodeError, json.JSONDecodeError, BoxsamplerError) as exc:
             raise BoxsamplerError(f"{args.samples}:{line_no}: {exc}") from exc
     print(f"{total} samples, {violations} violations, {duplicates} duplicates")

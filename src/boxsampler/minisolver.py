@@ -79,6 +79,7 @@ _MAX_ARRAY_SLOTS = 4
 _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
 _CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
+_ZERO_FUNC = FuncValue(0)  # never changed in place, so one serves every model
 
 _MIRRORED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE}
 
@@ -250,7 +251,7 @@ class BruteForceEngine:
         self.func_syms = sorted(d.name for d in declarations if d.sort == Sort.ARRAY)
         self.names = self.int_vars + self.bool_vars + self.func_syms
         self.bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
-        zeros = tuple(FuncValue(0) for _ in self.func_syms)
+        zeros = (_ZERO_FUNC,) * len(self.func_syms)
         # the tails of a point when no formula reads an array or function
         self.int_tails = [bools + zeros for bools in self.bool_space]
         self._start_over()
@@ -417,7 +418,7 @@ class BruteForceEngine:
         return Model(
             ints=dict(zip(self.int_vars, point)),
             bools=dict(zip(self.bool_vars, tail)),
-            funcs={s: fv.copy() for s, fv in zip(self.func_syms, tail[len(self.bool_vars):])},
+            funcs=dict(zip(self.func_syms, tail[len(self.bool_vars):])),
         )
 
     def _array_tails(self, used, accesses, constants):
@@ -434,8 +435,7 @@ class BruteForceEngine:
         column = {s: k for k, s in enumerate(syms)}
         positions = [column.get(s) for s in self.func_syms]  # of each symbol in `syms`, or None
         accesses = {(s, index) for s, index in accesses if s in column}
-        zero = FuncValue(0)
-        probe_funcs = {s: zero for s in syms}
+        probe_funcs = {s: _ZERO_FUNC for s in syms}
         candidates = sorted(constants | {-1, 0, 1})[:_MAX_ARRAY_CANDIDATES]
 
         def tails(point):
@@ -453,7 +453,7 @@ class BruteForceEngine:
                     for (s, index), value in zip(slot_list, combo[len(syms):]):
                         stored[s][index] = value
                     values = [FuncValue(d, stored[s]) for s, d in zip(syms, combo)]
-                    yield bools + tuple(zero if k is None else values[k] for k in positions)
+                    yield bools + tuple(_ZERO_FUNC if k is None else values[k] for k in positions)
 
         return tails
 
@@ -548,6 +548,8 @@ class _Session:
             if head in ("declare-const", "declare-fun", "define-fun"):
                 self.parser.command(sexpr)
                 return True
+            if head in ("assert", "assert-soft") and not args:
+                raise sexpr.error(f"{head} expects one formula")
             if head == "assert":
                 self.frames[-1][0].append(self.parser.formula(sexpr, args[0]))
                 return True
@@ -595,15 +597,13 @@ def _format_model(model: Model, declarations: list[Declaration]) -> str:
 
     lines = ["("]
     for d in declarations:
-        name = _print_sym(d.name)
+        name, fv = _print_sym(d.name), model.funcs.get(d.name, _ZERO_FUNC)
         if d.is_function:
-            fv = model.funcs.get(d.name, FuncValue(0))
             body = num(fv.default)
             for k in sorted(fv.exceptions, reverse=True):
                 body = f"(ite (= x!0 {num(k)}) {num(fv.exceptions[k])} {body})"
             lines.append(f"  (define-fun {name} ((x!0 Int)) Int {body})")
         elif d.sort == Sort.ARRAY:
-            fv = model.funcs.get(d.name, FuncValue(0))
             body = f"((as const (Array Int Int)) {num(fv.default)})"
             for k in sorted(fv.exceptions):
                 body = f"(store {body} {num(k)} {num(fv.exceptions[k])})"

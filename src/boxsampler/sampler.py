@@ -17,8 +17,8 @@ is then enumerated, each point once in a shuffled order, so that a point
 box costs one draw.  Any other box is drawn at random: each draw writes
 the integer values, the array cells and any rebuilt arrays straight into
 the tuple.  Each tuple is checked by one positional predicate compiled once
-per run and is its own dedup key (function values written as their default
-and sorted exceptions); only a fresh sample becomes a :class:`Model`, built
+per run and is its own dedup key, since a function value hashes by value
+(:class:`FuncValue`); only a fresh sample becomes a :class:`Model`, built
 by one generated call (:meth:`SampleLayout.model`) that unpacks the tuple
 into one dict display per sort group.  Its text depends only on the tuple
 of sorts, so it is compiled once per sort signature; each layout binds its
@@ -98,7 +98,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.strategy not in ("random", "blocking"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.total_time_limit <= 0 or self.epoch_time_limit <= 0:
+        if not (self.total_time_limit > 0 and self.epoch_time_limit > 0):  # false for NaN too
             raise ConfigError("time limits must be positive")
         if self.rounds_per_epoch < 1 or self.samples_per_round < 1:
             raise ConfigError("rounds per epoch and samples per round must be at least 1")
@@ -170,6 +170,10 @@ class DedupSet:
 
     @staticmethod
     def _digest(key: tuple) -> bytes:
+        # equal function values may differ in the order, so the repr, of their exceptions
+        key = tuple(
+            (v.default, tuple(sorted(v.exceptions.items()))) if v.__class__ is FuncValue else v for v in key
+        )
         return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
 
 
@@ -313,7 +317,7 @@ def sample_intervals(iv: IntervalMap, seed: Model, cfg: SamplerConfig, rng: rand
         assert isinstance(key, IntVar), "integer-only sampling requires variable keys"
         lo, points = _clamp(interval, seed.int_value(key.name), cfg.unbounded_width)
         ints[key.name] = rng.randint(lo, lo + points - 1)
-    return Model(ints=ints, bools=dict(seed.bools), funcs={n: f.copy() for n, f in seed.funcs.items()})
+    return Model(ints=ints, bools=dict(seed.bools), funcs=dict(seed.funcs))
 
 
 def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
@@ -395,22 +399,22 @@ def sample_intervals_arrays(
 # Epoch exploitation
 
 
+# The value of a symbol a sample omits, by sort; a function value is never
+# changed in place (:class:`FuncValue`), so one constant-0 function serves
+# every sample.
+_ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
+
+
 def restrict_to_problem(sample: Model, problem: ParsedProblem) -> Model:
     out = Model()
     for d in problem.declarations:
         if d.sort == Sort.ARRAY:
-            fv = sample.funcs.get(d.name, FuncValue(0))
-            out.funcs[d.name] = fv.copy()
+            out.funcs[d.name] = sample.funcs.get(d.name, _ZERO[Sort.ARRAY])
         elif d.sort == Sort.INT:
             out.ints[d.name] = sample.ints.get(d.name, 0)
         else:
             out.bools[d.name] = sample.bools.get(d.name, False)
     return out
-
-
-# The value of a symbol a sample omits, by sort; function values are never
-# changed in place, so one constant-0 function serves every sample.
-_ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
 
 
 def _func_from_json(name: str, value) -> FuncValue:
@@ -502,15 +506,6 @@ class SampleLayout:
                 shape = "an integer" if sorts[i] is Sort.INT else "true or false"
                 raise BoxsamplerError(f"{sorts[i].value} symbol {name!r} needs {shape}, not {value!r}")
         return tuple(values)
-
-    def key(self, values: tuple) -> tuple:
-        """Dedup key of a vector: itself, with each function value written
-        as (default, sorted exceptions)."""
-        key = list(values)
-        for _, i in self.funcs:
-            fv = key[i]
-            key[i] = (fv.default, tuple(sorted(fv.exceptions.items())))
-        return tuple(key)
 
     @functools.cached_property
     def model(self) -> Callable[..., Model]:
@@ -639,13 +634,12 @@ def exploit_epoch(
     of V draws visits each of its V points once, and `stats.enumerated`
     says whether the round ran to its end.  Each draw is a vector of the
     run's `layout`, checked with `pred`, the input formula compiled by
-    :meth:`SampleLayout.predicate`, and deduplicated by its key; only fresh
+    :meth:`SampleLayout.predicate`, and deduplicated as it is; only fresh
     samples become Models.  The deadline and the budget cut a round short."""
     draw, volume = epoch_drawer(
         iv, seed, layout, cfg, rng, reconstructions=reconstructions, enumerate_up_to=cfg.samples_per_round
     )
     rounds, per_round = (1, volume) if volume else (cfg.rounds_per_epoch, cfg.samples_per_round)
-    key_of = layout.key if layout.funcs else None
     model_of = layout.model
     add = dedup.add
     fresh: list[Model] = []
@@ -669,7 +663,7 @@ def exploit_epoch(
                 raise SoundnessViolation(
                     f"sample violates the formula: {canonical_assignment(model_of(values))!r}"
                 )
-            if add(values if key_of is None else key_of(values)):
+            if add(values):
                 fresh.append(model_of(values))
                 new_in_round += 1
                 if remaining_budget is not None and len(fresh) >= remaining_budget:

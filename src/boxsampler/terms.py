@@ -5,8 +5,9 @@ compared and hashed structurally by the tuple of their fields, so they can
 serve as dictionary keys and set members (interval maps, sets of seen
 literals) and be shared freely.  Models are mutable value objects, compared
 by their fields: integers for scalar variables and finite
-default-plus-exceptions functions for arrays.  None of these classes is a
-dataclass: the solver child (:mod:`.minisolver`) imports this module, and
+default-plus-exceptions functions for arrays, which are never changed in
+place and hash by value, so that they can be shared.  None of these classes
+is a dataclass: the solver child (:mod:`.minisolver`) imports this module, and
 :mod:`dataclasses` (with :mod:`inspect`) would make every start of it about
 a quarter slower to its first answer.  Instead each node type lists its
 fields once, in ``__slots__``, and ``_Node`` compiles its ``__init__``,
@@ -80,8 +81,9 @@ _NEGATED = {
 class _Record:
     """Slotted value object whose fields are its ``__slots__``, with the
     repr and equality a dataclass would give it: equal when of the same
-    class with equal fields, and therefore unhashable.  Subclasses write
-    their own ``__init__``."""
+    class with equal fields, and therefore unhashable, except a function
+    value (:class:`FuncValue`), which is never changed in place and hashes
+    by value.  Subclasses write their own ``__init__``."""
 
     __slots__ = ()
 
@@ -273,7 +275,9 @@ def sort_of(t: Term) -> Sort:
 class FuncValue(_Record):
     """Finite function value: maps every integer to `default` except for the
     listed exceptions.  Exceptions equal to the default are dropped so that
-    structural equality coincides with extensional equality."""
+    structural equality coincides with extensional equality.  It is never
+    changed in place (:meth:`with_store` returns a new one), so it hashes
+    by value, whatever the insertion order of its exceptions."""
 
     __slots__ = ("default", "exceptions")
 
@@ -286,16 +290,14 @@ class FuncValue(_Record):
             return (self.default, self.exceptions) == (other.default, other.exceptions)
         return NotImplemented
 
+    def __hash__(self):  # agrees with __eq__: the exceptions as a set of cells
+        return hash((self.default, frozenset(self.exceptions.items())))
+
     def apply(self, index: int) -> int:
         return self.exceptions.get(index, self.default)
 
     def with_store(self, index: int, value: int) -> "FuncValue":
-        exc = dict(self.exceptions)
-        exc[index] = value
-        return FuncValue(self.default, exc)
-
-    def copy(self) -> "FuncValue":
-        return FuncValue(self.default, dict(self.exceptions))
+        return FuncValue(self.default, {**self.exceptions, index: value})
 
 
 class Model(_Record):
@@ -332,11 +334,7 @@ class Model(_Record):
             raise UnassignedSymbol(name) from None
 
     def copy(self) -> "Model":
-        return Model(
-            dict(self.ints),
-            dict(self.bools),
-            {k: v.copy() for k, v in self.funcs.items()},
-        )
+        return Model(dict(self.ints), dict(self.bools), dict(self.funcs))
 
 
 # ---------------------------------------------------------------------------

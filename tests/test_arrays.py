@@ -199,7 +199,7 @@ class TestRewriteArrayEquality:
             lit = Atom(Rel.EQ, lhs, rhs)
             exceptions = {rng.randint(-1, 1): rng.randint(-1, 1)}
             m = _model(arrays={"a": (rng.randint(-1, 1), exceptions), "b": (0, {})})
-            m.funcs["b"] = eval_term(lhs, m).copy()  # force the equality to hold
+            m.funcs["b"] = eval_term(lhs, m)  # force the equality to hold
             if not eval_formula(lit, m):
                 continue
             cases += 1
@@ -352,7 +352,7 @@ class TestFullPipeline:
 
 def _grid_model(assignment, seed):
     """Build a full model realizing the given leaf values, when consistent."""
-    pm = Model(ints=dict(seed.ints), funcs={n: f.copy() for n, f in seed.funcs.items()})
+    pm = Model(ints=dict(seed.ints), funcs=dict(seed.funcs))
     for key, value in assignment.items():
         if isinstance(key, IntVar):
             pm.ints[key.name] = value
@@ -386,7 +386,7 @@ def _pipeline_case(rng):
             lhs = A
             for _ in range(rng.randint(0, 2)):
                 lhs = Store(lhs, random_array_term(rng, ints, [], [], 1), IntConst(rng.randint(-3, 3)))
-            m.funcs["b"] = eval_term(lhs, m).copy()
+            m.funcs["b"] = eval_term(lhs, m)
             f = And((f, Atom(Rel.EQ, lhs, B)))
         elif roll < 0.55:
             f = And((f, Atom(Rel.NE, A, B)))

@@ -215,6 +215,18 @@ class TestRun:
         assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
         assert capsys.readouterr().err == "unsupported input: 2:13: undeclared symbol '²'\n" * 2
 
+    def test_a_problem_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.smt2"
+        bad.write_bytes(b"(declare-const x Int)\n; \xff\xfe\n(assert (> x 0))\n")
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"x": 1}\n')
+        assert run_cli("run", bad, "--max-samples", 1) == EXIT_ERROR
+        assert run_cli("verify", samples, bad) == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and not (tmp_path / "bad.smt2.samples").exists()
+        for line in lines:
+            assert line.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in line
+
     @needs_digit_limit
     def test_a_numeral_over_the_digit_limit_is_a_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"
@@ -234,10 +246,14 @@ class TestRun:
             (["--unbounded-width", -1], "unbounded width"),
             (["--max-samples", -1], "max samples"),
             (["--solver-timeout", 0], "solver timeout"),
+            (["--solver-timeout", "nan"], "solver timeout"),
+            (["--time-limit", "nan"], "time limits"),
+            (["--epoch-time-limit", "nan"], "time limits"),
         ],
         ids=[
             "zero-draws", "negative-draws", "zero-rounds", "zero-time",
             "random-bound", "width", "max-samples", "solver-timeout",
+            "nan-solver-timeout", "nan-time", "nan-epoch-time",
         ],
     )
     def test_config_that_cannot_sample_is_an_error(self, data_dir, tmp_path, capsys, extra, message):

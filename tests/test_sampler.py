@@ -362,7 +362,7 @@ class TestEpochDrawer:
             reference = restrict_to_problem(drawn, problem)
             assert values == layout.vector(reference)
             assert layout.model(values) == reference
-            assert layout.key(values) == layout.key(layout.vector(reference))
+            assert hash(values) == hash(layout.vector(reference))
         assert kernel_rng.getstate() == reference_rng.getstate()
 
     def test_array_boxes_do_clash(self):
@@ -394,7 +394,7 @@ class TestEpochDrawer:
         )
         layout = SampleLayout(p.declarations)
         values = (4, FuncValue(1, {3: 0, -2: 5}), True)
-        assert layout.key(values) == (4, (1, ((-2, 5), (3, 0))), True)
+        assert values in {(4, FuncValue(1, {-2: 5, 3: 0}), True)}
         model = layout.model(values)
         assert model == Model(ints={"x": 4}, bools={"q": True}, funcs={"a": FuncValue(1, {3: 0, -2: 5})})
         assert layout.vector(model) == values
@@ -469,7 +469,7 @@ class TestLayoutModel:
         sampler_mod._model_factory.cache_clear()
         layout = _layout_of(Sort.INT, Sort.ARRAY, Sort.BOOL)
         layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
-        assert layout.key(layout.from_json({"s0": 3})) == (3, (0, ()), False)
+        assert layout.from_json({"s0": 3}) == (3, FuncValue(0), False)
         assert sampler_mod._model_factory.cache_info().currsize == 0
 
 
@@ -758,7 +758,8 @@ class TestSamplerConfig:
         [
             ("samples_per_round", 0), ("samples_per_round", -5), ("rounds_per_epoch", 0), ("total_time_limit", 0),
             ("epoch_time_limit", -1.0), ("max_samples", -1), ("random_bound", -1), ("unbounded_width", -1),
-            ("unique_rate_threshold", 1.5), ("strategy", "greedy"),
+            ("unique_rate_threshold", 1.5), ("strategy", "greedy"), ("total_time_limit", math.nan),
+            ("epoch_time_limit", math.nan),
         ],
     )
     def test_values_that_cannot_sample_are_rejected(self, field, value):
@@ -774,6 +775,11 @@ class TestDedupSet:
         assert d.probabilistic
         for i in range(10):
             assert not d.add((i,))  # still deduplicates after the switch
+
+    def test_digests_of_equal_function_values_are_equal(self):
+        d = DedupSet(cap=1)
+        assert d.add((FuncValue(0, {1: 2, 3: 4}),)) and d.probabilistic
+        assert not d.add((FuncValue(0, {3: 4, 1: 2}),))  # same cells, other insertion order
 
 
 class TestSampleFormula:

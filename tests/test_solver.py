@@ -277,6 +277,15 @@ def test_pipe_pop_drops_the_declarations_of_its_scope():
     ]
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [("(assert)", "assert expects one formula"), ("(assert-soft)", "assert-soft expects one formula")],
+)
+def test_pipe_rejects_an_assertion_without_a_formula(command, message):
+    lines = _minisolver(f"(declare-const x Int)\n{command}\n(check-sat)\n")
+    assert lines == [f'(error "2:0: {message}")', "sat"]
+
+
 @pytest.mark.parametrize("command", ["(push \u0663)", "(assert-soft (> x 0) :weight \u00b2)"])
 def test_pipe_counts_and_weights_are_ascii_numerals(command):
     # "\u0663" (Arabic-Indic three) and "\u00b2" are digits to `str.isdigit`

@@ -314,7 +314,6 @@ def test_nodes_of_different_types_with_equal_fields_are_unequal():
 
 def test_value_objects_compare_by_fields_and_are_unhashable():
     cases = [
-        (FuncValue(1, {2: 3}), FuncValue(1, {2: 3, 4: 1}), "FuncValue(default=1, exceptions={2: 3})"),
         (Model({"x": 1}), Model(ints={"x": 1}, bools={}), "Model(ints={'x': 1}, bools={}, funcs={})"),
         (
             Declaration("f", Sort.ARRAY, is_function=True),
@@ -340,6 +339,23 @@ def test_value_objects_compare_by_fields_and_are_unhashable():
     request = SolverRequest([], [])
     request.soft.append((P, 1))
     assert SolverRequest([], []).soft == []  # each request its own default list
+
+
+@given(
+    st.integers(-3, 3),
+    st.dictionaries(st.integers(-5, 5), st.integers(-3, 3), max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_function_values_compare_and_hash_by_value(default, cells, rnd):
+    # the same cells in a shuffled insertion order, with and without the
+    # entries that equal the default
+    plain = {k: v for k, v in cells.items() if v != default}
+    items = list(cells.items())
+    rnd.shuffle(items)
+    value, twin = FuncValue(default, plain), FuncValue(default, dict(items))
+    assert value == twin and hash(value) == hash(twin) and len({value, twin}) == 1
+    assert repr(FuncValue(1, {2: 3, 4: 1})) == "FuncValue(default=1, exceptions={2: 3})"
+    assert value != Model({"x": 2}) and value != (value,)
 
 
 class TestConstruction:
