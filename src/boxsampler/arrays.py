@@ -190,24 +190,19 @@ def rewrite_array_equality(
         chain1, alias1 = _drop_shadowed(chain1, m)
         chain2, alias2 = _drop_shadowed(chain2, m)
         common = ArrayVar(fresh.fresh(_FRESH_ARRAY_PREFIX))
-        subst1 = _build_chain(
-            common, [(idx, IntVar(fresh.fresh(_FRESH_SCALAR_PREFIX))) for idx, _ in chain1]
-        )
-        subst2 = _build_chain(
-            common, [(idx, IntVar(fresh.fresh(_FRESH_SCALAR_PREFIX))) for idx, _ in chain2]
-        )
+        # each side's stores, at its indices, of fresh scalars over the common array
+        stores1 = [(idx, IntVar(fresh.fresh(_FRESH_SCALAR_PREFIX))) for idx, _ in chain1]
+        stores2 = [(idx, IntVar(fresh.fresh(_FRESH_SCALAR_PREFIX))) for idx, _ in chain2]
+        subst1, subst2 = _build_chain(common, stores1), _build_chain(common, stores2)
         new_lits: list[Formula] = list(alias1) + list(alias2)
         new_lits += [Atom(Rel.EQ, Select(common, idx), val) for idx, val in chain1]
         new_lits += [Atom(Rel.EQ, Select(common, idx), val) for idx, val in chain2]
         # extend the model before substituting so every new literal holds
         m.funcs[common.name] = eval_term(lit.lhs, m)
-        f1, f2 = m.func_value(base1.name), m.func_value(base2.name)
-        _, uchain1 = _store_chain(subst1)
-        _, uchain2 = _store_chain(subst2)
-        for (idx, uvar), _orig in zip(uchain1, chain1):
-            m.ints[uvar.name] = f1.apply(eval_term(idx, m))
-        for (idx, uvar), _orig in zip(uchain2, chain2):
-            m.ints[uvar.name] = f2.apply(eval_term(idx, m))
+        for base, stores in ((base1, stores1), (base2, stores2)):
+            f = m.func_value(base.name)
+            for idx, scalar in stores:
+                m.ints[scalar.name] = f.apply(eval_term(idx, m))
 
         def substitute(f: Formula) -> Formula:
             f = replace(f, base1, subst1)

@@ -2,24 +2,28 @@
 
 `python -m boxsampler.minisolver` speaks enough SMT-LIB v2 on standard
 input/output to serve as the `--solver-cmd` backend for toy problems when no
-real solver is installed: declare-fun/-const, assert, assert-soft, push/pop
-(which scope declarations and assertions alike), check-sat, get-model,
-reset, exit.  Each `check-sat` runs one scan, over one of three orders
-of integer points: the box of the single-variable bounds when it is finite
-and small, in lexicographic order; else the max-norm shells around the
-soft targets, when every soft constraint pins an Int to a constant; else
-boxes of growing radius around the origin, one after another.  The scan
-keeps the best soft-constraint score; unsat is only claimed when the
-finite box was fully scanned.  Everything is deterministic.
+real solver is installed.  The session answers the commands that scope or
+reply: push/pop (which scope declarations and assertions alike), reset,
+exit, assert-soft, check-sat, get-model, and get-value with an error.
+:meth:`smtlib.Parser.command` reads every other one (declare-const,
+declare-fun, define-fun, assert, set-logic, set-info, set-option, an
+unknown head, an atom) and keeps the hard list, so the pipe accepts and
+rejects each as :func:`smtlib.parse_problem` does.
+
+Each `check-sat` runs one scan, over one of three orders of integer
+points: the box of the single-variable bounds when it is finite and small,
+in lexicographic order; else the max-norm shells around the soft targets,
+when every soft constraint pins an Int to a constant; else boxes of growing
+radius around the origin, one after another.  The scan keeps the best
+soft-constraint score; unsat is only claimed when the finite box was fully
+scanned.  Everything is deterministic.
 
 The input is read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`,
 through :class:`smtlib.StreamReader`, which frames and reads each command
 in one pass as soon as it is complete; the client reads the replies at the
-other end of the pipe with the same class.
-Assertions must be Bool, as in :func:`smtlib.parse_problem`.  A stray ")"
-and every rejected command get an ``(error "...")`` reply, with quotes
-doubled and the line and column of the error in the input stream, and
-reading goes on.
+other end of the pipe with the same class.  A stray ")" and every rejected
+command get an ``(error "...")`` reply, with quotes doubled and the line
+and column of the error in the input stream, and reading goes on.
 
 One :class:`BruteForceEngine` serves a session while its declarations stay
 the same, and answers a `check-sat` at the cost of what changed since the
@@ -495,9 +499,14 @@ class _Session:
     def __init__(self, out):
         self.out = out
         self.reader = StreamReader()
+        self._start()
+
+    def _start(self):
+        """The state of a new session, or of one after `reset`."""
         self.parser = Parser()
-        # (hard, soft) of each scope, and for a pushed one the (decls, macros) that `pop` restores
-        self.frames: list[tuple] = [([], [])]
+        self.hard = self.parser.assertions  # the parser reads every `assert`
+        self.soft: list[tuple[Formula, int]] = []
+        self.marks: list[tuple] = []  # of each pushed scope, the (len(hard), len(soft), decls, macros) to pop to
         self.last_model: Model | None = None
         self.engine: BruteForceEngine | None = None  # kept while the declarations stay the same
 
@@ -510,72 +519,48 @@ class _Session:
         as SMT-LIB escapes it, so that the reply reads as one s-expression."""
         self.emit('(error "' + message.replace('"', '""') + '")')
 
-    @property
-    def hard(self) -> list[Formula]:
-        return [f for frame in self.frames for f in frame[0]]
-
-    @property
-    def soft(self) -> list[tuple[Formula, int]]:
-        return [s for frame in self.frames for s in frame[1]]
-
     def handle(self, sexpr) -> bool:
-        """Process one command; returns False on exit."""
-        if sexpr.is_atom or not sexpr.items or not sexpr.items[0].is_atom:
-            self.error("expected a command")
-            return True
-        head = sexpr.items[0].text
-        args = sexpr.items[1:]
+        """Process one command; returns False on exit.  The session answers
+        the commands that scope or reply; the parser reads every other one,
+        as it reads a problem file."""
+        head = sexpr.items[0].text if sexpr.items and sexpr.items[0].is_atom else None  # None: not a command
+        args = sexpr.items[1:] if head else []
         try:
             if head == "exit":
                 return False
-            if head in ("set-logic", "set-info", "set-option", "echo"):
-                return True
             if head == "reset":
-                self.parser = Parser()
-                self.frames = [([], [])]
-                self.last_model = None
-                self.engine = None
-                return True
-            if head == "push":
+                self._start()
+            elif head == "push":
                 for _ in range(_count(args[0]) if args else 1):
-                    self.frames.append(([], [], dict(self.parser.decls), dict(self.parser.macros)))
-                return True
-            if head == "pop":
-                for _ in range(_count(args[0]) if args else 1):
-                    if len(self.frames) > 1:
-                        _, _, self.parser.decls, self.parser.macros = self.frames.pop()
-                return True
-            if head in ("declare-const", "declare-fun", "define-fun"):
-                self.parser.command(sexpr)
-                return True
-            if head in ("assert", "assert-soft") and not args:
-                raise sexpr.error(f"{head} expects one formula")
-            if head == "assert":
-                self.frames[-1][0].append(self.parser.formula(sexpr, args[0]))
-                return True
-            if head == "assert-soft":
+                    decls, macros = dict(self.parser.decls), dict(self.parser.macros)
+                    self.marks.append((len(self.hard), len(self.soft), decls, macros))
+            elif head == "pop":
+                depth = min(_count(args[0]) if args else 1, len(self.marks))
+                if depth:
+                    hard, soft, self.parser.decls, self.parser.macros = self.marks[-depth]
+                    del self.marks[-depth:], self.hard[hard:], self.soft[soft:]
+            elif head == "assert-soft":
+                if not args:
+                    raise sexpr.error("assert-soft expects one formula")
                 f = self.parser.formula(sexpr, args[0])
                 weight = 1
-                rest = list(args[1:])
-                while rest:
-                    item = rest.pop(0)
-                    if item.is_atom and item.text == ":weight" and rest:
-                        weight = _count(rest.pop(0))
-                self.frames[-1][1].append((f, weight))
-                return True
-            if head == "check-sat":
+                for key, value in zip(args[1:], args[2:]):  # the attributes
+                    if key.is_atom and key.text == ":weight":
+                        weight = _count(value)
+                self.soft.append((f, weight))
+            elif head == "check-sat":
                 self.engine = _engine_for(self.engine, list(self.parser.decls.values()))
                 verdict = self.engine.check(self.hard, self.soft)
                 self.last_model = verdict.model
                 self.emit(verdict.kind.value)
-                return True
-            if head == "get-model":
-                if self.last_model is None:
-                    self.error("no model available")
-                else:
-                    self.emit(_format_model(self.last_model, list(self.parser.decls.values())))
-                return True
-            self.error(f"unsupported command {head}")
+            elif head == "get-model" and self.last_model is not None:
+                self.emit(_format_model(self.last_model, list(self.parser.decls.values())))
+            elif head == "get-model":
+                self.error("no model available")
+            elif head == "get-value":  # the parser passes it over, but the client waits for a reply
+                self.error("unsupported command get-value")
+            else:
+                self.parser.command(sexpr)
         except SmtSyntaxError as exc:
             self.error(self.reader.locate(exc))
         except (UnsupportedFeature, ValueError, IndexError) as exc:

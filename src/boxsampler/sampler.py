@@ -57,7 +57,7 @@ from .errors import (
 from .implicant import compute_implicant
 from .intervals import IntervalMap, contains, neg_to_formula
 from .smtlib import Declaration, ParsedProblem
-from .solver import SolverClient, SolverRequest, VerdictKind
+from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind
 from .terms import (
     Add,
     Atom,
@@ -254,11 +254,7 @@ def get_seed_random(
         stats.solver_calls += 1
         verdict = client.solve(SolverRequest(req.declarations, req.hard, [], deadline))
         verdict.degraded = True
-    if verdict.kind == VerdictKind.UNSAT:
-        raise UnsatFormula("input formula is unsatisfiable")
-    if not verdict.is_sat:
-        raise SolverFailure(verdict.reason or verdict.kind.value)
-    return verdict.model, verdict.degraded
+    return _seed_of(verdict), verdict.degraded
 
 
 def get_seed_blocking(
@@ -286,11 +282,17 @@ def get_seed_blocking(
     history.clear()
     stats.solver_calls += 1
     verdict = client.solve(SolverRequest(list(history.problem.declarations), [formula], [], deadline))
+    return _seed_of(verdict), True
+
+
+def _seed_of(verdict: SolverVerdict) -> Model:
+    """The model of `verdict` on the plain formula: raises `UnsatFormula`
+    when it is unsat and `SolverFailure` when it is neither sat nor unsat."""
     if verdict.kind == VerdictKind.UNSAT:
         raise UnsatFormula("input formula is unsatisfiable")
     if not verdict.is_sat:
         raise SolverFailure(verdict.reason or verdict.kind.value)
-    return verdict.model, True
+    return verdict.model
 
 
 # ---------------------------------------------------------------------------

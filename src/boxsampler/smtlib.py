@@ -9,12 +9,17 @@ the lexical rules of SMT-LIB 2.6 (``""`` is a quote inside a string,
 yet, and gives each node the text it was read from and the offset it starts
 at, from which an error's line and column are derived.
 
-The parser handles set-logic, declare-fun / declare-const (Int, Bool,
-(Array Int Int), unary Int -> Int functions), zero-parameter define-fun
-(inlined, its body checked against its sort), assert, and ignores set-info /
-set-option / check-sat / exit.  let-bindings are inlined during parsing and
-named-assertion attributes are stripped, so downstream modules never deal
-with substitution.
+One reader of commands, :meth:`Parser.command`, serves files and the pipe:
+:func:`parse_problem` gives it every command of a file, and the
+`minisolver` session every command that it does not answer itself (push,
+pop, reset, assert-soft and the queries), so both accept and reject a
+command alike.  It handles set-logic, declare-fun / declare-const (Int,
+Bool, (Array Int Int), unary Int -> Int functions), zero-parameter
+define-fun (inlined, its body checked against its sort), assert, and
+passes over set-info / set-option / check-sat / get-model / get-value /
+echo / exit.  let-bindings are inlined during parsing and named-assertion
+attributes are stripped, so downstream modules never deal with
+substitution.
 
 Each operator is stated once, in the table ``_OPERATORS``: its operand
 sorts, its arity and its builder.  One routine, ``Parser._apply``, checks

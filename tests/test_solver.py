@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from boxsampler.errors import ModelParseError
+from boxsampler.errors import BoxsamplerError, ModelParseError
 from boxsampler.minisolver import LocalSolverClient
 from boxsampler.intervals import Interval, IntervalMap
 from boxsampler.sampler import (
@@ -279,11 +279,52 @@ def test_pipe_pop_drops_the_declarations_of_its_scope():
 
 @pytest.mark.parametrize(
     "command, message",
-    [("(assert)", "assert expects one formula"), ("(assert-soft)", "assert-soft expects one formula")],
+    [
+        ("(assert)", "assert expects one formula"),
+        ("(assert-soft)", "assert-soft expects one formula"),
+        ("(assert (> x 0) (< x 0))", "assert expects one formula"),
+    ],
 )
 def test_pipe_rejects_an_assertion_without_a_formula(command, message):
     lines = _minisolver(f"(declare-const x Int)\n{command}\n(check-sat)\n")
     assert lines == [f'(error "2:0: {message}")', "sat"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "(assert (> x 0) (< x 0))",
+        "(assert (+ x 1))",
+        "(declare-fun f (Int Int) Int)",
+        "(define-fun g ((y Int)) Int y)",
+        "(set-logic QF_BV)",
+        "(declare-sort U 0)",
+        "(frobnicate x)",
+        "frobnicate",
+    ],
+)
+def test_pipe_and_file_reject_a_command_with_one_message(command):
+    """The parser reads the pipe's commands as it reads a problem file, so
+    each bad command gets the message `parse_problem` raises, located alike."""
+    text = f"(declare-const x Int)\n{command}\n"
+    with pytest.raises(BoxsamplerError) as exc:
+        parse_problem(text)
+    assert _minisolver(text + "(check-sat)\n") == [f'(error "{exc.value}")', "sat"]
+
+
+def test_pipe_replies_that_the_session_owns():
+    lines = _minisolver(
+        "(get-model)\n(declare-const x Int)\n(assert (> x 3))\n(push 1)\n(assert (< x 0))\n"
+        "(get-value (x))\n(pop 5)\n(assert (< x 6))\n(check-sat)\n(get-model)\n"
+    )
+    assert lines == [
+        '(error "no model available")',
+        '(error "unsupported command get-value")',
+        "sat",
+        "(",
+        "  (define-fun x () Int 4)",
+        ")",
+    ]
 
 
 @pytest.mark.parametrize("command", ["(push \u0663)", "(assert-soft (> x 0) :weight \u00b2)"])
