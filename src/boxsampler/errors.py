@@ -10,9 +10,24 @@ class ConfigError(BoxsamplerError, ValueError):
     width or bound, a time limit that is not positive."""
 
 
-class UnsupportedFeature(BoxsamplerError):
+class _Located(BoxsamplerError):
+    """`message`, about the token at `offset` of `text` when there is one:
+    the token starts on `line` (counted from 1) at `col` (from 0), and the
+    error reads ``line:col: message``.  With no text, `line` is None."""
+
+    def __init__(self, message: str, text: str | None = None, offset: int = 0):
+        self.message, self.offset, self.line, self.col = message, offset, None, None
+        if text is not None:
+            self.line = text.count("\n", 0, offset) + 1
+            self.col = offset - text.rfind("\n", 0, offset) - 1
+            message = f"{self.line}:{self.col}: {message}"
+        super().__init__(message)
+
+
+class UnsupportedFeature(_Located):
     """Input uses a construct outside the supported fragment (div, mod,
-    quantifiers, multi-dimensional arrays, functions of arity > 1, ...)."""
+    quantifiers, multi-dimensional arrays, functions of arity > 1, ...);
+    located when the SMT-LIB parser raises it at a node."""
 
 
 class UnassignedSymbol(BoxsamplerError):
@@ -27,16 +42,8 @@ class NotAModel(BoxsamplerError):
     """A model handed in as satisfying a formula does not satisfy it."""
 
 
-class SmtSyntaxError(BoxsamplerError):
-    """Malformed SMT-LIB input: `message` about the token at `offset` of
-    `text`, which starts on `line` (counted from 1) at `col` (from 0)."""
-
-    def __init__(self, message: str, text: str, offset: int):
-        self.message = message
-        self.offset = offset
-        self.line = text.count("\n", 0, offset) + 1
-        self.col = offset - text.rfind("\n", 0, offset) - 1
-        super().__init__(f"{self.line}:{self.col}: {message}")
+class SmtSyntaxError(_Located):
+    """Malformed SMT-LIB input, located at its token."""
 
 
 class NegativeSlack(BoxsamplerError):

@@ -3,7 +3,9 @@
 Walking top-down, every conjunct is kept, and in every disjunction one
 satisfied disjunct is chosen uniformly at random.  The result is a product
 term: a set of literals, each satisfied by the model, whose conjunction
-implies the source formula.
+implies the source formula.  A literal is one of the shapes that NNF
+leaves: an atom, a Bool variable or a negated Bool variable; any other
+node below the connectives (a negated atom included) is not NNF.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _collect(f: Formula, m: Model, rng: random.Random, out: ProductTerm, seen: s
         if not f.value:
             raise NotAModel("false literal reached; model cannot satisfy it")
         return  # contributes nothing
-    if isinstance(f, (Atom, BoolVar)) or (isinstance(f, Not) and isinstance(f.arg, (Atom, BoolVar))):
+    if isinstance(f, (Atom, BoolVar)) or (isinstance(f, Not) and isinstance(f.arg, BoolVar)):
         if f not in seen:
             seen.add(f)
             out.append(f)

@@ -506,7 +506,7 @@ class _Session:
         self.parser = Parser()
         self.hard = self.parser.assertions  # the parser reads every `assert`
         self.soft: list[tuple[Formula, int]] = []
-        self.marks: list[tuple] = []  # of each pushed scope, the (len(hard), len(soft), decls, macros) to pop to
+        self.marks: list[tuple] = []  # of each push, (its levels, len(hard), len(soft), decls, macros) to pop to
         self.last_model: Model | None = None
         self.engine: BruteForceEngine | None = None  # kept while the declarations stay the same
 
@@ -530,15 +530,20 @@ class _Session:
                 return False
             if head == "reset":
                 self._start()
-            elif head == "push":
-                for _ in range(_count(args[0]) if args else 1):
+            elif head == "push":  # one mark stands for all the levels of one push
+                levels = _count(args[0]) if args else 1
+                if levels:
                     decls, macros = dict(self.parser.decls), dict(self.parser.macros)
-                    self.marks.append((len(self.hard), len(self.soft), decls, macros))
-            elif head == "pop":
-                depth = min(_count(args[0]) if args else 1, len(self.marks))
-                if depth:
-                    hard, soft, self.parser.decls, self.parser.macros = self.marks[-depth]
-                    del self.marks[-depth:], self.hard[hard:], self.soft[soft:]
+                    self.marks.append((levels, len(self.hard), len(self.soft), decls, macros))
+            elif head == "pop":  # to the mark of the last push it closes, or leaves open in part
+                depth = _count(args[0]) if args else 1
+                while depth > 0 and self.marks:
+                    levels, hard, soft, decls, macros = self.marks.pop()
+                    if levels > depth:
+                        self.marks.append((levels - depth, hard, soft, decls, macros))
+                    depth -= levels
+                    self.parser.decls, self.parser.macros = dict(decls), dict(macros)
+                    del self.hard[hard:], self.soft[soft:]
             elif head == "assert-soft":
                 if not args:
                     raise sexpr.error("assert-soft expects one formula")
@@ -561,9 +566,9 @@ class _Session:
                 self.error("unsupported command get-value")
             else:
                 self.parser.command(sexpr)
-        except SmtSyntaxError as exc:
+        except (SmtSyntaxError, UnsupportedFeature) as exc:
             self.error(self.reader.locate(exc))
-        except (UnsupportedFeature, ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             self.error(str(exc))
         return True
 

@@ -127,8 +127,9 @@ class _SExpr:
     def is_atom(self) -> bool:
         return self.items is None
 
-    def error(self, message: str) -> SmtSyntaxError:  # at this node's line and column
-        return SmtSyntaxError(message, self.source, self.offset)
+    def error(self, message: str, kind=SmtSyntaxError) -> SmtSyntaxError | UnsupportedFeature:
+        """A `kind` error at this node's line and column."""
+        return kind(message, self.source, self.offset)
 
 
 def read_sexpr(text: str, pos: int = 0, final: bool = False) -> tuple[_SExpr, int] | None:
@@ -209,7 +210,7 @@ class StreamReader:
         self.line += self.text.count("\n", 0, start)
         self.text, self.pos = self.text[start:], end - start
 
-    def locate(self, exc: SmtSyntaxError) -> str:
+    def locate(self, exc: SmtSyntaxError | UnsupportedFeature) -> str:
         """The message of `exc`, an error at what :meth:`feed` yielded last
         (or that error itself), with its line counted in the stream."""
         return f"{exc.line + self.base_line - 1}:{exc.col}: {exc.message}"
@@ -231,7 +232,7 @@ _EXPECTED = {Sort.INT: "an Int", Sort.BOOL: "a Bool", Sort.ARRAY: "an (Array Int
 def _parse_sort(s: _SExpr) -> Sort:
     text = s.text if s.is_atom else "(" + " ".join(p.text if p.is_atom else "(...)" for p in s.items) + ")"
     if text not in _SORT_NAMES:
-        raise UnsupportedFeature(f"unsupported sort {text!r}" if s.is_atom else f"unsupported sort {text}")
+        raise s.error(f"unsupported sort {text!r}" if s.is_atom else f"unsupported sort {text}", UnsupportedFeature)
     return _SORT_NAMES[text]
 
 
@@ -269,32 +270,40 @@ class Parser:
             if len(args) != 1 or not args[0].is_atom:
                 raise s.error("set-logic expects one symbol")
             if args[0].text not in SUPPORTED_LOGICS:
-                raise UnsupportedFeature(f"unsupported logic {args[0].text}")
+                raise s.error(f"unsupported logic {args[0].text}", UnsupportedFeature)
             self.logic = args[0].text
         elif head == "declare-const":
             if len(args) != 2 or not args[0].is_atom:
                 raise s.error("declare-const expects name and sort")
-            self._declare(_sym(args[0].text), args[1], params=None)
+            name = self._new_name(args[0])
+            self.decls[name] = Declaration(name, _parse_sort(args[1]))
         elif head == "declare-fun":
             if len(args) != 3 or not args[0].is_atom or args[1].is_atom:
                 raise s.error("declare-fun expects name, params, sort")
-            self._declare(_sym(args[0].text), args[2], params=args[1].items)
+            name = self._new_name(args[0])
+            if not args[1].items:
+                self.decls[name] = Declaration(name, _parse_sort(args[2]))
+            elif [*map(_parse_sort, args[1].items), _parse_sort(args[2])] == [Sort.INT, Sort.INT]:
+                self.decls[name] = Declaration(name, Sort.ARRAY, is_function=True)
+            else:
+                raise args[1].error("only unary Int -> Int uninterpreted functions are supported", UnsupportedFeature)
         elif head == "define-fun":
             if len(args) != 4 or not args[0].is_atom or args[1].is_atom:
                 raise s.error("define-fun expects name, params, sort, body")
+            name = self._new_name(args[0])
             if args[1].items:
-                raise UnsupportedFeature("define-fun with parameters")
+                raise s.error("define-fun with parameters", UnsupportedFeature)
             body = self._expr(args[3], {})
             _check(args[3], _parse_sort(args[2]), body)
-            self.macros[_sym(args[0].text)] = body
+            self.macros[name] = body
         elif head == "assert":
             if len(args) != 1:
                 raise s.error("assert expects one formula")
             self.assertions.append(self.formula(s, args[0]))
         elif head in ("push", "pop", "declare-sort", "define-sort", "declare-datatypes", "reset"):
-            raise UnsupportedFeature(f"command {head} is outside the supported subset")
+            raise s.error(f"command {head} is outside the supported subset", UnsupportedFeature)
         else:
-            raise UnsupportedFeature(f"unknown command {head}")
+            raise s.error(f"unknown command {head}", UnsupportedFeature)
 
     def formula(self, command: _SExpr, s: _SExpr) -> Formula:
         """`s`, the formula that `command` asserts, which must be a Bool."""
@@ -303,15 +312,12 @@ class Parser:
             raise command.error("assert expects a Bool expression")
         return f
 
-    def _declare(self, name: str, sort_expr: _SExpr, params) -> None:
-        if params:
-            psorts = [_parse_sort(p) for p in params]
-            rsort = _parse_sort(sort_expr)
-            if psorts == [Sort.INT] and rsort == Sort.INT:
-                self.decls[name] = Declaration(name, Sort.ARRAY, is_function=True)
-                return
-            raise UnsupportedFeature("only unary Int -> Int uninterpreted functions are supported")
-        self.decls[name] = Declaration(name, _parse_sort(sort_expr))
+    def _new_name(self, s: _SExpr) -> str:
+        """The symbol of `s`, which names nothing declared or defined yet."""
+        name = _sym(s.text)
+        if name in self.decls or name in self.macros:
+            raise s.error(f"symbol {name!r} is already declared")
+        return name
 
     # -- expressions ------------------------------------------------------
 
@@ -337,9 +343,9 @@ class Parser:
                 raise s.error("empty attribute expression")
             return self._expr(args[0], env)  # attributes such as :named are stripped
         if head in ("div", "mod", "abs", "rem", "/", "to_real", "to_int"):
-            raise UnsupportedFeature(f"operator {head} is outside the supported fragment")
+            raise s.error(f"operator {head} is outside the supported fragment", UnsupportedFeature)
         if head in ("forall", "exists"):
-            raise UnsupportedFeature("quantifiers are not supported")
+            raise s.error("quantifiers are not supported", UnsupportedFeature)
         decl = self.decls.get(_sym(head))
         if decl is None or not decl.is_function:
             raise s.error(f"unknown operator {head!r}")
@@ -383,7 +389,7 @@ class Parser:
         if value is not None:
             return IntConst(value)
         if text.startswith("#"):
-            raise UnsupportedFeature("bit-vector and hex literals are not supported")
+            raise s.error("bit-vector and hex literals are not supported", UnsupportedFeature)
         name = _sym(text)
         if name in env:
             return env[name]
@@ -431,10 +437,10 @@ def _distinct(s: _SExpr, xs: list) -> Formula:
         raise s.error("distinct operands have different sorts")
     if Sort.BOOL in sorts:
         if len(xs) != 2:
-            raise UnsupportedFeature("distinct over more than two Bool terms")
+            raise s.error("distinct over more than two Bool terms", UnsupportedFeature)
         return _xor(*xs)
     if len(xs) > 2 and Sort.ARRAY in sorts:
-        raise UnsupportedFeature("distinct over array terms")
+        raise s.error("distinct over array terms", UnsupportedFeature)
     # pairwise: (distinct a b c) is (and (distinct a b) (distinct a c) (distinct b c))
     return conj(Atom(Rel.NE, xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
 

@@ -1,24 +1,28 @@
 """Turn integer literals into interval bounds around a model.
 
-Every literal is first normalized to one or two canonical inequalities
-"sum of monomials <= constant".  Canonical inequalities are then shrunk
-recursively:
+Every literal (an atom) is first normalized to one or two canonical
+inequalities "sum of monomials <= constant", where a monomial is
+``c*f1*...*fk``: a nonzero coefficient times factors that are each a leaf
+(a variable or a select-like term: an array read or a function
+application) or a sum.  Two routines then shrink it into one box:
 
- * a sum splits its slack (bound minus model value) among the summands,
-   each child keeping its model value plus a share of the slack;
- * a constant coefficient is divided out of the bound, flooring toward
-   the sound side;
- * a product of two or more terms keeps only the sign information: with a
-   nonnegative product every factor may move between zero and its model
-   value, with a negative product every factor must move away from zero.
+ * a sum splits its slack (bound minus model value) among its monomials,
+   each keeping its model value plus a share of the slack;
+ * one routine bounds ``c*f1*...*fk <= b``: it divides ``c`` out of the
+   bound, flooring toward the sound side.  A product of two or more
+   factors keeps only the sign information: with a nonnegative product
+   every factor may move between zero and its model value, with a negative
+   one every factor must move away from zero, each bounded in turn as a
+   monomial of coefficient +-1.  A leaf gets its bound in the box, and a
+   sum goes back to the first routine.
 
-The bounds reaching the leaves (variables and select-like terms: array
-reads and function applications alike) are collected into an IntervalMap.  By construction the model
-lies inside every interval and every point of the box satisfies the literal.
+By construction the model lies inside every interval and every point of
+the box satisfies the literal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DivisorZero, NegativeSlack, UnsupportedFeature
@@ -27,7 +31,6 @@ from .intervals import Interval, IntervalMap
 from .terms import (
     Add,
     Atom,
-    BoolConst,
     BoolVar,
     Formula,
     IntConst,
@@ -134,11 +137,6 @@ def canonicalize(lit: Formula, m: Model) -> list[CanonicalLiteral]:
     inequalities.  Equalities split into both directions; disequalities keep
     the strict direction that `m` satisfies.  Literals with no remaining
     monomials (ground truths) normalize to nothing."""
-    if isinstance(lit, Not):
-        inner = lit.arg
-        if not isinstance(inner, Atom):
-            raise UnsupportedFeature("negation of a non-atomic literal")
-        lit = Atom(inner.rel.negate(), inner.lhs, inner.rhs)
     if not isinstance(lit, Atom):
         raise UnsupportedFeature(f"not an integer literal: {type(lit).__name__}")
     if sort_of(lit.lhs) != Sort.INT or sort_of(lit.rhs) != Sort.INT:
@@ -188,104 +186,58 @@ def _eval_monomial(mono: Monomial, m: Model) -> int:
 # Strengthening
 
 
-def strengthen_literal(cl: CanonicalLiteral, m: Model) -> IntervalMap:
-    """Interval bounds implying `cl`, all containing the model's values."""
-    delta = IntervalMap()
-    _strengthen_sum(list(cl.monomials), cl.bound, m, delta)
-    return delta
-
-
-def _strengthen_sum(monomials: list[Monomial], bound: int, m: Model, delta: IntervalMap) -> None:
+def _strengthen_sum(monomials: tuple[Monomial, ...], bound: int, m: Model, box: IntervalMap) -> None:
+    # sum(monomials) <= bound: each monomial keeps its value plus a share of the slack
     values = [_eval_monomial(mono, m) for mono in monomials]
     slack = bound - sum(values)
     if slack < 0:
         raise NegativeSlack(f"literal violated by the model (slack {slack})")
     k = len(monomials)
     for i, (mono, value) in enumerate(zip(monomials, values), start=1):
-        _strengthen_monomial(mono, value + slack_share(slack, k, i), m, delta)
+        _strengthen_monomial(mono.coeff, mono.factors, value + slack_share(slack, k, i), m, box)
 
 
-def _strengthen_monomial(mono: Monomial, bound: int, m: Model, delta: IntervalMap) -> None:
-    # coeff * factors <= bound; divide the coefficient out first
-    sign, target = 1, bound
-    if mono.coeff != 1:
-        sign = _sign(mono.coeff)
-        target = sign * signed_floor_div(bound, mono.coeff)
-    _strengthen_product(sign, list(mono.factors), target, m, delta)
-
-
-def _strengthen_product(sign: int, factors: list[Term], bound: int, m: Model, delta: IntervalMap) -> None:
-    # sign * (f1 * ... * fk) <= bound
-    if len(factors) == 1:
-        _strengthen_term(sign, factors[0], bound, m, delta)
+def _strengthen_monomial(coeff: int, factors: tuple[Term, ...], bound: int, m: Model, box: IntervalMap) -> None:
+    # coeff * f1 * ... * fk <= bound becomes sign * f1 * ... * fk <= bound,
+    # flooring toward the sound side (exactly, for a coefficient of +-1)
+    sign = _sign(coeff)
+    bound = sign * signed_floor_div(bound, coeff)
+    if len(factors) > 1:
+        values = [eval_term(f, m) for f in factors]
+        product = math.prod(values, start=sign)
+        if product > bound:
+            raise NegativeSlack("product literal violated by the model")
+        for f, v in zip(factors, values):
+            s = _sign(v)
+            if product >= 0:  # every factor may shrink toward zero: 0 <= s*f <= |v|
+                _strengthen_monomial(s, (f,), abs(v), m, box)
+                _strengthen_monomial(-s, (f,), 0, m, box)
+            else:  # every factor must move away from zero: s*f >= |v|
+                _strengthen_monomial(-s, (f,), -abs(v), m, box)
         return
-    values = [eval_term(f, m) for f in factors]
-    product = sign
-    for v in values:
-        product *= v
-    if product > bound:
-        raise NegativeSlack("product literal violated by the model")
-    if product >= 0:
-        # every factor may shrink toward zero: 0 <= sign(v)*f <= |v|
-        for f, v in zip(factors, values):
-            s = _sign(v)
-            _strengthen_term(s, f, abs(v), m, delta)
-            _strengthen_term(-s, f, 0, m, delta)
-    else:
-        # every factor must move away from zero: sign(v)*f >= |v|
-        for f, v in zip(factors, values):
-            s = _sign(v)
-            _strengthen_term(-s, f, -abs(v), m, delta)
-
-
-def _strengthen_term(sign: int, t: Term, bound: int, m: Model, delta: IntervalMap) -> None:
-    # sign * t <= bound for a single non-constant term
+    (t,) = factors
     if isinstance(t, (IntVar, Select)):
-        interval = Interval(hi=bound) if sign > 0 else Interval(lo=-bound)
-        delta.refine(t, interval)
-        return
-    if isinstance(t, (Add, Sub)):
+        box.refine(t, Interval(hi=bound) if sign > 0 else Interval(lo=-bound))
+    elif isinstance(t, (Add, Sub)):
         monomials, const = _monomials_of(t)
-        if sign < 0:
-            monomials = list(_negated(monomials))
-            const = -const
-        _strengthen_sum(list(monomials), bound - const, m, delta)
-        return
-    if isinstance(t, Mul):
-        monomials, const = _monomials_of(t)
-        if not monomials:  # constant product folded away
-            if sign * const > bound:
-                raise NegativeSlack("constant term violates the bound")
-            return
-        mono = monomials[0]
-        _strengthen_monomial(Monomial(sign * mono.coeff, mono.factors), bound, m, delta)
-        return
-    if isinstance(t, IntConst):
-        if sign * t.value > bound:
-            raise NegativeSlack("constant term violates the bound")
-        return
-    raise UnsupportedFeature(f"cannot bound term of type {type(t).__name__}")
+        signed = tuple(Monomial(sign * mono.coeff, mono.factors) for mono in monomials)
+        _strengthen_sum(signed, bound - sign * const, m, box)
+    else:
+        raise UnsupportedFeature(f"cannot bound term of type {type(t).__name__}")
 
 
 def product_to_intervals(product: ProductTerm, m: Model) -> IntervalMap:
-    """Intersect the bounds of every integer literal in the product term.
+    """The box of every integer literal in the product term: each refines
+    the one box by intersection.
 
     Keys are integer variables and select-like terms (a select over an array
     variable, a function application included), each bounded as a leaf.  Boolean
     literals contribute no intervals (the sampler pins them to the model's
     values); array-equality atoms and select-over-store terms must be
     rewritten away before calling this (`arrays.product_to_intervals`)."""
-    out = IntervalMap()
+    box = IntervalMap()
     for lit in product:
-        if _is_boolean_literal(lit):
-            continue
-        for cl in canonicalize(lit, m):
-            for key, interval in strengthen_literal(cl, m).entries.items():
-                out.refine(key, interval)
-    return out
-
-
-def _is_boolean_literal(lit: Formula) -> bool:
-    if isinstance(lit, (BoolVar, BoolConst)):
-        return True
-    return isinstance(lit, Not) and isinstance(lit.arg, (BoolVar, BoolConst))
+        if not isinstance(lit, BoolVar) and not (isinstance(lit, Not) and isinstance(lit.arg, BoolVar)):
+            for cl in canonicalize(lit, m):
+                _strengthen_sum(cl.monomials, cl.bound, m, box)
+    return box

@@ -322,6 +322,12 @@ def random_product_literal(rng: random.Random, m: Model, names):
             factors = (IntVar(rng.choice(names)),)
         monomials.append(Mul((IntConst(coeff),) + factors))
     lhs = monomials[0] if len(monomials) == 1 else Add(tuple(monomials))
+    return satisfied_atom(rng, lhs, m)
+
+
+def satisfied_atom(rng: random.Random, lhs, m: Model):
+    """An atom `lhs rel c` under a random relation, with the constant
+    chosen so that `m` satisfies it."""
     value = o_term(lhs, env_of_model(m))
     rel = rng.choice([Rel.LE, Rel.LT, Rel.GE, Rel.GT, Rel.EQ, Rel.NE])
     if rel == Rel.LE:

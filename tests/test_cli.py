@@ -206,6 +206,12 @@ class TestRun:
         bad.write_text("(declare-const x Int)(assert (= (div x 2) 1))")
         assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
 
+    def test_a_symbol_declared_twice_is_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.smt2"
+        bad.write_text("(declare-const x Int)\n(assert (> x 0))\n(declare-const x Bool)\n(assert x)\n")
+        assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
+        assert capsys.readouterr().err == "unsupported input: 3:15: symbol 'x' is already declared\n"
+
     def test_a_numeral_in_other_digits_is_a_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"
         bad.write_text("(declare-const x Int)\n(assert (= x ²))")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from boxsampler.errors import NotAModel
+from boxsampler.errors import NotAModel, UnsupportedFeature
 from boxsampler.implicant import compute_implicant
 from boxsampler.terms import (
     And,
@@ -44,6 +44,12 @@ class TestBasics:
         m = Model(ints={"x": 0}, bools={"p": True, "q": False})
         out = compute_implicant(f, m, random.Random(0))
         assert BoolVar("p") in out and Not(BoolVar("q")) in out
+
+    def test_negated_atom_is_not_nnf(self):
+        m = Model(ints={"x": -1, "y": 0})
+        for f in (Not(A), And((B, Not(A)))):
+            with pytest.raises(UnsupportedFeature, match="formula is not in NNF: Not"):
+                compute_implicant(f, m, random.Random(0))
 
     def test_duplicates_collapsed(self):
         f = And((A, A, Or((A, B))))

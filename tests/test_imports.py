@@ -6,7 +6,9 @@ somewhere.
 No linter is available offline, so this walks each module's syntax tree.
 An imported name counts as used when the module reads it anywhere or lists
 it in `__all__`.  An import kept on purpose carries `# noqa: F401` on its
-line, followed by the reason.  A top-level function, class or assignment
+line, followed by the reason; a package import kept for the benchmark's
+tracer, whose reason cites `bench/tracer.py`, must be an entry of the
+tracer's `WRAPPED` table.  A top-level function, class or assignment
 counts as read when a statement other than its own definition, in the
 package, the tests or the benchmark scripts, names it: as a name, an
 attribute, an imported name, or a part of a dotted-name string (the
@@ -86,6 +88,46 @@ def test_checker_flags_unused_and_honours_all_and_reasoned_noqa():
         "print(loads(os.sep))\n"
     )
     assert unused_imports(source) == ["2: dumps", "3: compile", "7: unread"]
+
+
+TRACER = "bench/tracer.py"
+
+
+def unwrapped_tracer_imports(source: str, module: str, wrapped: set[tuple[str, str]]) -> list[str]:
+    """`line: name` of every import of `module` whose `# noqa: F401` reason
+    cites the tracer, but whose (module, name) is not in `wrapped`."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        for alias in node.names if isinstance(node, (ast.Import, ast.ImportFrom)) else []:
+            name = alias.asname or alias.name.split(".")[0]
+            _, marker, reason = lines[alias.lineno - 1].partition(NOQA)
+            if marker and TRACER in reason and (module, name) not in wrapped:
+                out.append(f"{alias.lineno}: {name}")
+    return out
+
+
+def test_every_import_kept_for_the_tracer_is_wrapped():
+    table = next(
+        stmt.value
+        for stmt in ast.parse((ROOT / TRACER).read_text()).body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
+    )
+    wrapped = {(module, path) for module, path, _ in ast.literal_eval(table)}
+    for path in sorted(SRC.glob("*.py")):
+        assert unwrapped_tracer_imports(path.read_text(), f"boxsampler.{path.stem}", wrapped) == [], path.name
+
+
+def test_checker_flags_a_tracer_import_the_tracer_does_not_wrap():
+    source = (
+        "from .terms import (\n"
+        "    eval_formula,  # noqa: F401 -- bench/tracer.py wraps sampler.eval_formula\n"
+        "    to_nnf,  # noqa: F401 -- bench/tracer.py wraps sampler.to_nnf\n"
+        "    preprocess,  # noqa: F401 -- re-exported for callers\n"
+        ")\n"
+    )
+    wrapped = {("boxsampler.sampler", "eval_formula"), ("boxsampler.cli", "to_nnf")}
+    assert unwrapped_tracer_imports(source, "boxsampler.sampler", wrapped) == ["3: to_nnf"]
 
 
 _DOTTED_NAME = re.compile(r"[A-Za-z_][\w.]*")

@@ -75,6 +75,27 @@ def test_define_fun_body_is_checked_against_its_sort():
     ]
 
 
+def test_a_pop_restores_the_declarations_of_its_level():
+    out = io.StringIO()
+    _feed(_Session(out), "(push 2)\n(pop 1)\n(declare-const z Int)\n(pop 1)\n(assert (> z 0))\n")
+    assert out.getvalue() == '(error "5:11: undeclared symbol \'z\'")\n'
+
+
+def test_the_levels_of_one_push_share_one_copy_of_each_dict():
+    session = _Session(io.StringIO())
+    _feed(session, "(declare-const x Int)\n(push 0)\n(push 100000)\n(pop 99999)\n")
+    ((levels, _, _, decls, macros),) = session.marks
+    assert (levels, list(decls), macros) == (1, ["x"], {})
+
+
+def test_a_pop_of_many_levels_goes_back_across_pushes():
+    out = io.StringIO()
+    _feed(_Session(out), "(declare-const x Int)\n(push 1000000000000)\n(assert (< x 0))\n(push 2)\n"
+          "(declare-const y Int)\n(assert (< x y))\n(pop 3)\n(assert (> y 0))\n(pop 999999999999)\n"
+          "(assert (> x 0))\n(check-sat)\n")
+    assert out.getvalue() == '(error "8:11: undeclared symbol \'y\'")\nsat\n'
+
+
 def test_a_point_blocking_trial_compiles_each_assertion_once(data_dir, predicate_calls):
     """The recorded transcript asserts the problem and then one negation per
     query.  Each is compiled once, and each query's scan starts at the

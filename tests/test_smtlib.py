@@ -274,7 +274,7 @@ class TestPinnedErrors:
     def test_unsupported_feature_text(self, expr, message):
         with pytest.raises(UnsupportedFeature) as info:
             parse_problem(f"{self.DECLS}  (assert {expr})")
-        assert str(info.value) == message
+        assert str(info.value) == f"2:10: {message}"
 
     @pytest.mark.parametrize("text, message", [
         ("(declare-const x Real)", "unsupported sort 'Real'"),
@@ -285,7 +285,8 @@ class TestPinnedErrors:
     def test_unsupported_sort_text(self, text, message):
         with pytest.raises(UnsupportedFeature) as info:
             parse_problem(text)
-        assert str(info.value) == message
+        # at the sort, or at the parameter list of a function: after the name
+        assert str(info.value) == f"1:{text.index(' ', text.index(' ') + 1) + 1}: {message}"
 
 
 class TestCheckOrder:

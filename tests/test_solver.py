@@ -301,6 +301,9 @@ def test_pipe_rejects_an_assertion_without_a_formula(command, message):
         "(declare-sort U 0)",
         "(frobnicate x)",
         "frobnicate",
+        "(declare-const x Bool)",
+        "(declare-fun x () Int)",
+        "(define-fun x () Int 3)",
     ],
 )
 def test_pipe_and_file_reject_a_command_with_one_message(command):
@@ -309,7 +312,18 @@ def test_pipe_and_file_reject_a_command_with_one_message(command):
     text = f"(declare-const x Int)\n{command}\n"
     with pytest.raises(BoxsamplerError) as exc:
         parse_problem(text)
+    assert str(exc.value).startswith("2:")
+    if command in ("(set-logic QF_BV)", "(declare-sort U 0)"):
+        assert str(exc.value).startswith("2:0: ")
     assert _minisolver(text + "(check-sat)\n") == [f'(error "{exc.value}")', "sat"]
+
+
+def test_pipe_declares_again_only_what_a_pop_removed():
+    lines = _minisolver(
+        "(declare-const x Int)\n(push 1)\n(declare-const y Bool)\n(declare-const x Bool)\n(pop 1)\n"
+        "(declare-const y Int)\n(assert (> y x))\n(check-sat)\n"
+    )
+    assert lines == ['(error "4:15: symbol \'x\' is already declared")', "sat"]
 
 
 def test_pipe_replies_that_the_session_owns():

@@ -1,5 +1,6 @@
 """Literal normalization and the interval strengthening rules."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,16 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxsampler.errors import DivisorZero, NegativeSlack
+from boxsampler.errors import DivisorZero, NegativeSlack, UnsupportedFeature
 from boxsampler.intervals import Interval, contains
+from boxsampler.smtlib import print_term
 from boxsampler.strengthen import (
     CanonicalLiteral,
-    Monomial,
     canonicalize,
     product_to_intervals,
     signed_floor_div,
     slack_share,
-    strengthen_literal,
 )
 from boxsampler.terms import (
     Add,
@@ -29,7 +29,7 @@ from boxsampler.terms import (
     Rel,
     Sub,
 )
-from oracle import env_of_model, intersect, o_formula, random_product_term
+from oracle import env_of_model, intersect, o_formula, random_product_term, satisfied_atom
 
 X, Y = IntVar("x"), IntVar("y")
 X1, X2 = IntVar("x1"), IntVar("x2")
@@ -115,11 +115,11 @@ class TestCanonicalize:
         assert len(cls) == 2
         assert {cl.bound for cl in cls} == {5, -5}
 
-    def test_negated_atom_flipped_first(self):
+    def test_negated_atom_is_not_a_literal(self):
+        # NNF flips a negated atom's relation, so no literal is one
         m = Model(ints={"x": 3})
-        out_not = canonicalize(Not(Atom(Rel.LT, X, IntConst(3))), m)
-        out_ge = canonicalize(Atom(Rel.GE, X, IntConst(3)), m)
-        assert out_not == out_ge
+        with pytest.raises(UnsupportedFeature, match="not an integer literal: Not"):
+            canonicalize(Not(Atom(Rel.LT, X, IntConst(3))), m)
 
     def test_ground_literal_normalizes_to_nothing(self):
         m = Model(ints={"x": 1})
@@ -131,8 +131,7 @@ class TestCanonicalize:
         m = Model(ints={"x": 1})
         (cl,) = canonicalize(Atom(Rel.LE, Sub(X, X), IntConst(0)), m)
         assert len(cl.monomials) == 2
-        delta = strengthen_literal(cl, m)
-        assert delta.get(X) == Interval(1, 1)
+        assert product_to_intervals([Atom(Rel.LE, Sub(X, X), IntConst(0))], m).get(X) == Interval(1, 1)
 
     def test_outputs_satisfied_by_model_and_imply_source(self):
         rng = random.Random(31)
@@ -162,22 +161,19 @@ def _eval_cl(cl: CanonicalLiteral, m: Model) -> bool:
 class TestStrengthenLiteral:
     def test_intro_example_slack_split(self):
         m = Model(ints={"x": 12, "y": 2})
-        (cl,) = canonicalize(Atom(Rel.LE, Add((X, lin(-5, Y))), IntConst(7)), m)
-        delta = strengthen_literal(cl, m)
+        delta = product_to_intervals([Atom(Rel.LE, Add((X, lin(-5, Y))), IntConst(7))], m)
         assert delta.get(X) == Interval(None, 15)
         assert delta.get(Y) == Interval(2, None)
 
     def test_negative_product_moves_away_from_zero(self):
         m = Model(ints={"x1": 5, "x2": -9})
-        (cl,) = canonicalize(Atom(Rel.LE, Mul((X1, X2)), IntConst(-42)), m)
-        delta = strengthen_literal(cl, m)
+        delta = product_to_intervals([Atom(Rel.LE, Mul((X1, X2)), IntConst(-42))], m)
         assert delta.get(X1) == Interval(5, None)
         assert delta.get(X2) == Interval(None, -9)
 
     def test_zero_factor_pinned(self):
         m = Model(ints={"x": 0, "y": 7})
-        (cl,) = canonicalize(Atom(Rel.LE, Mul((X, Y)), IntConst(100)), m)
-        delta = strengthen_literal(cl, m)
+        delta = product_to_intervals([Atom(Rel.LE, Mul((X, Y)), IntConst(100))], m)
         assert delta.get(X) == Interval(0, 0)
         assert delta.get(Y) == Interval(0, 7)
         for xv, yv in itertools.product(range(-1, 2), range(-10, 11)):
@@ -190,21 +186,19 @@ class TestStrengthenLiteral:
         for _ in range(100):
             m = Model(ints={"x": rng.randint(-5, 5), "y": rng.randint(-5, 5)})
             bound = m.ints["x"] + m.ints["y"] + rng.randint(0, 9)
-            (cl,) = canonicalize(Atom(Rel.LE, Add((X, Y)), IntConst(bound)), m)
-            delta = strengthen_literal(cl, m)
+            delta = product_to_intervals([Atom(Rel.LE, Add((X, Y)), IntConst(bound))], m)
             assert delta.get(X).hi + delta.get(Y).hi == bound
 
     def test_violated_literal_raises(self):
         m = Model(ints={"x": 10})
         with pytest.raises(NegativeSlack):
-            strengthen_literal(CanonicalLiteral((Monomial(1, (X,)),), 5), m)
+            product_to_intervals([Atom(Rel.LE, X, IntConst(5))], m)
 
     def test_compound_factor_recurses(self):
         # (x + y) * x <= c with positive product: both the factor x and the
         # sum's leaves get bounds, all containing the model
         m = Model(ints={"x": 2, "y": 3})
-        (cl,) = canonicalize(Atom(Rel.LE, Mul((Add((X, Y)), X)), IntConst(50)), m)
-        delta = strengthen_literal(cl, m)
+        delta = product_to_intervals([Atom(Rel.LE, Mul((Add((X, Y)), X)), IntConst(50))], m)
         assert contains(delta, m)
         for xv in range(-8, 9):
             for yv in range(-8, 9):
@@ -265,3 +259,36 @@ class TestProductToIntervals:
             combined = product_to_intervals(p1 + p2, m)
             pairwise = intersect(product_to_intervals(p1, m), product_to_intervals(p2, m))
             assert combined.entries == pairwise.entries
+
+
+def _sum_in_product_literal(rng, m, names):
+    """c*(u + v - k)*w or (u - v)*(v + w + k), under a random relation
+    that `m` satisfies."""
+    u, v, w = (IntVar(rng.choice(names)) for _ in range(3))
+    k = IntConst(rng.randint(-3, 3))
+    if rng.random() < 0.5:
+        lhs = Mul((IntConst(rng.choice([-3, -2, -1, 2, 3])), Sub(Add((u, v)), k), w))
+    else:
+        lhs = Mul((Sub(u, v), Add((v, w, k))))
+    return satisfied_atom(rng, lhs, m)
+
+
+def test_product_boxes_match_pinned_digest():
+    """`product_to_intervals` on 2,000 seeded product terms over x, y, z,
+    each with its model: degree-2 literals, and sums inside products placed
+    among them.  The box keys in order with their bounds equal the pinned
+    ones."""
+    names = ["x", "y", "z"]
+    digest = hashlib.sha256()
+    sums = 0
+    for n in range(2000):
+        rng = random.Random(n)
+        m = Model(ints={name: rng.randint(-6, 6) for name in names})
+        product = random_product_term(rng, m, names, rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            product.insert(rng.randint(0, len(product)), _sum_in_product_literal(rng, m, names))
+            sums += 1
+        box = product_to_intervals(product, m)
+        digest.update(repr((n, [(print_term(k), iv.lo, iv.hi) for k, iv in box.entries.items()])).encode())
+    assert sums > 1500
+    assert digest.hexdigest() == "dcb59b99620303e15cd049176e600c081083a2ba452db98c01d599a828aadc49"
