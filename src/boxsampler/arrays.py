@@ -200,7 +200,7 @@ def rewrite_array_equality(
         # extend the model before substituting so every new literal holds
         m.funcs[common.name] = eval_term(lit.lhs, m)
         for base, stores in ((base1, stores1), (base2, stores2)):
-            f = m.func_value(base.name)
+            f = m.value(Sort.ARRAY, base.name)
             for idx, scalar in stores:
                 m.ints[scalar.name] = f.apply(eval_term(idx, m))
 

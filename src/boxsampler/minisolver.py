@@ -71,6 +71,7 @@ from .terms import (
     Rel,
     Sort,
     Term,
+    ZERO,
     eval_term,
     is_select_like,
     iter_nodes,
@@ -83,7 +84,6 @@ _MAX_ARRAY_SLOTS = 4
 _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
 _CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
-_ZERO_FUNC = FuncValue(0)  # never changed in place, so one serves every model
 
 _MIRRORED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE}
 
@@ -255,7 +255,7 @@ class BruteForceEngine:
         self.func_syms = sorted(d.name for d in declarations if d.sort == Sort.ARRAY)
         self.names = self.int_vars + self.bool_vars + self.func_syms
         self.bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
-        zeros = (_ZERO_FUNC,) * len(self.func_syms)
+        zeros = (ZERO[Sort.ARRAY],) * len(self.func_syms)
         # the tails of a point when no formula reads an array or function
         self.int_tails = [bools + zeros for bools in self.bool_space]
         self._start_over()
@@ -439,7 +439,7 @@ class BruteForceEngine:
         column = {s: k for k, s in enumerate(syms)}
         positions = [column.get(s) for s in self.func_syms]  # of each symbol in `syms`, or None
         accesses = {(s, index) for s, index in accesses if s in column}
-        probe_funcs = {s: _ZERO_FUNC for s in syms}
+        probe_funcs = dict.fromkeys(syms, ZERO[Sort.ARRAY])
         candidates = sorted(constants | {-1, 0, 1})[:_MAX_ARRAY_CANDIDATES]
 
         def tails(point):
@@ -457,7 +457,7 @@ class BruteForceEngine:
                     for (s, index), value in zip(slot_list, combo[len(syms):]):
                         stored[s][index] = value
                     values = [FuncValue(d, stored[s]) for s, d in zip(syms, combo)]
-                    yield bools + tuple(_ZERO_FUNC if k is None else values[k] for k in positions)
+                    yield bools + tuple(ZERO[Sort.ARRAY] if k is None else values[k] for k in positions)
 
         return tails
 
@@ -587,22 +587,20 @@ def _format_model(model: Model, declarations: list[Declaration]) -> str:
 
     lines = ["("]
     for d in declarations:
-        name, fv = _print_sym(d.name), model.funcs.get(d.name, _ZERO_FUNC)
+        name, value = _print_sym(d.name), model.of(d.sort).get(d.name, ZERO[d.sort])
         if d.is_function:
-            body = num(fv.default)
-            for k in sorted(fv.exceptions, reverse=True):
-                body = f"(ite (= x!0 {num(k)}) {num(fv.exceptions[k])} {body})"
+            body = num(value.default)
+            for k in sorted(value.exceptions, reverse=True):
+                body = f"(ite (= x!0 {num(k)}) {num(value.exceptions[k])} {body})"
             lines.append(f"  (define-fun {name} ((x!0 Int)) Int {body})")
         elif d.sort == Sort.ARRAY:
-            body = f"((as const (Array Int Int)) {num(fv.default)})"
-            for k in sorted(fv.exceptions):
-                body = f"(store {body} {num(k)} {num(fv.exceptions[k])})"
+            body = f"((as const (Array Int Int)) {num(value.default)})"
+            for k in sorted(value.exceptions):
+                body = f"(store {body} {num(k)} {num(value.exceptions[k])})"
             lines.append(f"  (define-fun {name} () (Array Int Int) {body})")
-        elif d.sort == Sort.BOOL:
-            value = "true" if model.bools.get(d.name, False) else "false"
-            lines.append(f"  (define-fun {name} () Bool {value})")
-        else:
-            lines.append(f"  (define-fun {name} () Int {num(model.ints.get(d.name, 0))})")
+        else:  # an Int or a Bool, whose sort's value is its SMT-LIB name
+            text = num(value) if d.sort == Sort.INT else "true" if value else "false"
+            lines.append(f"  (define-fun {name} () {d.sort.value} {text})")
     lines.append(")")
     return "\n".join(lines)
 

@@ -71,6 +71,7 @@ from .terms import (
     Sort,
     Sub,
     Term,
+    ZERO,
     eval_formula,  # noqa: F401 -- not called here; bench/tracer.py wraps sampler.eval_formula
     eval_term,
     free_symbols,
@@ -317,7 +318,7 @@ def sample_intervals(iv: IntervalMap, seed: Model, cfg: SamplerConfig, rng: rand
     ints = dict(seed.ints)
     for key, interval in iv.entries.items():
         assert isinstance(key, IntVar), "integer-only sampling requires variable keys"
-        lo, points = _clamp(interval, seed.int_value(key.name), cfg.unbounded_width)
+        lo, points = _clamp(interval, seed.value(Sort.INT, key.name), cfg.unbounded_width)
         ints[key.name] = rng.randint(lo, lo + points - 1)
     return Model(ints=ints, bools=dict(seed.bools), funcs=dict(seed.funcs))
 
@@ -333,7 +334,7 @@ def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
     nested = []
     for key, interval in iv.entries.items():
         if isinstance(key, IntVar):
-            int_steps.append((key.name, *_clamp(interval, seed.int_value(key.name), width)))
+            int_steps.append((key.name, *_clamp(interval, seed.value(Sort.INT, key.name), width)))
         else:
             depth = sum(1 for t in iter_nodes(key.index) if is_select_like(t))
             step = (key.array.name, key.index, interval, *_clamp(interval, eval_term(key, seed), width))
@@ -374,11 +375,7 @@ def _eval_index(t: Term, slot: dict[str, int], values: list, cells: dict[str, di
 
 def _seed_declarations(seed: Model, known=()) -> list[Declaration]:
     """Declarations of the symbols of `seed` that are not in `known`."""
-    return (
-        [Declaration(name, Sort.INT) for name in seed.ints if name not in known]
-        + [Declaration(name, Sort.BOOL) for name in seed.bools if name not in known]
-        + [Declaration(name, Sort.ARRAY) for name in seed.funcs if name not in known]
-    )
+    return [Declaration(name, sort) for sort in Sort for name in seed.of(sort) if name not in known]
 
 
 def sample_intervals_arrays(
@@ -401,21 +398,10 @@ def sample_intervals_arrays(
 # Epoch exploitation
 
 
-# The value of a symbol a sample omits, by sort; a function value is never
-# changed in place (:class:`FuncValue`), so one constant-0 function serves
-# every sample.
-_ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
-
-
 def restrict_to_problem(sample: Model, problem: ParsedProblem) -> Model:
     out = Model()
     for d in problem.declarations:
-        if d.sort == Sort.ARRAY:
-            out.funcs[d.name] = sample.funcs.get(d.name, _ZERO[Sort.ARRAY])
-        elif d.sort == Sort.INT:
-            out.ints[d.name] = sample.ints.get(d.name, 0)
-        else:
-            out.bools[d.name] = sample.bools.get(d.name, False)
+        out.of(d.sort)[d.name] = sample.of(d.sort).get(d.name, ZERO[d.sort])
     return out
 
 
@@ -472,7 +458,7 @@ class SampleLayout:
         self.names = [d.name for d in declarations]
         self.slot = {name: i for i, name in enumerate(self.names)}
         self.sorts = [d.sort for d in declarations]
-        self.zeros = tuple(_ZERO[sort] for sort in self.sorts)
+        self.zeros = tuple(ZERO[sort] for sort in self.sorts)
         self.funcs = [(name, i) for i, (name, sort) in enumerate(zip(self.names, self.sorts)) if sort is Sort.ARRAY]
 
     def predicate(self, formula: Formula):
@@ -482,8 +468,7 @@ class SampleLayout:
     def vector(self, sample: Model) -> tuple:
         """The values of the declared symbols in `sample`; a missing one is
         0, false or the constant-0 function, as in :func:`restrict_to_problem`."""
-        fields = {Sort.INT: sample.ints, Sort.BOOL: sample.bools, Sort.ARRAY: sample.funcs}
-        return tuple(fields[sort].get(name, _ZERO[sort]) for name, sort in zip(self.names, self.sorts))
+        return tuple(sample.of(sort).get(name, ZERO[sort]) for name, sort in zip(self.names, self.sorts))
 
     def from_json(self, obj: dict) -> tuple:
         """The vector of a JSON assignment as `cli run` writes samples: an
@@ -688,9 +673,8 @@ def exploit_epoch(
 def _check_injected(seed: Model, formula: Formula, layout: SampleLayout, pred) -> None:
     """Reject an injected seed that leaves a symbol of `formula` unassigned
     or does not satisfy it."""
-    assigned = {Sort.INT: seed.ints, Sort.BOOL: seed.bools, Sort.ARRAY: seed.funcs}
     for name, sort in free_symbols(formula).items():
-        if name not in assigned[sort]:
+        if name not in seed.of(sort):
             raise UnassignedSymbol(name)
     if not pred(*layout.vector(seed)):
         raise NotAModel("injected seed does not satisfy the formula")

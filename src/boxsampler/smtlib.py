@@ -293,7 +293,7 @@ class Parser:
             name = self._new_name(args[0])
             if args[1].items:
                 raise s.error("define-fun with parameters", UnsupportedFeature)
-            body = self._expr(args[3], {})
+            body = self._read(s, args[3])
             _check(args[3], _parse_sort(args[2]), body)
             self.macros[name] = body
         elif head == "assert":
@@ -307,10 +307,18 @@ class Parser:
 
     def formula(self, command: _SExpr, s: _SExpr) -> Formula:
         """`s`, the formula that `command` asserts, which must be a Bool."""
-        f = self._expr(s, {})
+        f = self._read(command, s)
         if _SORT_OF[f.__class__] is not Sort.BOOL:
             raise command.error("assert expects a Bool expression")
         return f
+
+    def _read(self, command: _SExpr, s: _SExpr):
+        """The expression `s` of `command`; one that nests past Python's
+        recursion limit, at three frames a level, is unsupported there."""
+        try:
+            return self._expr(s, {})
+        except RecursionError:
+            raise command.error("expression nests too deeply", UnsupportedFeature) from None
 
     def _new_name(self, s: _SExpr) -> str:
         """The symbol of `s`, which names nothing declared or defined yet."""

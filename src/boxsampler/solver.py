@@ -23,6 +23,12 @@ s-expression, which :func:`parse_model` takes as it is.  Reading waits with
 `select`, so it is POSIX-only.  When the solver closes its output, the
 error names its exit status.
 
+:func:`parse_model` reads values with two readers: :func:`_int`, a numeral
+or ``(- k)``, and :func:`_func`, one loop over an ite chain or a store chain
+down to its base, as-array references followed, where the outermost link of
+a cell wins.  They and :func:`_frag`, which writes a reply into an error,
+do not recurse, so a reply of any depth is read or rejected whole.
+
 The solver child, ``python -m boxsampler.minisolver``, imports this module,
 and every start of a :class:`ProcessSolverClient` waits for the child's
 imports before its first answer.  So `subprocess` and `shlex` are imported
@@ -41,14 +47,7 @@ from enum import Enum
 
 from .errors import ModelParseError, SmtSyntaxError
 from .smtlib import Declaration, StreamReader, numeral, print_declaration, print_formula
-from .terms import (
-    Formula,
-    FuncValue,
-    Model,
-    Sort,
-    _Record,
-    eval_formula,
-)
+from .terms import ZERO, Formula, FuncValue, Model, Sort, _Record, eval_formula
 
 
 class SolverRequest(_Record):
@@ -127,18 +126,17 @@ class SolverClient:
 
 
 def parse_model(reply, declarations: list[Declaration]) -> Model:
-    """Parse a get-model reply, as read, into the finite model representation.
-
-    Accepts the `(model ...)` and bare `((define-fun ...))` wrappers, integer
-    constants in `(- k)` form, constant arrays with store chains, as-array
-    references, and ite-chains over the function argument."""
+    """The model of a get-model reply, as read, in a `(model ...)` or bare
+    `((define-fun ...))` wrapper.  Each declared symbol is read from its
+    entry, by :func:`_int`, as true or false, or by :func:`_func`; a symbol
+    with no entry is the zero of its sort."""
     if reply.is_atom:
         raise ModelParseError(f"expected a model, got {reply.text!r}")
     items = reply.items
     if items and items[0].is_atom and items[0].text == "model":
         items = items[1:]
 
-    raw_funs: dict[str, tuple[str | None, object]] = {}  # name -> (parameter or None, body sexpr)
+    defs: dict[str, tuple[str | None, object]] = {}  # name -> (parameter or None, body sexpr)
     for entry in items:
         if entry.is_atom or len(entry.items) != 5 or entry.items[0].text != "define-fun":
             raise ModelParseError(f"unexpected model entry: {_frag(entry)}")
@@ -148,18 +146,27 @@ def parse_model(reply, declarations: list[Declaration]) -> Model:
         name = name_s.text.strip("|")
         if len(params_s.items) > 1:
             raise ModelParseError(f"function of arity > 1 in model: {name}")
-        raw_funs[name] = (_param(params_s) if params_s.items else None, body_s)
+        defs[name] = (_param(params_s) if params_s.items else None, body_s)
 
     model = Model()
-    decl_by_name = {d.name: d for d in declarations}
-    for name, decl in decl_by_name.items():
-        raw = raw_funs.get(name)
-        if decl.sort == Sort.INT:
-            model.ints[name] = 0 if raw is None else _parse_int_const(_constant(name, raw))
-        elif decl.sort == Sort.BOOL:
-            model.bools[name] = False if raw is None else _parse_bool_const(_constant(name, raw))
+    for name, decl in {d.name: d for d in declarations}.items():
+        param, body = defs.get(name, (None, None))
+        if body is None:
+            value = ZERO[decl.sort]
+        elif decl.sort is Sort.ARRAY:
+            if (param is not None) != decl.is_function:
+                kind = "a unary function body" if decl.is_function else "an array value"
+                raise ModelParseError(f"expected {kind} for {name}")
+            value = _func(body, param, defs)
+        elif param is not None:
+            raise ModelParseError(f"expected a constant value for {name}")
+        elif decl.sort is Sort.INT:
+            value = _int(body)
+        elif body.is_atom and body.text in ("true", "false"):
+            value = body.text == "true"
         else:
-            model.funcs[name] = _parse_func_value(decl, raw, raw_funs)
+            raise ModelParseError(f"not a boolean constant: {_frag(body)}")
+        model.of(decl.sort)[name] = value
     return model
 
 
@@ -171,95 +178,71 @@ def _param(params) -> str:
     return binding.items[0].text
 
 
-def _constant(name: str, raw):
-    param, body = raw
-    if param is not None:
-        raise ModelParseError(f"expected a constant value for {name}")
-    return body
-
-
 def _frag(sexpr) -> str:
-    if sexpr.is_atom:
-        return sexpr.text
-    return "(" + " ".join(_frag(i) for i in sexpr.items) + ")"
+    """The text of `sexpr`, one space between tokens, written from a stack
+    of its nodes, so that a reply of any depth is written whole."""
+    parts, stack = [], [sexpr]
+    while stack:
+        node = stack.pop()
+        if node is not None and parts and parts[-1] != "(":
+            parts.append(" ")
+        if node is None:  # the end of a list
+            parts.append(")")
+        elif node.is_atom:
+            parts.append(node.text)
+        else:
+            parts.append("(")
+            stack += [None, *reversed(node.items)]
+    return "".join(parts)
 
 
-def _parse_int_const(body) -> int:
-    if body.is_atom:
-        value = numeral(body.text, ModelParseError)
-        if value is None:
-            raise ModelParseError(f"not an integer constant: {body.text}")
-        return value
-    if len(body.items) == 2 and body.items[0].is_atom and body.items[0].text == "-":
-        return -_parse_int_const(body.items[1])
-    raise ModelParseError(f"not an integer constant: {_frag(body)}")
+def _int(body) -> int:
+    """The integer of a numeral, or of ``(- k)`` with `k` read alike."""
+    sign = 1
+    while not body.is_atom and len(body.items) == 2 and body.items[0].is_atom and body.items[0].text == "-":
+        sign, body = -sign, body.items[1]
+    value = numeral(body.text, ModelParseError) if body.is_atom else None
+    if value is None:
+        raise ModelParseError(f"not an integer constant: {_frag(body)}")
+    return sign * value
 
 
-def _parse_bool_const(body) -> bool:
-    if body.is_atom and body.text in ("true", "false"):
-        return body.text == "true"
-    raise ModelParseError(f"not a boolean constant: {_frag(body)}")
-
-
-def _parse_func_value(decl: Declaration, raw, raw_funs) -> FuncValue:
-    """The value of the array or function `decl` from its (parameter,
-    body) definition `raw`: an ite chain over the parameter of a function,
-    or an array expression, whose as-array references are entries of
-    `raw_funs`.  A parameter list is there exactly for a function."""
-    if raw is None:
-        return FuncValue(0)
-    param, body = raw
-    if (param is not None) != decl.is_function:
-        kind = "a unary function body" if decl.is_function else "an array value"
-        raise ModelParseError(f"expected {kind} for {decl.name}")
-    return _parse_ite_chain(param, body) if decl.is_function else _parse_array_expr(body, raw_funs)
-
-
-def _parse_ite_chain(param: str, body) -> FuncValue:
-    exceptions: dict[int, int] = {}
+def _func(body, param: str | None, defs) -> FuncValue:
+    """The value of an ite chain over `param`, or with no `param` of an
+    array: a store chain down to a constant array, a lambda, or an as-array
+    of a function of `defs`, whose ite chain the loop goes on into.  Each
+    link is one step of the loop; the outermost link of a cell wins."""
+    cells: dict[int, int] = {}
     while True:
-        if body.is_atom or not (body.items and body.items[0].is_atom):
-            return FuncValue(_parse_int_const(body), exceptions)
-        head = body.items[0].text
-        if head != "ite":
-            return FuncValue(_parse_int_const(body), exceptions)
-        if len(body.items) != 4:
-            raise ModelParseError(f"unsupported function body: {_frag(body)}")
-        _, cond, then, rest = body.items
-        if cond.is_atom or len(cond.items) != 3 or cond.items[0].text != "=":
-            raise ModelParseError(f"unsupported function body: {_frag(body)}")
-        a, b = cond.items[1], cond.items[2]
-        key_expr = b if (a.is_atom and a.text == param) else a
-        key = _parse_int_const(key_expr)
-        exceptions.setdefault(key, _parse_int_const(then))
-        body = rest
-
-
-def _parse_array_expr(body, raw_funs) -> FuncValue:
-    if body.is_atom or not body.items:
-        raise ModelParseError(f"not an array value: {_frag(body)}")
-    items = body.items
-    head = items[0]
-    # (store <array> <index> <value>)
-    if head.is_atom and head.text == "store" and len(items) == 4:
-        base = _parse_array_expr(items[1], raw_funs)
-        return base.with_store(_parse_int_const(items[2]), _parse_int_const(items[3]))
-    # ((as const (Array Int Int)) <default>)
-    if not head.is_atom and head.items and head.items[0].is_atom and head.items[0].text == "as":
-        if len(items) == 2:
-            return FuncValue(_parse_int_const(items[1]))
-        raise ModelParseError(f"unsupported array value: {_frag(body)}")
-    # (_ as-array <fname>)
-    if head.is_atom and head.text == "_" and len(items) == 3 and items[1].text == "as-array":
-        ref = items[2].text.strip("|")
-        raw = raw_funs.get(ref)
-        if raw is None or raw[0] is None:
-            raise ModelParseError(f"as-array refers to unknown function {ref}")
-        return _parse_ite_chain(*raw)
-    # (lambda ((x Int)) <body>)
-    if head.is_atom and head.text == "lambda" and len(items) == 3:
-        return _parse_ite_chain(_param(items[1]), items[2])
-    raise ModelParseError(f"unsupported array value: {_frag(body)}")
+        items = None if body.is_atom else body.items
+        head = items[0] if items else None
+        if param is not None:  # (ite (= param k) v rest), down to the default
+            if head is None or not head.is_atom or head.text != "ite":
+                return FuncValue(_int(body), cells)
+            cond = items[1] if len(items) == 4 else None
+            if cond is None or cond.is_atom or len(cond.items) != 3 or cond.items[0].text != "=":
+                raise ModelParseError(f"unsupported function body: {_frag(body)}")
+            a, b = cond.items[1:]
+            cells.setdefault(_int(b if a.is_atom and a.text == param else a), _int(items[2]))
+            body = items[3]
+        elif head is None:
+            raise ModelParseError(f"not an array value: {_frag(body)}")
+        elif head.is_atom and head.text == "store" and len(items) == 4:
+            cells.setdefault(_int(items[2]), _int(items[3]))
+            body = items[1]
+        elif not head.is_atom and head.items and head.items[0].is_atom and head.items[0].text == "as":
+            if len(items) != 2:  # ((as const (Array Int Int)) <default>)
+                raise ModelParseError(f"unsupported array value: {_frag(body)}")
+            return FuncValue(_int(items[1]), cells)
+        elif head.is_atom and head.text == "_" and len(items) == 3 and items[1].text == "as-array":
+            ref = items[2].text.strip("|")
+            param, body = defs.get(ref, (None, None))
+            if param is None:
+                raise ModelParseError(f"as-array refers to unknown function {ref}")
+        elif head.is_atom and head.text == "lambda" and len(items) == 3:
+            param, body = _param(items[1]), items[2]
+        else:
+            raise ModelParseError(f"unsupported array value: {_frag(body)}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ serve as dictionary keys and set members (interval maps, sets of seen
 literals) and be shared freely.  Models are mutable value objects, compared
 by their fields: integers for scalar variables and finite
 default-plus-exceptions functions for arrays, which are never changed in
-place and hash by value, so that they can be shared.  None of these classes
-is a dataclass: the solver child (:mod:`.minisolver`) imports this module, and
+place and hash by value, so that they can be shared.  How a model holds
+each sort is said here once: :meth:`Model.of` is the dict of one sort,
+:meth:`Model.value` reads a symbol of it, and ``ZERO`` is, by sort, the
+value of a symbol that a model omits.  None of these classes is a
+dataclass: the solver child (:mod:`.minisolver`) imports this module, and
 :mod:`dataclasses` (with :mod:`inspect`) would make every start of it about
 a quarter slower to its first answer.  Instead each node type lists its
 fields once, in ``__slots__``, and ``_Node`` compiles its ``__init__``,
@@ -300,6 +303,11 @@ class FuncValue(_Record):
         return FuncValue(self.default, {**self.exceptions, index: value})
 
 
+# The value of a symbol that a model omits, by sort: one constant-0 function
+# serves every model, since a function value is never changed in place.
+ZERO = {Sort.INT: 0, Sort.BOOL: False, Sort.ARRAY: FuncValue(0)}
+
+
 class Model(_Record):
     """Assignment of values to the free symbols of a formula."""
 
@@ -315,21 +323,14 @@ class Model(_Record):
         self.bools = {} if bools is None else bools
         self.funcs = {} if funcs is None else funcs
 
-    def int_value(self, name: str) -> int:
-        try:
-            return self.ints[name]
-        except KeyError:
-            raise UnassignedSymbol(name) from None
+    def of(self, sort: Sort) -> dict:
+        """The values of the symbols of `sort`, by name."""
+        return self.ints if sort is Sort.INT else self.bools if sort is Sort.BOOL else self.funcs
 
-    def bool_value(self, name: str) -> bool:
+    def value(self, sort: Sort, name: str):
+        """The value of the symbol `name` of `sort`, which must be assigned."""
         try:
-            return self.bools[name]
-        except KeyError:
-            raise UnassignedSymbol(name) from None
-
-    def func_value(self, name: str) -> FuncValue:
-        try:
-            return self.funcs[name]
+            return self.of(sort)[name]
         except KeyError:
             raise UnassignedSymbol(name) from None
 
@@ -343,11 +344,12 @@ class Model(_Record):
 
 def eval_term(t: Term, m: Model):
     """Evaluate `t` under `m`: integers for int-sorted terms, FuncValue for
-    array-sorted ones."""
+    array-sorted ones.  This is hot, so a symbol is looked up in its dict
+    first, and :meth:`Model.value` only raises the unassigned one's error."""
     if isinstance(t, IntConst):
         return t.value
     if isinstance(t, IntVar):
-        return m.int_value(t.name)
+        return m.ints[t.name] if t.name in m.ints else m.value(Sort.INT, t.name)
     if isinstance(t, Add):
         return sum(eval_term(a, m) for a in t.args)
     if isinstance(t, Sub):
@@ -366,7 +368,7 @@ def eval_term(t: Term, m: Model):
             eval_term(t.index, m), eval_term(t.value, m)
         )
     if isinstance(t, ArrayVar):
-        return m.func_value(t.name)
+        return m.funcs[t.name] if t.name in m.funcs else m.value(Sort.ARRAY, t.name)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -390,7 +392,7 @@ def eval_formula(f: Formula, m: Model) -> bool:
     if isinstance(f, Or):
         return any(eval_formula(a, m) for a in f.args)
     if isinstance(f, BoolVar):
-        return m.bool_value(f.name)
+        return m.bools[f.name] if f.name in m.bools else m.value(Sort.BOOL, f.name)
     if isinstance(f, BoolConst):
         return f.value
     raise TypeError(f"not a formula: {f!r}")

@@ -206,6 +206,31 @@ class TestRun:
         bad.write_text("(declare-const x Int)(assert (= (div x 2) 1))")
         assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
 
+    def test_a_problem_nested_too_deep_is_unsupported(self, tmp_path, capsys):
+        bad = tmp_path / "deep.smt2"
+        bad.write_text("(declare-const x Int)\n(assert (= x " + "(+ 1 " * 400 + "0" + ")" * 400 + "))\n")
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"x": 400}\n')
+        assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
+        assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
+        assert capsys.readouterr().err == "unsupported input: 2:0: expression nests too deeply\n" * 2
+
+    def test_a_solver_reply_nested_thousands_deep_is_a_solver_failure(self, data_dir, tmp_path, capsys):
+        stub = tmp_path / "deep_error.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(check-sat)':\n"
+            "        print('(error ' + '(a ' * 3000 + ')' * 3000 + ')', flush=True)\n"
+        )
+        code = run_cli(
+            "run", data_dir / "toy_sum.smt2", "--max-samples", 1, "--solver-cmd", f"{sys.executable} {stub}",
+            "--samples-out", tmp_path / "s.jsonl",
+        )
+        assert code == EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert "solver failure: (error " + "(a " * 2999 + "(a)" + ")" * 3000 in out + err
+
     def test_a_symbol_declared_twice_is_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"
         bad.write_text("(declare-const x Int)\n(assert (> x 0))\n(declare-const x Bool)\n(assert x)\n")

@@ -4,12 +4,13 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxsampler.errors import SmtSyntaxError, UnsupportedFeature
 from boxsampler.smtlib import (
     _TOKEN,
+    Parser,
     StreamReader,
     parse_problem,
     print_declaration,
@@ -178,6 +179,27 @@ class TestErrorPositions:
         with pytest.raises(SmtSyntaxError) as info:
             parse_problem(before + "\n(assert (> zz 0))")
         assert str(info.value) == "3:11: undeclared symbol 'zz'"
+
+
+def deep_sum(depth: int) -> str:
+    """A problem whose second command asserts a sum nested `depth` deep."""
+    return "(declare-const x Int)\n(assert (= x " + "(+ 1 " * depth + "0" + ")" * depth + "))\n"
+
+
+class TestDepth:
+    @pytest.mark.parametrize("command", ["(assert (> x {term}))", "(define-fun y () Int {term})"])
+    def test_an_expression_nested_too_deep_is_unsupported_at_its_command(self, command):
+        term = "(+ 1 " * 400 + "0" + ")" * 400
+        parser = Parser()
+        parser.run("(declare-const x Int)\n(assert (> x 0))")
+        with pytest.raises(UnsupportedFeature) as info:
+            parser.run("\n" + command.format(term=term))
+        assert str(info.value) == "2:0: expression nests too deeply"
+        assert list(parser.decls) == ["x"] and not parser.macros and len(parser.assertions) == 1
+
+    def test_the_sum_flattens_below_the_limit(self):
+        f = parse_problem(deep_sum(250)).assertion
+        assert f == Atom(Rel.EQ, IntVar("x"), Add((IntConst(1),) * 250 + (IntConst(0),)))
 
 
 class TestPinnedErrors:
@@ -680,6 +702,7 @@ class TestSexprEnd:
 
 
 class TestFuzz:
+    @example(deep_sum(1000).encode())
     @given(st.binary(max_size=300))
     @settings(max_examples=400, deadline=None)
     def test_parser_never_crashes_on_bytes(self, blob):
@@ -688,6 +711,7 @@ class TestFuzz:
         except (SmtSyntaxError, UnsupportedFeature):
             pass
 
+    @example(deep_sum(1000))
     @given(st.text(alphabet="()|;\"ab einx0123456789-+*<=> \n", max_size=200))
     @settings(max_examples=400, deadline=None)
     def test_parser_never_crashes_on_smtlib_like_text(self, text):

@@ -9,9 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxsampler.errors import BoxsamplerError, ModelParseError
-from boxsampler.minisolver import LocalSolverClient
+from boxsampler.minisolver import LocalSolverClient, _format_model
 from boxsampler.intervals import Interval, IntervalMap
 from boxsampler.sampler import (
     BlockingHistory,
@@ -30,7 +32,20 @@ from boxsampler.solver import (
     VerdictKind,
     parse_model,
 )
-from boxsampler.terms import ArrayVar, Atom, BoolVar, FuncValue, IntConst, IntVar, Or, Rel, Select, Sort, eval_formula
+from boxsampler.terms import (
+    ArrayVar,
+    Atom,
+    BoolVar,
+    FuncValue,
+    IntConst,
+    IntVar,
+    Model,
+    Or,
+    Rel,
+    Select,
+    Sort,
+    eval_formula,
+)
 
 from oracle import deep_and_or, random_array_formula
 
@@ -148,21 +163,203 @@ class TestParseModel:
             parse_model(read_model(path.name), [])  # ignoring declarations must not crash
 
     def test_garbage_rejected(self):
-        with pytest.raises(ModelParseError):
-            parse_model(read_sexprs("sat")[0], [D("x")])
-        with pytest.raises(ModelParseError):
-            parse_model(read_sexprs("((define-fun x () Int (+ 1 2 oops)))")[0], [D("x")])
-        for reply, decl in (
-            ("((define-fun f (x) Int 0))", D("f", fn=True)),  # a parameter that is an atom
-            ("((define-fun f ((x Int)) Int (ite (= x 1) 2)))", D("f", fn=True)),  # no else branch
-            ("((define-fun a () (Array Int Int) (lambda (x) 0)))", D("a", Sort.ARRAY)),
-            ("((define-fun a () (Array Int Int) ()))", D("a", Sort.ARRAY)),
-            ("((define-fun x ((y Int)) Int 0))", D("x")),  # a function where a constant is declared
-            ("((define-fun f () Int 0))", D("f", fn=True)),  # a constant where a function is declared
-            ("((define-fun a ((x Int)) Int 0))", D("a", Sort.ARRAY)),  # a function where an array is declared
+        # each reply holds one fault, and the error names it in these words
+        for reply, decl, message in (
+            ("sat", D("x"), "expected a model, got 'sat'"),
+            ("((define-fun x () Int (+ 1 2 oops)))", D("x"), "not an integer constant: (+ 1 2 oops)"),
+            ("((define-fun x () Int (- (- y))))", D("x"), "not an integer constant: y"),
+            ("((define-fun p () Bool 1))", D("p", Sort.BOOL), "not a boolean constant: 1"),
+            ("((declare-fun f () Int))", D("f"), "unexpected model entry: (declare-fun f () Int)"),
+            ("((define-fun f ((x Int) (y Int)) Int 0))", D("f", fn=True), "function of arity > 1 in model: f"),
+            # a parameter that is an atom
+            ("((define-fun f (x) Int 0))", D("f", fn=True), "unexpected parameter list: (x)"),
+            # no else branch
+            ("((define-fun f ((x Int)) Int (ite (= x 1) 2)))", D("f", fn=True), "unsupported function body: (ite (= x 1) 2)"),
+            ("((define-fun f ((x Int)) Int (ite (< x 1) 2 3)))", D("f", fn=True), "unsupported function body: (ite (< x 1) 2 3)"),
+            ("((define-fun a () (Array Int Int) (lambda (x) 0)))", D("a", Sort.ARRAY), "unexpected parameter list: (x)"),
+            ("((define-fun a () (Array Int Int) ()))", D("a", Sort.ARRAY), "not an array value: ()"),
+            ("((define-fun a () (Array Int Int) (select b 1)))", D("a", Sort.ARRAY), "unsupported array value: (select b 1)"),
+            (
+                "((define-fun a () (Array Int Int) ((as const (Array Int Int)) 1 2)))",
+                D("a", Sort.ARRAY),
+                "unsupported array value: ((as const (Array Int Int)) 1 2)",
+            ),
+            ("((define-fun a () (Array Int Int) (_ as-array k)))", D("a", Sort.ARRAY), "as-array refers to unknown function k"),
+            # a function where a constant is declared, a constant where a
+            # function is, and a function where an array is
+            ("((define-fun x ((y Int)) Int 0))", D("x"), "expected a constant value for x"),
+            ("((define-fun f () Int 0))", D("f", fn=True), "expected a unary function body for f"),
+            ("((define-fun a ((x Int)) Int 0))", D("a", Sort.ARRAY), "expected an array value for a"),
         ):
-            with pytest.raises(ModelParseError):
+            with pytest.raises(ModelParseError) as exc:
                 parse_model(read_sexprs(reply)[0], [decl])
+            assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The model reader over seeded and random replies
+
+
+def _num(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
+
+
+def _value(rng: random.Random, default: int) -> int:
+    """A cell value: now and then the default, else small or big."""
+    return rng.choice((default, rng.randint(-3, 3), rng.randint(-(2**90), 2**90)))
+
+
+def _ite_body(rng: random.Random, param: str, default: int) -> str:
+    """An ite chain over `param` whose keys repeat now and then, with the
+    equality written either way round."""
+    body = _num(default)
+    for _ in range(rng.randint(0, 4)):
+        key = _num(rng.randint(-2, 2))
+        cond = f"(= {param} {key})" if rng.random() < 0.7 else f"(= {key} {param})"
+        body = f"(ite {cond} {_num(_value(rng, default))} {body})"
+    return body
+
+
+def _array_body(rng: random.Random, entries: list[str]) -> str:
+    """A store chain, whose indices repeat now and then, over a constant
+    array, a lambda, or an as-array of a function that is added to `entries`."""
+    default = _value(rng, 0)
+    base = rng.randrange(3)
+    if base == 0:
+        body = f"((as const (Array Int Int)) {_num(default)})"
+    elif base == 1:
+        body = f"(lambda ((x!1 Int)) {_ite_body(rng, 'x!1', default)})"
+    else:
+        helper = f"k!{len(entries)}"
+        entries.append(f"(define-fun {helper} ((x!0 Int)) Int {_ite_body(rng, 'x!0', default)})")
+        body = f"(_ as-array {helper})"
+    for _ in range(rng.randint(0, 4)):
+        body = f"(store {body} {_num(rng.randint(-2, 2))} {_num(_value(rng, default))})"
+    return body
+
+
+def _reply(rng: random.Random) -> tuple[str, list[Declaration]]:
+    """A seeded get-model reply and the declarations it answers: ints, bools,
+    arrays and functions, some of them omitted, in shuffled order, with the
+    as-array functions before or after their users."""
+    decls, entries = [], []
+    for i in range(rng.randint(1, 6)):
+        name = f"v{i}" if rng.random() < 0.9 else f"v {i}"
+        kind = rng.choice((Sort.INT, Sort.BOOL, Sort.ARRAY, "function"))
+        decls.append(D(name, fn=True) if kind == "function" else D(name, kind))
+        if rng.random() < 0.1:
+            continue  # omitted: read as the zero of its sort
+        name = name if " " not in name else f"|{name}|"
+        if kind is Sort.INT:
+            entries.append(f"(define-fun {name} () Int {_num(_value(rng, 0))})")
+        elif kind is Sort.BOOL:
+            entries.append(f"(define-fun {name} () Bool {rng.choice(('true', 'false'))})")
+        elif kind is Sort.ARRAY:
+            entries.append(f"(define-fun {name} () (Array Int Int) {_array_body(rng, entries)})")
+        else:
+            entries.append(f"(define-fun {name} ((x!0 Int)) Int {_ite_body(rng, 'x!0', _value(rng, 0))})")
+    rng.shuffle(entries)
+    return ("(model " if rng.random() < 0.3 else "(") + "\n".join(entries) + ")", decls
+
+
+def test_model_reader_matches_pinned_digest():
+    """The models read from 2,000 seeded replies equal the pinned ones."""
+    digest = hashlib.sha256()
+    for s in range(2000):
+        text, decls = _reply(random.Random(s))
+        digest.update(repr(canonical_assignment(parse_model(read_sexpr(text)[0], decls))).encode())
+    assert digest.hexdigest() == "9b840501e7e78248a2e164724e95a57b8276e02bb34e9c4278e0a6ab4f6d8423"
+
+
+class TestParseModelDepth:
+    def test_chains_of_thousands_of_links_are_read_with_the_outermost_link_winning(self):
+        n = 3000
+        store = "(store " * n + "((as const (Array Int Int)) 0)" + "".join(f" {k % 100} {k + 1})" for k in range(n))
+        ite = "".join(f"(ite (= x!0 {k % 100}) {k + 1} " for k in range(n)) + "0" + ")" * n
+        reply = f"((define-fun a () (Array Int Int) {store}) (define-fun f ((x!0 Int)) Int {ite}))"
+        m = parse_model(read_sexpr(reply)[0], [D("a", Sort.ARRAY), D("f", fn=True)])
+        assert m.funcs["a"] == FuncValue(0, {j: n - 100 + j + 1 for j in range(100)})
+        assert m.funcs["f"] == FuncValue(0, {j: j + 1 for j in range(100)})
+
+    def test_a_deep_fault_is_named_whole(self):
+        reply = "((define-fun x () Int " + "(- " * 3000 + "y" + ")" * 3000 + "))"
+        with pytest.raises(ModelParseError, match="^not an integer constant: y$"):
+            parse_model(read_sexpr(reply)[0], [D("x")])
+        reply = "((define-fun p () Bool " + "(a " * 3000 + ")" * 3000 + "))"
+        with pytest.raises(ModelParseError) as exc:
+            parse_model(read_sexpr(reply)[0], [D("p", Sort.BOOL)])
+        assert str(exc.value) == "not a boolean constant: " + "(a " * 2999 + "(a)" + ")" * 2999
+
+
+_WIDE = st.integers(-(2**70), 2**70)
+_KINDS = {"Int": (Sort.INT, False), "Bool": (Sort.BOOL, False), "Array": (Sort.ARRAY, False), "fn": (Sort.ARRAY, True)}
+
+
+@st.composite
+def _declared_models(draw):
+    """Declarations, some with names that print quoted, and a model that
+    assigns each of them."""
+    decls, m = [], Model()
+    for name in draw(st.lists(st.text("ab x!0", min_size=1, max_size=3), unique=True, max_size=6)):
+        sort, fn = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+        decls.append(Declaration(name, sort, is_function=fn))
+        if sort is Sort.INT:
+            m.ints[name] = draw(_WIDE)
+        elif sort is Sort.BOOL:
+            m.bools[name] = draw(st.booleans())
+        else:
+            m.funcs[name] = FuncValue(draw(_WIDE), draw(st.dictionaries(_WIDE, _WIDE, max_size=4)))
+    return decls, m
+
+
+@given(_declared_models())
+@settings(max_examples=200, deadline=None)
+def test_a_model_the_minisolver_prints_reads_back(declared):
+    decls, m = declared
+    assert parse_model(read_sexpr(_format_model(m, decls))[0], decls) == m
+
+
+_JUNK_ATOMS = st.sampled_from(
+    ["define-fun", "model", "ite", "store", "lambda", "as", "const", "_", "as-array", "=", "-", "x!0", "k!0",
+     "Int", "Bool", "Array", "true", "false", "0", "7", "-3", "\u00b2", '"s"', "|q r|"]
+)
+_JUNK = st.one_of(
+    st.recursive(_JUNK_ATOMS, lambda inner: st.lists(inner, max_size=4), max_leaves=12),
+    st.tuples(_JUNK_ATOMS, st.integers(1, 2000)).map(lambda pair: "(- " * pair[1] + pair[0] + ")" * pair[1]),
+    st.tuples(_JUNK_ATOMS, st.integers(1, 2000)).map(lambda pair: f"({pair[0]} " * pair[1] + ")" * pair[1]),
+)
+
+
+def _text(tree) -> str:
+    return tree if isinstance(tree, str) else "(" + " ".join(map(_text, tree)) + ")"
+
+
+def _tree(node):
+    return node.text if node.is_atom else [_tree(item) for item in node.items]
+
+
+@given(st.integers(0, 10**6), st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=6), _JUNK), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_the_model_reader_raises_only_its_own_error(seed, edits):
+    """A seeded reply with junk put in at random depths: junk atoms, small
+    lists, and nests thousands deep."""
+    text, decls = _reply(random.Random(seed))
+    tree = _tree(read_sexpr(text)[0])
+    for path, junk in edits:
+        parent, at, index = None, tree, 0
+        for step in path:
+            if isinstance(at, str) or not at:
+                break
+            parent, index = at, step % len(at)
+            at = at[index]
+        if parent is None:
+            tree = junk
+        else:
+            parent[index] = junk
+    try:
+        parse_model(read_sexpr(_text(tree))[0], decls)
+    except ModelParseError:
+        pass
 
 
 class TestLocalClient:
@@ -316,6 +513,12 @@ def test_pipe_and_file_reject_a_command_with_one_message(command):
     if command in ("(set-logic QF_BV)", "(declare-sort U 0)"):
         assert str(exc.value).startswith("2:0: ")
     assert _minisolver(text + "(check-sat)\n") == [f'(error "{exc.value}")', "sat"]
+
+
+def test_pipe_rejects_an_assertion_nested_too_deep_and_carries_on():
+    deep = "(+ 1 " * 400 + "0" + ")" * 400
+    lines = _minisolver(f"(declare-const x Int)\n(assert (> x 2))\n(assert (= x {deep}))\n(check-sat)\n(get-model)\n")
+    assert lines == ['(error "3:0: expression nests too deeply")', "sat", "(", "  (define-fun x () Int 3)", ")"]
 
 
 def test_pipe_declares_again_only_what_a_pop_removed():
