@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 unsatisfiable input, 3 unsupported input,
 4 solver failure, 5 verification found violations, 130 a run stopped by
-Ctrl-C, 1 anything else.  A run stopped by Ctrl-C, or by a solver failure
-after its first epoch, still writes its samples, stats and coverage.
+Ctrl-C, 1 anything else.  A run stopped by Ctrl-C, even inside an epoch's
+draws, still writes its samples up to the last 64-draw chunk, with the
+stats and coverage of exactly those samples; one stopped by a solver
+failure after its first epoch writes them all.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Each epoch grabs a fresh seed model from the solver (randomized MAX-SMT or
 blocking), extracts an implicant of the formula around the seed, shrinks it
 to interval bounds, and then draws many cheap samples from the box.  Every
 emitted sample is re-verified against the input formula and deduplicated
-run-wide.  The blocking strategy keeps the negation of every box
+run-wide, and the fresh ones leave the epoch in chunks: every 64 draws, and
+once when the epoch ends, so that the first sample does not wait for the
+whole epoch and a run stopped inside an epoch keeps what it has handed
+over.  The blocking strategy keeps the negation of every box
 (:class:`BlockingHistory`) to steer later seeds away from covered regions,
 and stops once every model has been drawn.
 
@@ -86,7 +89,7 @@ from .terms import (
 class SamplerConfig:
     strategy: str = "random"  # "random" | "blocking"
     total_time_limit: float = 900.0
-    epoch_time_limit: float = 600.0
+    epoch_time_limit: float = 600.0  # the time in `on_sample` of the epoch's samples counts too
     max_samples: int | None = None
     rounds_per_epoch: int = 10
     samples_per_round: int = 1000
@@ -123,6 +126,9 @@ class EpochStats:
 
 @dataclass
 class EpochResult:
+    """An epoch's seed, box, counts and fresh samples: every sample that the
+    epoch handed over in its 64-draw chunks, in the order drawn."""
+
     seed: Model
     intervals: IntervalMap
     fresh_samples: list[Model]
@@ -602,6 +608,9 @@ def epoch_drawer(
     return draw, 0
 
 
+_CHUNK = 64  # draws between two reads of the clock, and between two hand-overs of fresh samples
+
+
 def exploit_epoch(
     iv: IntervalMap,
     seed: Model,
@@ -614,6 +623,7 @@ def exploit_epoch(
     reconstructions: list[tuple[str, Term]] | None = None,
     deadline: float | None = None,
     remaining_budget: int | None = None,
+    on_fresh: Callable[[list[Model]], None] | None = None,
 ) -> EpochResult:
     """Run up to n sampling rounds of k draws, stopping early when the rate
     of new unique samples in a round drops below the threshold.  A box of at
@@ -622,7 +632,15 @@ def exploit_epoch(
     says whether the round ran to its end.  Each draw is a vector of the
     run's `layout`, checked with `pred`, the input formula compiled by
     :meth:`SampleLayout.predicate`, and deduplicated as it is; only fresh
-    samples become Models.  The deadline and the budget cut a round short."""
+    samples become Models.  The deadline and the budget cut a round short.
+
+    A round draws in chunks of 64, the period at which it reads the clock.
+    Before each chunk, and once when the epoch ends, `on_fresh(samples)`
+    takes the fresh samples drawn since its last call, if there are any;
+    the clock is read after it, so the time `on_fresh` takes counts against
+    the epoch's time limit.  `fresh_samples` of the result holds every
+    sample handed over, in order; a stop inside a chunk (an interrupt, a
+    :class:`SoundnessViolation`) hands none of that chunk's."""
     draw, volume = epoch_drawer(
         iv, seed, layout, cfg, rng, reconstructions=reconstructions, enumerate_up_to=cfg.samples_per_round
     )
@@ -635,13 +653,23 @@ def exploit_epoch(
     if deadline is not None:
         epoch_deadline = min(epoch_deadline, deadline)
     done = False
+    handed = 0  # the fresh samples handed to `on_fresh` so far
+
+    def hand_over():
+        nonlocal handed
+        if on_fresh is not None and len(fresh) > handed:
+            on_fresh(fresh[handed:])
+            handed = len(fresh)
+
     for _ in range(rounds):
         new_in_round = 0
         drawn = per_round  # unless the round stops early
         for i in range(per_round):
-            if i % 64 == 0 and time.monotonic() > epoch_deadline:
-                done, drawn = True, i
-                break
+            if i % _CHUNK == 0:
+                hand_over()
+                if time.monotonic() > epoch_deadline:
+                    done, drawn = True, i
+                    break
             values = draw()
             if values is None:
                 stats.clashes += 1
@@ -661,6 +689,7 @@ def exploit_epoch(
         stats.unique_rate = new_in_round / per_round
         if done or stats.unique_rate < cfg.unique_rate_threshold:
             break
+    hand_over()
     stats.duplicates = stats.draws - stats.clashes - len(fresh)
     stats.enumerated = volume > 0 and stats.draws == volume
     return EpochResult(seed=seed, intervals=iv, fresh_samples=fresh, stats=stats)
@@ -690,23 +719,26 @@ def sample_formula(
 ) -> RunStats:
     """Sample distinct models of `problem` until a limit is hit.
 
-    `on_sample(model)` fires for every fresh verified sample; `on_epoch`
-    receives each EpochResult.  Returns aggregate statistics, whose
+    `on_sample(model)` fires for every fresh verified sample, a 64-draw
+    chunk at a time during the epoch (:func:`exploit_epoch`), so the first
+    sample comes before its epoch ends; `on_epoch` receives each EpochResult
+    after the epoch's last sample.  Returns aggregate statistics, whose
     `wall_time` holds the seconds of each phase and the "total": setup
     (preprocessing, the predicate compile and the blocking history), solve
     (with the loop head), implicant, strengthen (with the seed's containment
     check), sample (with the box's negation under blocking), and emit (the
-    two callbacks).  The phases are contiguous laps of one clock, so they
-    sum to the total.  Under blocking, a run that has drawn every model
-    stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).  Each
-    solver query carries the run's deadline and counts in `solver_calls`,
-    whether it answers or fails; one that fails once the deadline has
-    passed stops the run with "total time limit".  A solver
-    failure before the deadline raises :class:`SolverFailure` if no epoch
-    has run yet, and otherwise stops the run with "solver failure: <reason>",
-    so that the samples already taken keep their stats.  On Ctrl-C it stops
-    with "interrupted", and `unique_samples` counts the samples `on_sample`
-    took."""
+    two callbacks: `on_sample`, timed once per chunk, and `on_epoch`).  The
+    time `on_sample` takes also counts against the epoch's time limit.  The
+    phases are contiguous laps of one clock, so they sum to the total.
+    Under blocking, a run that has drawn every model stops with
+    `stop_reason` "exhausted" (:class:`BlockingHistory`).  Each solver query
+    carries the run's deadline and counts in `solver_calls`, whether it
+    answers or fails; one that fails once the deadline has passed stops the
+    run with "total time limit".  A solver failure before the deadline
+    raises :class:`SolverFailure` if no epoch has run yet, and otherwise
+    stops the run with "solver failure: <reason>", so that the samples
+    already taken keep their stats.  On Ctrl-C it stops with "interrupted",
+    and `unique_samples` counts the samples `on_sample` took."""
     rng = rng or random.Random(cfg.rng_seed)
     stats = RunStats()
     phase = dict.fromkeys(("setup", "solve", "implicant", "strengthen", "sample", "emit"), 0.0)
@@ -721,6 +753,15 @@ def sample_formula(
         phase[running] += now - t_lap
         t_lap, running = now, following
         return now
+
+    def emit(samples: list[Model]) -> None:
+        """Hand an epoch's fresh samples to `on_sample`, timed as "emit"."""
+        lap("emit")
+        for sample in samples:
+            if on_sample is not None:
+                on_sample(sample)
+            stats.unique_samples += 1  # once handed over, so that an interrupt leaves it exact
+        lap("sample")
 
     formula = to_nnf(preprocess(problem.assertion))
     layout = SampleLayout(problem.declarations)
@@ -791,6 +832,7 @@ def sample_formula(
                 reconstructions=reconstructions,
                 deadline=deadline,
                 remaining_budget=remaining,
+                on_fresh=emit,
             )
             stats.epochs += 1
             stats.draws += epoch.stats.draws
@@ -801,10 +843,6 @@ def sample_formula(
                 history.add(iv, epoch.stats.enumerated)
 
             lap("emit")
-            for sample in epoch.fresh_samples:
-                if on_sample is not None:
-                    on_sample(sample)
-                stats.unique_samples += 1  # once handed over, so that an interrupt leaves it exact
             if on_epoch is not None:
                 on_epoch(epoch)
     except KeyboardInterrupt:

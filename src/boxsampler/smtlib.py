@@ -13,13 +13,15 @@ One reader of commands, :meth:`Parser.command`, serves files and the pipe:
 :func:`parse_problem` gives it every command of a file, and the
 `minisolver` session every command that it does not answer itself (push,
 pop, reset, assert-soft and the queries), so both accept and reject a
-command alike.  It handles set-logic, declare-fun / declare-const (Int,
-Bool, (Array Int Int), unary Int -> Int functions), zero-parameter
-define-fun (inlined, its body checked against its sort), assert, and
-passes over set-info / set-option / check-sat / get-model / get-value /
-echo / exit.  let-bindings are inlined during parsing and named-assertion
-attributes are stripped, so downstream modules never deal with
-substitution.
+command alike.  That holds for depth too: an expression is read only from
+a command whose lists nest at most 256 deep (``_MAX_DEPTH``, counted by the
+reader), a bound that does not depend on the caller's stack.  It handles
+set-logic, declare-fun / declare-const (Int, Bool, (Array Int Int), unary
+Int -> Int functions), zero-parameter define-fun (inlined, its body checked
+against its sort), assert, and passes over set-info / set-option /
+check-sat / get-model / get-value / echo / exit.  let-bindings are inlined
+during parsing and named-assertion attributes are stripped, so downstream
+modules never deal with substitution.
 
 Each operator is stated once, in the table ``_OPERATORS``: its operand
 sorts, its arity and its builder.  One routine, ``Parser._apply``, checks
@@ -78,6 +80,11 @@ from .terms import (
 
 SUPPORTED_LOGICS = {"QF_LIA", "QF_NIA", "QF_ALIA", "QF_AUFLIA", "QF_UFLIA"}
 
+# How deeply lists may nest in a command that the parser reads, its own
+# parentheses included.  The expression reader recurses about three frames a
+# level, so this keeps it inside Python's default limit of 1000 frames.
+_MAX_DEPTH = 256
+
 
 class Declaration(_Record):
     __slots__ = ("name", "sort", "is_function")
@@ -113,9 +120,11 @@ _TOKEN = re.compile(
 
 class _SExpr:
     """An atom, whose `text` is its token, or a list of `items` (its `text`
-    is "("), which starts at `offset` in `source`, the text it was read from."""
+    is "("), which starts at `offset` in `source`, the text it was read from.
+    An s-expression that :func:`read_sexpr` returns has a `depth`, how
+    deeply lists nest in it: 0 for an atom, 1 for a list of atoms."""
 
-    __slots__ = ("items", "text", "source", "offset")
+    __slots__ = ("items", "text", "source", "offset", "depth")
 
     def __init__(self, items, text: str, source: str, offset: int):
         self.items = items  # None for atoms
@@ -138,10 +147,13 @@ def read_sexpr(text: str, pos: int = 0, final: bool = False) -> tuple[_SExpr, in
     it.  With `final` the text is all there is, and ending inside one is an
     error.  A ")" closing no list is an error at the ")", to be read past."""
     opens: list[_SExpr] = []
+    deepest = 0
     for token in _TOKEN.finditer(text, pos):
         kind = token.lastindex
         if kind == 1:
             opens.append(_SExpr([], "(", text, token.start(1)))
+            if len(opens) > deepest:
+                deepest = len(opens)
             continue
         if kind == 3:
             node = _SExpr(None, token[3], text, token.start(3))
@@ -157,6 +169,7 @@ def read_sexpr(text: str, pos: int = 0, final: bool = False) -> tuple[_SExpr, in
         else:
             return None
         if not opens:
+            node.depth = deepest
             return node, token.end()
         opens[-1].items.append(node)
 
@@ -313,12 +326,12 @@ class Parser:
         return f
 
     def _read(self, command: _SExpr, s: _SExpr):
-        """The expression `s` of `command`; one that nests past Python's
-        recursion limit, at three frames a level, is unsupported there."""
-        try:
-            return self._expr(s, {})
-        except RecursionError:
-            raise command.error("expression nests too deeply", UnsupportedFeature) from None
+        """The expression `s` of `command`; a command whose lists nest more
+        than `_MAX_DEPTH` deep is unsupported there, so that a file and the
+        pipe accept the same commands, whatever the caller's stack."""
+        if command.depth > _MAX_DEPTH:
+            raise command.error("expression nests too deeply", UnsupportedFeature)
+        return self._expr(s, {})
 
     def _new_name(self, s: _SExpr) -> str:
         """The symbol of `s`, which names nothing declared or defined yet."""

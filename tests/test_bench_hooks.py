@@ -91,3 +91,50 @@ def test_cli_emits_through_module_globals(monkeypatch, data_dir, tmp_path):
     assert 0 < len(batches) <= stats["epochs"] and all(batches)
     assert sum(map(len, batches)) == stats["unique_samples"]
     assert sorted(map(id, (s for b in batches for s in b))) == sorted(id(s) for (s,) in emitted)
+
+
+def test_each_epoch_emits_its_samples_before_its_intervals(monkeypatch, data_dir, tmp_path):
+    # bench/run.py times the first sample by `sample_to_json` and each
+    # epoch's end by `to_json_obj`: epoch k's samples, handed over in
+    # 64-draw chunks, are written after epoch k - 1's intervals and before
+    # epoch k's
+    log, epochs = [], []
+    sample_to_json, to_json_obj, sample_formula = cli.sample_to_json, cli.to_json_obj, cli.sample_formula
+
+    def logged_sample_to_json(*args):
+        log.append(args)
+        return sample_to_json(*args)
+
+    def logged_to_json_obj(iv):
+        log.append("intervals")
+        return to_json_obj(iv)
+
+    def recording_sample_formula(*args, on_epoch, **kwargs):
+        def recorded(epoch):
+            epochs.append(epoch.fresh_samples)
+            on_epoch(epoch)
+
+        return sample_formula(*args, on_epoch=recorded, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_to_json", logged_sample_to_json)
+    monkeypatch.setattr(cli, "to_json_obj", logged_to_json_obj)
+    monkeypatch.setattr(cli, "sample_formula", recording_sample_formula)
+    stats_path = tmp_path / "stats.json"
+    code = cli.main([
+        "run", str(data_dir / "intro.smt2"), "--max-samples", "700", "--samples-per-round", "150",
+        "--rounds", "2", "--solver-cmd", MINISOLVER_CMD, "--samples-out", str(tmp_path / "s.jsonl"),
+        "--intervals-out", str(tmp_path / "iv.jsonl"), "--stats-out", str(stats_path),
+    ])
+    assert code == cli.EXIT_OK
+    stats = json.loads(stats_path.read_text())
+    assert stats["epochs"] == len(epochs) > 1 and max(map(len, epochs)) > 64
+    assert all(entry == "intervals" or len(entry) == 1 for entry in log)  # one argument per sample
+    written, segment = [], []
+    for entry in log:
+        if entry == "intervals":
+            written.append(segment)
+            segment = []
+        else:
+            segment.append(entry[0])
+    assert segment == [] and written == epochs
+    assert sum(map(len, written)) == stats["unique_samples"]

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import subprocess
 import sys
 
 import pytest
@@ -21,6 +22,7 @@ from boxsampler.cli import (
     EXIT_VIOLATIONS,
     main,
 )
+from boxsampler.errors import UnsupportedFeature
 from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
 from boxsampler.terms import FuncValue, Model, eval_formula, preprocess, to_nnf
@@ -163,6 +165,34 @@ class TestRun:
         assert coverage_mod.read_bitmap(cov) == bitmap_of_samples_file(data_dir / "intro.smt2", out)
         assert "stopped: interrupted" in capsys.readouterr().out
 
+    def test_ctrl_c_inside_the_draw_loop_keeps_the_chunks_handed_over(self, data_dir, tmp_path, monkeypatch):
+        # Ctrl-C at draw 300 of the first epoch: the samples of the chunks
+        # handed over by then (draws up to 256) are written, counted and folded
+        predicate = SampleLayout.predicate
+
+        def interrupting(layout, formula):
+            pred, draws = predicate(layout, formula), []
+
+            def checked(*values):
+                draws.append(values)
+                if len(draws) == 300:
+                    raise KeyboardInterrupt
+                return pred(*values)
+
+            return checked
+
+        monkeypatch.setattr(SampleLayout, "predicate", interrupting)
+        out, stats_path, cov = tmp_path / "s.jsonl", tmp_path / "stats.json", tmp_path / "cov.bin"
+        code = run_cli(
+            "run", data_dir / "intro.smt2", "--solver-cmd", MINISOLVER_CMD, "--samples-out", out,
+            "--stats-out", stats_path, "--coverage-out", cov,
+        )
+        assert code == EXIT_INTERRUPTED
+        stats = json.loads(stats_path.read_text())
+        assert stats["stop_reason"] == "interrupted" and stats["epochs"] == 0
+        assert len(out.read_text().splitlines()) == stats["unique_samples"] >= 256
+        assert coverage_mod.read_bitmap(cov) == bitmap_of_samples_file(data_dir / "intro.smt2", out)
+
     def test_ctrl_c_inside_a_fold_leaves_a_consistent_bitmap(self, data_dir, tmp_path, monkeypatch):
         # Ctrl-C halfway through the first epoch's fold: the last fold folds
         # all of its samples again, the half already folded included
@@ -214,6 +244,29 @@ class TestRun:
         assert run_cli("run", bad, "--max-samples", 1) == EXIT_UNSUPPORTED
         assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
         assert capsys.readouterr().err == "unsupported input: 2:0: expression nests too deeply\n" * 2
+
+    @pytest.mark.parametrize("depth", [256, 257])
+    def test_a_file_and_the_pipe_accept_the_same_nesting(self, depth, tmp_path, capsys):
+        # the assert, the comparison and depth - 2 sums: a command `depth` lists deep
+        text = "(declare-const x Int)\n(assert (> " + "(+ 1 " * (depth - 2) + "x" + ")" * (depth - 2) + " 0))\n"
+        refused = depth > 256
+        if refused:
+            with pytest.raises(UnsupportedFeature, match="^2:0: expression nests too deeply$"):
+                parse_problem(text)
+        else:
+            parse_problem(text)
+        problem = tmp_path / "deep.smt2"
+        problem.write_text(text)
+        code = run_cli("run", problem, "--solver-cmd", MINISOLVER_CMD, "--max-samples", 3, "--samples-out", tmp_path / "s")
+        assert code == (EXIT_UNSUPPORTED if refused else EXIT_OK)
+        if refused:
+            assert capsys.readouterr().err == "unsupported input: 2:0: expression nests too deeply\n"
+        pipe = subprocess.run(
+            [sys.executable, "-m", "boxsampler.minisolver"], input=text + "(check-sat)\n",
+            capture_output=True, text=True, timeout=60,
+        )
+        error = '(error "2:0: expression nests too deeply")'
+        assert pipe.stdout.splitlines() == ([error, "sat"] if refused else ["sat"])
 
     def test_a_solver_reply_nested_thousands_deep_is_a_solver_failure(self, data_dir, tmp_path, capsys):
         stub = tmp_path / "deep_error.py"

@@ -636,6 +636,74 @@ class TestExploitEpoch:
         assert (late.draws, late.duplicates, late.rounds_run) == (0, 0, 1)
 
 
+class TestHandOver:
+    """An epoch hands its fresh samples to `on_fresh` in chunks: every 64
+    draws of a round, and once when the epoch ends."""
+
+    @pytest.mark.parametrize(
+        "box, cfg, kw",
+        [
+            # every draw fresh; 150-draw rounds end inside a chunk
+            ((0, 15, 2, 10**6), dict(rounds_per_epoch=3, samples_per_round=150), {}),
+            ((0, 15, 2, 10**6), dict(rounds_per_epoch=3, samples_per_round=150), dict(remaining_budget=100)),
+            # 128 points, enumerated in one round
+            ((0, 15, 2, 9), dict(samples_per_round=200), {}),
+            # 64 points drawn at random: some chunks are all duplicates
+            ((0, 15, 2, 5), dict(rounds_per_epoch=5, samples_per_round=40, unique_rate_threshold=0.0), {}),
+        ],
+        ids=["wide", "budget", "enumerated", "duplicates"],
+    )
+    def test_chunks_join_to_the_fresh_samples(self, box, cfg, kw):
+        p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
+        check = layout.predicate(f)
+        drawn = []  # the vector of each draw, in order
+
+        def pred(*values):
+            drawn.append(values)
+            return check(*values)
+
+        handed = []  # (draws made, samples) of each hand-over
+        x_lo, x_hi, y_lo, y_hi = box
+        iv = IntervalMap({X: Interval(x_lo, x_hi), Y: Interval(y_lo, y_hi)})
+        epoch = exploit_epoch(
+            iv, Model(ints={"x": 12, "y": 2}), pred, layout, DedupSet(10_000), cfg_of(**cfg), random.Random(3),
+            on_fresh=lambda samples: handed.append((len(drawn), samples)), **kw,
+        )
+        assert [s for _, chunk in handed for s in chunk] == epoch.fresh_samples
+        assert all(chunk for _, chunk in handed)
+        assert handed[-1][0] == len(drawn) == epoch.stats.draws
+        first_draw = {values: i for i, values in reversed(list(enumerate(drawn)))}
+        for made, chunk in handed:  # each sample handed over within 64 draws of its own
+            assert all(made - first_draw[layout.vector(s)] <= 64 for s in chunk)
+        if epoch.stats.duplicates == 0:  # every chunk holds a fresh sample
+            assert all(b - a <= 64 for a, b in zip([0] + [m for m, _ in handed], [m for m, _ in handed]))
+
+    def test_the_first_sample_leaves_with_the_first_chunk(self, monkeypatch):
+        # one epoch of 1,000 random draws: on_sample fires after 64 of them
+        p, _ = _intro_parts()
+        drawer, drawn, events = sampler_mod.epoch_drawer, [], []
+
+        def counting_drawer(*args, **kwargs):
+            draw, volume = drawer(*args, **kwargs)
+
+            def counted():
+                drawn.append(1)
+                return draw()
+
+            return counted, volume
+
+        monkeypatch.setattr(sampler_mod, "epoch_drawer", counting_drawer)
+        cfg = cfg_of(rounds_per_epoch=1, samples_per_round=1000, inject_seed=Model(ints={"x": 12, "y": 2}))
+        stats = sample_formula(
+            p, cfg, None, on_sample=lambda s: events.append(("sample", len(drawn))),
+            on_epoch=lambda e: events.append(("epoch", len(drawn))),
+        )
+        assert stats.epochs == 1 and stats.draws == 1000
+        assert events[0] == ("sample", 64) and events[-1] == ("epoch", 1000)
+        assert [kind for kind, _ in events] == ["sample"] * stats.unique_samples + ["epoch"]
+
+
 def _counting_models(monkeypatch) -> list:
     """Count the Models built from here on: a layout's builder binds the
     class when it is generated, so `Model.__init__` is counted."""
