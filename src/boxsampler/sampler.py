@@ -9,7 +9,8 @@ once when the epoch ends, so that the first sample does not wait for the
 whole epoch and a run stopped inside an epoch keeps what it has handed
 over.  The blocking strategy keeps the negation of every box
 (:class:`BlockingHistory`) to steer later seeds away from covered regions,
-and stops once every model has been drawn.
+sends the query for the next seed while the box is drawn, and stops once
+every model has been drawn.
 
 Draws are flat tuples of values, one per declaration in declaration order
 (:class:`SampleLayout`).  One routine, :func:`epoch_drawer`, supplies the
@@ -208,8 +209,11 @@ class BlockingHistory:
 
     `exhaustive` holds while every model inside a box of the history has
     been drawn: the problem declares Ints only, and each box bounds every
-    one of them on both sides and was enumerated in full.  A blocking query
-    that is unsat then means that every model has been drawn."""
+    one of them on both sides and was enumerated in full.  A box is added
+    before its draws, so that the next query can be sent while they run,
+    and :meth:`drawn_in_full` tells afterwards that all of its points were
+    drawn.  A blocking query that is unsat then means that every model has
+    been drawn."""
 
     def __init__(self, problem: ParsedProblem):
         self.problem = problem
@@ -222,17 +226,26 @@ class BlockingHistory:
         self.negations: list[Formula] = []
         self.declarations = {d.name: d for d in self.problem.declarations}
         self.exhaustive = self.int_keys is not None
+        self._exhaustive_once_drawn = False  # `exhaustive` once the last box added is drawn in full
 
-    def add(self, iv: IntervalMap, enumerated: bool = False) -> None:
-        """Block the box `iv`, of whose points all (`enumerated`) or some
-        were drawn."""
-        if self.exhaustive:
-            bounds = [iv.entries.get(key) for key in self.int_keys]
-            self.exhaustive = enumerated and all(b and b.lo is not None and b.hi is not None for b in bounds)
+    def add(self, iv: IntervalMap) -> None:
+        """Block the box `iv`; `exhaustive` fails until :meth:`drawn_in_full`."""
+        self._exhaustive_once_drawn = self.exhaustive and all(
+            (b := iv.entries.get(key)) and b.lo is not None and b.hi is not None for key in self.int_keys
+        )
+        self.exhaustive = False
         negation = neg_to_formula(iv)
         self.negations.append(negation)
         for name, sort in free_symbols(negation).items():
             self.declarations.setdefault(name, Declaration(name, sort))
+
+    def drawn_in_full(self) -> None:
+        """Every point of the box added last has been drawn."""
+        self.exhaustive, self._exhaustive_once_drawn = self._exhaustive_once_drawn, False
+
+    def request(self, formula: Formula, deadline: float | None = None) -> SolverRequest:
+        """The query for a model of `formula` outside every box."""
+        return SolverRequest(list(self.declarations.values()), [formula, *self.negations], [], deadline)
 
 
 def get_seed_random(
@@ -274,12 +287,12 @@ def get_seed_blocking(
     """Seed outside every box of the history; on failure the history is
     cleared and the search restarts from the plain formula.  Returns the
     seed and whether a reset happened; each query is counted in
-    `stats.solver_calls` as it is made.  The seed is None when no model is
-    left outside an exhaustive history (:attr:`BlockingHistory.exhaustive`):
-    every model has been drawn."""
-    req = SolverRequest(list(history.declarations.values()), [formula, *history.negations], [], deadline)
+    `stats.solver_calls` as it is asked of `client`, which may have been
+    sent it ahead (:meth:`SolverClient.prefetch`).  The seed is None when
+    no model is left outside an exhaustive history
+    (:attr:`BlockingHistory.exhaustive`): every model has been drawn."""
     stats.solver_calls += 1
-    verdict = client.solve(req)
+    verdict = client.solve(history.request(formula, deadline))
     if verdict.is_sat:
         return verdict.model, False
     if verdict.kind == VerdictKind.UNSAT and history.exhaustive and history.negations:
@@ -709,6 +722,16 @@ def _check_injected(seed: Model, formula: Formula, layout: SampleLayout, pred) -
         raise NotAModel("injected seed does not satisfy the formula")
 
 
+def _most_fresh(iv: IntervalMap, cfg: SamplerConfig) -> int:
+    """The most fresh samples an epoch can draw from the box `iv`: its
+    draws, and no more than its points when every key is an Int variable
+    bounded on both sides."""
+    most = cfg.rounds_per_epoch * cfg.samples_per_round
+    if all(isinstance(key, IntVar) and b.lo is not None and b.hi is not None for key, b in iv.entries.items()):
+        most = min(most, math.prod(b.hi - b.lo + 1 for b in iv.entries.values()))
+    return most
+
+
 def sample_formula(
     problem: ParsedProblem,
     cfg: SamplerConfig,
@@ -725,15 +748,28 @@ def sample_formula(
     after the epoch's last sample.  Returns aggregate statistics, whose
     `wall_time` holds the seconds of each phase and the "total": setup
     (preprocessing, the predicate compile and the blocking history), solve
-    (with the loop head), implicant, strengthen (with the seed's containment
-    check), sample (with the box's negation under blocking), and emit (the
-    two callbacks: `on_sample`, timed once per chunk, and `on_epoch`).  The
-    time `on_sample` takes also counts against the epoch's time limit.  The
-    phases are contiguous laps of one clock, so they sum to the total.
-    Under blocking, a run that has drawn every model stops with
-    `stop_reason` "exhausted" (:class:`BlockingHistory`).  Each solver query
-    carries the run's deadline and counts in `solver_calls`, whether it
-    answers or fails; one that fails once the deadline has passed stops the
+    (with the loop head, and under blocking the box's negation and the send
+    of the next query), implicant, strengthen (with the seed's containment
+    check), sample, and emit (the two callbacks: `on_sample`, timed once
+    per chunk, and `on_epoch`).  The time `on_sample` takes also counts
+    against the epoch's time limit.  The phases are contiguous laps of one
+    clock, so they sum to the total.
+
+    Under blocking, the next query needs only the box, so it is sent before
+    the box's draws (:meth:`SolverClient.prefetch`), unless this epoch can
+    fill the sample budget: the remaining budget is at most the epoch's
+    draws and, for a box of Int variables bounded on both sides, its
+    points.  The solver then answers it while the draws, checks and emits
+    run: "solve" is the send plus what is left of the wait, and the
+    solver's work overlaps "sample".
+    The random strategy asks when it needs a seed, since its soft targets
+    are drawn from `rng` after the draws.  A run that has drawn every model
+    stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).
+
+    Each solver query carries the run's deadline and counts in
+    `solver_calls` when its answer is read, whether it answers or fails, so
+    a run may stop with one query sent and not counted, which the client's
+    `close` ends.  One that fails once the deadline has passed stops the
     run with "total time limit".  A solver failure before the deadline
     raises :class:`SolverFailure` if no epoch has run yet, and otherwise
     stops the run with "solver failure: <reason>", so that the samples
@@ -819,8 +855,14 @@ def sample_formula(
             if not contains(iv, seed):
                 raise SoundnessViolation("seed fell outside its own interval box")
 
-            lap("sample")
             remaining = None if cfg.max_samples is None else cfg.max_samples - stats.unique_samples
+            if history is not None:
+                lap("solve")
+                history.add(iv)
+                if client is not None and (remaining is None or remaining > _most_fresh(iv, cfg)):
+                    client.prefetch(history.request(formula, deadline))
+
+            lap("sample")
             epoch = exploit_epoch(
                 iv,
                 seed,
@@ -839,8 +881,8 @@ def sample_formula(
             stats.duplicates += epoch.stats.duplicates
             stats.clashes += epoch.stats.clashes
             stats.enumerated_epochs += epoch.stats.enumerated
-            if history is not None:
-                history.add(iv, epoch.stats.enumerated)
+            if history is not None and epoch.stats.enumerated:
+                history.drawn_in_full()
 
             lap("emit")
             if on_epoch is not None:

@@ -8,14 +8,22 @@ base sends only the new ones; any other request pops the base and builds
 it again.  So a blocking run sends each box negation once, and the random
 strategy sends its formula once.  The *query scope*, pushed inside the
 base, holds the soft constraints, `check-sat` and `get-model`, and is
-popped after the answer.  Soft constraints use the assert-soft
+popped by the query itself.  Soft constraints use the assert-soft
 convention; once the configured solver rejects that syntax, each query
 silently degrades to a plain solve and the verdict is flagged.  Every
 satisfiable answer is re-checked against the hard constraints with the
 internal evaluator before being returned.
 
-Each query goes to the solver in one write, and waits for its answer until
+Each query goes to the solver in one write: the new base commands,
+``(push 1)``, any assert-soft, ``(check-sat)``, ``(get-model)`` and
+``(pop 1)``.  It gets two replies: the answer, and then the model, or what
+`get-model` gets after `unsat` or `unknown` (an error), which is read and
+dropped.  So a query costs one round trip, and waits for its replies until
 the client's timeout or the request's deadline, whichever comes first.
+:meth:`SolverClient.prefetch` lets a caller send the query of its next
+`solve` early, so that the solver answers it while the caller works; the
+process client keeps at most that one query in flight.
+
 The solver's output is read with the one SMT-LIB reader, through one
 :class:`smtlib.StreamReader` fed with whatever has arrived, so each reply
 (a verdict atom, an ``(error ...)`` list or a model) is read once, as one
@@ -113,6 +121,12 @@ class SolverClient:
 
     def solve(self, req: SolverRequest) -> SolverVerdict:
         raise NotImplementedError
+
+    def prefetch(self, req: SolverRequest) -> None:
+        """A hint that `solve(req)` comes next, so that a client may start
+        the query now and answer it while the caller works.  The call that
+        follows gets its own verdict whatever it asks.  Here it does
+        nothing."""
 
     def max_solve(self, req: SolverRequest) -> SolverVerdict:
         raise NotImplementedError
@@ -307,7 +321,8 @@ class ProcessSolverClient(SolverClient):
     that extends it is sent as its new declarations and hard formulas, and
     any other request rebuilds the base.  A reset (timeout, end of output,
     an unreadable or error reply, a dead child) forgets the base along with
-    the child.
+    the child, and the query in flight (`_pending`) with them; so does
+    `close`.
 
     The client learns whether the solver takes assert-soft from the answers
     to its soft queries: an ``(error ...)`` reply that names assert-soft, or
@@ -322,6 +337,8 @@ class ProcessSolverClient(SolverClient):
         self._handle: _ProcessHandle | None = None
         self._soft_supported = True  # until the answer to a soft query rejects assert-soft
         self._base: tuple[list[Declaration], list[Formula]] = ([], [])
+        # the query in flight, sent by `prefetch`, and the verdict of its failed send or None
+        self._pending: tuple[SolverRequest, SolverVerdict | None] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -334,6 +351,7 @@ class ProcessSolverClient(SolverClient):
 
     def _reset(self):
         self._base = ([], [])
+        self._pending = None
         if self._handle is not None:
             self._handle.kill()
             self._handle = None
@@ -351,6 +369,14 @@ class ProcessSolverClient(SolverClient):
     def solve(self, req: SolverRequest) -> SolverVerdict:
         assert not req.soft, "plain solve takes no soft constraints"
         return _recheck(req, self._query(req, use_soft=False))
+
+    def prefetch(self, req: SolverRequest) -> None:
+        """Send the query of `solve(req)` now, unless a query is in flight
+        already; that `solve` reads its replies, and any other query reads
+        and drops them first.  A failed send is that `solve`'s verdict."""
+        assert not req.soft, "plain solve takes no soft constraints"
+        if self._pending is None:
+            self._pending = (req, self._send(req, use_soft=False))
 
     def max_solve(self, req: SolverRequest) -> SolverVerdict:
         if req.soft and self._soft_supported:
@@ -378,32 +404,54 @@ class ProcessSolverClient(SolverClient):
         return commands
 
     def _query(self, req: SolverRequest, use_soft: bool) -> SolverVerdict:
+        """The verdict on `req`: that of the query in flight when it asks
+        the same, else that of a query sent now, once the replies of any
+        other query in flight have been read and dropped."""
+        if self._pending is not None:
+            (sent, failure), self._pending = self._pending, None
+            verdict = failure or self._receive(sent)
+            if sent == req:
+                return verdict
+        return self._send(req, use_soft) or self._receive(req)
+
+    def _send(self, req: SolverRequest, use_soft: bool) -> SolverVerdict | None:
+        """Write `req`'s query in one write, the base commands through
+        ``(pop 1)``: None once written, else the verdict of the failure."""
         try:
             handle = self._ensure()
-            deadline = time.monotonic() + self.timeout
-            if req.deadline is not None:
-                deadline = min(deadline, req.deadline)
             commands = [*self._base_commands(req), "(push 1)"]
             if use_soft:
                 commands += [f"(assert-soft {print_formula(f)} :weight {weight})" for f, weight in req.soft]
-            handle.send("\n".join([*commands, "(check-sat)"]))
+            handle.send("\n".join([*commands, "(check-sat)", "(get-model)", "(pop 1)"]))
+            return None
+        except OSError as exc:  # a child that cannot start, BrokenPipeError
+            self._reset()
+            return SolverVerdict(VerdictKind.ERROR, reason=f"solver process failure: {exc}")
+
+    def _receive(self, req: SolverRequest) -> SolverVerdict:
+        """Read the two replies of `req`'s query, sent last: the answer, and
+        then the model, or what `get-model` gets after `unsat` or `unknown`
+        (an error, or a model), which is dropped.  Any other answer resets
+        the child, whose later replies no longer follow the queries."""
+        handle = self._handle
+        try:
+            deadline = time.monotonic() + self.timeout
+            if req.deadline is not None:
+                deadline = min(deadline, req.deadline)
             answer = handle.reply(deadline)
             if not answer.is_atom or answer.text == "unsupported":
                 self._reset()
                 return SolverVerdict(VerdictKind.ERROR, reason=_frag(answer))
-            if answer.text == "unsat":
-                handle.send("(pop 1)")
-                return SolverVerdict(VerdictKind.UNSAT)
-            if answer.text == "unknown":
-                handle.send("(pop 1)")
-                return SolverVerdict(VerdictKind.UNKNOWN, reason="solver answered unknown")
-            if answer.text != "sat":
+            if answer.text not in ("sat", "unsat", "unknown"):
                 self._reset()
                 return SolverVerdict(VerdictKind.ERROR, reason=f"unexpected solver answer {answer.text!r}")
-            handle.send("(get-model)\n(pop 1)")
             reply = handle.reply(deadline)
+            if answer.text == "unsat":
+                return SolverVerdict(VerdictKind.UNSAT)
+            if answer.text == "unknown":
+                return SolverVerdict(VerdictKind.UNKNOWN, reason="solver answered unknown")
             return SolverVerdict(VerdictKind.SAT, model=parse_model(reply, req.declarations))
-        except (EOFError, OSError) as exc:  # TimeoutError and BrokenPipeError are OSErrors
+        except (EOFError, OSError) as exc:  # TimeoutError is an OSError
             self._reset()
             return SolverVerdict(VerdictKind.ERROR, reason=f"solver process failure: {exc}")
         except ModelParseError as exc:

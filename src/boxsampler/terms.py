@@ -46,7 +46,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 
-from .errors import UnassignedSymbol
+from .errors import UnassignedSymbol, UnsupportedFeature
+
+# How deeply a formula may nest once the parser has lowered it and
+# :func:`preprocess` has lifted its ites.  The passes over a formula recurse
+# about two frames a level, so this leaves their callers about 200 of
+# Python's default limit of 1000 frames.
+_MAX_FORMULA_DEPTH = 384
 
 
 class Sort(Enum):
@@ -439,24 +445,52 @@ def to_nnf(f: Formula) -> Formula:
 
 def preprocess(f: Formula) -> Formula:
     """`f` with no term-level ite: an atom A over ``(ite c t e)`` becomes
-    ``(c and A[t]) or (not c and A[e])``, until no ite is left."""
+    ``(c and A[t]) or (not c and A[e])``, until no ite is left.  A part of
+    `f` with no ite is kept as it is.
+
+    Lifting nests a formula deeper, as the parser's lowering of Bool ``=``,
+    ``xor`` and Boolean ``ite`` does.  A formula that nests more than
+    ``_MAX_FORMULA_DEPTH`` deep, before or after the lifting, raises the
+    parser's :class:`UnsupportedFeature`, "expression nests too deeply",
+    since every later pass recurses over it."""
+    _check_depth(f)
+    lifted = _lift(f)
+    if lifted is not f:
+        _check_depth(lifted)
+    return lifted
+
+
+def _lift(f: Formula) -> Formula:
     if isinstance(f, (BoolVar, BoolConst)):
         return f
     if isinstance(f, Not):
-        return Not(preprocess(f.arg))
-    if isinstance(f, And):
-        return And(tuple(preprocess(a) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(preprocess(a) for a in f.args))
+        arg = _lift(f.arg)
+        return f if arg is f.arg else Not(arg)
+    if isinstance(f, (And, Or)):
+        args = tuple(_lift(a) for a in f.args)
+        return f if all(a is b for a, b in zip(args, f.args)) else type(f)(args)
     if isinstance(f, Atom):
         ite = next((n for n in iter_nodes(f) if isinstance(n, Ite)), None)
         if ite is None:
             return f
-        cond = preprocess(ite.cond)
+        cond = _lift(ite.cond)
         then_atom = replace(f, ite, ite.then)
         else_atom = replace(f, ite, ite.orelse)
-        return Or((And((cond, preprocess(then_atom))), And((Not(cond), preprocess(else_atom)))))
+        return Or((And((cond, _lift(then_atom))), And((Not(cond), _lift(else_atom)))))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _check_depth(f: Formula) -> None:
+    """Raise unless `f` nests at most ``_MAX_FORMULA_DEPTH`` deep, a leaf
+    counting as no level.  The walk takes one level at a time and holds a
+    node once a level, so a formula whose text repeats its operands costs
+    at most its distinct nodes a level, and no recursion."""
+    level = [f]
+    for _ in range(_MAX_FORMULA_DEPTH + 1):
+        level = list({id(k): k for node in level for k in children(node)}.values())
+        if not level:
+            return
+    raise UnsupportedFeature("expression nests too deeply")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from boxsampler import cli
 from boxsampler import coverage as coverage_mod
+from boxsampler import sampler as sampler_mod
 from boxsampler.cli import (
     EXIT_ERROR,
     EXIT_INTERRUPTED,
@@ -23,8 +25,10 @@ from boxsampler.cli import (
     main,
 )
 from boxsampler.errors import UnsupportedFeature
+from boxsampler.minisolver import LocalSolverClient
 from boxsampler.sampler import RunStats, SampleLayout
 from boxsampler.smtlib import parse_problem
+from boxsampler.solver import ProcessSolverClient
 from boxsampler.terms import FuncValue, Model, eval_formula, preprocess, to_nnf
 from oracle import sample_json_obj
 
@@ -245,6 +249,26 @@ class TestRun:
         assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
         assert capsys.readouterr().err == "unsupported input: 2:0: expression nests too deeply\n" * 2
 
+    @pytest.mark.parametrize(
+        "assertion",
+        [
+            "(> " + "(ite (> x 0) 1 " * 253 + "x" + ")" * 253 + " 0)",  # term ites, lifted out of the atom
+            "(= p " * 255 + "p" + ")" * 255,  # Bool =, lowered to and, or and not
+        ],
+        ids=["ite", "bool-eq"],
+    )
+    def test_a_problem_nested_too_deep_once_lowered_is_unsupported(self, assertion, tmp_path, capsys):
+        # the command is 256 deep, which the parser reads, but the formula
+        # the sampler and verify work on nests about twice as deep
+        bad = tmp_path / "deep.smt2"
+        bad.write_text(f"(declare-const x Int)\n(declare-const p Bool)\n(assert {assertion})\n")
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"x": 1, "p": true}\n')
+        code = run_cli("run", bad, "--solver-cmd", MINISOLVER_CMD, "--max-samples", 1, "--samples-out", tmp_path / "o")
+        assert code == EXIT_UNSUPPORTED and not (tmp_path / "o").exists()
+        assert run_cli("verify", samples, bad) == EXIT_UNSUPPORTED
+        assert capsys.readouterr().err == "unsupported input: expression nests too deeply\n" * 2
+
     @pytest.mark.parametrize("depth", [256, 257])
     def test_a_file_and_the_pipe_accept_the_same_nesting(self, depth, tmp_path, capsys):
         # the assert, the comparison and depth - 2 sums: a command `depth` lists deep
@@ -394,6 +418,104 @@ class TestRun:
         problem = parse_problem((data_dir / "toy_array.smt2").read_text())
         for line in out.read_text().splitlines():
             assert eval_formula(problem.assertion, model_from_line(json.loads(line), problem))
+
+
+class _SampleClock:
+    """The sampler's clock, which jumps a day ahead at each `jump()`."""
+
+    def __init__(self):
+        self.ahead = 0.0
+
+    def monotonic(self) -> float:
+        return time.monotonic() + self.ahead
+
+    def jump(self) -> None:
+        self.ahead += 86400.0
+
+
+class TestStops:
+    """A blocking run over the pipe stopped by Ctrl-C inside the draw loop,
+    by its time limit or by its sample budget.  The child is reaped, the
+    samples, stats and bitmap agree, and the run asks the solver as often,
+    and writes the same samples, as the same run in process.  The first two
+    stop with the next query in flight; the epoch that can fill the budget
+    sends none ahead."""
+
+    PROBLEM = "toy_sum.smt2"  # five draws an epoch, every one fresh
+
+    def _run(self, data_dir, tmp_path, monkeypatch, in_process, *extra):
+        clients = []
+
+        class Watched(ProcessSolverClient):
+            def close(self):
+                clients.append((self._pending is not None, self._handle.proc))
+                super().close()
+
+        monkeypatch.setattr(
+            cli, "ProcessSolverClient", (lambda cmd, timeout: LocalSolverClient()) if in_process else Watched
+        )
+        tag = "local" if in_process else "pipe"
+        out, stats_path, cov = (tmp_path / f"{tag}.{kind}" for kind in ("jsonl", "json", "bin"))
+        code = run_cli(
+            "run", data_dir / self.PROBLEM, "--solver-cmd", MINISOLVER_CMD, "--strategy", "blocking",
+            "--samples-per-round", 5, "--rounds", 1, "--rng-seed", 3, *extra,
+            "--samples-out", out, "--stats-out", stats_path, "--coverage-out", cov,
+        )
+        stats = json.loads(stats_path.read_text())
+        assert len(out.read_text().splitlines()) == stats["unique_samples"]
+        assert coverage_mod.read_bitmap(cov) == bitmap_of_samples_file(data_dir / self.PROBLEM, out)
+        del stats["wall_time"]
+        return code, stats, out.read_text(), clients
+
+    def _both(self, data_dir, tmp_path, monkeypatch, *extra):
+        """The run in process and over the pipe, which must agree; the
+        pipe's exit code and stats, and whether a query was in flight."""
+        local = self._run(data_dir, tmp_path, monkeypatch, True, *extra)
+        code, stats, samples, clients = self._run(data_dir, tmp_path, monkeypatch, False, *extra)
+        assert (code, stats, samples) == local[:3]
+        [(in_flight, proc)] = clients
+        assert proc.poll() is not None  # reaped
+        return code, stats, in_flight
+
+    @staticmethod
+    def _at_draw(monkeypatch, n, act):
+        """Call `act()` when the run checks its n-th draw."""
+        predicate = SampleLayout.predicate
+
+        def hooked(layout, formula):
+            pred, draws = predicate(layout, formula), []
+
+            def checked(*values):
+                draws.append(values)
+                if len(draws) == n:
+                    act()
+                return pred(*values)
+
+            return checked
+
+        monkeypatch.setattr(SampleLayout, "predicate", hooked)
+
+    def test_ctrl_c_inside_the_draw_loop(self, data_dir, tmp_path, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self._at_draw(monkeypatch, 13, interrupt)  # in the third epoch, whose samples are not handed over
+        code, stats, in_flight = self._both(data_dir, tmp_path, monkeypatch)
+        assert code == EXIT_INTERRUPTED and stats["stop_reason"] == "interrupted"
+        assert (stats["epochs"], stats["unique_samples"], stats["solver_calls"], in_flight) == (2, 10, 3, True)
+
+    def test_the_time_limit(self, data_dir, tmp_path, monkeypatch):
+        clock = _SampleClock()
+        monkeypatch.setattr(sampler_mod, "time", clock)
+        self._at_draw(monkeypatch, 13, clock.jump)
+        code, stats, in_flight = self._both(data_dir, tmp_path, monkeypatch, "--time-limit", 600)
+        assert code == EXIT_OK and stats["stop_reason"] == "total time limit"
+        assert (stats["epochs"], stats["unique_samples"], stats["solver_calls"], in_flight) == (3, 15, 3, True)
+
+    def test_the_sample_budget(self, data_dir, tmp_path, monkeypatch):
+        code, stats, in_flight = self._both(data_dir, tmp_path, monkeypatch, "--max-samples", 23)
+        assert code == EXIT_OK and stats["stop_reason"] == "max samples"
+        assert (stats["epochs"], stats["unique_samples"], stats["solver_calls"], in_flight) == (5, 23, 5, False)
 
 
 class TestVerify:

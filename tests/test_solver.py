@@ -1,5 +1,6 @@
 """Solver backend: model parsing, process protocol, degradation, re-check."""
 
+import dataclasses
 import hashlib
 import random
 import select
@@ -969,7 +970,7 @@ class TestBaseScope:
         seed, was_reset = get_seed_blocking(p.assertion, client, history, stats)
         client.close()
         assert seed.ints["x"] == 0 and was_reset and stats.solver_calls == 2
-        rebuilt = sent[-3]  # before the get-model write and the exit
+        rebuilt = sent[-2]  # before the exit
         assert rebuilt.startswith("(pop 1)\n(push 1)\n(declare-fun x () Int)")
         assert len(_lines([rebuilt], "(assert ")) == 1
 
@@ -997,6 +998,169 @@ class TestBaseScope:
         v = client.max_solve(SolverRequest(p.declarations, [p.assertion], soft))
         client.close()
         assert v.is_sat and v.model.ints["x"] == 7 and not v.degraded
+
+
+# Answers each check-sat in turn with the next verdict of a fixed list, and
+# each get-model with a model whose x is the number of its query, or with an
+# error after any answer but sat.
+ANSWERING_IN_TURN = """\
+import sys
+
+answers = ["sat", "unsat", "sat", "unknown", "sat", '(error "no verdict")']
+asked, answer = 0, None
+for line in sys.stdin:
+    line = line.strip()
+    if line == "(check-sat)":
+        answer = answers[asked % len(answers)]
+        asked += 1
+        print(answer, flush=True)
+    elif line == "(get-model)" and answer == "sat":
+        print(f"((define-fun x () Int {asked}))", flush=True)
+    elif line == "(get-model)":
+        print('(error "model is not available")', flush=True)
+"""
+
+X_NONNEGATIVE = SolverRequest([D("x")], [Atom(Rel.GE, IntVar("x"), IntConst(0))])
+
+
+@pytest.fixture
+def in_turn(tmp_path):
+    script = tmp_path / "in_turn.py"
+    script.write_text(ANSWERING_IN_TURN)
+    client = ProcessSolverClient(f"{sys.executable} {script}", timeout=30)
+    yield client
+    client.close()
+
+
+def _outcome(verdict) -> tuple:
+    return verdict.kind, verdict.model.ints["x"] if verdict.model else None
+
+
+class TestOneRoundTrip:
+    @pytest.mark.parametrize("ahead", [False, True], ids=["asked", "sent-ahead"])
+    def test_each_reply_belongs_to_its_own_query(self, in_turn, ahead):
+        # the get-model reply after unsat or unknown is read with its own
+        # query, never as the next answer; the error answer resets the child,
+        # whose turns then start again
+        outcomes = []
+        for _ in range(7):
+            if ahead:
+                in_turn.prefetch(X_NONNEGATIVE)
+            outcomes.append(_outcome(in_turn.solve(X_NONNEGATIVE)))
+        assert outcomes == [
+            (VerdictKind.SAT, 1),
+            (VerdictKind.UNSAT, None),
+            (VerdictKind.SAT, 3),
+            (VerdictKind.UNKNOWN, None),
+            (VerdictKind.SAT, 5),
+            (VerdictKind.ERROR, None),
+            (VerdictKind.SAT, 1),
+        ]
+
+    def test_a_query_sent_ahead_and_not_asked_is_read_and_dropped(self, in_turn, sent):
+        other = SolverRequest([D("x")], [*X_NONNEGATIVE.hard, Atom(Rel.LE, IntVar("x"), IntConst(100))])
+        in_turn.prefetch(X_NONNEGATIVE)  # query 1: sat
+        assert _outcome(in_turn.solve(other)) == (VerdictKind.UNSAT, None)  # query 2
+        in_turn.prefetch(X_NONNEGATIVE)  # query 3: sat
+        in_turn.prefetch(other)  # a query is in flight: nothing is sent
+        assert _outcome(in_turn.solve(X_NONNEGATIVE)) == (VerdictKind.SAT, 3)
+        assert len(_lines(sent, "(check-sat)")) == 3
+
+    def test_a_query_asked_after_another_was_sent_ahead_gets_its_own_answer(self):
+        x_is = {k: parse_problem(f"(declare-const x Int)(assert (= x {k}))") for k in (3, 8)}
+        three, eight = (SolverRequest(p.declarations, [p.assertion]) for p in x_is.values())
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        client.prefetch(three)
+        answers = [client.solve(eight)]
+        client.prefetch(eight)
+        answers += [client.solve(eight), client.solve(three)]
+        client.close()
+        assert [v.model.ints["x"] for v in answers] == [8, 8, 3]
+
+    def test_each_query_is_one_write(self, sent):
+        p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 3)))")
+        sat = SolverRequest(p.declarations, [p.assertion])
+        unsat = SolverRequest(p.declarations, [p.assertion, Atom(Rel.GT, IntVar("x"), IntConst(3))])
+        soft = SolverRequest(p.declarations, [p.assertion], [(Atom(Rel.EQ, IntVar("x"), IntConst(2)), 1)])
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        kinds = [client.solve(sat).kind, client.solve(unsat).kind, client.max_solve(soft).kind]
+        client.prefetch(unsat)
+        kinds.append(client.solve(unsat).kind)
+        client.close()
+        assert kinds == [VerdictKind.SAT, VerdictKind.UNSAT, VerdictKind.SAT, VerdictKind.UNSAT]
+        queries = sent[1:-1]  # after the start, before the exit
+        assert len(queries) == 4
+        assert all(q.endswith("(check-sat)\n(get-model)\n(pop 1)") and q.count("(check-sat)") == 1 for q in queries)
+
+    def test_a_failed_send_ahead_is_the_verdict_of_its_query(self):
+        client = ProcessSolverClient(f"{sys.executable} -c 'import os, time; os.close(0); time.sleep(30)'", timeout=5)
+        client._ensure()
+        time.sleep(0.5)  # until the child has closed its input
+        client.prefetch(X_NONNEGATIVE)
+        verdict = client.solve(X_NONNEGATIVE)
+        client.close()
+        assert verdict.kind == VerdictKind.ERROR and "Broken pipe" in verdict.reason, verdict.reason
+
+
+def _recording(client_class):
+    """`client_class` logging each query it is asked and each it is sent ahead."""
+
+    class Recording(client_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.log = []
+
+        def prefetch(self, req):
+            self.log.append(("ahead", req))
+            super().prefetch(req)
+
+        def solve(self, req):
+            verdict = super().solve(req)
+            self.log.append(("solve", (req.declarations, req.hard, req.soft), verdict.kind, verdict.model))
+            return verdict
+
+    return Recording
+
+
+CHAIN = "(declare-const x Int)(declare-const y Int)(assert (and (<= 0 y) (<= y x) (<= x 6)))"
+
+
+@pytest.mark.parametrize(
+    "problem_text, per_round, epochs, answers",
+    [
+        (None, 20, 60, {VerdictKind.SAT, VerdictKind.UNSAT}),  # resets after unsat answers
+        (None, 40, None, {VerdictKind.SAT, VerdictKind.UNSAT}),  # ends "exhausted" on an unsat answer
+        (CHAIN, 20, 30, {VerdictKind.SAT, VerdictKind.UNKNOWN}),  # resets after unknown answers
+    ],
+    ids=["small_boxes-resets", "small_boxes-exhausted", "chain-unknown"],
+)
+def test_a_blocking_run_over_the_pipe_asks_what_it_asks_in_process(data_dir, problem_text, per_round, epochs, answers):
+    # the same queries in the same order, with the same answers, samples
+    # and stats; a run stopped by Ctrl-C after `epochs` epochs leaves a
+    # query in flight over the pipe
+    problem = parse_problem(problem_text or (data_dir / "small_boxes.smt2").read_text())
+    cfg = SamplerConfig(strategy="blocking", samples_per_round=per_round, rounds_per_epoch=2)
+    runs = []
+    for client in (_recording(ProcessSolverClient)(MINISOLVER_CMD, timeout=60), _recording(LocalSolverClient)()):
+        samples, ended = [], []
+
+        def on_epoch(epoch):
+            ended.append(epoch)
+            if len(ended) == epochs:
+                raise KeyboardInterrupt
+
+        stats = sample_formula(problem, cfg, client, random.Random(41), on_sample=samples.append, on_epoch=on_epoch)
+        client.close()
+        runs.append((client.log, samples, dataclasses.replace(stats, wall_time={})))
+    (pipe_log, *pipe_run), (local_log, *local_run) = runs
+    asked = [event for event in pipe_log if event[0] == "solve"]
+    assert asked == [event for event in local_log if event[0] == "solve"] and pipe_run == local_run
+    assert {kind for _, _, kind, _ in asked} == answers
+    assert pipe_run[1].stop_reason == ("exhausted" if epochs is None else "interrupted")
+    for event, after in zip(pipe_log, pipe_log[1:]):  # each query sent ahead is the next one asked
+        if event[0] == "ahead":
+            assert after[:2] == ("solve", (event[1].declarations, event[1].hard, event[1].soft))
+    assert (pipe_log[-1][0] == "ahead") == (epochs is not None)
 
 
 def test_a_query_is_cut_off_at_the_runs_deadline():

@@ -41,9 +41,11 @@ from boxsampler.terms import (
     preprocess,
     replace,
     to_nnf,
+    _MAX_FORMULA_DEPTH,
     _Node,
 )
 from oracle import (
+    deep_and_or,
     env_of_model,
     fun_app,
     iter_int_models,
@@ -220,6 +222,29 @@ class TestPreprocess:
         assert not any(isinstance(n, Ite) for n in iter_nodes(g))
         for m in iter_int_models(["x", "y"], -3, 3):
             assert eval_formula(f, m) == eval_formula(g, m)
+
+    def test_a_formula_as_deep_as_the_bound_is_taken(self):
+        f = deep_and_or(_MAX_FORMULA_DEPTH - 1)  # the atom at the bottom is a level
+        assert type(preprocess(f)) is type(f)  # not compared whole: == recurses three frames a level
+
+    def test_a_formula_one_level_deeper_is_unsupported(self):
+        with pytest.raises(UnsupportedFeature, match="^expression nests too deeply$"):
+            preprocess(deep_and_or(_MAX_FORMULA_DEPTH))
+
+    def test_lifting_that_nests_too_deep_is_unsupported(self):
+        # 200 nested ites fit in an atom, but lifted they nest twice as deep
+        term = X
+        for k in range(200):
+            term = Ite(Atom(Rel.GT, X, IntConst(k)), IntConst(k), term)
+        with pytest.raises(UnsupportedFeature, match="^expression nests too deeply$"):
+            preprocess(Atom(Rel.GT, term, IntConst(0)))
+
+    def test_a_shared_operand_is_measured_once(self):
+        # Bool = 150 deep, lowered with both operands shared, nests 450 deep:
+        # about 2**150 leaves as a tree, but a few hundred nodes
+        f = parse_problem("(declare-const p Bool)(assert " + "(= p " * 150 + "p" + ")" * 150 + ")").assertion
+        with pytest.raises(UnsupportedFeature, match="^expression nests too deeply$"):
+            preprocess(f)
 
 
 P, Q = BoolVar("p"), BoolVar("q")
