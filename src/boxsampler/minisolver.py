@@ -27,19 +27,24 @@ and column of the error in the input stream, and reading goes on.
 
 One :class:`BruteForceEngine` serves a session while its declarations stay
 the same, and answers a `check-sat` at the cost of what changed since the
-last one.  Each assertion is analysed once, when a query first holds it:
-:func:`compiled.compile_predicate` compiles it over the declared symbols,
-which takes a point's values positionally; the arrays, select-like terms
-and constants it gives an array query's enumeration are noted; and its
-single-variable bounds are folded into the unit bounds.
-A query's predicate is the conjunction of those compiled assertions.  A
-blocking query, which only adds assertions, resumes the last scan of the
-box at the model that scan found.  For a query over arrays or functions,
-the candidate function values of each point are enumerated after its
-Booleans, in the same loop.
+last one.  Each assertion is analysed once, when a query first holds it.
+The negation of a box over Ints, in the shape
+:func:`intervals.neg_to_formula` prints, joins a :class:`solver.HardList`
+as its box, and its bounds join the constants of an array query's
+enumeration; nothing is compiled for it.  Any other assertion is compiled
+by :func:`compiled.compile_predicate` over the declared symbols, which
+takes a point's values positionally; the arrays, select-like terms and
+constants it gives an array query's enumeration are noted; and its
+single-variable bounds are folded into the unit bounds.  A point is a model
+when it satisfies the conjunction of the compiled assertions and then lies
+outside every box.  A blocking query, which only adds assertions, resumes
+the last scan of the box at the model that scan found.  For a query over
+arrays or functions, the candidate function values of each point are
+enumerated after its Booleans, in the same loop.
 
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
-scripts, and stops a query at the request's deadline.
+scripts, returns its verdicts as they are, since the engine has just
+checked every hard formula, and stops a query at the request's deadline.
 
 Every start of a :class:`solver.ProcessSolverClient` running this module
 waits for its imports before the first answer, so the child imports only
@@ -58,7 +63,7 @@ import time
 from .compiled import compile_predicate
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .smtlib import Declaration, Parser, StreamReader, _print_sym, numeral, print_term
-from .solver import SolverClient, SolverRequest, SolverVerdict, VerdictKind, _extends, _recheck
+from .solver import HardList, SolverClient, SolverRequest, SolverVerdict, VerdictKind, _extends
 from .terms import (
     And,
     ArrayVar,
@@ -234,9 +239,11 @@ class BruteForceEngine:
     bools and then one :class:`FuncValue` per array or function symbol.
 
     The engine is incremental.  It keeps the hard formulas of its queries
-    (`hard`) with what it found out about each, once: the compiled
-    predicate, the arrays, accesses and constants it gives an array query
-    (`reads`), and its part of the unit bounds (`bounds`).  A query whose
+    in a :class:`solver.HardList` (`hard`), which holds each box negation
+    as its box, with what it found out about each other formula, once: the
+    compiled predicate, the arrays, accesses and constants it gives an
+    array query (`reads`), and its part of the unit bounds (`bounds`).  A
+    point passes the compiled predicates and then the boxes.  A query whose
     hard list extends `hard` (compared as :func:`solver._extends` does)
     adds only its new formulas; any other hard list starts over.  A scan of
     the box with no soft constraints and no arrays remembers the model it
@@ -261,28 +268,31 @@ class BruteForceEngine:
         self._start_over()
 
     def _start_over(self) -> None:
-        self.hard: list[Formula] = []
-        self.preds: list = []  # the compiled predicate of each formula of `hard`
+        self.hard = HardList(self.declarations)
+        self.preds: list = []  # the compiled predicate of each of `hard.others`
         self.pred = _conjunction(self.preds)
-        # the array and function symbols `hard` reads, its accesses and its constants
-        self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), set())
+        # the array and function symbols `hard.others` read, their accesses, and
+        # their constants, in one set with those of the box negations
+        self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), self.hard.bounds)
         self.bounds: dict[str, tuple[int | None, int | None]] = {}
         self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain box-scan model
 
     def _assert(self, hard: list[Formula]) -> None:
         """Make `hard` the engine's hard list, analysing its new formulas."""
-        if not _extends(hard, self.hard):
+        if not _extends(hard, self.hard.hard):
             self._start_over()
-        new = hard[len(self.hard):]
-        if not new:
+        if len(hard) == len(self.hard.hard):
             return
-        preds = [compile_predicate([f], self.names) for f in new]  # before any state changes
-        self.hard += new
-        self.preds += preds
-        self.pred = _conjunction(self.preds)
-        _note_reads(new, *self.reads)
-        for f in new:
+        try:
+            others = self.hard.extend(hard)
+            self.preds += [compile_predicate([f], self.names) for f in others]
+        except BaseException:  # no formula stays held without its analysis
+            self._start_over()
+            raise
+        _note_reads(others, *self.reads)
+        for f in others:
             _tighten(self.bounds, f)
+        self.pred = _conjunction(self.preds)
 
     def check(
         self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None, deadline: float | None = None
@@ -387,7 +397,7 @@ class BruteForceEngine:
         weights = [w for _, w in soft]
         soft_preds = [compile_predicate([f], self.names) for f, _ in soft]
         perfect = sum(weights)
-        pred = self.pred
+        pred, holding = self.pred, self.hard.holding
         if tails is None:
             scan = zip(points, itertools.repeat(self.int_tails))
         else:
@@ -396,7 +406,7 @@ class BruteForceEngine:
             scan = _clocked(scan, self.deadline)
         for point, point_tails in scan:
             for tail in point_tails:
-                if not pred(*point, *tail):
+                if not pred(*point, *tail) or holding(point) is not None:
                     continue
                 if not soft:
                     return self._model_of(point, tail)
@@ -472,16 +482,18 @@ def _engine_for(engine: BruteForceEngine | None, declarations: list[Declaration]
 class LocalSolverClient(SolverClient):
     """In-process client backed by the brute-force engine.  It keeps one
     engine while the requests' declarations stay the same, so a blocking
-    request pays only for its new formulas.  A request whose deadline
-    passes during the search is answered error, as the process client
-    answers a timeout."""
+    request pays only for its new formulas.  Its verdicts are the
+    engine's, with no re-check: the engine's scan has just checked every
+    hard formula at the model it answers.  A request whose deadline passes
+    during the search is answered error, as the process client answers a
+    timeout."""
 
     def __init__(self):
         self.engine: BruteForceEngine | None = None
 
     def _check(self, req: SolverRequest) -> SolverVerdict:
         self.engine = _engine_for(self.engine, list(req.declarations))
-        return _recheck(req, self.engine.check(list(req.hard), req.soft, req.deadline))
+        return self.engine.check(list(req.hard), req.soft, req.deadline)
 
     def solve(self, req: SolverRequest) -> SolverVerdict:
         assert not req.soft

@@ -11,8 +11,12 @@ base, holds the soft constraints, `check-sat` and `get-model`, and is
 popped by the query itself.  Soft constraints use the assert-soft
 convention; once the configured solver rejects that syntax, each query
 silently degrades to a plain solve and the verdict is flagged.  Every
-satisfiable answer is re-checked against the hard constraints with the
-internal evaluator before being returned.
+satisfiable answer is re-checked against the hard constraints before being
+returned.  The re-check reads each hard formula once, as it joins a
+:class:`HardList`: a box negation is held as its box, which a model must
+lie outside of, and any other formula is evaluated with the internal
+evaluator.  So a blocking run does not walk every negation on each answer.
+The solver child's engine holds its hard list in the same structure.
 
 Each query goes to the solver in one write: the new base commands,
 ``(push 1)``, any assert-soft, ``(check-sat)``, ``(get-model)`` and
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import operator
 import os
 import select
 import time
@@ -55,7 +60,7 @@ from enum import Enum
 
 from .errors import ModelParseError, SmtSyntaxError
 from .smtlib import Declaration, StreamReader, numeral, print_declaration, print_formula
-from .terms import ZERO, Formula, FuncValue, Model, Sort, _Record, eval_formula
+from .terms import ZERO, Atom, Formula, FuncValue, IntConst, IntVar, Model, Or, Rel, Sort, _Record, eval_formula
 
 
 class SolverRequest(_Record):
@@ -98,21 +103,83 @@ class SolverVerdict(_Record):
         return self.kind == VerdictKind.SAT
 
 
-def _recheck(req: SolverRequest, verdict: SolverVerdict) -> SolverVerdict:
-    """Defensive re-check: a SAT model must satisfy every hard constraint."""
-    if not verdict.is_sat:
-        return verdict
-    try:
-        for f in req.hard:
-            if not eval_formula(f, verdict.model):
-                return SolverVerdict(
-                    VerdictKind.ERROR,
-                    reason=f"solver model fails hard constraint {print_formula(f)}",
-                    degraded=verdict.degraded,
-                )
-    except Exception as exc:  # incomplete model and the like
-        return SolverVerdict(VerdictKind.ERROR, reason=f"model re-check failed: {exc}")
-    return verdict
+_SIDE = {Rel.LT: 0, Rel.GT: 1}  # the side of a box that an atom of its negation bounds
+_INF = float("inf")
+
+
+class HardList:
+    """A hard list over `declarations`, each formula read once, as it joins.
+    The negation of a box over the Int symbols, in the shape
+    :func:`intervals.neg_to_formula` prints, is held as the box, where it
+    fails, and :meth:`holding` tests a point against every box; the other
+    formulas are the `others`.  A point is a sequence whose first values
+    are those of the sorted Int symbols `names`.  A box that pins each of
+    its symbols is a key of one dict per tuple of their positions, so that
+    testing it is one lookup; any other box is tested by integer
+    comparisons, newest first."""
+
+    def __init__(self, declarations: list[Declaration]):
+        self.declarations = list(declarations)
+        self.names = sorted(d.name for d in declarations if d.sort is Sort.INT)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.hard: list[Formula] = []
+        self.others: list[Formula] = []
+        self.pinned: dict[tuple, tuple] = {}  # {positions: (their getter, {values: negation})}
+        self.boxes: list[tuple] = []  # (negation, [(position, lo, hi), ...]) of the other boxes, oldest first
+        self.bounds: set[int] = set()  # the constants of the box negations, and of the engine's others
+
+    def _sides(self, f: Formula) -> list[tuple] | None:
+        """``[(position, lo, hi), ...]`` by position, of the box outside of
+        which `f` holds, with an infinite bound for an open side, when `f`
+        is an Or of two or more atoms ``x < lo`` and ``x > hi`` over `names`
+        with at most one of each per symbol; None for any other formula."""
+        if f.__class__ is not Or or len(f.args) < 2:
+            return None
+        box: dict[int | None, list] = {}  # None: a symbol not of `names`
+        for a in f.args:
+            if a.__class__ is not Atom or a.rel not in _SIDE:
+                return None
+            if a.lhs.__class__ is not IntVar or a.rhs.__class__ is not IntConst:
+                return None
+            bounds = box.setdefault(self.index.get(a.lhs.name), [-_INF, _INF])
+            if abs(bounds[_SIDE[a.rel]]) != _INF:  # a second atom on this side
+                return None
+            bounds[_SIDE[a.rel]] = a.rhs.value
+        return None if None in box else sorted((i, lo, hi) for i, (lo, hi) in box.items())
+
+    def extend(self, hard: list[Formula]) -> list[Formula]:
+        """Read the formulas of `hard`, which extends `self.hard`, past it;
+        the new `others`."""
+        new, others = hard[len(self.hard):], []
+        for f in new:
+            sides = self._sides(f)
+            if sides is None:
+                others.append(f)
+                continue
+            self.bounds.update(a.rhs.value for a in f.args)
+            if any(lo != hi for _, lo, hi in sides):
+                self.boxes.append((f, sides))
+                continue
+            positions = tuple(i for i, _, _ in sides)
+            get, points = self.pinned.setdefault(positions, (operator.itemgetter(*positions), {}))
+            points.setdefault(get({i: lo for i, lo, _ in sides}), f)
+        self.hard += new
+        self.others += others
+        return others
+
+    def holding(self, point) -> Formula | None:
+        """The negation of a box that holds `point`, or None."""
+        for get, points in self.pinned.values():
+            f = points.get(get(point))
+            if f is not None:
+                return f
+        for f, sides in reversed(self.boxes):
+            for i, lo, hi in sides:
+                if not lo <= point[i] <= hi:
+                    break
+            else:
+                return f
+        return None
 
 
 class SolverClient:
@@ -339,6 +406,7 @@ class ProcessSolverClient(SolverClient):
         self._base: tuple[list[Declaration], list[Formula]] = ([], [])
         # the query in flight, sent by `prefetch`, and the verdict of its failed send or None
         self._pending: tuple[SolverRequest, SolverVerdict | None] | None = None
+        self._checked: HardList | None = None  # what the re-check of the last sat answer read
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -368,7 +436,7 @@ class ProcessSolverClient(SolverClient):
 
     def solve(self, req: SolverRequest) -> SolverVerdict:
         assert not req.soft, "plain solve takes no soft constraints"
-        return _recheck(req, self._query(req, use_soft=False))
+        return self._recheck(req, self._query(req, use_soft=False))
 
     def prefetch(self, req: SolverRequest) -> None:
         """Send the query of `solve(req)` now, unless a query is in flight
@@ -383,12 +451,35 @@ class ProcessSolverClient(SolverClient):
             verdict = self._query(req, use_soft=True)
             rejected = verdict.reason == "unsupported" or "assert-soft" in verdict.reason
             if verdict.kind != VerdictKind.ERROR or not rejected:
-                return _recheck(req, verdict)
+                return self._recheck(req, verdict)
             self._soft_supported = False
         hard_only = SolverRequest(req.declarations, req.hard, [], req.deadline)
         verdict = self._query(hard_only, use_soft=False)
         verdict.degraded = bool(req.soft)
-        return _recheck(req, verdict)
+        return self._recheck(req, verdict)
+
+    def _recheck(self, req: SolverRequest, verdict: SolverVerdict) -> SolverVerdict:
+        """Defensive re-check: a SAT model must satisfy every hard
+        constraint.  Each formula is read once, as it joins `_checked`; a
+        request that does not extend its declarations and hard list
+        rebuilds it."""
+        if not verdict.is_sat:
+            return verdict
+        checked = self._checked
+        kept = checked is not None and _extends(req.declarations, checked.declarations)
+        if not (kept and _extends(req.hard, checked.hard)):
+            checked = self._checked = HardList(req.declarations)
+        checked.extend(req.hard)
+        model = verdict.model
+        try:
+            failed = next((f for f in checked.others if not eval_formula(f, model)), None)
+            failed = failed or checked.holding([model.value(Sort.INT, name) for name in checked.names])
+        except Exception as exc:  # incomplete model and the like
+            return SolverVerdict(VerdictKind.ERROR, reason=f"model re-check failed: {exc}")
+        if failed is None:
+            return verdict
+        reason = f"solver model fails hard constraint {print_formula(failed)}"
+        return SolverVerdict(VerdictKind.ERROR, reason=reason, degraded=verdict.degraded)
 
     def _base_commands(self, req: SolverRequest) -> list[str]:
         """The commands that make the base scope hold `req`'s declarations
@@ -463,5 +554,7 @@ class ProcessSolverClient(SolverClient):
 
 
 def _extends(items: list, prefix: list) -> bool:
-    """Whether `prefix` is a prefix of `items`, compared by identity first."""
-    return len(prefix) <= len(items) and all(a is b or a == b for a, b in zip(prefix, items))
+    """Whether the list `prefix` is a prefix of the list `items`, compared
+    as lists compare: by identity first, in one pass in C, as a blocking
+    run asks this of every hard list."""
+    return len(prefix) <= len(items) and items[: len(prefix)] == prefix

@@ -1,11 +1,11 @@
 """The incremental brute-force engine and the in-process client.
 
 One `BruteForceEngine` serves a session while its declarations stay the
-same: it compiles each assertion once, and a blocking query resumes the
-last finite scan at the model that scan found.  Every answer must equal a
-fresh engine's and, on a finite box, the first best point of the box in
-lexicographic order.  The in-process client answers error once a request's
-deadline has passed."""
+same: it compiles each assertion once, or holds a box negation as a box,
+and a blocking query resumes the last finite scan at the model that scan
+found.  Every answer must equal a fresh engine's and, on a finite box, the
+first best point of the box in lexicographic order.  The in-process client
+answers error once a request's deadline has passed."""
 
 import hashlib
 import io
@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler import minisolver
+from boxsampler import minisolver, solver
 from boxsampler.compiled import compile_predicate
+from boxsampler.errors import UnassignedSymbol
 from boxsampler.minisolver import BruteForceEngine, LocalSolverClient, _Session
+from boxsampler.intervals import Interval, IntervalMap, neg_to_formula
 from boxsampler.sampler import SamplerConfig, sample_formula
-from boxsampler.smtlib import Declaration, parse_problem, print_term
-from boxsampler.solver import SolverRequest, VerdictKind
-from boxsampler.terms import Add, Atom, BoolVar, IntConst, IntVar, Model, Or, Rel, Sort
+from boxsampler.smtlib import Declaration, parse_problem, print_formula, print_term
+from boxsampler.solver import HardList, ProcessSolverClient, SolverRequest, VerdictKind
+from boxsampler.terms import Add, Atom, BoolVar, IntConst, IntVar, Model, Or, Rel, Sort, eval_formula
 
 from oracle import random_atom, random_formula
 
@@ -96,18 +98,19 @@ def test_a_pop_of_many_levels_goes_back_across_pushes():
     assert out.getvalue() == '(error "8:11: undeclared symbol \'y\'")\nsat\n'
 
 
-def test_a_point_blocking_trial_compiles_each_assertion_once(data_dir, predicate_calls):
+def test_a_point_blocking_trial_compiles_the_problem_once_and_no_negation(data_dir, predicate_calls):
     """The recorded transcript asserts the problem and then one negation per
-    query.  Each is compiled once, and each query's scan starts at the
-    previous model, so the problem's predicate, which every scanned point
-    meets first, runs for fewer than 5,000 points over the 20 queries
+    query.  The problem is compiled once, and no negation is compiled: each
+    is a box, which the engine tests as one.  Each query's scan starts at
+    the previous model, so the problem's predicate, which every scanned
+    point meets first, runs for fewer than 5,000 points over the 20 queries
     (36,450 when every query scanned from the box's first point).  The
     replies are those pinned before the engine kept any state."""
     text = (data_dir / "point_blocking_7.smt2").read_text()
     out = io.StringIO()
     _feed(_Session(out), text)
     assert out.getvalue().splitlines().count("sat") == 20
-    assert len(predicate_calls) == text.count("(assert ") == 20
+    assert len(predicate_calls) == 1 and text.count("(assert ") == 20
     assert predicate_calls[0] < 5_000
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "5fd92dc28b2a15fb561068ff104ff5dcfc9c7c605b869f18ad3da94f077002d9"
@@ -126,13 +129,19 @@ def transcripts(draw):
     """Commands for one session, declarations and push/pop/reset among the
     assertions.  Each Int is bounded inside `BOX` in the scope that declares
     it.  "block" stands for asserting that the last model is not the answer
-    again; every transcript ends with eight rounds of block and check-sat,
-    which run the box dry when it holds few models."""
+    again, and a ("box", shapes) pair for asserting the negation of a box
+    around it, in the shape :func:`intervals.neg_to_formula` prints; every
+    transcript ends with eight rounds of either and check-sat, which run the
+    box dry when it holds few models.  Among the assertions are near misses
+    of that shape, which the engine compiles."""
     scopes = [set()]
     commands = []
     kinds = (
-        "declare", "declare", "assert", "assert", "tighten", "soft", "soft", "push", "pop", "reset", "check", "block"
+        "declare", "declare", "assert", "assert", "tighten", "soft", "soft", "push", "pop", "reset", "check", "block",
+        "box",
     )
+    shape = st.tuples(st.sampled_from(["pinned", "wide", "no lo", "no hi"]), st.integers(0, 2), st.integers(0, 2))
+    box_shapes = st.fixed_dictionaries({name: shape for name in INTS})
     for _ in range(draw(st.integers(1, 16))):
         kind = draw(st.sampled_from(kinds))
         declared = set().union(*scopes)
@@ -160,19 +169,27 @@ def transcripts(draw):
             commands.append("(reset)")
         elif kind in ("check", "block"):
             commands.append("(check-sat)" if kind == "check" else "block")
+        elif kind == "box":
+            commands.append(("box", draw(box_shapes)))
         elif ints:
             x, y = draw(st.sampled_from(ints)), draw(st.sampled_from(ints))
-            c = print_term(IntConst(draw(st.integers(BOX.start - 1, BOX.stop))))
+            c, d = (print_term(IntConst(draw(st.integers(BOX.start - 1, BOX.stop)))) for _ in range(2))
             if kind == "tighten":
                 commands.append(f"(assert ({draw(st.sampled_from(['<=', '>=', '<', '>', '=']))} {x} {c}))")
             elif kind == "soft":
                 commands.append(f"(assert-soft (= {x} {c}) :weight {draw(st.integers(1, 3))})")
             else:
                 forms = [f"(<= (+ {x} {y}) {c})", f"(= (+ {x} (* 2 {y})) {c})", f"(or (distinct {x} {c}) (> {y} {c}))"]
+                # near misses of a box negation: a repeated side, one atom,
+                # a constant on the left, a non-strict atom
+                forms += [f"(or (< {x} {c}) (< {x} {d}))", f"(or (< {x} {c}))", f"(> {c} {x})"]
+                forms.append(f"(or (< {x} {c}) (>= {y} {d}))")
                 if "b" in declared:
                     forms += [f"(or b (> {x} {c}))", "(not b)"]
                 commands.append(f"(assert {draw(st.sampled_from(forms))})")
-    return commands + ["block", "(check-sat)"] * 8
+    for _ in range(8):
+        commands += [draw(st.one_of(st.just("block"), st.tuples(st.just("box"), box_shapes))), "(check-sat)"]
+    return commands
 
 
 def _blocking_assert(session: _Session) -> str | None:
@@ -188,6 +205,24 @@ def _blocking_assert(session: _Session) -> str | None:
         elif d.name in model.ints:
             parts.append(f"(= {d.name} {print_term(IntConst(model.ints[d.name]))})")
     return f"(assert (not (and {' '.join(parts)})))" if parts else None
+
+
+def _box_assert(session: _Session, shapes) -> str | None:
+    """An assertion, in the shape :func:`intervals.neg_to_formula` prints,
+    that the answer lies outside a box around the last model: over each Int
+    it declares now, pinned, widened by the two numbers of its shape, or
+    with no lower or no upper bound."""
+    model = session.last_model
+    if model is None:
+        return None
+    box = IntervalMap()
+    for d in session.parser.decls.values():
+        if d.name in model.ints:
+            v = model.ints[d.name]
+            shape, below, above = shapes[d.name]
+            lo, hi = (v, v) if shape == "pinned" else (v - below, v + above)
+            box.refine(IntVar(d.name), Interval(None if shape == "no lo" else lo, None if shape == "no hi" else hi))
+    return f"(assert {print_formula(neg_to_formula(box))})" if len(box) else None
 
 
 def _first_best(decls, hard, soft) -> Model | None:
@@ -211,14 +246,15 @@ def _first_best(decls, hard, soft) -> Model | None:
 @given(transcripts())
 def test_each_check_sat_answers_as_a_fresh_engine_and_the_first_best_point(commands):
     """The session's engine lives across the transcript: its compiled
-    assertions, its unit bounds and the point its scans resume at must never
-    change an answer, `unsat` included."""
+    assertions, the boxes it holds, its unit bounds and the point its scans
+    resume at must never change an answer, `unsat` included.  The first best
+    point is found with every assertion compiled, boxes included."""
     out = io.StringIO()
     session = _Session(out)
     checks = 0
     for text in commands:
-        if text == "block":
-            text = _blocking_assert(session)
+        if text == "block" or isinstance(text, tuple):
+            text = _blocking_assert(session) if text == "block" else _box_assert(session, text[1])
             if text is None:
                 continue
         for command in session.reader.feed(text + "\n"):
@@ -234,6 +270,126 @@ def test_each_check_sat_answers_as_a_fresh_engine_and_the_first_best_point(comma
             assert session.last_model == fresh.model == _first_best(decls, hard, soft)
             checks += 1
     assert checks >= 8
+
+
+unit_atoms = st.builds(  # mostly `x < c` and `x > c`, sometimes another relation or `c rel x`
+    lambda rel, x, c, flipped: Atom(rel, c, x) if flipped else Atom(rel, x, c),
+    st.sampled_from([Rel.LT, Rel.GT] * 3 + list(Rel)),
+    st.sampled_from(INTS).map(IntVar),
+    st.integers(-3, 3).map(IntConst),
+    st.sampled_from([False] * 5 + [True]),
+)
+
+
+def _negates_a_box(f: Or) -> bool:
+    """Whether `f` has the shape :func:`intervals.neg_to_formula` prints."""
+    atoms = f.args
+    return (
+        len(atoms) >= 2
+        and all(isinstance(a.lhs, IntVar) and isinstance(a.rhs, IntConst) for a in atoms)
+        and all(a.rel in (Rel.LT, Rel.GT) for a in atoms)
+        and len({(a.lhs.name, a.rel) for a in atoms}) == len(atoms)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(unit_atoms, min_size=1, max_size=6), min_size=1, max_size=4),
+       st.tuples(*[st.integers(-5, 5)] * 3))
+def test_the_box_test_agrees_with_the_evaluator(ors, point):
+    """A hard list holds as boxes exactly the Ors of the box negation's
+    shape, and a point lies inside one of its boxes exactly when the
+    evaluator finds that box's negation false there.  The point goes on
+    with a Bool, as a scanned point goes on with its tail."""
+    hard = HardList([Declaration(name, Sort.INT) for name in INTS])
+    held = []
+    for atoms in ors:
+        f = Or(tuple(atoms))
+        boxed = not hard.extend([*hard.hard, f])
+        assert boxed == _negates_a_box(f)
+        held += [f] if boxed else []
+    model = Model(dict(zip(INTS, point)))
+    failing = [f for f in held if not eval_formula(f, model)]
+    found = hard.holding((*point, True))
+    assert (found is None) == (not failing) and (found is None or found in failing)
+
+
+# ---------------------------------------------------------------------------
+# A long blocking history
+
+PINNED_PROBLEM = (  # the problem of `point_blocking_7.smt2`, with 1,238 models
+    "(declare-fun p () Int)(declare-fun q () Int)(declare-fun r () Int)"
+    "(assert (and (>= p (- 29)) (<= p 31) (>= q (- 24)) (<= q 36) (>= r (- 31)) (<= r 29)"
+    " (= (+ p (* (- 2) q) (* (- 3) r)) (- 13))))"
+)
+
+
+class _EngineBehindThePipe(ProcessSolverClient):
+    """A process client whose queries the engine answers in process, so
+    that its re-check runs without a child."""
+
+    def __init__(self):
+        super().__init__()
+        self.local = LocalSolverClient()
+
+    def _query(self, req, use_soft):
+        return self.local.solve(req)
+
+
+@pytest.mark.parametrize("via", ["local client", "session", "process client's re-check"])
+def test_a_long_blocking_history_neither_compiles_nor_evaluates_a_box(monkeypatch, via):
+    """1,000 blocking queries, each adding the negation of the last answer's
+    point.  Neither the compiler nor the evaluator ever sees a negation, so
+    each query tests the boxes as boxes and not through a walk of every
+    negation; the problem is compiled once, and the process client's
+    re-check evaluates it once a query."""
+    seen: list = []
+    compile_original, eval_original = minisolver.compile_predicate, solver.eval_formula
+
+    def compiling(formulas, names):
+        seen.extend(formulas)
+        return compile_original(formulas, names)
+
+    def evaluating(f, model):
+        seen.append(f)
+        return eval_original(f, model)
+
+    monkeypatch.setattr(minisolver, "compile_predicate", compiling)
+    monkeypatch.setattr(solver, "eval_formula", evaluating)
+    p = parse_problem(PINNED_PROBLEM)
+    keys = [IntVar(d.name) for d in p.declarations]
+    negations, points = [], set()
+    session, client = _Session(io.StringIO()), LocalSolverClient() if via == "local client" else _EngineBehindThePipe()
+    if via == "session":
+        _feed(session, PINNED_PROBLEM)
+    for _ in range(1000):
+        if via == "session":
+            _feed(session, "(check-sat)")
+            model = session.last_model
+        else:
+            verdict = client.solve(SolverRequest(p.declarations, [p.assertion, *negations]))
+            assert verdict.is_sat, verdict.reason
+            model = verdict.model
+        points.add(tuple(model.ints[k.name] for k in keys))
+        box = {k: Interval(model.ints[k.name], model.ints[k.name]) for k in keys}
+        negations.append(neg_to_formula(IntervalMap(box)))
+        if via == "session":
+            _feed(session, f"(assert {print_formula(negations[-1])})")
+    assert len(points) == 1000
+    assert not set(negations) & set(seen)
+    assert seen.count(p.assertion) == 1 + (1000 if via == "process client's re-check" else 0)  # compiled, evaluated
+
+
+def test_a_hard_list_that_does_not_compile_is_refused_each_time_it_is_asked():
+    """The engine holds no formula of a list it could not compile, so asking
+    the same list again raises again, and a good list is answered whole."""
+    p = parse_problem("(declare-const x Int)(assert (and (<= 0 x) (<= x 5)))")
+    box = neg_to_formula(IntervalMap({IntVar("x"): Interval(0, 0)}))
+    undeclared = Atom(Rel.GT, IntVar("y"), IntConst(0))
+    engine = BruteForceEngine(p.declarations)
+    for _ in range(2):
+        with pytest.raises(UnassignedSymbol):
+            engine.check([p.assertion, box, undeclared])
+    assert engine.check([p.assertion, box]).model.ints == {"x": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from boxsampler.errors import BoxsamplerError, ModelParseError
 from boxsampler.minisolver import LocalSolverClient, _format_model
-from boxsampler.intervals import Interval, IntervalMap
+from boxsampler.intervals import Interval, IntervalMap, neg_to_formula
 from boxsampler.sampler import (
     BlockingHistory,
     RunStats,
@@ -24,7 +24,7 @@ from boxsampler.sampler import (
     get_seed_blocking,
     sample_formula,
 )
-from boxsampler.smtlib import Declaration, parse_problem, read_sexpr, read_sexprs
+from boxsampler.smtlib import Declaration, parse_problem, print_formula, read_sexpr, read_sexprs
 from boxsampler import solver as solver_mod
 from boxsampler.solver import (
     ProcessSolverClient,
@@ -922,6 +922,42 @@ class TestProcessClient:
         v = client.solve(SolverRequest(p.declarations, [p.assertion]))
         assert v.kind == VerdictKind.ERROR and "hard constraint" in v.reason
         client.close()
+
+
+    @pytest.mark.parametrize(
+        "widen",
+        [(0, 0, 0, 0), (1, None, 0, 2)],  # pinned; x's box open above and y's widened
+        ids=["pinned", "wide"],
+    )
+    def test_a_solver_answering_inside_a_blocked_box_is_caught_by_recheck(self, tmp_path, widen):
+        # answers every query with the same point: on the second query, the
+        # point its first answer gave, inside the box the negation blocks
+        stub = tmp_path / "repeater.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    line = line.strip()\n"
+            "    if line == '(check-sat)':\n"
+            "        print('sat', flush=True)\n"
+            "    elif line == '(get-model)':\n"
+            "        print('((define-fun x () Int 3) (define-fun y () Int 4))', flush=True)\n"
+            "    elif line == '(exit)':\n"
+            "        break\n"
+        )
+        client = ProcessSolverClient(f"{sys.executable} {stub}", timeout=5.0)
+        p = parse_problem("(declare-const x Int)(declare-const y Int)(assert (and (<= 0 x 9) (<= 0 y 9)))")
+        first = client.solve(SolverRequest(p.declarations, [p.assertion]))
+        assert first.is_sat and first.model.ints == {"x": 3, "y": 4}
+        x_lo, x_hi, y_lo, y_hi = widen
+        box = IntervalMap({
+            IntVar("x"): Interval(3 - x_lo, None if x_hi is None else 3 + x_hi),
+            IntVar("y"): Interval(4 - y_lo, 4 + y_hi),
+        })
+        negation = neg_to_formula(box)
+        v = client.solve(SolverRequest(p.declarations, [p.assertion, negation]))
+        client.close()
+        assert v.kind == VerdictKind.ERROR and "hard constraint" in v.reason
+        assert v.reason.endswith(print_formula(negation))
 
 
 @pytest.fixture
