@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import NoWitness, UnsupportedFeature
 from .implicant import ProductTerm, compute_implicant
 from .intervals import IntervalMap
+from .strengthen import LiteralForms
 from .strengthen import product_to_intervals as _int_product_to_intervals
 from .terms import (
     And,
@@ -34,6 +35,7 @@ from .terms import (
     Sort,
     Store,
     Term,
+    Values,
     eval_term,
     free_symbols,
     is_select_like,
@@ -237,23 +239,23 @@ def _disequality_witness(lit: Atom, m: Model) -> Formula:
 # Aliasing literals
 
 
-def build_aliasing(product: ProductTerm, m: Model) -> list[Formula]:
-    """Freeze which same-array accesses coincide under the model: each aliased
-    pair gets an index then a value equality, and after all pairs come the
-    index disequalities of the rest."""
-    groups: dict[str, list[Term]] = {}
+def build_aliasing(product: ProductTerm, m: Model | Values) -> list[Formula]:
+    """Freeze which same-array accesses coincide under the model `m` (or an
+    epoch's Values of it): each aliased pair gets an index then a value
+    equality, and after all pairs come the index disequalities of the
+    rest.  Each index is read once."""
+    values = Values.of(m)
+    groups: dict[str, dict[Term, None]] = {}  # the accesses of each array, in order of first sight
     for lit in product:
         for sub in iter_subterms(lit):
             if is_select_like(sub):
-                group = groups.setdefault(sub.array.name, [])
-                if sub not in group:
-                    group.append(sub)
+                groups.setdefault(sub.array.name, {})[sub] = None
     equalities: list[Formula] = []
     disequalities: list[Formula] = []
     for terms in groups.values():
         for t1, t2 in itertools.combinations(terms, 2):
             i1, i2 = t1.index, t2.index
-            if eval_term(i1, m) == eval_term(i2, m):
+            if values[i1] == values[i2]:
                 equalities += [Atom(Rel.EQ, i1, i2), Atom(Rel.EQ, t1, t2)]
             else:
                 disequalities.append(Atom(Rel.NE, i1, i2))
@@ -271,14 +273,24 @@ class ArrayPipelineResult:
     reconstructions: list[tuple[str, Term]]
 
 
-def product_to_intervals(product: ProductTerm, m: Model, rng: random.Random) -> ArrayPipelineResult:
+def product_to_intervals(
+    product: ProductTerm,
+    m: Model,
+    rng: random.Random,
+    forms: LiteralForms | None = None,
+    deadline: float | None = None,
+) -> ArrayPipelineResult:
     """Interval bounds for a product term with arrays and functions.
 
     Keys of the resulting map are integer variables and select-like terms,
     and the returned seed model covers any fresh symbols introduced by
-    equality rewriting."""
+    equality rewriting.  The aliasing and the integer strengthening read the
+    extended model through one :class:`terms.Values`, and `forms` and
+    `deadline` are the integer strengthening's
+    (:func:`strengthen.product_to_intervals`)."""
     product, m, recipes = rewrite_array_equality(product, m)
     product = eliminate_select_store(product, m, rng)
+    values = Values(m)
     present = set(product)
-    full = product + [lit for lit in build_aliasing(product, m) if lit not in present]
-    return ArrayPipelineResult(_int_product_to_intervals(full, m), m, recipes)
+    full = product + [lit for lit in build_aliasing(product, values) if lit not in present]
+    return ArrayPipelineResult(_int_product_to_intervals(full, values, forms, deadline), m, recipes)

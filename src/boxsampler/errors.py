@@ -80,6 +80,12 @@ class UnsatFormula(BoxsamplerError):
     """The input formula has no models."""
 
 
+class TimeLimit(BoxsamplerError):
+    """The run's deadline passed inside a step that reads the clock as it
+    goes (strengthening); the sampler stops the run with "total time
+    limit"."""
+
+
 class SoundnessViolation(BoxsamplerError):
     """A produced sample failed re-verification against the input formula.
     Always indicates an internal defect; aborts the run."""

@@ -55,6 +55,7 @@ from .errors import (
     NotAModel,
     SolverFailure,
     SoundnessViolation,
+    TimeLimit,
     UnassignedSymbol,
     UnsatFormula,
 )
@@ -167,11 +168,12 @@ class DedupSet:
         self.probabilistic = False
 
     def add(self, key: tuple) -> bool:
-        stored = self._digest(key) if self.probabilistic else key
-        if stored in self.keys:
+        keys = self.keys
+        size = len(keys)
+        keys.add(self._digest(key) if self.probabilistic else key)  # one hash: fresh iff the set grew
+        if len(keys) == size:
             return False
-        self.keys.add(stored)
-        if not self.probabilistic and len(self.keys) >= self.cap:
+        if not self.probabilistic and len(keys) >= self.cap:
             self.keys = {self._digest(k) for k in self.keys}
             self.probabilistic = True
         return True
@@ -345,7 +347,7 @@ def sample_intervals(iv: IntervalMap, seed: Model, cfg: SamplerConfig, rng: rand
 def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
     """The draw plan of a box, made once per epoch: the integer steps
     ``(name, lo, points)`` in key order, and the steps of the select-like
-    keys, ``(symbol, index term, interval, lo, points)``, in increasing
+    keys, ``(key, symbol, index term, interval, lo, points)``, in increasing
     number of accesses nested in the index, so that inner accesses resolve
     before the keys that read them.  Ranges are clamped around the seed
     value of each key."""
@@ -356,23 +358,30 @@ def _plan(iv: IntervalMap, seed: Model, width: int) -> tuple[list, list]:
             int_steps.append((key.name, *_clamp(interval, seed.value(Sort.INT, key.name), width)))
         else:
             depth = sum(1 for t in iter_nodes(key.index) if is_select_like(t))
-            step = (key.array.name, key.index, interval, *_clamp(interval, eval_term(key, seed), width))
+            step = (key, key.array.name, key.index, interval, *_clamp(interval, eval_term(key, seed), width))
             nested.append((depth, step))
     nested.sort(key=lambda pair: pair[0])
     return int_steps, [step for _, step in nested]
 
 
-def _eval_index(t: Term, slot: dict[str, int], values: list, cells: dict[str, dict[int, int]], seed: Model) -> int:
+def _eval_index(
+    t: Term, slot: dict[str, int], values: list, cells: dict[str, dict[int, int]], reads: dict, seed: Model
+) -> int:
     """The value of an index term within a draw: a variable reads its slot
     of `values`, an access reads the cell its index reaches.  A cell that no
     key has drawn takes the access's value under `seed`, and keeps it for
-    the draw."""
+    the draw.  A cell, once read or drawn, keeps its value for the draw, so
+    `reads` keeps the value of each access read: a chain of n nested
+    accesses costs n reads a draw, not one per access it holds."""
     if is_select_like(t):
-        index = _eval_index(t.index, slot, values, cells, seed)
-        bucket = cells.setdefault(t.array.name, {})
-        if index not in bucket:
-            bucket[index] = eval_term(t, seed)
-        return bucket[index]
+        value = reads.get(t)
+        if value is None:
+            index = _eval_index(t.index, slot, values, cells, reads, seed)
+            bucket = cells.setdefault(t.array.name, {})
+            if index not in bucket:
+                bucket[index] = eval_term(t, seed)
+            value = reads[t] = bucket[index]
+        return value
     if isinstance(t, IntConst):
         return t.value
     if isinstance(t, IntVar):
@@ -381,13 +390,13 @@ def _eval_index(t: Term, slot: dict[str, int], values: list, cells: dict[str, di
         except KeyError:
             raise UnassignedSymbol(t.name) from None
     if isinstance(t, Add):
-        return sum(_eval_index(a, slot, values, cells, seed) for a in t.args)
+        return sum(_eval_index(a, slot, values, cells, reads, seed) for a in t.args)
     if isinstance(t, Sub):
-        return _eval_index(t.lhs, slot, values, cells, seed) - _eval_index(t.rhs, slot, values, cells, seed)
+        return _eval_index(t.lhs, slot, values, cells, reads, seed) - _eval_index(t.rhs, slot, values, cells, reads, seed)
     if isinstance(t, Mul):
         prod = 1
         for a in t.args:
-            prod *= _eval_index(a, slot, values, cells, seed)
+            prod *= _eval_index(a, slot, values, cells, reads, seed)
         return prod
     raise TypeError(f"cannot evaluate term of type {type(t).__name__}")
 
@@ -600,8 +609,9 @@ def epoch_drawer(
             values[i] = lo + r
         if arrays:
             cells: dict[str, dict[int, int]] = {}
-            for symbol, index, interval, lo, points, k in access_plan:
-                at = _eval_index(index, slot, values, cells, seed)
+            reads: dict[Term, int] = {}
+            for key, symbol, index, interval, lo, points, k in access_plan:
+                at = _eval_index(index, slot, values, cells, reads, seed)
                 bucket = cells.setdefault(symbol, {})
                 if at not in bucket:
                     r = getrandbits(k)
@@ -610,6 +620,7 @@ def epoch_drawer(
                     bucket[at] = lo + r
                 elif not interval.member(bucket[at]):
                     return None
+                reads[key] = bucket[at]
             for name, i, default in arrays:
                 values[i] = FuncValue(default, cells.get(name, {}))
             if recipes:
@@ -747,7 +758,8 @@ def sample_formula(
     sample comes before its epoch ends; `on_epoch` receives each EpochResult
     after the epoch's last sample.  Returns aggregate statistics, whose
     `wall_time` holds the seconds of each phase and the "total": setup
-    (preprocessing, the predicate compile and the blocking history), solve
+    (preprocessing, the predicate compile, the table of the formula's
+    literal forms and the blocking history), solve
     (with the loop head, and under blocking the box's negation and the send
     of the next query), implicant, strengthen (with the seed's containment
     check), sample, and emit (the two callbacks: `on_sample`, timed once
@@ -770,7 +782,8 @@ def sample_formula(
     `solver_calls` when its answer is read, whether it answers or fails, so
     a run may stop with one query sent and not counted, which the client's
     `close` ends.  One that fails once the deadline has passed stops the
-    run with "total time limit".  A solver failure before the deadline
+    run with "total time limit", and so does strengthening, which reads the
+    deadline every few literals.  A solver failure before the deadline
     raises :class:`SolverFailure` if no epoch has run yet, and otherwise
     stops the run with "solver failure: <reason>", so that the samples
     already taken keep their stats.  On Ctrl-C it stops with "interrupted",
@@ -802,6 +815,7 @@ def sample_formula(
     formula = to_nnf(preprocess(problem.assertion))
     layout = SampleLayout(problem.declarations)
     pred = layout.predicate(formula)
+    forms = strengthen_mod.LiteralForms(formula)
     dedup = DedupSet(_DEDUP_CAP)
     history = BlockingHistory(problem) if cfg.strategy == "blocking" else None
     injected = cfg.inject_seed
@@ -847,11 +861,15 @@ def sample_formula(
 
             lap("strengthen")
             reconstructions: list[tuple[str, Term]] = []
-            if layout.funcs:
-                result = arrays_mod.product_to_intervals(product, seed, rng)
-                iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
-            else:
-                iv = strengthen_mod.product_to_intervals(product, seed)
+            try:
+                if layout.funcs:
+                    result = arrays_mod.product_to_intervals(product, seed, rng, forms, deadline)
+                    iv, seed, reconstructions = result.intervals, result.seed, result.reconstructions
+                else:
+                    iv = strengthen_mod.product_to_intervals(product, seed, forms, deadline)
+            except TimeLimit:
+                stats.stop_reason = "total time limit"
+                break
             if not contains(iv, seed):
                 raise SoundnessViolation("seed fell outside its own interval box")
 

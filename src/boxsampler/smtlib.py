@@ -263,6 +263,7 @@ class Parser:
         self.logic: str | None = None
         self.decls: dict[str, Declaration] = {}
         self.macros: dict[str, Term | Formula] = {}
+        self.symbols: dict[str, Term | Formula] = {}  # one node per symbol, so that lookups meet it by identity
         self.assertions: list[Formula] = []
 
     # -- commands ---------------------------------------------------------
@@ -421,7 +422,11 @@ class Parser:
             raise s.error(f"undeclared symbol {name!r}")
         if decl.is_function:
             raise s.error(f"function {name!r} used without arguments")
-        return _VARIABLES[decl.sort](name)
+        kind = _VARIABLES[decl.sort]
+        node = self.symbols.get(name)
+        if node.__class__ is not kind:  # none yet, or the name was declared again with another sort
+            node = self.symbols[name] = kind(name)
+        return node
 
 
 def _check(s: _SExpr, want: Sort | None, x) -> None:

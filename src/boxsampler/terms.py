@@ -3,19 +3,21 @@
 Terms and formulas are immutable slotted classes over one base, ``_Node``,
 compared and hashed structurally by the tuple of their fields, so they can
 serve as dictionary keys and set members (interval maps, sets of seen
-literals) and be shared freely.  Models are mutable value objects, compared
-by their fields: integers for scalar variables and finite
-default-plus-exceptions functions for arrays, which are never changed in
-place and hash by value, so that they can be shared.  How a model holds
-each sort is said here once: :meth:`Model.of` is the dict of one sort,
-:meth:`Model.value` reads a symbol of it, and ``ZERO`` is, by sort, the
-value of a symbol that a model omits.  None of these classes is a
-dataclass: the solver child (:mod:`.minisolver`) imports this module, and
-:mod:`dataclasses` (with :mod:`inspect`) would make every start of it about
-a quarter slower to its first answer.  Instead each node type lists its
-fields once, in ``__slots__``, and ``_Node`` compiles its ``__init__``,
-``__eq__`` and ``__hash__`` from that list: one small compile per node type,
-about 0.15 ms each, and no :mod:`dataclasses` or :mod:`inspect`.
+literals) and be shared freely; a node computes its hash once, on first
+use, so that a deep term is not walked again at each lookup.  Models are
+mutable value objects, compared by their fields: integers for scalar
+variables and finite default-plus-exceptions functions for arrays, which
+are never changed in place and hash by value, so that they can be shared.
+How a model holds each sort is said here once: :meth:`Model.of` is the
+dict of one sort, :meth:`Model.value` reads a symbol of it, and ``ZERO``
+is, by sort, the value of a symbol that a model omits.  None of these
+classes is a dataclass: the solver child (:mod:`.minisolver`) imports this
+module, and :mod:`dataclasses` (with :mod:`inspect`) would make every start
+of it about a quarter slower to its first answer.  Instead each node type
+lists its fields once, in ``__slots__``, and ``_Node`` compiles its
+``__init__``, ``__eq__`` and ``__hash__`` from that list: one small compile
+per node type, about 0.15 ms each, and no :mod:`dataclasses` or
+:mod:`inspect`.
 
 Security.  The compiled source is built only from the templates of
 ``_Node.__init_subclass__`` and the ``__slots__`` of this module's node
@@ -116,9 +118,20 @@ class _Node(_Record):
     in ``__slots__``; :meth:`__init_subclass__` gives it the ``__init__``,
     ``__eq__`` and ``__hash__`` a frozen dataclass would, written out per
     type, because these are hot: a generic method over the fields compared
-    nested nodes about half as fast."""
+    nested nodes about half as fast.
 
-    __slots__ = ()
+    The hash is computed once per node: the first call hashes the tuple of
+    the fields, whose nodes hand back their own kept hashes, and keeps the
+    result in the slot ``_hash``, which is no field and which ``__init__``
+    sets to None.  The value is the one a frozen dataclass would give, so
+    no set or dict order depends on when it was computed.  It is computed
+    on first use, not in ``__init__``: most nodes the solver child parses
+    are never hashed, and computing it there made each parse of a box
+    negation about a tenth slower.  The slot starts as None, and is not
+    left empty, because reading an empty slot raises, and catching that
+    made the first hash of a node about four times as slow."""
+
+    __slots__ = ("_hash",)  # the hash once computed, else None (not a field)
 
     def __init_subclass__(cls):
         names = cls.__dict__["__slots__"]
@@ -132,10 +145,18 @@ class _Node(_Record):
             f"        return {mine} == {theirs}" if len(names) == 1 else f"        return ({mine}) == ({theirs})",
             "    return NotImplemented",
             "def __hash__(self):",
-            f"    return hash(({mine},))",
+            "    h = self._hash",
+            "    if h is None:",
+            f"        h = hash(({mine},))",
+            "        _set(self, '_hash', h)",
+            "    return h",
         ]
         if cls.__init__ is object.__init__:  # neither it nor a base writes one
-            source += [f"def __init__(self, {', '.join(names)}):", *(f"    _set(self, {n!r}, {n})" for n in names)]
+            source += [
+                f"def __init__(self, {', '.join(names)}):",
+                *(f"    _set(self, {n!r}, {n})" for n in names),
+                "    _set(self, '_hash', None)",
+            ]
         methods: dict = {}
         exec(compile("\n".join(source), f"<{cls.__name__} methods>", "exec"), {"_set": _set}, methods)  # slot names only
         for name, method in methods.items():
@@ -163,6 +184,7 @@ class _Variadic(_Node):
         for a in args:
             flat.extend(a.args) if a.__class__ is kind else flat.append(a)
         _set(self, "args", tuple(flat))
+        _set(self, "_hash", None)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +231,7 @@ class ArrayVar(_Node):
     def __init__(self, name: str, function: bool = False):
         _set(self, "name", name)
         _set(self, "function", function)  # a unary function, spelled (f x) in SMT-LIB
+        _set(self, "_hash", None)
 
 
 # The term node types.  `Term` names them in annotations, which are never
@@ -376,6 +399,32 @@ def eval_term(t: Term, m: Model):
     if isinstance(t, ArrayVar):
         return m.funcs[t.name] if t.name in m.funcs else m.value(Sort.ARRAY, t.name)
     raise TypeError(f"not a term: {t!r}")
+
+
+class Values(dict):
+    """The values of terms under one model, each term evaluated once: a term
+    that is not yet a key is evaluated on first use and kept.  A select
+    reads its index through the same dict, so that a chain of n nested
+    selects costs n reads, however many of its links are asked for.  The
+    model must not change while the dict is in use."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: Model):
+        self.model = model
+
+    @classmethod
+    def of(cls, m: "Model | Values") -> "Values":
+        """`m` itself if it is a Values, else a new Values of the model `m`."""
+        return m if m.__class__ is cls else cls(m)
+
+    def __missing__(self, t):
+        if t.__class__ is Select:
+            value = eval_term(t.array, self.model).apply(self[t.index])
+        else:
+            value = eval_term(t, self.model)
+        self[t] = value
+        return value
 
 
 _REL_OPS = {

@@ -14,7 +14,7 @@ import itertools
 import random
 
 from boxsampler.intervals import IntervalMap
-from boxsampler.smtlib import ParsedProblem, print_declaration, print_formula
+from boxsampler.smtlib import ParsedProblem, parse_problem, print_declaration, print_formula
 from boxsampler.terms import (
     Add,
     And,
@@ -394,3 +394,12 @@ def deep_and_or(depth: int, var: str = "x"):
     for i in range(depth):
         f = (And if i % 2 else Or)((Atom(Rel.LE, x, IntConst(i + 5)), f))
     return f
+
+
+def nested_selects(depth: int) -> ParsedProblem:
+    """The problem ``(>= (select a (select a ... 0)) 0)``, `depth` selects
+    deep."""
+    text = "0"
+    for _ in range(depth):
+        text = f"(select a {text})"
+    return parse_problem(f"(declare-const a (Array Int Int))(assert (>= {text} 0))")

@@ -4,9 +4,12 @@ and the composed reduction, whose boxes are keyed on select-like terms."""
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
+from boxsampler import arrays as arrays_mod
+from boxsampler import terms as terms_mod
 from boxsampler.arrays import (
     build_aliasing,
     eliminate_select_store,
@@ -16,8 +19,9 @@ from boxsampler.arrays import (
 from boxsampler.errors import NoWitness
 from boxsampler.implicant import compute_implicant
 from boxsampler.intervals import Interval, contains
-from boxsampler.sampler import canonical_assignment
-from boxsampler.smtlib import print_term
+from boxsampler.minisolver import LocalSolverClient
+from boxsampler.sampler import SamplerConfig, canonical_assignment, sample_formula
+from boxsampler.smtlib import parse_problem, print_term
 from boxsampler.strengthen import product_to_intervals as int_product_to_intervals
 from boxsampler.terms import (
     Add,
@@ -33,14 +37,20 @@ from boxsampler.terms import (
     Select,
     Sort,
     Store,
+    FORMULA_TYPES,
+    TERM_TYPES,
     eval_formula,
     eval_term,
+    iter_nodes,
     iter_subterms,
+    preprocess,
     replace,
     sort_of,
+    to_nnf,
 )
 from oracle import (
     fun_app,
+    nested_selects,
     random_array_formula,
     random_array_model,
     random_array_term,
@@ -411,3 +421,68 @@ def test_pipeline_boxes_match_pinned_digest():
         digest.update(repr((n, boxes, canonical_assignment(res.seed), recipes)).encode())
     assert stores > 100 and reconstructed > 100
     assert digest.hexdigest() == "1e7edce15c74ec099466ddb34df90945f6d92978cabc2b53a46b68b3556d35b1"
+
+
+def _epoch_work(n: int, monkeypatch) -> int:
+    """The calls of `eval_term` and of the nodes' `__hash__` in one epoch's
+    implicant, array pipeline and containment check on n nested selects,
+    under a seed where every access aliases (a is 0 everywhere)."""
+    formula = to_nnf(preprocess(nested_selects(n).assertion))
+    seed = Model(funcs={"a": FuncValue(0)})
+    calls = [0]
+    evaluate = terms_mod.eval_term
+
+    def counting_eval(t, m):
+        calls[0] += 1
+        return evaluate(t, m)
+
+    def counting_hash(node_hash):
+        def hashed(node):
+            calls[0] += 1
+            return node_hash(node)
+
+        return hashed
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("boxsampler") and getattr(module, "eval_term", None) is evaluate:
+                patch.setattr(module, "eval_term", counting_eval)
+        for kind in TERM_TYPES + FORMULA_TYPES:
+            patch.setattr(kind, "__hash__", counting_hash(kind.__hash__))
+        rng = random.Random(0)
+        res = product_to_intervals(compute_implicant(formula, seed, rng), seed, rng)
+        assert contains(res.intervals, res.seed)
+    return calls[0]
+
+
+def test_nested_select_work_grows_below_cubic(monkeypatch):
+    """Aliasing makes about n^2 literals of n nested selects (1,561 at 40
+    levels).  Each reads its leaves and hashes its nodes in a bounded number
+    of steps, as a leaf is read once per epoch and a node's hash is kept,
+    so doubling the depth quadruples the work; re-walking the chain per
+    read or per hash multiplied it by 8."""
+    small, large = _epoch_work(20, monkeypatch), _epoch_work(40, monkeypatch)
+    assert large < 2**2.5 * small
+
+
+def test_the_run_table_holds_at_most_one_form_per_formula_atom(data_dir, monkeypatch):
+    """A blocking run over an array equality: the rewriting makes fresh
+    literals every epoch (16 distinct ones, against the formula's 6
+    atoms), and the run's table of normal forms keeps none of them."""
+    problem = parse_problem((data_dir / "array_store_eq.smt2").read_text())
+    atoms = {n for n in iter_nodes(to_nnf(preprocess(problem.assertion))) if isinstance(n, Atom)}
+    sizes, fresh = [], set()
+    strengthen = arrays_mod._int_product_to_intervals
+
+    def watched(product, m, forms, deadline):
+        box = strengthen(product, m, forms, deadline)
+        sizes.append(len(forms.table))
+        fresh.update(lit for lit in product if lit not in atoms)
+        return box
+
+    monkeypatch.setattr(arrays_mod, "_int_product_to_intervals", watched)
+    cfg = SamplerConfig(strategy="blocking", rng_seed=41, max_samples=500, samples_per_round=40, rounds_per_epoch=2)
+    stats = sample_formula(problem, cfg, LocalSolverClient())
+    assert stats.epochs == len(sizes) >= 5
+    assert len(fresh) > len(atoms)
+    assert 0 < max(sizes) <= len(atoms)

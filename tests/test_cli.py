@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from boxsampler import cli
 from boxsampler import coverage as coverage_mod
 from boxsampler import sampler as sampler_mod
+from boxsampler import strengthen as strengthen_mod
 from boxsampler.cli import (
     EXIT_ERROR,
     EXIT_INTERRUPTED,
@@ -511,6 +512,23 @@ class TestStops:
         code, stats, in_flight = self._both(data_dir, tmp_path, monkeypatch, "--time-limit", 600)
         assert code == EXIT_OK and stats["stop_reason"] == "total time limit"
         assert (stats["epochs"], stats["unique_samples"], stats["solver_calls"], in_flight) == (3, 15, 3, True)
+
+    def test_the_time_limit_inside_strengthening(self, data_dir, tmp_path, monkeypatch):
+        # only strengthening's clock jumps: the fourth epoch's answer is read,
+        # and its strengthening stops the run before the next query is sent
+        clock = _SampleClock()
+        monkeypatch.setattr(strengthen_mod, "time", clock)
+        predicate = SampleLayout.predicate
+
+        def in_step(layout, formula):  # each run starts with the clock in step
+            clock.ahead = 0.0
+            return predicate(layout, formula)
+
+        monkeypatch.setattr(SampleLayout, "predicate", in_step)
+        self._at_draw(monkeypatch, 13, clock.jump)
+        code, stats, in_flight = self._both(data_dir, tmp_path, monkeypatch, "--time-limit", 600)
+        assert code == EXIT_OK and stats["stop_reason"] == "total time limit"
+        assert (stats["epochs"], stats["unique_samples"], stats["solver_calls"], in_flight) == (3, 15, 4, False)
 
     def test_the_sample_budget(self, data_dir, tmp_path, monkeypatch):
         code, stats, in_flight = self._both(data_dir, tmp_path, monkeypatch, "--max-samples", 23)

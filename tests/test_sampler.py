@@ -60,7 +60,7 @@ from boxsampler.terms import (
 )
 from boxsampler import sampler as sampler_mod
 from boxsampler import strengthen as strengthen_mod
-from oracle import deep_and_or, fun_app, layout_model
+from oracle import deep_and_or, fun_app, layout_model, nested_selects
 
 X, Y = IntVar("x"), IntVar("y")
 A = ArrayVar("a")
@@ -844,6 +844,18 @@ class TestDedupSet:
         for i in range(10):
             assert not d.add((i,))  # still deduplicates after the switch
 
+    def test_each_key_is_hashed_once(self):
+        hashes = []
+
+        class Key(int):
+            def __hash__(self):
+                hashes.append(int(self))
+                return int.__hash__(self)
+
+        d = DedupSet(cap=10)
+        assert d.add((Key(1),)) and not d.add((Key(1),)) and d.add((Key(2),))
+        assert hashes == [1, 1, 2]
+
     def test_digests_of_equal_function_values_are_equal(self):
         d = DedupSet(cap=1)
         assert d.add((FuncValue(0, {1: 2, 3: 4}),)) and d.probabilistic
@@ -918,8 +930,8 @@ class TestSampleFormula:
         p, _ = _intro_parts()
         product_to_intervals = strengthen_mod.product_to_intervals
 
-        def widened(product, seed):
-            iv = product_to_intervals(product, seed)
+        def widened(product, seed, *run):  # the run's literal forms and deadline
+            iv = product_to_intervals(product, seed, *run)
             assert iv.get(X) == Interval(0, 15)
             iv.entries[X] = Interval(0, 10**6)
             return iv
@@ -935,6 +947,21 @@ class TestSampleFormula:
         assert set(offending.ints) == {"x", "y"} and not bools and not funcs
         assert 15 < offending.ints["x"] <= 10**6
         assert not eval_formula(p.assertion, offending)
+
+    def test_a_deadline_passed_inside_the_array_pipeline_stops_the_run(self, monkeypatch):
+        # 40 nested selects alias in about 1,560 literals; strengthening's
+        # clock jumps a day ahead at its 50th read, well inside them
+        class Clock:
+            reads = 0
+
+            def monotonic(self) -> float:
+                self.reads += 1
+                return time.monotonic() + (86400.0 if self.reads >= 50 else 0.0)
+
+        clock = Clock()
+        monkeypatch.setattr(strengthen_mod, "time", clock)
+        stats = sample_formula(nested_selects(40), cfg_of(strategy="blocking", max_samples=10), LocalSolverClient())
+        assert (stats.stop_reason, stats.epochs, stats.unique_samples, clock.reads) == ("total time limit", 0, 0, 50)
 
     def test_no_duplicates_across_epochs(self):
         p = parse_problem(

@@ -3,16 +3,22 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler.errors import DivisorZero, NegativeSlack, UnsupportedFeature
-from boxsampler.intervals import Interval, contains
-from boxsampler.smtlib import print_term
+from boxsampler import strengthen as strengthen_mod
+from boxsampler.errors import BoxsamplerError, DivisorZero, NegativeSlack, TimeLimit, UnsupportedFeature
+from boxsampler.intervals import Interval, IntervalMap, contains
+from boxsampler.minisolver import LocalSolverClient
+from boxsampler.sampler import SamplerConfig, sample_formula
+from boxsampler.smtlib import parse_problem, print_term
 from boxsampler.strengthen import (
     CanonicalLiteral,
+    LiteralForms,
+    _strengthen_sum,
     canonicalize,
     product_to_intervals,
     signed_floor_div,
@@ -28,6 +34,11 @@ from boxsampler.terms import (
     Not,
     Rel,
     Sub,
+    Values,
+    eval_formula,
+    iter_nodes,
+    preprocess,
+    to_nnf,
 )
 from oracle import env_of_model, intersect, o_formula, random_product_term, satisfied_atom
 
@@ -123,8 +134,8 @@ class TestCanonicalize:
 
     def test_ground_literal_normalizes_to_nothing(self):
         m = Model(ints={"x": 1})
-        assert canonicalize(Atom(Rel.LE, IntConst(3), IntConst(5)), m) == []
-        assert canonicalize(Atom(Rel.GT, Add((IntConst(2), IntConst(2))), IntConst(3)), m) == []
+        assert canonicalize(Atom(Rel.LE, IntConst(3), IntConst(5)), m) == ()
+        assert canonicalize(Atom(Rel.GT, Add((IntConst(2), IntConst(2))), IntConst(3)), m) == ()
 
     def test_cancelling_monomials_stay_separate(self):
         # x - x keeps both monomials (no merging) and pins x to its value
@@ -155,7 +166,7 @@ class TestCanonicalize:
 def _eval_cl(cl: CanonicalLiteral, m: Model) -> bool:
     from boxsampler.strengthen import _eval_monomial
 
-    return sum(_eval_monomial(mono, m) for mono in cl.monomials) <= cl.bound
+    return sum(_eval_monomial(mono, Values(m)) for mono in cl.monomials) <= cl.bound
 
 
 class TestStrengthenLiteral:
@@ -292,3 +303,126 @@ def test_product_boxes_match_pinned_digest():
         digest.update(repr((n, [(print_term(k), iv.lo, iv.hi) for k, iv in box.entries.items()])).encode())
     assert sums > 1500
     assert digest.hexdigest() == "dcb59b99620303e15cd049176e600c081083a2ba452db98c01d599a828aadc49"
+
+
+# ---------------------------------------------------------------------------
+# The run's table of normal forms, and the deadline
+
+
+Z = IntVar("z")
+_LEAVES = st.one_of(st.sampled_from([X, Y, Z]), st.integers(-4, 4).map(IntConst))
+_SCALED = st.tuples(st.sampled_from([-3, -2, -1, 2, 3]), st.sampled_from([X, Y, Z])).map(
+    lambda cv: Mul((IntConst(cv[0]), cv[1]))
+)
+_SUMS = st.lists(st.one_of(_LEAVES, _SCALED), min_size=2, max_size=3).map(lambda ts: Add(tuple(ts)))
+_PRODUCTS = st.lists(st.one_of(_LEAVES, _SUMS), min_size=2, max_size=3).map(lambda ts: Mul(tuple(ts)))
+_SIDES = st.one_of(_LEAVES, _SCALED, _SUMS, _PRODUCTS, st.builds(Sub, _SUMS, _LEAVES))
+_ATOMS = st.builds(Atom, st.sampled_from(list(Rel)), _SIDES, _SIDES)
+_MODELS = st.builds(lambda x, y, z: Model(ints={"x": x, "y": y, "z": z}), *[st.integers(-6, 6)] * 3)
+
+
+def _outcome(make_box):
+    """The box's entries in order, or the type of the error raised."""
+    try:
+        box = make_box()
+    except BoxsamplerError as exc:
+        return type(exc)
+    return [(key, iv.lo, iv.hi) for key, iv in box.entries.items()]
+
+
+def _reference_box(lit, m) -> IntervalMap:
+    box, values = IntervalMap(), Values(m)
+    for cl in canonicalize(lit, m):
+        _strengthen_sum(cl.monomials, cl.bound, values, box)
+    return box
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ATOMS, st.lists(_MODELS, min_size=1, max_size=6))
+def test_the_run_forms_give_the_boxes_of_canonicalize(lit, models):
+    """Over random linear and product atoms, disequalities included, one
+    run's table normalizes the atom once and gives, under each model that
+    satisfies it, the box that canonicalize and _strengthen_sum give."""
+    forms = LiteralForms(lit)
+    for m in models:
+        if eval_formula(lit, m):
+            assert _outcome(lambda: product_to_intervals([lit], m, forms)) == _outcome(lambda: _reference_box(lit, m))
+            assert len(forms.table) == 1
+
+
+def test_a_disequality_takes_each_epochs_direction_from_one_form():
+    lit = Atom(Rel.NE, Add((X, Y)), IntConst(3))
+    forms = LiteralForms(lit)
+    below = product_to_intervals([lit], Model(ints={"x": 0, "y": 1}), forms)
+    above = product_to_intervals([lit], Model(ints={"x": 5, "y": 1}), forms)
+    assert (below.get(X), below.get(Y)) == (Interval(None, 1), Interval(None, 1))
+    assert (above.get(X), above.get(Y)) == (Interval(4, None), Interval(0, None))
+    assert len(forms.table) == 1
+
+
+def test_literals_outside_the_formula_are_not_kept():
+    inside = Atom(Rel.LE, X, IntConst(5))
+    forms = LiteralForms(inside)
+    m = Model(ints={"x": 1, "y": 2})
+    product_to_intervals([inside, Atom(Rel.LE, Y, IntConst(5)), Atom(Rel.GE, Add((X, Y)), IntConst(0))], m, forms)
+    assert forms.table.keys() == {inside}
+
+
+POINT_BLOCKING = (
+    "(declare-const p Int)(declare-const q Int)(declare-const r Int)"
+    "(assert (and (>= p (- 30)) (<= p 30) (>= q (- 28)) (<= q 32) (>= r (- 35)) (<= r 25)"
+    " (= (- (+ p (* 2 q)) (* 3 r)) 7)))"
+)
+
+
+def test_a_blocking_run_normalizes_each_formula_atom_once(monkeypatch):
+    """A 200-epoch blocking run on a point_blocking problem (the equality
+    pins every box, so each epoch draws one sample) flattens the sides of
+    its literals exactly as normalizing each atom of the formula once
+    does: each call of `_monomials_of` on the same terms, as often."""
+    problem = parse_problem(POINT_BLOCKING)
+    atoms = [n for n in iter_nodes(to_nnf(preprocess(problem.assertion))) if isinstance(n, Atom)]
+    calls = []
+    flatten = strengthen_mod._monomials_of
+
+    def counting(t):
+        calls.append(t)
+        return flatten(t)
+
+    monkeypatch.setattr(strengthen_mod, "_monomials_of", counting)
+    for atom in atoms:
+        canonicalize(atom, Model())
+    once, calls[:] = Counter(calls), []
+    stats = sample_formula(problem, SamplerConfig(strategy="blocking", max_samples=200), LocalSolverClient())
+    assert stats.epochs == stats.unique_samples == 200
+    assert Counter(calls) == once
+
+
+class TestDeadline:
+    """With a deadline, strengthening reads the clock before every 8th
+    literal, the first included, and raises TimeLimit once it has passed."""
+
+    PRODUCT = [Atom(Rel.LE, X, IntConst(k)) for k in range(20, 40)]  # 20 literals
+
+    class Clock:
+        def __init__(self, now: float):
+            self.now, self.reads = now, 0
+
+        def monotonic(self) -> float:
+            self.reads += 1
+            return self.now
+
+    def test_the_clock_is_read_every_eight_literals(self, monkeypatch):
+        clock = self.Clock(0.0)
+        monkeypatch.setattr(strengthen_mod, "time", clock)
+        box = product_to_intervals(self.PRODUCT, Model(ints={"x": 0}), None, 1.0)
+        assert clock.reads == 3  # before literals 0, 8 and 16
+        assert box == product_to_intervals(self.PRODUCT, Model(ints={"x": 0}))
+        assert clock.reads == 3  # no deadline, no read
+
+    def test_a_passed_deadline_raises_time_limit(self, monkeypatch):
+        clock = self.Clock(2.0)
+        monkeypatch.setattr(strengthen_mod, "time", clock)
+        with pytest.raises(TimeLimit):
+            product_to_intervals(self.PRODUCT, Model(ints={"x": 0}), None, 1.0)
+        assert clock.reads == 1
