@@ -165,9 +165,14 @@ class _Codegen:
 
     # -- functions -----------------------------------------------------------
 
-    def function(self, name: str, body: list[str]) -> None:
-        """Add `def name(signature)` that runs `body`."""
-        lines = [f"def {name}({self.signature}):", *(f"    {line}" for line in body)]
+    def function(self, name: str, body: list[str], packed: bool = False) -> None:
+        """Add `def name(signature)` that runs `body`; when `packed`, the
+        function takes the values as one tuple, ``name(values)``."""
+        head = [f"def {name}({self.signature}):"]
+        if packed:
+            head = [f"def {name}(values):", f"    {self.signature}{',' if len(self.params) == 1 else ''} = values"]
+            head = head if self.params else head[:1]
+        lines = [*head, *(f"    {line}" for line in body)]
         self.functions.append("\n".join(lines) + "\n")
 
     def build(self, name: str):
@@ -185,15 +190,16 @@ def _join(op: str, kids: list[_Piece]) -> _Piece:
     return (text, len(kids) + max(k[1] for k in kids))
 
 
-def compile_predicate(formulas: list[Formula], var_names: list[str]):
+def compile_predicate(formulas: list[Formula], var_names: list[str], packed: bool = False):
     """`pred(*values)`: the conjunction of `formulas` with the symbols
     `var_names` bound positionally, in order: ints and bools for integer and
     Boolean variables, :class:`FuncValue` objects for array variables
     (functions included).  Raises :class:`UnassignedSymbol` for any other
-    symbol."""
+    symbol.  When `packed`, the values come as one tuple, `pred(values)`,
+    as `filter` passes them."""
     gen = _Codegen(var_names)
     text, _ = gen.expression(And(tuple(formulas)))
-    gen.function("_predicate", [f"return {text}"])
+    gen.function("_predicate", [f"return {text}"], packed)
     return gen.build("_predicate")
 
 

@@ -14,14 +14,17 @@ Each `check-sat` runs one scan, over one of three orders of integer
 points: the box of the single-variable bounds when it is finite and small,
 in lexicographic order; else the max-norm shells around the soft targets,
 when every soft constraint pins an Int to a constant; else boxes of growing
-radius around the origin, one after another.  The scan keeps the best
-soft-constraint score; unsat is only claimed when the finite box was fully
-scanned.  Everything is deterministic.
+radius around the origin, one after another.  Every order yields only
+points inside the unit bounds, so the atoms that make those bounds are not
+tested again: a point meets them by construction.  The scan is one chain
+of ``filter`` calls over the candidate value tuples, so its loop runs in C.
+It keeps the best soft-constraint score; unsat is only claimed when the
+finite box was fully scanned.  Everything is deterministic.
 
-The input is read with the one SMT-LIB reader, :func:`smtlib.read_sexpr`,
-through :class:`smtlib.StreamReader`, which frames and reads each command
-in one pass as soon as it is complete; the client reads the replies at the
-other end of the pipe with the same class.  A stray ")" and every rejected
+The input is read with the one SMT-LIB reader of :mod:`smtlib`, through
+:class:`smtlib.StreamReader`, which reads every command complete in what
+has arrived in one pass; the client reads the replies at the other end of
+the pipe with the same class.  A stray ")" and every rejected
 command get an ``(error "...")`` reply, with quotes doubled and the line
 and column of the error in the input stream, and reading goes on.
 
@@ -33,11 +36,11 @@ The negation of a box over Ints, in the shape
 as its box, and its bounds join the constants of an array query's
 enumeration; nothing is compiled for it.  Any other assertion is compiled
 by :func:`compiled.compile_predicate` over the declared symbols, which
-takes a point's values positionally; the arrays, select-like terms and
-constants it gives an array query's enumeration are noted; and its
-single-variable bounds are folded into the unit bounds.  A point is a model
-when it satisfies the conjunction of the compiled assertions and then lies
-outside every box.  A blocking query, which only adds assertions, resumes
+takes a candidate's values as one tuple, past its top-level atoms that
+bound one Int by a constant, which are folded into the unit bounds; the
+arrays, select-like terms and constants it gives an array query's
+enumeration are noted.  A point is a model when it satisfies the compiled
+predicates and then lies outside every box.  A blocking query, which only adds assertions, resumes
 the last scan of the box at the model that scan found.  For a query over
 arrays or functions, the candidate function values of each point are
 enumerated after its Booleans, in the same loop.
@@ -73,7 +76,6 @@ from .terms import (
     IntConst,
     IntVar,
     Model,
-    Rel,
     Sort,
     Term,
     ZERO,
@@ -90,42 +92,51 @@ _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
 _CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
 
-_MIRRORED = {Rel.LT: Rel.GT, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.GE: Rel.LE}
+# Relations by their symbol, the value of a `Rel`, which hashes as a str
+# (a `Rel` member hashes through a Python-level `__hash__`): the relation of
+# `c op x` read as `x op' c`, and the offset from `c` of the lower and the
+# upper bound that `x op c` puts on `x`.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_LOWER = {">=": 0, ">": 1, "=": 0}
+_UPPER = {"<=": 0, "<": -1, "=": 0}
 
 
-def _unit_atom(f: Formula) -> tuple[str, Rel, int] | None:
-    """`(x, rel, c)` when `f` reads `x rel c` for an Int variable `x` and a
-    constant `c`, either way round; None otherwise."""
+def _unit_atom(f: Formula) -> tuple[str, str, int] | None:
+    """`(x, op, c)` when `f` reads `x op c` for an Int variable `x`, the
+    symbol `op` of a relation and a constant `c`, either way round; None
+    otherwise."""
     if not isinstance(f, Atom):
         return None
     if isinstance(f.lhs, IntVar) and isinstance(f.rhs, IntConst):
-        return f.lhs.name, f.rel, f.rhs.value
+        return f.lhs.name, f.rel._value_, f.rhs.value
     if isinstance(f.lhs, IntConst) and isinstance(f.rhs, IntVar):
-        return f.rhs.name, _MIRRORED.get(f.rel, f.rel), f.lhs.value
+        op = f.rel._value_
+        return f.rhs.name, _MIRRORED.get(op, op), f.lhs.value
     return None
 
 
-def _tighten(bounds: dict[str, tuple[int | None, int | None]], f: Formula) -> None:
+def _tighten(bounds: dict[str, tuple[int | None, int | None]], f: Formula, ints) -> list[Formula]:
     """Tighten `bounds` by the top-level single-variable atoms of `f`: the
-    unit bounds, for pruning and for sound unsat claims on finite boxes."""
+    unit bounds, for pruning and for sound unsat claims on finite boxes.
+    Returns the other top-level conjuncts of `f`, which a point inside the
+    bounds must still be tested on: every one but the bounding atoms over
+    the Int symbols `ints`.  A `!=` atom bounds nothing, and an atom over
+    any other symbol stays, so that compiling it refuses the symbol."""
     if isinstance(f, And):
-        for a in f.args:
-            _tighten(bounds, a)
-        return
+        return [g for a in f.args for g in _tighten(bounds, a, ints)]
     unit = _unit_atom(f)
-    if unit is None:
-        return
-    var, rel, c = unit
-    if rel == Rel.NE:
-        return
-    lo = {Rel.GE: c, Rel.GT: c + 1, Rel.EQ: c}.get(rel)
-    hi = {Rel.LE: c, Rel.LT: c - 1, Rel.EQ: c}.get(rel)
+    if unit is None or unit[1] == "!=":
+        return [f]
+    var, op, c = unit
     cur_lo, cur_hi = bounds.get(var, (None, None))
-    if lo is not None:
+    if op in _LOWER:
+        lo = c + _LOWER[op]
         cur_lo = lo if cur_lo is None else max(cur_lo, lo)
-    if hi is not None:
+    if op in _UPPER:
+        hi = c + _UPPER[op]
         cur_hi = hi if cur_hi is None else min(cur_hi, hi)
     bounds[var] = (cur_lo, cur_hi)
+    return [] if var in ints else [f]
 
 
 def _note_reads(formulas, used: set[str], accesses: set[tuple[str, Term]], constants: set[int]) -> None:
@@ -151,7 +162,7 @@ def _soft_targets(soft, int_vars) -> dict[str, int] | None:
     names = set(int_vars)
     for f, _weight in soft:
         unit = _unit_atom(f)
-        if unit is None or unit[1] != Rel.EQ or unit[0] not in names:
+        if unit is None or unit[1] != "=" or unit[0] not in names:
             return None
         targets.setdefault(unit[0], unit[2])
     return targets
@@ -161,34 +172,25 @@ def _refuted(f: Formula, bounds) -> bool:
     """Whether `f` is `x = c` for a constant `c` outside `x`'s unit
     bounds, so that no point of a scan satisfies it."""
     unit = _unit_atom(f)
-    if unit is None or unit[1] != Rel.EQ:
+    if unit is None or unit[1] != "=":
         return False
     lo, hi = bounds.get(unit[0], (None, None))
     return (lo is not None and unit[2] < lo) or (hi is not None and unit[2] > hi)
 
 
-def _lex_points(ranges: list[range], start: tuple | None = None):
+def _lex_points(ranges: list[range], tail: list, start: tuple | None = None):
     """The points of ``itertools.product(*ranges)`` in its order, from the
-    point `start` on (`start` included), or all of them."""
+    point `start` on (`start` included), or all of them; each point is
+    followed by each value of the `tail` axes, ``product(*tail)``."""
     if start is None:
-        return itertools.product(*ranges)
+        return itertools.product(*ranges, *tail)
     fixed = [(x,) for x in start]
     # after `start`: its last coordinate grows first, then the one before it, ...
     later = (
-        itertools.product(*fixed[:k], range(start[k] + 1, ranges[k].stop), *ranges[k + 1:])
+        itertools.product(*fixed[:k], range(start[k] + 1, ranges[k].stop), *ranges[k + 1:], *tail)
         for k in reversed(range(len(ranges)))
     )
-    return itertools.chain((tuple(start),), itertools.chain.from_iterable(later))
-
-
-def _conjunction(preds: list):
-    """`pred(*values)`: whether every predicate of `preds` holds, tried in
-    order until one fails.  The first is called directly, so a point that
-    fails it, as most points of a scan do, costs one call more than it."""
-    if len(preds) <= 1:
-        return preds[0] if preds else (lambda *values: True)
-    first, rest = preds[0], preds[1:]
-    return lambda *values: first(*values) and all(p(*values) for p in rest)
+    return itertools.chain(itertools.product(*fixed, *tail), itertools.chain.from_iterable(later))
 
 
 def _clocked(items, deadline: float):
@@ -212,9 +214,10 @@ def _clip(lo: int, hi: int, bound) -> tuple[int, int]:
     return (lo if bound_lo is None else max(lo, bound_lo), hi if bound_hi is None else min(hi, bound_hi))
 
 
-def _shell_points(center: list[int], clip, distance: int):
-    """Points of the clipped box at max-norm distance exactly `distance`
-    from `center`, each yielded once, in a fixed order: the faces on which
+def _shell_faces(center: list[int], clip, distance: int, tail: list):
+    """The points of the clipped box at max-norm distance exactly
+    `distance` from `center`, each once, as one ``product`` per face, each
+    point followed by the values of the `tail` axes: the faces on which
     coordinate i is first at that distance, by i and then side, each in
     lexicographic order."""
     faces = [(i, side) for i in range(len(center)) for side in (-distance, distance)] if distance else [(0, 0)]
@@ -224,7 +227,7 @@ def _shell_points(center: list[int], clip, distance: int):
             r = distance - 1 if j < i else distance
             lo, hi = _clip(c + side, c + side, bound) if j == i else _clip(c - r, c + r, bound)
             axes.append(range(lo, hi + 1))
-        yield from itertools.product(*axes)
+        yield itertools.product(*axes, *tail)
 
 
 class BruteForceEngine:
@@ -233,27 +236,37 @@ class BruteForceEngine:
 
     A query runs one scan (`_scan`) over one order of points: the
     unit-bound box (`_box`), the shells around the soft targets (`_shells`)
-    or the radius boxes (`_radius_boxes`).  The scan checks points with one
-    predicate over the declared symbols, ints, then bools, then arrays and
-    functions; after a point's ints come the values of its *tail*, the
+    or the radius boxes (`_radius_boxes`).  The scan checks candidates, the
+    value tuples over the declared symbols, ints, then bools, then arrays
+    and functions; after a point's ints come the values of its *tail*, the
     bools and then one :class:`FuncValue` per array or function symbol.
+    With no array or function read, the tails are the `tail` axes, each
+    Bool false or true and each array the constant-0 function, and a point
+    order yields its candidates itself, from ``itertools.product``.
 
     The engine is incremental.  It keeps the hard formulas of its queries
     in a :class:`solver.HardList` (`hard`), which holds each box negation
     as its box, with what it found out about each other formula, once: the
-    compiled predicate, the arrays, accesses and constants it gives an
-    array query (`reads`), and its part of the unit bounds (`bounds`).  A
-    point passes the compiled predicates and then the boxes.  A query whose
-    hard list extends `hard` (compared as :func:`solver._extends` does)
-    adds only its new formulas; any other hard list starts over.  A scan of
-    the box with no soft constraints and no arrays remembers the model it
-    found (`resume`).  The next such scan over the same unit bounds starts
-    at that model's point, since every point before it fails formulas that
-    the extended list still holds; so each answer equals that of a fresh
-    engine.
+    arrays, accesses and constants it gives an array query (`reads`), its
+    part of the unit bounds (`bounds`), and the predicate of the rest of it
+    (`preds`), compiled to take a candidate as one tuple.  Every point
+    order yields only points inside the unit bounds, so the atoms that make
+    those bounds are left out of the predicates: a point meets each of them
+    by construction, and gets the verdict of the whole formula.  The scan
+    is one chain of ``filter`` calls over the candidates, one per
+    predicate, in the order the formulas came, and then a test against the
+    boxes, so the loop over the points runs in C.
+
+    A query whose hard list extends `hard` (compared as
+    :func:`solver._extends` does) adds only its new formulas; any other
+    hard list starts over.  A scan of the box with no soft constraints and
+    no arrays remembers the model it found (`resume`).  The next such scan
+    over the same unit bounds starts at that model's point, since every
+    point before it fails formulas that the extended list still holds; so
+    each answer equals that of a fresh engine.
 
     A query past its deadline answers error: the scans read the clock every
-    ``_CLOCK_EVERY`` points."""
+    ``_CLOCK_EVERY`` candidates."""
 
     def __init__(self, declarations: list[Declaration]):
         self.declarations = declarations
@@ -262,20 +275,26 @@ class BruteForceEngine:
         self.func_syms = sorted(d.name for d in declarations if d.sort == Sort.ARRAY)
         self.names = self.int_vars + self.bool_vars + self.func_syms
         self.bool_space = list(itertools.product((False, True), repeat=len(self.bool_vars)))
-        zeros = (ZERO[Sort.ARRAY],) * len(self.func_syms)
-        # the tails of a point when no formula reads an array or function
-        self.int_tails = [bools + zeros for bools in self.bool_space]
+        # the axes of a point's tail when no formula reads an array or function
+        self.tail = [(False, True)] * len(self.bool_vars) + [(ZERO[Sort.ARRAY],)] * len(self.func_syms)
         self._start_over()
 
     def _start_over(self) -> None:
         self.hard = HardList(self.declarations)
-        self.preds: list = []  # the compiled predicate of each of `hard.others`
-        self.pred = _conjunction(self.preds)
+        self.preds: list = []  # the compiled predicates of what `hard.others` leave past the unit bounds
         # the array and function symbols `hard.others` read, their accesses, and
         # their constants, in one set with those of the box negations
         self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), self.hard.bounds)
         self.bounds: dict[str, tuple[int | None, int | None]] = {}
+        self._bounded()
         self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain box-scan model
+
+    def _bounded(self) -> None:
+        """Note what the unit bounds give every query until they change: the
+        ranges of their box (`box`, see `_box`), and whether a bound is
+        empty (`empty`)."""
+        self.box = self._box()
+        self.empty = any(lo is not None and hi is not None and lo > hi for lo, hi in self.bounds.values())
 
     def _assert(self, hard: list[Formula]) -> None:
         """Make `hard` the engine's hard list, analysing its new formulas."""
@@ -285,14 +304,17 @@ class BruteForceEngine:
             return
         try:
             others = self.hard.extend(hard)
-            self.preds += [compile_predicate([f], self.names) for f in others]
+            ints = set(self.int_vars)
+            for f in others:
+                rest = _tighten(self.bounds, f, ints)
+                if rest:
+                    self.preds.append(compile_predicate(rest, self.names, packed=True))
         except BaseException:  # no formula stays held without its analysis
             self._start_over()
             raise
         _note_reads(others, *self.reads)
-        for f in others:
-            _tighten(self.bounds, f)
-        self.pred = _conjunction(self.preds)
+        if others:
+            self._bounded()
 
     def check(
         self, hard: list[Formula], soft: list[tuple[Formula, int]] | None = None, deadline: float | None = None
@@ -302,7 +324,7 @@ class BruteForceEngine:
         when it runs past `deadline` (on the `time.monotonic` clock)."""
         self._assert(hard)
         soft = soft or []
-        if any(lo is not None and hi is not None and lo > hi for lo, hi in self.bounds.values()):
+        if self.empty:
             return SolverVerdict(VerdictKind.UNSAT)
         self.checks_left = _MAX_ARRAY_CHECKS
         self.deadline = deadline
@@ -323,19 +345,22 @@ class BruteForceEngine:
             reads = tuple(set(r) for r in reads)
             _note_reads([f for f, _ in soft], *reads)
         tails = self._array_tails(*reads) if reads[0] else None
-        box = self._box()
+        box = self.box
         targets = None if box is not None or tails is not None else _soft_targets(soft, self.int_vars)
         if targets is not None:
             soft = []
         else:  # a soft equality outside the unit bounds adds to no score
             soft = [(f, w) for f, w in soft if not _refuted(f, self.bounds)]
         plain = box is not None and not soft and tails is None
+        tail = self.tail if tails is None else []  # the tails of an array query come from `tails`
         if box is None:
-            points = self._radius_boxes() if targets is None else self._shells(targets)
+            candidates = self._radius_boxes(tail) if targets is None else self._shells(targets, tail)
         else:
             resumed = plain and self.resume is not None and self.resume[0] == self.bounds
-            points = _lex_points(box, self.resume[1] if resumed else None)
-        model = self._scan(points, soft, tails)
+            candidates = _lex_points(box, tail, self.resume[1] if resumed else None)
+        if tails is not None:
+            candidates = self._with_tails(candidates, tails)
+        model = self._scan(candidates, soft)
         if model is None and box is not None and tails is None:
             return SolverVerdict(VerdictKind.UNSAT)
         if model is None:
@@ -360,79 +385,74 @@ class BruteForceEngine:
         size = 2 ** len(self.bool_vars) * math.prod(max(hi - lo + 1, 0) for lo, hi in pairs)
         return None if size > _MAX_POINTS_PER_SCAN else [range(lo, hi + 1) for lo, hi in pairs]
 
-    def _radius_boxes(self):
+    def _radius_boxes(self, tail: list):
         """The points of each box of ``_RADIUS_SCHEDULE`` in turn, each in
-        lexicographic order, up to the first box too large to scan; an empty
-        box holds none.  A point is met again in every larger box, so a scan
-        with a running best answers as one scan per box would."""
-        for radius in _RADIUS_SCHEDULE:
-            ranges = self._box(radius)
-            if ranges is None:
-                return
-            yield from itertools.product(*ranges)
+        lexicographic order and followed by the values of the `tail` axes,
+        up to the first box too large to scan; an empty box holds none.  A
+        point is met again in every larger box, so a scan with a running
+        best answers as one scan per box would."""
+        boxes = itertools.takewhile(lambda ranges: ranges is not None, map(self._box, _RADIUS_SCHEDULE))
+        return itertools.chain.from_iterable(itertools.product(*ranges, *tail) for ranges in boxes)
 
-    def _shells(self, targets: dict[str, int]):
+    def _shells(self, targets: dict[str, int], tail: list):
         """The points of the unit-bound box by max-norm distance from
-        `targets`, nearest shell first, up to ``_MAX_SHELL_DISTANCE`` and
-        ``4 * _MAX_POINTS_PER_SCAN`` points."""
+        `targets`, nearest shell first, each followed by the values of the
+        `tail` axes, up to ``_MAX_SHELL_DISTANCE`` and ``4 *
+        _MAX_POINTS_PER_SCAN`` points."""
         center = [targets.get(v, 0) for v in self.int_vars]
         clip = [self.bounds.get(v, (None, None)) for v in self.int_vars]
-        shells = (_shell_points(center, clip, d) for d in range(_MAX_SHELL_DISTANCE + 1))
-        return itertools.islice(itertools.chain.from_iterable(shells), _MAX_POINTS_PER_SCAN * 4)
+        faces = (face for d in range(_MAX_SHELL_DISTANCE + 1) for face in _shell_faces(center, clip, d, tail))
+        per_point = math.prod(map(len, tail))  # the candidates of a point, which come one after another
+        return itertools.islice(itertools.chain.from_iterable(faces), _MAX_POINTS_PER_SCAN * 4 * per_point)
 
     # -- the scan -------------------------------------------------------------
 
-    def _scan(self, points, soft, tails) -> Model | None:
-        """The best model among `points`, scanned in order: the first of the
-        highest soft score, or the first model when there are no softs;
-        None when no point has one.  Stops at the first point satisfying
-        every soft constraint.  Each point is checked with each of its
-        tails: `tails(point)` for queries over arrays or functions,
-        ``self.int_tails`` when `tails` is None.  An array or function query
-        stops scanning once it has made ``_MAX_ARRAY_CHECKS`` checks.  A
-        query with a deadline raises `TimeoutError` when it finds the clock
-        past it."""
+    def _scan(self, candidates, soft) -> Model | None:
+        """The best model among `candidates`, scanned in order: the first of
+        the highest soft score, or the first model when there are no softs;
+        None when no candidate is one.  Stops at the first candidate
+        satisfying every soft constraint.  Each predicate of `preds` is one
+        ``filter`` over what the one before passes, and what they all pass
+        must lie outside every box.  A query with a deadline raises
+        `TimeoutError` when it finds the clock past it."""
+        if self.deadline is not None:
+            candidates = _clocked(candidates, self.deadline)
+        for pred in self.preds:
+            candidates = filter(pred, candidates)
+        models = itertools.filterfalse(self.hard.holding, candidates)  # `holding` is None or a formula
+        if not soft:
+            values = next(models, None)
+            return None if values is None else self._model_of(values)
         best = None
         best_score = -1
         weights = [w for _, w in soft]
-        soft_preds = [compile_predicate([f], self.names) for f, _ in soft]
+        soft_preds = [compile_predicate([f], self.names, packed=True) for f, _ in soft]
         perfect = sum(weights)
-        pred, holding = self.pred, self.hard.holding
-        if tails is None:
-            scan = zip(points, itertools.repeat(self.int_tails))
-        else:
-            scan = self._budgeted(points, tails)
-        if self.deadline is not None:
-            scan = _clocked(scan, self.deadline)
-        for point, point_tails in scan:
-            for tail in point_tails:
-                if not pred(*point, *tail) or holding(point) is not None:
-                    continue
-                if not soft:
-                    return self._model_of(point, tail)
-                score = sum(w for sp, w in zip(soft_preds, weights) if sp(*point, *tail))
-                if score > best_score:
-                    best = self._model_of(point, tail)
-                    best_score = score
-                    if best_score >= perfect:
-                        return best
+        for values in models:
+            score = sum(w for sp, w in zip(soft_preds, weights) if sp(values))
+            if score > best_score:
+                best = self._model_of(values)
+                best_score = score
+                if best_score >= perfect:
+                    return best
         return best
 
-    def _budgeted(self, points, tails):
-        """One `(point, (tail,))` pair per candidate, until the query's
-        checks run out."""
+    def _with_tails(self, points, tails):
+        """Each of `points` followed by each of its tails, ``point + tail``,
+        until the query's checks run out."""
         for point in points:
             for tail in tails(point):
                 if self.checks_left <= 0:
                     return
                 self.checks_left -= 1
-                yield point, (tail,)
+                yield point + tail
 
-    def _model_of(self, point, tail) -> Model:
+    def _model_of(self, values) -> Model:
+        ints, bools = len(self.int_vars), len(self.int_vars) + len(self.bool_vars)
         return Model(
-            ints=dict(zip(self.int_vars, point)),
-            bools=dict(zip(self.bool_vars, tail)),
-            funcs=dict(zip(self.func_syms, tail[len(self.bool_vars):])),
+            ints=dict(zip(self.int_vars, values)),
+            bools=dict(zip(self.bool_vars, values[ints:])),
+            funcs=dict(zip(self.func_syms, values[bools:])),
         )
 
     def _array_tails(self, used, accesses, constants):

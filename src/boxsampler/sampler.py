@@ -238,8 +238,11 @@ class BlockingHistory:
         self.exhaustive = False
         negation = neg_to_formula(iv)
         self.negations.append(negation)
-        for name, sort in free_symbols(negation).items():
-            self.declarations.setdefault(name, Declaration(name, sort))
+        declared = self.declarations
+        # a box over declared Ints names no new symbol, so its negation is not walked
+        if any(key.__class__ is not IntVar or key.name not in declared for key in iv.entries):
+            for name, sort in free_symbols(negation).items():
+                declared.setdefault(name, Declaration(name, sort))
 
     def drawn_in_full(self) -> None:
         """Every point of the box added last has been drawn."""

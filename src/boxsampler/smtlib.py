@@ -1,8 +1,9 @@
 """SMT-LIB v2 reader and writer for the supported fragment.
 
-One reader, :func:`read_sexpr`, reads every s-expression of the package:
-input files (:func:`parse_problem`) and both ends of the solver pipe, whose
-text :class:`StreamReader` reads as it arrives: the commands the
+One reader, :func:`iter_sexprs`, reads every s-expression of the package,
+each text in one pass: input files (:func:`read_sexprs`, for
+:func:`parse_problem`) and both ends of the solver pipe, whose text
+:class:`StreamReader` reads as it arrives: the commands the
 `minisolver` reads and the replies the `solver` client reads.  It follows
 the lexical rules of SMT-LIB 2.6 (``""`` is a quote inside a string,
 ``|...|`` a quoted symbol), says when a text holds no complete s-expression
@@ -45,6 +46,7 @@ as ``Select(ArrayVar("f", function=True), x)`` and printed back as ``(f x)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import sys
 from collections.abc import Callable
@@ -106,79 +108,109 @@ class ParsedProblem(_Record):
 
 # ---------------------------------------------------------------------------
 # Reader
-
-# One token, after any whitespace and comments, as SMT-LIB 2.6 spells it:
-# group 1 is "(", group 2 is ")", group 3 a string (in which "" is a quote,
-# so no quote may follow it), a quoted symbol or a bare atom, and group 4
-# the start of a string or quoted symbol that the text does not close.  At
-# the end of the text no group matches.
-_TOKEN = re.compile(
-    r'(?:[ \t\r\n]+|;[^\n]*)*'
-    r'(?:(\()|(\))|("[^"]*(?:""[^"]*)*"(?!")|\|[^|]*\||[^ \t\r\n();|"]+)|(["|]))?'
-)
+#
+# One pass over the text reads its s-expressions: `_TOKEN.split` cuts it, in
+# C, into the gaps between tokens (whitespace only) and the tokens, and the
+# running sum of their lengths is the offset of each token.  A token is "("
+# or ")", a string (in which "" is a quote, so no quote may follow it), a
+# quoted symbol, a bare atom, a comment, or a lone quote or bar that opens a
+# string or quoted symbol that the text does not close; the search passes
+# over the whitespace, which no token holds.  The Python loop over the
+# tokens builds each node with no call of its own: an atom (`_Atom`) or a
+# list (`_List`), whose fields are stored one by one.
+_TOKEN = re.compile(r'(\(|\)|"[^"]*(?:""[^"]*)*"(?!")|\|[^|]*\||[^ \t\r\n();|"]+|;[^\n]*|["|])')
 
 
 class _SExpr:
     """An atom, whose `text` is its token, or a list of `items` (its `text`
     is "("), which starts at `offset` in `source`, the text it was read from.
-    An s-expression that :func:`read_sexpr` returns has a `depth`, how
+    An s-expression that :func:`iter_sexprs` yields has a `depth`, how
     deeply lists nest in it: 0 for an atom, 1 for a list of atoms."""
 
-    __slots__ = ("items", "text", "source", "offset", "depth")
-
-    def __init__(self, items, text: str, source: str, offset: int):
-        self.items = items  # None for atoms
-        self.text = text
-        self.source = source
-        self.offset = offset
-
-    @property
-    def is_atom(self) -> bool:
-        return self.items is None
+    __slots__ = ("source", "offset", "depth")
 
     def error(self, message: str, kind=SmtSyntaxError) -> SmtSyntaxError | UnsupportedFeature:
         """A `kind` error at this node's line and column."""
         return kind(message, self.source, self.offset)
 
 
-def read_sexpr(text: str, pos: int = 0, final: bool = False) -> tuple[_SExpr, int] | None:
-    """The first complete s-expression at or after `pos` in `text` and the
-    offset just past it, or None while the text ends before one or inside
-    it.  With `final` the text is all there is, and ending inside one is an
-    error.  A ")" closing no list is an error at the ")", to be read past."""
-    opens: list[_SExpr] = []
+class _Atom(_SExpr):
+    __slots__ = ("text",)
+    items = None
+    is_atom = True
+
+
+class _List(_SExpr):
+    __slots__ = ("items",)
+    text = "("
+    is_atom = False
+
+
+_new = object.__new__
+
+
+def iter_sexprs(text: str, pos: int = 0, final: bool = False):
+    """`(node, end)` for each complete s-expression of `text` from `pos`
+    on, in order, with the offset just past it, read in one pass; for a ")"
+    closing no list, `(error, end)` in its place.  Reading stops where the
+    text ends before an s-expression or inside one.  With `final` the text
+    is all there is, and ending inside one is an error, raised."""
+    parts = _TOKEN.split(text[pos:] if pos else text)
+    offsets = itertools.accumulate(map(len, parts), initial=pos)
+    next(offsets)  # past the gap before the first token
+    opens: list[_List] = []
+    items = None  # those of the innermost open list, to which each node is added as it starts
     deepest = 0
-    for token in _TOKEN.finditer(text, pos):
-        kind = token.lastindex
-        if kind == 1:
-            opens.append(_SExpr([], "(", text, token.start(1)))
+    # each token with its offset, and the offset of the gap after it, its end
+    for token, at, end in zip(itertools.islice(parts, 1, None, 2), offsets, offsets):
+        if token == "(":
+            node = _new(_List)
+            node.source = text
+            node.offset = at
+            if items is not None:
+                items.append(node)
+            opens.append(node)
+            items = node.items = []
             if len(opens) > deepest:
                 deepest = len(opens)
             continue
-        if kind == 3:
-            node = _SExpr(None, token[3], text, token.start(3))
-        elif kind == 2:
+        if token == ")":
             if not opens:
-                raise SmtSyntaxError("unbalanced ')'", text, token.start(2))
+                yield SmtSyntaxError("unbalanced ')'", text, at), end
+                continue
             node = opens.pop()
-        elif final and kind == 4:
-            what = "string literal" if token[4] == '"' else "quoted symbol"
-            raise SmtSyntaxError(f"unterminated {what}", text, token.start(4))
-        elif final and opens:
-            raise SmtSyntaxError("unbalanced '('", text, opens[-1].offset)
+            if opens:
+                items = opens[-1].items
+                continue
+            items = None
+        elif token[0] == ";":  # a comment
+            continue
+        elif token == '"' or token == "|":
+            if not final:
+                return
+            what = "string literal" if token == '"' else "quoted symbol"
+            raise SmtSyntaxError(f"unterminated {what}", text, at)
         else:
-            return None
-        if not opens:
-            node.depth = deepest
-            return node, token.end()
-        opens[-1].items.append(node)
+            node = _new(_Atom)
+            node.text = token
+            node.source = text
+            node.offset = at
+            if items is not None:
+                items.append(node)
+                continue
+        node.depth = deepest
+        deepest = 0
+        yield node, end
+    if final and opens:
+        raise SmtSyntaxError("unbalanced '('", text, opens[-1].offset)
 
 
 def read_sexprs(text: str) -> list[_SExpr]:
     """Every s-expression of `text`."""
-    exprs, pos = [], 0
-    while (read := read_sexpr(text, pos, final=True)) is not None:
-        node, pos = read
+    exprs = []
+    for node, _ in iter_sexprs(text, 0, True):
+        if node.__class__ is SmtSyntaxError:
+            raise node
         exprs.append(node)
     return exprs
 
@@ -194,34 +226,26 @@ class StreamReader:
         self.text = ""
         self.pos = 0
         self.line = 1
-        self.base_line = 1  # `line` when the last s-expression yielded was read
+        self.base_line = 1  # `line` when the text of the s-expressions yielded last was read
 
     def feed(self, piece: str):
-        """Append `piece`, and yield each s-expression now complete, in order.
-        A top-level atom that reaches the end of the text is not complete
-        yet: the next piece may go on with it.  A ")" that closes no list
-        yields its `SmtSyntaxError` instead, and reading goes on after it."""
+        """Append `piece`, and yield each s-expression now complete, in order,
+        all read in one pass.  A top-level atom that reaches the end of the
+        text is not complete yet: the next piece may go on with it.  A ")"
+        that closes no list yields its `SmtSyntaxError` instead, and reading
+        goes on after it.  Once all are yielded, the text read is dropped
+        up to the start of the line where reading stands."""
         self.text += piece
-        while True:
-            try:
-                read = read_sexpr(self.text, self.pos)
-            except SmtSyntaxError as exc:
-                self._advance(exc.offset + 1)
-                yield exc
-                continue
-            if read is None or (read[0].is_atom and read[1] == len(self.text)):
-                return
-            node, end = read
-            self._advance(end)
+        text, self.base_line = self.text, self.line
+        for node, end in iter_sexprs(text, self.pos):
+            if end == len(text) and node.__class__ is _Atom:
+                break
+            self.pos = end
             yield node
-
-    def _advance(self, end: int):
-        """Read on from `end`, keeping the text from the start of its line;
-        `text[:pos]` holds no newline."""
-        self.base_line = self.line
-        start = self.text.rfind("\n", self.pos, end) + 1
-        self.line += self.text.count("\n", 0, start)
-        self.text, self.pos = self.text[start:], end - start
+        start = text.rfind("\n", 0, self.pos) + 1
+        if start:
+            self.line += text.count("\n", 0, start)
+            self.text, self.pos = text[start:], self.pos - start
 
     def locate(self, exc: SmtSyntaxError | UnsupportedFeature) -> str:
         """The message of `exc`, an error at what :meth:`feed` yielded last
@@ -236,7 +260,7 @@ class StreamReader:
 # sort of each node type, Bool for a formula and for a term as `sort_of`
 # gives; and how a sort error names each sort.
 _SORT_NAMES = {"Int": Sort.INT, "Bool": Sort.BOOL, "(Array Int Int)": Sort.ARRAY}
-_VARIABLES = {Sort.INT: IntVar, Sort.BOOL: BoolVar, Sort.ARRAY: ArrayVar}
+_VARIABLES = {Sort.INT._value_: IntVar, Sort.BOOL._value_: BoolVar, Sort.ARRAY._value_: ArrayVar}  # by value
 _SORT_OF = {**dict.fromkeys(TERM_TYPES, Sort.INT), ArrayVar: Sort.ARRAY, Store: Sort.ARRAY}
 _SORT_OF.update(dict.fromkeys(FORMULA_TYPES, Sort.BOOL))
 _EXPECTED = {Sort.INT: "an Int", Sort.BOOL: "a Bool", Sort.ARRAY: "an (Array Int Int)"}
@@ -422,7 +446,7 @@ class Parser:
             raise s.error(f"undeclared symbol {name!r}")
         if decl.is_function:
             raise s.error(f"function {name!r} used without arguments")
-        kind = _VARIABLES[decl.sort]
+        kind = _VARIABLES[decl.sort._value_]
         node = self.symbols.get(name)
         if node.__class__ is not kind:  # none yet, or the name was declared again with another sort
             node = self.symbols[name] = kind(name)
@@ -546,7 +570,7 @@ def parse_problem(text: str) -> ParsedProblem:
 
 # The head of each node type with operands; an atom's is its relation's.
 _HEADS = {Add: "+", Sub: "-", Mul: "*", Ite: "ite", Select: "select", Store: "store", Not: "not", And: "and", Or: "or"}
-_REL_HEADS = {**{rel: rel.value for rel in Rel}, Rel.NE: "distinct"}
+_REL_HEADS = {**{rel._value_: rel._value_ for rel in Rel}, Rel.NE._value_: "distinct"}  # by the relation's value
 
 
 def print_formula(node: Term | Formula) -> str:
@@ -563,7 +587,7 @@ def print_formula(node: Term | Formula) -> str:
         return f"({_print_sym(node.array.name)} {print_formula(node.index)})"
     kids = children(node)
     if kind is Atom:
-        head = _REL_HEADS[node.rel]
+        head = _REL_HEADS[node.rel._value_]
     elif len(kids) < 2 and (kind is And or kind is Or):
         return print_formula(kids[0]) if kids else "true" if kind is And else "false"
     else:

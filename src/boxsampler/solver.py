@@ -60,7 +60,7 @@ from enum import Enum
 
 from .errors import ModelParseError, SmtSyntaxError
 from .smtlib import Declaration, StreamReader, numeral, print_declaration, print_formula
-from .terms import ZERO, Atom, Formula, FuncValue, IntConst, IntVar, Model, Or, Rel, Sort, _Record, eval_formula
+from .terms import ZERO, Atom, Formula, FuncValue, IntConst, IntVar, Model, Or, Sort, _Record, eval_formula
 
 
 class SolverRequest(_Record):
@@ -103,7 +103,9 @@ class SolverVerdict(_Record):
         return self.kind == VerdictKind.SAT
 
 
-_SIDE = {Rel.LT: 0, Rel.GT: 1}  # the side of a box that an atom of its negation bounds
+# the side of a box that an atom of its negation bounds, by the symbol of its
+# relation, as a `Rel` member hashes through a Python-level `__hash__`
+_SIDE = {"<": 0, ">": 1}
 _INF = float("inf")
 
 
@@ -135,17 +137,18 @@ class HardList:
         with at most one of each per symbol; None for any other formula."""
         if f.__class__ is not Or or len(f.args) < 2:
             return None
-        box: dict[int | None, list] = {}  # None: a symbol not of `names`
+        box: dict[int, list] = {}
         for a in f.args:
-            if a.__class__ is not Atom or a.rel not in _SIDE:
+            if a.__class__ is not Atom or a.lhs.__class__ is not IntVar or a.rhs.__class__ is not IntConst:
                 return None
-            if a.lhs.__class__ is not IntVar or a.rhs.__class__ is not IntConst:
+            side, i = _SIDE.get(a.rel._value_), self.index.get(a.lhs.name)
+            if side is None or i is None:  # another relation, or a symbol not of `names`
                 return None
-            bounds = box.setdefault(self.index.get(a.lhs.name), [-_INF, _INF])
-            if abs(bounds[_SIDE[a.rel]]) != _INF:  # a second atom on this side
+            bounds = box.setdefault(i, [-_INF, _INF])
+            if abs(bounds[side]) != _INF:  # a second atom on this side
                 return None
-            bounds[_SIDE[a.rel]] = a.rhs.value
-        return None if None in box else sorted((i, lo, hi) for i, (lo, hi) in box.items())
+            bounds[side] = a.rhs.value
+        return sorted((i, lo, hi) for i, (lo, hi) in box.items())
 
     def extend(self, hard: list[Formula]) -> list[Formula]:
         """Read the formulas of `hard`, which extends `self.hard`, past it;
@@ -157,12 +160,15 @@ class HardList:
                 others.append(f)
                 continue
             self.bounds.update(a.rhs.value for a in f.args)
-            if any(lo != hi for _, lo, hi in sides):
+            values = tuple(lo for _, lo, hi in sides if lo == hi)
+            if len(values) < len(sides):
                 self.boxes.append((f, sides))
                 continue
             positions = tuple(i for i, _, _ in sides)
-            get, points = self.pinned.setdefault(positions, (operator.itemgetter(*positions), {}))
-            points.setdefault(get({i: lo for i, lo, _ in sides}), f)
+            entry = self.pinned.get(positions)
+            if entry is None:
+                entry = self.pinned[positions] = (operator.itemgetter(*positions), {})
+            entry[1].setdefault(values if len(values) > 1 else values[0], f)  # as the getter reads a point
         self.hard += new
         self.others += others
         return others

@@ -427,19 +427,21 @@ class Values(dict):
         return value
 
 
+# By the relation's symbol, its value: a `Rel` member hashes through a
+# Python-level `__hash__`, a str does not.
 _REL_OPS = {
-    Rel.LT: lambda a, b: a < b,
-    Rel.LE: lambda a, b: a <= b,
-    Rel.GT: lambda a, b: a > b,
-    Rel.GE: lambda a, b: a >= b,
-    Rel.EQ: lambda a, b: a == b,
-    Rel.NE: lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
 }
 
 
 def eval_formula(f: Formula, m: Model) -> bool:
     if isinstance(f, Atom):
-        return _REL_OPS[f.rel](eval_term(f.lhs, m), eval_term(f.rhs, m))
+        return _REL_OPS[f.rel._value_](eval_term(f.lhs, m), eval_term(f.rhs, m))
     if isinstance(f, Not):
         return not eval_formula(f.arg, m)
     if isinstance(f, And):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from boxsampler.errors import SmtSyntaxError
 from boxsampler.intervals import IntervalMap
-from boxsampler.smtlib import ParsedProblem, parse_problem, print_declaration, print_formula
+from boxsampler.smtlib import ParsedProblem, iter_sexprs, parse_problem, print_declaration, print_formula
 from boxsampler.terms import (
     Add,
     And,
@@ -37,6 +38,18 @@ from boxsampler.terms import (
     Sub,
     conj,
 )
+
+
+def read_sexpr(text: str, pos: int = 0, final: bool = False):
+    """The first complete s-expression at or after `pos` in `text` and the
+    offset just past it, or None while the text ends before one or inside
+    it; a ")" closing no list raises its error."""
+    for node, end in iter_sexprs(text, pos, final):
+        if isinstance(node, SmtSyntaxError):
+            raise node
+        return node, end
+    return None
+
 
 # ---------------------------------------------------------------------------
 # Views that only the tests read

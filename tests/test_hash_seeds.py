@@ -20,6 +20,7 @@ PINNED = [
     "tests/test_minisolver.py::test_int_answers_match_pinned_digest",
     "tests/test_minisolver.py::test_a_point_blocking_trial_compiles_the_problem_once_and_no_negation",
     "tests/test_smtlib.py::TestPinnedPrint::test_random_formulas_print_to_pinned_bytes",
+    "tests/test_smtlib.py::TestPinnedReader::test_reader_output_matches_pinned_digest",
     "tests/test_terms.py::TestNodeStructure::test_node_order_matches_pinned_digest",
 ]
 

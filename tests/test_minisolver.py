@@ -15,7 +15,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxsampler import minisolver, solver
@@ -43,8 +43,8 @@ def predicate_calls(monkeypatch):
     calls: list[int] = []
     original = minisolver.compile_predicate
 
-    def counting(formulas, names):
-        pred = original(formulas, names)
+    def counting(formulas, names, packed=False):
+        pred = original(formulas, names, packed)
         index = len(calls)
         calls.append(0)
 
@@ -121,38 +121,53 @@ def test_a_point_blocking_trial_compiles_the_problem_once_and_no_negation(data_d
 # Random transcripts
 
 INTS = ("x", "y", "z")
-BOX = range(-3, 5)  # every Int a transcript declares is bounded inside it
+BOX = range(-3, 5)  # every Int of `INTS` a transcript declares is bounded inside it
 
 
 @st.composite
 def transcripts(draw):
     """Commands for one session, declarations and push/pop/reset among the
-    assertions.  Each Int is bounded inside `BOX` in the scope that declares
-    it.  "block" stands for asserting that the last model is not the answer
-    again, and a ("box", shapes) pair for asserting the negation of a box
-    around it, in the shape :func:`intervals.neg_to_formula` prints; every
-    transcript ends with eight rounds of either and check-sat, which run the
-    box dry when it holds few models.  Among the assertions are near misses
-    of that shape, which the engine compiles."""
+    assertions.  Each Int of `INTS` is bounded inside `BOX` in the scope
+    that declares it.  A transcript may also declare either an Int `w`,
+    bounded on one side only, so that the engine scans radius boxes or the
+    shells around soft targets, or an array `a`, which some assertions
+    read, so that each point goes on with array tails.  "block" stands for
+    asserting that the last model is not the answer again, and a ("box",
+    shapes) pair for asserting the negation of a box around it, in the
+    shape :func:`intervals.neg_to_formula` prints; every transcript ends
+    with eight rounds of either and check-sat, which run the box dry when
+    it holds few models.  Among the assertions are near misses of that
+    shape, which the engine compiles, and atoms that look like the unit
+    bounds but do not make them: `!=` atoms and unit atoms under an `or`."""
     scopes = [set()]
     commands = []
     kinds = (
         "declare", "declare", "assert", "assert", "tighten", "soft", "soft", "push", "pop", "reset", "check", "block",
         "box",
     )
+    extra = draw(st.sampled_from([(), ("w",), ("a",)]))
     shape = st.tuples(st.sampled_from(["pinned", "wide", "no lo", "no hi"]), st.integers(0, 2), st.integers(0, 2))
-    box_shapes = st.fixed_dictionaries({name: shape for name in INTS})
+    box_shapes = st.fixed_dictionaries({name: shape for name in INTS + ("w",)})
+    # the first commands declare the extra symbol and an Int, which later ones may declare again
+    firsts = [("declare", extra[0])] if extra else []
+    firsts.append(("declare", draw(st.sampled_from(INTS))))
     for _ in range(draw(st.integers(1, 16))):
-        kind = draw(st.sampled_from(kinds))
+        kind, name = firsts.pop(0) if firsts else (draw(st.sampled_from(kinds)), None)
         declared = set().union(*scopes)
-        ints = sorted(declared - {"b"})
+        ints = sorted(declared - {"b", "a"})
         if kind == "declare":
-            name = draw(st.sampled_from(INTS + ("b",)))
+            name = name or draw(st.sampled_from(INTS + ("b",) + extra))
             if name in declared:
                 continue
             scopes[-1].add(name)
             if name == "b":
                 commands.append("(declare-const b Bool)")
+            elif name == "a":
+                commands.append("(declare-const a (Array Int Int))")
+            elif name == "w":  # one side: w >= c or w <= c, either way round
+                c = draw(st.integers(BOX.start, BOX.stop - 1))
+                side = draw(st.sampled_from([f"(<= {c} w)", f"(>= w {c})", f"(>= {c} w)", f"(<= w {c})"]))
+                commands += ["(declare-const w Int)", f"(assert {side})"]
             else:
                 lo = draw(st.integers(BOX.start, BOX.stop - 3))
                 hi = lo + draw(st.integers(0, 2))
@@ -174,8 +189,9 @@ def transcripts(draw):
         elif ints:
             x, y = draw(st.sampled_from(ints)), draw(st.sampled_from(ints))
             c, d = (print_term(IntConst(draw(st.integers(BOX.start - 1, BOX.stop)))) for _ in range(2))
-            if kind == "tighten":
-                commands.append(f"(assert ({draw(st.sampled_from(['<=', '>=', '<', '>', '=']))} {x} {c}))")
+            if kind == "tighten":  # a unit atom, the constant on either side
+                op = draw(st.sampled_from(["<=", ">=", "<", ">", "=", "distinct"]))
+                commands.append(f"(assert ({op} {x} {c}))" if draw(st.booleans()) else f"(assert ({op} {c} {x}))")
             elif kind == "soft":
                 commands.append(f"(assert-soft (= {x} {c}) :weight {draw(st.integers(1, 3))})")
             else:
@@ -184,8 +200,12 @@ def transcripts(draw):
                 # a constant on the left, a non-strict atom
                 forms += [f"(or (< {x} {c}) (< {x} {d}))", f"(or (< {x} {c}))", f"(> {c} {x})"]
                 forms.append(f"(or (< {x} {c}) (>= {y} {d}))")
+                # look like unit bounds, but are not: a `!=` atom, unit atoms under an `or`
+                forms += [f"(and (distinct {c} {x}) (<= {y} {d}))", f"(or (= {x} {c}) (<= {d} {y}))"]
                 if "b" in declared:
                     forms += [f"(or b (> {x} {c}))", "(not b)"]
+                if "a" in declared:
+                    forms += [f"(= (select a {x}) {c})", f"(or (< (select a {x}) {y}) (= {x} {c}))", f"(> (select a 0) {d})"]
                 commands.append(f"(assert {draw(st.sampled_from(forms))})")
     for _ in range(8):
         commands += [draw(st.one_of(st.just("block"), st.tuples(st.just("box"), box_shapes))), "(check-sat)"]
@@ -225,6 +245,21 @@ def _box_assert(session: _Session, shapes) -> str | None:
     return f"(assert {print_formula(neg_to_formula(box))})" if len(box) else None
 
 
+def _compiled_whole(decls, hard, soft):
+    """The verdict of a fresh engine whose predicates test every formula
+    whole: the atoms that make the unit bounds are tested at each point,
+    where the engine leaves them out, since its points lie inside them."""
+    tighten = minisolver._tighten
+
+    def whole(bounds, f, ints):
+        tighten(bounds, f, ints)
+        return [f]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minisolver, "_tighten", whole)
+        return BruteForceEngine(decls).check(hard, soft)
+
+
 def _first_best(decls, hard, soft) -> Model | None:
     """The first point of `BOX` and the Bools, in lexicographic order of the
     sorted names, that satisfies `hard` with the highest soft score."""
@@ -242,13 +277,31 @@ def _first_best(decls, hard, soft) -> Model | None:
     return best
 
 
+def _lookalikes(*commands: str) -> list:
+    """`commands`, then eight rounds of "block" and check-sat."""
+    return [*commands, *["block", "(check-sat)"] * 8]
+
+
+_X = ("(declare-const x Int)", "(declare-const y Int)", "(assert (and (<= 0 x) (<= x 2) (<= 0 y) (<= y 2)))")
+
+
 @settings(max_examples=100, deadline=None)
 @given(transcripts())
+# atoms that look like unit bounds but are not, over the box, the radius
+# boxes, the shells and array tails
+@example(_lookalikes(*_X, "(assert (distinct x 0))", "(assert (distinct 1 y))"))
+@example(_lookalikes(*_X, "(assert (or (= x 1) (<= 2 y)))", "(assert (or (> y 0) (distinct x 2)))"))
+@example(_lookalikes("(declare-const w Int)", "(assert (<= (- 2) w))", "(assert (distinct w 0))", "(assert (or (= w 1) (< w 0)))"))
+@example(_lookalikes("(declare-const w Int)", "(assert (>= 3 w))", "(assert (distinct 2 w))", "(assert-soft (= w 2))"))
+@example(_lookalikes(*_X, "(declare-const a (Array Int Int))", "(assert (distinct x 0))", "(assert (or (= y 0) (= (select a x) 1)))"))
 def test_each_check_sat_answers_as_a_fresh_engine_and_the_first_best_point(commands):
     """The session's engine lives across the transcript: its compiled
     assertions, the boxes it holds, its unit bounds and the point its scans
-    resume at must never change an answer, `unsat` included.  The first best
-    point is found with every assertion compiled, boxes included."""
+    resume at must never change an answer, `unsat` included.  Each answer
+    is also that of an engine that tests the atoms of the unit bounds at
+    every point, over each point order.  While only `INTS` and `b` are
+    declared, the answer is the first best point, found with every
+    assertion compiled, boxes included."""
     out = io.StringIO()
     session = _Session(out)
     checks = 0
@@ -263,11 +316,14 @@ def test_each_check_sat_answers_as_a_fresh_engine_and_the_first_best_point(comma
                 continue
             decls, hard, soft = list(session.parser.decls.values()), session.hard, session.soft
             fresh = BruteForceEngine(decls).check(hard, soft)
+            whole = _compiled_whole(decls, hard, soft)
             out.seek(0)
             out.truncate()
             session.handle(command)
-            assert out.getvalue() == fresh.kind.value + "\n"
-            assert session.last_model == fresh.model == _first_best(decls, hard, soft)
+            assert out.getvalue() == fresh.kind.value + "\n" == whole.kind.value + "\n"
+            assert session.last_model == fresh.model == whole.model
+            if set(session.parser.decls) <= {*INTS, "b"}:
+                assert fresh.model == _first_best(decls, hard, soft)
             checks += 1
     assert checks >= 8
 
@@ -340,17 +396,18 @@ def test_a_long_blocking_history_neither_compiles_nor_evaluates_a_box(monkeypatc
     """1,000 blocking queries, each adding the negation of the last answer's
     point.  Neither the compiler nor the evaluator ever sees a negation, so
     each query tests the boxes as boxes and not through a walk of every
-    negation; the problem is compiled once, and the process client's
-    re-check evaluates it once a query."""
-    seen: list = []
+    negation; the problem is compiled once, past the atoms of its unit
+    bounds, and the process client's re-check evaluates it once a query."""
+    compiled: list = []
+    evaluated: list = []
     compile_original, eval_original = minisolver.compile_predicate, solver.eval_formula
 
-    def compiling(formulas, names):
-        seen.extend(formulas)
-        return compile_original(formulas, names)
+    def compiling(formulas, names, packed=False):
+        compiled.append(formulas)
+        return compile_original(formulas, names, packed)
 
     def evaluating(f, model):
-        seen.append(f)
+        evaluated.append(f)
         return eval_original(f, model)
 
     monkeypatch.setattr(minisolver, "compile_predicate", compiling)
@@ -375,8 +432,9 @@ def test_a_long_blocking_history_neither_compiles_nor_evaluates_a_box(monkeypatc
         if via == "session":
             _feed(session, f"(assert {print_formula(negations[-1])})")
     assert len(points) == 1000
-    assert not set(negations) & set(seen)
-    assert seen.count(p.assertion) == 1 + (1000 if via == "process client's re-check" else 0)  # compiled, evaluated
+    assert not set(negations) & {*evaluated, *(f for formulas in compiled for f in formulas)}
+    assert compiled == [[p.assertion.args[-1]]]  # the equation, past the six bounds
+    assert evaluated == [p.assertion] * (1000 if via == "process client's re-check" else 0)
 
 
 def test_a_hard_list_that_does_not_compile_is_refused_each_time_it_is_asked():

@@ -48,6 +48,7 @@ from boxsampler.terms import (
     IntVar,
     Model,
     Mul,
+    Or,
     Rel,
     Select,
     Sort,
@@ -55,6 +56,7 @@ from boxsampler.terms import (
     Sub,
     eval_formula,
     eval_term,
+    free_symbols,
     preprocess,
     to_nnf,
 )
@@ -147,6 +149,41 @@ class TestGetSeed:
         assert [d.name for d in history.declarations.values()] == ["x", "y"]
         history.clear()
         assert list(history.declarations.values()) == p.declarations
+
+    def test_a_box_over_declared_ints_is_not_walked_for_symbols(self, monkeypatch):
+        """An Int-only blocking run adds boxes whose keys are all declared,
+        so no negation is walked for the symbols it names."""
+        walked = []
+        walk = sampler_mod.free_symbols
+        monkeypatch.setattr(sampler_mod, "free_symbols", lambda f: walked.append(f) or walk(f))
+        p = parse_problem("(declare-const x Int)(declare-const y Int)(assert (and (<= 0 x 20) (<= 0 y 20) (= x y)))")
+        cfg = cfg_of(strategy="blocking", max_samples=12, samples_per_round=5, rounds_per_epoch=1)
+        stats = sample_formula(p, cfg, LocalSolverClient(), random.Random(3))
+        assert stats.epochs >= 10 and stats.unique_samples == 12
+        assert not [f for f in walked if isinstance(f, Or)]
+
+    def test_the_fresh_arrays_of_a_box_are_declared_in_the_request(self, data_dir):
+        """On an array equality, the boxes have keys over the fresh arrays
+        `!c<k>` of the rewriting; each request declares every symbol its
+        hard formulas name."""
+        requests = []
+
+        class Recording(LocalSolverClient):
+            def solve(self, req):
+                requests.append(req)
+                return super().solve(req)
+
+        p = parse_problem((data_dir / "array_store_eq.smt2").read_text())
+        cfg = SamplerConfig(strategy="blocking", rng_seed=41, max_samples=200, samples_per_round=40, rounds_per_epoch=2)
+        sample_formula(p, cfg, Recording())
+        fresh = set()
+        for req in requests:
+            declared = {d.name: d.sort for d in req.declarations}
+            for f in req.hard:
+                named = free_symbols(f)
+                assert {name: declared.get(name) for name in named} == named
+                fresh |= {name for name in named if name.startswith("!c")}
+        assert fresh
 
     @pytest.mark.parametrize("strategy, negated", [("blocking", True), ("random", False)])
     def test_each_box_is_negated_once(self, monkeypatch, strategy, negated):

@@ -16,7 +16,6 @@ from boxsampler.smtlib import (
     print_declaration,
     print_formula,
     print_term,
-    read_sexpr,
     read_sexprs,
 )
 from boxsampler.terms import (
@@ -49,6 +48,7 @@ from oracle import (
     random_array_term,
     random_formula,
     random_nnf_formula,
+    read_sexpr,
 )
 
 
@@ -599,10 +599,11 @@ def _shape(sexpr):
 
 def _read_fed(chunks) -> tuple[list, str]:
     """What a :class:`StreamReader` fed `chunks` one at a time yields, with
-    each stray ")" as its message, and the text it leaves unread."""
+    each stray ")" as its message, placed in the stream, and the text it
+    leaves unread."""
     reader = StreamReader()
     exprs = [
-        str(read) if isinstance(read, SmtSyntaxError) else _shape(read)
+        reader.locate(read) if isinstance(read, SmtSyntaxError) else _shape(read)
         for chunk in chunks
         for read in reader.feed(chunk)
     ]
@@ -699,6 +700,81 @@ class TestSexprEnd:
         except SmtSyntaxError:
             return
         assert exprs + [_shape(s) for s in read_sexprs(rest)] == [_shape(s) for s in whole]
+
+
+# Pieces of the reader corpus: atoms, strings with doubled quotes, quoted
+# symbols (with parentheses inside), comments, odd whitespace, and pieces
+# that leave a string or a quoted symbol open.
+_READER_PIECES = (
+    "(", "(", "(", ")", ")", ")", "a", "x1", "-12", "0", "check-sat", ":weight", "#b01", "²",
+    '""', '"s"', '"say ""hi"""', '")("', '"C:\\"', '"two\nlines"', "|q s|", "|a)b|", "||", "|",
+    '"', '"open ""', "; note (\n", ";)\n", " ", " ", "\n", "\t", "\r\n", "  \n ",
+)
+
+
+def _reader_corpus() -> list[str]:
+    """Seeded texts for the reader: random runs of `_READER_PIECES`, and
+    lists nesting 255 to 257 deep, closed, left open or closed once too
+    often."""
+    rng = random.Random(20240611)
+    texts = ["".join(rng.choice(_READER_PIECES) for _ in range(rng.randint(0, 40))) for _ in range(400)]
+
+    def tree(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(_READER_PIECES[6:22])
+        gaps = [rng.choice(("", " ", "\n", " ; c\n")) for _ in range(3)]
+        return "(" + gaps[0] + gaps[1].join(tree(depth - 1) for _ in range(rng.randint(0, 4))) + gaps[2] + ")"
+
+    texts += [" ".join(tree(rng.randint(1, 6)) for _ in range(rng.randint(1, 4))) for _ in range(200)]
+    for depth in (255, 256, 257):
+        body = "(" * depth + "x" + ")" * depth
+        texts += [body, body[:-1], body + ")", f"(assert {body})\n(check-sat)", "(a " * depth + ")" * (depth - 2)]
+    return texts
+
+
+def _sexpr_record(node, where, root=True) -> list:
+    """A node's text, place (`where(node)`) and items, and a root's depth."""
+    items = None if node.is_atom else [_sexpr_record(i, where, False) for i in node.items]
+    record = [node.text, where(node), items]
+    return record + [node.depth] if root else record
+
+
+class TestPinnedReader:
+    """Taken before the reader was rewritten, and kept unedited since."""
+
+    def test_reader_output_matches_pinned_digest(self):
+        """Over a seeded corpus: every s-expression read whole (its texts,
+        offsets and depth) and every error with its line and column; and
+        what a `StreamReader` fed the text in random pieces yields (each
+        node's line and column in the stream, as errors give them) and
+        leaves unread."""
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        for text in _reader_corpus():
+            whole, pos = [], 0
+            while True:
+                try:
+                    read = read_sexpr(text, pos, final=True)
+                except SmtSyntaxError as exc:
+                    whole.append(str(exc))
+                    if "unbalanced ')'" not in exc.message:
+                        break
+                    pos = exc.offset + 1
+                    continue
+                if read is None:
+                    break
+                whole.append(_sexpr_record(read[0], lambda node: node.offset))
+                pos = read[1]
+            cuts = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(0, 6)))
+            reader = StreamReader()
+            place = lambda node: reader.locate(node.error("here"))  # noqa: E731
+            fed = [
+                reader.locate(read) if isinstance(read, SmtSyntaxError) else _sexpr_record(read, place)
+                for a, b in zip([0, *cuts], [*cuts, len(text)])
+                for read in reader.feed(text[a:b])
+            ]
+            digest.update(repr((whole, fed, reader.text[reader.pos :], reader.line)).encode())
+        assert digest.hexdigest() == "8b27eade555adc984d7e375d9d8e19c837c3ec6d1218374f80091a39809ed412"
 
 
 class TestFuzz:

@@ -24,7 +24,7 @@ from boxsampler.sampler import (
     get_seed_blocking,
     sample_formula,
 )
-from boxsampler.smtlib import Declaration, parse_problem, print_formula, read_sexpr, read_sexprs
+from boxsampler.smtlib import Declaration, parse_problem, print_formula, read_sexprs
 from boxsampler import solver as solver_mod
 from boxsampler.solver import (
     ProcessSolverClient,
@@ -48,7 +48,7 @@ from boxsampler.terms import (
     eval_formula,
 )
 
-from oracle import deep_and_or, random_array_formula
+from oracle import deep_and_or, random_array_formula, read_sexpr
 
 MODELS_DIR = Path(__file__).parent / "data" / "models"
 MINISOLVER_CMD = f"{sys.executable} -m boxsampler.minisolver"
