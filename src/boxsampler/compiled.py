@@ -166,13 +166,11 @@ class _Codegen:
     # -- functions -----------------------------------------------------------
 
     def function(self, name: str, body: list[str], packed: bool = False) -> None:
-        """Add `def name(signature)` that runs `body`; when `packed`, the
-        function takes the values as one tuple, ``name(values)``."""
-        head = [f"def {name}({self.signature}):"]
-        if packed:
-            head = [f"def {name}(values):", f"    {self.signature}{',' if len(self.params) == 1 else ''} = values"]
-            head = head if self.params else head[:1]
-        lines = [*head, *(f"    {line}" for line in body)]
+        """Add `def name(signature)` that runs `body`, or when `packed`,
+        `def name(values)` that first unpacks the tuple `values`."""
+        if packed and self.params:
+            body = [f"{self.signature}, = values", *body]
+        lines = [f"def {name}({'values' if packed else self.signature}):", *(f"    {line}" for line in body)]
         self.functions.append("\n".join(lines) + "\n")
 
     def build(self, name: str):

@@ -40,8 +40,9 @@ takes a candidate's values as one tuple, past its top-level atoms that
 bound one Int by a constant, which are folded into the unit bounds; the
 arrays, select-like terms and constants it gives an array query's
 enumeration are noted.  A point is a model when it satisfies the compiled
-predicates and then lies outside every box.  A blocking query, which only adds assertions, resumes
-the last scan of the box at the model that scan found.  For a query over
+predicates and then lies outside every box.  A blocking query, which only
+adds assertions, resumes the last scan of the box at the model that scan
+found.  For a query over
 arrays or functions, the candidate function values of each point are
 enumerated after its Booleans, in the same loop.
 
@@ -92,10 +93,9 @@ _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
 _CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
 
-# Relations by their symbol, the value of a `Rel`, which hashes as a str
-# (a `Rel` member hashes through a Python-level `__hash__`): the relation of
-# `c op x` read as `x op' c`, and the offset from `c` of the lower and the
-# upper bound that `x op c` puts on `x`.
+# By a relation's symbol, its value, as a `Rel` hashes in Python: the
+# relation of `c op x` read as `x op' c`, and the offsets from `c` of the
+# lower and upper bounds that `x op c` puts on `x`.
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _LOWER = {">=": 0, ">": 1, "=": 0}
 _UPPER = {"<=": 0, "<": -1, "=": 0}
@@ -118,10 +118,9 @@ def _unit_atom(f: Formula) -> tuple[str, str, int] | None:
 def _tighten(bounds: dict[str, tuple[int | None, int | None]], f: Formula, ints) -> list[Formula]:
     """Tighten `bounds` by the top-level single-variable atoms of `f`: the
     unit bounds, for pruning and for sound unsat claims on finite boxes.
-    Returns the other top-level conjuncts of `f`, which a point inside the
-    bounds must still be tested on: every one but the bounding atoms over
-    the Int symbols `ints`.  A `!=` atom bounds nothing, and an atom over
-    any other symbol stays, so that compiling it refuses the symbol."""
+    Returns the top-level conjuncts of `f` that a point inside the bounds
+    must still be tested on: all but the atoms that bound an Int of `ints`
+    (a `!=` atom bounds nothing; an undeclared symbol fails to compile)."""
     if isinstance(f, And):
         return [g for a in f.args for g in _tighten(bounds, a, ints)]
     unit = _unit_atom(f)
@@ -236,26 +235,23 @@ class BruteForceEngine:
 
     A query runs one scan (`_scan`) over one order of points: the
     unit-bound box (`_box`), the shells around the soft targets (`_shells`)
-    or the radius boxes (`_radius_boxes`).  The scan checks candidates, the
+    or the radius boxes (`_radius_boxes`).  The scan checks candidates,
     value tuples over the declared symbols, ints, then bools, then arrays
-    and functions; after a point's ints come the values of its *tail*, the
+    and functions: after a point's ints come the values of its *tail*, the
     bools and then one :class:`FuncValue` per array or function symbol.
-    With no array or function read, the tails are the `tail` axes, each
-    Bool false or true and each array the constant-0 function, and a point
-    order yields its candidates itself, from ``itertools.product``.
+    With no array or function read, a point order yields the candidates
+    itself, from ``itertools.product`` over the `tail` axes too.
 
     The engine is incremental.  It keeps the hard formulas of its queries
     in a :class:`solver.HardList` (`hard`), which holds each box negation
     as its box, with what it found out about each other formula, once: the
     arrays, accesses and constants it gives an array query (`reads`), its
-    part of the unit bounds (`bounds`), and the predicate of the rest of it
-    (`preds`), compiled to take a candidate as one tuple.  Every point
-    order yields only points inside the unit bounds, so the atoms that make
-    those bounds are left out of the predicates: a point meets each of them
-    by construction, and gets the verdict of the whole formula.  The scan
-    is one chain of ``filter`` calls over the candidates, one per
-    predicate, in the order the formulas came, and then a test against the
-    boxes, so the loop over the points runs in C.
+    part of the unit bounds (`bounds`), and the predicate of the rest
+    (`preds`), which takes a candidate as one tuple.  Every point order
+    yields only points inside the unit bounds, so each point meets the
+    atoms that make them and gets the verdict of the whole formula.  The
+    scan is a ``filter`` per predicate, in the order the formulas came, and
+    then a test against the boxes, so its loop over the points runs in C.
 
     A query whose hard list extends `hard` (compared as
     :func:`solver._extends` does) adds only its new formulas; any other
@@ -290,9 +286,8 @@ class BruteForceEngine:
         self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain box-scan model
 
     def _bounded(self) -> None:
-        """Note what the unit bounds give every query until they change: the
-        ranges of their box (`box`, see `_box`), and whether a bound is
-        empty (`empty`)."""
+        """Note the ranges of the unit-bound box (`box`) and whether a bound
+        is empty (`empty`), which hold until the unit bounds change."""
         self.box = self._box()
         self.empty = any(lo is not None and hi is not None and lo > hi for lo, hi in self.bounds.values())
 
@@ -411,9 +406,7 @@ class BruteForceEngine:
         """The best model among `candidates`, scanned in order: the first of
         the highest soft score, or the first model when there are no softs;
         None when no candidate is one.  Stops at the first candidate
-        satisfying every soft constraint.  Each predicate of `preds` is one
-        ``filter`` over what the one before passes, and what they all pass
-        must lie outside every box.  A query with a deadline raises
+        satisfying every soft constraint.  A query with a deadline raises
         `TimeoutError` when it finds the clock past it."""
         if self.deadline is not None:
             candidates = _clocked(candidates, self.deadline)

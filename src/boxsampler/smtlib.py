@@ -109,15 +109,12 @@ class ParsedProblem(_Record):
 # ---------------------------------------------------------------------------
 # Reader
 #
-# One pass over the text reads its s-expressions: `_TOKEN.split` cuts it, in
-# C, into the gaps between tokens (whitespace only) and the tokens, and the
-# running sum of their lengths is the offset of each token.  A token is "("
-# or ")", a string (in which "" is a quote, so no quote may follow it), a
-# quoted symbol, a bare atom, a comment, or a lone quote or bar that opens a
-# string or quoted symbol that the text does not close; the search passes
-# over the whitespace, which no token holds.  The Python loop over the
-# tokens builds each node with no call of its own: an atom (`_Atom`) or a
-# list (`_List`), whose fields are stored one by one.
+# `_TOKEN.split` cuts a text, in C, into the tokens and the whitespace
+# between them, and the running sum of their lengths gives each token's
+# offset.  A token is "(", ")", a string (in which "" is a quote, so no quote
+# may follow it), a quoted symbol, a bare atom, a comment, or the quote or
+# bar of a string or quoted symbol that the text does not close.  One loop
+# over the tokens builds the nodes, each stored field by field, uncalled.
 _TOKEN = re.compile(r'(\(|\)|"[^"]*(?:""[^"]*)*"(?!")|\|[^|]*\||[^ \t\r\n();|"]+|;[^\n]*|["|])')
 
 

@@ -103,9 +103,7 @@ class SolverVerdict(_Record):
         return self.kind == VerdictKind.SAT
 
 
-# the side of a box that an atom of its negation bounds, by the symbol of its
-# relation, as a `Rel` member hashes through a Python-level `__hash__`
-_SIDE = {"<": 0, ">": 1}
+_SIDE = {"<": 0, ">": 1}  # the side of a box an atom of its negation bounds, by its relation's value
 _INF = float("inf")
 
 
@@ -165,10 +163,9 @@ class HardList:
                 self.boxes.append((f, sides))
                 continue
             positions = tuple(i for i, _, _ in sides)
-            entry = self.pinned.get(positions)
-            if entry is None:
-                entry = self.pinned[positions] = (operator.itemgetter(*positions), {})
-            entry[1].setdefault(values if len(values) > 1 else values[0], f)  # as the getter reads a point
+            if positions not in self.pinned:
+                self.pinned[positions] = (operator.itemgetter(*positions), {})
+            self.pinned[positions][1].setdefault(values if len(values) > 1 else values[0], f)  # as the getter reads
         self.hard += new
         self.others += others
         return others

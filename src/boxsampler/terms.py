@@ -427,8 +427,7 @@ class Values(dict):
         return value
 
 
-# By the relation's symbol, its value: a `Rel` member hashes through a
-# Python-level `__hash__`, a str does not.
+# by the relation's value, a str, as a `Rel` member hashes in Python
 _REL_OPS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,

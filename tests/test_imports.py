@@ -19,7 +19,9 @@ The package and the benchmark scripts alone must read each of these names:
 one that only the tests read belongs in the tests (`tests/oracle.py`).
 
 The solver child, `python -m boxsampler.minisolver`, imports only the
-modules its pipe uses, as each start pays for every module it imports.
+modules its pipe uses, as each start pays for every module it imports,
+and their source stays within a budget of lines, which each start
+compiles.
 
 A node type of `terms` declares its fields once, in `__slots__`: `_Node`
 generates its `__init__`, `__eq__` and `__hash__`, so no node class body
@@ -274,6 +276,30 @@ def test_solver_child_imports_only_the_modules_of_the_pipe():
         ],
         [],
     )
+
+
+# The lines of source the solver child may compile at each start.
+CHILD_SOURCE_LINES = 2_820
+
+
+def test_solver_child_compiles_at_most_its_budget_of_source_lines():
+    """The solver child runs without bytecode to reuse wherever
+    `PYTHONDONTWRITEBYTECODE=1` is set, so each start compiles the source
+    of every module it imports.  The 2,774 lines these modules had before
+    the reader and the scan were rewritten took 19.3 ms to compile on a
+    2-core VM (the least of 60 compiles in one process), and the child took
+    59 ms from spawn to first answer (the median of 40 spawns).  So every
+    line they gain costs `setup_s` and `first_sample_ms` on every workload
+    that runs over the pipe, and a change that needs more lines raises the
+    budget, `CHILD_SOURCE_LINES`, and says why."""
+    script = (
+        "import sys, boxsampler.minisolver\n"
+        "print(sorted(m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'boxsampler'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    lines = sum(len(Path(path).read_text().splitlines()) for path in ast.literal_eval(out))
+    assert lines <= CHILD_SOURCE_LINES
 
 
 def test_solver_child_loads_no_dataclasses_inspect_or_typing():

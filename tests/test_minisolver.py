@@ -205,7 +205,8 @@ def transcripts(draw):
                 if "b" in declared:
                     forms += [f"(or b (> {x} {c}))", "(not b)"]
                 if "a" in declared:
-                    forms += [f"(= (select a {x}) {c})", f"(or (< (select a {x}) {y}) (= {x} {c}))", f"(> (select a 0) {d})"]
+                    forms += [f"(= (select a {x}) {c})", f"(or (< (select a {x}) {y}) (= {x} {c}))"]
+                    forms.append(f"(> (select a 0) {d})")
                 commands.append(f"(assert {draw(st.sampled_from(forms))})")
     for _ in range(8):
         commands += [draw(st.one_of(st.just("block"), st.tuples(st.just("box"), box_shapes))), "(check-sat)"]
@@ -291,9 +292,11 @@ _X = ("(declare-const x Int)", "(declare-const y Int)", "(assert (and (<= 0 x) (
 # boxes, the shells and array tails
 @example(_lookalikes(*_X, "(assert (distinct x 0))", "(assert (distinct 1 y))"))
 @example(_lookalikes(*_X, "(assert (or (= x 1) (<= 2 y)))", "(assert (or (> y 0) (distinct x 2)))"))
-@example(_lookalikes("(declare-const w Int)", "(assert (<= (- 2) w))", "(assert (distinct w 0))", "(assert (or (= w 1) (< w 0)))"))
+@example(_lookalikes("(declare-const w Int)", "(assert (<= (- 2) w))", "(assert (distinct w 0))",
+                     "(assert (or (= w 1) (< w 0)))"))
 @example(_lookalikes("(declare-const w Int)", "(assert (>= 3 w))", "(assert (distinct 2 w))", "(assert-soft (= w 2))"))
-@example(_lookalikes(*_X, "(declare-const a (Array Int Int))", "(assert (distinct x 0))", "(assert (or (= y 0) (= (select a x) 1)))"))
+@example(_lookalikes(*_X, "(declare-const a (Array Int Int))", "(assert (distinct x 0))",
+                     "(assert (or (= y 0) (= (select a x) 1)))"))
 def test_each_check_sat_answers_as_a_fresh_engine_and_the_first_best_point(commands):
     """The session's engine lives across the transcript: its compiled
     assertions, the boxes it holds, its unit bounds and the point its scans
