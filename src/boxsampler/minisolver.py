@@ -42,9 +42,8 @@ arrays, select-like terms and constants it gives an array query's
 enumeration are noted.  A point is a model when it satisfies the compiled
 predicates and then lies outside every box.  A blocking query, which only
 adds assertions, resumes the last scan of the box at the model that scan
-found.  For a query over
-arrays or functions, the candidate function values of each point are
-enumerated after its Booleans, in the same loop.
+found.  For a query over arrays or functions, the candidate function
+values of each point are enumerated after its Booleans, in the same loop.
 
 :class:`LocalSolverClient` exposes the same engine in-process for tests and
 scripts, returns its verdicts as they are, since the engine has just
@@ -91,7 +90,7 @@ _MAX_SHELL_DISTANCE = 500
 _MAX_ARRAY_SLOTS = 4
 _MAX_ARRAY_CANDIDATES = 9
 _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or functions
-_CLOCK_EVERY = 4096  # points (or checks) scanned between two reads of the clock
+_CLOCK_EVERY = 4096  # candidates scanned between two reads of the clock
 
 # By a relation's symbol, its value, as a `Rel` hashes in Python: the
 # relation of `c op x` read as `x op' c`, and the offsets from `c` of the

@@ -155,8 +155,8 @@ def iter_sexprs(text: str, pos: int = 0, final: bool = False):
     parts = _TOKEN.split(text[pos:] if pos else text)
     offsets = itertools.accumulate(map(len, parts), initial=pos)
     next(offsets)  # past the gap before the first token
-    opens: list[_List] = []
-    items = None  # those of the innermost open list, to which each node is added as it starts
+    stack: list[list] = []  # the items of each open list's parent, innermost last
+    top = items = []  # those of the innermost open list; `top` holds an open top-level list
     deepest = 0
     # each token with its offset, and the offset of the gap after it, its end
     for token, at, end in zip(itertools.islice(parts, 1, None, 2), offsets, offsets):
@@ -164,22 +164,19 @@ def iter_sexprs(text: str, pos: int = 0, final: bool = False):
             node = _new(_List)
             node.source = text
             node.offset = at
-            if items is not None:
-                items.append(node)
-            opens.append(node)
+            items.append(node)
+            stack.append(items)
             items = node.items = []
-            if len(opens) > deepest:
-                deepest = len(opens)
+            if len(stack) > deepest:
+                deepest = len(stack)
             continue
         if token == ")":
-            if not opens:
+            if not stack:
                 yield SmtSyntaxError("unbalanced ')'", text, at), end
                 continue
-            node = opens.pop()
-            if opens:
-                items = opens[-1].items
+            items = stack.pop()
+            if stack:
                 continue
-            items = None
         elif token[0] == ";":  # a comment
             continue
         elif token == '"' or token == "|":
@@ -192,14 +189,15 @@ def iter_sexprs(text: str, pos: int = 0, final: bool = False):
             node.text = token
             node.source = text
             node.offset = at
-            if items is not None:
-                items.append(node)
+            items.append(node)
+            if stack:
                 continue
+        node = top.pop()
         node.depth = deepest
         deepest = 0
         yield node, end
-    if final and opens:
-        raise SmtSyntaxError("unbalanced '('", text, opens[-1].offset)
+    if final and stack:
+        raise SmtSyntaxError("unbalanced '('", text, stack[-1][-1].offset)
 
 
 def read_sexprs(text: str) -> list[_SExpr]:

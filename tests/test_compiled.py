@@ -160,13 +160,14 @@ class TestAgreement:
         names = INTS + ARRAYS + FUNS + ["p", "q"]
         order = rng.sample(names, len(names))  # positions follow the given names, not a fixed grouping
         pred = compile_predicate([f], order)
+        packed = compile_predicate([f], order, packed=True)  # the values as one tuple
         check = _model_check(f)
         for _ in range(5):
             m = _array_model(rng)
             env = {**m.ints, **m.bools, **m.funcs}
             expected = eval_formula(f, m)
             assert bool(check(m)) == expected
-            assert bool(pred(*(env[n] for n in order))) == expected
+            assert bool(pred(*(env[n] for n in order))) == bool(packed(tuple(env[n] for n in order))) == expected
 
     def test_conjunction_of_several_formulas(self):
         rng = random.Random(4)
@@ -194,17 +195,20 @@ class TestAgreement:
         assert compile_predicate([long_sum, empty], names)(*ones) is True
         assert compile_predicate([long_sum, Or(())], names)(*ones) is False
         assert compile_predicate([And(())], [])() is True
+        assert compile_predicate([long_sum, empty], names, packed=True)(tuple(ones)) is True
+        assert compile_predicate([And(())], [], packed=True)(()) is True
 
 
 class TestDeepFormulas:
     def test_depth_300_compiles_through_helpers(self):
         f = deep_and_or(300)
         pred = compile_predicate([f], ["x"])
+        packed = compile_predicate([f], ["x"], packed=True)
         check = _model_check(f)
         assert pred.source.count("def ") > 1
         for x in range(-3, 320, 7):
             m = Model(ints={"x": x})
-            assert check(m) == pred(x) == eval_formula(f, m)
+            assert check(m) == pred(x) == packed((x,)) == eval_formula(f, m)
 
     def test_depth_300_coverage_matches_interpreter(self):
         f = deep_and_or(300)
