@@ -6,7 +6,8 @@
   check, the check of ``verify``, and the fallback solver's scans.
 - :func:`compile_node_values` turns a formula into a function over the
   same positional values that computes the value of every pre-order node
-  once, for coverage bitmaps.
+  once and returns those of the Int- and Bool-sorted nodes, as
+  ``terms.SORT_OF`` sorts them, in one tuple, for coverage bitmaps.
 
 Both walk a node's children as :func:`terms.children` lists them, so the
 node numbering is that of :func:`terms.iter_nodes`.
@@ -40,7 +41,6 @@ import itertools
 
 from .errors import UnassignedSymbol
 from .terms import (
-    FORMULA_TYPES,
     Add,
     And,
     ArrayVar,
@@ -202,17 +202,15 @@ def compile_predicate(formulas: list[Formula], var_names: list[str], packed: boo
 
 
 def compile_node_values(f: Formula, var_names: list[str]):
-    """`(values, int_nodes, bool_nodes)`.  `values(*args)`, with the
-    symbols `var_names` bound positionally as in :func:`compile_predicate`,
-    returns the pair (values of the integer-sorted nodes, values of the
-    Boolean-sorted nodes), each node computed once from its children;
-    `int_nodes` and `bool_nodes` hold those nodes' pre-order indices
+    """`(values, nodes)`.  `values(*args)`, with the symbols `var_names`
+    bound positionally as in :func:`compile_predicate`, returns one tuple:
+    the value of every Int- and Bool-sorted node in pre-order, each computed
+    once from its children; `nodes` holds those nodes' pre-order indices
     (numbered as :func:`terms.iter_nodes` yields them).  Array-sorted nodes
     are computed but not returned."""
     gen = _Codegen(var_names)
     body: list[str] = []
-    ints: list[tuple[int, str]] = []
-    bools: list[tuple[int, str]] = []
+    valued: list[tuple[int, str]] = []
     preorder = itertools.count()
 
     def visit(node) -> _Piece:
@@ -222,20 +220,12 @@ def compile_node_values(f: Formula, var_names: list[str]):
             expr, _ = gen._combine(node, [visit(k) for k in children(node)])
             body.append(f"n{index} = {expr}")
             piece = (f"n{index}", 0)
-        if isinstance(node, FORMULA_TYPES):
-            bools.append((index, piece[0]))
-        elif sort_of(node) == Sort.INT:
-            ints.append((index, piece[0]))
+        if sort_of(node) is not Sort.ARRAY:
+            valued.append((index, piece[0]))
         return piece
 
     visit(f)
-    ints.sort()
-    bools.sort()
-    body.append(f"return {_tuple(t for _, t in ints)}, {_tuple(t for _, t in bools)}")
+    valued.sort()
+    body.append("return (" + "".join(f"{text}, " for _, text in valued) + ")")
     gen.function("_values", body)
-    return gen.build("_values"), [i for i, _ in ints], [i for i, _ in bools]
-
-
-def _tuple(texts) -> str:
-    texts = list(texts)
-    return "(" + ", ".join(texts) + ("," if len(texts) == 1 else "") + ")"
+    return gen.build("_values"), [i for i, _ in valued]

@@ -1,23 +1,23 @@
 """AST bit-coverage of samples.
 
-Every node of the formula's syntax tree carries a bit width: 1 for
-boolean-sorted nodes, 64 for integer-sorted ones (the lower 64 bits of the
-value in two's complement), 0 for array-sorted nodes, function symbols
-included.  A bit counts as covered once it has been observed as both 0 and
-1 across the recorded samples.  Nodes are numbered in deterministic
-pre-order, so bitmaps from different runs over the same input can be
-compared and merged.
+Every node of the formula's syntax tree carries a bit width that its sort,
+as :func:`terms.sort_of` reads it, decides: 64 for an Int (the lower 64
+bits of the value in two's complement), 1 for a Bool, 0 for an Array,
+function symbols included.  A bit counts as covered once it has been
+observed as both 0 and 1 across the recorded samples.  Nodes are numbered
+in deterministic pre-order, so bitmaps from different runs over the same
+input can be compared and merged.
 
 Samples are folded into a bitmap in batches.  The fold reduces each node's
 values over the batch to their OR and their AND, a sample at a time, each
-step one ``map`` over every node that runs in C; then an integer node gains
-``OR(values)`` in its seen-one mask and ``~AND(values)`` in its seen-zero
-mask, since the OR of every ``~v`` is ``~AND(v)``, and a Boolean node gains
-one if any value is true and zero if any is false.  A batch thus costs one
-Python step per sample plus one per node, not one per node and sample, and
-a one-sample batch has nothing to reduce.  A fold only ORs bits in, so
-folding the same samples again, or in any split or order, leaves the same
-bitmap.
+step one ``map`` over every node that runs in C.  It then folds every node
+by one rule, with ``low`` the mask of the node's width: ``one |= OR &
+low`` and ``zero |= ~AND & low``, since the OR of every ``~v`` is
+``~AND(v)``.  For a Bool, whose mask is 1, that is one if any value is
+true and zero if any is false.  A batch thus costs one Python step per
+sample plus one per node, not one per node and sample, and a one-sample
+batch has nothing to reduce.  A fold only ORs bits in, so folding the same
+samples again, or in any split or order, leaves the same bitmap.
 """
 
 from __future__ import annotations
@@ -28,17 +28,11 @@ from operator import and_, or_
 
 from .compiled import compile_node_values
 from .errors import BitmapMismatch, UnassignedSymbol
-from .terms import TERM_TYPES, Formula, Model, Sort, free_symbols, iter_nodes, sort_of
-
-_WORD = (1 << 64) - 1
+from .terms import Formula, Model, Sort, free_symbols, iter_nodes, sort_of
 
 MAGIC = b"MGACOV1"
 
-
-def _node_width(node) -> int:
-    if isinstance(node, TERM_TYPES):
-        return 64 if sort_of(node) == Sort.INT else 0
-    return 1  # formulas are boolean-sorted
+_WIDTH = {Sort.INT: 64, Sort.BOOL: 1, Sort.ARRAY: 0}  # the bits a node of each sort contributes
 
 
 @dataclass
@@ -61,7 +55,7 @@ class CoverageBitmap:
 
     @classmethod
     def for_formula(cls, f: Formula) -> "CoverageBitmap":
-        return cls([_node_width(node) for node in iter_nodes(f)])
+        return cls([_WIDTH[sort_of(node)] for node in iter_nodes(f)])
 
     def copy(self) -> "CoverageBitmap":
         return CoverageBitmap(list(self.widths), list(self.seen_zero), list(self.seen_one))
@@ -97,41 +91,37 @@ def _symbols(f: Formula) -> list[tuple[str, str]]:
 def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBitmap:
     """Fold `samples`, any number of them, into the bitmap.
 
-    Every AST node's value is computed once per sample, by `f` compiled
-    over its symbols with :func:`compiled.compile_node_values`.  The values
-    are then reduced per node over the whole batch, one ``map`` over all
-    nodes per further sample, and folded in: an integer node's
-    seen-one mask gains the OR of its values and its seen-zero mask the
-    complement of their AND (the OR of the complements), both cut to the
-    low 64 bits of two's complement; a Boolean node gains one if any value
-    is true and zero if any is false.  The fold only ORs bits in, so it is
-    idempotent: repeating it, or folding the samples one at a time or in
-    any other batches, leaves the same bitmap.  No samples is a no-op.
-    Raises :class:`UnassignedSymbol`, before any mask changes, if a sample
-    lacks a symbol of `f`."""
+    Every Int- and Bool-sorted node's value is computed once per sample, by
+    `f` compiled over its symbols with :func:`compiled.compile_node_values`.
+    The values are then reduced per node over the whole batch, one OR
+    ``map`` and one AND ``map`` per further sample, and each node is folded
+    in by one rule: its seen-one mask gains ``OR & low`` and its seen-zero
+    mask ``~AND & low``, where ``low``, the mask of the node's width, is
+    worked out once per compile.  That keeps an Int's low 64 bits of two's
+    complement, and gives a Bool one if any value is true and zero if any
+    is false.  The fold only ORs bits in, so it is idempotent: repeating
+    it, or folding the samples one at a time or in any other batches,
+    leaves the same bitmap.  No samples is a no-op.  Raises
+    :class:`UnassignedSymbol`, before any mask changes, if a sample lacks a
+    symbol of `f`."""
     if not samples:
         return bm
     if bm._compiled is None or bm._compiled[0] is not f:
         symbols = _symbols(f)
-        bm._compiled = (f, symbols, *compile_node_values(f, [name for _, name in symbols]))
-    _, symbols, values, int_nodes, bool_nodes = bm._compiled
+        values, nodes = compile_node_values(f, [name for _, name in symbols])
+        bm._compiled = (f, symbols, values, nodes, [(1 << bm.widths[i]) - 1 for i in nodes])
+    _, symbols, values, nodes, lows = bm._compiled
     try:
         rows = [values(*[getattr(sample, field_name)[name] for field_name, name in symbols]) for sample in samples]
     except KeyError as e:
         raise UnassignedSymbol(e.args[0]) from None
-    (ors, somes), (ands, everys) = rows[0], rows[0]
-    for ints, bools in rows[1:]:
-        ors, ands = list(map(or_, ors, ints)), list(map(and_, ands, ints))
-        somes, everys = list(map(or_, somes, bools)), list(map(and_, everys, bools))
+    ors = ands = rows[0]
+    for row in rows[1:]:
+        ors, ands = list(map(or_, ors, row)), list(map(and_, ands, row))
     zero, one = bm.seen_zero, bm.seen_one
-    for i, ored, anded in zip(int_nodes, ors, ands):
-        one[i] |= ored & _WORD  # two's complement low bits
-        zero[i] |= ~anded & _WORD
-    for i, some, every in zip(bool_nodes, somes, everys):
-        if some:
-            one[i] |= 1
-        if not every:
-            zero[i] |= 1
+    for i, low, ored, anded in zip(nodes, lows, ors, ands):
+        one[i] |= ored & low
+        zero[i] |= low ^ (anded & low)  # ~AND & low, with no `~` on a Bool
     return bm
 
 

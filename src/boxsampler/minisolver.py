@@ -33,7 +33,7 @@ the same, and answers a `check-sat` at the cost of what changed since the
 last one.  Each assertion is analysed once, when a query first holds it.
 The negation of a box over Ints, in the shape
 :func:`intervals.neg_to_formula` prints, joins a :class:`solver.HardList`
-as its box, and its bounds join the constants of an array query's
+as its box, and its constants join those of an array query's
 enumeration; nothing is compiled for it.  Any other assertion is compiled
 by :func:`compiled.compile_predicate` over the declared symbols, which
 takes a candidate's values as one tuple, past its top-level atoms that
@@ -93,25 +93,36 @@ _MAX_ARRAY_CHECKS = 400_000  # (point, tail) checks per query over arrays or fun
 _CLOCK_EVERY = 4096  # candidates scanned between two reads of the clock
 
 # By a relation's symbol, its value, as a `Rel` hashes in Python: the
-# relation of `c op x` read as `x op' c`, and the offsets from `c` of the
-# lower and upper bounds that `x op c` puts on `x`.
+# relation of `c op x` read as `x op' c`, and the range that `x op c` allows
+# `x`, as offsets from `c`, None for an open side.
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-_LOWER = {">=": 0, ">": 1, "=": 0}
-_UPPER = {"<=": 0, "<": -1, "=": 0}
+_RANGES = {"<": (None, -1), "<=": (None, 0), ">": (1, None), ">=": (0, None), "=": (0, 0)}
 
 
-def _unit_atom(f: Formula) -> tuple[str, str, int] | None:
-    """`(x, op, c)` when `f` reads `x op c` for an Int variable `x`, the
-    symbol `op` of a relation and a constant `c`, either way round; None
-    otherwise."""
-    if not isinstance(f, Atom):
+def _unit_bound(f: Formula) -> tuple[str, int | None, int | None] | None:
+    """`(x, lo, hi)` when `f` reads `x op c` or `c op x` for an Int
+    variable `x`, a constant `c` and `op` one of ``< <= > >= =``: the range
+    [lo, hi] that `f` allows `x`, None for an open side.  None for ``!=``
+    and for any other formula."""
+    if not isinstance(f, Atom) or f.rel._value_ not in _RANGES:  # not an atom, or a `!=`
         return None
+    op = f.rel._value_
     if isinstance(f.lhs, IntVar) and isinstance(f.rhs, IntConst):
-        return f.lhs.name, f.rel._value_, f.rhs.value
-    if isinstance(f.lhs, IntConst) and isinstance(f.rhs, IntVar):
-        op = f.rel._value_
-        return f.rhs.name, _MIRRORED.get(op, op), f.lhs.value
-    return None
+        x, c = f.lhs.name, f.rhs.value
+    elif isinstance(f.lhs, IntConst) and isinstance(f.rhs, IntVar):
+        x, c, op = f.rhs.name, f.lhs.value, _MIRRORED.get(op, op)
+    else:
+        return None
+    return (x, *(None if offset is None else c + offset for offset in _RANGES[op]))
+
+
+def _meet(a: tuple, b: tuple) -> tuple[int | None, int | None]:
+    """The intersection of the ranges `a` and `b`, (lo, hi) pairs in which
+    None is an open side."""
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    lo = a_lo if b_lo is None else b_lo if a_lo is None else max(a_lo, b_lo)
+    hi = a_hi if b_hi is None else b_hi if a_hi is None else min(a_hi, b_hi)
+    return lo, hi
 
 
 def _tighten(bounds: dict[str, tuple[int | None, int | None]], f: Formula, ints) -> list[Formula]:
@@ -122,19 +133,11 @@ def _tighten(bounds: dict[str, tuple[int | None, int | None]], f: Formula, ints)
     (a `!=` atom bounds nothing; an undeclared symbol fails to compile)."""
     if isinstance(f, And):
         return [g for a in f.args for g in _tighten(bounds, a, ints)]
-    unit = _unit_atom(f)
-    if unit is None or unit[1] == "!=":
+    unit = _unit_bound(f)
+    if unit is None:
         return [f]
-    var, op, c = unit
-    cur_lo, cur_hi = bounds.get(var, (None, None))
-    if op in _LOWER:
-        lo = c + _LOWER[op]
-        cur_lo = lo if cur_lo is None else max(cur_lo, lo)
-    if op in _UPPER:
-        hi = c + _UPPER[op]
-        cur_hi = hi if cur_hi is None else min(cur_hi, hi)
-    bounds[var] = (cur_lo, cur_hi)
-    return [] if var in ints else [f]
+    bounds[unit[0]] = _meet(bounds.get(unit[0], (None, None)), unit[1:])
+    return [] if unit[0] in ints else [f]
 
 
 def _note_reads(formulas, used: set[str], accesses: set[tuple[str, Term]], constants: set[int]) -> None:
@@ -159,21 +162,21 @@ def _soft_targets(soft, int_vars) -> dict[str, int] | None:
     targets: dict[str, int] = {}
     names = set(int_vars)
     for f, _weight in soft:
-        unit = _unit_atom(f)
-        if unit is None or unit[1] != "=" or unit[0] not in names:
+        unit = _unit_bound(f)
+        if unit is None or unit[1] != unit[2] or unit[0] not in names:  # not `x = c`
             return None
-        targets.setdefault(unit[0], unit[2])
+        targets.setdefault(unit[0], unit[1])
     return targets
 
 
 def _refuted(f: Formula, bounds) -> bool:
     """Whether `f` is `x = c` for a constant `c` outside `x`'s unit
     bounds, so that no point of a scan satisfies it."""
-    unit = _unit_atom(f)
-    if unit is None or unit[1] != "=":
+    unit = _unit_bound(f)
+    if unit is None or unit[1] != unit[2]:
         return False
-    lo, hi = bounds.get(unit[0], (None, None))
-    return (lo is not None and unit[2] < lo) or (hi is not None and unit[2] > hi)
+    lo, hi = _meet(bounds.get(unit[0], (None, None)), unit[1:])
+    return lo > hi
 
 
 def _lex_points(ranges: list[range], tail: list, start: tuple | None = None):
@@ -206,12 +209,6 @@ def _clocked(items, deadline: float):
     return itertools.chain.from_iterable(runs())
 
 
-def _clip(lo: int, hi: int, bound) -> tuple[int, int]:
-    """[lo, hi] cut to `bound`, a (lo, hi) pair of unit bounds, either None."""
-    bound_lo, bound_hi = bound
-    return (lo if bound_lo is None else max(lo, bound_lo), hi if bound_hi is None else min(hi, bound_hi))
-
-
 def _shell_faces(center: list[int], clip, distance: int, tail: list):
     """The points of the clipped box at max-norm distance exactly
     `distance` from `center`, each once, as one ``product`` per face, each
@@ -223,7 +220,7 @@ def _shell_faces(center: list[int], clip, distance: int, tail: list):
         axes = []
         for j, (c, bound) in enumerate(zip(center, clip)):
             r = distance - 1 if j < i else distance
-            lo, hi = _clip(c + side, c + side, bound) if j == i else _clip(c - r, c + r, bound)
+            lo, hi = _meet((c + side, c + side) if j == i else (c - r, c + r), bound)
             axes.append(range(lo, hi + 1))
         yield itertools.product(*axes, *tail)
 
@@ -279,7 +276,7 @@ class BruteForceEngine:
         self.preds: list = []  # the compiled predicates of what `hard.others` leave past the unit bounds
         # the array and function symbols `hard.others` read, their accesses, and
         # their constants, in one set with those of the box negations
-        self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), self.hard.bounds)
+        self.reads: tuple[set[str], set[tuple[str, Term]], set[int]] = (set(), set(), self.hard.constants)
         self.bounds: dict[str, tuple[int | None, int | None]] = {}
         self._bounded()
         self.resume: tuple[dict, tuple] | None = None  # (bounds, point) of the last plain box-scan model
@@ -373,7 +370,7 @@ class BruteForceEngine:
         than ``sys.maxsize``."""
         pairs = [self.bounds.get(v, (None, None)) for v in self.int_vars]
         if radius is not None:
-            pairs = [_clip(-radius, radius, bound) for bound in pairs]
+            pairs = [_meet((-radius, radius), bound) for bound in pairs]
         if any(lo is None or hi is None for lo, hi in pairs):
             return None
         size = 2 ** len(self.bool_vars) * math.prod(max(hi - lo + 1, 0) for lo, hi in pairs)
@@ -598,8 +595,8 @@ class _Session:
 
 
 def _count(arg) -> int:
-    """The value of `arg`, the numeral of a push, a pop or a weight."""
-    value = numeral(arg.text, arg.error)
+    """The value of `arg`, the unsigned numeral of a push, a pop or a weight."""
+    value = None if arg.text.startswith("-") else numeral(arg.text, arg.error)
     if value is None:
         raise arg.error("expected a numeral")
     return value

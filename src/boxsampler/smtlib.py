@@ -28,7 +28,8 @@ Each operator is stated once, in the table ``_OPERATORS``: its operand
 sorts, its arity and its builder.  One routine, ``Parser._apply``, checks
 every application against its entry in one order: the number of operands,
 then each operand parsed, then the sort of each, left to right, and raises
-each arity and sort error at the application.  The builders
+each arity and sort error at the application.  A node's sort is the one
+that the table ``terms.SORT_OF`` gives its type.  The builders
 lower the other Boolean operators to not/and/or as they are read: ``(=> a
 b)`` is ``(or (not a) b)``, ``xor`` and two-Bool ``distinct`` are ``(or
 (and a (not b)) (and (not a) b))``, Bool ``=`` is ``(or (and a b) (and (not
@@ -53,7 +54,7 @@ from collections.abc import Callable
 
 from .errors import SmtSyntaxError, UnsupportedFeature
 from .terms import (
-    FORMULA_TYPES,
+    SORT_OF,
     Add,
     And,
     ArrayVar,
@@ -72,7 +73,6 @@ from .terms import (
     Sort,
     Store,
     Sub,
-    TERM_TYPES,
     Term,
     _Record,
     children,
@@ -251,13 +251,10 @@ class StreamReader:
 # ---------------------------------------------------------------------------
 # Problem parsing
 
-# The sorts by SMT-LIB name; the node of a symbol declared of each sort; the
-# sort of each node type, Bool for a formula and for a term as `sort_of`
-# gives; and how a sort error names each sort.
+# The sorts by SMT-LIB name; the node of a symbol declared of each sort; and
+# how a sort error names each sort.
 _SORT_NAMES = {"Int": Sort.INT, "Bool": Sort.BOOL, "(Array Int Int)": Sort.ARRAY}
 _VARIABLES = {Sort.INT._value_: IntVar, Sort.BOOL._value_: BoolVar, Sort.ARRAY._value_: ArrayVar}  # by value
-_SORT_OF = {**dict.fromkeys(TERM_TYPES, Sort.INT), ArrayVar: Sort.ARRAY, Store: Sort.ARRAY}
-_SORT_OF.update(dict.fromkeys(FORMULA_TYPES, Sort.BOOL))
 _EXPECTED = {Sort.INT: "an Int", Sort.BOOL: "a Bool", Sort.ARRAY: "an (Array Int Int)"}
 
 
@@ -341,7 +338,7 @@ class Parser:
     def formula(self, command: _SExpr, s: _SExpr) -> Formula:
         """`s`, the formula that `command` asserts, which must be a Bool."""
         f = self._read(command, s)
-        if _SORT_OF[f.__class__] is not Sort.BOOL:
+        if SORT_OF[f.__class__] is not Sort.BOOL:
             raise command.error("assert expects a Bool expression")
         return f
 
@@ -451,7 +448,7 @@ class Parser:
 def _check(s: _SExpr, want: Sort | None, x) -> None:
     """Raise the sort error of `x`, read from `s`, unless it is of sort
     `want`; None takes any sort."""
-    if want is not None and _SORT_OF[x.__class__] is not want:
+    if want is not None and SORT_OF[x.__class__] is not want:
         raise s.error(f"expected {_EXPECTED[want]} expression")
 
 
@@ -468,8 +465,8 @@ def _relation(rel: Rel) -> tuple:  # chainable: (op a b c) is (and (op a b) (op 
 
 
 def _equal(s: _SExpr, xs: list) -> Formula:
-    sort = _SORT_OF[xs[0].__class__]
-    if any(_SORT_OF[x.__class__] is not sort for x in xs):
+    sort = SORT_OF[xs[0].__class__]
+    if any(SORT_OF[x.__class__] is not sort for x in xs):
         raise s.error("= operands have different sorts")
     if sort is Sort.BOOL:
         return conj(Or((And((a, b)), And((Not(a), Not(b))))) for a, b in zip(xs, xs[1:]))  # iff
@@ -477,7 +474,7 @@ def _equal(s: _SExpr, xs: list) -> Formula:
 
 
 def _distinct(s: _SExpr, xs: list) -> Formula:
-    sorts = {_SORT_OF[x.__class__] for x in xs}
+    sorts = {SORT_OF[x.__class__] for x in xs}
     if len(sorts) != 1:
         raise s.error("distinct operands have different sorts")
     if Sort.BOOL in sorts:
@@ -492,7 +489,7 @@ def _distinct(s: _SExpr, xs: list) -> Formula:
 
 def _ite(s: _SExpr, xs: list):
     cond, then, orelse = xs
-    if _SORT_OF[then.__class__] is Sort.BOOL and _SORT_OF[orelse.__class__] is Sort.BOOL:
+    if SORT_OF[then.__class__] is Sort.BOOL and SORT_OF[orelse.__class__] is Sort.BOOL:
         return Or((And((cond, then)), And((Not(cond), orelse))))
     _check(s, Sort.INT, then)
     _check(s, Sort.INT, orelse)

@@ -126,7 +126,7 @@ class HardList:
         self.others: list[Formula] = []
         self.pinned: dict[tuple, tuple] = {}  # {positions: (their getter, {values: negation})}
         self.boxes: list[tuple] = []  # (negation, [(position, lo, hi), ...]) of the other boxes, oldest first
-        self.bounds: set[int] = set()  # the constants of the box negations, and of the engine's others
+        self.constants: set[int] = set()  # the constants of the box negations, and of the engine's others
 
     def _sides(self, f: Formula) -> list[tuple] | None:
         """``[(position, lo, hi), ...]`` by position, of the box outside of
@@ -157,7 +157,7 @@ class HardList:
             if sides is None:
                 others.append(f)
                 continue
-            self.bounds.update(a.rhs.value for a in f.args)
+            self.constants.update(a.rhs.value for a in f.args)
             values = tuple(lo for _, lo, hi in sides if lo == hi)
             if len(values) < len(sides):
                 self.boxes.append((f, sides))

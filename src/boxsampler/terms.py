@@ -29,7 +29,10 @@ A unary Int -> Int function is an array whose ``ArrayVar`` has
 
 Formulas are relational atoms and Boolean variables and constants under
 not/and/or: the parser lowers ``=>``, ``xor``, Bool ``=`` and ``distinct``
-to these, and :func:`preprocess` lifts term-level ite out of atoms.
+to these, and :func:`preprocess` lifts term-level ite out of atoms.  The
+sort of each node type is stated once, in the table ``SORT_OF``, with Bool
+for every formula type; :func:`sort_of` reads it, and so do the parser's
+sort checks, the coverage widths and :mod:`.compiled`'s node values.
 
 Node structure.  One table lists each node type's children in pre-order
 (an ``Ite``: condition, then, else); :func:`children` reads it, and the
@@ -291,13 +294,16 @@ def disj(args) -> Formula:
 # ---------------------------------------------------------------------------
 # Sorts
 
+# The sort of each node type, Bool for every formula type.
+SORT_OF = {**dict.fromkeys(TERM_TYPES, Sort.INT), ArrayVar: Sort.ARRAY, Store: Sort.ARRAY}
+SORT_OF.update(dict.fromkeys(FORMULA_TYPES, Sort.BOOL))
 
-def sort_of(t: Term) -> Sort:
-    if isinstance(t, (IntConst, IntVar, Add, Sub, Mul, Ite, Select)):
-        return Sort.INT
-    if isinstance(t, (ArrayVar, Store)):
-        return Sort.ARRAY
-    raise TypeError(f"not a term: {t!r}")
+
+def sort_of(node) -> Sort:
+    try:
+        return SORT_OF[node.__class__]
+    except KeyError:
+        raise TypeError(f"not a term or formula: {node!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,9 @@ def _model_check(f):
     """`check(model)`: the truth value of `f` under a Model, read from the
     node values compiled over the symbols of `f` (the root is node 0)."""
     names = _symbols(f)
-    values, _, bool_nodes = compile_node_values(f, names)
-    assert bool_nodes[0] == 0
-    return lambda m: values(*_args(m, names))[1][0]
+    values, nodes = compile_node_values(f, names)
+    assert nodes[0] == 0
+    return lambda m: values(*_args(m, names))[0]
 
 
 def _interpreted_record(bm: CoverageBitmap, f, sample: Model) -> None:
@@ -239,14 +239,12 @@ class TestCoverageValues:
         rng = random.Random(8)
         f = _full_grammar_formula(rng, 4)
         names = _symbols(f)
-        values, int_nodes, bool_nodes = compile_node_values(f, names)
+        values, valued = compile_node_values(f, names)
         nodes = list(iter_nodes(f))
         m = _array_model(rng)
-        ints, bools = values(*_args(m, names))
-        assert int_nodes == [i for i, n in enumerate(nodes) if not isinstance(n, FORMULA_TYPES) and sort_of(n) == Sort.INT]
-        assert bool_nodes == [i for i, n in enumerate(nodes) if isinstance(n, FORMULA_TYPES)]
-        assert list(ints) == [eval_term(nodes[i], m) for i in int_nodes]
-        assert list(bools) == [eval_formula(nodes[i], m) for i in bool_nodes]
+        assert valued == [i for i, n in enumerate(nodes) if isinstance(n, FORMULA_TYPES) or sort_of(n) == Sort.INT]
+        expected = [(eval_formula if isinstance(nodes[i], FORMULA_TYPES) else eval_term)(nodes[i], m) for i in valued]
+        assert list(values(*_args(m, names))) == expected
 
 
 def _wide_model(rng) -> Model:
@@ -342,14 +340,14 @@ class TestGeneratedSource:
         assert "import" in name
         f = p.assertion
         check = compile_predicate([f], [name, "ok", "f)("])
-        values, _, _ = compile_node_values(f, [name, "ok", "f)("])
+        values, _ = compile_node_values(f, [name, "ok", "f)("])
         pred = compile_predicate([Atom(Rel.GT, IntVar(name), IntConst(3))], [name])
         for fn in (check, values, pred):
             assert name not in fn.source and "import" not in fn.source and "f)(" not in fn.source
             assert fn.__globals__["__builtins__"] == {}
         model = Model(ints={name: 5}, bools={"ok": True}, funcs={"f)(": FuncValue(1, {5: 0})})
         assert check(5, True, model.funcs["f)("]) is True and eval_formula(f, model) is True
-        assert values(5, True, model.funcs["f)("])[1][0] is True
+        assert values(5, True, model.funcs["f)("])[0] is True
         model.ints[name] = 2
-        assert check(2, True, model.funcs["f)("]) is False and values(2, True, model.funcs["f)("])[1][0] is False
+        assert check(2, True, model.funcs["f)("]) is False and values(2, True, model.funcs["f)("])[0] is False
         assert pred(5) is True and pred(2) is False

@@ -26,7 +26,7 @@ from boxsampler.intervals import Interval, IntervalMap, neg_to_formula
 from boxsampler.sampler import SamplerConfig, sample_formula
 from boxsampler.smtlib import Declaration, parse_problem, print_formula, print_term
 from boxsampler.solver import HardList, ProcessSolverClient, SolverRequest, VerdictKind
-from boxsampler.terms import Add, Atom, BoolVar, IntConst, IntVar, Model, Or, Rel, Sort, eval_formula
+from boxsampler.terms import Add, ArrayVar, Atom, BoolVar, IntConst, IntVar, Model, Or, Rel, Select, Sort, eval_formula
 
 from oracle import random_atom, random_formula
 
@@ -370,6 +370,35 @@ def test_the_box_test_agrees_with_the_evaluator(ors, point):
     failing = [f for f in held if not eval_formula(f, model)]
     found = hard.holding((*point, True))
     assert (found is None) == (not failing) and (found is None or found in failing)
+
+
+# ---------------------------------------------------------------------------
+# Unit bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(Rel)), st.integers(-50, 50), st.booleans())
+def test_a_unit_bound_is_the_range_in_which_the_evaluator_holds(rel, c, mirrored):
+    """`x op c` and `c op x` give `x` the range [lo, hi] in which the
+    evaluator finds them true, for every relation but `!=`, which gives
+    none."""
+    x, k = IntVar("x"), IntConst(c)
+    f = Atom(rel, k, x) if mirrored else Atom(rel, x, k)
+    unit = minisolver._unit_bound(f)
+    assert (unit is None) == (rel is Rel.NE)
+    if unit is not None:
+        name, lo, hi = unit
+        assert name == "x"
+        for v in range(c - 3, c + 4):
+            inside = (lo is None or lo <= v) and (hi is None or v <= hi)
+            assert eval_formula(f, Model({"x": v})) == inside
+
+
+@given(st.sampled_from(list(Rel)), st.integers(-50, 50))
+def test_only_an_int_variable_against_a_constant_has_a_unit_bound(rel, c):
+    x, k, x1, ax = IntVar("x"), IntConst(c), Add((IntVar("x"), IntConst(1))), Select(ArrayVar("a"), IntVar("x"))
+    others = [Atom(rel, x, IntVar("y")), Atom(rel, x1, k), Atom(rel, k, x1), Atom(rel, ax, k), Atom(rel, k, ax), BoolVar("p")]
+    assert [minisolver._unit_bound(f) for f in others] == [None] * len(others)
 
 
 # ---------------------------------------------------------------------------

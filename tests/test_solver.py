@@ -545,11 +545,15 @@ def test_pipe_replies_that_the_session_owns():
     ]
 
 
-@pytest.mark.parametrize("command", ["(push \u0663)", "(assert-soft (> x 0) :weight \u00b2)"])
+@pytest.mark.parametrize(
+    "command",
+    ["(push \u0663)", "(assert-soft (> x 0) :weight \u00b2)", "(push -1)", "(assert-soft (> x 0) :weight -1)"],
+)
 def test_pipe_counts_and_weights_are_ascii_numerals(command):
-    # "\u0663" (Arabic-Indic three) and "\u00b2" are digits to `str.isdigit`
+    # "\u0663" (Arabic-Indic three) and "\u00b2" are digits to `str.isdigit`;
+    # a count or weight has no sign
     lines = _minisolver(f"(declare-const x Int)\n{command}\n(pop 1)\n(assert (< x 0))\n(check-sat)\n")
-    assert lines == [f'(error "2:{len(command) - 2}: expected a numeral")', "sat"]
+    assert lines == [f'(error "2:{command.rindex(" ") + 1}: expected a numeral")', "sat"]
 
 
 @needs_digit_limit
