@@ -50,23 +50,42 @@ EXIT_INTERRUPTED = 130  # as a shell reports SIGINT
 
 
 _escape = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
-_int = int.__repr__  # how json.dumps writes an int
+
+
+@functools.lru_cache(maxsize=64)
+def _line_format(ints: tuple, bools: tuple, funcs: tuple) -> str:
+    """The `str.format` text of the samples-file line of a Model whose name
+    groups, in order, are `ints`, `bools` and `funcs`: one entry per name,
+    sorted by name, whose field numbers the name's place in the groups."""
+    names = ints + bools + funcs
+    order = sorted(range(len(names)), key=names.__getitem__)
+    entries = [_escape(names[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}}}" for i in order]
+    return "{{" + ", ".join(entries) + "}}\n"
+
+
+def _func_json(fv) -> str:
+    """The JSON object of a function value, its exceptions keyed by
+    ``str(index)`` in string order."""
+    ex = fv.exceptions
+    items = ex.items() if len(ex) < 2 else sorted([(str(k), v) for k, v in ex.items()])
+    cells = ", ".join([f'"{k}": {v}' for k, v in items])
+    return f'{{"default": {fv.default}, "exceptions": {{{cells}}}}}'
 
 
 def sample_to_json(sample: Model) -> str:
     """The samples-file line of `sample`, newline included: one JSON object
     with an entry per symbol, sorted by name, whose value is an integer,
     true or false, or ``{"default": d, "exceptions": {...}}`` with the
-    exceptions keyed by ``str(index)`` in string order.  Each entry is
-    written straight to text, with no dict and no ``json.dumps``; the line is
-    byte-identical to ``json.dumps(obj, sort_keys=True)`` of that object."""
-    entries = [(name, f"{_escape(name)}: {_int(v)}") for name, v in sample.ints.items()]
-    entries += [(name, f"{_escape(name)}: {'true' if v else 'false'}") for name, v in sample.bools.items()]
-    for name, fv in sample.funcs.items():
-        cells = ", ".join([f'"{k}": {_int(v)}' for k, v in sorted([(str(k), v) for k, v in fv.exceptions.items()])])
-        entries.append((name, f'{_escape(name)}: {{"default": {_int(fv.default)}, "exceptions": {{{cells}}}}}'))
-    entries.sort()
-    return "{" + ", ".join([text for _, text in entries]) + "}\n"
+    exceptions keyed by ``str(index)`` in string order.  The names are
+    escaped and sorted once per layout, the tuple of the Model's three name
+    groups, into a format (:func:`_line_format`, a bounded cache); a line
+    only formats the values into it, with no dict and no ``json.dumps``.
+    It is byte-identical to ``json.dumps(obj, sort_keys=True)`` of that
+    object."""
+    ints, bools, funcs = sample.ints, sample.bools, sample.funcs
+    return _line_format(tuple(ints), tuple(bools), tuple(funcs)).format(
+        *ints.values(), *["true" if v else "false" for v in bools.values()], *map(_func_json, funcs.values())
+    )
 
 
 @functools.cache  # built once per process: building takes most of a short `verify`

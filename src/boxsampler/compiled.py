@@ -16,8 +16,8 @@ Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
 variables, ``+``, ``-``, ``*``, term-level ite, select (function application
 included), store and array variables; relational atoms (array equality
 included), not/and/or, Boolean variables and constants.  Array values are
-:class:`FuncValue` objects, read with ``FuncValue.apply`` and updated with
-``FuncValue.with_store``, both bound in the generated function's globals.
+:class:`FuncValue` objects: a select of a name reads its cells inline, any
+other select calls ``FuncValue.apply``, and a store ``FuncValue.with_store``.
 Values and truth values equal those of :func:`terms.eval_formula` /
 :func:`terms.eval_term`, which stay the reference, with the same evaluation
 order and short-circuiting.
@@ -79,11 +79,11 @@ _TEMPLATES = {
     Or: lambda n, c: "(" + " or ".join(c) + ")" if c else "False",
     Sub: lambda n, c: f"({c[0]} - {c[1]})",
     Ite: lambda n, c: f"({c[1]} if {c[0]} else {c[2]})",
-    Select: lambda n, c: f"_apply({c[0]}, {c[1]})",
+    Select: lambda n, c: (
+        f"{c[0]}.exceptions.get({c[1]}, {c[0]}.default)" if c[0].isidentifier() else f"_apply({c[0]}, {c[1]})"
+    ),
     Store: lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})",
 }
-
-_SYMBOL_TYPES = (IntVar, BoolVar, ArrayVar)
 
 # A piece of generated code: (text, operator nesting depth).
 _Piece = tuple
@@ -121,7 +121,7 @@ class _Codegen:
         kind = type(node)
         if kind is IntConst or kind is BoolConst:
             return self._const(node.value)
-        return self._symbol(node.name) if kind in _SYMBOL_TYPES else None
+        return self._symbol(node.name) if kind in (IntVar, BoolVar, ArrayVar) else None
 
     # -- inner nodes ---------------------------------------------------------
 

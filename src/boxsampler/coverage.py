@@ -8,22 +8,23 @@ observed as both 0 and 1 across the recorded samples.  Nodes are numbered
 in deterministic pre-order, so bitmaps from different runs over the same
 input can be compared and merged.
 
-Samples are folded into a bitmap in batches.  The fold reduces each node's
-values over the batch to their OR and their AND, a sample at a time, each
-step one ``map`` over every node that runs in C.  It then folds every node
-by one rule, with ``low`` the mask of the node's width: ``one |= OR &
-low`` and ``zero |= ~AND & low``, since the OR of every ``~v`` is
-``~AND(v)``.  For a Bool, whose mask is 1, that is one if any value is
-true and zero if any is false.  A batch thus costs one Python step per
-sample plus one per node, not one per node and sample, and a one-sample
-batch has nothing to reduce.  A fold only ORs bits in, so folding the same
-samples again, or in any split or order, leaves the same bitmap.
+Samples are folded into a bitmap in batches.  The fold takes each node's
+column of the batch, the node's value in every sample, reduces its set of
+distinct values to their OR and their AND, and folds the node by one rule,
+with ``low`` the mask of the node's width: ``one |= OR & low`` and ``zero
+|= ~AND & low``, since the OR of every ``~v`` is ``~AND(v)``.  For a Bool,
+whose mask is 1, that is one if any value is true and zero if any is
+false.  The transpose, the sets and the reductions run in C, so a batch
+costs one Python step per node, not one per node and sample; most columns
+hold one or two distinct values.  A fold only ORs bits in, so folding the
+same samples again, or in any split or order, leaves the same bitmap.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import and_, or_
 
 from .compiled import compile_node_values
@@ -93,13 +94,13 @@ def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBi
 
     Every Int- and Bool-sorted node's value is computed once per sample, by
     `f` compiled over its symbols with :func:`compiled.compile_node_values`.
-    The values are then reduced per node over the whole batch, one OR
-    ``map`` and one AND ``map`` per further sample, and each node is folded
-    in by one rule: its seen-one mask gains ``OR & low`` and its seen-zero
-    mask ``~AND & low``, where ``low``, the mask of the node's width, is
-    worked out once per compile.  That keeps an Int's low 64 bits of two's
-    complement, and gives a Bool one if any value is true and zero if any
-    is false.  The fold only ORs bits in, so it is idempotent: repeating
+    Each node's column of values over the whole batch is then reduced
+    through its set of distinct values to their OR and AND, and the node is
+    folded in by one rule: its seen-one mask gains ``OR & low`` and its
+    seen-zero mask ``~AND & low``, where ``low``, the mask of the node's
+    width, is worked out once per compile.  That keeps an Int's low 64 bits
+    of two's complement, and gives a Bool one if any value is true and zero
+    if any is false.  The fold only ORs bits in, so it is idempotent: repeating
     it, or folding the samples one at a time or in any other batches,
     leaves the same bitmap.  No samples is a no-op.  Raises
     :class:`UnassignedSymbol`, before any mask changes, if a sample lacks a
@@ -115,13 +116,11 @@ def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBi
         rows = [values(*[getattr(sample, field_name)[name] for field_name, name in symbols]) for sample in samples]
     except KeyError as e:
         raise UnassignedSymbol(e.args[0]) from None
-    ors = ands = rows[0]
-    for row in rows[1:]:
-        ors, ands = list(map(or_, ors, row)), list(map(and_, ands, row))
     zero, one = bm.seen_zero, bm.seen_one
-    for i, low, ored, anded in zip(nodes, lows, ors, ands):
-        one[i] |= ored & low
-        zero[i] |= low ^ (anded & low)  # ~AND & low, with no `~` on a Bool
+    for i, low, column in zip(nodes, lows, zip(*rows)):
+        distinct = set(column)
+        one[i] |= reduce(or_, distinct) & low
+        zero[i] |= low ^ (reduce(and_, distinct) & low)  # ~AND & low, with no `~` on a Bool
     return bm
 
 

@@ -15,12 +15,13 @@ every model has been drawn.
 Draws are flat tuples of values, one per declaration in declaration order
 (:class:`SampleLayout`).  One routine, :func:`epoch_drawer`, supplies the
 draws of every box: once per epoch it plans the draw (a clamped range per
-key, the select-like keys sorted by nesting depth).  A box of at most
-`samples_per_round` points, with no select-like key and no rebuilt array,
-is then enumerated, each point once in a shuffled order, so that a point
-box costs one draw.  Any other box is drawn at random: each draw writes
-the integer values, the array cells and any rebuilt arrays straight into
-the tuple.  Each tuple is checked by one positional predicate compiled once
+key, the select-like keys sorted by nesting depth, and the slot each key's
+index is read from: a declared Int's, a constant's or an earlier key's
+read).  A box of at most `samples_per_round` points, with no select-like
+key and no rebuilt array, is then enumerated, each point once in a
+shuffled order, so that a point box costs one draw.  Any other box is
+drawn at random: each draw writes the integer values, the array cells and
+any rebuilt arrays straight into the tuple.  Each tuple is checked by one positional predicate compiled once
 per run and is its own dedup key, since a function value hashes by value
 (:class:`FuncValue`); only a fresh sample becomes a :class:`Model`, built
 by one generated call (:meth:`SampleLayout.model`) that unpacks the tuple
@@ -374,8 +375,9 @@ def _eval_index(
     of `values`, an access reads the cell its index reaches.  A cell that no
     key has drawn takes the access's value under `seed`, and keeps it for
     the draw.  A cell, once read or drawn, keeps its value for the draw, so
-    `reads` keeps the value of each access read: a chain of n nested
-    accesses costs n reads a draw, not one per access it holds."""
+    `reads` keeps the value of each access read while one term is
+    evaluated: a chain of n nested accesses costs n reads, not one per
+    access it holds."""
     if is_select_like(t):
         value = reads.get(t)
         if value is None:
@@ -560,12 +562,18 @@ def epoch_drawer(
 
     The draw is planned once (:func:`_plan`) over a frame of slots: the
     layout's declared symbols, then the seed's other symbols (the fresh
-    names of array-equality rewriting, and keys that are not declared).  A
-    draw writes the integer steps, then the select-like steps, so that each
-    array or function becomes its seed default with the cells of the draw
-    as exceptions.  The `reconstructions` then rebuild the arrays that
-    equality rewriting substituted, over a :class:`Model` built only when
-    there are any.  The draw returns the declared prefix of the frame.
+    names of array-equality rewriting, and keys that are not declared),
+    then one slot per constant index and one per select-like key, which
+    holds the value the key reads in the draw.  Each key's index is read
+    from one slot, planned once: a frame symbol's, a constant's, or an
+    earlier key's read, since the keys are sorted by nesting depth.  Only an
+    index term of another shape is evaluated in every draw
+    (:func:`_eval_index`).  A draw writes the integer steps, then the
+    select-like steps, so that each array or function becomes its seed
+    default with the cells of the draw as exceptions.  The
+    `reconstructions` then rebuild the arrays that equality rewriting
+    substituted, over a :class:`Model` built only when there are any.  The
+    draw returns the declared prefix of the frame.
 
     Each value is ``lo + r``, where ``r`` is the first of
     ``rng.getrandbits(points.bit_length())`` below `points`: the bits and
@@ -579,9 +587,20 @@ def epoch_drawer(
     slot = frame.slot
     int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
     int_plan = [(slot[name], lo, points, points.bit_length()) for name, lo, points in int_steps]
-    access_plan = [(*rest, points, points.bit_length()) for *rest, points in access_steps]
     values = list(frame.vector(seed))
     arrays = [(name, i, values[i].default) for name, i in frame.funcs]
+    cell_names = list(dict.fromkeys([name for name, _, _ in arrays] + [symbol for _, symbol, *_ in access_steps]))
+    access_plan = []
+    read_slots: dict[Term, int] = {}  # the slot of each key's read, after the frame's values
+    for key, symbol, index, interval, lo, points in access_steps:
+        if type(index) is IntConst:
+            source = len(values)
+            values.append(index.value)
+        else:  # a frame symbol's slot, an earlier key's, or None: `_eval_index` reads it
+            source = slot.get(index.name) if type(index) is IntVar else read_slots.get(index)
+        read_slots[key] = len(values)
+        values.append(0)
+        access_plan.append((source, index, symbol, interval, lo, points, points.bit_length(), read_slots[key]))
     recipes = [(name, term, slot[name]) for name, term in reversed(reconstructions or [])]
     n = len(layout.names)
     exact = len(values) == n
@@ -611,11 +630,10 @@ def epoch_drawer(
                 r = getrandbits(k)
             values[i] = lo + r
         if arrays:
-            cells: dict[str, dict[int, int]] = {}
-            reads: dict[Term, int] = {}
-            for key, symbol, index, interval, lo, points, k in access_plan:
-                at = _eval_index(index, slot, values, cells, reads, seed)
-                bucket = cells.setdefault(symbol, {})
+            cells = {name: {} for name in cell_names}
+            for source, index, symbol, interval, lo, points, k, read in access_plan:
+                at = values[source] if source is not None else _eval_index(index, slot, values, cells, {}, seed)
+                bucket = cells[symbol]
                 if at not in bucket:
                     r = getrandbits(k)
                     while r >= points:
@@ -623,11 +641,11 @@ def epoch_drawer(
                     bucket[at] = lo + r
                 elif not interval.member(bucket[at]):
                     return None
-                reads[key] = bucket[at]
+                values[read] = bucket[at]
             for name, i, default in arrays:
-                values[i] = FuncValue(default, cells.get(name, {}))
+                values[i] = FuncValue(default, cells[name])
             if recipes:
-                sample = frame.model(values)
+                sample = frame.model(values[: len(frame.names)])
                 for name, term, i in recipes:
                     values[i] = sample.funcs[name] = eval_term(term, sample)
         return tuple(values) if exact else tuple(values[:n])
@@ -774,12 +792,14 @@ def sample_formula(
     the box's draws (:meth:`SolverClient.prefetch`), unless this epoch can
     fill the sample budget: the remaining budget is at most the epoch's
     draws and, for a box of Int variables bounded on both sides, its
-    points.  The solver then answers it while the draws, checks and emits
-    run: "solve" is the send plus what is left of the wait, and the
-    solver's work overlaps "sample".
-    The random strategy asks when it needs a seed, since its soft targets
-    are drawn from `rng` after the draws.  A run that has drawn every model
-    stops with `stop_reason` "exhausted" (:class:`BlockingHistory`).
+    points.  "solve" is then the send plus what is left of the wait: the
+    send ahead saves the query's round-trip wait, and the solver works in
+    parallel with "sample" only where a core is free for it.  A pipe write
+    may also hand the core to the solver at once, so the send itself can
+    take the solver's time.  The random strategy asks when it needs a seed,
+    since its soft targets are drawn from `rng` after the draws.  A run
+    that has drawn every model stops with `stop_reason` "exhausted"
+    (:class:`BlockingHistory`).
 
     Each solver query carries the run's deadline and counts in
     `solver_calls` when its answer is read, whether it answers or fails, so

@@ -24,9 +24,9 @@ Each query goes to the solver in one write: the new base commands,
 `get-model` gets after `unsat` or `unknown` (an error), which is read and
 dropped.  So a query costs one round trip, and waits for its replies until
 the client's timeout or the request's deadline, whichever comes first.
-:meth:`SolverClient.prefetch` lets a caller send the query of its next
-`solve` early, so that the solver answers it while the caller works; the
-process client keeps at most that one query in flight.
+:meth:`SolverClient.prefetch` sends the query of the next `solve` early,
+which saves that `solve` a round-trip wait; the child works in parallel
+only where a core is free.  At most that one query is in flight.
 
 The solver's output is read with the one SMT-LIB reader, through one
 :class:`smtlib.StreamReader` fed with whatever has arrived, so each reply
@@ -193,10 +193,9 @@ class SolverClient:
         raise NotImplementedError
 
     def prefetch(self, req: SolverRequest) -> None:
-        """A hint that `solve(req)` comes next, so that a client may start
-        the query now and answer it while the caller works.  The call that
-        follows gets its own verdict whatever it asks.  Here it does
-        nothing."""
+        """A hint that `solve(req)` comes next, so that a client may send
+        the query now and spare that `solve` a round-trip wait.  The call
+        that follows gets its own verdict whatever it asks.  A no-op here."""
 
     def max_solve(self, req: SolverRequest) -> SolverVerdict:
         raise NotImplementedError
@@ -428,12 +427,7 @@ class ProcessSolverClient(SolverClient):
             self._handle = None
 
     def close(self):
-        if self._handle is not None:
-            try:
-                self._handle.send("(exit)")
-            except Exception:
-                pass
-            self._reset()
+        self._reset()  # kills the child at once: writing `(exit)` first would only wait out its shutdown
 
     # -- queries -----------------------------------------------------------
 

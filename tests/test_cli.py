@@ -699,6 +699,35 @@ def _models(draw):
     return m
 
 
+@st.composite
+def _model_sequences(draw):
+    """Models in sequence over a few layouts, each a list of distinct names
+    in a sort group: a name may sit in a different group, and the names in
+    a different order, from one layout to the next, and each layout recurs
+    with new values.  Some names hold characters that `str.format` or
+    JSON treats specially."""
+    pool = SYMBOLS + ["{0}", "a}b", "%s", "\\"]
+    layouts = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(["ints", "bools", "funcs"])),
+                 unique_by=lambda entry: entry[0], max_size=6),
+        min_size=1, max_size=3,
+    ))
+    index = st.integers(-(2**40), 2**40)
+    models = []
+    for layout in draw(st.lists(st.sampled_from(layouts), min_size=2, max_size=8)):
+        m = Model()
+        for name, field in layout:
+            if field == "ints":
+                m.ints[name] = draw(st.integers(-(2**70), 2**70))
+            elif field == "bools":
+                m.bools[name] = draw(st.booleans())
+            else:
+                cells = draw(st.dictionaries(index, st.integers(-9, 9), max_size=4))
+                m.funcs[name] = FuncValue(draw(st.integers(-9, 9)), cells)
+        models.append(m)
+    return models
+
+
 class TestSampleLine:
     """`cli.sample_to_json` writes the line that ``json.dumps`` writes of the
     sample's JSON object with sorted keys, and `verify` reads it back."""
@@ -719,6 +748,18 @@ class TestSampleLine:
     @settings(max_examples=200, deadline=None)
     def test_random_lines_are_byte_identical_to_json_dumps(self, model):
         assert cli.sample_to_json(model) == json.dumps(sample_json_obj(model), sort_keys=True) + "\n"
+
+    @given(_model_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_lines_of_models_in_sequence_are_byte_identical_to_json_dumps(self, models):
+        for model in models:
+            assert cli.sample_to_json(model) == json.dumps(sample_json_obj(model), sort_keys=True) + "\n"
+
+    def test_the_line_format_cache_is_bounded(self):
+        most = cli._line_format.cache_info().maxsize
+        for k in range(most + 10):
+            assert cli.sample_to_json(Model(ints={f"x{k}": k})) == f'{{"x{k}": {k}}}\n'
+        assert cli._line_format.cache_info().currsize == most
 
     def test_quoted_symbols_round_trip(self, tmp_path):
         problem = parse_problem(

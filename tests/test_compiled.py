@@ -310,6 +310,15 @@ class TestBatchFold:
         assert _recorded(f, [samples[:2], samples[2:5], samples[5:]]) == reference
         assert 0 < reference.covered_bits() < reference.total_bits()
 
+    @given(st.lists(st.tuples(st.integers(-(2**70), 2**70), st.booleans()), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_a_batch_folds_as_its_samples_one_by_one(self, points):
+        # Bool, negative and wide Int columns; a one-point list is a one-sample batch
+        f = parse_problem(self.ALL_SORTS).assertion
+        a = FuncValue(-3, {0: 2**66, 5: -7})
+        samples = [Model(ints={"x": x}, bools={"p": p}, funcs={"a": a}) for x, p in points]
+        assert _recorded(f, [samples]) == _recorded(f, [[m] for m in samples])
+
     def test_no_samples_is_a_no_op(self):
         f = parse_problem(self.ALL_SORTS).assertion
         empty = CoverageBitmap.for_formula(f)
@@ -326,6 +335,55 @@ class TestBatchFold:
             good = Model(ints={"x": 7}, bools={"p": False}, funcs={"a": FuncValue(0, {})})
             record_sample(bm, f, good, Model(ints={"x": 1}))
         assert bm == before
+
+
+class TestSelect:
+    """A select of a name (a symbol, a bound constant or a node's variable)
+    reads the array's cells inline; a select of any other array expression
+    calls ``FuncValue.apply``."""
+
+    def test_a_symbol_is_read_inline_and_a_store_through_apply(self):
+        a, i = ArrayVar("a"), IntVar("i")
+        f = Atom(Rel.EQ, Select(a, i), Select(Store(a, i, IntConst(1)), IntConst(0)))
+        pred = compile_predicate([f], ["a", "i"])
+        assert "v0.exceptions.get(v1, v0.default)" in pred.source
+        assert "_apply(_store(v0, v1, 1), 0)" in pred.source
+        values, _ = compile_node_values(f, ["a", "i"])
+        assert "_apply" not in values.source  # there each array node is a variable of its own
+        for cells, at in (({}, 0), ({0: 1}, 0), ({0: 1}, 5), ({5: 2, 0: 3}, 5)):
+            m = Model(ints={"i": at}, funcs={"a": FuncValue(1, cells)})
+            assert pred(m.funcs["a"], at) == eval_formula(f, m)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_selects_of_symbols_stores_and_hoisted_arrays_equal_eval_term(self, seed):
+        rng = random.Random(seed)
+        a, g = ArrayVar("a"), ArrayVar("g", function=True)
+        deep = a  # a store chain deep enough to be hoisted into a helper
+        for _ in range(rng.randint(0, 60)):
+            deep = Store(deep, IntVar(rng.choice(INTS)), IntConst(rng.randint(-3, 3)))
+        terms = [
+            Select(a, X),
+            Select(g, Select(a, IntVar("y"))),
+            Select(Store(a, X, IntConst(3)), IntVar("z")),
+            Select(deep, X),
+            Select(g, Add((Select(deep, IntVar("y")), IntConst(1)))),
+        ]
+        names = INTS + ["a", "g"]
+        f = And(tuple(Atom(Rel.LE, t, t) for t in terms))
+        values, valued = compile_node_values(f, names)
+        nodes = list(iter_nodes(f))
+        for _ in range(5):
+            m = Model(ints={n: rng.randint(-3, 3) for n in INTS})
+            for n in ("a", "g"):
+                cells = {k: rng.randint(-4, 4) for k in range(-3, 4) if rng.random() < 0.5}
+                m.funcs[n] = FuncValue(rng.randint(-2, 2), cells)
+            evaluate = [eval_formula if isinstance(nodes[i], FORMULA_TYPES) else eval_term for i in valued]
+            expected = [f(nodes[i], m) for f, i in zip(evaluate, valued)]
+            assert list(values(*_args(m, names))) == expected
+            for t in terms:
+                pred = compile_predicate([Atom(Rel.EQ, t, IntConst(eval_term(t, m)))], names)
+                assert pred(*_args(m, names)) is True
 
 
 class TestGeneratedSource:

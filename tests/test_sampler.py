@@ -402,6 +402,26 @@ class TestEpochDrawer:
             assert hash(values) == hash(layout.vector(reference))
         assert kernel_rng.getstate() == reference_rng.getstate()
 
+    def test_an_index_is_evaluated_in_each_draw_only_when_no_slot_holds_it(self, monkeypatch):
+        # a declared Int, a constant and an earlier key are planned reads;
+        # `i + 1` is evaluated in every draw
+        calls = []
+        evaluate = sampler_mod._eval_index
+        monkeypatch.setattr(sampler_mod, "_eval_index", lambda t, *rest: calls.append(t) or evaluate(t, *rest))
+        inner = Select(A, I)
+        planned = [inner, Select(A, IntConst(3)), Select(A, inner)]
+        shifted = Select(A, Add((I, IntConst(1))))
+        seed = Model(ints={"i": 1}, funcs={"a": FuncValue(0, {1: 2})})
+        layout = SampleLayout([Declaration("i", Sort.INT), Declaration("a", Sort.ARRAY)])
+        for keys, evaluated in ((planned, 0), (planned + [shifted], 20)):
+            iv = IntervalMap({key: Interval() for key in keys})
+            draw, _ = epoch_drawer(iv, seed, layout, cfg_of(unbounded_width=3), random.Random(0))
+            calls.clear()
+            for _ in range(20):
+                draw()
+            assert calls.count(shifted.index) == evaluated
+            assert set(calls) <= ({shifted.index, I, IntConst(1)} if evaluated else set())  # and its operands
+
     def test_array_boxes_do_clash(self):
         clashes = 0
         for s in range(200):

@@ -1010,7 +1010,7 @@ class TestBaseScope:
         seed, was_reset = get_seed_blocking(p.assertion, client, history, stats)
         client.close()
         assert seed.ints["x"] == 0 and was_reset and stats.solver_calls == 2
-        rebuilt = sent[-2]  # before the exit
+        rebuilt = sent[-1]  # the last query: `close` writes nothing
         assert rebuilt.startswith("(pop 1)\n(push 1)\n(declare-fun x () Int)")
         assert len(_lines([rebuilt], "(assert ")) == 1
 
@@ -1128,9 +1128,17 @@ class TestOneRoundTrip:
         kinds.append(client.solve(unsat).kind)
         client.close()
         assert kinds == [VerdictKind.SAT, VerdictKind.UNSAT, VerdictKind.SAT, VerdictKind.UNSAT]
-        queries = sent[1:-1]  # after the start, before the exit
+        queries = sent[1:]  # after the start; `close` writes nothing
         assert len(queries) == 4
         assert all(q.endswith("(check-sat)\n(get-model)\n(pop 1)") and q.count("(check-sat)") == 1 for q in queries)
+
+    def test_close_stops_the_child_without_a_write(self, sent):
+        client = ProcessSolverClient(MINISOLVER_CMD, timeout=60)
+        assert client.solve(X_NONNEGATIVE).is_sat
+        proc, writes = client._handle.proc, len(sent)
+        client.close()
+        assert len(sent) == writes and proc.returncode is not None and client._handle is None
+        client.close()  # a second close is harmless
 
     def test_a_failed_send_ahead_is_the_verdict_of_its_query(self):
         client = ProcessSolverClient(f"{sys.executable} -c 'import os, time; os.close(0); time.sleep(30)'", timeout=5)
