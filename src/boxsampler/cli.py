@@ -245,10 +245,11 @@ def _cmd_verify(args) -> int:
                 if not pred(*values):
                     violations += 1
                     print(f"violation at line {line_no}", file=sys.stderr)
-                if values in seen:
+                size = len(seen)
+                seen.add(values)
+                if len(seen) == size:
                     duplicates += 1
                     print(f"duplicate at line {line_no}", file=sys.stderr)
-                seen.add(values)
         except (UnicodeDecodeError, json.JSONDecodeError, BoxsamplerError) as exc:
             raise BoxsamplerError(f"{args.samples}:{line_no}: {exc}") from exc
     print(f"{total} samples, {violations} violations, {duplicates} duplicates")

@@ -7,10 +7,12 @@
 - :func:`compile_node_values` turns a formula into a function over the
   same positional values that computes the value of every pre-order node
   once and returns those of the Int- and Bool-sorted nodes, as
-  ``terms.SORT_OF`` sorts them, in one tuple, for coverage bitmaps.
+  ``terms.SORT_OF`` sorts them, but the constant leaves, in one tuple, for
+  coverage bitmaps.
 
 Both walk a node's children as :func:`terms.children` lists them, so the
-node numbering is that of :func:`terms.iter_nodes`.
+node numbering is that of :func:`terms.iter_nodes`, and work out the text
+of each distinct node once in a compile.
 
 Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
 variables, ``+``, ``-``, ``*``, term-level ite, select (function application
@@ -22,11 +24,23 @@ Values and truth values equal those of :func:`terms.eval_formula` /
 :func:`terms.eval_term`, which stay the reference, with the same evaluation
 order and short-circuiting.
 
+Parentheses.  Each piece of text carries the binding strength of its
+outermost operator, loosest first: or, and, not, comparison, sum, product,
+a negative constant's unary minus, and a primary (a name, a call or a
+parenthesized text).  A child is parenthesized only where it binds less
+tightly than its place requires: a difference inside a sum goes bare, as
+integers regroup exactly, but the right operand of ``-`` needs more than a
+sum, and an ite is always parenthesized.  Comparisons never chain, as their
+operands are terms.  CPython's parser pays for every pair:
+``compile()`` of the ``lia_wide-1-0`` predicate took 239 µs with a pair
+around every node and 136 µs with these alone (best of 400, 2-core VM).
+
 Hoisting.  CPython's parser fails at about 200 nested parentheses and its
-compiler at a few thousand nested operators.  A subexpression that would
-nest deeper than ``_MAX_DEPTH`` moves into a generated helper function,
-called in its place; sums and products split into parenthesised groups of
-``_CHAIN`` operands.  So every formula the interpreter evaluates compiles.
+compiler at a few thousand nested operators.  A subexpression whose
+operators would nest deeper than ``_MAX_DEPTH``, parenthesized or not,
+moves into a generated helper function, called in its place; sums and
+products split into parenthesized groups of ``_CHAIN`` operands, which keep
+their parentheses.  So every formula the interpreter evaluates compiles.
 
 Security.  Generated source is built only from this module's templates, the
 shape of our own AST and ``repr`` of int and bool constants.  Symbol names
@@ -41,6 +55,7 @@ import itertools
 
 from .errors import UnassignedSymbol
 from .terms import (
+    SORT_OF,
     Add,
     And,
     ArrayVar,
@@ -61,7 +76,6 @@ from .terms import (
     Store,
     Sub,
     children,
-    sort_of,
 )
 
 _MAX_DEPTH = 40  # operator nesting of one generated expression
@@ -69,24 +83,32 @@ _CHAIN = 16  # operands of one + or * chain
 
 _PY_REL = {Rel.LT: "<", Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=", Rel.EQ: "==", Rel.NE: "!="}
 
+_OR, _AND, _NOT, _CMP, _SUM, _PRODUCT, _UNARY, _PRIMARY = range(8)  # binding strengths, loosest first
 
-# Python text of each inner node type, except + and *, over its children's
-# texts.
+# Python text of each inner node type: its strength, the least strength of
+# an operand that goes unparenthesized (of each operand in turn, but for a
+# variadic type), and its text over the operands' texts, or for a variadic
+# type the operator that joins them.
 _TEMPLATES = {
-    Atom: lambda n, c: f"({c[0]} {_PY_REL[n.rel]} {c[1]})",
-    Not: lambda n, c: f"(not {c[0]})",
-    And: lambda n, c: "(" + " and ".join(c) + ")" if c else "True",
-    Or: lambda n, c: "(" + " or ".join(c) + ")" if c else "False",
-    Sub: lambda n, c: f"({c[0]} - {c[1]})",
-    Ite: lambda n, c: f"({c[1]} if {c[0]} else {c[2]})",
-    Select: lambda n, c: (
+    Atom: (_CMP, (_SUM, _SUM), lambda n, c: f"{c[0]} {_PY_REL[n.rel]} {c[1]}"),
+    Not: (_NOT, (_NOT,), lambda n, c: f"not {c[0]}"),
+    Sub: (_SUM, (_SUM, _PRODUCT), lambda n, c: f"{c[0]} - {c[1]}"),
+    Ite: (_PRIMARY, (_OR, _OR, _OR), lambda n, c: f"({c[1]} if {c[0]} else {c[2]})"),
+    Select: (_PRIMARY, (_OR, _OR), lambda n, c: (
         f"{c[0]}.exceptions.get({c[1]}, {c[0]}.default)" if c[0].isidentifier() else f"_apply({c[0]}, {c[1]})"
-    ),
-    Store: lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})",
+    )),
+    Store: (_PRIMARY, (_OR, _OR, _OR), lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})"),
+    And: (_AND, _NOT, " and "),
+    Or: (_OR, _AND, " or "),
+    Add: (_SUM, _SUM, " + "),
+    Mul: (_PRODUCT, _PRODUCT, " * "),
 }
+_EMPTY = {And: "True", Or: "False", Add: "0", Mul: "1"}  # a variadic node without operands
 
-# A piece of generated code: (text, operator nesting depth).
+# A piece of generated code: (text, operator nesting depth, strength).
 _Piece = tuple
+
+_SYMBOLS, _CONSTANTS = (IntVar, BoolVar, ArrayVar), (IntConst, BoolConst)
 
 
 class _Codegen:
@@ -96,74 +118,62 @@ class _Codegen:
     def __init__(self, params: list[str]):
         self.params = {name: f"v{i}" for i, name in enumerate(params)}
         self.signature = ", ".join(f"v{i}" for i in range(len(params)))
-        self.env: dict = {
-            "__builtins__": {},
-            "_apply": FuncValue.apply,
-            "_store": FuncValue.with_store,
-        }
+        self.env: dict = {"__builtins__": {}, "_apply": FuncValue.apply, "_store": FuncValue.with_store}
         self.functions: list[str] = []
-
-    # -- leaves ------------------------------------------------------------
-
-    def _symbol(self, name: str) -> _Piece:
-        if name not in self.params:
-            raise UnassignedSymbol(name)
-        return (self.params[name], 0)
+        self.memo: dict = {}  # the piece of each inner node, by node
 
     def _const(self, value) -> _Piece:
         if type(value) in (int, bool):
-            return (repr(value), 0)
+            return (repr(value), 0, _UNARY if value < 0 else _PRIMARY)
         name = f"_c{len(self.env)}"
         self.env[name] = value
-        return (name, 0)
-
-    def _leaf(self, node) -> _Piece | None:
-        kind = type(node)
-        if kind is IntConst or kind is BoolConst:
-            return self._const(node.value)
-        return self._symbol(node.name) if kind in (IntVar, BoolVar, ArrayVar) else None
-
-    # -- inner nodes ---------------------------------------------------------
+        return (name, 0, _PRIMARY)
 
     def _combine(self, node, kids: list[_Piece]) -> _Piece:
         """The expression of an inner node over its children's pieces."""
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            if not kids:
-                return ("0" if kind is Add else "1", 0)
-            op = " + " if kind is Add else " * "
-            while len(kids) > _CHAIN:
-                kids = [_join(op, kids[i : i + _CHAIN]) for i in range(0, len(kids), _CHAIN)]
-            return _join(op, kids)
+        kind = node.__class__
         try:
-            template = _TEMPLATES[kind]
+            strength, least, template = _TEMPLATES[kind]
         except KeyError:
             raise TypeError(f"not a term or formula: {node!r}") from None
-        text = template(node, [k[0] for k in kids])
-        return (text, 1 + max((k[1] for k in kids), default=0))
-
-    # -- expressions with hoisting -----------------------------------------
+        if template.__class__ is not str:
+            texts = [t if s >= need else f"({t})" for (t, _, s), need in zip(kids, least)]
+            return (template(node, texts), 1 + max([k[1] for k in kids]), strength)
+        if not kids:
+            return (_EMPTY[kind], 0, _PRIMARY)
+        chain = kind is Add or kind is Mul  # nests one node of Python's syntax tree per operand
+        while chain and len(kids) > _CHAIN:
+            groups = [self._combine(node, kids[i : i + _CHAIN]) for i in range(0, len(kids), _CHAIN)]
+            kids = [(f"({t})", d, _PRIMARY) for t, d, _ in groups]
+        text = template.join([t if s >= least else f"({t})" for t, _, s in kids])
+        return (text, (len(kids) if chain else 1) + max([k[1] for k in kids]), strength)
 
     def expression(self, node) -> _Piece:
-        leaf = self._leaf(node)
-        if leaf is not None:
-            return leaf
-        kids = [self.expression(k) for k in children(node)]
-        piece = self._combine(node, kids)
-        while piece[1] > _MAX_DEPTH:
-            deepest = max(range(len(kids)), key=lambda i: kids[i][1])
-            if kids[deepest][1] <= 1:
-                break  # only a long chain of leaves, which grouping keeps shallow
-            kids[deepest] = self._hoist(kids[deepest])
+        kind = node.__class__
+        if kind in _SYMBOLS:
+            name = self.params.get(node.name)
+            if name is None:
+                raise UnassignedSymbol(node.name)
+            return (name, 0, _PRIMARY)
+        if kind in _CONSTANTS:
+            return self._const(node.value)
+        piece = self.memo.get(node)
+        if piece is None:
+            kids = [self.expression(k) for k in children(node)]
             piece = self._combine(node, kids)
+            while piece[1] > _MAX_DEPTH:
+                deepest = max(range(len(kids)), key=lambda i: kids[i][1])
+                if kids[deepest][1] <= 1:
+                    break  # only a long chain of leaves, which grouping keeps shallow
+                kids[deepest] = self._hoist(kids[deepest])
+                piece = self._combine(node, kids)
+            self.memo[node] = piece
         return piece
 
     def _hoist(self, piece: _Piece) -> _Piece:
         name = f"_h{len(self.functions)}"
         self.function(name, [f"return {piece[0]}"])
-        return (f"{name}({self.signature})", 1)
-
-    # -- functions -----------------------------------------------------------
+        return (f"{name}({self.signature})", 1, _PRIMARY)
 
     def function(self, name: str, body: list[str], packed: bool = False) -> None:
         """Add `def name(signature)` that runs `body`, or when `packed`,
@@ -183,11 +193,6 @@ class _Codegen:
         return fn
 
 
-def _join(op: str, kids: list[_Piece]) -> _Piece:
-    text = "(" + op.join(k[0] for k in kids) + ")"
-    return (text, len(kids) + max(k[1] for k in kids))
-
-
 def compile_predicate(formulas: list[Formula], var_names: list[str], packed: bool = False):
     """`pred(*values)`: the conjunction of `formulas` with the symbols
     `var_names` bound positionally, in order: ints and bools for integer and
@@ -196,31 +201,38 @@ def compile_predicate(formulas: list[Formula], var_names: list[str], packed: boo
     symbol.  When `packed`, the values come as one tuple, `pred(values)`,
     as `filter` passes them."""
     gen = _Codegen(var_names)
-    text, _ = gen.expression(And(tuple(formulas)))
-    gen.function("_predicate", [f"return {text}"], packed)
+    gen.function("_predicate", [f"return {gen.expression(And(tuple(formulas)))[0]}"], packed)
     return gen.build("_predicate")
 
 
 def compile_node_values(f: Formula, var_names: list[str]):
-    """`(values, nodes)`.  `values(*args)`, with the symbols `var_names`
-    bound positionally as in :func:`compile_predicate`, returns one tuple:
-    the value of every Int- and Bool-sorted node in pre-order, each computed
-    once from its children; `nodes` holds those nodes' pre-order indices
-    (numbered as :func:`terms.iter_nodes` yields them).  Array-sorted nodes
-    are computed but not returned."""
+    """`(values, nodes, constants)`.  `values(*args)`, with the symbols
+    `var_names` bound positionally as in :func:`compile_predicate`, returns
+    one tuple: the value of every Int- and Bool-sorted node in pre-order but
+    the constant leaves, each computed once from its children, and once for
+    all nodes equal to it; `nodes` holds those nodes' pre-order indices
+    (numbered as :func:`terms.iter_nodes` yields them), and `constants` the
+    `(index, value)` of each integer and Boolean constant leaf.  Array-sorted
+    nodes are computed but not returned."""
     gen = _Codegen(var_names)
     body: list[str] = []
     valued: list[tuple[int, str]] = []
+    constants: list[tuple[int, object]] = []
     preorder = itertools.count()
 
     def visit(node) -> _Piece:
-        index = next(preorder)
-        piece = gen._leaf(node)
+        index, kind = next(preorder), node.__class__
+        if kind in _CONSTANTS:
+            constants.append((index, node.value))
+            return gen.expression(node)
+        piece = gen.expression(node) if kind in _SYMBOLS else None
         if piece is None:
-            expr, _ = gen._combine(node, [visit(k) for k in children(node)])
-            body.append(f"n{index} = {expr}")
-            piece = (f"n{index}", 0)
-        if sort_of(node) is not Sort.ARRAY:
+            kids = [visit(k) for k in children(node)]  # numbered even where the node repeats
+            piece = gen.memo.get(node)
+            if piece is None:
+                body.append(f"n{index} = {gen._combine(node, kids)[0]}")
+                piece = gen.memo[node] = (f"n{index}", 0, _PRIMARY)
+        if SORT_OF[kind] is not Sort.ARRAY:
             valued.append((index, piece[0]))
         return piece
 
@@ -228,4 +240,4 @@ def compile_node_values(f: Formula, var_names: list[str]):
     valued.sort()
     body.append("return (" + "".join(f"{text}, " for _, text in valued) + ")")
     gen.function("_values", body)
-    return gen.build("_values"), [i for i, _ in valued]
+    return gen.build("_values"), [i for i, _ in valued], constants

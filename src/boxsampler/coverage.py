@@ -22,6 +22,7 @@ same samples again, or in any split or order, leaves the same bitmap.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import reduce
@@ -100,7 +101,9 @@ def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBi
     seen-zero mask ``~AND & low``, where ``low``, the mask of the node's
     width, is worked out once per compile.  That keeps an Int's low 64 bits
     of two's complement, and gives a Bool one if any value is true and zero
-    if any is false.  The fold only ORs bits in, so it is idempotent: repeating
+    if any is false.  An integer or Boolean constant leaf has the one value
+    in every sample, so it is no column: its bits are folded in once, by
+    the first fold after the compile.  The fold only ORs bits in, so it is idempotent: repeating
     it, or folding the samples one at a time or in any other batches,
     leaves the same bitmap.  No samples is a no-op.  Raises
     :class:`UnassignedSymbol`, before any mask changes, if a sample lacks a
@@ -109,16 +112,18 @@ def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBi
         return bm
     if bm._compiled is None or bm._compiled[0] is not f:
         symbols = _symbols(f)
-        values, nodes = compile_node_values(f, [name for _, name in symbols])
-        bm._compiled = (f, symbols, values, nodes, [(1 << bm.widths[i]) - 1 for i in nodes])
-    _, symbols, values, nodes, lows = bm._compiled
+        values, nodes, constants = compile_node_values(f, [name for _, name in symbols])
+        low = [(1 << width) - 1 for width in bm.widths]
+        bm._compiled = (f, symbols, values, nodes, [low[i] for i in nodes], [(i, low[i], {c}) for i, c in constants])
+    _, symbols, values, nodes, lows, constants = bm._compiled
     try:
         rows = [values(*[getattr(sample, field_name)[name] for field_name, name in symbols]) for sample in samples]
     except KeyError as e:
         raise UnassignedSymbol(e.args[0]) from None
+    if constants:  # folded by the first fold alone: no sample changes a constant
+        bm._compiled = (*bm._compiled[:5], ())
     zero, one = bm.seen_zero, bm.seen_one
-    for i, low, column in zip(nodes, lows, zip(*rows)):
-        distinct = set(column)
+    for i, low, distinct in itertools.chain(constants, zip(nodes, lows, map(set, zip(*rows)))):
         one[i] |= reduce(or_, distinct) & low
         zero[i] |= low ^ (reduce(and_, distinct) & low)  # ~AND & low, with no `~` on a Bool
     return bm

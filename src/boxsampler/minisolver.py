@@ -24,7 +24,8 @@ finite box was fully scanned.  Everything is deterministic.
 The input is read with the one SMT-LIB reader of :mod:`smtlib`, through
 :class:`smtlib.StreamReader`, which reads every command complete in what
 has arrived in one pass; the client reads the replies at the other end of
-the pipe with the same class.  A stray ")" and every rejected
+the pipe with the same class.  Both ends speak UTF-8 whatever the locale,
+and each reads undecodable bytes as U+FFFD.  A stray ")" and every rejected
 command get an ``(error "...")`` reply, with quotes doubled and the line
 and column of the error in the input stream, and reading goes on.
 
@@ -58,6 +59,7 @@ dataclasses alone made the time from spawn to first answer a quarter longer.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import sys
@@ -627,8 +629,9 @@ def _format_model(model: Model, declarations: list[Declaration]) -> str:
 
 
 def main(argv=None) -> int:
+    sys.stdout.reconfigure(encoding="utf-8")  # as the client reads and writes, whatever the locale
     session = _Session(sys.stdout)
-    for line in sys.stdin:
+    for line in codecs.iterdecode(sys.stdin.buffer, "utf-8", "replace"):
         for command in session.reader.feed(line):
             if isinstance(command, SmtSyntaxError):  # a stray ")"
                 session.error(session.reader.locate(command))

@@ -423,9 +423,10 @@ class Parser:
             return BoolConst(True)
         if text == "false":
             return BoolConst(False)
-        value = numeral(text, s.error)
-        if value is not None:
-            return IntConst(value)
+        if text[0] in "-0123456789":  # as every numeral starts
+            value = numeral(text, s.error)
+            if value is not None:
+                return IntConst(value)
         if text.startswith("#"):
             raise s.error("bit-vector and hex literals are not supported", UnsupportedFeature)
         name = _sym(text)
@@ -460,8 +461,8 @@ def _variadic(least: int, sort: Sort | None, build) -> tuple:  # of `least` or m
     return sort, least, True, build
 
 
-def _relation(rel: Rel) -> tuple:  # chainable: (op a b c) is (and (op a b) (op b c))
-    return _variadic(2, Sort.INT, lambda s, xs: conj(Atom(rel, a, b) for a, b in zip(xs, xs[1:])))
+def _chained(rel: Rel, xs: list) -> Formula:  # (op a b c) is (and (op a b) (op b c))
+    return Atom(rel, *xs) if len(xs) == 2 else conj(Atom(rel, a, b) for a, b in zip(xs, xs[1:]))
 
 
 def _equal(s: _SExpr, xs: list) -> Formula:
@@ -470,7 +471,7 @@ def _equal(s: _SExpr, xs: list) -> Formula:
         raise s.error("= operands have different sorts")
     if sort is Sort.BOOL:
         return conj(Or((And((a, b)), And((Not(a), Not(b))))) for a, b in zip(xs, xs[1:]))  # iff
-    return conj(Atom(Rel.EQ, a, b) for a, b in zip(xs, xs[1:]))
+    return _chained(Rel.EQ, xs)
 
 
 def _distinct(s: _SExpr, xs: list) -> Formula:
@@ -519,7 +520,7 @@ _OPERATORS = {
     "xor": _fixed(lambda s, xs: _xor(*xs), Sort.BOOL, Sort.BOOL),
     "select": _fixed(lambda s, xs: Select(*xs), Sort.ARRAY, Sort.INT),
     "store": _fixed(lambda s, xs: Store(*xs), Sort.ARRAY, Sort.INT, Sort.INT),
-    **{rel.value: _relation(rel) for rel in (Rel.LT, Rel.LE, Rel.GT, Rel.GE)},
+    **{r.value: _variadic(2, Sort.INT, lambda s, xs, r=r: _chained(r, xs)) for r in (Rel.LT, Rel.LE, Rel.GT, Rel.GE)},
     "=": _variadic(2, None, _equal),
     "distinct": _variadic(2, None, _distinct),
     "ite": _fixed(_ite, Sort.BOOL, None, None),

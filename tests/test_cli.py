@@ -41,10 +41,11 @@ needs_digit_limit = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int(str) has no digit limit"
 )
 
-# The minisolver, but its input ends where the third check-sat begins: it
-# answers two queries and exits.
+# The minisolver, but its input, which it reads as bytes, ends where the
+# third check-sat begins: it answers two queries and exits.
 SOLVER_EXITING_AT_THIRD_QUERY = """\
 import sys
+import types
 
 from boxsampler import minisolver
 
@@ -52,13 +53,13 @@ from boxsampler import minisolver
 def until_third_check_sat(lines):
     checks = 0
     for line in lines:
-        checks += line.count("(check-sat)")
+        checks += line.count(b"(check-sat)")
         if checks == 3:
             return
         yield line
 
 
-sys.stdin = until_third_check_sat(sys.stdin)
+sys.stdin = types.SimpleNamespace(buffer=until_third_check_sat(sys.stdin.buffer))
 minisolver.main()
 """
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsampler.compiled import compile_node_values, compile_predicate
+from boxsampler.compiled import _PRIMARY, _UNARY, _Codegen, compile_node_values, compile_predicate
 from boxsampler.coverage import CoverageBitmap, record_sample
 from boxsampler.errors import UnassignedSymbol
 from boxsampler.smtlib import parse_problem
@@ -31,6 +31,7 @@ from boxsampler.terms import (
     Select,
     Sort,
     Store,
+    Sub,
     eval_formula,
     eval_term,
     free_symbols,
@@ -101,9 +102,12 @@ def _args(m: Model, names: list[str]) -> list:
 
 def _model_check(f):
     """`check(model)`: the truth value of `f` under a Model, read from the
-    node values compiled over the symbols of `f` (the root is node 0)."""
+    node values compiled over the symbols of `f` (the root is node 0), or
+    from their constants when the root is one."""
     names = _symbols(f)
-    values, nodes = compile_node_values(f, names)
+    values, nodes, constants = compile_node_values(f, names)
+    if constants and constants[0][0] == 0:
+        return lambda m: constants[0][1]
     assert nodes[0] == 0
     return lambda m: values(*_args(m, names))[0]
 
@@ -239,10 +243,16 @@ class TestCoverageValues:
         rng = random.Random(8)
         f = _full_grammar_formula(rng, 4)
         names = _symbols(f)
-        values, valued = compile_node_values(f, names)
+        values, valued, constants = compile_node_values(f, names)
         nodes = list(iter_nodes(f))
         m = _array_model(rng)
-        assert valued == [i for i, n in enumerate(nodes) if isinstance(n, FORMULA_TYPES) or sort_of(n) == Sort.INT]
+        leaves = (IntConst, BoolConst)
+        assert constants == [(i, n.value) for i, n in enumerate(nodes) if isinstance(n, leaves)]
+        assert valued == [
+            i
+            for i, n in enumerate(nodes)
+            if not isinstance(n, leaves) and (isinstance(n, FORMULA_TYPES) or sort_of(n) == Sort.INT)
+        ]
         expected = [(eval_formula if isinstance(nodes[i], FORMULA_TYPES) else eval_term)(nodes[i], m) for i in valued]
         assert list(values(*_args(m, names))) == expected
 
@@ -348,7 +358,7 @@ class TestSelect:
         pred = compile_predicate([f], ["a", "i"])
         assert "v0.exceptions.get(v1, v0.default)" in pred.source
         assert "_apply(_store(v0, v1, 1), 0)" in pred.source
-        values, _ = compile_node_values(f, ["a", "i"])
+        values, _, _ = compile_node_values(f, ["a", "i"])
         assert "_apply" not in values.source  # there each array node is a variable of its own
         for cells, at in (({}, 0), ({0: 1}, 0), ({0: 1}, 5), ({5: 2, 0: 3}, 5)):
             m = Model(ints={"i": at}, funcs={"a": FuncValue(1, cells)})
@@ -371,7 +381,7 @@ class TestSelect:
         ]
         names = INTS + ["a", "g"]
         f = And(tuple(Atom(Rel.LE, t, t) for t in terms))
-        values, valued = compile_node_values(f, names)
+        values, valued, _ = compile_node_values(f, names)
         nodes = list(iter_nodes(f))
         for _ in range(5):
             m = Model(ints={n: rng.randint(-3, 3) for n in INTS})
@@ -386,6 +396,137 @@ class TestSelect:
                 assert pred(*_args(m, names)) is True
 
 
+P, Q, R, A = BoolVar("p"), BoolVar("q"), BoolVar("r"), ArrayVar("a")
+Y, Z = IntVar("y"), IntVar("z")
+SHAPE_NAMES = INTS + ["p", "q", "r", "a"]  # v0 .. v6
+
+
+def _text(node) -> str:
+    return _Codegen(SHAPE_NAMES).expression(node)[0]
+
+
+def _shaped_term(rng, depth: int):
+    """Int terms whose operators nest in every order: differences on either
+    side of a `-`, sums under products, negative constants and ites as
+    operands, selects at ite indices."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return rng.choice([X, Y, Z, IntConst(rng.randint(-4, 4))])
+    kids = [_shaped_term(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    if roll < 0.4:
+        return Sub(kids[0], kids[1])
+    if roll < 0.55:
+        return Add(tuple(kids))
+    if roll < 0.7:
+        return Mul(tuple(kids))
+    if roll < 0.85:
+        return Ite(_shaped_formula(rng, depth - 1), kids[0], kids[1])
+    return Select(A, kids[0])
+
+
+def _shaped_formula(rng, depth: int):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if roll < 0.05:
+            return rng.choice([P, Q, R, BoolConst(rng.random() < 0.5)])
+        return Atom(rng.choice(list(Rel)), _shaped_term(rng, depth - 1), _shaped_term(rng, depth - 1))
+    kids = tuple(_shaped_formula(rng, depth - 1) for _ in range(2))
+    return Not(rng.choice([And, Or])(kids)) if roll < 0.5 else rng.choice([And, Or])(kids)
+
+
+class TestPrecedence:
+    """Generated text carries only the parentheses that Python needs, but
+    around the right operand of a `-` that is a sum or a difference, an ite
+    and the groups of a long chain; values stay those of the interpreter."""
+
+    SHAPES = [
+        (Sub(X, Sub(Y, Z)), "v0 - (v1 - v2)"),
+        (Sub(X, Add((Y, Z))), "v0 - (v1 + v2)"),
+        (Sub(Sub(X, Y), Z), "v0 - v1 - v2"),
+        (Sub(X, Mul((Y, Z))), "v0 - v1 * v2"),
+        (Mul((Add((X, Y)), Z)), "(v0 + v1) * v2"),
+        (Mul((Sub(X, Y), IntConst(-3))), "(v0 - v1) * -3"),
+        (Add((Mul((X, Y)), Sub(Z, X))), "v0 * v1 + v2 - v0"),
+        (Mul((IntConst(-3), X)), "-3 * v0"),
+        (Sub(X, IntConst(-3)), "v0 - -3"),
+        (Atom(Rel.LT, X, IntConst(-3)), "v0 < -3"),
+        (Atom(Rel.EQ, Add((X, Y)), Mul((Y, Z))), "v0 + v1 == v1 * v2"),
+        (Not(And((P, Q))), "not (v3 and v4)"),
+        (Not(Atom(Rel.LE, X, Y)), "not v0 <= v1"),
+        (Not(Not(P)), "not not v3"),
+        (And((P, Or((Q, R)))), "v3 and (v4 or v5)"),
+        (Or((P, And((Q, R)), Not(Q))), "v3 or v4 and v5 or not v4"),
+        (Add((Ite(P, X, Y), Z)), "(v0 if v3 else v1) + v2"),
+        (Sub(Z, Ite(Or((P, Q)), X, IntConst(-1))), "v2 - (v0 if v3 or v4 else -1)"),
+        (Select(A, Ite(P, X, Y)), "v6.exceptions.get((v0 if v3 else v1), v6.default)"),
+        (Select(Store(A, X, Sub(Y, Z)), Add((X, Y))), "_apply(_store(v6, v0, v1 - v2), v0 + v1)"),
+    ]
+
+    @pytest.mark.parametrize("node, text", SHAPES, ids=[text for _, text in SHAPES])
+    def test_each_shape_has_its_text_and_the_interpreters_value(self, node, text):
+        assert _text(node) == text
+        rng = random.Random(text)
+        formula = isinstance(node, FORMULA_TYPES)
+        probe = node if formula else Atom(Rel.EQ, node, node)
+        values, nodes, _ = compile_node_values(probe, SHAPE_NAMES)
+        for _ in range(30):
+            m = _shape_model(rng)
+            expected = (eval_formula if formula else eval_term)(node, m)
+            got = eval(text, {"_apply": FuncValue.apply, "_store": FuncValue.with_store}, _shape_env(m))
+            assert got == expected
+            assert values(*_args(m, SHAPE_NAMES))[nodes.index(0 if formula else 1)] == expected
+
+    def test_a_negative_constant_binds_as_a_unary_minus(self):
+        gen = _Codegen([])
+        assert gen.expression(IntConst(-3)) == ("-3", 0, _UNARY)
+        assert gen.expression(IntConst(3)) == ("3", 0, _PRIMARY)
+        assert gen.expression(BoolConst(False)) == ("False", 0, _PRIMARY)
+
+    def test_long_sums_keep_their_groups_and_deep_differences_are_hoisted(self):
+        names = [f"w{i}" for i in range(40)]
+        long_sum = Add(tuple(IntVar(n) for n in names))
+        text = _Codegen(names).expression(long_sum)[0]
+        assert text == " + ".join("(" + " + ".join(f"v{i}" for i in range(k, min(k + 16, 40))) + ")" for k in (0, 16, 32))
+        deep = X
+        for i in range(120):  # x - (y - (z - (x - ...))), each difference on the right of the next
+            deep = Sub([X, Y, Z][i % 3], deep)
+        f = And((Atom(Rel.EQ, deep, IntVar("w")), Atom(Rel.GE, Mul((IntConst(-2), long_sum)), IntConst(-50))))
+        pred = compile_predicate([f], [*INTS, "w", *names])
+        assert pred.source.count("def ") > 1
+        rng = random.Random(5)
+        for _ in range(20):
+            m = Model(ints={n: rng.randint(-3, 3) for n in [*INTS, "w", *names]})
+            m.ints["w"] = eval_term(deep, m) + rng.randint(0, 1)
+            assert pred(*(m.ints[n] for n in [*INTS, "w", *names])) == eval_formula(f, m)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_predicates_and_node_values_equal_the_interpreter(self, seed):
+        rng = random.Random(seed)
+        f = _shaped_formula(rng, 4)
+        pred = compile_predicate([f], SHAPE_NAMES)
+        values, valued, constants = compile_node_values(f, SHAPE_NAMES)
+        nodes = list(iter_nodes(f))
+        for _ in range(5):
+            m = _shape_model(rng)
+            assert pred(*_args(m, SHAPE_NAMES)) == eval_formula(f, m)
+            evaluate = [eval_formula if isinstance(nodes[i], FORMULA_TYPES) else eval_term for i in valued]
+            assert list(values(*_args(m, SHAPE_NAMES))) == [e(nodes[i], m) for e, i in zip(evaluate, valued)]
+        assert constants == [(i, n.value) for i, n in enumerate(nodes) if isinstance(n, (IntConst, BoolConst))]
+
+
+def _shape_model(rng) -> Model:
+    return Model(
+        ints={n: rng.randint(-5, 5) for n in INTS},
+        bools={n: rng.random() < 0.5 for n in ("p", "q", "r")},
+        funcs={"a": FuncValue(rng.randint(-2, 2), {k: rng.randint(-3, 3) for k in range(-4, 5) if rng.random() < 0.4})},
+    )
+
+
+def _shape_env(m: Model) -> dict:
+    return {f"v{i}": value for i, value in enumerate(_args(m, SHAPE_NAMES))}
+
+
 class TestGeneratedSource:
     NAME = '|a"); import os; ("|'
 
@@ -398,7 +539,7 @@ class TestGeneratedSource:
         assert "import" in name
         f = p.assertion
         check = compile_predicate([f], [name, "ok", "f)("])
-        values, _ = compile_node_values(f, [name, "ok", "f)("])
+        values, _, _ = compile_node_values(f, [name, "ok", "f)("])
         pred = compile_predicate([Atom(Rel.GT, IntVar(name), IntConst(3))], [name])
         for fn in (check, values, pred):
             assert name not in fn.source and "import" not in fn.source and "f)(" not in fn.source

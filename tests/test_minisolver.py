@@ -10,9 +10,12 @@ answers error once a request's deadline has passed."""
 import hashlib
 import io
 import itertools
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -587,3 +590,14 @@ def test_int_answers_match_pinned_digest():
         digest.update(repr((v.kind.value, model)).encode())
     assert statuses == {VerdictKind.SAT, VerdictKind.UNSAT, VerdictKind.UNKNOWN}
     assert digest.hexdigest() == "06d4cbf199273790f79222654aee7c5160fcab7fc2d142717bb39a54857f170c"
+
+
+def test_the_child_reads_and_writes_utf8_whatever_the_locale():
+    # the process client always writes and reads UTF-8
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PYTHONIOENCODING": "ascii"}
+    text = "(declare-const |\u00e9| Int)(assert (> |\u00e9| 3))(check-sat)(get-model)\n"
+    child = subprocess.run(
+        [sys.executable, "-m", "boxsampler.minisolver"], input=text.encode(), env=env, capture_output=True, timeout=60
+    )
+    reply = child.stdout.decode()
+    assert child.returncode == 0 and reply.startswith("sat\n") and "(define-fun |\u00e9| () Int 4)" in reply
