@@ -6,13 +6,11 @@
   check, the check of ``verify``, and the fallback solver's scans.
 - :func:`compile_node_values` turns a formula into a function over the
   same positional values that computes the value of every pre-order node
-  once and returns those of the Int- and Bool-sorted nodes, as
-  ``terms.SORT_OF`` sorts them, but the constant leaves, in one tuple, for
-  coverage bitmaps.
+  once and returns those of the Int- and Bool-sorted nodes but constant
+  leaves, as ``terms.SORT_OF`` sorts them, in one tuple, for coverage.
 
 Both walk a node's children as :func:`terms.children` lists them, so the
-node numbering is that of :func:`terms.iter_nodes`, and work out the text
-of each distinct node once in a compile.
+node numbering is that of :func:`terms.iter_nodes`.
 
 Fragment.  The whole term grammar of :mod:`.terms`: integer constants and
 variables, ``+``, ``-``, ``*``, term-level ite, select (function application
@@ -24,23 +22,17 @@ Values and truth values equal those of :func:`terms.eval_formula` /
 :func:`terms.eval_term`, which stay the reference, with the same evaluation
 order and short-circuiting.
 
-Parentheses.  Each piece of text carries the binding strength of its
-outermost operator, loosest first: or, and, not, comparison, sum, product,
-a negative constant's unary minus, and a primary (a name, a call or a
-parenthesized text).  A child is parenthesized only where it binds less
-tightly than its place requires: a difference inside a sum goes bare, as
-integers regroup exactly, but the right operand of ``-`` needs more than a
-sum, and an ite is always parenthesized.  Comparisons never chain, as their
-operands are terms.  CPython's parser pays for every pair:
-``compile()`` of the ``lia_wide-1-0`` predicate took 239 µs with a pair
-around every node and 136 µs with these alone (best of 400, 2-core VM).
+Parentheses.  A child is parenthesized only where its operator binds less
+tightly than its place needs, and an ite or a difference in a sum always,
+so that a chain nests only its own operands.  Each pair costs: ``compile()``
+of the ``lia_wide-1-0`` predicate took 239 µs with one around every node,
+136 µs with these (best of 400, 2-core VM).
 
 Hoisting.  CPython's parser fails at about 200 nested parentheses and its
-compiler at a few thousand nested operators.  A subexpression whose
-operators would nest deeper than ``_MAX_DEPTH``, parenthesized or not,
-moves into a generated helper function, called in its place; sums and
-products split into parenthesized groups of ``_CHAIN`` operands, which keep
-their parentheses.  So every formula the interpreter evaluates compiles.
+compiler at a few thousand nested operators.  A subexpression that would
+nest deeper than ``_MAX_DEPTH`` moves into a generated helper function,
+called in its place; sums and products split into parenthesised groups of
+``_CHAIN`` operands.  So every formula the interpreter evaluates compiles.
 
 Security.  Generated source is built only from this module's templates, the
 shape of our own AST and ``repr`` of int and bool constants.  Symbol names
@@ -85,10 +77,9 @@ _PY_REL = {Rel.LT: "<", Rel.LE: "<=", Rel.GT: ">", Rel.GE: ">=", Rel.EQ: "==", R
 
 _OR, _AND, _NOT, _CMP, _SUM, _PRODUCT, _UNARY, _PRIMARY = range(8)  # binding strengths, loosest first
 
-# Python text of each inner node type: its strength, the least strength of
-# an operand that goes unparenthesized (of each operand in turn, but for a
-# variadic type), and its text over the operands' texts, or for a variadic
-# type the operator that joins them.
+# Each inner node type's strength; the least strength of an operand left
+# bare, of each in turn or of all of a variadic type's; and its text over
+# the operands' texts, or the operator that joins a variadic type's.
 _TEMPLATES = {
     Atom: (_CMP, (_SUM, _SUM), lambda n, c: f"{c[0]} {_PY_REL[n.rel]} {c[1]}"),
     Not: (_NOT, (_NOT,), lambda n, c: f"not {c[0]}"),
@@ -100,7 +91,7 @@ _TEMPLATES = {
     Store: (_PRIMARY, (_OR, _OR, _OR), lambda n, c: f"_store({c[0]}, {c[1]}, {c[2]})"),
     And: (_AND, _NOT, " and "),
     Or: (_OR, _AND, " or "),
-    Add: (_SUM, _SUM, " + "),
+    Add: (_SUM, _PRODUCT, " + "),
     Mul: (_PRODUCT, _PRODUCT, " * "),
 }
 _EMPTY = {And: "True", Or: "False", Add: "0", Mul: "1"}  # a variadic node without operands
@@ -118,16 +109,12 @@ class _Codegen:
     def __init__(self, params: list[str]):
         self.params = {name: f"v{i}" for i, name in enumerate(params)}
         self.signature = ", ".join(f"v{i}" for i in range(len(params)))
-        self.env: dict = {"__builtins__": {}, "_apply": FuncValue.apply, "_store": FuncValue.with_store}
+        self.env: dict = {
+            "__builtins__": {},
+            "_apply": FuncValue.apply,
+            "_store": FuncValue.with_store,
+        }
         self.functions: list[str] = []
-        self.memo: dict = {}  # the piece of each inner node, by node
-
-    def _const(self, value) -> _Piece:
-        if type(value) in (int, bool):
-            return (repr(value), 0, _UNARY if value < 0 else _PRIMARY)
-        name = f"_c{len(self.env)}"
-        self.env[name] = value
-        return (name, 0, _PRIMARY)
 
     def _combine(self, node, kids: list[_Piece]) -> _Piece:
         """The expression of an inner node over its children's pieces."""
@@ -156,18 +143,20 @@ class _Codegen:
                 raise UnassignedSymbol(node.name)
             return (name, 0, _PRIMARY)
         if kind in _CONSTANTS:
-            return self._const(node.value)
-        piece = self.memo.get(node)
-        if piece is None:
-            kids = [self.expression(k) for k in children(node)]
+            value = node.value
+            if type(value) in (int, bool):
+                return (repr(value), 0, _UNARY if value < 0 else _PRIMARY)
+            name = f"_c{len(self.env)}"
+            self.env[name] = value
+            return (name, 0, _PRIMARY)
+        kids = [self.expression(k) for k in children(node)]
+        piece = self._combine(node, kids)
+        while piece[1] > _MAX_DEPTH:
+            deepest = max(range(len(kids)), key=lambda i: kids[i][1])
+            if kids[deepest][1] <= 1:
+                break  # only a long chain of leaves, which grouping keeps shallow
+            kids[deepest] = self._hoist(kids[deepest])
             piece = self._combine(node, kids)
-            while piece[1] > _MAX_DEPTH:
-                deepest = max(range(len(kids)), key=lambda i: kids[i][1])
-                if kids[deepest][1] <= 1:
-                    break  # only a long chain of leaves, which grouping keeps shallow
-                kids[deepest] = self._hoist(kids[deepest])
-                piece = self._combine(node, kids)
-            self.memo[node] = piece
         return piece
 
     def _hoist(self, piece: _Piece) -> _Piece:
@@ -201,7 +190,8 @@ def compile_predicate(formulas: list[Formula], var_names: list[str], packed: boo
     symbol.  When `packed`, the values come as one tuple, `pred(values)`,
     as `filter` passes them."""
     gen = _Codegen(var_names)
-    gen.function("_predicate", [f"return {gen.expression(And(tuple(formulas)))[0]}"], packed)
+    text, _, _ = gen.expression(And(tuple(formulas)))
+    gen.function("_predicate", [f"return {text}"], packed)
     return gen.build("_predicate")
 
 
@@ -209,11 +199,10 @@ def compile_node_values(f: Formula, var_names: list[str]):
     """`(values, nodes, constants)`.  `values(*args)`, with the symbols
     `var_names` bound positionally as in :func:`compile_predicate`, returns
     one tuple: the value of every Int- and Bool-sorted node in pre-order but
-    the constant leaves, each computed once from its children, and once for
-    all nodes equal to it; `nodes` holds those nodes' pre-order indices
-    (numbered as :func:`terms.iter_nodes` yields them), and `constants` the
-    `(index, value)` of each integer and Boolean constant leaf.  Array-sorted
-    nodes are computed but not returned."""
+    the constant leaves, each computed once from its children; `nodes` holds
+    those nodes' pre-order indices (numbered as :func:`terms.iter_nodes`
+    yields them), and `constants` the `(index, value)` of each integer and
+    Boolean constant leaf.  Array-sorted nodes are computed but not returned."""
     gen = _Codegen(var_names)
     body: list[str] = []
     valued: list[tuple[int, str]] = []
@@ -222,17 +211,14 @@ def compile_node_values(f: Formula, var_names: list[str]):
 
     def visit(node) -> _Piece:
         index, kind = next(preorder), node.__class__
+        if kind in _SYMBOLS or kind in _CONSTANTS:
+            piece = gen.expression(node)
+        else:
+            body.append(f"n{index} = {gen._combine(node, [visit(k) for k in children(node)])[0]}")
+            piece = (f"n{index}", 0, _PRIMARY)
         if kind in _CONSTANTS:
             constants.append((index, node.value))
-            return gen.expression(node)
-        piece = gen.expression(node) if kind in _SYMBOLS else None
-        if piece is None:
-            kids = [visit(k) for k in children(node)]  # numbered even where the node repeats
-            piece = gen.memo.get(node)
-            if piece is None:
-                body.append(f"n{index} = {gen._combine(node, kids)[0]}")
-                piece = gen.memo[node] = (f"n{index}", 0, _PRIMARY)
-        if SORT_OF[kind] is not Sort.ARRAY:
+        elif SORT_OF[kind] is not Sort.ARRAY:
             valued.append((index, piece[0]))
         return piece
 

@@ -101,29 +101,32 @@ def record_sample(bm: CoverageBitmap, f: Formula, *samples: Model) -> CoverageBi
     seen-zero mask ``~AND & low``, where ``low``, the mask of the node's
     width, is worked out once per compile.  That keeps an Int's low 64 bits
     of two's complement, and gives a Bool one if any value is true and zero
-    if any is false.  An integer or Boolean constant leaf has the one value
-    in every sample, so it is no column: its bits are folded in once, by
-    the first fold after the compile.  The fold only ORs bits in, so it is idempotent: repeating
+    if any is false.  An integer or Boolean constant leaf has its one value
+    in every sample, so it is no column: the first fold after a compile
+    folds it in.  The fold only ORs bits in, so it is idempotent: repeating
     it, or folding the samples one at a time or in any other batches,
     leaves the same bitmap.  No samples is a no-op.  Raises
     :class:`UnassignedSymbol`, before any mask changes, if a sample lacks a
     symbol of `f`."""
     if not samples:
         return bm
-    if bm._compiled is None or bm._compiled[0] is not f:
+    compiled = bm._compiled
+    fresh = compiled is None or compiled[0] is not f
+    if fresh:
         symbols = _symbols(f)
         values, nodes, constants = compile_node_values(f, [name for _, name in symbols])
-        low = [(1 << width) - 1 for width in bm.widths]
-        bm._compiled = (f, symbols, values, nodes, [low[i] for i in nodes], [(i, low[i], {c}) for i, c in constants])
-    _, symbols, values, nodes, lows, constants = bm._compiled
+        compiled = (f, symbols, values, nodes, [(1 << bm.widths[i]) - 1 for i in nodes])
+    _, symbols, values, nodes, lows = compiled
     try:
         rows = [values(*[getattr(sample, field_name)[name] for field_name, name in symbols]) for sample in samples]
     except KeyError as e:
         raise UnassignedSymbol(e.args[0]) from None
-    if constants:  # folded by the first fold alone: no sample changes a constant
-        bm._compiled = (*bm._compiled[:5], ())
+    bm._compiled = compiled  # kept once a fold gets here, which folds the constants below
+    columns = zip(nodes, lows, map(set, zip(*rows)))
+    if fresh:
+        columns = itertools.chain(columns, [(i, (1 << bm.widths[i]) - 1, {c}) for i, c in constants])
     zero, one = bm.seen_zero, bm.seen_one
-    for i, low, distinct in itertools.chain(constants, zip(nodes, lows, map(set, zip(*rows)))):
+    for i, low, distinct in columns:
         one[i] |= reduce(or_, distinct) & low
         zero[i] |= low ^ (reduce(and_, distinct) & low)  # ~AND & low, with no `~` on a Bool
     return bm

@@ -59,7 +59,6 @@ dataclasses alone made the time from spawn to first answer a quarter longer.
 
 from __future__ import annotations
 
-import codecs
 import itertools
 import math
 import sys
@@ -631,8 +630,8 @@ def _format_model(model: Model, declarations: list[Declaration]) -> str:
 def main(argv=None) -> int:
     sys.stdout.reconfigure(encoding="utf-8")  # as the client reads and writes, whatever the locale
     session = _Session(sys.stdout)
-    for line in codecs.iterdecode(sys.stdin.buffer, "utf-8", "replace"):
-        for command in session.reader.feed(line):
+    for line in sys.stdin.buffer:  # a line of UTF-8 ends at a whole character
+        for command in session.reader.feed(line.decode("utf-8", "replace")):
             if isinstance(command, SmtSyntaxError):  # a stray ")"
                 session.error(session.reader.locate(command))
             elif not session.handle(command):

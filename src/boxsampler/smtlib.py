@@ -423,10 +423,9 @@ class Parser:
             return BoolConst(True)
         if text == "false":
             return BoolConst(False)
-        if text[0] in "-0123456789":  # as every numeral starts
-            value = numeral(text, s.error)
-            if value is not None:
-                return IntConst(value)
+        value = numeral(text, s.error) if text[0] in "-0123456789" else None  # as every numeral starts
+        if value is not None:
+            return IntConst(value)
         if text.startswith("#"):
             raise s.error("bit-vector and hex literals are not supported", UnsupportedFeature)
         name = _sym(text)

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from operator import attrgetter, eq, ge, gt, le, lt, ne
 
 from .errors import UnassignedSymbol, UnsupportedFeature
 
@@ -435,7 +434,14 @@ class Values(dict):
 
 
 # by the relation's value, a str, as a `Rel` member hashes in Python
-_REL_OPS = {"<": lt, "<=": le, ">": gt, ">=": ge, "=": eq, "!=": ne}
+_REL_OPS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
 
 
 def eval_formula(f: Formula, m: Model) -> bool:
@@ -547,17 +553,36 @@ def _check_depth(f: Formula) -> None:
 # Node structure: one child table, and the walks derived from it
 
 
+def _none(node) -> tuple:
+    return ()
+
+
+def _pair(node) -> tuple:
+    return (node.lhs, node.rhs)
+
+
+def _args(node) -> tuple:
+    return node.args
+
+
 # Children of each node type, in pre-order.
 _CHILD_TABLE = {
-    **dict.fromkeys((IntConst, IntVar, ArrayVar, BoolVar, BoolConst), lambda n: ()),
-    **dict.fromkeys((Atom, Sub), attrgetter("lhs", "rhs")),
-    **dict.fromkeys((And, Or, Add, Mul), attrgetter("args")),
+    IntConst: _none,
+    IntVar: _none,
+    ArrayVar: _none,
+    BoolVar: _none,
+    BoolConst: _none,
+    Atom: _pair,
+    Sub: _pair,
+    And: _args,
+    Or: _args,
+    Add: _args,
+    Mul: _args,
     Not: lambda n: (n.arg,),
-    Ite: attrgetter("cond", "then", "orelse"),
-    Select: attrgetter("array", "index"),
-    Store: attrgetter("array", "index", "value"),
+    Ite: lambda n: (n.cond, n.then, n.orelse),
+    Select: lambda n: (n.array, n.index),
+    Store: lambda n: (n.array, n.index, n.value),
 }
-
 
 def children(node) -> tuple:
     """The child nodes of a term or formula, in pre-order; () for a leaf."""

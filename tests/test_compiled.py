@@ -436,8 +436,9 @@ def _shaped_formula(rng, depth: int):
 
 class TestPrecedence:
     """Generated text carries only the parentheses that Python needs, but
-    around the right operand of a `-` that is a sum or a difference, an ite
-    and the groups of a long chain; values stay those of the interpreter."""
+    around the right operand of a `-` that is a sum or a difference, a
+    difference in a sum, an ite and the groups of a long chain; values stay
+    those of the interpreter."""
 
     SHAPES = [
         (Sub(X, Sub(Y, Z)), "v0 - (v1 - v2)"),
@@ -446,7 +447,9 @@ class TestPrecedence:
         (Sub(X, Mul((Y, Z))), "v0 - v1 * v2"),
         (Mul((Add((X, Y)), Z)), "(v0 + v1) * v2"),
         (Mul((Sub(X, Y), IntConst(-3))), "(v0 - v1) * -3"),
-        (Add((Mul((X, Y)), Sub(Z, X))), "v0 * v1 + v2 - v0"),
+        (Add((Mul((X, Y)), Sub(Z, X))), "v0 * v1 + (v2 - v0)"),
+        (Add((Sub(X, Y), Sub(Y, Z))), "(v0 - v1) + (v1 - v2)"),
+        (Sub(Add((X, Y)), Z), "v0 + v1 - v2"),
         (Mul((IntConst(-3), X)), "-3 * v0"),
         (Sub(X, IntConst(-3)), "v0 - -3"),
         (Atom(Rel.LT, X, IntConst(-3)), "v0 < -3"),
@@ -498,6 +501,30 @@ class TestPrecedence:
             m = Model(ints={n: rng.randint(-3, 3) for n in [*INTS, "w", *names]})
             m.ints["w"] = eval_term(deep, m) + rng.randint(0, 1)
             assert pred(*(m.ints[n] for n in [*INTS, "w", *names])) == eval_formula(f, m)
+
+    JOINS = {
+        "differences in sums": lambda a, b: Sub(Add((a, b)), X),
+        "sums": lambda a, b: Add((a, b)),
+        "products": lambda a, b: Mul((a, b)),
+    }
+
+    @pytest.mark.parametrize("join", JOINS.values(), ids=JOINS.keys())
+    def test_a_balanced_tree_of_4096_leaves_compiles(self, join):
+        # (- (+ (- (+ a b) x) (- (+ c d) x)) x) twelve levels deep: written as
+        # one chain, its 8,000 operators would be more than CPython compiles
+        level = [[X, Y, Z, IntConst(-2)][i % 4] for i in range(4096)]
+        while len(level) > 1:
+            level = [join(a, b) for a, b in zip(level[::2], level[1::2])]
+        tree, names = level[0], [*INTS, "w"]
+        f = Atom(Rel.EQ, tree, IntVar("w"))
+        pred = compile_predicate([f], names)
+        values, nodes, _ = compile_node_values(f, names)
+        rng = random.Random(4096)
+        for _ in range(5):
+            m = Model(ints={n: rng.choice([-1, 1, 2]) for n in INTS})
+            m.ints["w"] = eval_term(tree, m)
+            assert pred(*_args(m, names)) is True
+            assert values(*_args(m, names))[nodes.index(1)] == m.ints["w"]
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)

@@ -279,7 +279,7 @@ def test_solver_child_imports_only_the_modules_of_the_pipe():
 
 
 # The lines of source the solver child may compile at each start.
-CHILD_SOURCE_LINES = 2_788
+CHILD_SOURCE_LINES = 2_797
 
 
 def test_solver_child_compiles_at_most_its_budget_of_source_lines():
@@ -293,11 +293,8 @@ def test_solver_child_compiles_at_most_its_budget_of_source_lines():
     that runs over the pipe, and a change that needs more lines raises the
     budget, `CHILD_SOURCE_LINES`, and says why.  The budget was 2,820
     while the child compiled 2,813 lines; it fell to 2,803 when one sort
-    table and one reader of unit bounds replaced their restatements, to
-    2,797 when the process client's `close` stopped writing `(exit)`, and
-    to 2,788 when `terms` read a node's children and a relation's operator
-    through `operator` functions in place of functions of its own, which
-    more than paid for the parenthesization rule of `compiled`."""
+    table and one reader of unit bounds replaced their restatements, and
+    to 2,797 when the process client's `close` stopped writing `(exit)`."""
     script = (
         "import sys, boxsampler.minisolver\n"
         "print(sorted(m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'boxsampler'))"
