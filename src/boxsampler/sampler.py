@@ -20,20 +20,27 @@ index is read from: a declared Int's, a constant's or an earlier key's
 read).  A box of at most `samples_per_round` points, with no select-like
 key and no rebuilt array, is then enumerated, each point once in a
 shuffled order, so that a point box costs one draw.  Any other box is
-drawn at random: each draw writes the integer values, the array cells and
-any rebuilt arrays straight into the tuple.  Each tuple is checked by one positional predicate compiled once
-per run and is its own dedup key, since a function value hashes by value
-(:class:`FuncValue`); only a fresh sample becomes a :class:`Model`, built
-by one generated call (:meth:`SampleLayout.model`) that unpacks the tuple
-into one dict display per sort group.  Its text depends only on the tuple
-of sorts, so it is compiled once per sort signature; each layout binds its
-own names as closure variables, since a quoted symbol may hold any text.
+drawn at random.  Each tuple is checked by one positional predicate
+compiled once per run and is its own dedup key, since a function value
+hashes by value (:class:`FuncValue`); only a fresh sample becomes a
+:class:`Model`, built from one dict display per sort group.
+
+The draws run in chunks of up to 64 through one generated loop per draw
+plan shape (:func:`_chunk_factory`): the layout's sorts, the slots that the
+integer steps write, in step order, and whether the box is enumerated or
+has select-like steps.  The loop unrolls the integer steps, calls the
+predicate, tests the run's key set inline and builds the fresh Models, with
+no other Python function call per draw; the select-like steps and rebuilt
+arrays of a box stay one per-epoch function that it calls.  The text depends on the shape
+alone, so it is compiled once per shape, and each epoch binds its ranges
+and the layout's names as closure variables, since a quoted symbol may
+hold any text.
 
 The Model-based chain :func:`sample_intervals` (or
-:func:`sample_intervals_arrays`, one draw of :func:`epoch_drawer`) ->
-:func:`restrict_to_problem` -> :func:`canonical_assignment` draws the same
-random stream.  It stays as the reference of the tests and because the
-benchmark's span tracer wraps these names.
+:func:`sample_intervals_arrays`, a one-draw chunk of :func:`epoch_drawer`)
+-> :func:`restrict_to_problem` -> :func:`canonical_assignment` draws the
+same random stream.  It stays as the reference of the tests and because
+the benchmark's span tracer wraps these names.
 """
 
 from __future__ import annotations
@@ -158,10 +165,27 @@ class RunStats:
 _DEDUP_CAP = 1_000_000  # exact keys a run keeps before it stores digests
 
 
+def _digest(key: tuple) -> bytes:
+    # equal function values may differ in the order, so the repr, of their exceptions
+    key = tuple((v.default, tuple(sorted(v.exceptions.items()))) if v.__class__ is FuncValue else v for v in key)
+    return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
+
+
+class _Digests(set):
+    """A set of 128-bit key digests whose `add` stores the digest of a key."""
+
+    def add(self, key: tuple) -> None:
+        set.add(self, _digest(key))
+
+
 class DedupSet:
-    """Run-wide uniqueness filter.  Exact until `cap` entries, after which
-    stored keys are replaced by 128-bit digests (collisions astronomically
-    unlikely but possible; flagged in run stats)."""
+    """Run-wide uniqueness filter.  `keys` holds the keys exactly until it
+    has `cap` of them; :meth:`settle` then replaces it by a set of 128-bit
+    digests (collisions astronomically unlikely but possible; flagged in run
+    stats) whose `add` takes a key, so a key is fresh iff `keys.add(key)`
+    grows the set, whichever set it is.  The sampling loop adds to `keys`
+    inline, so it stops once :meth:`room` fresh keys are in and settles the
+    set before it draws on."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -171,21 +195,21 @@ class DedupSet:
     def add(self, key: tuple) -> bool:
         keys = self.keys
         size = len(keys)
-        keys.add(self._digest(key) if self.probabilistic else key)  # one hash: fresh iff the set grew
+        keys.add(key)  # one hash: fresh iff the set grew
         if len(keys) == size:
             return False
-        if not self.probabilistic and len(keys) >= self.cap:
-            self.keys = {self._digest(k) for k in self.keys}
-            self.probabilistic = True
+        self.settle()
         return True
 
-    @staticmethod
-    def _digest(key: tuple) -> bytes:
-        # equal function values may differ in the order, so the repr, of their exceptions
-        key = tuple(
-            (v.default, tuple(sorted(v.exceptions.items()))) if v.__class__ is FuncValue else v for v in key
-        )
-        return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
+    def room(self) -> float:
+        """The fresh keys the set takes before it must settle."""
+        return math.inf if self.probabilistic else self.cap - len(self.keys)
+
+    def settle(self) -> None:
+        """Switch to digests once the exact set holds `cap` keys."""
+        if not self.probabilistic and len(self.keys) >= self.cap:
+            self.keys = _Digests(map(_digest, self.keys))
+            self.probabilistic = True
 
 
 def canonical_assignment(sample: Model) -> tuple:
@@ -419,12 +443,13 @@ def sample_intervals_arrays(
     reconstructions: list[tuple[str, Term]] | None = None,
 ) -> Model | None:
     """Draw one assignment from an interval map with select-like keys, or
-    None on a clash: one draw of :func:`epoch_drawer` over a layout of the
-    seed's own symbols."""
+    None on a clash: a one-draw chunk of :func:`epoch_drawer` over a layout
+    of the seed's own symbols, which takes every draw."""
+    fresh: list[Model] = []
     layout = SampleLayout(_seed_declarations(seed))
-    draw, _ = epoch_drawer(iv, seed, layout, cfg, rng, reconstructions=reconstructions)
-    values = draw()
-    return None if values is None else layout.model(values)
+    chunk, _ = epoch_drawer(iv, seed, layout, cfg, rng, lambda *values: True, fresh, reconstructions=reconstructions)
+    chunk(1, set(), 0)
+    return fresh[0] if fresh else None
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +490,97 @@ def _model_factory(sorts: tuple[Sort, ...]):
     it is compiled once per sort signature; no name enters it, since an
     SMT-LIB quoted symbol may hold a quote, a parenthesis or a newline."""
     n = len(sorts)
-    groups: dict[Sort, list[str]] = {Sort.INT: [], Sort.BOOL: [], Sort.ARRAY: []}
-    for i, sort in enumerate(sorts):
-        groups[sort].append(f"_n{i}: v{i}")
-    displays = ", ".join("{" + ", ".join(group) + "}" for group in groups.values())
     source = (
         f"def factory({', '.join(f'_n{i}' for i in range(n))}):\n"
         f"    def model(values):\n"
-        f"        ({''.join(f'v{i}, ' for i in range(n))}) = values\n"
-        f"        return Model({displays})\n"
+        f"        {_tuple(f'v{i}' for i in range(n))} = values\n"
+        f"        return Model({_displays(sorts, [f'v{i}' for i in range(n)])})\n"
         f"    return model\n"
     )
     env = {"Model": Model, "__builtins__": {}}
     exec(compile(source, "<layout model>", "exec"), env)  # source from the sorts only
     return env["factory"]
+
+
+def _tuple(items) -> str:
+    """The text of a tuple display or target of `items`."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _displays(sorts: tuple[Sort, ...], values: list[str]) -> str:
+    """The text of the arguments of a :class:`Model` call: one dict display
+    per sort group, mapping ``_n{i}`` to ``values[i]`` in declaration order."""
+    groups: dict[Sort, list[str]] = {Sort.INT: [], Sort.BOOL: [], Sort.ARRAY: []}
+    for i, sort in enumerate(sorts):
+        groups[sort].append(f"_n{i}: {values[i]}")
+    return ", ".join("{" + ", ".join(group) + "}" for group in groups.values())
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_factory(sorts: tuple[Sort, ...], slots: tuple[int, ...], mode: str):
+    """`bind(names, consts, steps, pred, append, *, getrandbits, next_point,
+    values, fill)`: the chunk loop of :func:`epoch_drawer` for a layout of
+    `sorts` whose integer steps write the frame slots `slots`, in step
+    order.  `bind` takes the epoch's values and returns `chunk`; they are
+    closure variables, never written into the text, which depends on the
+    shape alone and is compiled once per shape.
+
+    - `names`: the layout's names, ``_n0``, ``_n1``, ...
+    - `consts`: in modes "random" and "enumerate", the value of each layout
+      slot that no integer step writes, in slot order (``c{i}``).
+    - `steps`: ``lo, points, points.bit_length()`` of each integer step.
+
+    A step's value is ``v{slot}``, drawn by `getrandbits` ("random"), taken
+    from `next_point()` with the other steps' ("enumerate"), or written to
+    the frame list `values` before `fill()` draws the array cells and
+    returns the layout's vector, or None on a clash ("arrays")."""
+    n = len(sorts)
+    drawn = set(slots)
+    value = [f"v{i}" if mode == "arrays" or i in drawn else f"c{i}" for i in range(n)]
+    out = [
+        "def bind(names, consts, steps, pred, append, *, getrandbits=None, next_point=None, values=None, fill=None):",
+        f"    {_tuple(f'_n{i}' for i in range(n))} = names",
+        f"    {_tuple(v for v in value if v[0] == 'c')} = consts",
+        f"    {_tuple(f'lo{j}, p{j}, k{j}' for j in range(0 if mode == 'enumerate' else len(slots)))} = steps",
+        "    def chunk(count, keys, last):",
+        "        add = keys.add",
+        "        clashes = 0",
+        "        for i in range(count):",
+    ]
+    if mode == "enumerate":
+        out.append(f"            {_tuple(f'v{s}' for s in slots)} = next_point()")
+    else:
+        for j, s in enumerate(slots):
+            out += [
+                f"            while (r := getrandbits(k{j})) >= p{j}:",
+                "                pass",
+                f"            {f'values[{s}]' if mode == 'arrays' else f'v{s}'} = lo{j} + r",
+            ]
+    if mode == "arrays":
+        out += [
+            "            key = fill()",
+            "            if key is None:",
+            "                clashes += 1",
+            "                continue",
+            f"            {_tuple(value)} = key",
+        ]
+    else:
+        out.append(f"            key = {_tuple(value)}")
+    out += [
+        f"            if not pred({', '.join(value)}):",
+        "                return i, clashes, key",
+        "            size = len(keys)",
+        "            add(key)",
+        "            if len(keys) != size:",
+        f"                append(Model({_displays(sorts, value)}))",
+        "                if size >= last:",
+        "                    return i + 1, clashes, None",
+        "        return count, clashes, None",
+        "    return chunk",
+    ]
+    env = {"Model": Model, "len": len, "range": range, "__builtins__": {}}
+    exec(compile("\n".join(out) + "\n", "<chunk loop>", "exec"), env)  # source from the shape only
+    return env["bind"]
 
 
 class SampleLayout:
@@ -545,20 +647,28 @@ def epoch_drawer(
     layout: SampleLayout,
     cfg: SamplerConfig,
     rng: random.Random,
+    pred: Callable[..., bool],
+    fresh: list[Model],
     *,
     reconstructions: list[tuple[str, Term]] | None = None,
     enumerate_up_to: int = 0,
-) -> tuple[Callable[[], tuple | None], int]:
-    """`(draw, volume)`: `draw()` is one vector of `layout` drawn from the
-    box `iv`, or None on a clash (an array cell already set outside a key's
-    interval).
+) -> tuple[Callable[[int, set, float], tuple[int, int, tuple | None]], int]:
+    """`(chunk, volume)`: `chunk(count, keys, last)` makes up to `count`
+    draws from the box `iv`, each a vector of `layout`.  A draw is a clash
+    when an array cell already set falls outside a key's interval; any
+    other draw is checked with `pred(*vector)` and added to `keys`, and a
+    vector that grows `keys` is fresh: its :class:`Model` is appended to
+    `fresh`.  The chunk stops after the fresh draw that `keys` held `last`
+    keys before, or at the first vector that `pred` rejects, and returns
+    ``(draws, clashes, rejected vector or None)``.  `keys` is a set or
+    :class:`DedupSet`'s digest set; its size is tested inline.
 
     A box with no select-like key and no reconstruction has a volume: the
     product of the points of its integer steps.  When that volume V is at
-    most `enumerate_up_to`, the box is enumerated: the first V calls of
-    `draw()` return each of its points once, in an order shuffled with
-    `rng` (a single point takes no random number), and `volume` is V.
-    Otherwise `volume` is 0 and every draw is random, as follows.
+    most `enumerate_up_to`, the box is enumerated: the first V draws are
+    each of its points once, in an order shuffled with `rng` (a single
+    point takes no random number), and `volume` is V.  Otherwise `volume`
+    is 0 and every draw is random, as follows.
 
     The draw is planned once (:func:`_plan`) over a frame of slots: the
     layout's declared symbols, then the seed's other symbols (the fresh
@@ -573,7 +683,7 @@ def epoch_drawer(
     default with the cells of the draw as exceptions.  The
     `reconstructions` then rebuild the arrays that equality rewriting
     substituted, over a :class:`Model` built only when there are any.  The
-    draw returns the declared prefix of the frame.
+    vector is the declared prefix of the frame.
 
     Each value is ``lo + r``, where ``r`` is the first of
     ``rng.getrandbits(points.bit_length())`` below `points`: the bits and
@@ -581,12 +691,16 @@ def epoch_drawer(
     ``layout.vector(restrict_to_problem(d, problem))`` of the draw ``d`` of
     :func:`sample_intervals` (a box without select-like keys) and consumes
     the same random numbers; that reference chain stays for the tests and
-    the benchmark's span tracer, not for sampling."""
+    the benchmark's span tracer, not for sampling.
+
+    The chunk loop is generated per shape (:func:`_chunk_factory`): the
+    integer steps are unrolled, and a fresh vector becomes a Model through
+    one dict display per sort group.  The select-like steps and the
+    reconstructions stay a per-epoch function that the loop calls."""
     undeclared = _seed_declarations(seed, layout.slot)
     frame = SampleLayout(layout.declarations + undeclared) if undeclared else layout
     slot = frame.slot
     int_steps, access_steps = _plan(iv, seed, cfg.unbounded_width)
-    int_plan = [(slot[name], lo, points, points.bit_length()) for name, lo, points in int_steps]
     values = list(frame.vector(seed))
     arrays = [(name, i, values[i].default) for name, i in frame.funcs]
     cell_names = list(dict.fromkeys([name for name, _, _ in arrays] + [symbol for _, symbol, *_ in access_steps]))
@@ -603,33 +717,15 @@ def epoch_drawer(
         access_plan.append((source, index, symbol, interval, lo, points, points.bit_length(), read_slots[key]))
     recipes = [(name, term, slot[name]) for name, term in reversed(reconstructions or [])]
     n = len(layout.names)
-    exact = len(values) == n
+    slots = tuple(slot[name] for name, _, _ in int_steps)
+    steps = [x for _, lo, points in int_steps for x in (lo, points, points.bit_length())]
+    names = layout.names
 
-    volume = 0 if access_plan or recipes else math.prod(points for _, _, points, _ in int_plan)
-    if 0 < volume <= enumerate_up_to:
-        for _, i, default in arrays:  # no select-like key sets a cell
-            values[i] = FuncValue(default, {})
-        slots = [i for i, *_ in int_plan]
-        order = list(itertools.product(*(range(lo, lo + points) for _, lo, points, _ in int_plan)))
-        rng.shuffle(order)
-        next_point = iter(order).__next__
+    if access_plan or recipes:
+        exact = len(values) == n
+        getrandbits = rng.getrandbits
 
-        def visit():
-            for i, value in zip(slots, next_point()):
-                values[i] = value
-            return tuple(values) if exact else tuple(values[:n])
-
-        return visit, volume
-
-    getrandbits = rng.getrandbits
-
-    def draw():
-        for i, lo, points, k in int_plan:
-            r = getrandbits(k)
-            while r >= points:
-                r = getrandbits(k)
-            values[i] = lo + r
-        if arrays:
+        def fill():
             cells = {name: {} for name in cell_names}
             for source, index, symbol, interval, lo, points, k, read in access_plan:
                 at = values[source] if source is not None else _eval_index(index, slot, values, cells, {}, seed)
@@ -648,9 +744,22 @@ def epoch_drawer(
                 sample = frame.model(values[: len(frame.names)])
                 for name, term, i in recipes:
                     values[i] = sample.funcs[name] = eval_term(term, sample)
-        return tuple(values) if exact else tuple(values[:n])
+            return tuple(values) if exact else tuple(values[:n])
 
-    return draw, 0
+        bind = _chunk_factory(tuple(layout.sorts), slots, "arrays")
+        return bind(names, (), steps, pred, fresh.append, getrandbits=getrandbits, values=values, fill=fill), 0
+
+    for _, i, default in arrays:  # no select-like key sets a cell
+        values[i] = FuncValue(default, {})
+    consts = [values[i] for i in range(n) if i not in slots]
+    volume = math.prod(points for _, _, points in int_steps)
+    if volume <= enumerate_up_to:
+        order = list(itertools.product(*(range(lo, lo + points) for _, lo, points in int_steps)))
+        rng.shuffle(order)
+        bind = _chunk_factory(tuple(layout.sorts), slots, "enumerate")
+        return bind(names, consts, (), pred, fresh.append, next_point=iter(order).__next__), volume
+    bind = _chunk_factory(tuple(layout.sorts), slots, "random")
+    return bind(names, consts, steps, pred, fresh.append, getrandbits=rng.getrandbits), 0
 
 
 _CHUNK = 64  # draws between two reads of the clock, and between two hand-overs of fresh samples
@@ -676,23 +785,27 @@ def exploit_epoch(
     of V draws visits each of its V points once, and `stats.enumerated`
     says whether the round ran to its end.  Each draw is a vector of the
     run's `layout`, checked with `pred`, the input formula compiled by
-    :meth:`SampleLayout.predicate`, and deduplicated as it is; only fresh
-    samples become Models.  The deadline and the budget cut a round short.
+    :meth:`SampleLayout.predicate`, and deduplicated in `dedup.keys` as it
+    is; only fresh samples become Models.  The draws, checks, key tests and
+    Model builds of a chunk run in the epoch's generated chunk loop, with
+    no Python function call per draw but `pred` and a box's array steps.
+    The deadline and the budget cut a round short.
 
     A round draws in chunks of 64, the period at which it reads the clock.
     Before each chunk, and once when the epoch ends, `on_fresh(samples)`
     takes the fresh samples drawn since its last call, if there are any;
     the clock is read after it, so the time `on_fresh` takes counts against
-    the epoch's time limit.  `fresh_samples` of the result holds every
-    sample handed over, in order; a stop inside a chunk (an interrupt, a
-    :class:`SoundnessViolation`) hands none of that chunk's."""
-    draw, volume = epoch_drawer(
-        iv, seed, layout, cfg, rng, reconstructions=reconstructions, enumerate_up_to=cfg.samples_per_round
+    the epoch's time limit.  A chunk stops early at the budget, and at
+    `dedup`'s cap, where the set settles to digests and the chunk goes on.
+    `fresh_samples` of the result holds every sample handed over, in order;
+    a stop inside a chunk (an interrupt, a :class:`SoundnessViolation`)
+    hands none of that chunk's."""
+    fresh: list[Model] = []
+    chunk, volume = epoch_drawer(
+        iv, seed, layout, cfg, rng, pred, fresh, reconstructions=reconstructions, enumerate_up_to=cfg.samples_per_round
     )
     rounds, per_round = (1, volume) if volume else (cfg.rounds_per_epoch, cfg.samples_per_round)
-    model_of = layout.model
-    add = dedup.add
-    fresh: list[Model] = []
+    budget = math.inf if remaining_budget is None else remaining_budget
     stats = EpochStats()
     epoch_deadline = time.monotonic() + cfg.epoch_time_limit
     if deadline is not None:
@@ -707,28 +820,26 @@ def exploit_epoch(
             handed = len(fresh)
 
     for _ in range(rounds):
-        new_in_round = 0
-        drawn = per_round  # unless the round stops early
-        for i in range(per_round):
-            if i % _CHUNK == 0:
-                hand_over()
-                if time.monotonic() > epoch_deadline:
-                    done, drawn = True, i
-                    break
-            values = draw()
-            if values is None:
-                stats.clashes += 1
-                continue
-            if not pred(*values):
-                raise SoundnessViolation(
-                    f"sample violates the formula: {canonical_assignment(model_of(values))!r}"
-                )
-            if add(values):
-                fresh.append(model_of(values))
-                new_in_round += 1
-                if remaining_budget is not None and len(fresh) >= remaining_budget:
-                    done, drawn = True, i + 1
-                    break
+        new_in_round = drawn = 0
+        while drawn < per_round and not done:
+            hand_over()
+            if time.monotonic() > epoch_deadline:
+                done = True
+                break
+            left = min(_CHUNK, per_round - drawn)
+            while left and not done:  # a chunk stopped at the cap goes on over the digests
+                keys, before = dedup.keys, len(fresh)
+                made, clashes, rejected = chunk(left, keys, len(keys) + min(budget - before, dedup.room()) - 1)
+                if rejected is not None:
+                    raise SoundnessViolation(
+                        f"sample violates the formula: {canonical_assignment(layout.model(rejected))!r}"
+                    )
+                drawn += made
+                left -= made
+                stats.clashes += clashes
+                new_in_round += len(fresh) - before
+                dedup.settle()
+                done = len(fresh) >= budget
         stats.rounds_run += 1
         stats.draws += drawn
         stats.unique_rate = new_in_round / per_round

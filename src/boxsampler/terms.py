@@ -320,8 +320,8 @@ class FuncValue(_Record):
     __slots__ = ("default", "exceptions")
 
     def __init__(self, default: int, exceptions: dict[int, int] | None = None):
-        self.default = default
-        self.exceptions = {k: v for k, v in exceptions.items() if v != default} if exceptions else {}
+        self.default, cells = default, dict(exceptions) if exceptions else {}
+        self.exceptions = {k: v for k, v in cells.items() if v != default} if default in cells.values() else cells
 
     def __eq__(self, other):  # compiled array equality calls this in the sampling loop
         if other.__class__ is self.__class__:

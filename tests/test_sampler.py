@@ -1,7 +1,9 @@
 """Sampling loop: seeds, interval draws, epochs, and the full run."""
 
 import ast
+import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -357,10 +359,26 @@ def _random_array_box(rng: random.Random):
     return problem, seed, iv
 
 
+def _one_draw_at_a_time(iv, seed, layout, cfg, rng, **kw):
+    """`(draw, volume)` over :func:`epoch_drawer`'s chunk loop: `draw()` runs
+    a one-draw chunk and returns the vector that reached `pred`, or None on
+    a clash."""
+    seen = []
+    chunk, volume = epoch_drawer(iv, seed, layout, cfg, rng, lambda *values: not seen.append(values), [], **kw)
+    keys = set()
+
+    def draw():
+        seen.clear()
+        _, clashes, _ = chunk(1, keys, math.inf)
+        return None if clashes else seen[0]
+
+    return draw, volume
+
+
 class TestEpochDrawer:
-    """Each vector the epoch drawer returns equals the reference draw,
-    restricted to the problem and projected onto the layout, and consumes
-    the same random numbers.  The integer reference is
+    """Each vector that the epoch drawer's chunk loop checks equals the
+    reference draw, restricted to the problem and projected onto the
+    layout, and consumes the same random numbers.  The integer reference is
     :func:`sample_intervals`; the array one is one draw over the seed's own
     symbols (:func:`sample_intervals_arrays`), whose stream is pinned by
     :func:`test_array_draws_match_pinned_digest`."""
@@ -373,7 +391,7 @@ class TestEpochDrawer:
         cfg = cfg_of(unbounded_width=rng.choice([0, 5, 10**6]))
         layout = SampleLayout(problem.declarations)
         kernel_rng, reference_rng = random.Random(s), random.Random(s)
-        draw, _ = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
+        draw, _ = _one_draw_at_a_time(iv, seed, layout, cfg, kernel_rng)
         for _ in range(30):
             reference = restrict_to_problem(sample_intervals(iv, seed, cfg, reference_rng), problem)
             values = draw()
@@ -389,7 +407,7 @@ class TestEpochDrawer:
         cfg = cfg_of(unbounded_width=rng.choice([1, 4]))
         layout = SampleLayout(problem.declarations)
         kernel_rng, reference_rng = random.Random(s), random.Random(s)
-        draw, _ = epoch_drawer(iv, seed, layout, cfg, kernel_rng)
+        draw, _ = _one_draw_at_a_time(iv, seed, layout, cfg, kernel_rng)
         for _ in range(30):
             drawn = sample_intervals_arrays(iv, seed, cfg, reference_rng)
             values = draw()
@@ -415,7 +433,7 @@ class TestEpochDrawer:
         layout = SampleLayout([Declaration("i", Sort.INT), Declaration("a", Sort.ARRAY)])
         for keys, evaluated in ((planned, 0), (planned + [shifted], 20)):
             iv = IntervalMap({key: Interval() for key in keys})
-            draw, _ = epoch_drawer(iv, seed, layout, cfg_of(unbounded_width=3), random.Random(0))
+            draw, _ = _one_draw_at_a_time(iv, seed, layout, cfg_of(unbounded_width=3), random.Random(0))
             calls.clear()
             for _ in range(20):
                 draw()
@@ -426,7 +444,7 @@ class TestEpochDrawer:
         clashes = 0
         for s in range(200):
             problem, seed, iv = _random_array_box(random.Random(s))
-            draw, _ = epoch_drawer(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s))
+            draw, _ = _one_draw_at_a_time(iv, seed, SampleLayout(problem.declarations), cfg_of(), random.Random(s))
             clashes += sum(draw() is None for _ in range(10))
         assert clashes > 0  # the property above covers the clash branch
 
@@ -539,7 +557,7 @@ def _assert_draws_match_randint(lo: int, hi: int, rng: random.Random, draws: int
     iv = IntervalMap({X: Interval(lo, hi), Select(A, I): Interval(lo + 9, hi + 9)})
     reference_rng = random.Random()
     reference_rng.setstate(rng.getstate())
-    draw, _ = epoch_drawer(iv, seed, SampleLayout(decls), cfg_of(), rng)
+    draw, _ = _one_draw_at_a_time(iv, seed, SampleLayout(decls), cfg_of(), rng)
     for _ in range(draws):
         x, i, a = draw()
         assert x == reference_rng.randint(lo, hi) and i == 0
@@ -671,18 +689,17 @@ class TestExploitEpoch:
         pred = layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
         cfg = cfg_of(rounds_per_epoch=3, samples_per_round=40, unique_rate_threshold=0.0)
 
-        class CountingDedup(DedupSet):
-            lookups = 0  # one per draw that is no clash
+        checked = []  # one vector per draw that is no clash
 
-            def add(self, key):
-                self.lookups += 1
-                return super().add(key)
+        def counting(*values):
+            checked.append(values)
+            return pred(*values)
 
         def epoch_counts(**kw):
-            dedup = CountingDedup(10_000)
-            epoch = exploit_epoch(iv, seed, pred, layout, dedup, cfg, random.Random(2), **kw)
-            assert epoch.stats.draws == dedup.lookups + epoch.stats.clashes
-            assert epoch.stats.duplicates == dedup.lookups - len(epoch.fresh_samples)
+            checked.clear()
+            epoch = exploit_epoch(iv, seed, counting, layout, DedupSet(10_000), cfg, random.Random(2), **kw)
+            assert epoch.stats.draws == len(checked) + epoch.stats.clashes
+            assert epoch.stats.duplicates == len(checked) - len(epoch.fresh_samples)
             return epoch.stats, len(epoch.fresh_samples)
 
         full, _ = epoch_counts()
@@ -737,27 +754,28 @@ class TestHandOver:
             assert all(b - a <= 64 for a, b in zip([0] + [m for m, _ in handed], [m for m, _ in handed]))
 
     def test_the_first_sample_leaves_with_the_first_chunk(self, monkeypatch):
-        # one epoch of 1,000 random draws: on_sample fires after 64 of them
+        # one epoch of 1,000 random draws: on_sample fires after 64 of them;
+        # each draw is checked once, after the check of the injected seed
         p, _ = _intro_parts()
-        drawer, drawn, events = sampler_mod.epoch_drawer, [], []
+        predicate, drawn, events = SampleLayout.predicate, [], []
 
-        def counting_drawer(*args, **kwargs):
-            draw, volume = drawer(*args, **kwargs)
+        def counting_predicate(layout, formula):
+            check = predicate(layout, formula)
 
-            def counted():
+            def counted(*values):
                 drawn.append(1)
-                return draw()
+                return check(*values)
 
-            return counted, volume
+            return counted
 
-        monkeypatch.setattr(sampler_mod, "epoch_drawer", counting_drawer)
+        monkeypatch.setattr(SampleLayout, "predicate", counting_predicate)
         cfg = cfg_of(rounds_per_epoch=1, samples_per_round=1000, inject_seed=Model(ints={"x": 12, "y": 2}))
         stats = sample_formula(
             p, cfg, None, on_sample=lambda s: events.append(("sample", len(drawn))),
             on_epoch=lambda e: events.append(("epoch", len(drawn))),
         )
         assert stats.epochs == 1 and stats.draws == 1000
-        assert events[0] == ("sample", 64) and events[-1] == ("epoch", 1000)
+        assert events[0] == ("sample", 1 + 64) and events[-1] == ("epoch", 1 + 1000)
         assert [kind for kind, _ in events] == ["sample"] * stats.unique_samples + ["epoch"]
 
 
@@ -875,6 +893,229 @@ class TestEnumeratedEpoch:
         iv = IntervalMap({X: Interval(16, 18), Y: Interval(2, 2)})
         with pytest.raises(SoundnessViolation):
             self._epoch(iv, Model(ints={"x": 16, "y": 2}), cfg_of(), random.Random(0))
+
+
+def _reference_epoch(problem, iv, seed, cfg, rng, budget):
+    """The canonical fresh samples and the draws of an epoch over a box of
+    Int variable keys, by a plain loop over the Model-based chain: the
+    shuffled points of a box of at most `samples_per_round` points, or the
+    draws of :func:`sample_intervals`, each restricted to the problem and
+    canonicalized, deduplicated in order with the rounds, unique-rate stop
+    and budget of :func:`exploit_epoch`."""
+    ranges = []  # clamped around the seed as `sample_intervals` clamps them
+    for key, b in iv.entries.items():
+        at = seed.ints[key.name]
+        ranges.append(range(b.lo if b.lo is not None else at - cfg.unbounded_width,
+                            (b.hi if b.hi is not None else at + cfg.unbounded_width) + 1))
+    rounds, per_round = cfg.rounds_per_epoch, cfg.samples_per_round
+    if math.prod(map(len, ranges)) <= per_round:
+        order = list(itertools.product(*ranges))
+        rng.shuffle(order)
+        points = iter(order)
+        rounds, per_round = 1, len(order)
+
+        def draw():
+            point = dict(zip((key.name for key in iv.entries), next(points)))
+            return Model(ints={**seed.ints, **point}, bools=dict(seed.bools))
+    else:
+        def draw():
+            return sample_intervals(iv, seed, cfg, rng)
+
+    seen, fresh, draws = set(), [], 0
+    for _ in range(rounds):
+        new = 0
+        for _ in range(per_round):
+            draws += 1
+            key = canonical_assignment(restrict_to_problem(draw(), problem))
+            if key not in seen:
+                seen.add(key)
+                fresh.append(key)
+                new += 1
+                if budget is not None and len(fresh) >= budget:
+                    return fresh, draws
+        if new / per_round < cfg.unique_rate_threshold:
+            break
+    return fresh, draws
+
+
+_SIDE = st.one_of(st.none(), st.integers(0, 3), st.integers(0, 10**12))
+
+
+@st.composite
+def _int_epoch_cases(draw):
+    """An epoch over a box of Int variable keys: Int and Bool declarations
+    in any order, a seed that may miss declared symbols, keys in any order
+    over some declared Ints and some undeclared names, each a point or with
+    open or closed sides; a config and a budget."""
+    sorts = draw(st.lists(st.sampled_from([Sort.INT, Sort.INT, Sort.BOOL]), max_size=6))
+    decls = [Declaration(f"s{k}", sort) for k, sort in enumerate(sorts)]
+    seed = Model()
+    for d in decls:
+        if draw(st.booleans()):
+            if d.sort == Sort.INT:
+                seed.ints[d.name] = draw(st.integers(-50, 50))
+            else:
+                seed.bools[d.name] = draw(st.booleans())
+    ints = [d.name for d in decls if d.sort == Sort.INT]
+    names = draw(st.permutations(ints + [f"w{k}" for k in range(draw(st.integers(0, 2)))]))
+    iv = IntervalMap()
+    for name in names[: draw(st.integers(0, len(names)))]:
+        at = seed.ints.setdefault(name, draw(st.integers(-50, 50)))
+        if draw(st.booleans()):
+            iv.entries[IntVar(name)] = Interval(at, at)
+        else:
+            below, above = draw(_SIDE), draw(_SIDE)
+            iv.entries[IntVar(name)] = Interval(None if below is None else at - below, None if above is None else at + above)
+    cfg = cfg_of(
+        samples_per_round=draw(st.sampled_from([1, 5, 64, 100, 130])),
+        rounds_per_epoch=draw(st.integers(1, 3)),
+        unbounded_width=draw(st.sampled_from([0, 2, 10**6])),
+        unique_rate_threshold=draw(st.sampled_from([0.0, 0.05, 0.9])),
+    )
+    budget = draw(st.one_of(st.none(), st.integers(1, 150)))
+    return ParsedProblem("QF_LIA", decls, Atom(Rel.EQ, IntConst(0), IntConst(0))), seed, iv, cfg, budget
+
+
+def _int_case(sorts, seed_ints, box, cfg, budget=None):
+    decls = [Declaration(f"s{k}", sort) for k, sort in enumerate(sorts)]
+    problem = ParsedProblem("QF_LIA", decls, Atom(Rel.EQ, IntConst(0), IntConst(0)))
+    iv = IntervalMap({IntVar(name): Interval(lo, hi) for name, (lo, hi) in box.items()})
+    return problem, Model(ints=dict(seed_ints), bools={"s1": True}), iv, cfg, budget
+
+
+class TestChunkLoop:
+    """The generated chunk loop of :func:`epoch_drawer`, run by
+    :func:`exploit_epoch`: its stream, its dedup set and its kernels."""
+
+    @given(_int_epoch_cases())
+    @example(_int_case([Sort.INT, Sort.BOOL, Sort.INT], {"s0": 3, "s2": 4}, {"s2": (4, 4), "s0": (3, 3)}, cfg_of()))
+    @example(_int_case([Sort.INT, Sort.BOOL, Sort.INT], {"s0": 3, "s2": 4}, {"s2": (0, 3), "s0": (1, 5)}, cfg_of(samples_per_round=20)))
+    @example(_int_case([Sort.INT, Sort.BOOL, Sort.INT], {"s0": 3, "s2": 4}, {"s2": (None, 9)}, cfg_of(samples_per_round=100), 70))
+    @example(_int_case([Sort.INT, Sort.BOOL, Sort.INT, Sort.INT], {"s0": 3, "s2": 4, "w0": 1}, {"w0": (0, None), "s2": (None, None)},
+                       cfg_of(samples_per_round=100, rounds_per_epoch=2, unbounded_width=3, unique_rate_threshold=0.0), 130))
+    @settings(max_examples=200, deadline=None)
+    def test_epoch_equals_the_reference_chain(self, case):
+        problem, seed, iv, cfg, budget = case
+        layout = SampleLayout(problem.declarations)
+        rng, reference_rng = random.Random(7), random.Random(7)
+        epoch = exploit_epoch(
+            iv, seed, layout.predicate(problem.assertion), layout, DedupSet(10_000), cfg, rng, remaining_budget=budget
+        )
+        fresh, draws = _reference_epoch(problem, iv, seed, cfg, reference_rng, budget)
+        assert [canonical_assignment(s) for s in epoch.fresh_samples] == fresh
+        assert (epoch.stats.draws, epoch.stats.duplicates, epoch.stats.clashes) == (draws, draws - len(fresh), 0)
+        assert rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("cap", [5, 70])
+    def test_a_cap_crossed_inside_a_chunk(self, cap, monkeypatch):
+        # 128 points drawn at random in rounds of 100, so duplicates come
+        # on both sides of the switch; it falls inside a 64-draw chunk
+        p, f = _intro_parts()
+        layout = SampleLayout(p.declarations)
+        check = layout.predicate(f)
+        iv = IntervalMap({X: Interval(0, 15), Y: Interval(2, 9)})
+        seed = Model(ints={"x": 12, "y": 2})
+        cfg = cfg_of(rounds_per_epoch=3, samples_per_round=100, unique_rate_threshold=0.0)
+        dedup, states = DedupSet(cap), []  # (keys held, digests stored) before each draw's check
+
+        def pred(*values):
+            states.append((len(dedup.keys), dedup.probabilistic))
+            assert all(type(k) is (bytes if dedup.probabilistic else tuple) for k in dedup.keys)
+            return check(*values)
+
+        epoch = exploit_epoch(iv, seed, pred, layout, dedup, cfg, random.Random(3))
+        uncapped = exploit_epoch(iv, seed, check, layout, DedupSet(10_000), cfg, random.Random(3))
+        assert epoch.fresh_samples == uncapped.fresh_samples and epoch.stats == uncapped.stats
+        assert all(digests == (held >= cap) for held, digests in states)  # exact up to the cap
+        switch = next(i for i, (_, digests) in enumerate(states) if digests)
+        assert switch % cfg.samples_per_round % 64 != 0
+        assert dedup.probabilistic and len(dedup.keys) == len(epoch.fresh_samples) > cap
+
+        def run():
+            samples = []
+            inject = Model(ints={"x": 12, "y": 2})
+            stats = sample_formula(p, dataclasses.replace(cfg, inject_seed=inject), None, random.Random(3), on_sample=samples.append)
+            return stats, samples
+
+        full, samples = run()
+        monkeypatch.setattr(sampler_mod, "_DEDUP_CAP", cap)
+        capped, capped_samples = run()
+        assert capped_samples == samples and capped.probabilistic_dedup and not full.probabilistic_dedup
+
+    _NAMES = {"x": 'q"x', "y": "b{y", "p": "p)z", "a": "n\nw"}
+
+    def _quoted_run(self, names: dict) -> list:
+        text = (
+            "(declare-const x Int)(declare-const y Int)(declare-const p Bool)(declare-const a (Array Int Int))"
+            "(assert (and (<= 0 x 40) (<= (- 20) y 3) p (<= 0 (select a x) 9) (<= (select a 7) 5)))"
+        )
+        for plain, name in names.items():
+            text = text.replace(f" {plain} ", f" |{name}| ").replace(f" {plain})", f" |{name}|)")
+        problem = parse_problem(text)
+        seed = Model(ints={names["x"]: 1, names["y"]: 0}, bools={names["p"]: True}, funcs={names["a"]: FuncValue(2)})
+        samples = []
+        cfg = cfg_of(rounds_per_epoch=2, samples_per_round=100, inject_seed=seed)
+        sample_formula(problem, cfg, None, random.Random(5), on_sample=samples.append)
+        plain = {name: p for p, name in names.items()}
+        return [
+            Model(*({plain[name]: v for name, v in group.items()} for group in (s.ints, s.bools, s.funcs)))
+            for s in samples
+        ]
+
+    def test_quoted_names_give_the_samples_of_plain_names(self, monkeypatch):
+        texts = []
+        build = compile
+        monkeypatch.setattr(sampler_mod, "compile", lambda source, *rest: texts.append(source) or build(source, *rest), raising=False)
+        sampler_mod._chunk_factory.cache_clear()
+        quoted = self._quoted_run(self._NAMES)
+        assert len(quoted) > 100
+        assert quoted == self._quoted_run({name: name for name in self._NAMES})
+        assert texts and not any(name in text for text in texts for name in self._NAMES.values())
+
+    def test_the_generated_text_holds_no_symbol_name(self, monkeypatch):
+        texts = []
+        build = compile
+        monkeypatch.setattr(sampler_mod, "compile", lambda source, *rest: texts.append(source) or build(source, *rest), raising=False)
+        sampler_mod._chunk_factory.cache_clear()
+        sampler_mod._model_factory.cache_clear()
+        names = [name + "_zq" for name in _AWKWARD_NAMES]
+        decls = [Declaration(name, sort) for name, sort in zip(names, itertools.cycle([Sort.INT, Sort.BOOL, Sort.ARRAY]))]
+        layout = SampleLayout(decls)
+        seed = Model(ints={d.name: 0 for d in decls if d.sort == Sort.INT}, funcs={d.name: FuncValue(1) for d in decls if d.sort == Sort.ARRAY})
+        boxes = [  # random, enumerated, and array steps
+            IntervalMap({IntVar(names[0]): Interval(0, 10**6)}),
+            IntervalMap({IntVar(names[0]): Interval(0, 3)}),
+            IntervalMap({Select(ArrayVar(names[2]), IntVar(names[0])): Interval(0, 5)}),
+        ]
+        pred = layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
+        for iv in boxes:
+            epoch = exploit_epoch(iv, seed, pred, layout, DedupSet(10_000), cfg_of(samples_per_round=10), random.Random(0))
+            assert epoch.fresh_samples and set(epoch.fresh_samples[0].ints) == set(names[::3])
+            layout.model(layout.vector(epoch.fresh_samples[0]))
+        assert sampler_mod._chunk_factory.cache_info().currsize == 3 and len(texts) == 4
+        assert not any(name in text for text in texts for name in names)
+
+    def test_two_problems_of_one_shape_compile_once(self):
+        sampler_mod._chunk_factory.cache_clear()
+        for names in (("x", "y"), ("u", "v")):
+            layout = SampleLayout([Declaration(name, Sort.INT) for name in names])
+            iv = IntervalMap({IntVar(names[1]): Interval(0, 10**6), IntVar(names[0]): Interval(-5, 5)})
+            seed = Model(ints=dict.fromkeys(names, 0))
+            pred = layout.predicate(Atom(Rel.EQ, IntConst(0), IntConst(0)))
+            epoch = exploit_epoch(iv, seed, pred, layout, DedupSet(10_000), cfg_of(samples_per_round=100), random.Random(1))
+            assert len(epoch.fresh_samples) > 100 and set(epoch.fresh_samples[0].ints) == set(names)
+        info = sampler_mod._chunk_factory.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_the_kernel_cache_is_bounded(self):
+        sampler_mod._chunk_factory.cache_clear()
+        shapes = [sorts for k in range(6) for sorts in itertools.product(list(Sort), repeat=k)]
+        assert len(shapes) > 256
+        for sorts in shapes:
+            sampler_mod._chunk_factory(sorts, (), "enumerate")
+        info = sampler_mod._chunk_factory.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256 and info.misses == len(shapes)
+        sampler_mod._chunk_factory.cache_clear()
 
 
 class TestSamplerConfig:
