@@ -521,9 +521,10 @@ def _chunk_factory(sorts: tuple[Sort, ...], slots: tuple[int, ...], mode: str):
     """`bind(names, consts, steps, pred, append, *, getrandbits, next_point,
     values, fill)`: the chunk loop of :func:`epoch_drawer` for a layout of
     `sorts` whose integer steps write the frame slots `slots`, in step
-    order.  `bind` takes the epoch's values and returns `chunk`; they are
-    closure variables, never written into the text, which depends on the
-    shape alone and is compiled once per shape.
+    order.  `bind` takes the epoch's values and returns `chunk` (see
+    :func:`epoch_drawer`); they are closure variables, never written into
+    the text, which depends on the shape alone and is compiled once per
+    shape.
 
     - `names`: the layout's names, ``_n0``, ``_n1``, ...
     - `consts`: in modes "random" and "enumerate", the value of each layout
